@@ -721,10 +721,13 @@ mod tests {
                             [stds]\nr/a(x) --> r/b(x)\n";
 
     fn fixture(files: &[(&str, &str)]) -> PathBuf {
+        // One directory per call: tests run in parallel, and identical
+        // file lists may share one address, so neither can name it.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "xmlmap-batch-{}-{:p}",
+            "xmlmap-batch-{}-{}",
             std::process::id(),
-            &files[0]
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).unwrap();
         for (name, contents) in files {

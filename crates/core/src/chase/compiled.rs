@@ -1,6 +1,6 @@
 //! The compiled chase engine.
 //!
-//! Same three steps as [`super::reference`], restructured around four ideas
+//! Same three steps as [`super::reference`], restructured around three ideas
 //! (DESIGN.md §8.2):
 //!
 //! * **compiled firing enumeration** — each std's source pattern is
@@ -11,15 +11,16 @@
 //!   interned variable ids. On multi-std mappings over large documents the
 //!   per-std enumerations fan out across threads (same size gate as
 //!   `Std::satisfied`);
-//! * **union-find unification** — labelled nulls are union-find elements
-//!   and constants are interned into a dense table, so each unification is
-//!   a near-O(1) merge, `ValueConflict` is detected the moment two distinct
-//!   constant classes meet, and the deferred `≠` obligations are checked
-//!   once against class representatives;
-//! * **arena construction** — the partial document is a flat arena keyed by
-//!   `(parent, slot)`, with slot cursors taken from the target DTD's
-//!   productions; completion is one ordered sweep that appends missing
-//!   mandatory children instead of re-scanning child lists;
+//! * **union-find unification and arena construction** — the firings are
+//!   applied to the shared chase arena (`chase::arena`), whose union-find
+//!   of labelled nulls over interned constants makes each unification a
+//!   near-O(1) merge, detects `ValueConflict` the moment two distinct
+//!   constant classes meet, and checks the deferred `≠` obligations once
+//!   against class representatives. The partial document is a flat arena
+//!   keyed by `(parent, slot)`, with slot cursors taken from the target
+//!   DTD's productions; completion is one ordered sweep that appends
+//!   missing mandatory children instead of re-scanning child lists. The
+//!   streaming chase and the incremental delta-chase drive the same arena;
 //! * **plan compilation** — the fully-specified target pattern of each std
 //!   is flattened into a per-mapping instruction sequence (create/reuse a
 //!   slot child, unify attribute classes) so the per-firing walk does no
@@ -35,14 +36,16 @@
 //! outside both engines' contract (the reference would conflate them with
 //! its own fresh nulls).
 
+use super::arena::ChaseArena;
 use super::ChaseError;
 use crate::cond::CompOp;
 use crate::stds::Mapping;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use xmlmap_codec::{CodecError, Decoder, Encoder};
 use xmlmap_dtd::Mult;
 use xmlmap_patterns::{CompiledPattern, LabelTest, ListItem, Matcher, Pattern, Var};
-use xmlmap_trees::{Name, NodeId, Tree, Value};
+use xmlmap_trees::{Name, Tree, Value};
 
 fn encode_chase_err(err: &ChaseError, e: &mut Encoder) {
     let (tag, msg): (u8, Option<&str>) = match err {
@@ -156,6 +159,22 @@ pub(super) struct StdPlan {
     pub(super) plan_nodes: u32,
 }
 
+impl StdPlan {
+    /// Does a match tuple pass the std's source conditions? A condition
+    /// over a variable the pattern never binds admits nothing.
+    fn admits<V: Borrow<Value>>(&self, t: &[V]) -> bool {
+        self.src_conds.iter().all(|c| {
+            c.is_some_and(|(op, l, r)| {
+                let (a, b) = (t[l as usize].borrow(), t[r as usize].borrow());
+                match op {
+                    CompOp::Eq => a == b,
+                    CompOp::Neq => a != b,
+                }
+            })
+        })
+    }
+}
+
 /// One step of a firing's instantiation walk.
 pub(super) enum PlanOp {
     /// Unify the α′₌ class values `classes[k]` into attribute slot `k` of
@@ -246,47 +265,31 @@ impl ChaseCache {
                 // (the partition matches the reference's `firing_values`).
                 let tvars = s.target.variables();
                 let mut var_ix: HashMap<&Var, usize> = HashMap::new();
-                let mut all_vars: Vec<&Var> = Vec::new();
                 for v in tvars
                     .iter()
                     .chain(s.target_cond.iter().flat_map(|c| [&c.left, &c.right]))
                 {
-                    var_ix.entry(v).or_insert_with(|| {
-                        all_vars.push(v);
-                        all_vars.len() - 1
-                    });
+                    let next = var_ix.len();
+                    var_ix.entry(v).or_insert(next);
                 }
-                let mut dsu: Vec<usize> = (0..all_vars.len()).collect();
-                fn find(dsu: &mut [usize], mut i: usize) -> usize {
-                    while dsu[i] != i {
-                        dsu[i] = dsu[dsu[i]];
-                        i = dsu[i];
-                    }
-                    i
+                // Each variable's class label; an equality relabels one
+                // class into the other (a std has a handful of variables).
+                let mut label: Vec<usize> = (0..var_ix.len()).collect();
+                for c in s.target_cond.iter().filter(|c| c.op == CompOp::Eq) {
+                    let (a, b) = (label[var_ix[&c.left]], label[var_ix[&c.right]]);
+                    label.iter_mut().filter(|l| **l == a).for_each(|l| *l = b);
                 }
-                for c in &s.target_cond {
-                    if c.op == CompOp::Eq {
-                        let (a, b) = (
-                            find(&mut dsu, var_ix[&c.left]),
-                            find(&mut dsu, var_ix[&c.right]),
-                        );
-                        if a != b {
-                            dsu[a] = b;
-                        }
-                    }
-                }
-                let mut class_of_root: HashMap<usize, u32> = HashMap::new();
+                let mut class_of_label: HashMap<usize, u32> = HashMap::new();
                 let mut class_count = 0u32;
-                let mut class_for = |dsu: &mut [usize], ix: usize| -> u32 {
-                    let r = find(dsu, ix);
-                    *class_of_root.entry(r).or_insert_with(|| {
+                let mut class_for = |ix: usize| -> u32 {
+                    *class_of_label.entry(label[ix]).or_insert_with(|| {
                         class_count += 1;
                         class_count - 1
                     })
                 };
                 let tvar_classes: Vec<(u32, Option<u32>)> = tvars
                     .iter()
-                    .map(|v| (class_for(&mut dsu, var_ix[v]), source.var_id(v)))
+                    .map(|v| (class_for(var_ix[v]), source.var_id(v)))
                     .collect();
                 let neqs: Vec<(u32, u32, String)> = s
                     .target_cond
@@ -294,16 +297,14 @@ impl ChaseCache {
                     .filter(|c| c.op == CompOp::Neq)
                     .map(|c| {
                         (
-                            class_for(&mut dsu, var_ix[&c.left]),
-                            class_for(&mut dsu, var_ix[&c.right]),
+                            class_for(var_ix[&c.left]),
+                            class_for(var_ix[&c.right]),
                             format!("std #{si}: {c}"),
                         )
                     })
                     .collect();
-                let class_of_var: HashMap<&Var, u32> = tvars
-                    .iter()
-                    .map(|v| (v, class_for(&mut dsu, var_ix[v])))
-                    .collect();
+                let class_of_var: HashMap<&Var, u32> =
+                    tvars.iter().map(|v| (v, class_for(var_ix[v]))).collect();
 
                 let pre_fail = match &s.target.label {
                     LabelTest::Wildcard => {
@@ -543,23 +544,10 @@ impl ChaseCache {
     pub(crate) fn canonical_firings(
         &self,
         i: usize,
-        tuples: Vec<Box<[Value]>>,
+        mut tuples: Vec<Box<[Value]>>,
     ) -> Vec<Box<[Value]>> {
         let p = &self.plans[i];
-        if p.src_conds.iter().any(Option::is_none) {
-            return Vec::new(); // a condition that can never hold
-        }
-        let mut tuples = tuples;
-        tuples.retain(|t| {
-            p.src_conds.iter().all(|c| {
-                let (op, l, r) = c.expect("dead conditions handled above");
-                let (a, b) = (&t[l as usize], &t[r as usize]);
-                match op {
-                    CompOp::Eq => a == b,
-                    CompOp::Neq => a != b,
-                }
-            })
-        });
+        tuples.retain(|t| p.admits(t));
         // The kernel's row order: value order under the alphabetical
         // variable permutation (see `Matcher::all_match_tuples`).
         let vars = p.source.vars();
@@ -834,150 +822,6 @@ fn emit_ops(
     true
 }
 
-/// A chase-time value: an interned constant or a union-find null element.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Val {
-    Const(u32),
-    Null(u32),
-}
-
-/// Interned constants plus a union-find over labelled nulls. Each null
-/// class optionally carries the constant it has been unified with;
-/// merging two classes bound to distinct constants is the value conflict.
-#[derive(Default)]
-struct Values<'s> {
-    consts: Vec<&'s Value>,
-    intern: HashMap<&'s Value, u32>,
-    parent: Vec<u32>,
-    rank: Vec<u8>,
-    bound: Vec<Option<u32>>,
-}
-
-impl<'s> Values<'s> {
-    fn intern(&mut self, v: &'s Value) -> u32 {
-        match self.intern.get(v) {
-            Some(&c) => c,
-            None => {
-                let c = self.consts.len() as u32;
-                self.consts.push(v);
-                self.intern.insert(v, c);
-                c
-            }
-        }
-    }
-
-    fn fresh_null(&mut self) -> Val {
-        let n = self.parent.len() as u32;
-        self.parent.push(n);
-        self.rank.push(0);
-        self.bound.push(None);
-        Val::Null(n)
-    }
-
-    fn find(&mut self, mut n: u32) -> u32 {
-        while self.parent[n as usize] != n {
-            let gp = self.parent[self.parent[n as usize] as usize];
-            self.parent[n as usize] = gp;
-            n = gp;
-        }
-        n
-    }
-
-    /// Unifies two values; `false` on constant/constant conflict.
-    fn unify(&mut self, a: Val, b: Val) -> bool {
-        match (a, b) {
-            (Val::Const(x), Val::Const(y)) => x == y,
-            (Val::Null(n), Val::Const(c)) | (Val::Const(c), Val::Null(n)) => {
-                let r = self.find(n);
-                match self.bound[r as usize] {
-                    Some(c2) => c2 == c,
-                    None => {
-                        self.bound[r as usize] = Some(c);
-                        true
-                    }
-                }
-            }
-            (Val::Null(x), Val::Null(y)) => {
-                let (rx, ry) = (self.find(x), self.find(y));
-                if rx == ry {
-                    return true;
-                }
-                match (self.bound[rx as usize], self.bound[ry as usize]) {
-                    (Some(a), Some(b)) if a != b => false,
-                    (bx, by) => {
-                        let joint = bx.or(by);
-                        let (hi, lo) = if self.rank[rx as usize] >= self.rank[ry as usize] {
-                            (rx, ry)
-                        } else {
-                            (ry, rx)
-                        };
-                        self.parent[lo as usize] = hi;
-                        if self.rank[hi as usize] == self.rank[lo as usize] {
-                            self.rank[hi as usize] += 1;
-                        }
-                        self.bound[hi as usize] = joint;
-                        true
-                    }
-                }
-            }
-        }
-    }
-
-    /// Are the two values forced equal by the final substitution?
-    fn same(&mut self, a: Val, b: Val) -> bool {
-        let canon = |vals: &mut Self, v: Val| match v {
-            Val::Const(c) => Val::Const(c),
-            Val::Null(n) => {
-                let r = vals.find(n);
-                match vals.bound[r as usize] {
-                    Some(c) => Val::Const(c),
-                    None => Val::Null(r),
-                }
-            }
-        };
-        canon(self, a) == canon(self, b)
-    }
-
-    /// The output value: the bound constant, or a null labelled by the
-    /// class representative (distinct classes ⇒ distinct labels).
-    fn resolve(&mut self, v: Val) -> Value {
-        match v {
-            Val::Const(c) => self.consts[c as usize].clone(),
-            Val::Null(n) => {
-                let r = self.find(n);
-                match self.bound[r as usize] {
-                    Some(c) => self.consts[c as usize].clone(),
-                    None => Value::Null(r as u64),
-                }
-            }
-        }
-    }
-}
-
-/// One node of the flat partial-document arena: children are bucketed per
-/// production slot, so completion and ordering are a single slot-order
-/// sweep rather than repeated child scans.
-struct ANode {
-    label: u32,
-    attrs: Vec<Val>,
-    kids: Vec<Vec<u32>>,
-}
-
-fn create_node(
-    arena: &mut Vec<ANode>,
-    labels: &[LabelInfo],
-    vals: &mut Values<'_>,
-    label: u32,
-) -> u32 {
-    let info = &labels[label as usize];
-    arena.push(ANode {
-        label,
-        attrs: (0..info.attrs.len()).map(|_| vals.fresh_null()).collect(),
-        kids: vec![Vec::new(); info.slots.len()],
-    });
-    (arena.len() - 1) as u32
-}
-
 /// Builds the canonical solution of `source` under `m`, or proves none
 /// exists. Fragment: fully-specified stds, nested-relational tree-shaped
 /// target DTD; source conditions only filter firings.
@@ -1018,18 +862,8 @@ pub fn canonical_solution_cached(
         if p.src_conds.iter().any(Option::is_none) {
             return Vec::new(); // a condition that can never hold
         }
-        let matcher = Matcher::new(source, &p.source);
-        let mut tuples = matcher.all_match_tuples();
-        tuples.retain(|t| {
-            p.src_conds.iter().all(|c| {
-                let (op, l, r) = c.expect("dead conditions handled above");
-                let (a, b) = (t[l as usize], t[r as usize]);
-                match op {
-                    CompOp::Eq => a == b,
-                    CompOp::Neq => a != b,
-                }
-            })
-        });
+        let mut tuples = Matcher::new(source, &p.source).all_match_tuples();
+        tuples.retain(|t| p.admits(t));
         tuples
     };
     let firings: Vec<Vec<Vec<&Value>>> =
@@ -1064,183 +898,24 @@ pub(crate) fn canonical_solution_from_firings(
         .enumerate()
         .map(|(i, tuples)| cache.canonical_firings(i, tuples))
         .collect();
-    let views: Vec<Vec<Vec<&Value>>> = canonical
-        .iter()
-        .map(|std| std.iter().map(|t| t.iter().collect()).collect())
-        .collect();
-    chase_firings(cache, &views)
+    chase_firings(cache, &canonical)
 }
 
-/// The chase construction proper: instantiates every firing of every std
-/// into the union-find/slot-cursor arena, completes mandatory slots, and
-/// materialises the canonical solution. `firings[i]` must be std `i`'s
-/// canonical firing sequence (the kernel's sorted, deduplicated,
-/// condition-filtered order) — the construction replays it verbatim, so
-/// identical sequences yield byte-identical trees.
-fn chase_firings(cache: &ChaseCache, firings: &[Vec<Vec<&Value>>]) -> Result<Tree, ChaseError> {
-    // Root node with fresh-null attributes.
-    let mut vals = Values::default();
-    let mut arena: Vec<ANode> = Vec::new();
-    create_node(&mut arena, &cache.labels, &mut vals, cache.root);
-
-    // Step 1b: instantiate every firing of every std.
-    let mut obligations: Vec<(Val, Val, &String)> = Vec::new();
-    let mut class_vals: Vec<Option<Val>> = Vec::new();
-    let mut node_map: Vec<u32> = Vec::new();
-    for (si, (plan, std_firings)) in cache.plans.iter().zip(firings).enumerate() {
+/// The chase construction proper: applies every firing of every std to a
+/// fresh [`ChaseArena`], then takes its solution (completion, the `≠`
+/// check, materialization). `firings[i]` must be std `i`'s canonical
+/// firing sequence (the kernel's sorted, deduplicated, condition-filtered
+/// order) — the construction replays it verbatim, so identical sequences
+/// yield byte-identical trees.
+fn chase_firings<T: AsRef<[V]>, V: Borrow<Value>>(
+    cache: &ChaseCache,
+    firings: &[Vec<T>],
+) -> Result<Tree, ChaseError> {
+    let mut arena = ChaseArena::new(cache);
+    for (si, std_firings) in firings.iter().enumerate() {
         for tuple in std_firings {
-            // α′₌ class values (the reference's `firing_values`): shared
-            // variables pin their class to the firing's constant —
-            // detecting unsatisfiable equalities — then the remaining
-            // classes get fresh nulls.
-            class_vals.clear();
-            class_vals.resize(plan.class_count as usize, None);
-            for &(class, src) in &plan.tvar_classes {
-                if let Some(sid) = src {
-                    let v = tuple[sid as usize];
-                    match class_vals[class as usize] {
-                        Some(Val::Const(c)) if vals.consts[c as usize] != v => {
-                            return Err(ChaseError::EqualityUnsatisfiable(format!(
-                                "std #{si}: α′₌ equates {} and {}",
-                                vals.consts[c as usize], v
-                            )));
-                        }
-                        Some(_) => {}
-                        None => {
-                            let c = vals.intern(v);
-                            class_vals[class as usize] = Some(Val::Const(c));
-                        }
-                    }
-                }
-            }
-            for &(class, _) in &plan.tvar_classes {
-                if class_vals[class as usize].is_none() {
-                    class_vals[class as usize] = Some(vals.fresh_null());
-                }
-            }
-            for (l, r, what) in &plan.neqs {
-                for c in [*l, *r] {
-                    if class_vals[c as usize].is_none() {
-                        class_vals[c as usize] = Some(vals.fresh_null());
-                    }
-                }
-                obligations.push((
-                    class_vals[*l as usize].expect("filled above"),
-                    class_vals[*r as usize].expect("filled above"),
-                    what,
-                ));
-            }
-            if let Some(e) = &plan.pre_fail {
-                return Err(e.clone());
-            }
-            // Run the instantiation program (the reference's
-            // `instantiate`, minus all per-firing pattern traversal).
-            node_map.clear();
-            node_map.resize(plan.plan_nodes as usize, 0);
-            for op in &plan.ops {
-                match op {
-                    PlanOp::Fail(e) => return Err(e.clone()),
-                    PlanOp::Child {
-                        parent,
-                        node,
-                        label,
-                        slot,
-                        repeatable,
-                    } => {
-                        let p = node_map[*parent as usize] as usize;
-                        let slot = *slot as usize;
-                        let id = match arena[p].kids[slot].first() {
-                            Some(&id) if !repeatable => id,
-                            _ => {
-                                let id = create_node(&mut arena, &cache.labels, &mut vals, *label);
-                                arena[p].kids[slot].push(id);
-                                id
-                            }
-                        };
-                        node_map[*node as usize] = id;
-                    }
-                    PlanOp::Unify { node, classes } => {
-                        let a = node_map[*node as usize] as usize;
-                        for (k, &cls) in classes.iter().enumerate() {
-                            let nv = class_vals[cls as usize].expect("all classes filled");
-                            let old = arena[a].attrs[k];
-                            if !vals.unify(old, nv) {
-                                let info = &cache.labels[arena[a].label as usize];
-                                return Err(ChaseError::ValueConflict(format!(
-                                    "attribute {} of {}: {} vs {}",
-                                    info.attrs[k],
-                                    info.name,
-                                    vals.resolve(old),
-                                    vals.resolve(nv)
-                                )));
-                            }
-                        }
-                    }
-                }
-            }
+            arena.apply_firing(cache, si, tuple.as_ref())?;
         }
     }
-
-    // Step 2: completion — one ordered sweep. Newly created mandatory
-    // children are appended to the arena and completed when the cursor
-    // reaches them; children are already bucketed per slot, so ordering is
-    // implicit. (The reference's multiplicity/stray-child failures cannot
-    // arise here: children only ever enter through a production slot, and
-    // non-repeatable slots reuse their unique child.)
-    let mut i = 0;
-    while i < arena.len() {
-        let info = &cache.labels[arena[i].label as usize];
-        for slot in 0..info.slots.len() {
-            let (clabel, mult) = info.slots[slot];
-            if arena[i].kids[slot].is_empty() && matches!(mult, Mult::One | Mult::Plus) {
-                let id = create_node(&mut arena, &cache.labels, &mut vals, clabel);
-                arena[i].kids[slot].push(id);
-            }
-        }
-        i += 1;
-    }
-
-    // Step 3: deferred ≠ obligations against class representatives.
-    for (a, b, what) in &obligations {
-        if vals.same(*a, *b) {
-            return Err(ChaseError::InequalityViolated((*what).clone()));
-        }
-    }
-
-    // Materialize the arena as a document, resolving attribute slots.
-    fn attrs_of(
-        arena: &[ANode],
-        labels: &[LabelInfo],
-        vals: &mut Values<'_>,
-        node: usize,
-    ) -> Vec<(Name, Value)> {
-        let info = &labels[arena[node].label as usize];
-        info.attrs
-            .iter()
-            .cloned()
-            .zip(arena[node].attrs.iter().map(|&v| vals.resolve(v)))
-            .collect()
-    }
-    fn materialize(
-        arena: &[ANode],
-        labels: &[LabelInfo],
-        vals: &mut Values<'_>,
-        node: usize,
-        out: &mut Tree,
-        at: NodeId,
-    ) {
-        for slot_kids in &arena[node].kids {
-            for &kid in slot_kids {
-                let kid = kid as usize;
-                let attrs = attrs_of(arena, labels, vals, kid);
-                let id = out.add_child(at, labels[arena[kid].label as usize].name.clone(), attrs);
-                materialize(arena, labels, vals, kid, out, id);
-            }
-        }
-    }
-    let mut tree = Tree::new(cache.labels[cache.root as usize].name.clone());
-    let root_attrs = attrs_of(&arena, &cache.labels, &mut vals, 0);
-    tree.set_attrs(Tree::ROOT, root_attrs);
-    materialize(&arena, &cache.labels, &mut vals, 0, &mut tree, Tree::ROOT);
-    Ok(tree)
+    arena.solution(cache)
 }

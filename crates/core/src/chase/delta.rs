@@ -18,14 +18,12 @@
 //!   every child of the edit point's parent — inserting `c` between
 //!   siblings `a, b` breaks `a → b` even though `c` occurs in neither
 //!   pattern, so the label-intersection test alone would be unsound;
-//! * **epoch-versioned retractable arena** — the union-find of labelled
-//!   nulls, the interned constant table and the `(parent, slot)`
-//!   slot-cursor arena of the compiled kernel are mirrored in an owned
-//!   form whose every mutation is recorded on a trail. Each applied
-//!   firing is an epoch delimited by a checkpoint; rewinding to any
-//!   epoch restores the exact arena state by LIFO undo (union-find
-//!   merges use no path compression here, so representative choice —
-//!   and therefore the output's null labels — replays identically);
+//! * **the shared retractable arena** — the session drives the same
+//!   chase arena (`chase::arena`) as the tree and streaming chases. Each
+//!   applied firing is an epoch delimited by a checkpoint; rewinding to
+//!   any epoch restores the exact arena state by LIFO undo, and since the
+//!   arena's union-find never compresses paths, representative choice —
+//!   and therefore the output's null labels — replays identically;
 //! * **prefix-preserving replay** — per-std canonical firing sequences
 //!   are maintained for the current document; after an update re-matches
 //!   the affected stds, the flattened std-major sequence is compared
@@ -36,18 +34,21 @@
 //!   canonical order), same completion sweep.
 //!
 //! Completion (mandatory-child filling) and the deferred `≠` check are
-//! *read-time* operations: [`IncrementalChase::canonical_solution`] runs
-//! them on the live arena under a checkpoint and rewinds afterwards, so
-//! the persistent state stays pristine across updates.
+//! *read-time* operations: [`IncrementalChase::canonical_solution`] takes
+//! the arena's solution, which runs them under a mark and undoes back to
+//! it, so the persistent state stays pristine across updates.
+//!
+//! This module keeps only what is incremental: the touch profiles, the
+//! update grammar, the session and the replay.
 
-use super::compiled::{ChaseCache, LabelInfo, PlanOp, StdPlan};
+use super::arena::ChaseArena;
+use super::compiled::ChaseCache;
 use super::ChaseError;
 use crate::exchange::CertainAnswersError;
 use crate::stds::Mapping;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use xmlmap_codec::CodecError;
-use xmlmap_dtd::Mult;
 use xmlmap_patterns::{eval, Matcher, Pattern, Valuation};
 use xmlmap_trees::{Name, NodeId, Tree, Value};
 
@@ -101,7 +102,14 @@ impl DeltaPlan {
     /// Compiles the delta tables for `m`.
     pub fn new(m: &Mapping) -> DeltaPlan {
         let chase = ChaseCache::new(m);
-        let profiles = m.stds.iter().map(|s| TouchProfile::of(&s.source)).collect();
+        // A mapping outside the chase fragment compiles to no std plans,
+        // so it gets no profiles either — exactly what decoding its
+        // stored tables yields. Its sessions only report the fragment
+        // error.
+        let profiles = m.stds[..chase.std_count()]
+            .iter()
+            .map(|s| TouchProfile::of(&s.source))
+            .collect();
         DeltaPlan { chase, profiles }
     }
 
@@ -249,398 +257,6 @@ pub fn parse_updates(input: &str) -> Result<Vec<Update>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// The retractable arena
-// ---------------------------------------------------------------------------
-
-/// A chase-time value: an interned constant or a union-find null element.
-/// Owned twin of the kernel's borrowing `Val` — the delta session outlives
-/// any one version of the source document.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Val {
-    Const(u32),
-    Null(u32),
-}
-
-/// One undoable arena mutation. Every state change an epoch makes is one
-/// of these; popping them in reverse restores the pre-epoch state exactly.
-enum TrailOp {
-    /// A null was created: pop the union-find columns.
-    NewNull,
-    /// A constant was interned: pop the table and its index entry.
-    NewConst,
-    /// Root `lo` was merged under another root: re-root it.
-    SetParent(u32),
-    /// Root `hi`'s rank was bumped by the merge.
-    BumpRank(u32),
-    /// Root `node`'s bound constant was overwritten (held `old`).
-    SetBound { node: u32, old: Option<u32> },
-    /// An arena node was created: pop it.
-    NewNode,
-    /// A child id was pushed into `kids[slot]` of arena node `node`.
-    PushKid { node: u32, slot: u32 },
-}
-
-/// One node of the retractable slot-cursor arena.
-struct DNode {
-    label: u32,
-    attrs: Vec<Val>,
-    kids: Vec<Vec<u32>>,
-}
-
-/// The epoch-versioned union-find + slot-cursor arena. Mirrors the
-/// kernel's `Values`/`ANode` construction op for op — same interning
-/// order, same union-by-rank representative choice (without path
-/// compression, which does not affect representatives), same slot-cursor
-/// reuse — so a rewind-and-replay over a firing sequence produces a
-/// byte-identical materialization to a from-scratch chase of the same
-/// sequence.
-#[derive(Default)]
-struct DeltaArena {
-    consts: Vec<Value>,
-    intern: HashMap<Value, u32>,
-    parent: Vec<u32>,
-    rank: Vec<u8>,
-    bound: Vec<Option<u32>>,
-    nodes: Vec<DNode>,
-    trail: Vec<TrailOp>,
-    obligations: Vec<(Val, Val, String)>,
-    /// `(trail length, obligation count)` before each applied epoch.
-    checkpoints: Vec<(usize, usize)>,
-}
-
-impl DeltaArena {
-    fn intern(&mut self, v: &Value) -> u32 {
-        match self.intern.get(v) {
-            Some(&c) => c,
-            None => {
-                let c = self.consts.len() as u32;
-                self.consts.push(v.clone());
-                self.intern.insert(v.clone(), c);
-                self.trail.push(TrailOp::NewConst);
-                c
-            }
-        }
-    }
-
-    fn fresh_null(&mut self) -> Val {
-        let n = self.parent.len() as u32;
-        self.parent.push(n);
-        self.rank.push(0);
-        self.bound.push(None);
-        self.trail.push(TrailOp::NewNull);
-        Val::Null(n)
-    }
-
-    /// Representative lookup without path compression: compression only
-    /// rewires parent pointers (it never changes which root wins a merge),
-    /// and skipping it keeps `find` read-only — nothing to trail.
-    fn find(&self, mut n: u32) -> u32 {
-        while self.parent[n as usize] != n {
-            n = self.parent[n as usize];
-        }
-        n
-    }
-
-    /// Unifies two values; `false` on constant/constant conflict. Same
-    /// merge policy as the kernel's `Values::unify`.
-    fn unify(&mut self, a: Val, b: Val) -> bool {
-        match (a, b) {
-            (Val::Const(x), Val::Const(y)) => x == y,
-            (Val::Null(n), Val::Const(c)) | (Val::Const(c), Val::Null(n)) => {
-                let r = self.find(n);
-                match self.bound[r as usize] {
-                    Some(c2) => c2 == c,
-                    None => {
-                        self.trail.push(TrailOp::SetBound { node: r, old: None });
-                        self.bound[r as usize] = Some(c);
-                        true
-                    }
-                }
-            }
-            (Val::Null(x), Val::Null(y)) => {
-                let (rx, ry) = (self.find(x), self.find(y));
-                if rx == ry {
-                    return true;
-                }
-                match (self.bound[rx as usize], self.bound[ry as usize]) {
-                    (Some(a), Some(b)) if a != b => false,
-                    (bx, by) => {
-                        let joint = bx.or(by);
-                        let (hi, lo) = if self.rank[rx as usize] >= self.rank[ry as usize] {
-                            (rx, ry)
-                        } else {
-                            (ry, rx)
-                        };
-                        self.trail.push(TrailOp::SetParent(lo));
-                        self.parent[lo as usize] = hi;
-                        if self.rank[hi as usize] == self.rank[lo as usize] {
-                            self.trail.push(TrailOp::BumpRank(hi));
-                            self.rank[hi as usize] += 1;
-                        }
-                        self.trail.push(TrailOp::SetBound {
-                            node: hi,
-                            old: self.bound[hi as usize],
-                        });
-                        self.bound[hi as usize] = joint;
-                        true
-                    }
-                }
-            }
-        }
-    }
-
-    /// Are the two values forced equal by the current substitution?
-    fn same(&self, a: Val, b: Val) -> bool {
-        let canon = |v: Val| match v {
-            Val::Const(c) => Val::Const(c),
-            Val::Null(n) => {
-                let r = self.find(n);
-                match self.bound[r as usize] {
-                    Some(c) => Val::Const(c),
-                    None => Val::Null(r),
-                }
-            }
-        };
-        canon(a) == canon(b)
-    }
-
-    /// The output value: the bound constant, or a null labelled by the
-    /// class representative.
-    fn resolve(&self, v: Val) -> Value {
-        match v {
-            Val::Const(c) => self.consts[c as usize].clone(),
-            Val::Null(n) => {
-                let r = self.find(n);
-                match self.bound[r as usize] {
-                    Some(c) => self.consts[c as usize].clone(),
-                    None => Value::Null(r as u64),
-                }
-            }
-        }
-    }
-
-    fn create_node(&mut self, labels: &[LabelInfo], label: u32) -> u32 {
-        let info = &labels[label as usize];
-        let attrs = (0..info.attrs.len()).map(|_| self.fresh_null()).collect();
-        self.nodes.push(DNode {
-            label,
-            attrs,
-            kids: vec![Vec::new(); info.slots.len()],
-        });
-        self.trail.push(TrailOp::NewNode);
-        (self.nodes.len() - 1) as u32
-    }
-
-    fn push_kid(&mut self, node: u32, slot: u32, kid: u32) {
-        self.nodes[node as usize].kids[slot as usize].push(kid);
-        self.trail.push(TrailOp::PushKid { node, slot });
-    }
-
-    /// LIFO undo back to trail length `mark`.
-    fn undo_to(&mut self, mark: usize) {
-        while self.trail.len() > mark {
-            match self.trail.pop().expect("trail length checked") {
-                TrailOp::NewNull => {
-                    self.parent.pop();
-                    self.rank.pop();
-                    self.bound.pop();
-                }
-                TrailOp::NewConst => {
-                    let v = self.consts.pop().expect("interned constant on trail");
-                    self.intern.remove(&v);
-                }
-                TrailOp::SetParent(lo) => self.parent[lo as usize] = lo,
-                TrailOp::BumpRank(hi) => self.rank[hi as usize] -= 1,
-                TrailOp::SetBound { node, old } => self.bound[node as usize] = old,
-                TrailOp::NewNode => {
-                    self.nodes.pop();
-                }
-                TrailOp::PushKid { node, slot } => {
-                    self.nodes[node as usize].kids[slot as usize].pop();
-                }
-            }
-        }
-    }
-
-    /// Rewinds to the state before epoch `epoch` (0-based; `rewind_to(k)`
-    /// leaves exactly `k` epochs applied).
-    fn rewind_to(&mut self, epoch: usize) {
-        if epoch >= self.checkpoints.len() {
-            return;
-        }
-        let (trail_mark, obligations_mark) = self.checkpoints[epoch];
-        self.undo_to(trail_mark);
-        self.obligations.truncate(obligations_mark);
-        self.checkpoints.truncate(epoch);
-    }
-
-    /// Applies one firing as a new epoch; on failure the partial epoch is
-    /// fully undone and the error returned. Mirrors the per-tuple body of
-    /// the kernel's `chase_firings` exactly.
-    fn apply_firing(
-        &mut self,
-        cache: &ChaseCache,
-        si: usize,
-        tuple: &[Value],
-    ) -> Result<(), ChaseError> {
-        let mark = (self.trail.len(), self.obligations.len());
-        self.checkpoints.push(mark);
-        match self.try_firing(cache, si, tuple) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.checkpoints.pop();
-                self.undo_to(mark.0);
-                self.obligations.truncate(mark.1);
-                Err(e)
-            }
-        }
-    }
-
-    fn try_firing(
-        &mut self,
-        cache: &ChaseCache,
-        si: usize,
-        tuple: &[Value],
-    ) -> Result<(), ChaseError> {
-        let plan: &StdPlan = &cache.plans[si];
-        let mut class_vals: Vec<Option<Val>> = vec![None; plan.class_count as usize];
-        for &(class, src) in &plan.tvar_classes {
-            if let Some(sid) = src {
-                let v = &tuple[sid as usize];
-                match class_vals[class as usize] {
-                    Some(Val::Const(c)) if self.consts[c as usize] != *v => {
-                        return Err(ChaseError::EqualityUnsatisfiable(format!(
-                            "std #{si}: α′₌ equates {} and {}",
-                            self.consts[c as usize], v
-                        )));
-                    }
-                    Some(_) => {}
-                    None => {
-                        let c = self.intern(v);
-                        class_vals[class as usize] = Some(Val::Const(c));
-                    }
-                }
-            }
-        }
-        for &(class, _) in &plan.tvar_classes {
-            if class_vals[class as usize].is_none() {
-                class_vals[class as usize] = Some(self.fresh_null());
-            }
-        }
-        for (l, r, what) in &plan.neqs {
-            for c in [*l, *r] {
-                if class_vals[c as usize].is_none() {
-                    class_vals[c as usize] = Some(self.fresh_null());
-                }
-            }
-            self.obligations.push((
-                class_vals[*l as usize].expect("filled above"),
-                class_vals[*r as usize].expect("filled above"),
-                what.clone(),
-            ));
-        }
-        if let Some(e) = &plan.pre_fail {
-            return Err(e.clone());
-        }
-        let mut node_map: Vec<u32> = vec![0; plan.plan_nodes as usize];
-        for op in &plan.ops {
-            match op {
-                PlanOp::Fail(e) => return Err(e.clone()),
-                PlanOp::Child {
-                    parent,
-                    node,
-                    label,
-                    slot,
-                    repeatable,
-                } => {
-                    let p = node_map[*parent as usize];
-                    let id = match self.nodes[p as usize].kids[*slot as usize].first() {
-                        Some(&id) if !repeatable => id,
-                        _ => {
-                            let id = self.create_node(&cache.labels, *label);
-                            self.push_kid(p, *slot, id);
-                            id
-                        }
-                    };
-                    node_map[*node as usize] = id;
-                }
-                PlanOp::Unify { node, classes } => {
-                    let a = node_map[*node as usize] as usize;
-                    for (k, &cls) in classes.iter().enumerate() {
-                        let nv = class_vals[cls as usize].expect("all classes filled");
-                        let old = self.nodes[a].attrs[k];
-                        if !self.unify(old, nv) {
-                            let info = &cache.labels[self.nodes[a].label as usize];
-                            return Err(ChaseError::ValueConflict(format!(
-                                "attribute {} of {}: {} vs {}",
-                                info.attrs[k],
-                                info.name,
-                                self.resolve(old),
-                                self.resolve(nv)
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Read-time completion + `≠` check + materialization, rewound before
-    /// returning so the persistent state is untouched.
-    fn materialize(&mut self, cache: &ChaseCache) -> Result<Tree, ChaseError> {
-        let mark = self.trail.len();
-        let mut i = 0;
-        while i < self.nodes.len() {
-            let info = &cache.labels[self.nodes[i].label as usize];
-            for slot in 0..info.slots.len() {
-                let (clabel, mult) = info.slots[slot];
-                if self.nodes[i].kids[slot].is_empty() && matches!(mult, Mult::One | Mult::Plus) {
-                    let id = self.create_node(&cache.labels, clabel);
-                    self.push_kid(i as u32, slot as u32, id);
-                }
-            }
-            i += 1;
-        }
-        for k in 0..self.obligations.len() {
-            let (a, b, _) = self.obligations[k];
-            if self.same(a, b) {
-                let what = self.obligations[k].2.clone();
-                self.undo_to(mark);
-                return Err(ChaseError::InequalityViolated(what));
-            }
-        }
-        fn attrs_of(arena: &DeltaArena, labels: &[LabelInfo], node: usize) -> Vec<(Name, Value)> {
-            let info = &labels[arena.nodes[node].label as usize];
-            info.attrs
-                .iter()
-                .cloned()
-                .zip(arena.nodes[node].attrs.iter().map(|&v| arena.resolve(v)))
-                .collect()
-        }
-        fn emit(arena: &DeltaArena, labels: &[LabelInfo], node: usize, out: &mut Tree, at: NodeId) {
-            for slot_kids in &arena.nodes[node].kids {
-                for &kid in slot_kids {
-                    let kid = kid as usize;
-                    let attrs = attrs_of(arena, labels, kid);
-                    let id = out.add_child(
-                        at,
-                        labels[arena.nodes[kid].label as usize].name.clone(),
-                        attrs,
-                    );
-                    emit(arena, labels, kid, out, id);
-                }
-            }
-        }
-        let mut tree = Tree::new(cache.labels[cache.root as usize].name.clone());
-        tree.set_attrs(Tree::ROOT, attrs_of(self, &cache.labels, 0));
-        emit(self, &cache.labels, 0, &mut tree, Tree::ROOT);
-        self.undo_to(mark);
-        Ok(tree)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The session
 // ---------------------------------------------------------------------------
 
@@ -671,14 +287,13 @@ pub struct IncrementalChase {
     doc: Tree,
     /// Per-std canonical firing sequences for the current document.
     firings: Vec<Vec<Box<[Value]>>>,
-    /// The applied flattened (std-major) sequence: epoch `k` of the arena
-    /// holds firing `seq[k]`.
+    /// The flattened (std-major) sequence: epoch `k` of the arena holds
+    /// firing `seq[k]`.
     seq: Vec<(u32, Box<[Value]>)>,
-    /// How many of `seq` are applied; `< seq.len()` only when `error` is
-    /// set (the failing firing and everything after it are not applied).
-    applied: usize,
+    /// The first failing firing's error; the arena holds exactly the
+    /// epochs before it, and nothing after it is applied.
     error: Option<ChaseError>,
-    arena: DeltaArena,
+    arena: ChaseArena,
     /// Source nodes currently violating the source DTD (label, attribute
     /// or children-word violations); the document conforms iff empty.
     violations: BTreeSet<NodeId>,
@@ -694,10 +309,7 @@ impl IncrementalChase {
 
     /// Opens a session over a shared, possibly disk-loaded plan.
     pub fn with_plan(mapping: Mapping, doc: Tree, plan: Arc<DeltaPlan>) -> IncrementalChase {
-        let mut arena = DeltaArena::default();
-        if plan.chase.fragment_error().is_none() && !plan.chase.labels.is_empty() {
-            arena.create_node(&plan.chase.labels, plan.chase.root);
-        }
+        let arena = ChaseArena::new(&plan.chase);
         let std_count = plan.chase.std_count();
         let mut s = IncrementalChase {
             mapping,
@@ -705,7 +317,6 @@ impl IncrementalChase {
             doc,
             firings: vec![Vec::new(); std_count],
             seq: Vec::new(),
-            applied: 0,
             error: None,
             arena,
             violations: BTreeSet::new(),
@@ -862,7 +473,7 @@ impl IncrementalChase {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
-        self.arena.materialize(&self.plan.chase)
+        self.arena.solution(&self.plan.chase)
     }
 
     /// Certain answers of a downward `query` over all solutions of the
@@ -1011,29 +622,24 @@ impl IncrementalChase {
             .enumerate()
             .flat_map(|(si, fs)| fs.iter().map(move |t| (si as u32, t.clone())))
             .collect();
-        // Longest common prefix with the *applied* epochs.
-        let mut lcp = 0;
-        while lcp < self.applied && lcp < new_seq.len() && self.seq[lcp] == new_seq[lcp] {
-            lcp += 1;
-        }
+        // Longest common prefix with the applied epochs.
+        let lcp = self.seq[..self.arena.epochs()]
+            .iter()
+            .zip(&new_seq)
+            .take_while(|(a, b)| a == b)
+            .count();
         self.arena.rewind_to(lcp);
         self.seq = new_seq;
-        self.applied = lcp;
         self.error = None;
-        while self.applied < self.seq.len() {
-            let (si, tuple) = &self.seq[self.applied];
-            let si = *si as usize;
-            let tuple = tuple.clone();
-            match self.arena.apply_firing(&self.plan.chase, si, &tuple) {
-                Ok(()) => {
-                    self.applied += 1;
-                    self.stats.replays += 1;
-                }
-                Err(e) => {
-                    self.error = Some(e);
-                    break;
-                }
+        for (si, tuple) in &self.seq[lcp..] {
+            if let Err(e) = self
+                .arena
+                .apply_firing(&self.plan.chase, *si as usize, tuple)
+            {
+                self.error = Some(e);
+                break;
             }
+            self.stats.replays += 1;
         }
     }
 }
@@ -1184,6 +790,24 @@ delete 0
         assert!(parse_updates("bogus . 0").is_err());
         assert!(parse_updates("insert x 0 <a/>").is_err());
         assert!(s.apply(&Update::DeleteSubtree { path: vec![7] }).is_err());
+    }
+
+    #[test]
+    fn updates_under_an_out_of_fragment_mapping_keep_the_fragment_error() {
+        let m = mapping(
+            "root r\nr -> a*\na @ v",
+            "root r\nr -> b*\nb @ w",
+            &["r/a(x) --> r//b(x)"],
+        );
+        let mut s = IncrementalChase::new(&m, tree!("r"["a"("v" = "1")]));
+        assert_in_sync(&mut s);
+        s.insert_subtree(Tree::ROOT, 0, &tree!("a"("v" = "2")))
+            .unwrap();
+        assert!(matches!(
+            s.canonical_solution(),
+            Err(ChaseError::OutsideFragment(_))
+        ));
+        assert_in_sync(&mut s);
     }
 
     #[test]

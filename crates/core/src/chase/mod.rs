@@ -27,7 +27,9 @@
 //!   unification over a union-find of labelled nulls with interned
 //!   constants, and document construction in a flat `(parent, slot)` arena
 //!   completed by a single ordered sweep. Its per-mapping tables live in a
-//!   reusable [`ChaseCache`].
+//!   reusable [`ChaseCache`]. The union-find and the arena form one
+//!   retractable chase arena (`arena`), which the streaming chase and the
+//!   incremental [`delta`] chase drive too.
 //! * [`mod@reference`] — the original interpretive implementation, kept
 //!   verbatim as the differential-testing oracle (see
 //!   `tests/chase_equiv.rs`).
@@ -36,6 +38,7 @@
 //! isomorphic solutions up to null renaming; only the labels of the
 //! invented nulls differ.
 
+mod arena;
 pub mod compiled;
 pub mod delta;
 pub mod reference;

@@ -186,53 +186,42 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
+    /// Every cache family's counters as `(JSON key, display label,
+    /// counters)`, in the order `--stats`, `STATS` and `batch` print them.
+    pub fn families(&self) -> [(&'static str, &'static str, CacheCounters); 8] {
+        [
+            ("sat", "sat", self.sat),
+            ("chase", "chase", self.chase),
+            ("automata", "automata", self.automata),
+            ("shapes", "shapes", self.shapes),
+            ("stream_index", "sindex", self.stream_index),
+            ("stream_plans", "splan", self.stream_plans),
+            ("stream_chase", "schase", self.stream_chase),
+            ("delta", "delta", self.delta),
+        ]
+    }
+
     /// Approximate bytes accounted across all families.
     pub fn total_bytes(&self) -> u64 {
-        self.sat.bytes
-            + self.chase.bytes
-            + self.automata.bytes
-            + self.shapes.bytes
-            + self.stream_index.bytes
-            + self.stream_plans.bytes
-            + self.stream_chase.bytes
-            + self.delta.bytes
+        self.families().iter().map(|(_, _, c)| c.bytes).sum()
     }
 
     /// Slot fills across all families that ran a compilation.
     pub fn total_compiled(&self) -> u64 {
-        self.sat.compiled()
-            + self.chase.compiled()
-            + self.automata.compiled()
-            + self.shapes.compiled()
-            + self.stream_index.compiled()
-            + self.stream_plans.compiled()
-            + self.stream_chase.compiled()
-            + self.delta.compiled()
+        self.families().iter().map(|(_, _, c)| c.compiled()).sum()
     }
 
     /// Slot fills across all families answered from the artifact store.
     pub fn total_disk_hits(&self) -> u64 {
-        self.sat.disk_hits
-            + self.chase.disk_hits
-            + self.automata.disk_hits
-            + self.shapes.disk_hits
-            + self.stream_index.disk_hits
-            + self.stream_plans.disk_hits
-            + self.stream_chase.disk_hits
-            + self.delta.disk_hits
+        self.families().iter().map(|(_, _, c)| c.disk_hits).sum()
     }
 }
 
 impl std::fmt::Display for EngineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "sat:      {}", self.sat)?;
-        writeln!(f, "chase:    {}", self.chase)?;
-        writeln!(f, "automata: {}", self.automata)?;
-        writeln!(f, "shapes:   {}", self.shapes)?;
-        writeln!(f, "sindex:   {}", self.stream_index)?;
-        writeln!(f, "splan:    {}", self.stream_plans)?;
-        writeln!(f, "schase:   {}", self.stream_chase)?;
-        writeln!(f, "delta:    {}", self.delta)?;
+        for (_, label, counters) in self.families() {
+            writeln!(f, "{:<10}{counters}", format!("{label}:"))?;
+        }
         writeln!(
             f,
             "stream:   {} job(s), peak stream depth {}, {} firing(s), \
@@ -1120,6 +1109,33 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn families_drive_totals_and_rendering() {
+        let mut s = EngineStats::default();
+        s.sat.misses = 2;
+        s.chase.bytes = 5;
+        s.delta.bytes = 7;
+        s.delta.misses = 3;
+        s.delta.disk_hits = 1;
+        assert_eq!(
+            (s.total_bytes(), s.total_compiled(), s.total_disk_hits()),
+            (12, 4, 1)
+        );
+        let keys: Vec<&str> = s.families().iter().map(|f| f.0).collect();
+        assert_eq!(
+            keys.join(" "),
+            "sat chase automata shapes stream_index stream_plans stream_chase delta"
+        );
+        let shown = s.to_string();
+        let labels: Vec<&str> = shown.lines().map(|l| &l[..l.find(':').unwrap()]).collect();
+        assert_eq!(
+            labels.join(" "),
+            "sat chase automata shapes sindex splan schase delta stream dchase memory"
+        );
+        // Every value starts in column 11.
+        assert!(shown.lines().all(|l| &l[9..10] == " " && &l[10..11] != " "));
+    }
 
     fn dtd(text: &str) -> Dtd {
         xmlmap_dtd::parse(text).unwrap()

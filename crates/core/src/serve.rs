@@ -305,39 +305,39 @@ fn counters_json(c: &CacheCounters) -> String {
 /// object the `STATS` request returns. The key CI and warm-restart
 /// checks grep for is `"total_compiled"`.
 pub fn stats_json(stats: &EngineStats, requests: u64, connections: u64) -> String {
+    let mut fields = Vec::new();
+    for (key, _, counters) in stats.families() {
+        fields.push(format!("\"{key}\":{}", counters_json(&counters)));
+        // The streaming and delta tallies follow the family they count.
+        match key {
+            "stream_chase" => fields.push(format!(
+                "\"stream_jobs\":{},\"stream_peak_depth\":{},\
+                 \"stream_firings\":{},\"stream_live_peak\":{}",
+                stats.stream_jobs,
+                stats.stream_peak_depth,
+                stats.stream_firings,
+                stats.stream_live_peak
+            )),
+            "delta" => fields.push(format!(
+                "\"delta_sessions\":{},\"delta_updates\":{},\
+                 \"delta_refires\":{},\"delta_skips\":{}",
+                stats.delta_sessions, stats.delta_updates, stats.delta_refires, stats.delta_skips
+            )),
+            _ => {}
+        }
+    }
     let budget = match stats.memory_budget {
         Some(b) => b.to_string(),
         None => "null".to_string(),
     };
-    format!(
-        "{{\"sat\":{},\"chase\":{},\"automata\":{},\"shapes\":{},\
-         \"stream_index\":{},\"stream_plans\":{},\"stream_chase\":{},\
-         \"stream_jobs\":{},\"stream_peak_depth\":{},\
-         \"stream_firings\":{},\"stream_live_peak\":{},\
-         \"delta\":{},\"delta_sessions\":{},\"delta_updates\":{},\
-         \"delta_refires\":{},\"delta_skips\":{},\
-         \"memory_budget\":{budget},\"total_bytes\":{},\"total_compiled\":{},\
-         \"total_disk_hits\":{},\"requests\":{requests},\"connections\":{connections}}}",
-        counters_json(&stats.sat),
-        counters_json(&stats.chase),
-        counters_json(&stats.automata),
-        counters_json(&stats.shapes),
-        counters_json(&stats.stream_index),
-        counters_json(&stats.stream_plans),
-        counters_json(&stats.stream_chase),
-        stats.stream_jobs,
-        stats.stream_peak_depth,
-        stats.stream_firings,
-        stats.stream_live_peak,
-        counters_json(&stats.delta),
-        stats.delta_sessions,
-        stats.delta_updates,
-        stats.delta_refires,
-        stats.delta_skips,
+    fields.push(format!(
+        "\"memory_budget\":{budget},\"total_bytes\":{},\"total_compiled\":{},\
+         \"total_disk_hits\":{},\"requests\":{requests},\"connections\":{connections}",
         stats.total_bytes(),
         stats.total_compiled(),
         stats.total_disk_hits(),
-    )
+    ));
+    format!("{{{}}}", fields.join(","))
 }
 
 // ---- listener / stream abstraction ----------------------------------------

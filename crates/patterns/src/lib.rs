@@ -45,7 +45,7 @@ pub use minimize::minimize;
 pub use parse::{parse, PatternParseError};
 pub use sat::{
     achievable_match_sets, contained_in, equivalent, satisfiable, satisfiable_all,
-    satisfiable_with_negations, BudgetExceeded, TypeEngine, DEFAULT_BUDGET,
+    satisfiable_with_negations, BudgetExceeded, DEFAULT_BUDGET,
 };
 pub use sat_compiled::{SatCache, SatEngine};
 pub use stream::{

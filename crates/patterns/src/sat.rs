@@ -40,8 +40,8 @@
 //! (see DESIGN.md §8). Repeated probes against one schema should go
 //! through [`SatCache`], which compiles the DTD and each pattern set once
 //! and memoizes match-set results. The original engine survives unchanged
-//! as [`mod@reference`] ([`TypeEngine`] re-exported for compatibility) and is
-//! differentially tested against the compiled one in `tests/sat_equiv.rs`.
+//! as [`mod@reference`] and is differentially tested against the compiled
+//! one in `tests/sat_equiv.rs`.
 
 use crate::ast::{ListItem, Pattern};
 use std::collections::{BTreeSet, HashMap};
@@ -51,7 +51,6 @@ use xmlmap_trees::{Name, Tree};
 pub mod reference;
 
 pub use crate::sat_compiled::{SatCache, SatEngine};
-pub use reference::TypeEngine;
 
 /// The exploration exceeded its state budget; the answer is unknown.
 #[derive(Debug, Clone, PartialEq, Eq)]

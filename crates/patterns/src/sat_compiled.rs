@@ -572,7 +572,7 @@ fn expand(core: &EngineCore, exp: &mut LabelExp) -> Result<Vec<NewPair>, BudgetE
 }
 
 /// The compiled satisfiability engine. One-shot API mirror of the
-/// reference [`crate::sat::TypeEngine`]; for repeated probes against one
+/// reference [`crate::sat::reference::TypeEngine`]; for repeated probes against one
 /// DTD use [`SatCache`].
 pub struct SatEngine {
     core: EngineCore,

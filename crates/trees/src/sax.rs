@@ -12,7 +12,8 @@
 //! [`crate::xml::parse`] is now a thin arena builder driven by this reader,
 //! so entity handling, attribute parsing, and diagnostics are shared, not
 //! duplicated. In particular: elements and attributes only (text content is
-//! rejected — the fragment has no text events), the five predefined entities,
+//! rejected — the fragment has no text events), the five predefined entities
+//! and decimal/hex character references, UTF-8 attribute values,
 //! comments and processing instructions skipped, duplicate attributes
 //! rejected, and a single root element.
 
@@ -245,24 +246,46 @@ impl<R: Read> SaxReader<R> {
         Ok(out)
     }
 
+    /// Reads a quoted attribute value. Raw bytes and expanded references
+    /// are collected as bytes and decoded as UTF-8 once, at the closing
+    /// quote; a value that is not valid UTF-8 is an error positioned at
+    /// its opening quote.
     fn quoted_value(&mut self) -> Result<String, XmlError> {
+        let start = (self.offset(), self.line, self.col);
         let quote = match self.bump()? {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return self.err("expected a quoted attribute value"),
         };
-        let mut out = String::new();
+        let mut out = Vec::new();
         loop {
             match self.bump()? {
                 None => return self.err("unterminated attribute value"),
                 Some(q) if q == quote => break,
-                Some(b'&') => out.push(self.entity()?),
-                Some(b) => out.push(b as char),
+                Some(b'&') => {
+                    let c = self.reference()?;
+                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                }
+                Some(b) => out.push(b),
             }
         }
-        Ok(out)
+        String::from_utf8(out).map_err(|e| XmlError {
+            offset: start.0,
+            line: start.1,
+            col: start.2,
+            message: format!(
+                "attribute value is not valid UTF-8 (byte {} of the value)",
+                e.utf8_error().valid_up_to()
+            ),
+        })
     }
 
-    fn entity(&mut self) -> Result<char, XmlError> {
+    /// Reads the rest of a reference after its `&`: one of the five
+    /// predefined entities, or a character reference `&#NN;` / `&#xHH;`.
+    fn reference(&mut self) -> Result<char, XmlError> {
+        if self.peek()? == Some(b'#') {
+            self.bump()?;
+            return self.char_ref();
+        }
         let mut name = [0u8; 4];
         let mut len = 0;
         loop {
@@ -288,6 +311,46 @@ impl<R: Read> SaxReader<R> {
                     self.bump()?;
                 }
             }
+        }
+    }
+
+    /// Reads a character reference after its `&#`. Code point 0,
+    /// surrogates and values above U+10FFFF are rejected at the `;`.
+    fn char_ref(&mut self) -> Result<char, XmlError> {
+        let radix = if self.peek()? == Some(b'x') {
+            self.bump()?;
+            16
+        } else {
+            10
+        };
+        let mut code = 0u32;
+        let mut digits = 0;
+        loop {
+            match self.peek()? {
+                None => return self.err("unterminated character reference"),
+                Some(b';') => break,
+                Some(b) => match (b as char).to_digit(radix) {
+                    Some(d) => {
+                        code = code.saturating_mul(radix).saturating_add(d);
+                        digits += 1;
+                        self.bump()?;
+                    }
+                    None => return self.err("malformed character reference"),
+                },
+            }
+        }
+        if digits == 0 {
+            return self.err("empty character reference");
+        }
+        match char::from_u32(code).filter(|&c| c != '\0') {
+            Some(c) => {
+                self.bump()?; // ';'
+                Ok(c)
+            }
+            None if code > 0x10FFFF => self.err("character reference above U+10FFFF"),
+            None => self.err(format!(
+                "character reference to disallowed code point U+{code:04X}"
+            )),
         }
     }
 
@@ -471,6 +534,24 @@ mod tests {
     }
 
     #[test]
+    fn utf8_values_and_character_references() {
+        let evs = events(r#"<a v="café" w="&#65;&#x42;&#x1F600;" x="&#xe9;t&#233;"/>"#).unwrap();
+        assert_eq!(
+            evs[0],
+            open("a", &[("v", "café"), ("w", "AB😀"), ("x", "été")])
+        );
+        // Invalid UTF-8 is reported at the value's opening quote.
+        let mut r = SaxReader::new(&b"<r>\n<a v=\"ok\xff\"/></r>"[..]);
+        r.next_event().unwrap();
+        let e = r.next_event().unwrap_err();
+        assert!(e.message.contains("not valid UTF-8"), "{e}");
+        assert_eq!((e.offset, e.line, e.col), (9, 2, 6));
+        // A bad code point is reported at the reference's `;`.
+        let e = events(r#"<a v="&#0;"/>"#).unwrap_err();
+        assert_eq!((e.offset, e.line, e.col), (9, 1, 10));
+    }
+
+    #[test]
     fn rejects_malformed_input() {
         for (doc, needle) in [
             ("<a><b></a></a>", "mismatched"),
@@ -480,6 +561,16 @@ mod tests {
             (r#"<a x="1" x="2"/>"#, "duplicate attribute"),
             ("", "expected '<'"),
             (r#"<a v="&nope;"/>"#, "unknown entity"),
+            (r#"<a v="&#0;"/>"#, "disallowed code point U+0000"),
+            (r#"<a v="&#xD800;"/>"#, "disallowed code point U+D800"),
+            (r#"<a v="&#57343;"/>"#, "disallowed code point U+DFFF"),
+            (r#"<a v="&#x110000;"/>"#, "above U+10FFFF"),
+            (r#"<a v="&#99999999999999;"/>"#, "above U+10FFFF"),
+            (r#"<a v="&#;"/>"#, "empty character reference"),
+            (r#"<a v="&#x;"/>"#, "empty character reference"),
+            (r#"<a v="&#x4G;"/>"#, "malformed character reference"),
+            (r#"<a v="&#65"/>"#, "malformed character reference"),
+            ("<a v=\"&#65", "unterminated character reference"),
         ] {
             let e = events(doc).unwrap_err();
             assert!(e.message.contains(needle), "{doc}: {e}");

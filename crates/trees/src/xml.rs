@@ -1,8 +1,8 @@
 //! A small XML reader/writer for the element+attribute fragment.
 //!
 //! Documents in schema-mapping problems consist of elements with attributes
-//! only — no mixed content, namespaces or entities beyond the five
-//! predefined ones. This module parses and prints exactly that fragment, so
+//! only — no mixed content, no namespaces, and no entities beyond the five
+//! predefined ones and character references. This module parses and prints exactly that fragment, so
 //! examples can work with ordinary-looking XML without an external
 //! dependency.
 //!
