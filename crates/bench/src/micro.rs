@@ -537,6 +537,23 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
     };
     let (ex_1x, ex_100x) = (ex_corpus(1, 4_000), ex_corpus(100, 400_000));
 
+    // The bare tokenizer over the 1x exchange corpus: one `SaxReader`
+    // pass, no validation or matching, so this row isolates the cost
+    // every streamed row above and below pays first.
+    let tokenize = || {
+        let src = std::io::BufReader::new(std::fs::File::open(&ex_1x).expect("bench corpus"));
+        let mut reader = xmlmap_trees::SaxReader::new(src);
+        let mut events = 0usize;
+        while reader.next_event().expect("well-formed corpus").is_some() {
+            events += 1;
+        }
+        events
+    };
+    let events_1x = tokenize();
+    bench("stream/sax_tokenize_1x", &mut || {
+        assert_eq!(tokenize(), events_1x, "same corpus, same events");
+    });
+
     let started = std::time::Instant::now();
     let expected = {
         let text = std::fs::read_to_string(&ex_1x).expect("bench corpus");

@@ -82,6 +82,27 @@ impl From<UnstreamablePattern> for StreamJobError {
     }
 }
 
+/// Writes `attrs` into `canonical` in the DTD's order for `label`, so
+/// the matcher's positional tuple pairing sees canonical order, exactly
+/// as the arena evaluator sees a normalised tree. Called only after the
+/// validator accepted the element, so its attribute *set* equals the
+/// DTD's canonical list.
+fn canonicalise(
+    idx: &DtdIndex,
+    label: &Name,
+    attrs: &[(Name, Value)],
+    canonical: &mut Vec<(Name, Value)>,
+) {
+    canonical.clear();
+    for want in idx.dtd().attrs(label) {
+        let (_, value) = attrs
+            .iter()
+            .find(|(a, _)| a == want)
+            .expect("validator checked the attribute set");
+        canonical.push((want.clone(), value.clone()));
+    }
+}
+
 /// Streams `src` once, validating against `idx` and (when `plan` is
 /// given) evaluating pattern membership, in O(depth) memory.
 ///
@@ -115,19 +136,7 @@ pub fn stream_document<R: Read>(
                     return Ok(rejected(&reader, &validator, &v));
                 }
                 if let Some(m) = &mut matcher {
-                    // The validator accepted this element, so its
-                    // attribute *set* equals the DTD's canonical list;
-                    // reorder so the matcher's positional tuple pairing
-                    // sees canonical order, exactly as the arena
-                    // evaluator sees a normalised tree.
-                    canonical.clear();
-                    for want in idx.dtd().attrs(&label) {
-                        let (_, value) = attrs
-                            .iter()
-                            .find(|(a, _)| a == want)
-                            .expect("validator checked the attribute set");
-                        canonical.push((want.clone(), value.clone()));
-                    }
+                    canonicalise(idx, &label, &attrs, &mut canonical);
                     m.open(&label, &canonical);
                 }
             }
@@ -364,17 +373,7 @@ pub fn chase_stream<R: Read>(
                         pattern_state_bytes: 0,
                     });
                 }
-                // Same attribute canonicalisation as `stream_document`:
-                // the validator accepted the element, so its attribute
-                // set equals the DTD's canonical list.
-                canonical.clear();
-                for want in idx.dtd().attrs(&label) {
-                    let (_, value) = attrs
-                        .iter()
-                        .find(|(a, _)| a == want)
-                        .expect("validator checked the attribute set");
-                    canonical.push((want.clone(), value.clone()));
-                }
+                canonicalise(idx, &label, &attrs, &mut canonical);
                 for en in &mut enums {
                     en.open(&label, &canonical);
                 }

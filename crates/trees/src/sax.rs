@@ -2,11 +2,11 @@
 //!
 //! [`SaxReader`] yields [`SaxEvent::Open`]/[`SaxEvent::Close`] events from
 //! any [`std::io::Read`] source without ever materialising a [`crate::Tree`]:
-//! the reader keeps a bounded rolling byte buffer plus one interned label per
-//! *open* element, so memory is O(depth + chunk), not O(document). This is
-//! the entry point for streaming DTD conformance (`xmlmap-dtd`) and streaming
-//! pattern evaluation (`xmlmap-patterns`) over documents that don't fit the
-//! arena.
+//! the reader keeps a rolling byte window plus one interned label per *open*
+//! element, so memory is O(depth + chunk + longest token), not O(document)
+//! (see `ensure` for the full bound). This is the entry point for streaming
+//! DTD conformance (`xmlmap-dtd`) and streaming pattern evaluation
+//! (`xmlmap-patterns`) over documents that don't fit the arena.
 //!
 //! The dialect is exactly the one of [`crate::xml`] — in fact
 //! [`crate::xml::parse`] is now a thin arena builder driven by this reader,
@@ -16,17 +16,63 @@
 //! and decimal/hex character references, UTF-8 attribute values,
 //! comments and processing instructions skipped, duplicate attributes
 //! rejected, and a single root element.
+//!
+//! Four constructs outside that fragment are decided explicitly:
+//!
+//! * a UTF-8 byte-order mark at offset 0 is skipped (its three bytes still
+//!   count towards offsets and byte columns);
+//! * `<!DOCTYPE …>` is rejected at its `<` with "DOCTYPE declarations are
+//!   not supported";
+//! * `<![CDATA[…]]>` is rejected at its `<` with "CDATA sections are not
+//!   supported (the fragment has no text)";
+//! * an attribute that follows the previous value's closing quote with no
+//!   whitespace in between (`<r a="1"b="2"/>`) is rejected at the
+//!   attribute's name, as XML 1.0 requires.
+//!
+//! The hot paths scan runs of bytes in the buffered window rather than
+//! one byte at a time, repeated names are shared out of a small table, and
+//! an attribute value without references is decoded straight from the
+//! window into its [`Value`] (DESIGN.md §8.7).
 
 use crate::name::Name;
 use crate::value::Value;
 use crate::xml::XmlError;
 use std::io::Read;
 
-/// Size of one refill of the rolling input buffer.
+/// Size of the rolling input window; it doubles only for a token that
+/// does not fit.
 const CHUNK: usize = 64 * 1024;
 
-/// Longest fixed token the reader ever looks ahead for (`<!--`).
-const MAX_LOOKAHEAD: usize = 4;
+/// Longest fixed token the reader ever looks ahead for (`<!DOCTYPE`,
+/// `<![CDATA[`).
+const MAX_LOOKAHEAD: usize = 9;
+
+/// Most distinct names the reader shares; later names are allocated per
+/// use.
+const NAME_CAP: usize = 64;
+
+/// The UTF-8 byte-order mark.
+const BOM: &[u8] = b"\xEF\xBB\xBF";
+
+/// Bytes that may appear in an element or attribute name.
+const NAME_BYTE: [bool; 256] = {
+    let mut t = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        t[b] = c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':');
+        b += 1;
+    }
+    t
+};
+
+fn is_name_byte(b: u8) -> bool {
+    NAME_BYTE[b as usize]
+}
+
+fn is_ws(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\n')
+}
 
 /// One parsing event.
 ///
@@ -57,9 +103,13 @@ pub enum SaxEvent {
 /// [`crate::xml::parse`].
 pub struct SaxReader<R: Read> {
     src: R,
+    /// The rolling window; `buf[pos..end]` is read but unconsumed input,
+    /// `buf[end..]` is spare room for the next refill.
     buf: Vec<u8>,
     /// Index of the next unconsumed byte in `buf`.
     pos: usize,
+    /// End of the valid bytes in `buf`.
+    end: usize,
     /// Bytes discarded before `buf[0]` (for absolute offsets).
     consumed: usize,
     eof: bool,
@@ -67,6 +117,8 @@ pub struct SaxReader<R: Read> {
     col: u32,
     /// Labels of currently open elements; `len()` is the depth.
     stack: Vec<Name>,
+    /// Names seen so far (at most [`NAME_CAP`]), handed out as clones.
+    names: Vec<Name>,
     /// A self-closing tag was opened; the next event closes `stack.last()`.
     pending_close: bool,
     /// The single root element has been closed.
@@ -82,11 +134,13 @@ impl<R: Read> SaxReader<R> {
             src,
             buf: Vec::new(),
             pos: 0,
+            end: 0,
             consumed: 0,
             eof: false,
             line: 1,
             col: 1,
             stack: Vec::new(),
+            names: Vec::new(),
             pending_close: false,
             root_closed: false,
             peak_depth: 0,
@@ -122,72 +176,124 @@ impl<R: Read> SaxReader<R> {
         })
     }
 
-    /// Makes at least `n` bytes (n ≤ MAX_LOOKAHEAD) available at `pos`,
-    /// unless the source is exhausted. Consumed bytes are compacted away, so
-    /// the buffer never outgrows one chunk plus the lookahead window.
-    fn ensure(&mut self, n: usize) -> Result<(), XmlError> {
-        debug_assert!(n <= MAX_LOOKAHEAD);
-        while !self.eof && self.buf.len() - self.pos < n {
-            if self.pos > 0 {
-                self.buf.drain(..self.pos);
-                self.consumed += self.pos;
-                self.pos = 0;
-            }
-            let old_len = self.buf.len();
-            self.buf.resize(old_len + CHUNK, 0);
-            match self.src.read(&mut self.buf[old_len..]) {
+    /// Reads one more chunk into the window, first compacting consumed
+    /// bytes away. Offsets relative to `pos` stay valid across the call.
+    /// Returns `false` once the source is exhausted.
+    #[cold]
+    fn refill(&mut self) -> Result<bool, XmlError> {
+        if self.eof {
+            return Ok(false);
+        }
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.consumed += self.pos;
+            self.end -= self.pos;
+            self.pos = 0;
+        }
+        if self.end == self.buf.len() {
+            // Only a token longer than the window fills it after compaction.
+            let grown = (2 * self.buf.len()).max(CHUNK);
+            self.buf.resize(grown, 0);
+        }
+        loop {
+            match self.src.read(&mut self.buf[self.end..]) {
                 Ok(0) => {
-                    self.buf.truncate(old_len);
                     self.eof = true;
+                    return Ok(false);
                 }
-                Ok(k) => self.buf.truncate(old_len + k),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    self.buf.truncate(old_len);
+                Ok(k) => {
+                    self.end += k;
+                    return Ok(true);
                 }
-                Err(e) => {
-                    self.buf.truncate(old_len);
-                    return self.err(format!("I/O error: {e}"));
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return self.err(format!("I/O error: {e}")),
             }
         }
+    }
+
+    /// Makes at least `n` bytes (n ≤ MAX_LOOKAHEAD) available at `pos`,
+    /// unless the source is exhausted.
+    ///
+    /// The window is one chunk, doubled only when a single token does not
+    /// fit in it. Since a name, a whitespace run or an attribute value may
+    /// straddle a refill and is kept whole, the reader's memory is
+    /// O(depth + chunk + longest token + name cap).
+    #[inline]
+    fn ensure(&mut self, n: usize) -> Result<(), XmlError> {
+        debug_assert!(n <= MAX_LOOKAHEAD);
+        while self.end - self.pos < n && self.refill()? {}
         Ok(())
     }
 
+    /// Length of the run at `pos` whose bytes all satisfy `pred`. Refills
+    /// only when the run reaches the end of the window, so on return
+    /// `buf[pos..pos + len]` is the whole run and the byte after it (if
+    /// any) is in the window too.
+    #[inline]
+    fn scan(&mut self, pred: impl Fn(u8) -> bool) -> Result<usize, XmlError> {
+        let mut n = 0;
+        loop {
+            let from = self.pos + n;
+            match self.buf[from..self.end].iter().position(|&b| !pred(b)) {
+                Some(k) => return Ok(n + k),
+                None => {
+                    n = self.end - self.pos;
+                    if !self.refill()? {
+                        return Ok(n);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Consumes the `n` bytes at `pos`, updating line and column once for
+    /// the whole run. Columns count bytes; both saturate at `u32::MAX`.
+    #[inline]
+    fn advance(&mut self, n: usize) {
+        let clamp = |k: usize| u32::try_from(k).unwrap_or(u32::MAX);
+        let run = &self.buf[self.pos..self.pos + n];
+        match run.iter().rposition(|&b| b == b'\n') {
+            Some(last) => {
+                let newlines = 1 + run[..last].iter().filter(|&&b| b == b'\n').count();
+                self.line = self.line.saturating_add(clamp(newlines));
+                self.col = clamp(n - last);
+            }
+            None => self.col = self.col.saturating_add(clamp(n)),
+        }
+        self.pos += n;
+    }
+
+    #[inline]
     fn peek(&mut self) -> Result<Option<u8>, XmlError> {
         self.ensure(1)?;
-        Ok(self.buf.get(self.pos).copied())
+        Ok(self.buf[..self.end].get(self.pos).copied())
     }
 
     /// Does the unconsumed input start with `prefix`?
+    #[inline]
     fn starts_with(&mut self, prefix: &[u8]) -> Result<bool, XmlError> {
         self.ensure(prefix.len())?;
-        Ok(self.buf[self.pos..].starts_with(prefix))
+        Ok(self.buf[self.pos..self.end].starts_with(prefix))
     }
 
     fn bump(&mut self) -> Result<Option<u8>, XmlError> {
         let b = self.peek()?;
-        if let Some(b) = b {
-            self.pos += 1;
-            if b == b'\n' {
-                self.line += 1;
-                self.col = 1;
-            } else {
-                self.col += 1;
-            }
+        if b.is_some() {
+            self.advance(1);
         }
         Ok(b)
     }
 
-    fn skip_ws(&mut self) -> Result<(), XmlError> {
-        while matches!(self.peek()?, Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump()?;
-        }
-        Ok(())
+    /// Skips a run of whitespace; reports whether there was any.
+    fn skip_ws(&mut self) -> Result<bool, XmlError> {
+        let n = self.scan(is_ws)?;
+        self.advance(n);
+        Ok(n > 0)
     }
 
     fn eat(&mut self, b: u8) -> Result<(), XmlError> {
         if self.peek()? == Some(b) {
-            self.bump()?;
+            self.advance(1);
             Ok(())
         } else {
             self.err(format!("expected {:?}", b as char))
@@ -230,53 +336,79 @@ impl<R: Read> SaxReader<R> {
         }
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
-        let mut out = String::new();
-        while let Some(b) = self.peek()? {
-            if b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') {
-                out.push(b as char);
-                self.bump()?;
-            } else {
-                break;
-            }
+    /// Length of the name at `pos` (not consumed); a name is never empty.
+    fn name_len(&mut self) -> Result<usize, XmlError> {
+        match self.scan(is_name_byte)? {
+            0 => self.err("expected a name"),
+            n => Ok(n),
         }
-        if out.is_empty() {
-            return self.err("expected a name");
-        }
-        Ok(out)
     }
 
-    /// Reads a quoted attribute value. Raw bytes and expanded references
-    /// are collected as bytes and decoded as UTF-8 once, at the closing
-    /// quote; a value that is not valid UTF-8 is an error positioned at
-    /// its opening quote.
-    fn quoted_value(&mut self) -> Result<String, XmlError> {
+    /// Reads a label or attribute name. A name already in the table comes
+    /// back as a clone of the stored one, so equal names share one `Arc`.
+    fn name(&mut self) -> Result<Name, XmlError> {
+        let n = self.name_len()?;
+        let bytes = &self.buf[self.pos..self.pos + n];
+        let name = match self.names.iter().find(|k| k.as_str().as_bytes() == bytes) {
+            Some(known) => known.clone(),
+            None => {
+                let fresh = Name::new(std::str::from_utf8(bytes).expect("name bytes are ASCII"));
+                if self.names.len() < NAME_CAP {
+                    self.names.push(fresh.clone());
+                }
+                fresh
+            }
+        };
+        self.advance(n);
+        Ok(name)
+    }
+
+    /// Reads a quoted attribute value, one run between references at a
+    /// time. A value without references is decoded straight from the
+    /// window (one allocation); otherwise raw runs and expanded references
+    /// are collected and decoded once, at the closing quote.
+    /// A value that is not valid UTF-8 is an error positioned at its
+    /// opening quote.
+    fn quoted_value(&mut self) -> Result<Value, XmlError> {
         let start = (self.offset(), self.line, self.col);
         let quote = match self.bump()? {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return self.err("expected a quoted attribute value"),
         };
-        let mut out = Vec::new();
-        loop {
-            match self.bump()? {
-                None => return self.err("unterminated attribute value"),
-                Some(q) if q == quote => break,
-                Some(b'&') => {
-                    let c = self.reference()?;
-                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
-                }
-                Some(b) => out.push(b),
-            }
-        }
-        String::from_utf8(out).map_err(|e| XmlError {
+        let not_utf8 = |e: std::str::Utf8Error| XmlError {
             offset: start.0,
             line: start.1,
             col: start.2,
             message: format!(
                 "attribute value is not valid UTF-8 (byte {} of the value)",
-                e.utf8_error().valid_up_to()
+                e.valid_up_to()
             ),
-        })
+        };
+        let mut out = Vec::new();
+        loop {
+            let n = self.scan(|b| b != quote && b != b'&')?;
+            let run = &self.buf[self.pos..self.pos + n];
+            let closed = self.buf[..self.end].get(self.pos + n) == Some(&quote);
+            if closed && out.is_empty() {
+                // No reference so far (each one adds bytes to `out`).
+                let value = Value::str(std::str::from_utf8(run).map_err(not_utf8)?);
+                self.advance(n + 1);
+                return Ok(value);
+            }
+            out.extend_from_slice(run);
+            self.advance(n);
+            match self.bump()? {
+                None => return self.err("unterminated attribute value"),
+                Some(b'&') => {
+                    let c = self.reference()?;
+                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                }
+                Some(_) => break, // the closing quote
+            }
+        }
+        String::from_utf8(out)
+            .map(Value::from)
+            .map_err(|e| not_utf8(e.utf8_error()))
     }
 
     /// Reads the rest of a reference after its `&`: one of the five
@@ -354,6 +486,49 @@ impl<R: Read> SaxReader<R> {
         }
     }
 
+    /// Reads the rest of a close tag after its `</`. The name is compared
+    /// in place against the innermost open label, so nothing is allocated.
+    fn close_tag(&mut self) -> Result<Name, XmlError> {
+        let n = self.name_len()?;
+        let open = self.stack.last().expect("non-empty stack");
+        let matches = open.as_str().as_bytes() == &self.buf[self.pos..self.pos + n];
+        self.advance(n);
+        if !matches {
+            let open = self.stack.last().expect("non-empty stack");
+            return self.err(format!("mismatched close tag: expected </{open}>"));
+        }
+        self.skip_ws()?;
+        self.eat(b'>')?;
+        Ok(self.stack.pop().expect("non-empty stack"))
+    }
+
+    /// Reads the attributes of a start tag, up to (not including) its `/`
+    /// or `>`.
+    fn attributes(&mut self) -> Result<Vec<(Name, Value)>, XmlError> {
+        let mut attrs: Vec<(Name, Value)> = Vec::new();
+        loop {
+            let spaced = self.skip_ws()?;
+            match self.peek()? {
+                Some(b'/') | Some(b'>') => return Ok(attrs),
+                Some(b) => {
+                    if !spaced && !attrs.is_empty() && is_name_byte(b) {
+                        return self.err("attributes must be separated by whitespace");
+                    }
+                    let attr = self.name()?;
+                    self.skip_ws()?;
+                    self.eat(b'=')?;
+                    self.skip_ws()?;
+                    let value = self.quoted_value()?;
+                    if attrs.iter().any(|(a, _)| *a == attr) {
+                        return self.err(format!("duplicate attribute {attr:?}"));
+                    }
+                    attrs.push((attr, value));
+                }
+                None => return self.err("unterminated start tag"),
+            }
+        }
+    }
+
     /// Pulls the next event, or `Ok(None)` at the clean end of the document.
     pub fn next_event(&mut self) -> Result<Option<SaxEvent>, XmlError> {
         if self.pending_close {
@@ -363,6 +538,9 @@ impl<R: Read> SaxReader<R> {
                 self.root_closed = true;
             }
             return Ok(Some(SaxEvent::Close { label }));
+        }
+        if self.offset() == 0 && self.starts_with(BOM)? {
+            self.advance(BOM.len());
         }
         self.skip_misc()?;
         match self.peek()? {
@@ -381,46 +559,26 @@ impl<R: Read> SaxReader<R> {
                     return self.err("trailing content after the root element");
                 }
                 if !self.stack.is_empty() && self.starts_with(b"</")? {
-                    self.bump()?;
-                    self.bump()?;
-                    let close = self.name()?;
-                    let label = self.stack.last().expect("non-empty stack").clone();
-                    if close != *label.as_str() {
-                        return self.err(format!("mismatched close tag: expected </{label}>"));
-                    }
-                    self.skip_ws()?;
-                    self.eat(b'>')?;
-                    self.stack.pop();
+                    self.advance(2);
+                    let label = self.close_tag()?;
                     if self.stack.is_empty() {
                         self.root_closed = true;
                     }
                     return Ok(Some(SaxEvent::Close { label }));
                 }
-                self.bump()?; // '<'
-                let label = Name::new(self.name()?);
-                let mut attrs: Vec<(Name, Value)> = Vec::new();
-                loop {
-                    self.skip_ws()?;
-                    match self.peek()? {
-                        Some(b'/') | Some(b'>') => break,
-                        Some(_) => {
-                            let attr = self.name()?;
-                            self.skip_ws()?;
-                            self.eat(b'=')?;
-                            self.skip_ws()?;
-                            let value = self.quoted_value()?;
-                            if attrs.iter().any(|(a, _)| *a.as_str() == attr) {
-                                return self.err(format!("duplicate attribute {attr:?}"));
-                            }
-                            attrs.push((Name::new(attr), Value::from(value)));
-                        }
-                        None => return self.err("unterminated start tag"),
-                    }
+                if self.starts_with(b"<!DOCTYPE")? {
+                    return self.err("DOCTYPE declarations are not supported");
                 }
+                if self.starts_with(b"<![CDATA[")? {
+                    return self.err("CDATA sections are not supported (the fragment has no text)");
+                }
+                self.advance(1); // '<'
+                let label = self.name()?;
+                let attrs = self.attributes()?;
                 self.stack.push(label.clone());
                 self.peak_depth = self.peak_depth.max(self.stack.len());
                 if self.peek()? == Some(b'/') {
-                    self.bump()?;
+                    self.advance(1);
                     self.eat(b'>')?;
                     self.pending_close = true;
                 } else {
@@ -571,9 +729,97 @@ mod tests {
             (r#"<a v="&#x4G;"/>"#, "malformed character reference"),
             (r#"<a v="&#65"/>"#, "malformed character reference"),
             ("<a v=\"&#65", "unterminated character reference"),
+            ("<!DOCTYPE r><r/>", "DOCTYPE declarations are not supported"),
+            ("<r><![CDATA[x]]></r>", "CDATA sections are not supported"),
+            (r#"<r a="1"b="2"/>"#, "separated by whitespace"),
         ] {
             let e = events(doc).unwrap_err();
             assert!(e.message.contains(needle), "{doc}: {e}");
         }
+    }
+
+    #[test]
+    fn leftover_constructs_are_decided_with_positions() {
+        // A leading byte-order mark is skipped; its bytes still count.
+        let evs = events("\u{FEFF}<r a='1'/>").unwrap();
+        assert_eq!(evs, vec![open("r", &[("a", "1")]), close("r")]);
+        let e = events("\u{FEFF}<r/>x").unwrap_err();
+        assert_eq!((e.offset, e.line, e.col), (7, 1, 8));
+        // Only at offset 0: a mark after the root is trailing content.
+        let e = events("<r/>\u{FEFF}").unwrap_err();
+        assert!(e.message.contains("trailing content"), "{e}");
+        for (doc, message, at) in [
+            (
+                "<?xml version=\"1.0\"?>\n<!DOCTYPE r>\n<r/>",
+                "DOCTYPE declarations are not supported",
+                (22, 2, 1),
+            ),
+            (
+                "<r>\n  <![CDATA[x]]>\n</r>",
+                "CDATA sections are not supported (the fragment has no text)",
+                (6, 2, 3),
+            ),
+            (
+                "<r a=\"1\"b=\"2\"/>",
+                "attributes must be separated by whitespace",
+                (8, 1, 9),
+            ),
+            (
+                "<r\n a='1'\n b='2'c='3'/>",
+                "attributes must be separated by whitespace",
+                (16, 3, 7),
+            ),
+        ] {
+            let e = events(doc).unwrap_err();
+            assert_eq!(e.message, message, "{doc}");
+            assert_eq!((e.offset, e.line, e.col), at, "{doc}: {e}");
+        }
+        // Whitespace between attributes is still optional around `=`,
+        // and a value may be followed directly by `/` or `>`.
+        let evs = events("<r a = '1'\tb='2'><s c='3'/></r>").unwrap();
+        assert_eq!(evs[0], open("r", &[("a", "1"), ("b", "2")]));
+    }
+
+    #[test]
+    fn repeated_names_share_one_allocation() {
+        let evs = events(r#"<r><a v="1"/><a v="2"/></r>"#).unwrap();
+        let (first, second) = match (&evs[1], &evs[3]) {
+            (SaxEvent::Open { label: a, attrs: x }, SaxEvent::Open { label: b, attrs: y }) => {
+                ((a, &x[0].0), (b, &y[0].0))
+            }
+            other => panic!("unexpected events {other:?}"),
+        };
+        assert!(std::ptr::eq(first.0.as_str(), second.0.as_str()));
+        assert!(std::ptr::eq(first.1.as_str(), second.1.as_str()));
+    }
+
+    #[test]
+    fn names_past_the_table_cap_still_compare_equal() {
+        let mut doc = String::from("<r>");
+        for i in 0..2 * NAME_CAP {
+            doc.push_str(&format!("<e{i} k{i}='v'></e{i}>"));
+        }
+        doc.push_str("</r>");
+        let evs = events(&doc).unwrap();
+        assert_eq!(evs.len(), 2 + 4 * NAME_CAP);
+        let last = 2 * NAME_CAP - 1;
+        assert_eq!(
+            evs[evs.len() - 3],
+            open(&format!("e{last}"), &[(&format!("k{last}"), "v")])
+        );
+        assert_eq!(evs[evs.len() - 2], close(&format!("e{last}")));
+    }
+
+    #[test]
+    fn tokens_straddling_refills_read_whole() {
+        // A value longer than one chunk forces the window to grow.
+        let long = "x".repeat(3 * CHUNK + 17);
+        let doc = format!("<r>\n<a v='{long}' w='&amp;{long}'/>\n</r>");
+        let evs = events(&doc).unwrap();
+        let amp_long = format!("&{long}");
+        assert_eq!(evs[1], open("a", &[("v", &long), ("w", &amp_long)]));
+        let e = events(&format!("{doc}!")).unwrap_err();
+        assert_eq!((e.line, e.col), (3, 5));
+        assert_eq!(e.offset, doc.len());
     }
 }

@@ -56,3 +56,52 @@ fn match_reports_non_ascii_values_unchanged() {
     }
     assert!(!stdout.contains("Ã"), "double-encoded output\n{stdout}");
 }
+
+#[test]
+fn leading_byte_order_mark_is_skipped_by_tree_parser_and_sax_reader() {
+    let doc = format!("\u{FEFF}{DOC}");
+    let tree = xml::parse(&doc).unwrap();
+    assert_eq!(tree, xml::parse(DOC).unwrap());
+
+    let mut with_mark = SaxReader::new(doc.as_bytes());
+    let mut without = SaxReader::new(DOC.as_bytes());
+    loop {
+        let (a, b) = (
+            with_mark.next_event().unwrap(),
+            without.next_event().unwrap(),
+        );
+        assert_eq!(a, b);
+        if a.is_none() {
+            break;
+        }
+    }
+    // The mark's three bytes still count towards offsets and columns.
+    let e = xml::parse("\u{FEFF}<r>x</r>").unwrap_err();
+    assert!(e.message.contains("text content"), "{e}");
+    assert_eq!((e.offset, e.line, e.col), (6, 1, 7));
+}
+
+#[test]
+fn doctype_cdata_and_unspaced_attributes_are_positioned_errors() {
+    for (doc, message, at) in [
+        (
+            "<!DOCTYPE r [<!ENTITY e 'x'>]><r/>",
+            "DOCTYPE declarations are not supported",
+            (0, 1, 1),
+        ),
+        (
+            "<r><a/><![CDATA[<a/>]]></r>",
+            "CDATA sections are not supported (the fragment has no text)",
+            (7, 1, 8),
+        ),
+        (
+            r#"<r><a v="1"w="2"/></r>"#,
+            "attributes must be separated by whitespace",
+            (11, 1, 12),
+        ),
+    ] {
+        let e = xml::parse(doc).unwrap_err();
+        assert_eq!(e.message, message, "{doc}");
+        assert_eq!((e.offset, e.line, e.col), at, "{doc}: {e}");
+    }
+}
