@@ -635,6 +635,44 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
         let sol = session.canonical_solution().expect("in fragment");
         assert!(sol == expected_100x, "delta vs re-chase solutions differ");
     });
+    // Professor-commit row (ROADMAP item 7), on the same session: delete
+    // professor 0 and reinsert it with its `name` flipped between two
+    // values, then read. The professor stds are re-matched over the whole
+    // 100x document and the arena replays from the first changed firing,
+    // once per commit. Both states are checked against a from-scratch
+    // chase once, outside the timed closure.
+    let prof0 = session.doc().children(Tree::ROOT)[0];
+    let original = session.doc().subtree(prof0);
+    let mut renamed = original.clone();
+    renamed.set_attr(Tree::ROOT, "name", Value::str("p0_renamed"));
+    let prof_commits = [renamed, original].map(|prof| {
+        [
+            xmlmap_core::Update::DeleteSubtree { path: vec![0] },
+            xmlmap_core::Update::InsertSubtree {
+                parent: Vec::new(),
+                pos: 0,
+                subtree: prof,
+            },
+        ]
+    });
+    for commit in &prof_commits {
+        for u in commit {
+            session.apply(u).expect("valid update");
+        }
+        let want = xmlmap_core::canonical_solution(&ex_map, session.doc());
+        assert!(
+            session.canonical_solution() == want,
+            "professor commit vs re-chase solutions differ"
+        );
+    }
+    let mut next = 0usize;
+    bench("chase/delta_prof_commit_100x", &mut || {
+        for u in &prof_commits[next] {
+            session.apply(u).expect("valid update");
+        }
+        next ^= 1;
+        session.canonical_solution().expect("in fragment");
+    });
     let _ = std::fs::remove_dir_all(&stream_dir);
 
     out

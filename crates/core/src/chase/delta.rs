@@ -13,7 +13,7 @@
 //!   footprint plus wildcard/horizontal flags), inverted into a
 //!   label-keyed index. An edit yields the set of source positions it
 //!   touched; the labels those positions occupy select exactly the stds
-//!   whose plans can reach the region, and only those are re-matched.
+//!   whose plans can reach the region, and only those are marked dirty.
 //!   For patterns with horizontal operators the region is widened to
 //!   every child of the edit point's parent — inserting `c` between
 //!   siblings `a, b` breaks `a → b` even though `c` occurs in neither
@@ -24,14 +24,31 @@
 //!   any epoch restores the exact arena state by LIFO undo, and since the
 //!   arena's union-find never compresses paths, representative choice —
 //!   and therefore the output's null labels — replays identically;
-//! * **prefix-preserving replay** — per-std canonical firing sequences
-//!   are maintained for the current document; after an update re-matches
-//!   the affected stds, the flattened std-major sequence is compared
-//!   against the applied epochs, the arena rewinds to the longest common
-//!   prefix, and only the suffix replays. The result is *byte-identical*
-//!   to a from-scratch chase of the mutated document: same firing order,
-//!   same fresh-null numbering, same error (the first failing firing in
-//!   canonical order), same completion sweep.
+//! * **prefix-preserving replay at the read** — per-std canonical firing
+//!   sequences are maintained for the current document. Edits only mark
+//!   stds dirty; the next read (or the end of an
+//!   [`IncrementalChase::apply_all`] script) re-matches each dirty std
+//!   once, compares the flattened std-major sequence against the applied
+//!   epochs, rewinds the arena to the longest common prefix and replays
+//!   only the suffix. The result is *byte-identical* to a from-scratch
+//!   chase of the mutated document: same firing order, same fresh-null
+//!   numbering, same error (the first failing firing in canonical order),
+//!   same completion sweep.
+//!
+//! Deferring the resync to the read is exact, by three facts:
+//!
+//! 1. the arena state after a firing prefix is a function of that prefix
+//!    (rewind is LIFO undo, and nothing else mutates the arena);
+//! 2. a std's firing set is a function of the document alone;
+//! 3. the frontier is sound per edit, so a std that no edit since the
+//!    last resync selected has an unchanged firing set.
+//!
+//! So at the read, re-matching the dirty stds yields the flattened
+//! sequence a from-scratch enumeration would, and rewinding to its common
+//! prefix with the applied epochs leaves the arena that prefix determines.
+//! Resyncing at the read therefore gives the same arena, first-failing-
+//! firing error and bytes as resyncing after every edit — a delete and an
+//! identical reinsert between two reads replay nothing.
 //!
 //! Completion (mandatory-child filling) and the deferred `≠` check are
 //! *read-time* operations: [`IncrementalChase::canonical_solution`] takes
@@ -265,18 +282,21 @@ pub fn parse_updates(input: &str) -> Result<Vec<Update>, String> {
 pub struct DeltaStats {
     /// Updates applied.
     pub updates: u64,
-    /// Std re-enumerations the updates forced (the refire frontier).
+    /// Frontier selections: per update, the stds its region analysis
+    /// could not rule out (plus every std once at open). Several
+    /// selections of one std between two reads cost one re-enumeration.
     pub refires: u64,
     /// Stds an update's region analysis proved unaffected.
     pub skips: u64,
-    /// Epochs replayed after rewinds (firings re-applied to the arena).
+    /// Epochs actually replayed at resync (firings re-applied to the
+    /// arena after rewinding to the longest unchanged prefix).
     pub replays: u64,
 }
 
 /// A long-lived incremental chase session over one mapping and one
 /// mutable source document.
 ///
-/// After every update, [`IncrementalChase::canonical_solution`] and
+/// After any sequence of updates, [`IncrementalChase::canonical_solution`] and
 /// [`IncrementalChase::certain_answers`] agree with a from-scratch
 /// [`super::canonical_solution`] of the mutated document — byte-identical
 /// trees and identical [`ChaseError`] verdicts, not merely isomorphic
@@ -294,6 +314,9 @@ pub struct IncrementalChase {
     /// epochs before it, and nothing after it is applied.
     error: Option<ChaseError>,
     arena: ChaseArena,
+    /// Stds selected by the frontier since the last resync: their
+    /// `firings` entries may be stale until the next `resync`.
+    dirty: Vec<bool>,
     /// Source nodes currently violating the source DTD (label, attribute
     /// or children-word violations); the document conforms iff empty.
     violations: BTreeSet<NodeId>,
@@ -319,6 +342,7 @@ impl IncrementalChase {
             seq: Vec::new(),
             error: None,
             arena,
+            dirty: vec![true; std_count],
             violations: BTreeSet::new(),
             stats: DeltaStats::default(),
         };
@@ -327,8 +351,9 @@ impl IncrementalChase {
                 s.violations.insert(n);
             }
         }
-        let all: Vec<usize> = (0..std_count).collect();
-        s.refire(&all);
+        // The initial enumeration stays eager, so opening pays for it.
+        s.stats.refires += std_count as u64;
+        s.resync();
         s
     }
 
@@ -395,17 +420,20 @@ impl IncrementalChase {
 
     /// Applies a whole update script, stopping at the first structurally
     /// invalid op (bad path, bad position, unknown attribute). Returns
-    /// the number of ops applied.
+    /// the number of ops applied. A successful script is one batch: the
+    /// session resyncs once at its end, so its cost (and its replays in
+    /// [`IncrementalChase::stats`]) lands inside this call.
     pub fn apply_all(&mut self, updates: &[Update]) -> Result<usize, String> {
         for (i, u) in updates.iter().enumerate() {
             self.apply(u)
                 .map_err(|e| format!("update #{}: {e}", i + 1))?;
         }
+        self.resync();
         Ok(updates.len())
     }
 
-    /// Grafts a copy of `sub` under `parent` at child position `pos` and
-    /// incrementally re-chases.
+    /// Grafts a copy of `sub` under `parent` at child position `pos`; the
+    /// next read re-chases incrementally.
     pub fn insert_subtree(&mut self, parent: NodeId, pos: usize, sub: &Tree) -> Result<(), String> {
         if pos > self.doc.children(parent).len() {
             return Err(format!(
@@ -428,7 +456,8 @@ impl IncrementalChase {
         Ok(())
     }
 
-    /// Detaches the subtree rooted at `n` and incrementally re-chases.
+    /// Detaches the subtree rooted at `n`; the next read re-chases
+    /// incrementally.
     pub fn delete_subtree(&mut self, n: NodeId) -> Result<(), String> {
         let Some(parent) = self.doc.parent(n) else {
             return Err("cannot delete the document root".into());
@@ -444,7 +473,8 @@ impl IncrementalChase {
         Ok(())
     }
 
-    /// Overwrites one attribute value and incrementally re-chases.
+    /// Overwrites one attribute value; the next read re-chases
+    /// incrementally.
     pub fn replace_text(&mut self, n: NodeId, attr: &str, value: Value) -> Result<(), String> {
         if self.doc.attr(n, attr).is_none() {
             return Err(format!(
@@ -470,6 +500,7 @@ impl IncrementalChase {
         if let Some(e) = self.plan.chase.fragment_error() {
             return Err(e.clone());
         }
+        self.resync();
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
@@ -523,15 +554,10 @@ impl IncrementalChase {
         if found.len() != expected.len() || found.iter().zip(expected).any(|((a, _), b)| a != b) {
             return false;
         }
-        let word: Vec<Name> = self
-            .doc
-            .children(n)
-            .iter()
-            .map(|&c| self.doc.label(c).clone())
-            .collect();
+        let children = self.doc.children(n);
         match dtd.horizontal(label) {
-            Some(nfa) => nfa.accepts(&word),
-            None => word.is_empty(),
+            Some(nfa) => nfa.accepts(children.iter().map(|&c| self.doc.label(c))),
+            None => children.is_empty(),
         }
     }
 
@@ -564,15 +590,13 @@ impl IncrementalChase {
     }
 
     /// The refire frontier: selects the stds whose plans can reach the
-    /// edited region, re-enumerates exactly those, and resynchronises the
-    /// arena by prefix-preserving replay.
+    /// edited region and marks exactly those dirty for the next resync.
     fn after_edit(&mut self, region: BTreeSet<Name>, edit_parent: NodeId) {
         self.stats.updates += 1;
         // Horizontal patterns additionally observe sibling adjacency at
         // the edit point, so their region includes every child label of
         // the edit parent (computed lazily — only if some std needs it).
         let mut horizontal_region: Option<BTreeSet<Name>> = None;
-        let mut affected: Vec<usize> = Vec::new();
         for (si, profile) in self.plan.profiles.iter().enumerate() {
             let touched = if profile.horizontal {
                 let wide = horizontal_region.get_or_insert_with(|| {
@@ -591,20 +615,25 @@ impl IncrementalChase {
                 profile.touched(&region)
             };
             if touched {
-                affected.push(si);
+                self.dirty[si] = true;
+                self.stats.refires += 1;
             } else {
                 self.stats.skips += 1;
             }
         }
-        if !affected.is_empty() {
-            self.refire(&affected);
-        }
     }
 
-    /// Re-enumerates the given stds against the current document and
-    /// replays the arena from the longest unchanged firing prefix.
-    fn refire(&mut self, stds: &[usize]) {
-        for &si in stds {
+    /// Re-enumerates each dirty std once against the current document,
+    /// clears the marks, and replays the arena from the longest unchanged
+    /// firing prefix. A no-op when nothing is dirty.
+    fn resync(&mut self) {
+        if !self.dirty.contains(&true) {
+            return;
+        }
+        for si in 0..self.dirty.len() {
+            if !std::mem::take(&mut self.dirty[si]) {
+                continue;
+            }
             let plan = &self.plan.chase.plans[si];
             let matcher = Matcher::new(&self.doc, &plan.source);
             let tuples: Vec<Box<[Value]>> = matcher
@@ -613,7 +642,6 @@ impl IncrementalChase {
                 .map(|t| t.into_iter().cloned().collect())
                 .collect();
             self.firings[si] = self.plan.chase.canonical_firings(si, tuples);
-            self.stats.refires += 1;
         }
         // Flatten std-major — the kernel's instantiation order.
         let new_seq: Vec<(u32, Box<[Value]>)> = self
@@ -767,6 +795,35 @@ mod tests {
         assert_eq!(after.skips, before.skips + 1);
         assert_eq!(after.refires, before.refires);
         assert_in_sync(&mut s);
+    }
+
+    #[test]
+    fn a_delete_and_identical_reinsert_between_reads_replays_nothing() {
+        let m = mapping(
+            "root r\nr -> a*, c*\na @ v\nc @ w",
+            "root r\nr -> b*\nb @ w",
+            &["r/a(x) --> r/b(x)", "r/c(y) --> r/b(y)"],
+        );
+        let doc = tree!("r" [ "a"("v" = "1"), "a"("v" = "2"), "c"("w" = "3") ]);
+        let mut s = IncrementalChase::new(&m, doc);
+        assert_in_sync(&mut s);
+        let before = s.stats();
+        let first = s.doc().children(Tree::ROOT)[0];
+        let copy = s.doc().subtree(first);
+        s.delete_subtree(first).unwrap();
+        s.insert_subtree(Tree::ROOT, 0, &copy).unwrap();
+        // Both edits selected the a-std and skipped the c-std, as the
+        // frontier always has; the selections share one dirty mark...
+        let after = s.stats();
+        assert_eq!(after.refires, before.refires + 2);
+        assert_eq!(after.skips, before.skips + 2);
+        assert_eq!(s.dirty, [true, false]);
+        // ...so the read re-enumerates the a-std once, finds the applied
+        // firing sequence unchanged and replays nothing.
+        assert_in_sync(&mut s);
+        assert_eq!(s.dirty, [false, false]);
+        assert_eq!(s.stats().replays, before.replays);
+        assert_eq!(s.stats().refires, after.refires);
     }
 
     #[test]

@@ -100,29 +100,28 @@ impl Dtd {
         for node in tree.nodes() {
             let label = tree.label(node);
             let expected = self.attrs(label);
-            let found: Vec<&Name> = tree.attrs(node).iter().map(|(a, _)| a).collect();
-            if found.len() != expected.len() || found.iter().zip(expected).any(|(a, b)| *a != b) {
+            let found = tree.attrs(node);
+            if found.len() != expected.len() || found.iter().zip(expected).any(|((a, _), b)| a != b)
+            {
                 return Err(ConformanceError::WrongAttributes {
                     node,
                     label: label.clone(),
-                    found: found.into_iter().cloned().collect(),
+                    found: found.iter().map(|(a, _)| a.clone()).collect(),
                     expected: expected.to_vec(),
                 });
             }
-            let word: Vec<Name> = tree
-                .children(node)
-                .iter()
-                .map(|&c| tree.label(c).clone())
-                .collect();
+            // The children word is read straight off the tree; it is only
+            // collected for the error report.
+            let children = tree.children(node);
             let ok = match self.horizontal(label) {
-                Some(nfa) => nfa.accepts(&word),
-                None => word.is_empty(), // implicit ε production
+                Some(nfa) => nfa.accepts(children.iter().map(|&c| tree.label(c))),
+                None => children.is_empty(), // implicit ε production
             };
             if !ok {
                 return Err(ConformanceError::BadChildren {
                     node,
                     label: label.clone(),
-                    found: word,
+                    found: children.iter().map(|&c| tree.label(c).clone()).collect(),
                 });
             }
         }

@@ -45,13 +45,18 @@ mod proptests {
     }
 
     fn arb_word() -> impl Strategy<Value = Vec<Name>> {
+        arb_word_of(0..6)
+    }
+
+    /// Words over {a, b, c} with a length in `len`.
+    fn arb_word_of(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Name>> {
         proptest::collection::vec(
             prop_oneof![
                 Just(Name::new("a")),
                 Just(Name::new("b")),
                 Just(Name::new("c"))
             ],
-            0..6,
+            len,
         )
     }
 
@@ -93,6 +98,16 @@ mod proptests {
             let alphabet = vec![Name::new("a"), Name::new("b"), Name::new("c")];
             let dfa = Dfa::determinize(&nfa, alphabet);
             prop_assert_eq!(dfa.accepts(&w), nfa.accepts(&w));
+        }
+
+        /// The NFA's subset simulation, fed a symbol iterator, agrees with
+        /// the subset-construction DFA on words up to length 12.
+        #[test]
+        fn nfa_run_agrees_with_determinized_dfa(r in arb_regex(), w in arb_word_of(0..13)) {
+            let nfa = Nfa::from_regex(&r);
+            let alphabet = vec![Name::new("a"), Name::new("b"), Name::new("c")];
+            let dfa = Dfa::determinize(&nfa, alphabet);
+            prop_assert_eq!(nfa.accepts(w.iter()), dfa.accepts(&w));
         }
 
         /// Complement really is complement (over the declared alphabet).

@@ -44,22 +44,34 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
         }
     }
 
-    /// Does the automaton accept `word`?
-    pub fn accepts(&self, word: &[A]) -> bool {
-        let mut current: HashSet<usize> = HashSet::from([0]);
+    /// Does the automaton accept `word`? Runs the subset simulation over
+    /// two reused state lists and one "seen" mark per state, so a call
+    /// allocates three buffers however long the word is; `word` may be a
+    /// slice or any iterator of symbol references.
+    pub fn accepts<'a>(&self, word: impl IntoIterator<Item = &'a A>) -> bool
+    where
+        A: 'a,
+    {
+        let mut current: Vec<usize> = vec![0];
+        let mut next: Vec<usize> = Vec::new();
+        let mut seen = vec![false; self.num_states];
         for sym in word {
-            let mut next = HashSet::new();
             for &q in &current {
                 for (a, q2) in &self.transitions[q] {
-                    if a == sym {
-                        next.insert(*q2);
+                    if a == sym && !seen[*q2] {
+                        seen[*q2] = true;
+                        next.push(*q2);
                     }
                 }
             }
             if next.is_empty() {
                 return false;
             }
-            current = next;
+            for &q in &next {
+                seen[q] = false;
+            }
+            std::mem::swap(&mut current, &mut next);
+            next.clear();
         }
         current.iter().any(|&q| self.accepting[q])
     }

@@ -282,3 +282,325 @@ fn delta_apply_batches_are_deterministic_across_worker_counts() {
     assert_eq!(one, render(2), "2 workers diverge from serial");
     assert_eq!(one, render(8), "8 workers diverge from serial");
 }
+
+// ---------------------------------------------------------------------------
+// Read schedules: a session resyncs at its reads, so how often it is read
+// must never change what a read returns.
+// ---------------------------------------------------------------------------
+
+/// Replays `ops` on a fresh session over `doc`, reading after op `i` iff
+/// `read_after(i)`. Every read must equal a from-scratch chase of the
+/// document at that point; the reads are returned by op index.
+fn reads_under_schedule(
+    m: &Mapping,
+    doc: &Tree,
+    ops: &[Update],
+    cache: &ChaseCache,
+    read_after: impl Fn(usize) -> bool,
+) -> Vec<Option<Result<Tree, ChaseError>>> {
+    let mut session = IncrementalChase::new(m, doc.clone());
+    ops.iter()
+        .enumerate()
+        .map(|(i, u)| {
+            session.apply(u).expect("the storm applied once already");
+            read_after(i).then(|| {
+                let incremental = session.canonical_solution();
+                let full = canonical_solution_cached(m, session.doc(), cache);
+                assert_eq!(incremental, full, "read after op {i} diverged");
+                incremental
+            })
+        })
+        .collect()
+}
+
+/// Draws a storm of up to `max_ops` random updates against `doc`, then
+/// runs it three ways: a read after every op, a read after every `k`-th
+/// op, and a single read at the end. Each read equals a from-scratch
+/// chase, and the schedules agree wherever they both read. Returns the
+/// storm's length and whether its final verdict was an error.
+fn check_read_schedules(
+    m: &Mapping,
+    doc: Tree,
+    storm_rng: &mut StdRng,
+    max_ops: usize,
+    k: usize,
+) -> (usize, bool) {
+    let cache = ChaseCache::new(m);
+    // The end-only schedule doubles as the storm's generator: its
+    // document evolves exactly as the other schedules' will.
+    let mut end_only = IncrementalChase::new(m, doc.clone());
+    let mut ops = Vec::new();
+    for _ in 0..max_ops {
+        let Some(u) = random_update(end_only.doc(), storm_rng) else {
+            break;
+        };
+        end_only
+            .apply(&u)
+            .expect("structurally valid updates are accepted");
+        ops.push(u);
+    }
+    if ops.is_empty() {
+        return (0, false);
+    }
+    let last = end_only.canonical_solution();
+    assert_eq!(
+        last,
+        canonical_solution_cached(m, end_only.doc(), &cache),
+        "a read only at the end diverged"
+    );
+    let every = reads_under_schedule(m, &doc, &ops, &cache, |_| true);
+    let every_k = reads_under_schedule(m, &doc, &ops, &cache, |i| (i + 1) % k == 0);
+    for (i, (a, b)) in every.iter().zip(&every_k).enumerate() {
+        if let Some(b) = b {
+            assert_eq!(
+                a.as_ref(),
+                Some(b),
+                "every-op vs every-{k}th read at op {i}"
+            );
+        }
+    }
+    assert_eq!(
+        every.last().and_then(Option::as_ref),
+        Some(&last),
+        "every-op vs end-only read"
+    );
+    (ops.len(), last.is_err())
+}
+
+/// The sweep of `random_update_storms_track_the_full_chase`, read on three
+/// schedules: null labels and error verdicts must not depend on how many
+/// edits a resync batches.
+#[test]
+fn read_schedules_agree_with_the_full_chase() {
+    let mut storm_rng = StdRng::seed_from_u64(0x5C4ED);
+    let mut cases = 0usize;
+    let mut ops_applied = 0usize;
+    let mut err_verdicts = 0usize;
+    let mut seed = 0u64;
+    while cases < 200 {
+        seed += 1;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ds = gen::random_nr_dtd(3, 2, 0.6, &mut rng);
+        let dt = gen::random_nr_dtd(3, 2, 0.6, &mut rng);
+        let config = MappingGenConfig {
+            stds: 3,
+            depth: 3,
+            branch_probability: 0.6,
+        };
+        let Some(m) = gen::random_nr_mapping(&ds, &dt, &config, &mut rng) else {
+            continue;
+        };
+        let doc = gen::random_tree(
+            &ds,
+            &TreeGenConfig {
+                continue_probability: 0.6,
+                max_nodes: 80,
+                ..Default::default()
+            },
+            &mut rng,
+        );
+        let max_ops = storm_rng.gen_range(1..=50usize);
+        let k = storm_rng.gen_range(2..=7usize);
+        let (ops, err) = check_read_schedules(&m, doc, &mut storm_rng, max_ops, k);
+        ops_applied += ops;
+        err_verdicts += usize::from(err);
+        cases += 1;
+    }
+    assert!(ops_applied >= 1_000, "storms were real: {ops_applied} ops");
+    assert!(
+        err_verdicts > 0,
+        "no storm ended on an error verdict — coverage regressed"
+    );
+}
+
+/// Horizontal source patterns widen the frontier to the edit point's
+/// siblings; batching several such edits into one resync must still
+/// track the full chase, on random storms and on an adjacency broken and
+/// restored between two reads.
+#[test]
+fn horizontal_mappings_agree_across_read_schedules() {
+    let m = Mapping::parse(
+        "[source]\nroot r\nr -> (a|c)*\na @ v\nc @ w\n\
+         [target]\nroot r\nr -> b*\nb @ w\n\
+         [stds]\nr[a(x) -> a(y)] --> r[b(x), b(y)]\nr[c(x) ->* a(y)] --> r/b(y)\n",
+    )
+    .unwrap();
+    let mut storm_rng = StdRng::seed_from_u64(0x4051);
+    for case in 0..40u64 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let doc = gen::random_tree(
+            &m.source_dtd,
+            &TreeGenConfig {
+                continue_probability: 0.8,
+                max_nodes: 30,
+                ..Default::default()
+            },
+            &mut rng,
+        );
+        let k = storm_rng.gen_range(2..=7usize);
+        check_read_schedules(&m, doc, &mut storm_rng, 30, k);
+    }
+
+    let mut session = IncrementalChase::new(
+        &m,
+        xml::parse(r#"<r><a v="1"/><a v="2"/><c w="3"/></r>"#).unwrap(),
+    );
+    let before = session.canonical_solution().expect("chases");
+    // A c between the two a's breaks their adjacency; deleting it again
+    // before the read restores it.
+    session
+        .apply(&Update::InsertSubtree {
+            parent: vec![],
+            pos: 1,
+            subtree: xml::parse(r#"<c w="9"/>"#).unwrap(),
+        })
+        .unwrap();
+    session
+        .apply(&Update::DeleteSubtree { path: vec![1] })
+        .unwrap();
+    assert_eq!(session.canonical_solution(), Ok(before));
+    // Left in place, the break shows at the next read.
+    session
+        .apply(&Update::InsertSubtree {
+            parent: vec![],
+            pos: 1,
+            subtree: xml::parse(r#"<c w="9"/>"#).unwrap(),
+        })
+        .unwrap();
+    assert_eq!(
+        session.canonical_solution(),
+        canonical_solution(&m, session.doc())
+    );
+}
+
+/// A `ValueConflict` introduced and healed between two reads never
+/// surfaces, and costs no replay; one left in place surfaces at the next
+/// read and heals at the one after.
+#[test]
+fn a_value_conflict_healed_between_reads_never_surfaces() {
+    let m = Mapping::parse(
+        "[source]\nroot r\nr -> a*\na @ v\n\
+         [target]\nroot r\nr -> b\nb @ w\n\
+         [stds]\nr/a(x) --> r/b(x)\n",
+    )
+    .unwrap();
+    let conflicting = || Update::InsertSubtree {
+        parent: vec![],
+        pos: 1,
+        subtree: xml::parse(r#"<a v="2"/>"#).unwrap(),
+    };
+    let mut session = IncrementalChase::new(&m, xml::parse(r#"<r><a v="1"/></r>"#).unwrap());
+    let before = session.canonical_solution().expect("one value chases");
+    let replays = session.stats().replays;
+
+    session.apply(&conflicting()).unwrap();
+    session
+        .apply(&Update::DeleteSubtree { path: vec![1] })
+        .unwrap();
+    assert_eq!(session.canonical_solution(), Ok(before.clone()));
+    assert_eq!(
+        session.stats().replays,
+        replays,
+        "the conflicting firing was never applied"
+    );
+
+    session.apply(&conflicting()).unwrap();
+    let conflict = session.canonical_solution();
+    assert!(
+        matches!(conflict, Err(ChaseError::ValueConflict(_))),
+        "two constants in one rigid slot: {conflict:?}"
+    );
+    assert_eq!(conflict, canonical_solution(&m, session.doc()));
+    session
+        .apply(&Update::DeleteSubtree { path: vec![1] })
+        .unwrap();
+    assert_eq!(session.canonical_solution(), Ok(before));
+}
+
+/// A conformance break repaired before the next read leaves no trace; a
+/// break left in place reports `SourceNotConforming` like the full chase.
+#[test]
+fn a_conformance_break_repaired_between_reads_leaves_no_trace() {
+    let m = Mapping::parse(
+        "[source]\nroot r\nr -> a\na @ v\n\
+         [target]\nroot r\nr -> b*\nb @ w\n\
+         [stds]\nr/a(x) --> r/b(x)\n",
+    )
+    .unwrap();
+    let mut session = IncrementalChase::new(&m, xml::parse(r#"<r><a v="7"/></r>"#).unwrap());
+    assert!(session.canonical_solution().is_ok());
+
+    session
+        .apply(&Update::DeleteSubtree { path: vec![0] })
+        .unwrap();
+    session
+        .apply(&Update::InsertSubtree {
+            parent: vec![],
+            pos: 0,
+            subtree: xml::parse(r#"<a v="8"/>"#).unwrap(),
+        })
+        .unwrap();
+    assert!(session.source_conforms());
+    let repaired = session.canonical_solution().expect("conforms again");
+    assert_eq!(repaired, canonical_solution(&m, session.doc()).unwrap());
+
+    session
+        .apply(&Update::InsertSubtree {
+            parent: vec![],
+            pos: 1,
+            subtree: xml::parse(r#"<a v="9"/>"#).unwrap(),
+        })
+        .unwrap();
+    session
+        .apply(&Update::DeleteSubtree { path: vec![0] })
+        .unwrap();
+    session
+        .apply(&Update::InsertSubtree {
+            parent: vec![],
+            pos: 0,
+            subtree: xml::parse(r#"<a v="4"/>"#).unwrap(),
+        })
+        .unwrap();
+    assert_eq!(
+        session.canonical_solution(),
+        Err(ChaseError::SourceNotConforming)
+    );
+    assert_eq!(
+        canonical_solution(&m, session.doc()),
+        Err(ChaseError::SourceNotConforming)
+    );
+    session
+        .apply(&Update::DeleteSubtree { path: vec![1] })
+        .unwrap();
+    let healed = session.canonical_solution().expect("conforms again");
+    assert_eq!(healed, canonical_solution(&m, session.doc()).unwrap());
+}
+
+/// A script that stops at a bad path keeps the ops before it; the next
+/// read resyncs them and equals a from-scratch chase.
+#[test]
+fn a_script_failing_midway_is_read_exactly() {
+    let m = Mapping::parse(
+        "[source]\nroot r\nr -> a*\na @ v\n\
+         [target]\nroot r\nr -> b*\nb @ w\n\
+         [stds]\nr/a(x) --> r/b(x)\n",
+    )
+    .unwrap();
+    let mut session = IncrementalChase::new(&m, xml::parse(r#"<r><a v="1"/></r>"#).unwrap());
+    let script = parse_updates(
+        "insert . 0 <a v=\"5\"/>\n\
+         settext 0 v 6\n\
+         delete 9\n\
+         settext 0 v 7\n",
+    )
+    .unwrap();
+    let err = session.apply_all(&script).unwrap_err();
+    assert!(err.starts_with("update #3:"), "{err}");
+    assert_eq!(
+        xml::to_string(session.doc()),
+        xml::to_string(&xml::parse(r#"<r><a v="6"/><a v="1"/></r>"#).unwrap()),
+        "the two ops before the bad path were applied"
+    );
+    let read = session.canonical_solution().expect("chases");
+    assert_eq!(read, canonical_solution(&m, session.doc()).unwrap());
+}
