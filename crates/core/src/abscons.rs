@@ -48,6 +48,34 @@ impl AbsConsAnswer {
     }
 }
 
+/// The exact procedure that decided an ABSCONS question (see
+/// `EngineContext::abscons`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AbsConsProcedure {
+    /// Thm 6.3: [`abscons_nr_ptime`].
+    NestedRelational,
+    /// Prop 6.1: [`abscons_structural`].
+    Structural,
+}
+
+impl AbsConsProcedure {
+    /// The verdict line for `answer` as this procedure decided it — what
+    /// `xmlmap abscons` prints and a batch `abscons` job reports.
+    pub fn detail(self, answer: &AbsConsAnswer) -> String {
+        match (answer, self) {
+            (AbsConsAnswer::Violated { reason, .. }, _) => {
+                format!("NOT absolutely consistent: {reason}")
+            }
+            (AbsConsAnswer::AbsolutelyConsistent, AbsConsProcedure::NestedRelational) => {
+                "absolutely consistent (Thm 6.3 fragment)".to_string()
+            }
+            (AbsConsAnswer::AbsolutelyConsistent, AbsConsProcedure::Structural) => {
+                "absolutely consistent (SM° structural, Prop 6.1)".to_string()
+            }
+        }
+    }
+}
+
 /// Prop 6.1: absolute consistency of **value-free** mappings (Π₂ᵖ).
 ///
 /// Exact when no std mentions a variable (SM°); returns `Err` messages

@@ -33,7 +33,6 @@
 //! The CLI front end is `xmlmap batch <jobfile>`; the jobfile syntax is
 //! documented at [`parse_jobfile`].
 
-use crate::abscons::{abscons_nr_ptime, AbsConsAnswer};
 use crate::consistency::ConsAnswer;
 use crate::engine::EngineContext;
 use crate::stds::Mapping;
@@ -210,42 +209,21 @@ pub fn run_job(ctx: &EngineContext, job: &BatchJob) -> JobResult {
                 error: e.to_string(),
             },
         },
-        JobKind::AbsCons { mapping, budget } => {
-            if let Some(ans) = abscons_nr_ptime(mapping) {
-                let yes = ans.holds();
-                JobResult::Answer {
-                    yes,
-                    detail: match ans {
-                        AbsConsAnswer::AbsolutelyConsistent => {
-                            "absolutely consistent (Thm 6.3 fragment)".to_string()
-                        }
-                        AbsConsAnswer::Violated { reason, .. } => {
-                            format!("NOT absolutely consistent: {reason}")
-                        }
-                    },
-                }
-            } else {
-                match ctx.abscons_structural(mapping, *budget) {
-                    Ok(Ok(AbsConsAnswer::AbsolutelyConsistent)) => JobResult::Answer {
-                        yes: true,
-                        detail: "absolutely consistent (SM° structural, Prop 6.1)".to_string(),
-                    },
-                    Ok(Ok(AbsConsAnswer::Violated { reason, .. })) => JobResult::Answer {
-                        yes: false,
-                        detail: format!("NOT absolutely consistent: {reason}"),
-                    },
-                    Ok(Err(budget_err)) => JobResult::Failed {
-                        error: budget_err.to_string(),
-                    },
-                    Err(outside) => JobResult::Failed {
-                        error: format!(
-                            "outside the exact ABSCONS fragments \
-                             (batch runs no bounded search): {outside}"
-                        ),
-                    },
-                }
-            }
-        }
+        JobKind::AbsCons { mapping, budget } => match ctx.abscons(mapping, *budget) {
+            Ok(Ok((answer, procedure))) => JobResult::Answer {
+                yes: answer.holds(),
+                detail: procedure.detail(&answer),
+            },
+            Ok(Err(budget_err)) => JobResult::Failed {
+                error: budget_err.to_string(),
+            },
+            Err(outside) => JobResult::Failed {
+                error: format!(
+                    "outside the exact ABSCONS fragments \
+                     (batch runs no bounded search): {outside}"
+                ),
+            },
+        },
         JobKind::Subschema { d1, d2, budget } => match ctx.subschema(d1, d2, *budget) {
             Ok(None) => JobResult::Answer {
                 yes: true,

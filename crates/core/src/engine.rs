@@ -45,7 +45,9 @@
 //! See DESIGN.md §8.4 for the context architecture and §8.5 for byte
 //! accounting, eviction, and the artifact store.
 
-use crate::abscons::{abscons_structural_cached, AbsConsAnswer};
+use crate::abscons::{
+    abscons_nr_ptime, abscons_structural_cached, AbsConsAnswer, AbsConsProcedure,
+};
 use crate::bounded::ShapeCache;
 use crate::chase::delta::DeltaStats;
 use crate::chase::{
@@ -58,6 +60,7 @@ use crate::store::{ArtifactStore, Family, LoadError};
 use crate::stream::{
     StreamChaseError, StreamChaseOutcome, StreamChasePlan, StreamJobError, StreamOutcome,
 };
+use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -296,6 +299,21 @@ struct Shard<V> {
     ring: Vec<String>,
     /// Clock hand into `ring`.
     hand: usize,
+}
+
+thread_local! {
+    /// `(compiled, disk_loaded)` fills run by lookups on this thread.
+    static THREAD_FILLS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Compilations and artifact-store loads that [`EngineContext`] lookups
+/// on the calling thread have run so far, as `(compiled, disk_loaded)`.
+/// The change across a call that stays on one thread is that call's own
+/// cache provenance, whatever other threads compile meanwhile: a fill
+/// counts only on the thread that ran it, never on threads that waited
+/// for it.
+pub(crate) fn thread_fills() -> (u64, u64) {
+    THREAD_FILLS.with(Cell::get)
 }
 
 /// How a lookup was satisfied.
@@ -646,6 +664,13 @@ impl EngineContext {
             (v, false)
         });
         if how != Fill::Hit {
+            THREAD_FILLS.with(|fills| {
+                let (compiled, loaded) = fills.get();
+                fills.set(match how {
+                    Fill::Compiled => (compiled + 1, loaded),
+                    _ => (compiled, loaded + 1),
+                });
+            });
             if how == Fill::Compiled && persist {
                 if let Some(store) = &self.store {
                     store.save(family, key, &encode(&value));
@@ -979,6 +1004,24 @@ impl EngineContext {
         out
     }
 
+    /// ABSCONS over the exact procedures, cheapest first: Thm 6.3
+    /// ([`abscons_nr_ptime`]) on its fragment, else Prop 6.1 over the
+    /// shared [`SatCache`]s ([`EngineContext::abscons_structural`]).
+    /// Returns the answer and the procedure that decided it; the errors
+    /// are those of [`EngineContext::abscons_structural`].
+    pub fn abscons(
+        &self,
+        m: &Mapping,
+        budget: usize,
+    ) -> Result<Result<(AbsConsAnswer, AbsConsProcedure), BudgetExceeded>, String> {
+        if let Some(answer) = abscons_nr_ptime(m) {
+            return Ok(Ok((answer, AbsConsProcedure::NestedRelational)));
+        }
+        Ok(self
+            .abscons_structural(m, budget)?
+            .map(|answer| (answer, AbsConsProcedure::Structural)))
+    }
+
     /// [`canonical_solution`](crate::chase::canonical_solution) over the
     /// shared [`ChaseCache`] for `m`.
     pub fn canonical_solution(&self, m: &Mapping, source: &Tree) -> Result<Tree, ChaseError> {
@@ -1148,6 +1191,36 @@ mod tests {
              [stds]\nr/a(x) --> r/b(x)\n",
         )
         .unwrap()
+    }
+
+    #[test]
+    fn abscons_tries_thm63_then_prop61() {
+        let ctx = EngineContext::new();
+        let (answer, procedure) = ctx.abscons(&copy_mapping(), 1_000_000).unwrap().unwrap();
+        assert_eq!(
+            procedure.detail(&answer),
+            "absolutely consistent (Thm 6.3 fragment)"
+        );
+        assert_eq!(ctx.stats().total_compiled(), 0, "Thm 6.3 needs no cache");
+        let value_free = Mapping::parse(
+            "[source]\nroot r\nr -> (a|b)*\n[target]\nroot r\nr -> c?\n[stds]\nr/a --> r/c\n",
+        )
+        .unwrap();
+        let (answer, procedure) = ctx.abscons(&value_free, 1_000_000).unwrap().unwrap();
+        assert_eq!(procedure, AbsConsProcedure::Structural);
+        assert_eq!(
+            procedure.detail(&answer),
+            "absolutely consistent (SM° structural, Prop 6.1)"
+        );
+        let valued = Mapping::parse(
+            "[source]\nroot r\nr -> (a|b)*\na @ v\n[target]\nroot r\nr -> c?\nc @ w\n\
+             [stds]\nr/a(x) --> r/c(x)\n",
+        )
+        .unwrap();
+        assert!(
+            ctx.abscons(&valued, 1_000_000).is_err(),
+            "outside both fragments"
+        );
     }
 
     #[test]

@@ -24,7 +24,10 @@ pub mod stds;
 pub mod store;
 pub mod stream;
 
-pub use abscons::{abscons_nr_ptime, abscons_structural, abscons_structural_cached, AbsConsAnswer};
+pub use abscons::{
+    abscons_nr_ptime, abscons_structural, abscons_structural_cached, AbsConsAnswer,
+    AbsConsProcedure,
+};
 pub use batch::{
     parse_jobfile, render_batch, render_results, run_batch, run_job, BatchJob, JobKind, JobParser,
     JobResult,

@@ -37,10 +37,13 @@
 //! {"id":9,"ok":true,"stats":{…},"elapsed_us":2}
 //! ```
 //!
-//! `compiled`/`disk_loaded` are the change in the context's
-//! compile/disk-load totals across the request — exact cache-hit
-//! provenance under serial traffic, best-effort under concurrency (the
-//! counters are global).
+//! `compiled`/`disk_loaded` count the artifacts this request's own
+//! engine lookups compiled or loaded from the artifact store. The tally
+//! is per thread (a request runs on one worker, and a fill counts only on
+//! the thread that ran it), so it is exact under any concurrency: a warm
+//! answer reports `"compiled":0` however many cold requests compile
+//! beside it. Every payload, error replies included, comes from one
+//! writer, [`Response::to_json`], which [`Response::parse`] inverts.
 //!
 //! ## Semantics
 //!
@@ -52,9 +55,11 @@
 //!   else the server's `--deadline-ms`) is enforced on top of the
 //!   engines' own step budgets: expired-in-queue requests fail without
 //!   running, and a request whose execution overruns its deadline gets a
-//!   budget-style error response. Deadline failures never poison the
-//!   caches — artifacts compiled along the way stay valid (budget errors
-//!   were already never cached).
+//!   budget-style error response — except `DELTA OPEN`/`APPLY`/`CLOSE`,
+//!   which by then have committed their session change and report their
+//!   real outcome. Deadline failures never poison the caches — artifacts
+//!   compiled along the way stay valid (budget errors were already never
+//!   cached).
 //! * **Graceful drain** — when shutdown is requested (SIGTERM in the
 //!   CLI, [`ShutdownHandle::raise`] in-process), the daemon stops
 //!   accepting, stops reading new frames, finishes every request already
@@ -86,7 +91,7 @@
 
 use crate::batch::{run_job, JobParser, JobResult};
 use crate::chase::{parse_updates, IncrementalChase};
-use crate::engine::{CacheCounters, EngineContext, EngineStats};
+use crate::engine::{thread_fills, CacheCounters, EngineContext, EngineStats};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
@@ -447,6 +452,21 @@ struct Request {
     conn: Arc<Conn>,
 }
 
+/// What a verb that ran produced: a verdict, or the `STATS` object.
+enum Reply {
+    Verdict(JobResult),
+    Stats(String),
+}
+
+/// What every worker shares: the engine context, the job-line parser,
+/// the delta-session table and the server tallies.
+struct Daemon<'a> {
+    ctx: &'a EngineContext,
+    parser: Mutex<JobParser>,
+    sessions: DeltaSessions,
+    counters: Counters,
+}
+
 // ---- the server -----------------------------------------------------------
 
 /// Runs the daemon until `shutdown` is raised: accept loop, bounded
@@ -470,17 +490,19 @@ pub fn serve(
     };
     let (tx, rx) = std::sync::mpsc::sync_channel::<Request>(depth);
     let rx = Mutex::new(rx);
-    let counters = Counters::default();
-    let parser = Mutex::new(JobParser::new(&cfg.root));
-    let sessions: DeltaSessions = Mutex::new(HashMap::new());
+    let daemon = Daemon {
+        ctx,
+        parser: Mutex::new(JobParser::new(&cfg.root)),
+        sessions: Mutex::new(HashMap::new()),
+        counters: Counters::default(),
+    };
 
     let accept_result: io::Result<()> = std::thread::scope(|scope| {
         let rx = &rx;
-        let counters = &counters;
-        let parser = &parser;
-        let sessions = &sessions;
+        let daemon = &daemon;
+        let counters = &daemon.counters;
         for _ in 0..workers {
-            scope.spawn(move || worker_loop(ctx, parser, sessions, rx, counters));
+            scope.spawn(move || daemon.worker_loop(rx));
         }
         let mut conns = Vec::new();
         let mut accept_err = None;
@@ -520,7 +542,7 @@ pub fn serve(
     });
     // Sessions never explicitly closed still count: tally them now, while
     // the workers are gone and every lock is free.
-    for (_, session) in sessions.into_inner().unwrap() {
+    for (_, session) in daemon.sessions.into_inner().unwrap() {
         ctx.record_delta(session.lock().unwrap().stats());
     }
     ctx.flush_disk_cache();
@@ -529,7 +551,7 @@ pub fn serve(
         let _ = std::fs::remove_file(path);
     }
     accept_result?;
-    Ok(counters.summary())
+    Ok(daemon.counters.summary())
 }
 
 /// Reads frames off one connection until EOF, an unrecoverable framing
@@ -580,10 +602,8 @@ fn conn_loop(
                 }
                 Err(e) => {
                     counters.failed.fetch_add(1, Ordering::Relaxed);
-                    let json = format!(
-                        "{{\"id\":0,\"ok\":false,\"error\":\"malformed request frame: {}\"}}",
-                        json_escape(&e)
-                    );
+                    let error = format!("malformed request frame: {e}");
+                    let json = Response::new(0, Err(error)).to_json();
                     if conn.write_frame(json.as_bytes()).is_err() {
                         return;
                     }
@@ -593,295 +613,201 @@ fn conn_loop(
     }
 }
 
-/// Executes queued requests until the channel closes (drain complete).
-fn worker_loop(
-    ctx: &EngineContext,
-    parser: &Mutex<JobParser>,
-    sessions: &DeltaSessions,
-    rx: &Mutex<Receiver<Request>>,
-    counters: &Counters,
-) {
-    loop {
-        let request = match rx.lock().unwrap().recv() {
-            Ok(r) => r,
-            Err(_) => return,
-        };
-        let (json, failed) = execute(ctx, parser, sessions, counters, &request);
-        if failed {
-            counters.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        let _ = request.conn.write_frame(json.as_bytes());
-    }
-}
-
-/// Runs one request to a response JSON string; the bool is "this is an
-/// error response".
-fn execute(
-    ctx: &EngineContext,
-    parser: &Mutex<JobParser>,
-    sessions: &DeltaSessions,
-    counters: &Counters,
-    request: &Request,
-) -> (String, bool) {
-    let start = Instant::now();
-    let expired = |when: &str| {
-        (
-            format!(
-                "{{\"id\":{},\"ok\":false,\"error\":\"request deadline of {}ms exceeded {when}\"}}",
-                request.id, request.deadline_ms
-            ),
-            true,
-        )
-    };
-    if request.deadline.is_some_and(|d| Instant::now() > d) {
-        return expired("before execution");
-    }
-    let line = request.line.trim();
-    if line == "STATS" {
-        let stats = stats_json(
-            &ctx.stats(),
-            counters.requests.load(Ordering::Relaxed),
-            counters.connections.load(Ordering::Relaxed),
-        );
-        let json = format!(
-            "{{\"id\":{},\"ok\":true,\"stats\":{stats},\"elapsed_us\":{}}}",
-            request.id,
-            start.elapsed().as_micros()
-        );
-        return (json, false);
-    }
-    if let Some(rest) = line.strip_prefix("PING") {
-        let rest = rest.trim();
-        let delay = if rest.is_empty() {
-            0
-        } else {
-            match rest.parse::<u64>() {
-                Ok(ms) => ms.min(MAX_PING_DELAY_MS),
-                Err(_) => {
-                    return (
-                        format!(
-                        "{{\"id\":{},\"ok\":false,\"error\":\"PING delay `{}` is not a number\"}}",
-                        request.id,
-                        json_escape(rest)
-                    ),
-                        true,
-                    )
-                }
+impl Daemon<'_> {
+    /// Executes queued requests until the channel closes (drain complete).
+    fn worker_loop(&self, rx: &Mutex<Receiver<Request>>) {
+        loop {
+            let request = match rx.lock().unwrap().recv() {
+                Ok(r) => r,
+                Err(_) => return,
+            };
+            let response = self.execute(&request);
+            if matches!(response.result, JobResult::Failed { .. }) {
+                self.counters.failed.fetch_add(1, Ordering::Relaxed);
             }
-        };
-        if delay > 0 {
-            std::thread::sleep(Duration::from_millis(delay));
+            let _ = request.conn.write_frame(response.to_json().as_bytes());
         }
-        if request.deadline.is_some_and(|d| Instant::now() > d) {
-            return expired("during execution");
-        }
-        let json = format!(
-            "{{\"id\":{},\"ok\":true,\"yes\":true,\"detail\":\"pong\",\"elapsed_us\":{},\
-             \"compiled\":0,\"disk_loaded\":0}}",
-            request.id,
-            start.elapsed().as_micros()
-        );
-        return (json, false);
     }
-    if line == "DELTA" || line.starts_with("DELTA ") {
-        let (json, failed) = execute_delta(ctx, parser, sessions, request, line, start);
-        if request.deadline.is_some_and(|d| Instant::now() > d) {
-            return expired("during execution");
-        }
-        return (json, failed);
-    }
-    let job = match parser.lock().unwrap().parse(line) {
-        Ok(job) => job,
-        Err(e) => {
-            return (
-                format!(
-                    "{{\"id\":{},\"ok\":false,\"error\":\"{}\",\"elapsed_us\":{}}}",
-                    request.id,
-                    json_escape(&e),
-                    start.elapsed().as_micros()
-                ),
-                true,
-            )
-        }
-    };
-    let before = ctx.stats();
-    let result = run_job(ctx, &job);
-    let after = ctx.stats();
-    if request.deadline.is_some_and(|d| Instant::now() > d) {
-        return expired("during execution");
-    }
-    let elapsed_us = start.elapsed().as_micros();
-    match result {
-        JobResult::Answer { yes, detail } => (
-            format!(
-                "{{\"id\":{},\"ok\":true,\"yes\":{yes},\"detail\":\"{}\",\"elapsed_us\":{elapsed_us},\
-                 \"compiled\":{},\"disk_loaded\":{}}}",
-                request.id,
-                json_escape(&detail),
-                after.total_compiled().saturating_sub(before.total_compiled()),
-                after.total_disk_hits().saturating_sub(before.total_disk_hits()),
-            ),
-            false,
-        ),
-        JobResult::Failed { error } => (
-            format!(
-                "{{\"id\":{},\"ok\":false,\"error\":\"{}\",\"elapsed_us\":{elapsed_us}}}",
-                request.id,
-                json_escape(&error)
-            ),
-            true,
-        ),
-    }
-}
 
-/// Runs one `DELTA` session verb to a response JSON string; the bool is
-/// "this is an error response". Session-not-found, duplicate-open, and
-/// update-script failures are error responses; a chase failure on
-/// `SOLUTION` is a `yes:false` *answer*, matching the batch driver's
-/// verdict shape for chase jobs.
-fn execute_delta(
-    ctx: &EngineContext,
-    parser: &Mutex<JobParser>,
-    sessions: &DeltaSessions,
-    request: &Request,
-    line: &str,
-    start: Instant,
-) -> (String, bool) {
-    let fail = |error: String| {
-        (
-            format!(
-                "{{\"id\":{},\"ok\":false,\"error\":\"{}\",\"elapsed_us\":{}}}",
-                request.id,
-                json_escape(&error),
-                start.elapsed().as_micros()
-            ),
-            true,
-        )
-    };
-    let answer = |yes: bool, detail: String| {
-        (
-            format!(
-                "{{\"id\":{},\"ok\":true,\"yes\":{yes},\"detail\":\"{}\",\"elapsed_us\":{},\
-                 \"compiled\":0,\"disk_loaded\":0}}",
-                request.id,
-                json_escape(&detail),
-                start.elapsed().as_micros()
-            ),
-            false,
-        )
-    };
-    let session_of =
-        |name: &str| {
-            sessions.lock().unwrap().get(name).cloned().ok_or_else(|| {
-                format!("no delta session named `{name}` (open one with DELTA OPEN)")
+    /// Runs one request to its response. The deadline is checked twice:
+    /// a request that expired in the queue never runs, and one that
+    /// overran answers a deadline error instead of its outcome — unless it
+    /// committed a session change, which stands and is reported.
+    fn execute(&self, request: &Request) -> Response {
+        let start = Instant::now();
+        let (compiled, disk_loaded) = thread_fills();
+        let expired = |when: &str| {
+            let late = request.deadline.is_some_and(|d| Instant::now() > d);
+            late.then(|| {
+                format!(
+                    "request deadline of {}ms exceeded {when}",
+                    request.deadline_ms
+                )
             })
         };
-    let fields: Vec<&str> = line.split_whitespace().collect();
-    match fields.as_slice() {
-        ["DELTA", "OPEN", name, map, doc] => {
-            if sessions.lock().unwrap().contains_key(*name) {
-                return fail(format!(
-                    "delta session `{name}` is already open (DELTA CLOSE it first)"
-                ));
-            }
-            let (mapping, source) = {
-                let mut parser = parser.lock().unwrap();
-                let mapping = match parser.load_mapping(map) {
-                    Ok(m) => m,
-                    Err(e) => return fail(e),
-                };
-                let source = match parser.load_tree(doc, &mapping.source_dtd) {
-                    Ok(t) => t,
-                    Err(e) => return fail(e),
-                };
-                (mapping, source)
-            };
-            let session = ctx.delta_session(&mapping, source);
-            let detail = format!(
-                "opened `{name}` ({} std(s), {}conforming source)",
-                mapping.stds.len(),
-                if session.source_conforms() {
-                    ""
-                } else {
-                    "non-"
+        let line = request.line.trim();
+        let outcome = match expired("before execution") {
+            Some(error) => Err(error),
+            None => {
+                let outcome = self.run(line);
+                match expired("during execution") {
+                    Some(error) if !commits_session(line) => Err(error),
+                    _ => outcome,
                 }
-            );
-            let mut table = sessions.lock().unwrap();
-            if table.contains_key(*name) {
-                return fail(format!(
-                    "delta session `{name}` is already open (DELTA CLOSE it first)"
-                ));
             }
-            table.insert(name.to_string(), Arc::new(Mutex::new(session)));
-            answer(true, detail)
+        };
+        let fills = thread_fills();
+        Response {
+            elapsed_us: start.elapsed().as_micros().try_into().unwrap_or(u64::MAX),
+            compiled: fills.0 - compiled,
+            disk_loaded: fills.1 - disk_loaded,
+            ..Response::new(request.id, outcome)
         }
-        ["DELTA", "APPLY", name, updatefile] => {
-            let session = match session_of(name) {
-                Ok(s) => s,
-                Err(e) => return fail(e),
-            };
-            let script = match parser.lock().unwrap().read_file(updatefile) {
-                Ok(s) => s,
-                Err(e) => return fail(e),
-            };
-            let updates = match parse_updates(&script) {
-                Ok(u) => u,
-                Err(e) => return fail(format!("{updatefile}: {e}")),
-            };
-            let mut session = session.lock().unwrap();
-            let before = session.stats();
-            match session.apply_all(&updates) {
-                Ok(applied) => {
-                    let d = session.stats();
-                    answer(
-                        true,
-                        format!(
-                            "applied {applied} update(s) ({} refire(s), {} skip(s), {} replay(s))",
-                            d.refires - before.refires,
-                            d.skips - before.skips,
-                            d.replays - before.replays
-                        ),
-                    )
-                }
-                Err(e) => fail(format!("delta session `{name}`: {e}")),
-            }
-        }
-        ["DELTA", "SOLUTION", name] => {
-            let session = match session_of(name) {
-                Ok(s) => s,
-                Err(e) => return fail(e),
-            };
-            let mut session = session.lock().unwrap();
-            match session.canonical_solution() {
-                Ok(solution) => {
-                    let reduced = crate::exchange::reduce_solution(session.mapping(), &solution);
-                    answer(true, xmlmap_trees::xml::to_string(&reduced))
-                }
-                Err(e) => answer(false, format!("no solution: {e}")),
-            }
-        }
-        ["DELTA", "CLOSE", name] => {
-            let session = match sessions.lock().unwrap().remove(*name) {
-                Some(s) => s,
-                None => {
-                    return fail(format!(
-                        "no delta session named `{name}` (open one with DELTA OPEN)"
-                    ))
-                }
-            };
-            let stats = session.lock().unwrap().stats();
-            ctx.record_delta(stats);
-            answer(
-                true,
-                format!("closed `{name}` after {} update(s)", stats.updates),
-            )
-        }
-        _ => fail(
-            "bad DELTA request: expected OPEN <name> <mapping> <doc>, \
-             APPLY <name> <updatefile>, SOLUTION <name>, or CLOSE <name>"
-                .to_string(),
-        ),
     }
+
+    /// Runs one verb: `STATS`, `PING [ms]`, a `DELTA` session verb, or a
+    /// job line.
+    fn run(&self, line: &str) -> Result<Reply, String> {
+        if line == "STATS" {
+            return Ok(Reply::Stats(stats_json(
+                &self.ctx.stats(),
+                self.counters.requests.load(Ordering::Relaxed),
+                self.counters.connections.load(Ordering::Relaxed),
+            )));
+        }
+        let verdict = if let Some(delay) = line.strip_prefix("PING") {
+            ping(delay.trim())?
+        } else if let Some(fields) = delta_fields(line) {
+            self.delta(&fields)?
+        } else {
+            let job = self.parser.lock().unwrap().parse(line)?;
+            run_job(self.ctx, &job)
+        };
+        Ok(Reply::Verdict(verdict))
+    }
+
+    /// Runs one `DELTA` session verb (`fields` follow the `DELTA`).
+    /// Session-not-found, duplicate-open, and update-script failures are
+    /// errors; a chase failure on `SOLUTION` is a `yes:false` *answer*,
+    /// matching the batch driver's verdict shape for chase jobs.
+    fn delta(&self, fields: &[&str]) -> Result<JobResult, String> {
+        let no_session =
+            |name: &str| format!("no delta session named `{name}` (open one with DELTA OPEN)");
+        let session_of = |name: &str| {
+            let table = self.sessions.lock().unwrap();
+            table.get(name).cloned().ok_or_else(|| no_session(name))
+        };
+        let already_open =
+            |name: &str| format!("delta session `{name}` is already open (DELTA CLOSE it first)");
+        let detail = match fields {
+            ["OPEN", name, map, doc] => {
+                if self.sessions.lock().unwrap().contains_key(*name) {
+                    return Err(already_open(name));
+                }
+                let (mapping, source) = {
+                    let mut parser = self.parser.lock().unwrap();
+                    let mapping = parser.load_mapping(map)?;
+                    let source = parser.load_tree(doc, &mapping.source_dtd)?;
+                    (mapping, source)
+                };
+                let session = self.ctx.delta_session(&mapping, source);
+                let detail = format!(
+                    "opened `{name}` ({} std(s), {}conforming source)",
+                    mapping.stds.len(),
+                    if session.source_conforms() {
+                        ""
+                    } else {
+                        "non-"
+                    }
+                );
+                let mut table = self.sessions.lock().unwrap();
+                if table.contains_key(*name) {
+                    return Err(already_open(name));
+                }
+                table.insert(name.to_string(), Arc::new(Mutex::new(session)));
+                detail
+            }
+            ["APPLY", name, updatefile] => {
+                let session = session_of(name)?;
+                let script = self.parser.lock().unwrap().read_file(updatefile)?;
+                let updates = parse_updates(&script).map_err(|e| format!("{updatefile}: {e}"))?;
+                let mut session = session.lock().unwrap();
+                let before = session.stats();
+                let applied = session
+                    .apply_all(&updates)
+                    .map_err(|e| format!("delta session `{name}`: {e}"))?;
+                let after = session.stats();
+                format!(
+                    "applied {applied} update(s) ({} refire(s), {} skip(s), {} replay(s))",
+                    after.refires - before.refires,
+                    after.skips - before.skips,
+                    after.replays - before.replays
+                )
+            }
+            ["SOLUTION", name] => {
+                let session = session_of(name)?;
+                let mut session = session.lock().unwrap();
+                return Ok(match session.canonical_solution() {
+                    Ok(solution) => {
+                        let reduced =
+                            crate::exchange::reduce_solution(session.mapping(), &solution);
+                        JobResult::Answer {
+                            yes: true,
+                            detail: xmlmap_trees::xml::to_string(&reduced),
+                        }
+                    }
+                    Err(e) => JobResult::Answer {
+                        yes: false,
+                        detail: format!("no solution: {e}"),
+                    },
+                });
+            }
+            ["CLOSE", name] => {
+                let session = self.sessions.lock().unwrap().remove(*name);
+                let stats = session
+                    .ok_or_else(|| no_session(name))?
+                    .lock()
+                    .unwrap()
+                    .stats();
+                self.ctx.record_delta(stats);
+                format!("closed `{name}` after {} update(s)", stats.updates)
+            }
+            _ => {
+                return Err("bad DELTA request: expected OPEN <name> <mapping> <doc>, \
+                            APPLY <name> <updatefile>, SOLUTION <name>, or CLOSE <name>"
+                    .to_string())
+            }
+        };
+        Ok(JobResult::Answer { yes: true, detail })
+    }
+}
+
+/// `PING [ms]`: answers `pong` after the optional (capped) delay.
+fn ping(delay: &str) -> Result<JobResult, String> {
+    if !delay.is_empty() {
+        let ms = delay
+            .parse::<u64>()
+            .map_err(|_| format!("PING delay `{delay}` is not a number"))?;
+        std::thread::sleep(Duration::from_millis(ms.min(MAX_PING_DELAY_MS)));
+    }
+    Ok(JobResult::Answer {
+        yes: true,
+        detail: "pong".to_string(),
+    })
+}
+
+/// The fields after `DELTA` when `line` is a session verb.
+fn delta_fields(line: &str) -> Option<Vec<&str>> {
+    (line == "DELTA" || line.starts_with("DELTA "))
+        .then(|| line.split_whitespace().skip(1).collect())
+}
+
+/// Whether `line` is a session verb that changes daemon state when it
+/// runs: its outcome is reported even past the deadline, since a client
+/// told "deadline exceeded" would retry a change that already happened.
+fn commits_session(line: &str) -> bool {
+    delta_fields(line)
+        .is_some_and(|fields| matches!(fields.first(), Some(&("OPEN" | "APPLY" | "CLOSE"))))
 }
 
 // ---- a minimal JSON reader for the daemon's own responses -----------------
@@ -899,7 +825,7 @@ enum JsonValue {
 }
 
 /// Parses one of the daemon's own JSON response objects. Not a general
-/// JSON parser — exactly the subset the emitter above produces (flat
+/// JSON parser — exactly the subset [`Response::to_json`] writes (flat
 /// objects, string/number/bool/null values, one level of nesting kept
 /// raw).
 fn parse_flat_json(text: &str) -> Result<Vec<(String, JsonValue)>, String> {
@@ -1062,17 +988,71 @@ pub struct Response {
     pub result: JobResult,
     /// Server-side wall-clock for the request, microseconds.
     pub elapsed_us: u64,
-    /// Compilations this request triggered (exact under serial traffic).
+    /// Compilations this request's own engine lookups ran.
     pub compiled: u64,
-    /// Artifact-store loads this request triggered.
+    /// Artifact-store loads this request's own engine lookups ran.
     pub disk_loaded: u64,
-    /// The raw stats object, for `STATS` responses.
+    /// The raw stats object, for `STATS` responses (which carry it in
+    /// place of a verdict).
     pub stats: Option<String>,
-    /// The raw response text.
+    /// The raw response text, as [`Response::parse`] read it; the writer
+    /// never reads it.
     pub raw: String,
 }
 
 impl Response {
+    /// The response to request `id` carrying `outcome`, before timing and
+    /// provenance are filled in. An `Err` is an `ok:false` reply.
+    fn new(id: u64, outcome: Result<Reply, String>) -> Response {
+        let (result, stats) = match outcome {
+            Ok(Reply::Verdict(result)) => (result, None),
+            // A stats reply has no verdict; this is what `parse` reads
+            // back for one.
+            Ok(Reply::Stats(stats)) => (
+                JobResult::Answer {
+                    yes: false,
+                    detail: "ok".to_string(),
+                },
+                Some(stats),
+            ),
+            Err(error) => (JobResult::Failed { error }, None),
+        };
+        Response {
+            id,
+            result,
+            elapsed_us: 0,
+            compiled: 0,
+            disk_loaded: 0,
+            stats,
+            raw: String::new(),
+        }
+    }
+
+    /// Writes the response payload — the one JSON writer of the protocol,
+    /// and the inverse of [`Response::parse`]: a `stats` response carries
+    /// the stats object, an answer its verdict and cache provenance, an
+    /// error its message. `raw` is not written.
+    pub fn to_json(&self) -> String {
+        let ok = self.stats.is_some() || matches!(self.result, JobResult::Answer { .. });
+        let body = match (&self.stats, &self.result) {
+            (Some(stats), _) => format!("\"stats\":{stats},\"elapsed_us\":{}", self.elapsed_us),
+            (None, JobResult::Answer { yes, detail }) => format!(
+                "\"yes\":{yes},\"detail\":\"{}\",\"elapsed_us\":{},\
+                 \"compiled\":{},\"disk_loaded\":{}",
+                json_escape(detail),
+                self.elapsed_us,
+                self.compiled,
+                self.disk_loaded
+            ),
+            (None, JobResult::Failed { error }) => format!(
+                "\"error\":\"{}\",\"elapsed_us\":{}",
+                json_escape(error),
+                self.elapsed_us
+            ),
+        };
+        format!("{{\"id\":{},\"ok\":{ok},{body}}}", self.id)
+    }
+
     /// Decodes one response payload.
     pub fn parse(payload: &[u8]) -> io::Result<Response> {
         let text = std::str::from_utf8(payload)
@@ -1228,26 +1208,85 @@ mod tests {
 
     #[test]
     fn responses_parse_back_including_escapes_and_stats() {
-        let json = format!(
-            "{{\"id\":7,\"ok\":true,\"yes\":false,\"detail\":\"{}\",\"elapsed_us\":12,\
-             \"compiled\":1,\"disk_loaded\":0}}",
-            json_escape("NOT a \"sub\"schema\n\ttab")
-        );
-        let r = Response::parse(json.as_bytes()).unwrap();
-        assert_eq!(r.id, 7);
-        assert_eq!(
-            r.result,
-            JobResult::Answer {
-                yes: false,
-                detail: "NOT a \"sub\"schema\n\ttab".to_string()
-            }
-        );
-        assert_eq!((r.compiled, r.disk_loaded), (1, 0));
-
+        // Every reply shape the daemon writes, pinned byte for byte with
+        // `elapsed_us` fixed, and read back field for field by `parse`.
+        let tricky = "NOT a \"sub\"schema\n\ttab \\ back\r\u{1}\u{1f} café ∘ 🦀";
+        let escaped = r#"NOT a \"sub\"schema\n\ttab \\ back\r\u0001\u001f café ∘ 🦀"#;
         let stats = stats_json(&EngineStats::default(), 3, 1);
-        let wrapped = format!("{{\"id\":9,\"ok\":true,\"stats\":{stats},\"elapsed_us\":2}}");
-        let r = Response::parse(wrapped.as_bytes()).unwrap();
-        assert_eq!(r.stats.as_deref(), Some(stats.as_str()));
+        let timed = |mut r: Response| {
+            r.elapsed_us = 12;
+            r
+        };
+        let verdict = |yes, detail: &str| {
+            Ok(Reply::Verdict(JobResult::Answer {
+                yes,
+                detail: detail.to_string(),
+            }))
+        };
+        let cases = [
+            (
+                Response {
+                    compiled: 1,
+                    disk_loaded: 2,
+                    ..timed(Response::new(7, verdict(false, tricky)))
+                },
+                format!(
+                    "{{\"id\":7,\"ok\":true,\"yes\":false,\"detail\":\"{escaped}\",\
+                     \"elapsed_us\":12,\"compiled\":1,\"disk_loaded\":2}}"
+                ),
+            ),
+            (
+                timed(Response::new(8, verdict(true, "pong"))),
+                "{\"id\":8,\"ok\":true,\"yes\":true,\"detail\":\"pong\",\"elapsed_us\":12,\
+                 \"compiled\":0,\"disk_loaded\":0}"
+                    .to_string(),
+            ),
+            (
+                timed(Response::new(
+                    3,
+                    Ok(Reply::Verdict(JobResult::Failed {
+                        error: tricky.to_string(),
+                    })),
+                )),
+                format!("{{\"id\":3,\"ok\":false,\"error\":\"{escaped}\",\"elapsed_us\":12}}"),
+            ),
+            (
+                timed(Response::new(9, Ok(Reply::Stats(stats.clone())))),
+                format!("{{\"id\":9,\"ok\":true,\"stats\":{stats},\"elapsed_us\":12}}"),
+            ),
+            (
+                timed(Response::new(
+                    4,
+                    Err("request deadline of 50ms exceeded before execution".to_string()),
+                )),
+                "{\"id\":4,\"ok\":false,\"error\":\"request deadline of 50ms exceeded \
+                 before execution\",\"elapsed_us\":12}"
+                    .to_string(),
+            ),
+            (
+                Response::new(0, Err(format!("malformed request frame: {tricky}"))),
+                format!(
+                    "{{\"id\":0,\"ok\":false,\"error\":\"malformed request frame: {escaped}\",\
+                     \"elapsed_us\":0}}"
+                ),
+            ),
+        ];
+        for (response, bytes) in cases {
+            let json = response.to_json();
+            assert_eq!(json, bytes);
+            let back = Response::parse(json.as_bytes()).unwrap();
+            assert_eq!(back.id, response.id);
+            assert_eq!(back.result, response.result, "{json}");
+            assert_eq!(back.elapsed_us, response.elapsed_us);
+            assert_eq!(back.stats, response.stats);
+            if json.contains("\"compiled\"") {
+                assert_eq!(
+                    (back.compiled, back.disk_loaded),
+                    (response.compiled, response.disk_loaded)
+                );
+            }
+            assert_eq!(back.raw, json);
+        }
         assert!(stats.contains("\"total_compiled\":0"));
         assert!(stats.contains("\"stream_firings\":0"));
         assert!(stats.contains("\"stream_chase\":{"));

@@ -725,28 +725,9 @@ fn run() -> Result<bool, String> {
         ["abscons", mapping_path] => {
             let m = load_mapping(mapping_path)?;
             println!("class: {}", m.signature());
-            if let Some(ans) = abscons_nr_ptime(&m) {
-                match ans {
-                    AbsConsAnswer::AbsolutelyConsistent => {
-                        println!("absolutely consistent (Thm 6.3 fragment)");
-                        Ok(true)
-                    }
-                    AbsConsAnswer::Violated { reason, .. } => {
-                        println!("NOT absolutely consistent: {reason}");
-                        Ok(false)
-                    }
-                }
-            } else if let Ok(Ok(ans)) = ctx.abscons_structural(&m, BUDGET) {
-                match ans {
-                    AbsConsAnswer::AbsolutelyConsistent => {
-                        println!("absolutely consistent (SM° structural, Prop 6.1)");
-                        Ok(true)
-                    }
-                    AbsConsAnswer::Violated { reason, .. } => {
-                        println!("NOT absolutely consistent: {reason}");
-                        Ok(false)
-                    }
-                }
+            if let Ok(Ok((answer, procedure))) = ctx.abscons(&m, BUDGET) {
+                println!("{}", procedure.detail(&answer));
+                Ok(answer.holds())
             } else {
                 match xmlmap::core::bounded::abscons_violation_bounded(&m, 3, 4) {
                     xmlmap::core::BoundedOutcome::Witness(w) => {

@@ -51,6 +51,15 @@ impl Drop for Fixture {
     }
 }
 
+/// Raises a shutdown handle when dropped.
+struct RaiseOnDrop<'a>(&'a ShutdownHandle);
+
+impl Drop for RaiseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.raise();
+    }
+}
+
 /// Runs `body` against a live in-process daemon, then drains it and
 /// returns the summary.
 fn with_server(
@@ -73,8 +82,12 @@ fn with_server(
             let cfg = &cfg;
             scope.spawn(move || serve(&endpoint, ctx, cfg, &shutdown))
         };
-        body(&endpoint, &shutdown);
-        shutdown.raise();
+        {
+            // Raised on unwind too, so a failing assertion in `body`
+            // fails the test instead of leaving the daemon running.
+            let _stop = RaiseOnDrop(&shutdown);
+            body(&endpoint, &shutdown);
+        }
         handle.join().expect("server thread").expect("serve result")
     })
 }
@@ -489,6 +502,184 @@ fn stats_reports_provenance_and_warm_restart_compiles_nothing() {
             assert!(
                 stats.contains("\"total_compiled\":0"),
                 "warm restart compiled: {stats}"
+            );
+        },
+    );
+}
+
+#[test]
+fn warm_replies_report_no_compiles_while_cold_mappings_compile() {
+    // Provenance is the request's own: with two workers, warm answers run
+    // beside cold requests that compile, and must not be charged for them.
+    const COLD: usize = 40;
+    let fx = Fixture::new("provenance");
+    for i in 0..COLD {
+        fx.file(
+            &format!("cold{i}.map"),
+            &format!(
+                "[source]\nroot r\nr -> a{i}*\na{i} @ v\n\
+                 [target]\nroot r\nr -> b{i}*\nb{i} @ w\n\
+                 [stds]\nr/a{i}(x) --> r/b{i}(x)\n"
+            ),
+        );
+    }
+    let ctx = EngineContext::new();
+    with_server(
+        &fx,
+        &ctx,
+        |cfg| cfg.workers = 2,
+        |endpoint, _| {
+            let mut warm = connect(endpoint);
+            let first = warm.roundtrip("consistent copy.map", 0).unwrap();
+            assert_eq!(first.compiled, 2, "the first probe compiles both schemas");
+            let done = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                let done = &done;
+                let cold = scope.spawn(move || {
+                    // One at a time, so no warm request queues behind a
+                    // backlog of cold ones: each runs beside a compile.
+                    let mut client = connect(endpoint);
+                    let compiled: Vec<u64> = (0..COLD)
+                        .map(|i| {
+                            let line = format!("consistent cold{i}.map");
+                            client.roundtrip(&line, 0).unwrap().compiled
+                        })
+                        .collect();
+                    done.store(true, Ordering::Relaxed);
+                    compiled
+                });
+                let mut warm_replies = 0;
+                while !done.load(Ordering::Relaxed) || warm_replies < 20 {
+                    let r = warm.roundtrip("consistent copy.map", 0).unwrap();
+                    assert!(matches!(r.result, JobResult::Answer { yes: true, .. }));
+                    assert_eq!(r.compiled, 0, "warm reply charged a compile: {}", r.raw);
+                    warm_replies += 1;
+                }
+                let cold = cold.join().unwrap();
+                assert_eq!(
+                    cold,
+                    vec![2; COLD],
+                    "each cold mapping compiles its two schemas"
+                );
+            });
+        },
+    );
+    assert_eq!(ctx.stats().total_compiled(), 2 + 2 * COLD as u64);
+}
+
+#[test]
+fn delta_open_past_its_deadline_still_reports_the_committed_session() {
+    // Opening a session over a few thousand nodes overruns a 1 ms
+    // deadline. The session table has changed by then, so the reply must
+    // say so: either it was answered ok, or it never ran.
+    let fx = Fixture::new("delta-deadline");
+    let mut doc = String::from("<r>");
+    for i in 0..3000 {
+        doc.push_str(&format!("<a v=\"{i}\"/>"));
+    }
+    doc.push_str("</r>");
+    fx.file("big.xml", &doc);
+    let ctx = EngineContext::new();
+    with_server(
+        &fx,
+        &ctx,
+        |cfg| cfg.workers = 1,
+        |endpoint, _| {
+            let mut client = connect(endpoint);
+            let open = client
+                .roundtrip("DELTA OPEN s1 copy.map big.xml", 1)
+                .unwrap();
+            let probe = client.roundtrip("DELTA SOLUTION s1", 0).unwrap();
+            match open.result {
+                JobResult::Answer { yes: true, .. } => assert!(
+                    matches!(probe.result, JobResult::Answer { yes: true, .. }),
+                    "an open session answers: {}",
+                    probe.raw
+                ),
+                JobResult::Failed { ref error } => {
+                    assert!(error.contains("before execution"), "got: {}", open.raw);
+                    assert!(
+                        matches!(probe.result, JobResult::Failed { ref error }
+                                 if error.contains("no delta session named")),
+                        "a deadline error means no session: {}",
+                        probe.raw
+                    );
+                }
+                other => panic!("unexpected OPEN reply {other:?}"),
+            }
+        },
+    );
+}
+
+/// `raw` with the `"elapsed_us"` value replaced by `_`.
+fn mask_elapsed(raw: &str) -> String {
+    let at = raw.find("\"elapsed_us\":").expect("every reply is timed") + 13;
+    let end = at + raw[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    format!("{}_{}", &raw[..at], &raw[end..])
+}
+
+#[test]
+fn every_reply_shape_is_pinned_byte_for_byte() {
+    use xmlmap::codec::frame;
+
+    let fx = Fixture::new("shapes");
+    let ctx = EngineContext::new();
+    with_server(
+        &fx,
+        &ctx,
+        |cfg| cfg.workers = 1,
+        |endpoint, _| {
+            let mut client = connect(endpoint);
+            let mut reply = |line: &str, deadline_ms| {
+                mask_elapsed(&client.roundtrip(line, deadline_ms).unwrap().raw)
+            };
+            assert_eq!(
+                reply("PING", 0),
+                r#"{"id":1,"ok":true,"yes":true,"detail":"pong","elapsed_us":_,"compiled":0,"disk_loaded":0}"#
+            );
+            assert_eq!(
+                reply("consistent copy.map", 0),
+                r#"{"id":2,"ok":true,"yes":true,"detail":"consistent (witness source has 1 nodes)","elapsed_us":_,"compiled":2,"disk_loaded":0}"#
+            );
+            assert_eq!(
+                reply("frobnicate copy.map", 0),
+                r#"{"id":3,"ok":false,"error":"unknown operation `frobnicate`","elapsed_us":_}"#
+            );
+            assert_eq!(
+                reply("PING soon", 0),
+                r#"{"id":4,"ok":false,"error":"PING delay `soon` is not a number","elapsed_us":_}"#
+            );
+            assert_eq!(
+                reply("DELTA OPEN s copy.map src.xml", 0),
+                r#"{"id":5,"ok":true,"yes":true,"detail":"opened `s` (1 std(s), conforming source)","elapsed_us":_,"compiled":1,"disk_loaded":0}"#
+            );
+            let stats = reply("STATS", 0);
+            assert!(stats.starts_with(r#"{"id":6,"ok":true,"stats":{"sat":{"hits":"#));
+            assert!(stats.ends_with(r#""requests":6,"connections":1},"elapsed_us":_}"#));
+
+            // One worker busy with a slow ping: the probe expires queued.
+            let mut client = connect(endpoint);
+            client.send("PING 200", 0).unwrap();
+            client.send("consistent copy.map", 20).unwrap();
+            let _pong = client.recv().unwrap();
+            assert_eq!(
+                mask_elapsed(&client.recv().unwrap().raw),
+                r#"{"id":2,"ok":false,"error":"request deadline of 20ms exceeded before execution","elapsed_us":_}"#
+            );
+
+            let Endpoint::Unix(path) = endpoint.clone() else {
+                panic!("unix endpoint expected")
+            };
+            let mut stream = std::os::unix::net::UnixStream::connect(path).unwrap();
+            frame::write(&mut stream, b"junk").unwrap();
+            let frame::ReadFrame::Frame(payload) =
+                frame::read(&mut stream, frame::MAX_FRAME).unwrap()
+            else {
+                panic!("expected an error frame")
+            };
+            assert_eq!(
+                String::from_utf8(payload).unwrap(),
+                r#"{"id":0,"ok":false,"error":"malformed request frame: bad request magic","elapsed_us":0}"#
             );
         },
     );
