@@ -52,13 +52,9 @@ impl HedgeAutomaton {
             .map(|(q, l)| Rule {
                 label: l.clone(),
                 state: q,
-                // Reuse the DTD's pre-compiled Glushkov automaton instead
-                // of re-running regex compilation per label; labels used
-                // without a declaration have the ε production.
-                horizontal: match dtd.horizontal(l) {
-                    Some(nfa) => nfa.map(|name| index[name]),
-                    None => Nfa::epsilon(),
-                },
+                // The rule keeps the production's Glushkov state structure;
+                // labels used without a declaration have the ε production.
+                horizontal: Nfa::from_regex(dtd.production(l)).map(|name| index[name]),
             })
             .collect();
         let mut accepting = vec![false; labels.len()];

@@ -606,6 +606,11 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
         .source_dtd
         .normalize_attrs(&mut ex_tree_100x)
         .expect("conforms");
+    // Tree conformance on the same document: 400,000 pads under one root
+    // is the children word a delta session's `revalidate` runs.
+    bench("dtd/check_exchange_100x", &mut || {
+        assert!(ex_map.source_dtd.check(&ex_tree_100x).is_ok());
+    });
     let started = std::time::Instant::now();
     let expected_100x =
         xmlmap_core::canonical_solution(&ex_map, &ex_tree_100x).expect("in fragment");

@@ -22,8 +22,7 @@ use crate::stds::Mapping;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use xmlmap_codec::{CodecError, Decoder, Encoder};
-use xmlmap_dtd::Dtd;
-use xmlmap_regex::Nfa;
+use xmlmap_dtd::{DenseNfa, Dtd};
 use xmlmap_trees::{Name, NodeId, Tree, Value};
 
 /// Preorder tree serialization over the public [`Tree`] API (node label,
@@ -97,39 +96,26 @@ pub(crate) fn decode_tree(d: &mut Decoder<'_>) -> Result<Tree, CodecError> {
     Ok(t)
 }
 
-/// All words accepted by `nfa` with length ≤ `max_len`.
-fn accepted_words(nfa: &Nfa<Name>, max_len: usize) -> Vec<Vec<Name>> {
+/// All words accepted by `nfa` (a content model of `dtd`) with length
+/// ≤ `max_len`, breadth-first with symbols in label-id (= label) order.
+fn accepted_words(dtd: &Dtd, nfa: &DenseNfa, max_len: usize) -> Vec<Vec<Name>> {
     let mut out = Vec::new();
-    // BFS over (state-set, word).
-    let mut queue: VecDeque<(Vec<usize>, Vec<Name>)> = VecDeque::new();
-    queue.push_back((vec![0], Vec::new()));
-    let alphabet: Vec<Name> = {
-        let mut v: Vec<Name> = nfa.alphabet().into_iter().collect();
-        v.sort();
-        v
-    };
-    while let Some((states, word)) = queue.pop_front() {
-        if states.iter().any(|&q| nfa.accepting[q]) {
+    // BFS over (subset, word).
+    let mut start = vec![0u64; nfa.words()];
+    nfa.start(&mut start);
+    let mut queue: VecDeque<(Vec<u64>, Vec<Name>)> = VecDeque::from([(start, Vec::new())]);
+    while let Some((state, word)) = queue.pop_front() {
+        if nfa.accepts(&state) {
             out.push(word.clone());
         }
         if word.len() == max_len {
             continue;
         }
-        for sym in &alphabet {
-            let mut next: Vec<usize> = states
-                .iter()
-                .flat_map(|&q| {
-                    nfa.transitions[q]
-                        .iter()
-                        .filter(|(a, _)| a == sym)
-                        .map(|(_, q2)| *q2)
-                })
-                .collect();
-            next.sort_unstable();
-            next.dedup();
-            if !next.is_empty() {
+        for &sym in nfa.syms() {
+            let mut next = vec![0u64; nfa.words()];
+            if nfa.step(&state, sym, &mut next) {
                 let mut w2 = word.clone();
-                w2.push(sym.clone());
+                w2.push(dtd.labels()[sym as usize].clone());
                 queue.push_back((next, w2));
             }
         }
@@ -154,10 +140,12 @@ fn shapes_for(dtd: &Dtd, label: &Name, budget: usize, nulls: &mut u64) -> Vec<Tr
             .collect();
         Tree::with_root_attrs(label.clone(), attrs)
     };
-    let epsilon = Nfa::epsilon();
-    let nfa = dtd.horizontal(label).unwrap_or(&epsilon);
+    let nfa = dtd.content_model(
+        dtd.label_id(label)
+            .expect("shape labels are in the alphabet"),
+    );
     let mut out = Vec::new();
-    for word in accepted_words(nfa, budget - 1) {
+    for word in accepted_words(dtd, nfa, budget - 1) {
         // Distribute the remaining node budget over the children.
         fn assign(
             dtd: &Dtd,

@@ -347,9 +347,7 @@ impl IncrementalChase {
             stats: DeltaStats::default(),
         };
         for n in s.doc.nodes().collect::<Vec<_>>() {
-            if !s.node_conforms(n) {
-                s.violations.insert(n);
-            }
+            s.revalidate(n);
         }
         // The initial enumeration stays eager, so opening pays for it.
         s.stats.refires += std_count as u64;
@@ -441,15 +439,22 @@ impl IncrementalChase {
                 self.doc.children(parent).len()
             ));
         }
+        // Best-effort canonical attribute order (an in-memory insert then
+        // equals the parse-then-`normalize_attrs` of the same fragment);
+        // nodes that cannot be canonicalised surface as violations, exactly
+        // like the re-parsed document would.
         let mut sub = sub.clone();
-        self.normalize_fragment(&mut sub);
+        let dtd = &self.mapping.source_dtd;
+        for n in sub.nodes().collect::<Vec<_>>() {
+            if let Some(attrs) = dtd.canonical_attrs(sub.label(n), sub.attrs(n)) {
+                sub.set_attrs(n, attrs);
+            }
+        }
         let new_root = self.doc.graft_at(parent, pos, &sub);
         let mut region: BTreeSet<Name> = BTreeSet::new();
         for n in self.doc.descendants_or_self(new_root).collect::<Vec<_>>() {
             region.insert(self.doc.label(n).clone());
-            if !self.node_conforms(n) {
-                self.violations.insert(n);
-            }
+            self.revalidate(n);
         }
         self.revalidate(parent);
         self.after_edit(region, parent);
@@ -527,65 +532,14 @@ impl IncrementalChase {
 
     // ---- internals -----------------------------------------------------
 
-    /// Re-checks one node's DTD conformance and updates the violation set.
+    /// Re-checks one node's local DTD rule ([`xmlmap_dtd::Dtd::check_node`])
+    /// and updates the violation set. The document conforms iff every
+    /// reachable node passes — the same verdict as `Dtd::check`.
     fn revalidate(&mut self, n: NodeId) {
-        if self.node_conforms(n) {
+        if self.mapping.source_dtd.check_node(&self.doc, n).is_ok() {
             self.violations.remove(&n);
         } else {
             self.violations.insert(n);
-        }
-    }
-
-    /// Local conformance of one node: known label (and the root label for
-    /// the root), exact attribute names in order, children word in the
-    /// production language. The document conforms iff every reachable
-    /// node passes — the same verdict as `Dtd::check`.
-    fn node_conforms(&self, n: NodeId) -> bool {
-        let dtd = &self.mapping.source_dtd;
-        let label = self.doc.label(n);
-        if n == Tree::ROOT && label != dtd.root() {
-            return false;
-        }
-        if !dtd.contains(label) {
-            return false;
-        }
-        let expected = dtd.attrs(label);
-        let found = self.doc.attrs(n);
-        if found.len() != expected.len() || found.iter().zip(expected).any(|((a, _), b)| a != b) {
-            return false;
-        }
-        let children = self.doc.children(n);
-        match dtd.horizontal(label) {
-            Some(nfa) => nfa.accepts(children.iter().map(|&c| self.doc.label(c))),
-            None => children.is_empty(),
-        }
-    }
-
-    /// Best-effort canonicalisation of an inserted fragment: reorders
-    /// attributes into DTD order wherever the node's label is known and
-    /// its attribute name-set matches (so an in-memory insert equals the
-    /// parse-then-`normalize_attrs` of the same fragment). Nodes that
-    /// would fail normalization are left as-is — they surface as
-    /// conformance violations, exactly like the re-parsed document would.
-    fn normalize_fragment(&self, sub: &mut Tree) {
-        let dtd = &self.mapping.source_dtd;
-        for n in sub.nodes().collect::<Vec<_>>() {
-            let label = sub.label(n).clone();
-            if !dtd.contains(&label) {
-                continue;
-            }
-            let expected = dtd.attrs(&label);
-            let current = sub.attrs(n).to_vec();
-            if current.len() != expected.len() {
-                continue;
-            }
-            let reordered: Option<Vec<(Name, Value)>> = expected
-                .iter()
-                .map(|want| current.iter().find(|(a, _)| a == want).cloned())
-                .collect();
-            if let Some(attrs) = reordered {
-                sub.set_attrs(n, attrs);
-            }
         }
     }
 

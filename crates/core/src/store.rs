@@ -4,8 +4,8 @@
 //! hash of the artifact's cache key (the canonical display text of the
 //! schema, mapping, or schema pair it was compiled from). A process that
 //! restarts against the same store — CI shards, repeated CLI batch runs —
-//! loads compiled tables off disk instead of re-running NFA densification,
-//! subset construction, and plan emission.
+//! loads compiled tables off disk instead of re-running subset
+//! construction and plan emission.
 //!
 //! Every file wraps its payload in an envelope:
 //!
@@ -32,8 +32,10 @@ use std::path::{Path, PathBuf};
 use xmlmap_codec::{checksum, Decoder, Encoder};
 use xmlmap_regex::FastHasher;
 
-/// Bump whenever the serialized form of *any* artifact family changes.
-pub const FORMAT_VERSION: u32 = 1;
+/// Bump whenever the serialized form of *any* artifact family changes
+/// (2: the `DtdIndex` payload of the `Sat` and `StreamIndex` families is
+/// the schema text alone).
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 4] = b"XMAP";
 
@@ -48,8 +50,8 @@ pub enum Family {
     Automata,
     /// `ShapeCache` — per-schema memoized shape enumerations.
     Shapes,
-    /// `DtdIndex` — per-schema dense content-model NFAs for streaming
-    /// validation.
+    /// `DtdIndex` — per-schema streaming-validation index (the payload
+    /// is the schema text; content models are recompiled on decode).
     StreamIndex,
     /// `StreamPattern` — per-pattern streaming plans (never persisted;
     /// the family exists so the in-memory cache has a distinct slot

@@ -63,7 +63,7 @@ impl Dtd {
             false
         }
         let mut colour = BTreeMap::new();
-        self.alphabet.iter().any(|l| dfs(self, l, &mut colour))
+        self.alphabet().any(|l| dfs(self, l, &mut colour))
     }
 
     /// Element types occurring under the scope of `*` or `+` in some
@@ -109,7 +109,7 @@ impl Dtd {
             children.insert(lhs.clone(), items);
         }
         // Labels without productions have ε bodies: empty child lists.
-        for l in &self.alphabet {
+        for l in self.alphabet() {
             children.entry(l.clone()).or_default();
         }
 
@@ -146,8 +146,7 @@ impl Dtd {
             None => false,
             Some(_) => {
                 let starred = self.starred_labels();
-                self.alphabet
-                    .iter()
+                self.alphabet()
                     .all(|l| self.arity(l) == 0 || starred.contains(l))
             }
         }

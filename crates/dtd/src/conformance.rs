@@ -6,8 +6,9 @@
 //! `L(P_D(ℓ))`.
 
 use crate::dtd::Dtd;
+use std::cell::Cell;
 use std::fmt;
-use xmlmap_trees::{Name, NodeId, Tree};
+use xmlmap_trees::{Name, NodeId, Tree, Value};
 
 /// Why a tree fails to conform to a DTD.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,42 +89,21 @@ impl Dtd {
         }
         // Unknown labels are reported first: a child with a foreign label
         // would otherwise surface as a confusing BadChildren on its parent.
+        // The sweep interns every label once for the per-node pass.
+        let mut ids = vec![u32::MAX; tree.size()];
+        let lookup = self.label_ids();
         for node in tree.nodes() {
             let label = tree.label(node);
-            if !self.contains(label) {
+            let Some(id) = lookup(label) else {
                 return Err(ConformanceError::UnknownLabel {
                     node,
                     label: label.clone(),
                 });
-            }
+            };
+            ids[node.index()] = id;
         }
         for node in tree.nodes() {
-            let label = tree.label(node);
-            let expected = self.attrs(label);
-            let found = tree.attrs(node);
-            if found.len() != expected.len() || found.iter().zip(expected).any(|((a, _), b)| a != b)
-            {
-                return Err(ConformanceError::WrongAttributes {
-                    node,
-                    label: label.clone(),
-                    found: found.iter().map(|(a, _)| a.clone()).collect(),
-                    expected: expected.to_vec(),
-                });
-            }
-            // The children word is read straight off the tree; it is only
-            // collected for the error report.
-            let children = tree.children(node);
-            let ok = match self.horizontal(label) {
-                Some(nfa) => nfa.accepts(children.iter().map(|&c| tree.label(c))),
-                None => children.is_empty(), // implicit ε production
-            };
-            if !ok {
-                return Err(ConformanceError::BadChildren {
-                    node,
-                    label: label.clone(),
-                    found: children.iter().map(|&c| tree.label(c).clone()).collect(),
-                });
-            }
+            self.node_rule(tree, node, &|n| Some(ids[n.index()]))?;
         }
         Ok(())
     }
@@ -133,43 +113,122 @@ impl Dtd {
         self.check(tree).is_ok()
     }
 
-    /// Reorders every node's attributes into `A_D(ℓ)` order (documents
-    /// parsed from XML may list attributes in any order; conformance and
-    /// pattern semantics use the canonical order). Fails with
-    /// [`ConformanceError::WrongAttributes`] if a node's attribute *set*
-    /// differs from the DTD's.
+    /// The local rule of `T ⊨ D` at one node: the root carries the root
+    /// label, the node's label is in the alphabet, its attribute names are
+    /// exactly `A_D(ℓ)` in order, and its children's labels spell a word
+    /// of `L(P_D(ℓ))`. A tree conforms iff every node passes; this is the
+    /// check [`Dtd::check`] runs at each node once the unknown-label sweep
+    /// is done.
+    pub fn check_node(&self, tree: &Tree, node: NodeId) -> Result<(), ConformanceError> {
+        let lookup = self.label_ids();
+        self.node_rule(tree, node, &|n| lookup(tree.label(n)))
+    }
+
+    /// [`Dtd::label_id`] remembering its last answer: sibling runs and
+    /// document order mostly repeat one label (`pad*`), so a run costs one
+    /// table probe rather than one per node.
+    fn label_ids<'a>(&'a self) -> impl Fn(&'a Name) -> Option<u32> + 'a {
+        let last: Cell<Option<(&Name, Option<u32>)>> = Cell::new(None);
+        move |label| match last.get() {
+            Some((seen, id)) if seen == label => id,
+            _ => {
+                let id = self.label_id(label);
+                last.set(Some((label, id)));
+                id
+            }
+        }
+    }
+
+    /// [`Dtd::check_node`] with the label-id lookup supplied by the caller.
+    fn node_rule(
+        &self,
+        tree: &Tree,
+        node: NodeId,
+        id: &impl Fn(NodeId) -> Option<u32>,
+    ) -> Result<(), ConformanceError> {
+        let label = tree.label(node);
+        if node == Tree::ROOT && label != self.root() {
+            return Err(ConformanceError::WrongRoot {
+                found: label.clone(),
+                expected: self.root().clone(),
+            });
+        }
+        let Some(lid) = id(node) else {
+            return Err(ConformanceError::UnknownLabel {
+                node,
+                label: label.clone(),
+            });
+        };
+        let expected = self.attrs(label);
+        let found = tree.attrs(node);
+        if found.len() != expected.len() || found.iter().zip(expected).any(|((a, _), b)| a != b) {
+            return Err(ConformanceError::WrongAttributes {
+                node,
+                label: label.clone(),
+                found: found.iter().map(|(a, _)| a.clone()).collect(),
+                expected: expected.to_vec(),
+            });
+        }
+        // The children word is read straight off the tree; it is only
+        // collected for the error report.
+        let children = tree.children(node);
+        if !self
+            .content_model(lid)
+            .accepts_word(children.iter().map(|&c| id(c)))
+        {
+            return Err(ConformanceError::BadChildren {
+                node,
+                label: label.clone(),
+                found: children.iter().map(|&c| tree.label(c).clone()).collect(),
+            });
+        }
+        Ok(())
+    }
+
+    /// `attrs` reordered into `A_D(label)` order, or `None` when their
+    /// name set differs from `A_D(label)` (labels outside the alphabet
+    /// have no attributes). The one attribute canonicaliser: documents
+    /// parsed from XML may list attributes in any order, while
+    /// conformance and pattern semantics use the DTD's.
+    pub fn canonical_attrs(
+        &self,
+        label: &Name,
+        attrs: &[(Name, Value)],
+    ) -> Option<Vec<(Name, Value)>> {
+        let expected = self.attrs(label);
+        if attrs.len() != expected.len() {
+            return None;
+        }
+        expected
+            .iter()
+            .map(|want| attrs.iter().find(|(a, _)| a == want).cloned())
+            .collect()
+    }
+
+    /// Reorders every node's attributes into `A_D(ℓ)` order with
+    /// [`Dtd::canonical_attrs`]. Fails with
+    /// [`ConformanceError::UnknownLabel`] on a label outside the alphabet
+    /// and [`ConformanceError::WrongAttributes`] if a node's attribute
+    /// *set* differs from the DTD's.
     pub fn normalize_attrs(&self, tree: &mut Tree) -> Result<(), ConformanceError> {
         let nodes: Vec<NodeId> = tree.nodes().collect();
         for node in nodes {
-            let label = tree.label(node).clone();
-            if !self.contains(&label) {
-                return Err(ConformanceError::UnknownLabel { node, label });
-            }
-            let expected = self.attrs(&label);
-            let current = tree.attrs(node).to_vec();
-            if current.len() != expected.len() {
-                return Err(ConformanceError::WrongAttributes {
+            let label = tree.label(node);
+            if !self.contains(label) {
+                return Err(ConformanceError::UnknownLabel {
                     node,
-                    label,
-                    found: current.into_iter().map(|(a, _)| a).collect(),
-                    expected: expected.to_vec(),
+                    label: label.clone(),
                 });
             }
-            let mut reordered = Vec::with_capacity(expected.len());
-            for want in expected {
-                match current.iter().find(|(a, _)| a == want) {
-                    Some((a, v)) => reordered.push((a.clone(), v.clone())),
-                    None => {
-                        return Err(ConformanceError::WrongAttributes {
-                            node,
-                            label,
-                            found: current.into_iter().map(|(a, _)| a).collect(),
-                            expected: expected.to_vec(),
-                        })
-                    }
-                }
-            }
-            tree.set_attrs(node, reordered);
+            let Some(attrs) = self.canonical_attrs(label, tree.attrs(node)) else {
+                return Err(ConformanceError::WrongAttributes {
+                    node,
+                    label: label.clone(),
+                    found: tree.attrs(node).iter().map(|(a, _)| a.clone()).collect(),
+                    expected: self.attrs(label).to_vec(),
+                });
+            };
+            tree.set_attrs(node, attrs);
         }
         Ok(())
     }

@@ -4,27 +4,42 @@
 //! and `A_D : Γ → Att*`. Attributes are *ordered*, following the paper's
 //! convention that "attributes come in some order, just like in the
 //! relational case", so a node can be written `ℓ(a₁, …, aₙ)`.
+//!
+//! Building a DTD interns its alphabet into dense label ids (in
+//! [`Dtd::alphabet`] order) and compiles every production once into a
+//! [`DenseNfa`], the only compiled form of a content model; every
+//! conformance check steps it (see [`crate::content`]).
 
+use crate::content::DenseNfa;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-use xmlmap_regex::{Nfa, Regex};
+use xmlmap_regex::{FastHashMap, Nfa, Regex};
 use xmlmap_trees::Name;
 
 /// A Document Type Definition.
 ///
 /// Construct with [`DtdBuilder`] (or [`crate::parse()`](crate::parse())); the builder compiles
-/// every production into a Glushkov NFA so conformance checks don't pay
-/// per-call automaton construction.
+/// every production into a [`DenseNfa`] so conformance checks don't pay
+/// per-call automaton construction. Clones share the compiled form.
 #[derive(Clone)]
 pub struct Dtd {
     pub(crate) root: Name,
     pub(crate) productions: BTreeMap<Name, Regex>,
     pub(crate) attributes: BTreeMap<Name, Vec<Name>>,
-    /// Compiled horizontal automata, one per element type.
-    pub(crate) compiled: BTreeMap<Name, Arc<Nfa<Name>>>,
-    /// All element types: production LHSs plus every symbol they mention.
-    pub(crate) alphabet: BTreeSet<Name>,
+    compiled: Arc<Compiled>,
+}
+
+/// The interned alphabet and one compiled content model per label.
+struct Compiled {
+    /// All element types (production LHSs, every symbol they mention and
+    /// every attributed label), sorted; `labels[id]` has label id `id`.
+    labels: Box<[Name]>,
+    /// `labels` inverted. Only the schema's own labels are inserted;
+    /// document labels are looked up, never added.
+    ids: FastHashMap<Name, u32>,
+    /// `models[id]` runs the production of `labels[id]` (ε if undeclared).
+    models: Box<[DenseNfa]>,
 }
 
 impl Dtd {
@@ -42,14 +57,36 @@ impl Dtd {
         &self.root
     }
 
-    /// The alphabet Γ: every element type mentioned anywhere in the DTD.
+    /// The alphabet Γ: every element type mentioned anywhere in the DTD,
+    /// sorted.
     pub fn alphabet(&self) -> impl Iterator<Item = &Name> + '_ {
-        self.alphabet.iter()
+        self.compiled.labels.iter()
     }
 
     /// Is `label` part of the alphabet?
     pub fn contains(&self, label: &Name) -> bool {
-        self.alphabet.contains(label)
+        self.compiled.ids.contains_key(label)
+    }
+
+    /// The interned alphabet: `labels()[id]` is the label with id `id`.
+    pub fn labels(&self) -> &[Name] {
+        &self.compiled.labels
+    }
+
+    /// The dense id of `label`, or `None` outside the alphabet.
+    #[inline]
+    pub fn label_id(&self, label: &Name) -> Option<u32> {
+        self.compiled.ids.get(label).copied()
+    }
+
+    /// The compiled content model of the label with id `id`.
+    pub fn content_model(&self, id: u32) -> &DenseNfa {
+        &self.compiled.models[id as usize]
+    }
+
+    /// Every compiled content model, indexed by label id.
+    pub fn content_models(&self) -> &[DenseNfa] {
+        &self.compiled.models
     }
 
     /// The production body for `label`; element types without an explicit
@@ -57,11 +94,6 @@ impl Dtd {
     pub fn production(&self, label: &Name) -> &Regex {
         static EPSILON: Regex = Regex::Epsilon;
         self.productions.get(label).unwrap_or(&EPSILON)
-    }
-
-    /// The compiled horizontal automaton for `label`'s production.
-    pub fn horizontal(&self, label: &Name) -> Option<&Nfa<Name>> {
-        self.compiled.get(label).map(|a| a.as_ref())
     }
 
     /// The ordered attribute list `A_D(label)`.
@@ -226,17 +258,29 @@ impl DtdBuilder {
             alphabet.extend(r.symbols());
         }
         alphabet.extend(self.attributes.keys().cloned());
-        let compiled = self
-            .productions
+        let labels: Box<[Name]> = alphabet.into_iter().collect();
+        let ids: FastHashMap<Name, u32> = labels
             .iter()
-            .map(|(l, r)| (l.clone(), Arc::new(Nfa::from_regex(r))))
+            .enumerate()
+            .map(|(i, l)| (l.clone(), i as u32))
+            .collect();
+        let epsilon = Regex::Epsilon;
+        let models = labels
+            .iter()
+            .map(|l| {
+                let body = self.productions.get(l).unwrap_or(&epsilon);
+                DenseNfa::new(&Nfa::from_regex(body), &ids)
+            })
             .collect();
         Ok(Dtd {
             root: self.root,
             productions: self.productions,
             attributes: self.attributes,
-            compiled,
-            alphabet,
+            compiled: Arc::new(Compiled {
+                labels,
+                ids,
+                models,
+            }),
         })
     }
 }
@@ -359,8 +403,14 @@ mod tests {
     #[test]
     fn compiled_automata_match_productions() {
         let d = d1();
-        let nfa = d.horizontal(&Name::new("year")).unwrap();
-        assert!(nfa.accepts(&[Name::new("course"), Name::new("course")]));
-        assert!(!nfa.accepts(&[Name::new("course")]));
+        let id = |l: &str| d.label_id(&Name::new(l));
+        let nfa = d.content_model(id("year").unwrap());
+        assert!(nfa.accepts_word([id("course"), id("course")]));
+        assert!(!nfa.accepts_word([id("course")]));
+        // Undeclared labels compile to ε; foreign labels kill the run.
+        let student = d.content_model(id("student").unwrap());
+        assert!(student.accepts_word([]));
+        assert!(!student.accepts_word([id("course")]));
+        assert!(!d.content_model(id("r").unwrap()).accepts_word([None]));
     }
 }

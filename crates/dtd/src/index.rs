@@ -1,188 +1,47 @@
-//! The per-DTD compiled artifact: interned labels and dense production NFAs.
+//! The per-DTD compiled artifact shared by the automaton-shaped consumers.
 //!
-//! [`DtdIndex`] interns the alphabet into dense `u32` ids, compiles every
-//! production's Glushkov NFA into a symbol-grouped [`DenseNfa`] whose subset
-//! states are flat `[u64]` bitmasks, and records the label dependency graph.
-//! It began life inside the `xmlmap-patterns` satisfiability engine; it now
-//! lives here, next to the DTD itself, because it is the shared substrate of
-//! *every* automaton-shaped consumer: the type-fixpoint engine downstream,
-//! and the streaming conformance validator in [`crate::stream`] which runs
-//! one `DenseNfa` subset per open element.
+//! [`DtdIndex`] wraps a [`Dtd`] — whose builder already interned the
+//! alphabet into dense `u32` ids and compiled every production into a
+//! [`DenseNfa`] — with the table those consumers add on top: the label
+//! dependency graph. It is the shared substrate of the type-fixpoint
+//! engine in `xmlmap-patterns` and of the streaming conformance validator
+//! in [`crate::stream`], which runs one `DenseNfa` subset per open
+//! element; both step the DTD's own content models, so nothing here
+//! recompiles a production.
 
-use std::collections::{BTreeMap, HashMap};
 use xmlmap_codec::{CodecError, Decoder, Encoder};
-use xmlmap_regex::Nfa;
 use xmlmap_trees::Name;
 
+use crate::content::DenseNfa;
 use crate::dtd::Dtd;
 
-/// Reads bit `i` of a flat `[u64]` bitmask.
-#[inline]
-pub fn get_bit(words: &[u64], i: usize) -> bool {
-    words[i / 64] >> (i % 64) & 1 == 1
-}
-
-/// Sets bit `i` of a flat `[u64]` bitmask.
-#[inline]
-pub fn set_bit(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1 << (i % 64);
-}
-
-/// A production NFA with transitions grouped by (interned) symbol.
-///
-/// Subset states are `words`-long `[u64]` bitmasks; Glushkov construction
-/// guarantees state 0 is the start state and there are no ε-transitions, so
-/// `{0}` is the initial subset and stepping is edge-list scatter.
-pub struct DenseNfa {
-    /// Words in the subset bitmask.
-    words: usize,
-    /// Accepting-state bitmask.
-    accepting: Box<[u64]>,
-    /// Sorted label ids having at least one transition, parallel to `edges`.
-    syms: Vec<u32>,
-    edges: Vec<Vec<(u32, u32)>>,
-}
-
-impl DenseNfa {
-    pub(crate) fn new(nfa: &Nfa<Name>, label_id: &HashMap<Name, u32>) -> DenseNfa {
-        let n = nfa.accepting.len();
-        let words = n.div_ceil(64).max(1);
-        let mut accepting = vec![0u64; words];
-        for (q, &acc) in nfa.accepting.iter().enumerate() {
-            if acc {
-                set_bit(&mut accepting, q);
-            }
-        }
-        let mut by: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
-        for (q, trans) in nfa.transitions.iter().enumerate() {
-            for (sym, q2) in trans {
-                // Symbols outside the alphabet can never label an
-                // achievable pair; drop their edges.
-                if let Some(&sid) = label_id.get(sym) {
-                    by.entry(sid).or_default().push((q as u32, *q2 as u32));
-                }
-            }
-        }
-        let (syms, edges) = by.into_iter().unzip();
-        DenseNfa {
-            words,
-            accepting: accepting.into_boxed_slice(),
-            syms,
-            edges,
-        }
-    }
-
-    /// Words in a subset bitmask for this automaton.
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// The accepting-state bitmask (`words` words).
-    pub fn accepting(&self) -> &[u64] {
-        &self.accepting
-    }
-
-    /// Sorted label ids with at least one transition.
-    pub fn syms(&self) -> &[u32] {
-        &self.syms
-    }
-
-    /// The `(from, to)` transition list on `sym`, if any.
-    pub fn edges_for(&self, sym: u32) -> Option<&[(u32, u32)]> {
-        self.syms
-            .binary_search(&sym)
-            .ok()
-            .map(|i| self.edges[i].as_slice())
-    }
-
-    /// Does any transition carry `sym`?
-    pub fn has_sym(&self, sym: u32) -> bool {
-        self.syms.binary_search(&sym).is_ok()
-    }
-
-    fn encode(&self, e: &mut Encoder) {
-        e.usize(self.words);
-        e.u64s(&self.accepting);
-        e.u32s(&self.syms);
-        for edges in &self.edges {
-            e.usize(edges.len());
-            for &(from, to) in edges {
-                e.u32(from);
-                e.u32(to);
-            }
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<DenseNfa, CodecError> {
-        let words = d.usize()?;
-        let accepting = d.u64s()?.into_boxed_slice();
-        if accepting.len() != words {
-            return Err(CodecError::Malformed("DenseNfa accepting-word count"));
-        }
-        let syms = d.u32s()?;
-        let edges = syms
-            .iter()
-            .map(|_| {
-                let n = d.usize()?;
-                (0..n).map(|_| Ok((d.u32()?, d.u32()?))).collect()
-            })
-            .collect::<Result<Vec<Vec<(u32, u32)>>, CodecError>>()?;
-        Ok(DenseNfa {
-            words,
-            accepting,
-            syms,
-            edges,
-        })
-    }
-
-    fn approx_bytes(&self) -> u64 {
-        (self.accepting.len() * 8
-            + self.syms.capacity() * 4
-            + self.edges.iter().map(|e| e.capacity() * 8).sum::<usize>()) as u64
-    }
-}
-
-/// The per-DTD compiled artifact: interned labels, per-label dense
-/// production NFAs, and the label dependency graph. Reusable across
-/// pattern sets and engines — callers hold one behind an `Arc`.
+/// The per-DTD compiled artifact: the DTD with its interned labels and
+/// dense production NFAs, and the label dependency graph. Reusable across pattern sets and engines — callers hold one
+/// behind an `Arc`.
 pub struct DtdIndex {
     dtd: Dtd,
-    labels: Vec<Name>,
     root: u32,
-    arities: Vec<usize>,
-    nfas: Vec<DenseNfa>,
     /// `dependents[s]` = labels whose production mentions label `s`.
     dependents: Vec<Vec<u32>>,
 }
 
 impl DtdIndex {
-    /// Compiles `dtd`: interns labels, densifies every production NFA and
-    /// builds the label dependency graph.
+    /// Indexes `dtd`: the label dependency graph (the content models are
+    /// the DTD's own, shared, not rebuilt).
     pub fn new(dtd: &Dtd) -> DtdIndex {
-        let labels: Vec<Name> = dtd.alphabet().cloned().collect();
-        let label_id: HashMap<Name, u32> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.clone(), i as u32))
-            .collect();
-        let root = label_id[dtd.root()];
-        let arities: Vec<usize> = labels.iter().map(|l| dtd.arity(l)).collect();
-        let epsilon = Nfa::epsilon();
-        let mut nfas = Vec::with_capacity(labels.len());
+        let labels = dtd.labels();
+        let root = dtd
+            .label_id(dtd.root())
+            .expect("the root is in the alphabet");
         let mut dependents = vec![Vec::new(); labels.len()];
-        for (lid, l) in labels.iter().enumerate() {
-            let dense = DenseNfa::new(dtd.horizontal(l).unwrap_or(&epsilon), &label_id);
-            for &s in &dense.syms {
+        for (lid, nfa) in dtd.content_models().iter().enumerate() {
+            for &s in nfa.syms() {
                 dependents[s as usize].push(lid as u32);
             }
-            nfas.push(dense);
         }
         DtdIndex {
             dtd: dtd.clone(),
-            labels,
             root,
-            arities,
-            nfas,
             dependents,
         }
     }
@@ -194,7 +53,7 @@ impl DtdIndex {
 
     /// Interned labels; `labels()[lid]` is the label with id `lid`.
     pub fn labels(&self) -> &[Name] {
-        &self.labels
+        self.dtd.labels()
     }
 
     /// The interned id of the root element type.
@@ -202,14 +61,9 @@ impl DtdIndex {
         self.root
     }
 
-    /// Per-label declared attribute count, indexed by label id.
-    pub fn arities(&self) -> &[usize] {
-        &self.arities
-    }
-
     /// Per-label dense production NFAs, indexed by label id.
     pub fn nfas(&self) -> &[DenseNfa] {
-        &self.nfas
+        self.dtd.content_models()
     }
 
     /// Labels whose production mentions label `s`.
@@ -217,85 +71,30 @@ impl DtdIndex {
         &self.dependents[s as usize]
     }
 
-    /// Serializes the index: the DTD's canonical text (its display form
-    /// round-trips through the parser) plus every derived table verbatim,
-    /// so deserialization reparses the small schema text but never re-runs
-    /// NFA densification or dependency analysis.
+    /// Serializes the index as the DTD's canonical text (its display form
+    /// round-trips through the parser); every table is derived from it.
     pub fn encode(&self, e: &mut Encoder) {
         e.str(&self.dtd.to_string());
-        e.usize(self.labels.len());
-        for l in &self.labels {
-            e.str(l.as_str());
-        }
-        e.u32(self.root);
-        for &a in &self.arities {
-            e.usize(a);
-        }
-        for nfa in &self.nfas {
-            nfa.encode(e);
-        }
-        for deps in &self.dependents {
-            e.u32s(deps);
-        }
     }
 
-    /// Inverse of [`DtdIndex::encode`]. Cheap structural sanity checks
-    /// only — the artifact store's checksum envelope is what guards
-    /// against corruption.
+    /// Inverse of [`DtdIndex::encode`]: reparses the schema text and
+    /// rebuilds every table from it, so whatever bytes decode, the tables
+    /// are consistent with one another.
     pub fn decode(d: &mut Decoder<'_>) -> Result<DtdIndex, CodecError> {
         let text = d.str()?;
         let dtd = crate::parse(&text)
             .map_err(|_| CodecError::Malformed("DtdIndex schema text does not parse"))?;
-        let n = d.usize()?;
-        if n > text.len().max(1) * 2 {
-            // A DTD cannot declare more labels than its text has characters.
-            return Err(CodecError::Malformed("DtdIndex label count"));
-        }
-        let labels: Vec<Name> = (0..n)
-            .map(|_| Ok(Name::new(d.str()?)))
-            .collect::<Result<_, CodecError>>()?;
-        let root = d.u32()?;
-        if root as usize >= n {
-            return Err(CodecError::Malformed("DtdIndex root id"));
-        }
-        let arities: Vec<usize> = (0..n).map(|_| d.usize()).collect::<Result<_, _>>()?;
-        let nfas: Vec<DenseNfa> = (0..n)
-            .map(|_| DenseNfa::decode(d))
-            .collect::<Result<_, _>>()?;
-        if nfas
-            .iter()
-            .any(|nfa| nfa.syms.iter().any(|&s| s as usize >= n))
-        {
-            return Err(CodecError::Malformed("DenseNfa symbol out of range"));
-        }
-        let dependents: Vec<Vec<u32>> = (0..n)
-            .map(|_| {
-                let deps = d.u32s()?;
-                if deps.iter().any(|&l| l as usize >= n) {
-                    return Err(CodecError::Malformed("DtdIndex dependent out of range"));
-                }
-                Ok(deps)
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(DtdIndex {
-            dtd,
-            labels,
-            root,
-            arities,
-            nfas,
-            dependents,
-        })
+        Ok(DtdIndex::new(&dtd))
     }
 
-    /// Approximate heap footprint in bytes (label strings, arity table,
-    /// dense production NFAs, dependency lists).
+    /// Approximate heap footprint in bytes (label strings, dense
+    /// production NFAs, dependency lists).
     pub fn approx_bytes(&self) -> u64 {
-        self.labels
+        self.labels()
             .iter()
             .map(|l| l.as_str().len() as u64 + 16)
             .sum::<u64>()
-            + self.arities.capacity() as u64 * 8
-            + self.nfas.iter().map(DenseNfa::approx_bytes).sum::<u64>()
+            + self.nfas().iter().map(DenseNfa::approx_bytes).sum::<u64>()
             + self
                 .dependents
                 .iter()

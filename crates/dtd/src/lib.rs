@@ -10,6 +10,7 @@
 
 pub mod classify;
 pub mod conformance;
+pub mod content;
 #[allow(clippy::module_inception)]
 pub mod dtd;
 pub mod index;
@@ -19,8 +20,9 @@ pub mod stream;
 
 pub use classify::{Mult, NestedRelationalView};
 pub use conformance::ConformanceError;
+pub use content::DenseNfa;
 pub use dtd::{Dtd, DtdBuilder, DtdError};
-pub use index::{DenseNfa, DtdIndex};
+pub use index::DtdIndex;
 pub use parse::{parse, ParseDtdError};
 pub use relational::{instance_to_tree, schema_to_dtd, Relation};
 pub use stream::{validate_stream, StreamError, StreamStats, StreamValidator, StreamViolation};

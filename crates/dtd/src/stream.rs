@@ -3,9 +3,10 @@
 //! [`StreamValidator`] consumes the open/close events of a SAX pass (e.g.
 //! [`xmlmap_trees::SaxReader`]) and decides conformance without ever
 //! materialising the document: each *open* element owns one subset state of
-//! its label's compiled content-model NFA (the [`crate::index::DtdIndex`]
-//! dense tables shared with the satisfiability engine), kept on a
-//! depth-bounded frame stack whose buffers are pooled across siblings. A
+//! its label's compiled content model (the DTD's own [`crate::DenseNfa`],
+//! stepped by the same runner as [`crate::Dtd::check`]; labels resolve
+//! through the DTD's label table), kept on a depth-bounded frame stack whose
+//! buffers are pooled across siblings. A
 //! violation — wrong root, unknown label, wrong attribute set, or a child
 //! word falling out of the production language — rejects immediately, at the
 //! first offending byte of the document.
@@ -17,8 +18,7 @@
 //! document for unknown labels first, while the streaming checker reports
 //! the first violation in strict document order.
 
-use crate::index::{get_bit, DtdIndex};
-use std::collections::HashMap;
+use crate::index::DtdIndex;
 use std::fmt;
 use std::io::Read;
 use std::sync::Arc;
@@ -164,7 +164,6 @@ struct Frame {
 /// grows to the document's peak depth and is reused across siblings.
 pub struct StreamValidator {
     idx: Arc<DtdIndex>,
-    label_id: HashMap<Name, u32>,
     /// Frame storage; `stack[..depth]` are live, the rest is the pool.
     stack: Vec<Frame>,
     depth: usize,
@@ -177,15 +176,8 @@ impl StreamValidator {
     /// Builds a validator over a compiled DTD index. The index is the
     /// compile-once artifact; validators are cheap per-document cursors.
     pub fn new(idx: Arc<DtdIndex>) -> StreamValidator {
-        let label_id = idx
-            .labels()
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.clone(), i as u32))
-            .collect();
         StreamValidator {
             idx,
-            label_id,
             stack: Vec::new(),
             depth: 0,
             scratch: Vec::new(),
@@ -208,8 +200,8 @@ impl StreamValidator {
     /// against `A_D(label)` (the canonical-order normalisation the arena
     /// pipeline applies before checking).
     pub fn open(&mut self, label: &Name, attrs: &[(Name, Value)]) -> Result<(), StreamViolation> {
-        let lid = match self.label_id.get(label) {
-            Some(&lid) => lid,
+        let lid = match self.idx.dtd().label_id(label) {
+            Some(lid) => lid,
             None => {
                 if self.depth == 0 && label != self.idx.dtd().root() {
                     return Err(StreamViolation::WrongRoot {
@@ -236,16 +228,7 @@ impl StreamValidator {
             let nfa = &self.idx.nfas()[parent.lid as usize];
             self.scratch.clear();
             self.scratch.resize(nfa.words(), 0);
-            let mut alive = false;
-            if let Some(edges) = nfa.edges_for(lid) {
-                for &(from, to) in edges {
-                    if get_bit(&parent.state, from as usize) {
-                        self.scratch[to as usize / 64] |= 1 << (to as usize % 64);
-                        alive = true;
-                    }
-                }
-            }
-            if !alive {
+            if !nfa.step(&parent.state, lid, &mut self.scratch) {
                 return Err(StreamViolation::BadChildren {
                     label: self.idx.labels()[parent.lid as usize].clone(),
                     child: Some(label.clone()),
@@ -267,9 +250,10 @@ impl StreamValidator {
             });
         }
 
-        // Push a frame with the Glushkov initial subset {0}, reusing a
-        // pooled buffer when one is available.
-        let words = self.idx.nfas()[lid as usize].words();
+        // Push a frame with the initial subset, reusing a pooled buffer
+        // when one is available.
+        let nfa = &self.idx.nfas()[lid as usize];
+        let words = nfa.words();
         if self.depth == self.stack.len() {
             self.stack.push(Frame {
                 lid,
@@ -280,7 +264,7 @@ impl StreamValidator {
         frame.lid = lid;
         frame.state.clear();
         frame.state.resize(words, 0);
-        frame.state[0] = 1;
+        nfa.start(&mut frame.state);
         self.depth += 1;
         self.live_bytes += (words * 8 + std::mem::size_of::<Frame>()) as u64;
         self.stats.elements += 1;
@@ -298,12 +282,7 @@ impl StreamValidator {
         assert!(self.depth > 0, "close without matching open");
         let frame = &self.stack[self.depth - 1];
         let nfa = &self.idx.nfas()[frame.lid as usize];
-        let accepted = frame
-            .state
-            .iter()
-            .zip(nfa.accepting())
-            .any(|(s, a)| s & a != 0);
-        if !accepted {
+        if !nfa.accepts(&frame.state) {
             return Err(StreamViolation::BadChildren {
                 label: self.idx.labels()[frame.lid as usize].clone(),
                 child: None,

@@ -6,7 +6,9 @@
 //! that equality joins actually fire in benchmarks.
 
 use rand::prelude::*;
+use std::collections::HashMap;
 use xmlmap_dtd::Dtd;
+use xmlmap_regex::Nfa;
 use xmlmap_trees::{Name, NodeId, Tree, Value};
 
 /// Parameters for random document generation.
@@ -43,17 +45,23 @@ pub fn random_tree(dtd: &Dtd, config: &TreeGenConfig, rng: &mut impl Rng) -> Tre
         dtd.root().clone(),
         random_attrs(dtd, dtd.root(), config, rng),
     );
+    // Each production's Glushkov automaton (the walk follows its states)
+    // with its distances to acceptance, built on first use.
+    let mut walks: HashMap<Name, (Nfa<Name>, Vec<usize>)> = HashMap::new();
     let mut queue: Vec<NodeId> = vec![Tree::ROOT];
     while let Some(node) = queue.pop() {
         let label = tree.label(node).clone();
+        let (nfa, dist) = walks.entry(label).or_insert_with_key(|l| {
+            let nfa = Nfa::from_regex(dtd.production(l));
+            let dist = distances_to_acceptance(&nfa);
+            (nfa, dist)
+        });
         // Over the cap, emit the shortest (mandatory-only) word so the
         // document still conforms.
         let word = if tree.size() >= config.max_nodes {
-            dtd.horizontal(&label)
-                .and_then(|nfa| nfa.shortest_word())
-                .unwrap_or_default()
+            nfa.shortest_word().unwrap_or_default()
         } else {
-            random_word(dtd, &label, config, rng)
+            random_word(nfa, dist, config, rng)
         };
         for child_label in word {
             let attrs = random_attrs(dtd, &child_label, config, rng);
@@ -79,13 +87,14 @@ fn random_attrs(
         .collect()
 }
 
-/// Random accepted word of the production of `label`.
-fn random_word(dtd: &Dtd, label: &Name, config: &TreeGenConfig, rng: &mut impl Rng) -> Vec<Name> {
-    let Some(nfa) = dtd.horizontal(label) else {
-        return Vec::new();
-    };
-    // Distance-to-acceptance per state, to steer dead ends home.
-    let dist = distances_to_acceptance(nfa);
+/// Random accepted word of a production's automaton; `dist` is each
+/// state's distance to acceptance, to steer dead ends home.
+fn random_word(
+    nfa: &Nfa<Name>,
+    dist: &[usize],
+    config: &TreeGenConfig,
+    rng: &mut impl Rng,
+) -> Vec<Name> {
     'retry: for _ in 0..64 {
         let mut word = Vec::new();
         let mut state = 0usize;
@@ -126,7 +135,7 @@ fn random_word(dtd: &Dtd, label: &Name, config: &TreeGenConfig, rng: &mut impl R
     nfa.shortest_word().unwrap_or_default()
 }
 
-fn distances_to_acceptance(nfa: &xmlmap_regex::Nfa<Name>) -> Vec<usize> {
+fn distances_to_acceptance(nfa: &Nfa<Name>) -> Vec<usize> {
     let mut dist = vec![usize::MAX; nfa.num_states];
     // Reverse BFS from accepting states.
     let mut reverse: Vec<Vec<usize>> = vec![Vec::new(); nfa.num_states];

@@ -205,8 +205,7 @@ impl<'a> TypeEngine<'a> {
         frozen: usize,
         discovered: &mut Vec<PairInfo>,
     ) -> Result<(), BudgetExceeded> {
-        let epsilon_nfa = Nfa::epsilon();
-        let nfa: &Nfa<Name> = self.dtd.horizontal(label).unwrap_or(&epsilon_nfa);
+        let nfa = Nfa::from_regex(self.dtd.production(label));
 
         let initial = MachineState {
             dtd: BTreeSet::from([0usize]),
@@ -260,7 +259,7 @@ impl<'a> TypeEngine<'a> {
 
             // Transitions on every achievable pair.
             for pid in 0..frozen {
-                let next = self.step(&state, nfa, pid);
+                let next = self.step(&state, &nfa, pid);
                 if next.dtd.is_empty() {
                     continue; // the production can never complete from here
                 }

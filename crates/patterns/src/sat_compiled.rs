@@ -11,8 +11,9 @@
 //!   over flat `[u64]` words.
 //! * **Flat machine states.** A per-label exploration state is one
 //!   contiguous word slice `[NFA subset | sequence positions | seen
-//!   components]`. Stepping is bitwise: the DTD production NFA is grouped
-//!   by symbol (`DenseNfa`), each sequence acceptor advances with one
+//!   components]`. Stepping is bitwise: the NFA prefix steps through the
+//!   DTD's own compiled content model (`DenseNfa::step`, the runner every
+//!   conformance check shares), each sequence acceptor advances with one
 //!   shift-and-mask per word (`(cur & gap) | ((cur & match) << 1)`), and
 //!   `seen` is a word-wise OR with the symbol's type.
 //! * **Worklist fixpoint.** Instead of re-sweeping the whole alphabet
@@ -48,11 +49,11 @@ const PAR_LABEL_GATE: usize = 16;
 /// …and at least this many labels are dirty in the round.
 const PAR_DIRTY_GATE: usize = 4;
 
-use xmlmap_dtd::index::{get_bit, set_bit};
+use xmlmap_dtd::content::{get_bit, set_bit};
 /// Re-exported from `xmlmap-dtd`, where the per-DTD compiled artifact now
 /// lives (the streaming validator shares it); kept here so existing
 /// `sat_compiled::DtdIndex` paths continue to work.
-pub use xmlmap_dtd::index::{DenseNfa, DtdIndex};
+pub use xmlmap_dtd::{DenseNfa, DtdIndex};
 
 /// Flattened list item of a compiled pattern node.
 enum CItem {
@@ -203,15 +204,14 @@ impl CompiledPats {
         let cand: Vec<Vec<u32>> = idx
             .labels()
             .iter()
-            .enumerate()
-            .map(|(lid, label)| {
+            .map(|label| {
                 tests
                     .iter()
                     .enumerate()
                     .filter(|(_, (test, arity))| {
                         // An empty variable tuple imposes no arity
                         // requirement (mirrors `eval`).
-                        test.accepts(label) && (*arity == 0 || *arity == idx.arities()[lid])
+                        test.accepts(label) && (*arity == 0 || *arity == idx.dtd().arity(label))
                     })
                     .map(|(pid, _)| pid as u32)
                     .collect()
@@ -308,30 +308,13 @@ impl EngineCore {
         }
     }
 
-    fn accepting(&self, nfa: &DenseNfa, state: &[u64]) -> bool {
-        state[..nfa.words()]
-            .iter()
-            .zip(nfa.accepting().iter())
-            .any(|(s, a)| s & a != 0)
-    }
-
     /// One machine transition on `pair`, writing into `out`. Returns false
     /// when the production NFA subset empties (dead word prefix).
     fn step(&self, nfa: &DenseNfa, state: &[u64], pair: &Pair, out: &mut Vec<u64>) -> bool {
-        let edges = match nfa.edges_for(pair.label) {
-            Some(e) => e,
-            None => return false,
-        };
         out.clear();
         out.resize(state.len(), 0);
-        let mut any = false;
-        for &(from, to) in edges {
-            if get_bit(state, from as usize) {
-                set_bit(out, to as usize);
-                any = true;
-            }
-        }
-        if !any {
+        let w = nfa.words();
+        if !nfa.step(&state[..w], pair.label, &mut out[..w]) {
             return false;
         }
         let pats = &*self.pats;
@@ -460,7 +443,7 @@ impl LabelExp {
         self.parent.push(parent);
         // Emission is decided at creation: acceptance and the induced type
         // depend only on the state itself.
-        if core.accepting(nfa, &key) {
+        if nfa.accepts(&key) {
             let typ = core.induced_type(self.lid, nfa.words(), &key);
             let known = core
                 .type_index
@@ -523,7 +506,7 @@ fn expand(core: &EngineCore, exp: &mut LabelExp) -> Result<Vec<NewPair>, BudgetE
 
     if exp.parent.is_empty() {
         let mut init = vec![0u64; exp.stride];
-        init[0] = 1; // NFA start state 0
+        nfa.start(&mut init[..nfa.words()]);
         for seq in &core.pats.seqs {
             set_bit(&mut init[nfa.words()..], seq.offset * 64); // position 0
         }

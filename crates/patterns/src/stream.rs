@@ -44,7 +44,7 @@ use crate::compiled::{CItem, CompiledPattern};
 use std::cmp::Ordering;
 use std::fmt;
 use std::io::Read;
-use xmlmap_dtd::index::{get_bit, set_bit};
+use xmlmap_dtd::content::{get_bit, set_bit};
 use xmlmap_trees::{Name, SaxEvent, SaxReader, Value, XmlError};
 
 /// Why a pattern cannot be evaluated in the streaming fragment.

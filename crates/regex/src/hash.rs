@@ -26,10 +26,18 @@ impl Hasher for FastHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut lane = [0u8; 8];
-            lane[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(lane));
+        // Little-endian 8-byte lanes, the last one zero-padded.
+        let mut lanes = bytes.chunks_exact(8);
+        for lane in &mut lanes {
+            self.write_u64(u64::from_le_bytes(lane.try_into().expect("8-byte lane")));
+        }
+        let tail = lanes.remainder();
+        if !tail.is_empty() {
+            let lane = tail
+                .iter()
+                .rev()
+                .fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
+            self.write_u64(lane);
         }
     }
 
@@ -76,6 +84,22 @@ mod tests {
         assert_eq!(m.len(), 1000);
         for i in 0..1000u64 {
             assert_eq!(m[&vec![i, i * 17].into_boxed_slice()], i as usize);
+        }
+    }
+
+    #[test]
+    fn bytes_hash_as_zero_padded_little_endian_lanes() {
+        let bytes: Vec<u8> = (1..=20).collect();
+        for len in 0..=bytes.len() {
+            let mut h = FastHasher::default();
+            h.write(&bytes[..len]);
+            let mut want = FastHasher::default();
+            for chunk in bytes[..len].chunks(8) {
+                let mut lane = [0u8; 8];
+                lane[..chunk.len()].copy_from_slice(chunk);
+                want.write_u64(u64::from_le_bytes(lane));
+            }
+            assert_eq!(h.finish(), want.finish(), "{len} bytes");
         }
     }
 
