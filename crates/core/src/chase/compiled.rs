@@ -163,9 +163,14 @@ impl StdPlan {
     /// Does a match tuple pass the std's source conditions? A condition
     /// over a variable the pattern never binds admits nothing.
     fn admits<V: Borrow<Value>>(&self, t: &[V]) -> bool {
+        self.admits_by(|i| t[i].borrow())
+    }
+
+    /// [`StdPlan::admits`] over a tuple read through `value`.
+    fn admits_by<'v>(&self, value: impl Fn(usize) -> &'v Value) -> bool {
         self.src_conds.iter().all(|c| {
             c.is_some_and(|(op, l, r)| {
-                let (a, b) = (t[l as usize].borrow(), t[r as usize].borrow());
+                let (a, b) = (value(l as usize), value(r as usize));
                 match op {
                     CompOp::Eq => a == b,
                     CompOp::Neq => a != b,
@@ -548,11 +553,7 @@ impl ChaseCache {
     ) -> Vec<Box<[Value]>> {
         let p = &self.plans[i];
         tuples.retain(|t| p.admits(t));
-        // The kernel's row order: value order under the alphabetical
-        // variable permutation (see `Matcher::all_match_tuples`).
-        let vars = p.source.vars();
-        let mut perm: Vec<usize> = (0..vars.len()).collect();
-        perm.sort_by(|&a, &b| vars[a].cmp(&vars[b]));
+        let perm = self.key_order(i);
         tuples.sort_unstable_by(|a, b| {
             perm.iter()
                 .map(|&i| a[i].cmp(&b[i]))
@@ -561,6 +562,23 @@ impl ChaseCache {
         });
         tuples.dedup();
         tuples
+    }
+
+    /// Std `i`'s key order: its source variable ids sorted by variable
+    /// name. A tuple read in this order is the firing's sort key — the
+    /// kernel's row order is value order under this permutation (see
+    /// `Matcher::all_match_tuples`).
+    pub(crate) fn key_order(&self, i: usize) -> Vec<usize> {
+        let vars = self.plans[i].source.vars();
+        let mut perm: Vec<usize> = (0..vars.len()).collect();
+        perm.sort_by(|&a, &b| vars[a].cmp(&vars[b]));
+        perm
+    }
+
+    /// Does a complete dense valuation of std `i`'s source pattern pass
+    /// the std's source conditions?
+    pub(crate) fn admits_env(&self, i: usize, env: &[Option<&Value>]) -> bool {
+        self.plans[i].admits_by(|v| env[v].expect("a complete match binds every variable"))
     }
 
     /// Approximate heap footprint in bytes: slot/attribute tables, compiled

@@ -6,49 +6,57 @@
 //! solution from independent per-std firings, so an update only
 //! invalidates the firings whose witness valuations touch the edited
 //! region — everything else can be kept. [`IncrementalChase`] exploits
-//! that in three layers:
+//! that in four layers:
 //!
 //! * **firing index / refire frontier** — each std's compiled source
 //!   pattern is summarized into a [`TouchProfile`] (its concrete label
 //!   footprint plus wildcard/horizontal flags), inverted into a
 //!   label-keyed index. An edit yields the set of source positions it
 //!   touched; the labels those positions occupy select exactly the stds
-//!   whose plans can reach the region, and only those are marked dirty.
+//!   whose plans can reach the region, and only those are diffed.
 //!   For patterns with horizontal operators the region is widened to
 //!   every child of the edit point's parent — inserting `c` between
 //!   siblings `a, b` breaks `a → b` even though `c` occurs in neither
 //!   pattern, so the label-intersection test alone would be unsound;
+//! * **counted firings, diffed at the edit** — each std keeps its
+//!   firings as a map from firing key to the number of source-pattern
+//!   embeddings deriving it. For a downward std an edit enumerates only
+//!   the embeddings through the edited region
+//!   ([`Matcher::for_each_embedding_through`], pruned by [`LiveRows`]
+//!   kept across edits) and counts them out or in; a count reaching or
+//!   leaving zero flips the firing. A horizontal std is re-counted in
+//!   full at the next read instead: inserting or deleting a node changes
+//!   sibling adjacency, which counting through the region cannot see;
 //! * **the shared retractable arena** — the session drives the same
 //!   chase arena (`chase::arena`) as the tree and streaming chases. Each
 //!   applied firing is an epoch delimited by a checkpoint; rewinding to
 //!   any epoch restores the exact arena state by LIFO undo, and since the
 //!   arena's union-find never compresses paths, representative choice —
 //!   and therefore the output's null labels — replays identically;
-//! * **prefix-preserving replay at the read** — per-std canonical firing
-//!   sequences are maintained for the current document. Edits only mark
-//!   stds dirty; the next read (or the end of an
-//!   [`IncrementalChase::apply_all`] script) re-matches each dirty std
-//!   once, compares the flattened std-major sequence against the applied
-//!   epochs, rewinds the arena to the longest common prefix and replays
-//!   only the suffix. The result is *byte-identical* to a from-scratch
-//!   chase of the mutated document: same firing order, same fresh-null
-//!   numbering, same error (the first failing firing in canonical order),
-//!   same completion sweep.
+//! * **prefix-preserving replay at the read** — the next read (or the
+//!   end of an [`IncrementalChase::apply_all`] script) finds each dirty
+//!   std's first changed firing, splices the new suffix into the std's
+//!   applied sequence in place, rewinds the arena to the longest common
+//!   prefix and replays only the suffix. The result is *byte-identical*
+//!   to a from-scratch chase of the mutated document: same firing order,
+//!   same fresh-null numbering, same error (the first failing firing in
+//!   canonical order), same completion sweep.
 //!
 //! Deferring the resync to the read is exact, by three facts:
 //!
 //! 1. the arena state after a firing prefix is a function of that prefix
 //!    (rewind is LIFO undo, and nothing else mutates the arena);
-//! 2. a std's firing set is a function of the document alone;
+//! 2. a std's firing set is a function of the document alone, and the
+//!    counts track it edit by edit;
 //! 3. the frontier is sound per edit, so a std that no edit since the
 //!    last resync selected has an unchanged firing set.
 //!
-//! So at the read, re-matching the dirty stds yields the flattened
-//! sequence a from-scratch enumeration would, and rewinding to its common
-//! prefix with the applied epochs leaves the arena that prefix determines.
-//! Resyncing at the read therefore gives the same arena, first-failing-
-//! firing error and bytes as resyncing after every edit — a delete and an
-//! identical reinsert between two reads replay nothing.
+//! So at the read the keys are the sequence a from-scratch enumeration
+//! would give, and rewinding to its common prefix with the applied
+//! epochs leaves the arena that prefix determines. Resyncing at the read
+//! therefore gives the same arena, first-failing-firing error and bytes
+//! as resyncing after every edit — a delete and an identical reinsert
+//! between two reads replay nothing.
 //!
 //! Completion (mandatory-child filling) and the deferred `≠` check are
 //! *read-time* operations: [`IncrementalChase::canonical_solution`] takes
@@ -63,10 +71,10 @@ use super::compiled::ChaseCache;
 use super::ChaseError;
 use crate::exchange::CertainAnswersError;
 use crate::stds::Mapping;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use xmlmap_codec::CodecError;
-use xmlmap_patterns::{eval, Matcher, Pattern, Valuation};
+use xmlmap_patterns::{eval, LiveRows, Matcher, Pattern, Valuation};
 use xmlmap_trees::{Name, NodeId, Tree, Value};
 
 // ---------------------------------------------------------------------------
@@ -283,14 +291,105 @@ pub struct DeltaStats {
     /// Updates applied.
     pub updates: u64,
     /// Frontier selections: per update, the stds its region analysis
-    /// could not rule out (plus every std once at open). Several
-    /// selections of one std between two reads cost one re-enumeration.
+    /// could not rule out (plus every std once at open). A selected
+    /// downward std pays one diff at the edit; several selections of a
+    /// horizontal std between two reads cost one re-enumeration.
     pub refires: u64,
     /// Stds an update's region analysis proved unaffected.
     pub skips: u64,
     /// Epochs actually replayed at resync (firings re-applied to the
     /// arena after rewinding to the longest unchanged prefix).
     pub replays: u64,
+}
+
+/// A firing key: the firing's source tuple in key order. Shared between
+/// the counts and the applied sequence.
+type Key = Arc<[Value]>;
+
+/// One std's firings in a session: counted, and as last applied.
+struct StdFirings {
+    /// The std's source variable ids sorted by name: a tuple read in this
+    /// order is its firing's key, and keys sort canonically.
+    order: Vec<usize>,
+    /// Each admitted firing's key → the number of source-pattern
+    /// embeddings that derive it. The std's canonical firing sequence is
+    /// exactly the keys, in order.
+    counts: BTreeMap<Key, u32>,
+    /// The canonical sequence at the last resync; the arena's epochs run
+    /// through these, std-major.
+    applied: Vec<Key>,
+    /// Keys whose count went to or from zero since the last resync.
+    flipped: Vec<Key>,
+    /// `counts` was rebuilt from scratch since the last resync, so
+    /// `flipped` does not cover its changes.
+    rescanned: bool,
+    /// Scratch key, reused across embeddings.
+    key: Vec<Value>,
+}
+
+impl StdFirings {
+    /// An embedding's firing key, in the scratch buffer.
+    fn key_of(&mut self, env: &[Option<&Value>]) -> &[Value] {
+        self.key.clear();
+        self.key.extend(self.order.iter().map(|&v| {
+            env[v]
+                .expect("a complete match binds every variable")
+                .clone()
+        }));
+        &self.key
+    }
+
+    /// Counts one embedding's valuation in (`add`) or out. Only admitted
+    /// tuples are counted; a count reaching or leaving zero is noted in
+    /// `flipped`.
+    fn count(&mut self, chase: &ChaseCache, si: usize, env: &[Option<&Value>], add: bool) {
+        if !chase.admits_env(si, env) {
+            return;
+        }
+        self.key_of(env);
+        if add {
+            if let Some(c) = self.counts.get_mut(&self.key[..]) {
+                *c += 1;
+                return;
+            }
+            let key: Key = self.key.as_slice().into();
+            self.flipped.push(key.clone());
+            self.counts.insert(key, 1);
+        } else {
+            let c = self
+                .counts
+                .get_mut(&self.key[..])
+                .expect("a retracted embedding was counted in");
+            *c -= 1;
+            if *c == 0 {
+                let (key, _) = self.counts.remove_entry(&self.key[..]).expect("present");
+                self.flipped.push(key);
+            }
+        }
+    }
+
+    /// The least key present in exactly one of `applied` and the current
+    /// firing set: both sequences agree on every key below it. Consumes
+    /// the change record.
+    fn first_change(&mut self) -> Option<Key> {
+        if std::mem::take(&mut self.rescanned) {
+            self.flipped.clear();
+            let mut now = self.counts.keys();
+            for old in &self.applied {
+                match now.next() {
+                    Some(k) if k == old => {}
+                    Some(k) => return Some(k.min(old).clone()),
+                    None => return Some(old.clone()),
+                }
+            }
+            return now.next().cloned();
+        }
+        let (counts, applied) = (&self.counts, &self.applied);
+        self.flipped
+            .drain(..)
+            .filter(|k| counts.contains_key(k) != applied.binary_search(k).is_ok())
+            .min()
+    }
 }
 
 /// A long-lived incremental chase session over one mapping and one
@@ -301,21 +400,29 @@ pub struct DeltaStats {
 /// [`super::canonical_solution`] of the mutated document — byte-identical
 /// trees and identical [`ChaseError`] verdicts, not merely isomorphic
 /// ones (pinned by `tests/delta_equiv.rs`).
+///
+/// A [`NodeId`] read from [`IncrementalChase::doc`] stays valid until the
+/// next delete: a delete that leaves more detached nodes than reachable
+/// ones compacts the document, renumbering every node in document order.
+/// Path-addressed updates ([`IncrementalChase::apply`]) are unaffected.
 pub struct IncrementalChase {
     mapping: Mapping,
     plan: Arc<DeltaPlan>,
     doc: Tree,
-    /// Per-std canonical firing sequences for the current document.
-    firings: Vec<Vec<Box<[Value]>>>,
-    /// The flattened (std-major) sequence: epoch `k` of the arena holds
-    /// firing `seq[k]`.
-    seq: Vec<(u32, Box<[Value]>)>,
+    /// Nodes reachable from the root; the rest of `doc`'s arena is
+    /// detached subtrees awaiting compaction.
+    live: usize,
+    /// Per-std counted and applied firings.
+    firings: Vec<StdFirings>,
+    /// Per-std feasibility rows kept across edits, for downward source
+    /// patterns; `None` for a horizontal one, re-matched at the read.
+    rows: Vec<Option<LiveRows>>,
     /// The first failing firing's error; the arena holds exactly the
     /// epochs before it, and nothing after it is applied.
     error: Option<ChaseError>,
     arena: ChaseArena,
-    /// Stds selected by the frontier since the last resync: their
-    /// `firings` entries may be stale until the next `resync`.
+    /// Stds selected by the frontier since the last resync: their applied
+    /// sequences may be stale until the next `resync`.
     dirty: Vec<bool>,
     /// Source nodes currently violating the source DTD (label, attribute
     /// or children-word violations); the document conforms iff empty.
@@ -334,23 +441,39 @@ impl IncrementalChase {
     pub fn with_plan(mapping: Mapping, doc: Tree, plan: Arc<DeltaPlan>) -> IncrementalChase {
         let arena = ChaseArena::new(&plan.chase);
         let std_count = plan.chase.std_count();
+        let firings = (0..std_count)
+            .map(|si| StdFirings {
+                order: plan.chase.key_order(si),
+                counts: BTreeMap::new(),
+                applied: Vec::new(),
+                flipped: Vec::new(),
+                rescanned: false,
+                key: Vec::new(),
+            })
+            .collect();
+        let nodes: Vec<NodeId> = doc.nodes().collect();
         let mut s = IncrementalChase {
             mapping,
             plan,
+            live: nodes.len(),
             doc,
-            firings: vec![Vec::new(); std_count],
-            seq: Vec::new(),
+            firings,
+            rows: Vec::new(),
             error: None,
             arena,
             dirty: vec![true; std_count],
             violations: BTreeSet::new(),
             stats: DeltaStats::default(),
         };
-        for n in s.doc.nodes().collect::<Vec<_>>() {
+        s.build_rows();
+        for n in nodes {
             s.revalidate(n);
         }
         // The initial enumeration stays eager, so opening pays for it.
         s.stats.refires += std_count as u64;
+        for si in 0..std_count {
+            s.recount(si);
+        }
         s.resync();
         s
     }
@@ -455,9 +578,16 @@ impl IncrementalChase {
         for n in self.doc.descendants_or_self(new_root).collect::<Vec<_>>() {
             region.insert(self.doc.label(n).clone());
             self.revalidate(n);
+            self.live += 1;
         }
         self.revalidate(parent);
-        self.after_edit(region, parent);
+        for (si, rows) in self.rows.iter_mut().enumerate() {
+            if let Some(rows) = rows {
+                rows.grafted(&self.doc, &self.plan.chase.plans[si].source, new_root);
+            }
+        }
+        let selected = self.select(&region, parent);
+        self.diff(&selected, new_root, true, true);
         Ok(())
     }
 
@@ -471,10 +601,22 @@ impl IncrementalChase {
         for d in self.doc.descendants_or_self(n).collect::<Vec<_>>() {
             region.insert(self.doc.label(d).clone());
             self.violations.remove(&d);
+            self.live -= 1;
+        }
+        // The retracted embeddings are enumerated while the subtree is
+        // still in place.
+        let selected = self.select(&region, parent);
+        self.diff(&selected, n, true, false);
+        for (si, rows) in self.rows.iter_mut().enumerate() {
+            if let Some(rows) = rows {
+                rows.detaching(&self.doc, &self.plan.chase.plans[si].source, n);
+            }
         }
         self.doc.detach(n);
         self.revalidate(parent);
-        self.after_edit(region, parent);
+        if self.doc.size() - self.live > self.live {
+            self.compact();
+        }
         Ok(())
     }
 
@@ -487,12 +629,15 @@ impl IncrementalChase {
                 self.doc.label(n)
             ));
         }
-        self.doc.set_attr(n, attr, value);
         let region: BTreeSet<Name> = [self.doc.label(n).clone()].into();
-        // Attribute names and children are untouched, so conformance of
-        // `n` (and of everything else) cannot change.
         let parent = self.doc.parent(n).unwrap_or(Tree::ROOT);
-        self.after_edit(region, parent);
+        let selected = self.select(&region, parent);
+        // The embeddings through `n` are counted out under the old value
+        // and back in under the new one. Attribute names and children are
+        // untouched, so neither the rows nor conformance can change.
+        self.diff(&selected, n, false, false);
+        self.doc.set_attr(n, attr, value);
+        self.diff(&selected, n, false, true);
         Ok(())
     }
 
@@ -543,14 +688,32 @@ impl IncrementalChase {
         }
     }
 
+    /// Builds the kept rows of every downward std over the current
+    /// document.
+    fn build_rows(&mut self) {
+        self.rows = self
+            .plan
+            .chase
+            .plans
+            .iter()
+            .map(|p| {
+                p.source
+                    .is_downward()
+                    .then(|| LiveRows::new(&self.doc, &p.source))
+            })
+            .collect();
+    }
+
     /// The refire frontier: selects the stds whose plans can reach the
-    /// edited region and marks exactly those dirty for the next resync.
-    fn after_edit(&mut self, region: BTreeSet<Name>, edit_parent: NodeId) {
+    /// edited region, marks them dirty for the next resync and returns
+    /// them.
+    fn select(&mut self, region: &BTreeSet<Name>, edit_parent: NodeId) -> Vec<usize> {
         self.stats.updates += 1;
         // Horizontal patterns additionally observe sibling adjacency at
         // the edit point, so their region includes every child label of
         // the edit parent (computed lazily — only if some std needs it).
         let mut horizontal_region: Option<BTreeSet<Name>> = None;
+        let mut selected = Vec::new();
         for (si, profile) in self.plan.profiles.iter().enumerate() {
             let touched = if profile.horizontal {
                 let wide = horizontal_region.get_or_insert_with(|| {
@@ -566,62 +729,154 @@ impl IncrementalChase {
                 });
                 profile.touched(wide)
             } else {
-                profile.touched(&region)
+                profile.touched(region)
             };
             if touched {
                 self.dirty[si] = true;
                 self.stats.refires += 1;
+                selected.push(si);
             } else {
                 self.stats.skips += 1;
             }
         }
+        selected
     }
 
-    /// Re-enumerates each dirty std once against the current document,
-    /// clears the marks, and replays the arena from the longest unchanged
-    /// firing prefix. A no-op when nothing is dirty.
+    /// Counts the embeddings through the edit at `n` — its subtree when
+    /// `whole`, else `n` alone — in (`add`) or out, for every selected
+    /// downward std. Horizontal stds wait for the read.
+    fn diff(&mut self, selected: &[usize], n: NodeId, whole: bool, add: bool) {
+        if selected.iter().all(|&si| self.rows[si].is_none()) {
+            return;
+        }
+        let mut path = vec![n];
+        while let Some(p) = self.doc.parent(path[path.len() - 1]) {
+            path.push(p);
+        }
+        path.reverse();
+        for &si in selected {
+            let Some(rows) = &self.rows[si] else {
+                continue;
+            };
+            let f = &mut self.firings[si];
+            let chase = &self.plan.chase;
+            rows.matcher(&self.doc, &chase.plans[si].source)
+                .for_each_embedding_through(&path, whole, &mut |env| f.count(chase, si, env, add));
+        }
+    }
+
+    /// Rebuilds std `si`'s counts from every embedding in the document:
+    /// the admitted keys, sorted, counted run by run.
+    fn recount(&mut self, si: usize) {
+        let chase = &self.plan.chase;
+        let pat = &chase.plans[si].source;
+        let fresh;
+        let matcher = match &self.rows[si] {
+            Some(rows) => rows.matcher(&self.doc, pat),
+            None => {
+                fresh = Matcher::new(&self.doc, pat);
+                fresh
+            }
+        };
+        let f = &mut self.firings[si];
+        let mut keys: Vec<Key> = Vec::new();
+        matcher.for_each_match_dense(Tree::ROOT, &vec![None; pat.var_count()], &mut |env| {
+            if chase.admits_env(si, env) {
+                keys.push(f.key_of(env).into());
+            }
+            true
+        });
+        keys.sort_unstable();
+        let mut runs: Vec<(Key, u32)> = Vec::with_capacity(keys.len());
+        for key in keys {
+            match runs.last_mut() {
+                Some((last, n)) if *last == key => *n += 1,
+                _ => runs.push((key, 1)),
+            }
+        }
+        f.counts = runs.into_iter().collect();
+        f.rescanned = true;
+    }
+
+    /// Drops the detached subtrees from the document's arena: the
+    /// reachable nodes are renumbered in document order, and the violation
+    /// set and kept rows follow them.
+    fn compact(&mut self) {
+        // Release the old rows before the document moves, so the two
+        // generations never coexist.
+        self.rows.clear();
+        let renumber = self.doc.compact();
+        self.violations = std::mem::take(&mut self.violations)
+            .into_iter()
+            .map(|old| renumber[old.index()].expect("violations are reachable"))
+            .collect();
+        self.build_rows();
+    }
+
+    /// Re-matches each dirty horizontal std, finds every dirty std's first
+    /// changed firing, clears the marks, splices the changes into the
+    /// applied sequences in place and replays the arena from the longest
+    /// unchanged prefix. A no-op when nothing is dirty.
     fn resync(&mut self) {
         if !self.dirty.contains(&true) {
             return;
         }
+        let mut changes: Vec<(usize, Key)> = Vec::new();
         for si in 0..self.dirty.len() {
             if !std::mem::take(&mut self.dirty[si]) {
                 continue;
             }
-            let plan = &self.plan.chase.plans[si];
-            let matcher = Matcher::new(&self.doc, &plan.source);
-            let tuples: Vec<Box<[Value]>> = matcher
-                .all_match_tuples()
-                .into_iter()
-                .map(|t| t.into_iter().cloned().collect())
-                .collect();
-            self.firings[si] = self.plan.chase.canonical_firings(si, tuples);
-        }
-        // Flatten std-major — the kernel's instantiation order.
-        let new_seq: Vec<(u32, Box<[Value]>)> = self
-            .firings
-            .iter()
-            .enumerate()
-            .flat_map(|(si, fs)| fs.iter().map(move |t| (si as u32, t.clone())))
-            .collect();
-        // Longest common prefix with the applied epochs.
-        let lcp = self.seq[..self.arena.epochs()]
-            .iter()
-            .zip(&new_seq)
-            .take_while(|(a, b)| a == b)
-            .count();
-        self.arena.rewind_to(lcp);
-        self.seq = new_seq;
-        self.error = None;
-        for (si, tuple) in &self.seq[lcp..] {
-            if let Err(e) = self
-                .arena
-                .apply_firing(&self.plan.chase, *si as usize, tuple)
-            {
-                self.error = Some(e);
-                break;
+            if self.rows[si].is_none() {
+                self.recount(si);
             }
-            self.stats.replays += 1;
+            if let Some(k) = self.firings[si].first_change() {
+                changes.push((si, k));
+            }
+        }
+        // The longest common prefix of the old and new std-major
+        // sequences: every std before the first changed one, then that
+        // std's keys below its first change.
+        let before = |fs: &[StdFirings], si: usize| -> usize {
+            fs[..si].iter().map(|f| f.applied.len()).sum()
+        };
+        let lcp = match changes.first() {
+            Some((si, k)) => {
+                before(&self.firings, *si) + self.firings[*si].applied.partition_point(|a| a < k)
+            }
+            None => before(&self.firings, self.firings.len()),
+        };
+        let lcp = lcp.min(self.arena.epochs());
+        for (si, k) in changes {
+            let f = &mut self.firings[si];
+            let keep = f.applied.partition_point(|a| *a < k);
+            f.applied.truncate(keep);
+            f.applied
+                .extend(f.counts.range(k..).map(|(key, _)| key.clone()));
+        }
+        self.arena.rewind_to(lcp);
+        self.error = None;
+        // Replay from epoch `lcp`: find its std and offset, then run on.
+        let (mut si, mut at) = (0, lcp);
+        while si < self.firings.len() && at >= self.firings[si].applied.len() {
+            at -= self.firings[si].applied.len();
+            si += 1;
+        }
+        let mut tuple: Vec<&Value> = Vec::new();
+        for (si, f) in self.firings.iter().enumerate().skip(si) {
+            // Key position of each variable id: keys back into tuples.
+            let mut position = vec![0; f.order.len()];
+            for (j, &v) in f.order.iter().enumerate() {
+                position[v] = j;
+            }
+            for key in &f.applied[std::mem::take(&mut at)..] {
+                tuple.clear();
+                tuple.extend(position.iter().map(|&j| &key[j]));
+                if let Err(e) = self.arena.apply_firing(&self.plan.chase, si, &tuple) {
+                    self.error = Some(e);
+                    return;
+                }
+                self.stats.replays += 1;
+            }
         }
     }
 }
@@ -778,6 +1033,47 @@ mod tests {
         assert_eq!(s.dirty, [false, false]);
         assert_eq!(s.stats().replays, before.replays);
         assert_eq!(s.stats().refires, after.refires);
+    }
+
+    #[test]
+    fn delete_reinsert_churn_keeps_the_arena_bounded() {
+        let m = mapping(
+            "root r\nr -> a*, c*\na -> b*\na @ v\nb @ w\nc @ u",
+            "root r\nr -> d*\nd @ p, q",
+            &["r/a(x)/b(y) --> r/d(x, y)"],
+        );
+        let mut doc = Tree::new("r");
+        for i in 0..20 {
+            let a = doc.add_child(Tree::ROOT, "a", [("v", Value::str(format!("a{i}")))]);
+            for j in 0..2 {
+                doc.add_child(a, "b", [("w", Value::str(format!("b{i}_{j}")))]);
+            }
+        }
+        for i in 0..50 {
+            doc.add_child(Tree::ROOT, "c", [("u", Value::str(format!("c{i}")))]);
+        }
+        let reachable = doc.size();
+        let mut s = IncrementalChase::new(&m, doc);
+        let before = s.canonical_solution().unwrap();
+        let mut peak = 0;
+        for k in 0..5_000 {
+            let i = k * 7 % 20;
+            let copy = s.doc().subtree(s.doc().children(Tree::ROOT)[i]);
+            s.apply(&Update::DeleteSubtree { path: vec![i] }).unwrap();
+            s.apply(&Update::InsertSubtree {
+                parent: Vec::new(),
+                pos: i,
+                subtree: copy,
+            })
+            .unwrap();
+            peak = peak.max(s.doc().size());
+        }
+        // Compaction keeps detached nodes at most as many as reachable
+        // ones (plus the one subtree a reinsert adds before the next delete).
+        assert!(peak <= 2 * reachable + 3, "arena grew to {peak}");
+        assert_eq!(s.doc().nodes().count(), reachable);
+        assert_eq!(s.canonical_solution().unwrap(), before);
+        assert_in_sync(&mut s);
     }
 
     #[test]

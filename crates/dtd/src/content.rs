@@ -5,7 +5,9 @@
 //! DTD's dense label ids and transitions grouped by symbol. A subset state
 //! is a `words()`-long `[u64]` bitmask; Glushkov construction guarantees
 //! state 0 is the start state and there are no ε-transitions, so `{0}` is
-//! the initial subset and a step is one edge-list scatter.
+//! the initial subset, and since every state is entered on one symbol, a
+//! step is an OR of the set states' follow rows masked by the symbol's
+//! positions.
 //!
 //! [`DenseNfa::start`], [`DenseNfa::step`] and [`DenseNfa::accepts`] are the
 //! only routine that runs a content model: the tree check
@@ -14,7 +16,6 @@
 //! enumerator all step it. The Glushkov [`Nfa`] it is built from stays the
 //! independent oracle of the reference engines and tests.
 
-use std::collections::BTreeMap;
 use xmlmap_regex::{FastHashMap, Nfa};
 use xmlmap_trees::Name;
 
@@ -30,15 +31,26 @@ pub fn set_bit(words: &mut [u64], i: usize) {
     words[i / 64] |= 1 << (i % 64);
 }
 
-/// A production NFA with transitions grouped by (interned) symbol.
+/// A production's Glushkov automaton as follow masks.
+///
+/// Glushkov states are the positions of the production's symbols (plus the
+/// start state 0), and every transition into a position carries that
+/// position's symbol. So the successor of a subset `S` on symbol `a` is
+/// `(⋃_{q ∈ S} follow(q)) ∩ positions(a)`: one row OR per state in `S`,
+/// then one AND — a step costs the subset size, not the edge count.
 pub struct DenseNfa {
     /// Words in the subset bitmask.
     words: usize,
     /// Accepting-state bitmask.
     accepting: Box<[u64]>,
-    /// Sorted label ids having at least one transition, parallel to `edges`.
+    /// Sorted label ids having at least one transition, parallel to the
+    /// rows of `positions`.
     syms: Vec<u32>,
-    edges: Vec<Vec<(u32, u32)>>,
+    /// `positions[i*words..]`: the states entered on symbol `syms[i]`.
+    positions: Box<[u64]>,
+    /// `follow[q*words..]`: the states entered from state `q`, on any
+    /// symbol.
+    follow: Box<[u64]>,
 }
 
 impl DenseNfa {
@@ -51,21 +63,42 @@ impl DenseNfa {
                 set_bit(&mut accepting, q);
             }
         }
-        let mut by: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
+        let mut follow = vec![0u64; nfa.num_states * words];
+        // Every (symbol, entered state) pair, sorted by symbol.
+        let mut entered: Vec<(u32, usize)> = Vec::new();
         for (q, trans) in nfa.transitions.iter().enumerate() {
             for (sym, q2) in trans {
+                set_bit(&mut follow[q * words..(q + 1) * words], *q2);
                 // Every production symbol is in the DTD alphabet.
-                by.entry(label_id[sym])
-                    .or_default()
-                    .push((q as u32, *q2 as u32));
+                entered.push((label_id[sym], *q2));
             }
         }
-        let (syms, edges) = by.into_iter().unzip();
+        entered.sort_unstable();
+        entered.dedup();
+        debug_assert!(
+            {
+                let mut on = vec![None; nfa.num_states];
+                entered
+                    .iter()
+                    .all(|&(sym, q2)| *on[q2].get_or_insert(sym) == sym)
+            },
+            "a Glushkov state is entered on one symbol"
+        );
+        let (mut syms, mut positions) = (Vec::new(), Vec::new());
+        for (sym, q2) in entered {
+            if syms.last() != Some(&sym) {
+                syms.push(sym);
+                positions.resize(positions.len() + words, 0);
+            }
+            let row = positions.len() - words;
+            set_bit(&mut positions[row..], q2);
+        }
         DenseNfa {
             words,
             accepting: accepting.into_boxed_slice(),
             syms,
-            edges,
+            positions: positions.into_boxed_slice(),
+            follow: follow.into_boxed_slice(),
         }
     }
 
@@ -98,22 +131,38 @@ impl DenseNfa {
     /// with this prefix is in the language.
     #[inline]
     pub fn step(&self, from: &[u64], sym: u32, to: &mut [u64]) -> bool {
-        // Nearly every production has at most 64 states; clearing its one
-        // word directly avoids a `memset` call per step.
-        if let [word] = to {
-            *word = 0;
-        } else {
-            to.fill(0);
-        }
         let Ok(i) = self.syms.binary_search(&sym) else {
+            to.fill(0);
             return false;
         };
-        let mut alive = false;
-        for &(q, q2) in &self.edges[i] {
-            if get_bit(from, q as usize) {
-                set_bit(to, q2 as usize);
-                alive = true;
+        let words = self.words;
+        let positions = &self.positions[i * words..(i + 1) * words];
+        // Nearly every production has at most 64 states: one word.
+        if let ([from], [to]) = (from, &mut *to) {
+            let mut next = 0;
+            let mut set = *from;
+            while set != 0 {
+                next |= self.follow[set.trailing_zeros() as usize];
+                set &= set - 1;
             }
+            *to = next & positions[0];
+            return *to != 0;
+        }
+        to.fill(0);
+        for (w, &word) in from[..words].iter().enumerate() {
+            let mut set = word;
+            while set != 0 {
+                let q = w * 64 + set.trailing_zeros() as usize;
+                for (t, f) in to.iter_mut().zip(&self.follow[q * words..(q + 1) * words]) {
+                    *t |= f;
+                }
+                set &= set - 1;
+            }
+        }
+        let mut alive = false;
+        for (t, p) in to.iter_mut().zip(positions) {
+            *t &= p;
+            alive |= *t != 0;
         }
         alive
     }
@@ -154,7 +203,7 @@ impl DenseNfa {
     pub(crate) fn approx_bytes(&self) -> u64 {
         (self.accepting.len() * 8
             + self.syms.capacity() * 4
-            + self.edges.iter().map(|e| e.capacity() * 8).sum::<usize>()) as u64
+            + (self.positions.len() + self.follow.len()) * 8) as u64
     }
 }
 

@@ -21,7 +21,8 @@
 
 use crate::ast::{LabelTest, ListItem, Pattern, SeqOp, Var};
 use crate::eval::Valuation;
-use xmlmap_trees::{NodeId, Tree, Value};
+use std::collections::HashMap;
+use xmlmap_trees::{Name, NodeId, Tree, Value};
 
 /// One pattern node, flattened: label test, interned variable tuple, and
 /// the child list referencing other nodes by index.
@@ -130,6 +131,47 @@ impl CompiledPattern {
         self.has_repeated
     }
 
+    /// Is the pattern free of `→` and `→*` (every sequence item a single
+    /// member)? Only such patterns keep [`LiveRows`] and enumerate through
+    /// an edit region.
+    pub fn is_downward(&self) -> bool {
+        self.nodes.iter().all(|n| {
+            n.items.iter().all(|item| match item {
+                CItem::Seq { members, .. } => members.len() == 1,
+                CItem::Descendant(_) => true,
+            })
+        })
+    }
+
+    /// The row rule every feasibility table is built by: sets in `ok` (a
+    /// zeroed row) each pattern node whose label test and arity hold at
+    /// tree node `t` and all of whose items `item_holds` affirms at `t`.
+    fn ok_row(
+        &self,
+        cands: &Candidates,
+        tree: &Tree,
+        t: NodeId,
+        ok: &mut [u64],
+        mut item_holds: impl FnMut(&CItem) -> bool,
+    ) {
+        let label_mask = cands.of(tree.label(t));
+        let n_attrs = tree.attrs(t).len();
+        for (w, slot) in ok.iter_mut().enumerate() {
+            let mut cand = cands.wild[w] | label_mask.map_or(0, |mask| mask[w]);
+            while cand != 0 {
+                let pi = w * 64 + cand.trailing_zeros() as usize;
+                cand &= cand - 1;
+                let p = &self.nodes[pi];
+                if !p.vars.is_empty() && n_attrs != p.vars.len() {
+                    continue;
+                }
+                if p.items.iter().all(&mut item_holds) {
+                    *slot |= 1 << (pi % 64);
+                }
+            }
+        }
+    }
+
     /// Approximate heap footprint in bytes of the flattened node array and
     /// variable table.
     pub fn approx_bytes(&self) -> u64 {
@@ -170,12 +212,68 @@ impl<'e> EvalState<'e> {
     }
 }
 
-/// A pattern prepared against one tree: the bitset feasibility tables,
-/// shared by every probe ([`Matcher::matches_with`],
-/// [`Matcher::for_each_match`], …) on that tree.
-pub struct Matcher<'t, 'p> {
-    tree: &'t Tree,
-    pat: &'p CompiledPattern,
+/// Per-label candidate masks: the pattern nodes a tree label can head
+/// (plus wildcards). A tree node then only tests those bits instead of
+/// scanning every pattern node.
+struct Candidates {
+    wild: Vec<u64>,
+    labels: Vec<(Name, Vec<u64>)>,
+    /// Label → `labels` index, built only for wide alphabets: patterns
+    /// usually mention a handful of labels, and a linear scan (pointer or
+    /// length pre-check + memcmp) is cheaper per tree node than hashing.
+    index: Option<HashMap<Name, usize>>,
+}
+
+impl Candidates {
+    fn new(pat: &CompiledPattern, words: usize) -> Candidates {
+        let mut wild = vec![0u64; words];
+        let mut labels: Vec<(Name, Vec<u64>)> = Vec::new();
+        for (pi, p) in pat.nodes.iter().enumerate() {
+            match &p.label {
+                LabelTest::Wildcard => wild[pi / 64] |= 1 << (pi % 64),
+                LabelTest::Label(name) => {
+                    let at = match labels.iter().position(|(l, _)| l == name) {
+                        Some(at) => at,
+                        None => {
+                            labels.push((name.clone(), vec![0u64; words]));
+                            labels.len() - 1
+                        }
+                    };
+                    labels[at].1[pi / 64] |= 1 << (pi % 64);
+                }
+            }
+        }
+        let index = (labels.len() > 8).then(|| {
+            labels
+                .iter()
+                .enumerate()
+                .map(|(i, (l, _))| (l.clone(), i))
+                .collect()
+        });
+        Candidates {
+            wild,
+            labels,
+            index,
+        }
+    }
+
+    #[inline]
+    fn of(&self, label: &Name) -> Option<&[u64]> {
+        match &self.index {
+            Some(index) => index.get(label).map(|&i| self.labels[i].1.as_slice()),
+            None => self
+                .labels
+                .iter()
+                .find(|(l, _)| l == label)
+                .map(|(_, mask)| mask.as_slice()),
+        }
+    }
+}
+
+/// The feasibility tables of one pattern over one tree: per tree node (by
+/// [`NodeId::index`]) one `words`-long bitset row per table, with a bit
+/// for every pattern node.
+struct Rows {
     /// Words per bitset row (`⌈|π| / 64⌉`, min 1).
     words: usize,
     /// `ok[t*words..]`: pattern node `p` structurally matches at tree
@@ -185,7 +283,7 @@ pub struct Matcher<'t, 'p> {
     sub: Vec<u64>,
 }
 
-/// Reusable DP buffers for [`Matcher::seq_places`] — table construction
+/// Reusable DP buffers for [`Rows::seq_places`] — table construction
 /// calls it once per (tree node, pattern node) pair, so per-call `Vec`
 /// allocations would dominate the build.
 #[derive(Default)]
@@ -195,84 +293,46 @@ struct SeqScratch {
     suffix: Vec<bool>,
 }
 
-impl<'t, 'p> Matcher<'t, 'p> {
-    /// Builds the feasibility tables bottom-up over `tree`.
-    pub fn new(tree: &'t Tree, pat: &'p CompiledPattern) -> Matcher<'t, 'p> {
-        let n_tree = tree.size();
-        let n_pat = pat.nodes.len();
-        let words = n_pat.div_ceil(64).max(1);
-        let mut m = Matcher {
-            tree,
-            pat,
+impl Rows {
+    fn words_for(pat: &CompiledPattern) -> usize {
+        pat.nodes.len().div_ceil(64).max(1)
+    }
+
+    /// Builds the tables bottom-up over `tree`: the row rule with each
+    /// item decided by scanning the children's rows.
+    fn build(tree: &Tree, pat: &CompiledPattern) -> Rows {
+        let words = Rows::words_for(pat);
+        let cands = Candidates::new(pat, words);
+        let mut rows = Rows {
             words,
-            ok: vec![0u64; n_tree * words],
-            sub: vec![0u64; n_tree * words],
+            ok: vec![0u64; tree.size() * words],
+            sub: vec![0u64; tree.size() * words],
         };
-        // Candidate masks: for each label, the pattern nodes it can head
-        // (plus wildcards). A tree node then only tests those bits instead
-        // of scanning every pattern node.
-        let mut wild = vec![0u64; words];
-        let mut by_label: std::collections::HashMap<&str, Vec<u64>> =
-            std::collections::HashMap::new();
-        for (pi, p) in pat.nodes.iter().enumerate() {
-            match &p.label {
-                LabelTest::Wildcard => wild[pi / 64] |= 1 << (pi % 64),
-                LabelTest::Label(name) => {
-                    by_label
-                        .entry(name.as_str())
-                        .or_insert_with(|| vec![0u64; words])[pi / 64] |= 1 << (pi % 64);
-                }
-            }
-        }
-        // Patterns usually mention only a handful of distinct labels; a
-        // linear scan (length pre-check + memcmp) is cheaper per tree node
-        // than hashing every label, so reserve the map for wide alphabets.
-        let scan_labels: Option<Vec<(&str, &[u64])>> = (by_label.len() <= 8)
-            .then(|| by_label.iter().map(|(k, v)| (*k, v.as_slice())).collect());
         let mut scratch = SeqScratch::default();
+        let mut row = vec![0u64; words];
         // Reverse pre-order visits children before parents.
         let order: Vec<NodeId> = tree.nodes().collect();
         for &t in order.iter().rev() {
-            let ti = t.index();
             let children = tree.children(t);
-            let label = tree.label(t).as_str();
-            let label_mask: Option<&[u64]> = match &scan_labels {
-                Some(list) => list.iter().find(|(k, _)| *k == label).map(|(_, v)| *v),
-                None => by_label.get(label).map(|v| v.as_slice()),
-            };
-            let n_attrs = tree.attrs(t).len();
-            for w in 0..words {
-                let mut cand = wild[w] | label_mask.map_or(0, |mask| mask[w]);
-                while cand != 0 {
-                    let pi = w * 64 + cand.trailing_zeros() as usize;
-                    cand &= cand - 1;
-                    let p = &pat.nodes[pi];
-                    if !p.vars.is_empty() && n_attrs != p.vars.len() {
-                        continue;
-                    }
-                    let all_items = p.items.iter().all(|item| match item {
-                        CItem::Descendant(d) => {
-                            children.iter().any(|c| m.bit(&m.sub, c.index(), *d))
-                        }
-                        CItem::Seq { members, ops } => {
-                            m.seq_places(children, members, ops, &mut scratch)
-                        }
-                    });
-                    if all_items {
-                        m.ok[ti * words + w] |= 1 << (pi % 64);
-                    }
+            row.fill(0);
+            pat.ok_row(&cands, tree, t, &mut row, |item| match item {
+                CItem::Descendant(d) => children.iter().any(|c| rows.bit(&rows.sub, c.index(), *d)),
+                CItem::Seq { members, ops } => {
+                    rows.seq_places(children, members, ops, &mut scratch)
                 }
-            }
+            });
             // sub = ok | OR over children, one word at a time.
-            for w in 0..words {
-                let mut acc = m.ok[ti * words + w];
+            let ti = t.index();
+            for (w, &ok) in row.iter().enumerate() {
+                let mut acc = ok;
                 for c in children {
-                    acc |= m.sub[c.index() * words + w];
+                    acc |= rows.sub[c.index() * words + w];
                 }
-                m.sub[ti * words + w] = acc;
+                rows.ok[ti * words + w] = ok;
+                rows.sub[ti * words + w] = acc;
             }
         }
-        m
+        rows
     }
 
     #[inline]
@@ -280,18 +340,8 @@ impl<'t, 'p> Matcher<'t, 'p> {
         table[ti * self.words + pi / 64] >> (pi % 64) & 1 != 0
     }
 
-    #[inline]
-    fn ok_bit(&self, t: NodeId, pi: usize) -> bool {
-        self.bit(&self.ok, t.index(), pi)
-    }
-
-    #[inline]
-    fn sub_bit(&self, t: NodeId, pi: usize) -> bool {
-        self.bit(&self.sub, t.index(), pi)
-    }
-
     /// Can the sequence be placed along `children`, structurally?
-    /// Right-to-left DP exactly as the old table, over bit lookups.
+    /// Right-to-left DP over bit lookups.
     fn seq_places(
         &self,
         children: &[NodeId],
@@ -332,6 +382,275 @@ impl<'t, 'p> Matcher<'t, 'p> {
             std::mem::swap(can, next);
         }
         can.iter().any(|&b| b)
+    }
+}
+
+/// Feasibility tables kept current across edits of one mutable tree, for a
+/// pattern without horizontal operators ([`CompiledPattern::is_downward`]).
+///
+/// For a downward pattern the row rule only asks whether *some* child sets
+/// a bit, so every node keeps a *record*: its `ok` row plus a support
+/// block counting, for each pattern node `p`, the children that set `ok`
+/// bit `p` and those that set `sub` bit `p`. A node's rows follow from its
+/// record alone (`sub` is `ok` or'ed with the nonzero `sub` counts), so an
+/// edit repairs just the new nodes and the edit's ancestors — stopping at
+/// the first ancestor whose rows stand — instead of rescanning a wide
+/// parent's children. Nodes whose rows are all zero and whose children set
+/// no bit (most of a document, for a selective pattern) share the zero
+/// record. The rows equal a fresh [`Matcher::new`] build on every
+/// reachable node; records of detached nodes go stale and are never read.
+pub struct LiveRows {
+    cands: Candidates,
+    /// Words per `ok` row.
+    words: usize,
+    /// `|π|`: half a support block.
+    width: usize,
+    /// Per tree node: its record, `0` for the shared zero record.
+    slot: Vec<u32>,
+    /// Record `r`'s `ok` row is `ok[r*words..]`.
+    ok: Vec<u64>,
+    /// Record `r`'s support block is `support[r*2*width..]`: `ok` counts,
+    /// then `sub` counts.
+    support: Vec<u32>,
+}
+
+impl LiveRows {
+    /// Builds the records over `tree`. Panics unless `pat` is downward.
+    pub fn new(tree: &Tree, pat: &CompiledPattern) -> LiveRows {
+        assert!(pat.is_downward(), "live rows need a downward pattern");
+        let words = Rows::words_for(pat);
+        let width = pat.nodes.len();
+        let mut live = LiveRows {
+            cands: Candidates::new(pat, words),
+            words,
+            width,
+            slot: Vec::new(),
+            ok: vec![0; words],
+            support: vec![0; 2 * width],
+        };
+        live.fit(tree);
+        let order: Vec<NodeId> = tree.nodes().collect();
+        for &t in order.iter().rev() {
+            live.fill(tree, pat, t);
+        }
+        live
+    }
+
+    /// A matcher over `tree` that reads these rows instead of building its
+    /// own; `tree` must be the tree the rows were kept for.
+    pub fn matcher<'t, 'p>(&'t self, tree: &'t Tree, pat: &'p CompiledPattern) -> Matcher<'t, 'p> {
+        debug_assert!(self.slot.len() >= tree.size());
+        Matcher {
+            tree,
+            pat,
+            tables: Tables::Live(self),
+        }
+    }
+
+    /// Repairs the rows after `tree.graft_at` put a new subtree at `root`:
+    /// fills the new nodes bottom-up, then counts `root` into its parent
+    /// and walks up the ancestors while their rows change.
+    pub fn grafted(&mut self, tree: &Tree, pat: &CompiledPattern, root: NodeId) {
+        self.fit(tree);
+        let new: Vec<NodeId> = tree.descendants_or_self(root).collect();
+        for &t in new.iter().rev() {
+            self.fill(tree, pat, t);
+        }
+        let parent = tree.parent(root).expect("a grafted subtree has a parent");
+        let before = self.rows_of(parent);
+        self.count_child(parent, root, true);
+        self.settle(tree, pat, parent, before);
+    }
+
+    /// Repairs the rows for a detach of the subtree at `root`, called
+    /// *before* `tree.detach(root)`: uncounts `root` from its parent and
+    /// walks up the ancestors while their rows change.
+    pub fn detaching(&mut self, tree: &Tree, pat: &CompiledPattern, root: NodeId) {
+        let parent = tree.parent(root).expect("the root cannot be detached");
+        let before = self.rows_of(parent);
+        self.count_child(parent, root, false);
+        self.settle(tree, pat, parent, before);
+    }
+
+    /// Grows the per-node slots to cover every node of `tree`.
+    fn fit(&mut self, tree: &Tree) {
+        self.slot.resize(tree.size(), 0);
+    }
+
+    #[inline]
+    fn ok_word(&self, t: NodeId, w: usize) -> u64 {
+        self.ok[self.slot[t.index()] as usize * self.words + w]
+    }
+
+    #[inline]
+    fn count(&self, t: NodeId, i: usize) -> u32 {
+        self.support[self.slot[t.index()] as usize * 2 * self.width + i]
+    }
+
+    /// Word `w` of `t`'s `sub` row: its `ok` bits and the bits some child
+    /// sets in its own `sub` row.
+    fn sub_word(&self, t: NodeId, w: usize) -> u64 {
+        let mut sub = self.ok_word(t, w);
+        for p in w * 64..self.width.min(w * 64 + 64) {
+            if self.count(t, self.width + p) > 0 {
+                sub |= 1 << (p % 64);
+            }
+        }
+        sub
+    }
+
+    #[inline]
+    fn ok_bit(&self, t: NodeId, p: usize) -> bool {
+        self.ok_word(t, p / 64) >> (p % 64) & 1 != 0
+    }
+
+    #[inline]
+    fn sub_bit(&self, t: NodeId, p: usize) -> bool {
+        self.ok_bit(t, p) || self.count(t, self.width + p) > 0
+    }
+
+    /// `t`'s rows, `ok` words then `sub` words.
+    fn rows_of(&self, t: NodeId) -> Vec<u64> {
+        let ok = (0..self.words).map(|w| self.ok_word(t, w));
+        ok.chain((0..self.words).map(|w| self.sub_word(t, w)))
+            .collect()
+    }
+
+    /// `t`'s own record, split off the shared zero record on first use.
+    fn record_of(&mut self, t: NodeId) -> usize {
+        if self.slot[t.index()] == 0 {
+            self.slot[t.index()] = (self.ok.len() / self.words) as u32;
+            self.ok.resize(self.ok.len() + self.words, 0);
+            self.support.resize(self.support.len() + 2 * self.width, 0);
+        }
+        self.slot[t.index()] as usize
+    }
+
+    /// Adds (or removes) the `ok`/`sub` bits of word `w` of one child's
+    /// rows to (from) `t`'s support block.
+    fn tally(&mut self, t: NodeId, w: usize, ok: u64, sub: u64, add: bool) {
+        if ok == 0 && sub == 0 {
+            return;
+        }
+        let at = self.record_of(t) * 2 * self.width;
+        for (mut bits, base) in [(ok, at), (sub, at + self.width)] {
+            while bits != 0 {
+                let slot = &mut self.support[base + w * 64 + bits.trailing_zeros() as usize];
+                *slot = if add { *slot + 1 } else { *slot - 1 };
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Adds (or removes) child `c`'s rows to (from) `t`'s support block.
+    fn count_child(&mut self, t: NodeId, c: NodeId, add: bool) {
+        if self.slot[c.index()] == 0 {
+            return; // the zero record sets no bit
+        }
+        for w in 0..self.words {
+            let (ok, sub) = (self.ok_word(c, w), self.sub_word(c, w));
+            self.tally(t, w, ok, sub, add);
+        }
+    }
+
+    /// Counts a fresh node's children into its support block, then derives
+    /// its `ok` row.
+    fn fill(&mut self, tree: &Tree, pat: &CompiledPattern, t: NodeId) {
+        for &c in tree.children(t) {
+            self.count_child(t, c, true);
+        }
+        self.derive(tree, pat, t);
+    }
+
+    /// Re-derives `t`'s `ok` row from its support block: the row rule with
+    /// each item decided by one counter.
+    fn derive(&mut self, tree: &Tree, pat: &CompiledPattern, t: NodeId) {
+        let (mut small, mut spill) = ([0u64; 4], Vec::new());
+        let row: &mut [u64] = if self.words <= small.len() {
+            &mut small[..self.words]
+        } else {
+            spill.resize(self.words, 0);
+            &mut spill
+        };
+        pat.ok_row(&self.cands, tree, t, row, |item| match item {
+            CItem::Descendant(d) => self.count(t, self.width + d) > 0,
+            CItem::Seq { members, .. } => self.count(t, members[0]) > 0,
+        });
+        if self.slot[t.index()] == 0 && row.iter().all(|&w| w == 0) {
+            return;
+        }
+        let at = self.record_of(t) * self.words;
+        self.ok[at..at + self.words].copy_from_slice(row);
+    }
+
+    /// Re-derives `t`, whose support block just changed from when its rows
+    /// read `before`, and each ancestor in turn — moving every changed row
+    /// into its parent's block — until an ancestor's rows stand.
+    fn settle(&mut self, tree: &Tree, pat: &CompiledPattern, mut t: NodeId, mut before: Vec<u64>) {
+        let words = self.words;
+        loop {
+            self.derive(tree, pat, t);
+            let after = self.rows_of(t);
+            if after == before {
+                return;
+            }
+            let Some(parent) = tree.parent(t) else {
+                return;
+            };
+            let parent_before = self.rows_of(parent);
+            for w in 0..words {
+                let (ok0, sub0) = (before[w], before[words + w]);
+                let (ok1, sub1) = (after[w], after[words + w]);
+                self.tally(parent, w, ok0 & !ok1, sub0 & !sub1, false);
+                self.tally(parent, w, ok1 & !ok0, sub1 & !sub0, true);
+            }
+            (t, before) = (parent, parent_before);
+        }
+    }
+}
+
+/// Where a [`Matcher`] reads its tables from.
+enum Tables<'t> {
+    /// Built for this matcher by [`Matcher::new`].
+    Built(Rows),
+    /// Kept across edits by the caller.
+    Live(&'t LiveRows),
+}
+
+/// A pattern prepared against one tree: the bitset feasibility tables,
+/// shared by every probe ([`Matcher::matches_with`],
+/// [`Matcher::for_each_match`], …) on that tree. The tables are built by
+/// [`Matcher::new`] or read from [`LiveRows`].
+pub struct Matcher<'t, 'p> {
+    tree: &'t Tree,
+    pat: &'p CompiledPattern,
+    tables: Tables<'t>,
+}
+
+impl<'t, 'p> Matcher<'t, 'p> {
+    /// Builds the feasibility tables bottom-up over `tree`.
+    pub fn new(tree: &'t Tree, pat: &'p CompiledPattern) -> Matcher<'t, 'p> {
+        Matcher {
+            tree,
+            pat,
+            tables: Tables::Built(Rows::build(tree, pat)),
+        }
+    }
+
+    #[inline]
+    fn ok_bit(&self, t: NodeId, pi: usize) -> bool {
+        match &self.tables {
+            Tables::Built(rows) => rows.bit(&rows.ok, t.index(), pi),
+            Tables::Live(live) => live.ok_bit(t, pi),
+        }
+    }
+
+    #[inline]
+    fn sub_bit(&self, t: NodeId, pi: usize) -> bool {
+        match &self.tables {
+            Tables::Built(rows) => rows.bit(&rows.sub, t.index(), pi),
+            Tables::Live(live) => live.sub_bit(t, pi),
+        }
     }
 
     /// Structural (value-free) feasibility of the whole pattern at `node`.
@@ -500,6 +819,51 @@ impl<'t, 'p> Matcher<'t, 'p> {
             .collect()
     }
 
+    /// Calls `found` once per **embedding** of the pattern at the root
+    /// that maps at least one pattern node into the edit region, with the
+    /// embedding's dense valuation (as [`Matcher::for_each_match_dense`]
+    /// hands it out). `path` runs from the root down to the edit node; the
+    /// region is the edit node's whole subtree when `whole`, else the edit
+    /// node alone. Embeddings are counted, not deduplicated: two that bind
+    /// the same values are both reported.
+    ///
+    /// Pattern nodes above the region can only sit on `path`, so the walk
+    /// follows it: at each ancestor the embedding reaches the region
+    /// through its *first* item that does — placed first, down the path —
+    /// while earlier items avoid the region and later ones enumerate
+    /// freely, which reports each embedding exactly once. Off-path
+    /// siblings are only visited by items that do not reach the region,
+    /// and those enumerate unrestricted, as every other probe does.
+    /// Panics unless the pattern is downward.
+    pub fn for_each_embedding_through(
+        &self,
+        path: &[NodeId],
+        whole: bool,
+        found: &mut dyn FnMut(&[Option<&Value>]),
+    ) {
+        assert!(
+            self.pat.is_downward(),
+            "enumerating through an edit needs a downward pattern"
+        );
+        debug_assert_eq!(path.first(), Some(&Tree::ROOT));
+        let region = Region { path, whole };
+        let mut state = EvalState {
+            env: vec![None; self.pat.var_count()],
+            trail: Vec::new(),
+        };
+        self.visit_cone(
+            &mut state,
+            &region,
+            0,
+            self.pat.root(),
+            Need::Touch,
+            &mut |_, st| {
+                found(&st.env);
+                true
+            },
+        );
+    }
+
     /// Core visitor. `cont` is invoked (with the live state) once per way
     /// of witnessing pattern node `pnode` at `tnode`; it returns `true` to
     /// continue enumerating. The return value is "still alive" — `false`
@@ -515,10 +879,25 @@ impl<'t, 'p> Matcher<'t, 'p> {
     where
         't: 'e,
     {
+        let Some(mark) = self.bind(state, tnode, pnode) else {
+            return true;
+        };
+        let alive = self.visit_items(state, tnode, pnode, 0, cont);
+        state.undo(mark);
+        alive
+    }
+
+    /// Places pattern node `pnode` at `tnode`: the structural test, then
+    /// the variable tuple. Returns the trail mark to undo back to, or
+    /// `None` (with the environment untouched) when the placement fails.
+    fn bind<'e>(&self, state: &mut EvalState<'e>, tnode: NodeId, pnode: usize) -> Option<usize>
+    where
+        't: 'e,
+    {
         // Structural pruning: label, arity, and every value-free placement
         // obligation below this pair — one bit test.
         if !self.ok_bit(tnode, pnode) {
-            return true;
+            return None;
         }
         let p = &self.pat.nodes[pnode];
         let mark = state.trail.len();
@@ -529,7 +908,7 @@ impl<'t, 'p> Matcher<'t, 'p> {
                 match &state.env[id as usize] {
                     Some(bound) if *bound != value => {
                         state.undo(mark);
-                        return true;
+                        return None;
                     }
                     Some(_) => {}
                     None => {
@@ -539,9 +918,7 @@ impl<'t, 'p> Matcher<'t, 'p> {
                 }
             }
         }
-        let alive = self.visit_items(state, tnode, pnode, 0, cont);
-        state.undo(mark);
-        alive
+        Some(mark)
     }
 
     /// Satisfies `items[k..]` of pattern node `pnode` at `tnode`.
@@ -556,46 +933,60 @@ impl<'t, 'p> Matcher<'t, 'p> {
     where
         't: 'e,
     {
-        let items = &self.pat.nodes[pnode].items;
-        let Some(item) = items.get(k) else {
+        let Some(item) = self.pat.nodes[pnode].items.get(k) else {
             return cont(self, state);
         };
+        self.visit_item(state, tnode, item, &mut |matcher, st| {
+            matcher.visit_items(st, tnode, pnode, k + 1, cont)
+        })
+    }
+
+    /// Every way of satisfying one item of a pattern node placed at
+    /// `tnode`.
+    fn visit_item<'e>(
+        &self,
+        state: &mut EvalState<'e>,
+        tnode: NodeId,
+        item: &CItem,
+        cont: &mut dyn FnMut(&Self, &mut EvalState<'e>) -> bool,
+    ) -> bool
+    where
+        't: 'e,
+    {
         match item {
-            CItem::Descendant(d) => {
-                // Proper descendants in document order, skipping whole
-                // subtrees with no structural match for `d`.
-                let mut stack: Vec<NodeId> =
-                    self.tree.children(tnode).iter().rev().copied().collect();
-                while let Some(x) = stack.pop() {
-                    if !self.sub_bit(x, *d) {
-                        continue;
-                    }
-                    if self.ok_bit(x, *d) {
-                        let alive = self.visit_pattern(state, x, *d, &mut |matcher, st| {
-                            matcher.visit_items(st, tnode, pnode, k + 1, cont)
-                        });
-                        if !alive {
-                            return false;
-                        }
-                    }
-                    stack.extend(self.tree.children(x).iter().rev());
-                }
-                true
-            }
+            CItem::Descendant(d) => self.visit_descendants(state, tnode, *d, cont),
             CItem::Seq { members, ops } => {
                 let children = self.tree.children(tnode);
-                for i in 0..children.len() {
-                    let alive =
-                        self.visit_seq(children, i, members, ops, 0, state, &mut |matcher, st| {
-                            matcher.visit_items(st, tnode, pnode, k + 1, cont)
-                        });
-                    if !alive {
-                        return false;
-                    }
-                }
-                true
+                (0..children.len())
+                    .all(|i| self.visit_seq(children, i, members, ops, 0, state, cont))
             }
         }
+    }
+
+    /// Places pattern node `d` at every proper descendant of `tnode`, in
+    /// document order, skipping whole subtrees with no structural match
+    /// for `d`.
+    fn visit_descendants<'e>(
+        &self,
+        state: &mut EvalState<'e>,
+        tnode: NodeId,
+        d: usize,
+        cont: &mut dyn FnMut(&Self, &mut EvalState<'e>) -> bool,
+    ) -> bool
+    where
+        't: 'e,
+    {
+        let mut stack: Vec<NodeId> = self.tree.children(tnode).iter().rev().copied().collect();
+        while let Some(x) = stack.pop() {
+            if !self.sub_bit(x, d) {
+                continue;
+            }
+            if self.ok_bit(x, d) && !self.visit_pattern(state, x, d, cont) {
+                return false;
+            }
+            stack.extend(self.tree.children(x).iter().rev());
+        }
+        true
     }
 
     /// Matches `members[m..]` with `members[m]` at `children[i]`.
@@ -636,6 +1027,194 @@ impl<'t, 'p> Matcher<'t, 'p> {
             }
         })
     }
+
+    /// Places pattern node `pnode` at `region.path[i]` under requirement
+    /// `need` (`Touch` or `Avoid`): the embedding of `pnode`'s subpattern
+    /// must (must not) map some node into the region.
+    fn visit_cone<'e>(
+        &self,
+        state: &mut EvalState<'e>,
+        region: &Region<'_>,
+        i: usize,
+        pnode: usize,
+        need: Need,
+        cont: &mut dyn FnMut(&Self, &mut EvalState<'e>) -> bool,
+    ) -> bool
+    where
+        't: 'e,
+    {
+        let tnode = region.path[i];
+        if i + 1 == region.path.len() {
+            // The edit node itself is in the region: every placement here
+            // reaches it, none avoids it.
+            return need == Need::Avoid || self.visit_pattern(state, tnode, pnode, cont);
+        }
+        let Some(mark) = self.bind(state, tnode, pnode) else {
+            return true;
+        };
+        let alive = self.visit_cone_items(state, region, i, pnode, need, cont);
+        state.undo(mark);
+        alive
+    }
+
+    /// Satisfies the items of pattern node `pnode`, placed at the ancestor
+    /// `region.path[i]`, under `need`. `Touch` splits on the first item
+    /// that reaches the region and enumerates that item first, so an item
+    /// that cannot reach it costs nothing; `Avoid` keeps every item out.
+    fn visit_cone_items<'e>(
+        &self,
+        state: &mut EvalState<'e>,
+        region: &Region<'_>,
+        i: usize,
+        pnode: usize,
+        need: Need,
+        cont: &mut dyn FnMut(&Self, &mut EvalState<'e>) -> bool,
+    ) -> bool
+    where
+        't: 'e,
+    {
+        let items = &self.pat.nodes[pnode].items;
+        match need {
+            Need::Touch => (0..items.len()).all(|first| {
+                self.visit_item_cone(
+                    state,
+                    region,
+                    i,
+                    &items[first],
+                    Need::Touch,
+                    &mut |m, st| m.visit_other_items(st, region, i, pnode, first, 0, cont),
+                )
+            }),
+            Need::Avoid => self.visit_other_items(state, region, i, pnode, items.len(), 0, cont),
+        }
+    }
+
+    /// Satisfies `items[k..]` of pattern node `pnode` at the ancestor
+    /// `region.path[i]`, except item `first` (already placed in the
+    /// region): items before it avoid the region, items after it are
+    /// free.
+    #[allow(clippy::too_many_arguments)]
+    fn visit_other_items<'e>(
+        &self,
+        state: &mut EvalState<'e>,
+        region: &Region<'_>,
+        i: usize,
+        pnode: usize,
+        first: usize,
+        k: usize,
+        cont: &mut dyn FnMut(&Self, &mut EvalState<'e>) -> bool,
+    ) -> bool
+    where
+        't: 'e,
+    {
+        let k = if k == first { k + 1 } else { k };
+        let Some(item) = self.pat.nodes[pnode].items.get(k) else {
+            return cont(self, state);
+        };
+        let rest = &mut |m: &Self, st: &mut EvalState<'e>| {
+            m.visit_other_items(st, region, i, pnode, first, k + 1, cont)
+        };
+        if k < first {
+            self.visit_item_cone(state, region, i, item, Need::Avoid, rest)
+        } else {
+            self.visit_item(state, region.path[i], item, rest)
+        }
+    }
+
+    /// Every way of satisfying one item of a pattern node placed at the
+    /// ancestor `region.path[i]` that reaches the region (`Touch`) or stays
+    /// out of it (`Avoid`). Only the on-path child `region.path[i + 1]`
+    /// leads into the region; every other child is free.
+    fn visit_item_cone<'e>(
+        &self,
+        state: &mut EvalState<'e>,
+        region: &Region<'_>,
+        i: usize,
+        item: &CItem,
+        need: Need,
+        cont: &mut dyn FnMut(&Self, &mut EvalState<'e>) -> bool,
+    ) -> bool
+    where
+        't: 'e,
+    {
+        let path = region.path;
+        let last = path.len() - 1;
+        match (item, need) {
+            (CItem::Seq { members, .. }, Need::Touch) => {
+                self.visit_cone(state, region, i + 1, members[0], Need::Touch, cont)
+            }
+            (CItem::Seq { members, .. }, _) => self.tree.children(path[i]).iter().all(|&c| {
+                if c == path[i + 1] {
+                    self.visit_cone(state, region, i + 1, members[0], Need::Avoid, cont)
+                } else {
+                    self.visit_pattern(state, c, members[0], cont)
+                }
+            }),
+            (CItem::Descendant(d), Need::Touch) => {
+                // The ancestors below `path[i]` must reach the region; the
+                // edit node and (for a whole subtree) everything under it
+                // are in it.
+                (i + 1..=last).all(|j| self.visit_cone(state, region, j, *d, Need::Touch, cont))
+                    && (!region.whole || self.visit_descendants(state, path[last], *d, cont))
+            }
+            (CItem::Descendant(d), _) => {
+                // Proper descendants outside the region, each tagged with
+                // its index on the path (`OFF` for off-path nodes).
+                const OFF: usize = usize::MAX;
+                let d = *d;
+                let tag = |c: NodeId, j: usize| {
+                    if j < last && path[j + 1] == c {
+                        j + 1
+                    } else {
+                        OFF
+                    }
+                };
+                let mut stack: Vec<(NodeId, usize)> = self
+                    .tree
+                    .children(path[i])
+                    .iter()
+                    .rev()
+                    .map(|&c| (c, tag(c, i)))
+                    .collect();
+                while let Some((x, j)) = stack.pop() {
+                    if !self.sub_bit(x, d) {
+                        continue;
+                    }
+                    let alive = if j == OFF {
+                        self.visit_pattern(state, x, d, cont)
+                    } else if j < last {
+                        self.visit_cone(state, region, j, d, Need::Avoid, cont)
+                    } else if region.whole {
+                        continue;
+                    } else {
+                        true
+                    };
+                    if !alive {
+                        return false;
+                    }
+                    stack.extend(self.tree.children(x).iter().rev().map(|&c| (c, tag(c, j))));
+                }
+                true
+            }
+        }
+    }
+}
+
+/// The region an edit touched, for [`Matcher::for_each_embedding_through`].
+struct Region<'a> {
+    /// The root, the edit node's ancestors, then the edit node.
+    path: &'a [NodeId],
+    /// Is the whole subtree under the edit node in the region?
+    whole: bool,
+}
+
+/// What a cone enumeration requires of the rest of an embedding.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Need {
+    /// Some pattern node must land in the region.
+    Touch,
+    /// No pattern node may land in the region.
+    Avoid,
 }
 
 #[cfg(test)]
@@ -729,5 +1308,163 @@ mod tests {
         });
         assert_eq!(seen.len(), 3);
         assert!(seen.iter().all(|v| v[&Var::new("zz")] == Value::str("7")));
+    }
+
+    /// A small deterministic tree over labels `r a b c`, every node with
+    /// one attribute whose value is drawn from three.
+    fn random_tree(seed: &mut u64, size: usize) -> Tree {
+        let mut next = || {
+            *seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*seed >> 33) as usize
+        };
+        let mut t = Tree::with_root_attrs("r", [("v", Value::str("0"))]);
+        let mut nodes = vec![Tree::ROOT];
+        for _ in 1..size {
+            let parent = nodes[next() % nodes.len()];
+            let label = ["a", "b", "c"][next() % 3];
+            let v = Value::str((next() % 3).to_string());
+            nodes.push(t.add_child(parent, label, [("v", v)]));
+        }
+        t
+    }
+
+    /// Every embedding at the root, as sorted dense tuples.
+    fn embeddings(m: &Matcher<'_, '_>, vars: usize) -> Vec<Vec<Value>> {
+        let mut out = Vec::new();
+        m.for_each_match_dense(Tree::ROOT, &vec![None; vars], &mut |env| {
+            out.push(env.iter().map(|v| v.unwrap().clone()).collect());
+            true
+        });
+        out.sort();
+        out
+    }
+
+    fn through(m: &Matcher<'_, '_>, path: &[NodeId], whole: bool) -> Vec<Vec<Value>> {
+        let mut out = Vec::new();
+        m.for_each_embedding_through(path, whole, &mut |env| {
+            out.push(env.iter().map(|v| v.unwrap().clone()).collect());
+        });
+        out.sort();
+        out
+    }
+
+    fn path_to(t: &Tree, mut n: NodeId) -> Vec<NodeId> {
+        let mut path = vec![n];
+        while let Some(p) = t.parent(n) {
+            path.push(p);
+            n = p;
+        }
+        path.reverse();
+        path
+    }
+
+    /// Multiset difference of sorted vectors (`b` must be contained in `a`).
+    fn minus(a: &[Vec<Value>], b: &[Vec<Value>]) -> Vec<Vec<Value>> {
+        let mut out = a.to_vec();
+        for x in b {
+            let at = out.iter().position(|y| y == x).expect("sub-multiset");
+            out.remove(at);
+        }
+        out
+    }
+
+    const DOWNWARD: &[&str] = &[
+        "r/a(x)",
+        "r[a(x)/b(y), c(z)]",
+        "r//b(x)",
+        "r[_(x)//c(y), a(x)]",
+        "r[a(x)[b(x)], //c(y)]",
+        "r[a(x), a(y)]",
+        "r//_(x)//_(y)",
+        "r(w)[//a(x), b(w)]",
+    ];
+
+    /// The restricted enumeration reports exactly the embeddings that
+    /// reach the region: for a whole subtree, every embedding of the tree
+    /// minus those of the tree without it; for one node, every embedding
+    /// minus those that survive a rewrite of its value.
+    #[test]
+    fn embeddings_through_a_region_are_exactly_the_ones_it_removes() {
+        let mut seed = 7u64;
+        let mut reported = 0usize;
+        for case in 0..60 {
+            let t = random_tree(&mut seed, 4 + case % 14);
+            for text in DOWNWARD {
+                let c = CompiledPattern::new(&parse(text).unwrap());
+                let m = Matcher::new(&t, &c);
+                let all = embeddings(&m, c.var_count());
+                for s in t.nodes() {
+                    let path = path_to(&t, s);
+                    let hit = through(&m, &path, false);
+                    reported += hit.len();
+                    let mut edited = t.clone();
+                    edited.set_attr(s, "v", Value::str("9"));
+                    let m2 = Matcher::new(&edited, &c);
+                    assert_eq!(
+                        minus(&all, &hit),
+                        minus(&embeddings(&m2, c.var_count()), &through(&m2, &path, false)),
+                        "{text} at node {s:?}"
+                    );
+                    if s == Tree::ROOT {
+                        continue;
+                    }
+                    let mut cut = t.clone();
+                    cut.detach(s);
+                    let kept = embeddings(&Matcher::new(&cut, &c), c.var_count());
+                    assert_eq!(
+                        minus(&all, &through(&m, &path, true)),
+                        kept,
+                        "{text} under {s:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            reported > 1000,
+            "the sweep reached real embeddings: {reported}"
+        );
+    }
+
+    /// Live rows repaired through grafts and detaches equal a fresh build
+    /// on every reachable node.
+    #[test]
+    fn live_rows_track_a_fresh_build() {
+        let mut seed = 11u64;
+        for text in DOWNWARD {
+            let c = CompiledPattern::new(&parse(text).unwrap());
+            let mut t = random_tree(&mut seed, 12);
+            let mut live = LiveRows::new(&t, &c);
+            for step in 0..40 {
+                let reachable: Vec<NodeId> = t.nodes().collect();
+                let n = reachable[(step * 7 + 3) % reachable.len()];
+                if step % 2 == 0 && n != Tree::ROOT {
+                    live.detaching(&t, &c, n);
+                    t.detach(n);
+                } else {
+                    let sub = random_tree(&mut seed, 1 + step % 4);
+                    let pos = step % (t.children(n).len() + 1);
+                    let root = t.graft_at(n, pos, &sub);
+                    live.grafted(&t, &c, root);
+                }
+                let fresh = Matcher::new(&t, &c);
+                let kept = live.matcher(&t, &c);
+                for x in t.nodes() {
+                    for p in 0..c.nodes.len() {
+                        assert_eq!(
+                            kept.ok_bit(x, p),
+                            fresh.ok_bit(x, p),
+                            "{text}: ok {x:?} {p}"
+                        );
+                        assert_eq!(
+                            kept.sub_bit(x, p),
+                            fresh.sub_bit(x, p),
+                            "{text}: sub {x:?} {p}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

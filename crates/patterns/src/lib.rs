@@ -37,7 +37,7 @@ pub mod sat_compiled;
 pub mod stream;
 
 pub use ast::{LabelTest, ListItem, Pattern, SeqOp, Var};
-pub use compiled::{CompiledPattern, Matcher};
+pub use compiled::{CompiledPattern, LiveRows, Matcher};
 pub use eval::{
     all_matches, for_each_match, matches, matches_at, matches_structural, matches_with, Valuation,
 };

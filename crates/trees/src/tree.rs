@@ -362,6 +362,42 @@ impl Tree {
         self.nodes[n.index()].parent = None;
     }
 
+    /// Drops every node no longer reachable from the root (detached
+    /// subtrees) and renumbers the rest in document order, moving nodes
+    /// within the arena rather than copying them. The result equals
+    /// `self.subtree(Tree::ROOT)`. Returns the renumbering: old arena index
+    /// → new id, `None` for a dropped node.
+    pub fn compact(&mut self) -> Vec<Option<NodeId>> {
+        let mut renumber = vec![None; self.nodes.len()];
+        let mut live = 0;
+        for old in self.nodes() {
+            renumber[old.index()] = Some(NodeId(live));
+            live += 1;
+        }
+        // Permute in place: each swap puts one node at its new index, and
+        // the dropped nodes collect past the last live one.
+        let mut at = renumber.clone();
+        for i in 0..self.nodes.len() {
+            while let Some(NodeId(to)) = at[i] {
+                let to = to as usize;
+                if to == i {
+                    break;
+                }
+                self.nodes.swap(i, to);
+                at.swap(i, to);
+            }
+        }
+        self.nodes.truncate(live as usize);
+        let moved = |old: NodeId| renumber[old.index()].expect("reachable");
+        for data in &mut self.nodes {
+            data.parent = data.parent.map(moved);
+            for c in &mut data.children {
+                *c = moved(*c);
+            }
+        }
+        renumber
+    }
+
     /// Extracts the subtree rooted at `n` as a standalone tree.
     pub fn subtree(&self, n: NodeId) -> Tree {
         let data = &self.nodes[n.index()];
@@ -593,6 +629,28 @@ mod tests {
         assert_eq!(t.children(prof), &[back, mid, sup]);
         let end = t.graft_at(prof, 3, &solo);
         assert_eq!(t.children(prof), &[back, mid, sup, end]);
+    }
+
+    #[test]
+    fn compact_drops_detached_nodes_and_renumbers_in_document_order() {
+        let (mut t, ids) = intro_tree();
+        let teach = ids[1];
+        let copy = t.subtree(teach);
+        t.detach(teach);
+        t.graft_at(ids[0], 1, &copy);
+        let want = t.subtree(Tree::ROOT);
+        let old_order: Vec<NodeId> = t.nodes().collect();
+        let renumber = t.compact();
+        assert_eq!(t, want);
+        assert_eq!(renumber[teach.index()], None);
+        let new_order: Vec<NodeId> = t.nodes().collect();
+        for (old, new) in old_order.iter().zip(&new_order) {
+            assert_eq!(renumber[old.index()], Some(*new));
+        }
+        assert_eq!(
+            new_order,
+            (0..t.size() as u32).map(NodeId).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -604,3 +604,182 @@ fn a_script_failing_midway_is_read_exactly() {
     let read = session.canonical_solution().expect("chases");
     assert_eq!(read, canonical_solution(&m, session.doc()).unwrap());
 }
+
+// ---------------------------------------------------------------------------
+// Restricted re-match: a downward std's firings are counted per embedding
+// and diffed at each edit through the edit's ancestor path, so the mapping
+// shapes below — which the nested-relational generator never emits — pin
+// that enumeration to the full chase.
+// ---------------------------------------------------------------------------
+
+/// A recursive source DTD: `a` nests, and `c` sits at several depths.
+const FAMILY_SOURCE: &str = "root r\nr -> a*, b*\na -> a*, b*, c?\nb -> c*\na @ v\nb @ w\nc @ u\n";
+
+fn family_mapping(stds: &[&str]) -> Mapping {
+    Mapping::parse(&format!(
+        "[source]\n{FAMILY_SOURCE}[target]\nroot r\nr -> o*\no @ p, q\n[stds]\n{}\n",
+        stds.join("\n")
+    ))
+    .unwrap()
+}
+
+/// `random_update`, plus grafts of a copy of one subtree under another
+/// node: unlike a duplicated sibling, such a graft can make a pattern
+/// newly feasible several levels above the edit.
+fn random_family_update(doc: &Tree, rng: &mut StdRng) -> Option<Update> {
+    if rng.gen_range(0..3u32) > 0 {
+        return random_update(doc, rng);
+    }
+    let nodes: Vec<NodeId> = doc.nodes().collect();
+    let from = nodes[rng.gen_range(0..nodes.len())];
+    let to = nodes[rng.gen_range(0..nodes.len())];
+    Some(Update::InsertSubtree {
+        parent: path_of(doc, to),
+        pos: rng.gen_range(0..=doc.children(to).len()),
+        subtree: subtree_of(doc, from),
+    })
+}
+
+/// `check_read_schedules` over storms of `random_family_update`.
+fn check_family_schedules(
+    m: &Mapping,
+    doc: Tree,
+    storm_rng: &mut StdRng,
+    max_ops: usize,
+    k: usize,
+) -> usize {
+    let cache = ChaseCache::new(m);
+    let mut end_only = IncrementalChase::new(m, doc.clone());
+    let mut ops = Vec::new();
+    for _ in 0..max_ops {
+        let Some(u) = random_family_update(end_only.doc(), storm_rng) else {
+            break;
+        };
+        end_only
+            .apply(&u)
+            .expect("structurally valid updates are accepted");
+        ops.push(u);
+    }
+    let last = end_only.canonical_solution();
+    assert_eq!(
+        last,
+        canonical_solution_cached(m, end_only.doc(), &cache),
+        "a read only at the end diverged"
+    );
+    let every = reads_under_schedule(m, &doc, &ops, &cache, |_| true);
+    let every_k = reads_under_schedule(m, &doc, &ops, &cache, |i| (i + 1) % k == 0);
+    for (i, (a, b)) in every.iter().zip(&every_k).enumerate() {
+        if let Some(b) = b {
+            assert_eq!(
+                a.as_ref(),
+                Some(b),
+                "every-op vs every-{k}th read at op {i}"
+            );
+        }
+    }
+    if let Some(Some(read)) = every.last() {
+        assert_eq!(read, &last, "every-op vs end-only read");
+    }
+    ops.len()
+}
+
+/// Hand-written mapping families over random documents, each storm read
+/// on three schedules (every op, every k-th op, end only):
+/// `//` and `_`; a repeated variable; a root with two items, an edit
+/// reaching only one; few values, so many embeddings share one tuple;
+/// patterns shallower than the edits; a node bound by two pattern nodes;
+/// and `→`/`→*` stds (re-matched in full) beside downward ones.
+#[test]
+fn restricted_rematch_families_agree_across_read_schedules() {
+    let families: &[&[&str]] = &[
+        &["r//a(x)[_(y)] --> r/o(x, y)", "r[_//c(x)] --> r/o(x, x)"],
+        &["r[a(x)/b(y), b(y)] --> r/o(x, y)"],
+        &["r[a(x), b(y)] --> r/o(x, y)"],
+        &["r/a(x) --> r/o(x, x)", "r//c(x) --> r/o(x, x)"],
+        &["r/a(x)/a(y) --> r/o(x, y)", "r/b(x) --> r/o(x, x)"],
+        &[
+            "r[a(x)/b(y), //b(z)] --> r/o(y, z)",
+            "r[a(x), _(y)] --> r/o(x, y)",
+        ],
+        &[
+            "r[a(x) -> b(y)] --> r/o(x, y)",
+            "r/a(x)/b(y) --> r/o(x, y)",
+            "r[a(x) ->* a(y)] --> r/o(x, y)",
+            "r//c(x) --> r/o(x, x)",
+        ],
+    ];
+    let mut ops = 0usize;
+    for (f, stds) in families.iter().enumerate() {
+        let m = family_mapping(stds);
+        for case in 0..25u64 {
+            let mut rng = StdRng::seed_from_u64(1_000 * f as u64 + case);
+            let doc = gen::random_tree(
+                &m.source_dtd,
+                &TreeGenConfig {
+                    continue_probability: 0.7,
+                    value_pool: 3,
+                    max_nodes: 40,
+                },
+                &mut rng,
+            );
+            let k = rng.gen_range(2..=5usize);
+            ops += check_family_schedules(&m, doc, &mut rng, 30, k);
+        }
+    }
+    assert!(ops >= 2_000, "storms were real: {ops} ops");
+}
+
+/// Two embeddings derive one firing: deleting either keeps it, and only
+/// deleting both retracts it.
+#[test]
+fn a_firing_survives_until_its_last_embedding_goes() {
+    let m = family_mapping(&["r/a(x) --> r/o(x, x)"]);
+    let doc = xml::parse(r#"<r><a v="1"/><a v="1"/><a v="2"/></r>"#).unwrap();
+    let mut session = IncrementalChase::new(&m, doc);
+    let both = session.canonical_solution().unwrap();
+    assert_eq!(both.children(Tree::ROOT).len(), 2, "firings x=1, x=2");
+    session
+        .apply(&Update::DeleteSubtree { path: vec![0] })
+        .unwrap();
+    assert_eq!(session.canonical_solution(), Ok(both));
+    session
+        .apply(&Update::DeleteSubtree { path: vec![0] })
+        .unwrap();
+    let one = session.canonical_solution().unwrap();
+    assert_eq!(one.children(Tree::ROOT).len(), 1, "only x=2 is left");
+    assert_eq!(Ok(one), canonical_solution(&m, session.doc()));
+}
+
+/// A `settext` on a node two pattern nodes bind — and edits below every
+/// pattern node's depth — each read equal to the full chase.
+#[test]
+fn text_edits_on_doubly_bound_nodes_and_deep_edits_track_the_full_chase() {
+    let m = family_mapping(&[
+        "r[a(x)/b(y), //b(z)] --> r/o(y, z)",
+        "r[a(x), _(y)] --> r/o(x, y)",
+        "r/a(x) --> r/o(x, x)",
+    ]);
+    let doc = xml::parse(
+        r#"<r><a v="1"><a v="2"><c u="3"/></a><b w="4"/></a><b w="5"><c u="6"/></b></r>"#,
+    )
+    .unwrap();
+    let mut session = IncrementalChase::new(&m, doc);
+    let script = parse_updates(
+        "settext 0/1 w 9\n\
+         settext 0 v 9\n\
+         insert 0/0 0 <a v=\"7\"><b w=\"8\"/></a>\n\
+         settext 0/0/0/0 w 1\n\
+         delete 0/0/1\n\
+         insert 1 0 <c u=\"2\"/>\n\
+         delete 0/0/0\n",
+    )
+    .unwrap();
+    for (i, u) in script.iter().enumerate() {
+        session.apply(u).unwrap();
+        assert_eq!(
+            session.canonical_solution(),
+            canonical_solution(&m, session.doc()),
+            "after op {i}"
+        );
+    }
+}
