@@ -40,12 +40,13 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use xmlmap_codec::{CodecError, Decoder, Encoder};
+use xmlmap_dtd::content::{get_bit, set_bit};
 use xmlmap_regex::{DenseDfa, Determinizer, FastHashMap, FastHashSet, Nfa};
 use xmlmap_trees::{Name, NodeId, Tree};
 
 /// Flat-table serialization of a [`DenseDfa`]; all fields are public in
 /// `xmlmap_regex`, so the codec lives here next to its only consumer.
-pub(crate) fn encode_dense_dfa(dfa: &DenseDfa, e: &mut Encoder) {
+fn encode_dense_dfa(dfa: &DenseDfa, e: &mut Encoder) {
     e.usize(dfa.num_symbols);
     e.usize(dfa.num_states);
     e.u32s(&dfa.delta);
@@ -54,14 +55,21 @@ pub(crate) fn encode_dense_dfa(dfa: &DenseDfa, e: &mut Encoder) {
     e.u32s(&dfa.used_symbols);
 }
 
-pub(crate) fn decode_dense_dfa(d: &mut Decoder<'_>) -> Result<DenseDfa, CodecError> {
-    let num_symbols = d.usize()?;
+/// Inverse of [`encode_dense_dfa`] for a horizontal over `num_symbols`
+/// vertical states. Rejects every table the engine could index out of
+/// range with: no states (every search starts at state 0), another symbol
+/// count (a step would read outside its row), or a size that overflows.
+fn decode_dense_dfa(d: &mut Decoder<'_>, num_symbols: usize) -> Result<DenseDfa, CodecError> {
+    if d.usize()? != num_symbols {
+        return Err(CodecError::Malformed("DenseDfa symbol count"));
+    }
     let num_states = d.usize()?;
     let delta = d.u32s()?;
     let accepting = d.bools()?;
     let live = d.bools()?;
     let used_symbols = d.u32s()?;
-    if delta.len() != num_symbols * num_states
+    if num_states == 0
+        || num_symbols.checked_mul(num_states) != Some(delta.len())
         || accepting.len() != num_states
         || live.len() != num_states
         || delta.iter().any(|&t| t as usize >= num_states)
@@ -79,94 +87,6 @@ pub(crate) fn decode_dense_dfa(d: &mut Decoder<'_>) -> Result<DenseDfa, CodecErr
     })
 }
 
-/// Serialization of the sparse horizontal NFA kept on uncompiled
-/// [`HedgeAutomaton`] rules (symbols are vertical state ids).
-fn encode_nfa_usize(nfa: &Nfa<usize>, e: &mut Encoder) {
-    e.usize(nfa.num_states);
-    e.bools(&nfa.accepting);
-    for row in &nfa.transitions {
-        e.usize(row.len());
-        for &(sym, to) in row {
-            e.usize(sym);
-            e.usize(to);
-        }
-    }
-}
-
-fn decode_nfa_usize(d: &mut Decoder<'_>) -> Result<Nfa<usize>, CodecError> {
-    let num_states = d.usize()?;
-    let accepting = d.bools()?;
-    if accepting.len() != num_states || num_states > d.remaining() {
-        return Err(CodecError::Malformed("Nfa header"));
-    }
-    let transitions: Vec<Vec<(usize, usize)>> = (0..num_states)
-        .map(|_| {
-            let n = d.usize()?;
-            if n > d.remaining() {
-                return Err(CodecError::Truncated);
-            }
-            (0..n)
-                .map(|_| {
-                    let sym = d.usize()?;
-                    let to = d.usize()?;
-                    if to >= num_states {
-                        return Err(CodecError::Malformed("Nfa transition target"));
-                    }
-                    Ok((sym, to))
-                })
-                .collect()
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(Nfa {
-        num_states,
-        accepting,
-        transitions,
-    })
-}
-
-pub(crate) fn encode_hedge(h: &HedgeAutomaton, e: &mut Encoder) {
-    e.usize(h.num_states);
-    e.usize(h.rules.len());
-    for r in &h.rules {
-        e.str(r.label.as_str());
-        e.usize(r.state);
-        encode_nfa_usize(&r.horizontal, e);
-    }
-    e.bools(&h.accepting);
-}
-
-pub(crate) fn decode_hedge(d: &mut Decoder<'_>) -> Result<HedgeAutomaton, CodecError> {
-    let num_states = d.usize()?;
-    let n_rules = d.usize()?;
-    if n_rules > d.remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let rules: Vec<Rule> = (0..n_rules)
-        .map(|_| {
-            let label = Name::new(d.str()?);
-            let state = d.usize()?;
-            if state >= num_states {
-                return Err(CodecError::Malformed("rule state out of range"));
-            }
-            let horizontal = decode_nfa_usize(d)?;
-            Ok(Rule {
-                label,
-                state,
-                horizontal,
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let accepting = d.bools()?;
-    if accepting.len() != num_states {
-        return Err(CodecError::Malformed("accepting length"));
-    }
-    Ok(HedgeAutomaton {
-        num_states,
-        rules,
-        accepting,
-    })
-}
-
 /// Minimum machines in a round before the frontier fans out over threads.
 const PAR_MACHINE_GATE: usize = 4;
 /// Minimum total machines before parallelism is considered at all (tiny
@@ -177,16 +97,6 @@ const PAR_TOTAL_GATE: usize = 16;
 /// states by linear scan instead of allocating a hash index (see
 /// `IncMachine::index`).
 const LINEAR_SCAN_MAX: usize = 16;
-
-#[inline]
-fn get_bit(bits: &[u64], i: usize) -> bool {
-    bits[i / 64] >> (i % 64) & 1 == 1
-}
-
-#[inline]
-fn set_bit(bits: &mut [u64], i: usize) {
-    bits[i / 64] |= 1 << (i % 64);
-}
 
 /// Calls `f` with the index of every set bit.
 #[inline]
@@ -249,36 +159,48 @@ impl CompiledAutomaton {
     /// `alphabet` are dropped (reference semantics: such trees are outside
     /// the compared universe).
     pub(crate) fn new(h: &HedgeAutomaton, alphabet: &[Name]) -> CompiledAutomaton {
-        let labels: Vec<Name> = alphabet.to_vec();
-        let label_id: HashMap<Name, u32> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.clone(), i as u32))
-            .collect();
-        let mut rules: Vec<Vec<CompiledRule>> = (0..labels.len()).map(|_| Vec::new()).collect();
+        let label_id: HashMap<&Name, usize> =
+            alphabet.iter().enumerate().map(|(i, l)| (l, i)).collect();
+        let mut rules: Vec<Vec<CompiledRule>> = alphabet.iter().map(|_| Vec::new()).collect();
         let mut det = Determinizer::new();
         for r in &h.rules {
             if let Some(&lid) = label_id.get(&r.label) {
-                rules[lid as usize].push(CompiledRule {
+                rules[lid].push(CompiledRule {
                     state: r.state as u32,
                     dfa: det.run(&r.horizontal, h.num_states),
                 });
             }
         }
-        let state_words = h.num_states.div_ceil(64).max(1);
+        CompiledAutomaton::with_tables(alphabet, rules, h.accepting.clone())
+    }
+
+    /// Assembles an automaton from its rule tables (grouped by the label
+    /// ids of `alphabet`) and accepting states, deriving the lookup map and
+    /// the accepting mask.
+    fn with_tables(
+        alphabet: &[Name],
+        rules: Vec<Vec<CompiledRule>>,
+        accepting: Vec<bool>,
+    ) -> CompiledAutomaton {
+        let num_states = accepting.len();
+        let state_words = num_states.div_ceil(64).max(1);
         let mut accepting_mask = vec![0u64; state_words].into_boxed_slice();
-        for (q, &acc) in h.accepting.iter().enumerate() {
+        for (q, &acc) in accepting.iter().enumerate() {
             if acc {
                 set_bit(&mut accepting_mask, q);
             }
         }
         CompiledAutomaton {
-            num_states: h.num_states,
+            num_states,
             state_words,
-            labels,
-            label_id,
+            labels: alphabet.to_vec(),
+            label_id: alphabet
+                .iter()
+                .enumerate()
+                .map(|(i, l)| (l.clone(), i as u32))
+                .collect(),
             rules,
-            accepting: h.accepting.clone(),
+            accepting,
             accepting_mask,
         }
     }
@@ -295,16 +217,13 @@ impl CompiledAutomaton {
         CompiledAutomaton::new(h, &alphabet)
     }
 
-    /// Serializes every compiled table verbatim — the determinized
-    /// per-rule DFAs are the expensive part of [`CompiledAutomaton::new`]
-    /// and come back without re-running subset construction.
+    /// Serializes the vertical state count, every rule's determinized
+    /// DFA and the accepting states — the determinized DFAs are the
+    /// expensive part of [`CompiledAutomaton::new`] and come back without
+    /// re-running subset construction. The label universe is not written:
+    /// the decoder is handed it.
     pub(crate) fn encode(&self, e: &mut Encoder) {
         e.usize(self.num_states);
-        e.usize(self.state_words);
-        e.usize(self.labels.len());
-        for l in &self.labels {
-            e.str(l.as_str());
-        }
         for rules in &self.rules {
             e.usize(rules.len());
             for r in rules {
@@ -313,30 +232,21 @@ impl CompiledAutomaton {
             }
         }
         e.bools(&self.accepting);
-        e.u64s(&self.accepting_mask);
     }
 
-    /// Inverse of [`CompiledAutomaton::encode`]; the label-id map is
-    /// rebuilt from the label table.
-    pub(crate) fn decode(d: &mut Decoder<'_>) -> Result<CompiledAutomaton, CodecError> {
+    /// Inverse of [`CompiledAutomaton::encode`] over the label universe
+    /// the automaton was compiled with; the label-id map and the accepting
+    /// mask are rebuilt.
+    pub(crate) fn decode(
+        d: &mut Decoder<'_>,
+        alphabet: &[Name],
+    ) -> Result<CompiledAutomaton, CodecError> {
         let num_states = d.usize()?;
-        let state_words = d.usize()?;
-        if state_words != num_states.div_ceil(64).max(1) {
-            return Err(CodecError::Malformed("CompiledAutomaton state words"));
-        }
-        let n_labels = d.usize()?;
-        if n_labels > d.remaining() {
+        if num_states > d.remaining() {
             return Err(CodecError::Truncated);
         }
-        let labels: Vec<Name> = (0..n_labels)
-            .map(|_| Ok(Name::new(d.str()?)))
-            .collect::<Result<_, CodecError>>()?;
-        let label_id: HashMap<Name, u32> = labels
+        let rules: Vec<Vec<CompiledRule>> = alphabet
             .iter()
-            .enumerate()
-            .map(|(i, l)| (l.clone(), i as u32))
-            .collect();
-        let rules: Vec<Vec<CompiledRule>> = (0..n_labels)
             .map(|_| {
                 let n = d.usize()?;
                 if n > d.remaining() {
@@ -350,26 +260,17 @@ impl CompiledAutomaton {
                         }
                         Ok(CompiledRule {
                             state,
-                            dfa: decode_dense_dfa(d)?,
+                            dfa: decode_dense_dfa(d, num_states)?,
                         })
                     })
                     .collect()
             })
             .collect::<Result<_, _>>()?;
         let accepting = d.bools()?;
-        let accepting_mask = d.u64s()?.into_boxed_slice();
-        if accepting.len() != num_states || accepting_mask.len() != state_words {
+        if accepting.len() != num_states {
             return Err(CodecError::Malformed("CompiledAutomaton acceptance"));
         }
-        Ok(CompiledAutomaton {
-            num_states,
-            state_words,
-            labels,
-            label_id,
-            rules,
-            accepting,
-            accepting_mask,
-        })
+        Ok(CompiledAutomaton::with_tables(alphabet, rules, accepting))
     }
 
     /// Approximate heap footprint in bytes (label tables plus every

@@ -11,7 +11,6 @@
 //! produce concrete counterexample documents.
 
 use crate::compiled::{self, CompiledAutomaton};
-use std::collections::HashMap;
 use xmlmap_dtd::Dtd;
 use xmlmap_regex::Nfa;
 use xmlmap_trees::{Name, Tree};
@@ -43,24 +42,28 @@ impl HedgeAutomaton {
     /// Compiles a DTD into an equivalent automaton: one state per element
     /// type, the root's state accepting. Attribute lists are not modelled
     /// (automata see only the label structure).
+    ///
+    /// State `q` is the element type with DTD label id `q`, so each rule's
+    /// horizontal language is the DTD's own compiled content model
+    /// ([`xmlmap_dtd::DenseNfa::to_nfa`]); labels used without a
+    /// declaration have the ε production.
     pub fn from_dtd(dtd: &Dtd) -> HedgeAutomaton {
-        let labels: Vec<Name> = dtd.alphabet().cloned().collect();
-        let index: HashMap<&Name, usize> = labels.iter().enumerate().map(|(i, l)| (l, i)).collect();
-        let rules = labels
+        let rules = dtd
+            .labels()
             .iter()
+            .zip(dtd.content_models())
             .enumerate()
-            .map(|(q, l)| Rule {
+            .map(|(q, (l, model))| Rule {
                 label: l.clone(),
                 state: q,
-                // The rule keeps the production's Glushkov state structure;
-                // labels used without a declaration have the ε production.
-                horizontal: Nfa::from_regex(dtd.production(l)).map(|name| index[name]),
+                horizontal: model.to_nfa(),
             })
             .collect();
-        let mut accepting = vec![false; labels.len()];
-        accepting[index[dtd.root()]] = true;
+        let mut accepting = vec![false; dtd.labels().len()];
+        // The root is always in the alphabet.
+        accepting[dtd.label_id(dtd.root()).unwrap() as usize] = true;
         HedgeAutomaton {
-            num_states: labels.len(),
+            num_states: dtd.labels().len(),
             rules,
             accepting,
         }

@@ -1,5 +1,6 @@
 //! Language inclusion for hedge automata, with counterexample extraction —
-//! and DTD *subschema* checking on top.
+//! the engine behind DTD *subschema* checking
+//! ([`AutomataCache::subschema`](crate::AutomataCache::subschema)).
 //!
 //! Inclusion `L(A) ⊆ L(B)` is decided by the classic product-with-
 //! determinised-complement construction, specialised to unranked trees:
@@ -20,8 +21,7 @@
 
 use crate::compiled::{self, CompiledAutomaton};
 use crate::hedge::HedgeAutomaton;
-use xmlmap_dtd::Dtd;
-use xmlmap_trees::{Name, NodeId, Tree, Value};
+use xmlmap_trees::{Name, Tree};
 
 /// The inclusion exploration exceeded its budget; the answer is unknown.
 ///
@@ -70,7 +70,8 @@ pub fn inclusion_counterexample(
     compiled::inclusion(&ca, &cb, budget)
 }
 
-/// Why one DTD is not a subschema of another.
+/// Why one DTD is not a subschema of another (see
+/// [`AutomataCache::subschema`](crate::AutomataCache::subschema)).
 #[derive(Debug, Clone)]
 pub enum SubschemaViolation {
     /// A document conforming to the first DTD but not the second (labels
@@ -87,90 +88,24 @@ pub enum SubschemaViolation {
     },
 }
 
-/// Is every document conforming to `d1` also conforming to `d2`?
-///
-/// Checks label-language inclusion via [`inclusion_counterexample`] and
-/// attribute-list equality on `d1`-reachable labels. Returns the violation
-/// if any — a concrete counterexample document, or the first mismatched
-/// attribute list.
-///
-/// The attribute check exists because the underlying automata see only the
-/// label structure: as [`HedgeAutomaton::from_dtd`] documents, attribute
-/// lists are not modelled by the automata, so subschema checking layers
-/// the per-label attribute comparison on top of language inclusion (and
-/// fills the counterexample's attributes per `d1` afterwards).
-pub fn subschema(
-    d1: &Dtd,
-    d2: &Dtd,
-    budget: usize,
-) -> Result<Option<SubschemaViolation>, InclusionBudgetExceeded> {
-    let mut alphabet: Vec<Name> = d1.alphabet().cloned().collect();
-    for l in d2.alphabet() {
-        if !alphabet.contains(l) {
-            alphabet.push(l.clone());
-        }
-    }
-    let a = CompiledAutomaton::new(&HedgeAutomaton::from_dtd(d1), &alphabet);
-    let b = CompiledAutomaton::new(&HedgeAutomaton::from_dtd(d2), &alphabet);
-    subschema_of_automata(d1, d2, &a, &b, budget)
-}
-
-/// [`subschema`] over pre-compiled automata — the
-/// [`AutomataCache`](crate::cache::AutomataCache) path, where DTD→automaton
-/// compilation and horizontal determinization are paid once per schema pair
-/// instead of per check.
-pub(crate) fn subschema_of_automata(
-    d1: &Dtd,
-    d2: &Dtd,
-    a: &CompiledAutomaton,
-    b: &CompiledAutomaton,
-    budget: usize,
-) -> Result<Option<SubschemaViolation>, InclusionBudgetExceeded> {
-    // Attribute compatibility on reachable labels.
-    for label in d1.reachable() {
-        if d1.attrs(&label) != d2.attrs(&label) {
-            return Ok(Some(SubschemaViolation::AttributeMismatch {
-                left: d1.attrs(&label).to_vec(),
-                right: d2.attrs(&label).to_vec(),
-                label,
-            }));
-        }
-    }
-    let counterexample =
-        compiled::inclusion(a, b, budget).map_err(|e| InclusionBudgetExceeded {
-            operation: "subschema check".into(),
-            ..e
-        })?;
-    match counterexample {
-        None => Ok(None),
-        Some(mut t) => {
-            // Fill the counterexample's attributes per d1 so it genuinely
-            // conforms to d1.
-            let nodes: Vec<NodeId> = t.nodes().collect();
-            for n in nodes {
-                let label = t.label(n).clone();
-                let attrs: Vec<(Name, Value)> = d1
-                    .attrs(&label)
-                    .iter()
-                    .map(|a| (a.clone(), Value::str("d")))
-                    .collect();
-                t.set_attrs(n, attrs);
-            }
-            debug_assert!(d1.conforms(&t));
-            debug_assert!(!d2.conforms(&t));
-            Ok(Some(SubschemaViolation::Document(t)))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AutomataCache;
+    use xmlmap_dtd::Dtd;
 
     const BUDGET: usize = 1_000_000;
 
     fn dtd(s: &str) -> Dtd {
         xmlmap_dtd::parse(s).unwrap()
+    }
+
+    fn subschema(
+        d1: &Dtd,
+        d2: &Dtd,
+        budget: usize,
+    ) -> Result<Option<SubschemaViolation>, InclusionBudgetExceeded> {
+        AutomataCache::new(d1, d2).subschema(budget)
     }
 
     #[test]

@@ -17,6 +17,4 @@ pub mod reference;
 pub use cache::AutomataCache;
 pub use compile::pattern_automaton;
 pub use hedge::{HedgeAutomaton, Rule};
-pub use inclusion::{
-    inclusion_counterexample, subschema, InclusionBudgetExceeded, SubschemaViolation,
-};
+pub use inclusion::{inclusion_counterexample, InclusionBudgetExceeded, SubschemaViolation};

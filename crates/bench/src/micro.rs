@@ -352,13 +352,17 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
     let sub_d1 = nthlast_dtd(5, false);
     let sub_d2 = nthlast_dtd(5, true);
     bench("automata/subschema_nthlast5", &mut || {
-        let v = xmlmap_automata::subschema(&sub_d1, &sub_d2, AUTO_BUDGET).unwrap();
+        let v = xmlmap_automata::AutomataCache::new(&sub_d1, &sub_d2)
+            .subschema(AUTO_BUDGET)
+            .unwrap();
         assert!(v.is_none());
     });
     let uni = xmlmap_gen::university_dtd();
     let uni_evolved = university_evolved_dtd();
     bench("automata/subschema_uni_evolved", &mut || {
-        let v = xmlmap_automata::subschema(&uni, &uni_evolved, AUTO_BUDGET).unwrap();
+        let v = xmlmap_automata::AutomataCache::new(&uni, &uni_evolved)
+            .subschema(AUTO_BUDGET)
+            .unwrap();
         assert!(v.is_none());
     });
 

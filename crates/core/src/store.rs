@@ -34,8 +34,10 @@ use xmlmap_regex::FastHasher;
 
 /// Bump whenever the serialized form of *any* artifact family changes
 /// (2: the `DtdIndex` payload of the `Sat` and `StreamIndex` families is
-/// the schema text alone).
-pub const FORMAT_VERSION: u32 = 2;
+/// the schema text alone; 3: an `Automata` payload is the two schema
+/// texts, the compiled pair without its label tables, and a checksum —
+/// the sparse hedge automata are no longer stored).
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 4] = b"XMAP";
 

@@ -13,8 +13,11 @@
 //! only routine that runs a content model: the tree check
 //! ([`crate::Dtd::check`]), the streaming validator, the delta session's
 //! per-node re-check, the type-fixpoint engine and the bounded shape
-//! enumerator all step it. The Glushkov [`Nfa`] it is built from stays the
-//! independent oracle of the reference engines and tests.
+//! enumerator all step it. The hedge automata of `xmlmap-automata` take
+//! their horizontal languages from the same compiled models, through
+//! [`DenseNfa::to_nfa`], so no production is compiled twice. The Glushkov
+//! [`Nfa`] a model is built from stays the independent oracle of the
+//! reference engines and tests.
 
 use xmlmap_regex::{FastHashMap, Nfa};
 use xmlmap_trees::Name;
@@ -29,6 +32,17 @@ pub fn get_bit(words: &[u64], i: usize) -> bool {
 #[inline]
 pub fn set_bit(words: &mut [u64], i: usize) {
     words[i / 64] |= 1 << (i % 64);
+}
+
+/// The indices of the set bits of a flat `[u64]` bitmask, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&x| {
+            let rest = x & (x - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |x| w * 64 + x.trailing_zeros() as usize)
+    })
 }
 
 /// A production's Glushkov automaton as follow masks.
@@ -199,6 +213,34 @@ impl DenseNfa {
         self.accepts(cur)
     }
 
+    /// The same automaton as a sparse [`Nfa`] over label ids: the
+    /// horizontal language of the DTD's hedge-automaton rule. State `q`
+    /// has one transition to each state in `follow(q)`, on the symbol that
+    /// enters it, in ascending target order; the states and the accepting
+    /// set are the Glushkov automaton's.
+    pub fn to_nfa(&self) -> Nfa<usize> {
+        let words = self.words;
+        let num_states = self.follow.len() / words;
+        // The symbol entering each state (the start state is never entered).
+        let mut entered_on = vec![0usize; num_states];
+        for (row, &sym) in self.positions.chunks(words).zip(&self.syms) {
+            for q in ones(row) {
+                entered_on[q] = sym as usize;
+            }
+        }
+        Nfa {
+            num_states,
+            accepting: (0..num_states)
+                .map(|q| get_bit(&self.accepting, q))
+                .collect(),
+            transitions: self
+                .follow
+                .chunks(words)
+                .map(|row| ones(row).map(|q2| (entered_on[q2], q2)).collect())
+                .collect(),
+        }
+    }
+
     /// Approximate heap footprint in bytes.
     pub(crate) fn approx_bytes(&self) -> u64 {
         (self.accepting.len() * 8
@@ -252,8 +294,8 @@ mod proptests {
 
     proptest! {
         /// The dense runner agrees with the Glushkov subset simulation on
-        /// every prefix of the word, through `step`/`accepts` and through
-        /// `accepts_word`.
+        /// every prefix of the word, through `step`/`accepts`, through
+        /// `accepts_word` and through its sparse form `to_nfa`.
         #[test]
         fn dense_runner_agrees_with_glushkov(r in arb_production(), w in arb_word()) {
             let dtd = crate::Dtd::builder("r")
@@ -263,6 +305,9 @@ mod proptests {
                 .unwrap();
             let nfa = dtd.content_model(dtd.label_id(&Name::new("r")).unwrap());
             let glushkov = Nfa::from_regex(&r);
+            // The sparse form over label ids keeps Glushkov's states.
+            let sparse = nfa.to_nfa();
+            prop_assert_eq!(sparse.num_states, glushkov.num_states);
             let mut cur = vec![0u64; nfa.words()];
             let mut next = vec![0u64; nfa.words()];
             nfa.start(&mut cur);
@@ -271,6 +316,16 @@ mod proptests {
                 let prefix = &w[..k];
                 let ids = prefix.iter().map(|l| dtd.label_id(l));
                 prop_assert_eq!(nfa.accepts_word(ids), glushkov.accepts(prefix));
+                // A label outside the alphabet has no id, and no production
+                // accepts it.
+                let sparse_word: Option<Vec<usize>> = prefix
+                    .iter()
+                    .map(|l| dtd.label_id(l).map(|id| id as usize))
+                    .collect();
+                prop_assert_eq!(
+                    sparse_word.is_some_and(|word| sparse.accepts(&word)),
+                    glushkov.accepts(prefix)
+                );
                 prop_assert_eq!(alive && nfa.accepts(&cur), glushkov.accepts(prefix));
                 if k < w.len() && alive {
                     alive = match dtd.label_id(&w[k]) {

@@ -1,204 +1,22 @@
-//! Deterministic finite automata over an explicit, finite alphabet.
+//! Deterministic finite automata over a dense symbol alphabet.
 //!
-//! Determinisation is needed wherever the consistency procedures reason
-//! about *non*-matches: the type-fixpoint engine must find child words that
-//! satisfy exactly a prescribed set of sequence constraints, which requires
-//! complementing constraint automata. A [`Dfa`] is always total over its
-//! declared alphabet (a sink state is added as needed), so complementation
-//! is just flipping accepting states.
+//! The hedge-automata engine (`xmlmap-automata`) determinizes every rule's
+//! horizontal language once, into a [`DenseDfa`]: a flat transition table
+//! over interned vertical-state ids with a liveness flag per state. A
+//! reusable [`Determinizer`] runs the subset construction.
 
 use crate::nfa::Nfa;
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::hash::Hash;
-
-/// A complete DFA over an explicit alphabet.
-#[derive(Clone, Debug)]
-pub struct Dfa<A> {
-    /// The alphabet; transition tables are indexed by position in this list.
-    pub alphabet: Vec<A>,
-    /// Number of states; `0` is the start state.
-    pub num_states: usize,
-    /// `accepting[q]` iff q is final.
-    pub accepting: Vec<bool>,
-    /// `delta[q][i]` is the successor of `q` on `alphabet[i]`.
-    pub delta: Vec<Vec<usize>>,
-}
-
-impl<A: Clone + Eq + Hash> Dfa<A> {
-    /// Subset construction. Transitions of `nfa` on symbols outside
-    /// `alphabet` are ignored (they can never fire on words over `alphabet`).
-    pub fn determinize(nfa: &Nfa<A>, alphabet: Vec<A>) -> Dfa<A> {
-        let sym_index: HashMap<&A, usize> =
-            alphabet.iter().enumerate().map(|(i, a)| (a, i)).collect();
-        let k = alphabet.len();
-
-        // Pre-index NFA transitions by (state, symbol index).
-        let mut by_sym: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); k]; nfa.num_states];
-        for (q, ts) in nfa.transitions.iter().enumerate() {
-            for (a, q2) in ts {
-                if let Some(&i) = sym_index.get(a) {
-                    by_sym[q][i].push(*q2);
-                }
-            }
-        }
-
-        let start: BTreeSet<usize> = BTreeSet::from([0]);
-        let mut index: HashMap<BTreeSet<usize>, usize> = HashMap::new();
-        let mut sets: Vec<BTreeSet<usize>> = Vec::new();
-        let mut queue = VecDeque::new();
-        index.insert(start.clone(), 0);
-        sets.push(start.clone());
-        queue.push_back(start);
-        let mut delta: Vec<Vec<usize>> = Vec::new();
-
-        while let Some(set) = queue.pop_front() {
-            let mut row = Vec::with_capacity(k);
-            for (i, _) in alphabet.iter().enumerate() {
-                let mut next = BTreeSet::new();
-                for &q in &set {
-                    next.extend(by_sym[q][i].iter().copied());
-                }
-                let to = *index.entry(next.clone()).or_insert_with(|| {
-                    sets.push(next.clone());
-                    queue.push_back(next);
-                    sets.len() - 1
-                });
-                row.push(to);
-            }
-            delta.push(row);
-        }
-
-        let accepting = sets
-            .iter()
-            .map(|s| s.iter().any(|&q| nfa.accepting[q]))
-            .collect();
-        Dfa {
-            alphabet,
-            num_states: sets.len(),
-            accepting,
-            delta,
-        }
-    }
-
-    /// Complement (valid because the DFA is complete over its alphabet).
-    pub fn complement(&self) -> Dfa<A> {
-        Dfa {
-            alphabet: self.alphabet.clone(),
-            num_states: self.num_states,
-            accepting: self.accepting.iter().map(|b| !b).collect(),
-            delta: self.delta.clone(),
-        }
-    }
-
-    /// Does the DFA accept `word`? Words containing symbols outside the
-    /// alphabet are rejected.
-    pub fn accepts(&self, word: &[A]) -> bool {
-        let mut q = 0usize;
-        for sym in word {
-            match self.alphabet.iter().position(|a| a == sym) {
-                Some(i) => q = self.delta[q][i],
-                None => return false,
-            }
-        }
-        self.accepting[q]
-    }
-
-    /// Is the language empty?
-    pub fn is_empty(&self) -> bool {
-        self.reachable().iter().all(|&q| !self.accepting[q])
-    }
-
-    /// Is the language all of `alphabet*`?
-    pub fn is_universal(&self) -> bool {
-        self.reachable().iter().all(|&q| self.accepting[q])
-    }
-
-    fn reachable(&self) -> Vec<usize> {
-        let mut seen = vec![false; self.num_states];
-        let mut queue = VecDeque::from([0usize]);
-        seen[0] = true;
-        let mut out = Vec::new();
-        while let Some(q) = queue.pop_front() {
-            out.push(q);
-            for &q2 in &self.delta[q] {
-                if !seen[q2] {
-                    seen[q2] = true;
-                    queue.push_back(q2);
-                }
-            }
-        }
-        out
-    }
-
-    /// View as an NFA (e.g. to reuse product constructions).
-    pub fn to_nfa(&self) -> Nfa<A> {
-        Nfa {
-            num_states: self.num_states,
-            accepting: self.accepting.clone(),
-            transitions: self
-                .delta
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .enumerate()
-                        .map(|(i, &q)| (self.alphabet[i].clone(), q))
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
-    /// Synchronous product; both DFAs must share the same alphabet order.
-    /// `combine` merges acceptance (e.g. `&&` for intersection).
-    pub fn product(&self, other: &Dfa<A>, combine: impl Fn(bool, bool) -> bool) -> Dfa<A> {
-        assert!(
-            self.alphabet == other.alphabet,
-            "product requires identical alphabets"
-        );
-        let k = self.alphabet.len();
-        let mut index: HashMap<(usize, usize), usize> = HashMap::new();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        let mut queue = VecDeque::new();
-        index.insert((0, 0), 0);
-        pairs.push((0, 0));
-        queue.push_back((0, 0));
-        let mut delta: Vec<Vec<usize>> = Vec::new();
-        while let Some((p, q)) = queue.pop_front() {
-            let mut row = Vec::with_capacity(k);
-            for (i, _) in self.alphabet.iter().enumerate() {
-                let key = (self.delta[p][i], other.delta[q][i]);
-                let to = *index.entry(key).or_insert_with(|| {
-                    pairs.push(key);
-                    queue.push_back(key);
-                    pairs.len() - 1
-                });
-                row.push(to);
-            }
-            delta.push(row);
-        }
-        let accepting = pairs
-            .iter()
-            .map(|&(p, q)| combine(self.accepting[p], other.accepting[q]))
-            .collect();
-        Dfa {
-            alphabet: self.alphabet.clone(),
-            num_states: pairs.len(),
-            accepting,
-            delta,
-        }
-    }
-}
 
 /// A determinized, flat-table DFA over the dense symbol alphabet
 /// `0..num_symbols` — the export format consumed by the compiled
 /// hedge-automata engine (`xmlmap-automata`), where horizontal languages
 /// range over interned vertical-state ids.
 ///
-/// Unlike [`Dfa`], the alphabet is implicit (dense `usize` ids), the
-/// transition table is a single row-major `Vec<u32>`, and each state
-/// carries a *liveness* flag (`live[q]` iff an accepting state is
-/// reachable from `q`) so downstream subset constructions can prune dead
-/// branches instead of dragging complete-DFA sink states along.
+/// The alphabet is implicit (dense `usize` ids), the transition table is
+/// a single row-major `Vec<u32>`, and each state carries a *liveness* flag
+/// (`live[q]` iff an accepting state is reachable from `q`) so downstream
+/// subset constructions can prune dead branches instead of dragging
+/// complete-DFA sink states along.
 #[derive(Clone, Debug)]
 pub struct DenseDfa {
     /// Alphabet size; symbols are `0..num_symbols`.
@@ -217,17 +35,6 @@ pub struct DenseDfa {
 }
 
 impl DenseDfa {
-    /// Subset construction over the dense alphabet `0..num_symbols`,
-    /// with `u64`-word bitset subset states hash-consed during discovery.
-    /// NFA transitions on symbols `>= num_symbols` are ignored.
-    ///
-    /// Convenience wrapper over [`Determinizer::run`] with a fresh
-    /// workspace; batch callers (one DFA per automaton rule) should reuse
-    /// one [`Determinizer`] instead.
-    pub fn determinize(nfa: &Nfa<usize>, num_symbols: usize) -> DenseDfa {
-        Determinizer::new().run(nfa, num_symbols)
-    }
-
     /// The successor of state `q` on symbol `s`.
     #[inline]
     pub fn step(&self, q: u32, s: u32) -> u32 {
@@ -245,7 +52,7 @@ impl DenseDfa {
     }
 }
 
-/// Reusable subset-construction workspace for [`DenseDfa::determinize`].
+/// Reusable subset-construction workspace that builds [`DenseDfa`]s.
 ///
 /// Compiling a hedge automaton determinizes one horizontal NFA per rule;
 /// with a fresh workspace each call, the fixed allocation cost (intern
@@ -559,82 +366,60 @@ impl Determinizer {
 mod tests {
     use super::*;
     use crate::ast::parse;
-    use xmlmap_trees::Name;
 
-    fn dfa(s: &str, alphabet: &[&str]) -> Dfa<Name> {
-        let nfa = Nfa::from_regex(&parse(s).unwrap());
-        Dfa::determinize(&nfa, alphabet.iter().map(Name::new).collect())
+    /// Determinizes regex `s` over `alphabet`, symbols numbered by position.
+    fn dfa(s: &str, alphabet: &[&str]) -> DenseDfa {
+        let id = |l: &xmlmap_trees::Name| alphabet.iter().position(|a| *a == l.as_str()).unwrap();
+        let nfa = Nfa::from_regex(&parse(s).unwrap()).map(id);
+        Determinizer::new().run(&nfa, alphabet.len())
     }
 
-    fn word(s: &str) -> Vec<Name> {
-        s.split_whitespace().map(Name::new).collect()
+    /// Runs the space-separated word `w`; labels outside `alphabet` reject.
+    fn accepts(d: &DenseDfa, alphabet: &[&str], w: &str) -> bool {
+        let mut q = 0;
+        for l in w.split_whitespace() {
+            match alphabet.iter().position(|a| *a == l) {
+                Some(s) => q = d.step(q, s as u32),
+                None => return false,
+            }
+        }
+        d.accepting[q as usize]
     }
 
     #[test]
     fn determinize_preserves_language() {
-        let d = dfa("(a|b)*, c+", &["a", "b", "c"]);
-        assert!(d.accepts(&word("c")));
-        assert!(d.accepts(&word("a b a c c")));
-        assert!(!d.accepts(&word("a b")));
-        assert!(!d.accepts(&word("c a")));
-        assert!(!d.accepts(&word("d"))); // outside alphabet
-    }
-
-    #[test]
-    fn complement_flips_membership() {
-        let d = dfa("a, b", &["a", "b"]);
-        let c = d.complement();
-        assert!(!c.accepts(&word("a b")));
-        assert!(c.accepts(&word("")));
-        assert!(c.accepts(&word("b a")));
-        assert!(c.accepts(&word("a b a")));
+        let abc = ["a", "b", "c"];
+        let d = dfa("(a|b)*, c+", &abc);
+        assert!(accepts(&d, &abc, "c"));
+        assert!(accepts(&d, &abc, "a b a c c"));
+        assert!(!accepts(&d, &abc, "a b"));
+        assert!(!accepts(&d, &abc, "c a"));
+        assert!(!accepts(&d, &abc, "d")); // outside alphabet
     }
 
     #[test]
     fn emptiness_and_universality() {
+        // The start state is live iff the language is non-empty.
         let never = dfa("empty", &["a"]);
-        assert!(never.is_empty());
-        assert!(never.complement().is_universal());
+        assert!(!never.live[0]);
+        // a* is universal: every state it reaches accepts.
         let all = dfa("a*", &["a"]);
-        assert!(all.is_universal());
-        assert!(all.complement().is_empty());
+        assert!(all.live[0] && all.accepting.iter().all(|&acc| acc));
+        // a, a is neither: a dead sink absorbs the third a.
         let some = dfa("a, a", &["a"]);
-        assert!(!some.is_empty());
-        assert!(!some.is_universal());
-    }
-
-    #[test]
-    fn product_intersection_and_union() {
-        let x = dfa("a*, b", &["a", "b"]);
-        let y = dfa("a, b*", &["a", "b"]);
-        let both = x.product(&y, |p, q| p && q);
-        assert!(both.accepts(&word("a b")));
-        assert!(!both.accepts(&word("a a b")));
-        let either = x.product(&y, |p, q| p || q);
-        assert!(either.accepts(&word("a a b")));
-        assert!(either.accepts(&word("a")));
-        assert!(!either.accepts(&word("b a")));
-    }
-
-    #[test]
-    fn dfa_nfa_round_trip() {
-        let d = dfa("(a, b)*", &["a", "b"]);
-        let n = d.to_nfa();
-        for w in ["", "a b", "a b a b"] {
-            assert!(n.accepts(&word(w)), "{w}");
-        }
-        for w in ["a", "b a", "a b a"] {
-            assert!(!n.accepts(&word(w)), "{w}");
-        }
+        assert!(some.live[0] && !some.accepting[0]);
+        assert!(some.live.iter().any(|&live| !live));
+        assert!(!accepts(&some, &["a"], "a a a"));
     }
 
     #[test]
     fn subset_blowup_still_correct() {
         // (a|b)*, a, (a|b), (a|b): membership determined by 3rd-from-last.
-        let d = dfa("(a|b)*, a, (a|b), (a|b)", &["a", "b"]);
-        assert!(d.accepts(&word("a b b")));
-        assert!(d.accepts(&word("b b a a a")));
-        assert!(!d.accepts(&word("b a a")));
+        let ab = ["a", "b"];
+        let d = dfa("(a|b)*, a, (a|b), (a|b)", &ab);
+        assert!(accepts(&d, &ab, "a b b"));
+        assert!(accepts(&d, &ab, "b b a a a"));
+        assert!(!accepts(&d, &ab, "b a a"));
         assert!(d.num_states >= 8, "expected full subset blowup");
     }
 }

@@ -2,10 +2,11 @@
 
 //! # xmlmap-regex
 //!
-//! Regular expressions over element-type alphabets, with Glushkov NFAs and
-//! subset-construction DFAs. This is the word-automaton substrate used by
-//! DTD conformance checking, hedge automata and the consistency procedures
-//! of *XML Schema Mappings* (PODS 2009).
+//! Regular expressions over element-type alphabets, their Glushkov NFAs,
+//! and the dense subset-construction DFAs of the hedge-automata engine.
+//! This is the word-automaton substrate used by DTD conformance checking,
+//! hedge automata and the consistency procedures of *XML Schema Mappings*
+//! (PODS 2009).
 
 pub mod ast;
 pub mod dfa;
@@ -13,7 +14,7 @@ pub mod hash;
 pub mod nfa;
 
 pub use ast::{parse, Regex, RegexParseError};
-pub use dfa::{DenseDfa, Determinizer, Dfa};
+pub use dfa::{DenseDfa, Determinizer};
 pub use hash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use nfa::Nfa;
 
@@ -83,6 +84,20 @@ mod proptests {
         }
     }
 
+    /// Determinizes `nfa` over {a, b, c} (symbols 0, 1, 2) and runs `w` on
+    /// the flat table.
+    fn dense_accepts(nfa: &Nfa<Name>, w: &[Name]) -> bool {
+        let id = |l: &Name| {
+            ["a", "b", "c"]
+                .iter()
+                .position(|a| *a == l.as_str())
+                .unwrap()
+        };
+        let dfa = Determinizer::new().run(&nfa.map(id), 3);
+        let q = w.iter().fold(0, |q, l| dfa.step(q, id(l) as u32));
+        dfa.accepting[q as usize]
+    }
+
     proptest! {
         /// Glushkov NFA membership agrees with the naive AST matcher.
         #[test]
@@ -95,9 +110,7 @@ mod proptests {
         #[test]
         fn dfa_agrees_with_nfa(r in arb_regex(), w in arb_word()) {
             let nfa = Nfa::from_regex(&r);
-            let alphabet = vec![Name::new("a"), Name::new("b"), Name::new("c")];
-            let dfa = Dfa::determinize(&nfa, alphabet);
-            prop_assert_eq!(dfa.accepts(&w), nfa.accepts(&w));
+            prop_assert_eq!(dense_accepts(&nfa, &w), nfa.accepts(&w));
         }
 
         /// The NFA's subset simulation, fed a symbol iterator, agrees with
@@ -105,18 +118,7 @@ mod proptests {
         #[test]
         fn nfa_run_agrees_with_determinized_dfa(r in arb_regex(), w in arb_word_of(0..13)) {
             let nfa = Nfa::from_regex(&r);
-            let alphabet = vec![Name::new("a"), Name::new("b"), Name::new("c")];
-            let dfa = Dfa::determinize(&nfa, alphabet);
-            prop_assert_eq!(nfa.accepts(w.iter()), dfa.accepts(&w));
-        }
-
-        /// Complement really is complement (over the declared alphabet).
-        #[test]
-        fn complement_is_pointwise_negation(r in arb_regex(), w in arb_word()) {
-            let nfa = Nfa::from_regex(&r);
-            let alphabet = vec![Name::new("a"), Name::new("b"), Name::new("c")];
-            let dfa = Dfa::determinize(&nfa, alphabet);
-            prop_assert_eq!(dfa.complement().accepts(&w), !dfa.accepts(&w));
+            prop_assert_eq!(nfa.accepts(w.iter()), dense_accepts(&nfa, &w));
         }
 
         /// Display → parse round-trips the AST's language (on sampled words).
@@ -155,17 +157,6 @@ mod proptests {
                 n1.intersect(&n2).accepts(&w),
                 n1.accepts(&w) && n2.accepts(&w)
             );
-        }
-
-        /// NFA concatenation is language concatenation.
-        #[test]
-        fn concat_is_product(r1 in arb_regex(), r2 in arb_regex(), w in arb_word()) {
-            let n1 = Nfa::from_regex(&r1);
-            let n2 = Nfa::from_regex(&r2);
-            let cat = n1.concat(&n2);
-            let expected = (0..=w.len())
-                .any(|i| n1.accepts(&w[..i]) && n2.accepts(&w[i..]));
-            prop_assert_eq!(cat.accepts(&w), expected);
         }
     }
 }

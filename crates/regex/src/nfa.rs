@@ -10,7 +10,7 @@
 //! state per symbol occurrence plus an initial state, no ε-transitions.
 
 use crate::ast::Regex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use xmlmap_trees::Name;
 
@@ -26,24 +26,6 @@ pub struct Nfa<A> {
 }
 
 impl<A: Clone + Eq + Hash> Nfa<A> {
-    /// An NFA accepting only the empty word.
-    pub fn epsilon() -> Self {
-        Nfa {
-            num_states: 1,
-            accepting: vec![true],
-            transitions: vec![Vec::new()],
-        }
-    }
-
-    /// An NFA with the empty language.
-    pub fn empty() -> Self {
-        Nfa {
-            num_states: 1,
-            accepting: vec![false],
-            transitions: vec![Vec::new()],
-        }
-    }
-
     /// Does the automaton accept `word`? Runs the subset simulation over
     /// two reused state lists and one "seen" mark per state, so a call
     /// allocates three buffers however long the word is; `word` may be a
@@ -74,38 +56,6 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
             next.clear();
         }
         current.iter().any(|&q| self.accepting[q])
-    }
-
-    /// Is the language empty?
-    pub fn is_empty(&self) -> bool {
-        let mut seen = vec![false; self.num_states];
-        let mut queue = VecDeque::from([0usize]);
-        seen[0] = true;
-        while let Some(q) = queue.pop_front() {
-            if self.accepting[q] {
-                return false;
-            }
-            for (_, q2) in &self.transitions[q] {
-                if !seen[*q2] {
-                    seen[*q2] = true;
-                    queue.push_back(*q2);
-                }
-            }
-        }
-        true
-    }
-
-    /// Approximate heap footprint in bytes (flag vector plus transition
-    /// lists; symbol payloads are counted at their inline size only, so
-    /// interned `Name`s are not double-counted).
-    pub fn approx_bytes(&self) -> u64 {
-        let per_edge = std::mem::size_of::<(A, usize)>();
-        (self.accepting.capacity()
-            + self
-                .transitions
-                .iter()
-                .map(|ts| ts.capacity() * per_edge)
-                .sum::<usize>()) as u64
     }
 
     /// A shortest accepted word, if any (BFS).
@@ -178,45 +128,6 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
         }
     }
 
-    /// Concatenation: `self · other`.
-    pub fn concat(&self, other: &Nfa<A>) -> Nfa<A> {
-        let offset = self.num_states;
-        let num_states = self.num_states + other.num_states;
-        let mut transitions: Vec<Vec<(A, usize)>> = Vec::with_capacity(num_states);
-        for q in 0..self.num_states {
-            let mut out = self.transitions[q].clone();
-            // From every state of `self` that can end the first part,
-            // also start the second part (emulating ε into other's start).
-            if self.accepting[q] {
-                out.extend(
-                    other.transitions[0]
-                        .iter()
-                        .map(|(a, t)| (a.clone(), t + offset)),
-                );
-            }
-            transitions.push(out);
-        }
-        for q in 0..other.num_states {
-            transitions.push(
-                other.transitions[q]
-                    .iter()
-                    .map(|(a, t)| (a.clone(), t + offset))
-                    .collect(),
-            );
-        }
-        let mut accepting = vec![false; num_states];
-        let other_null = other.accepting[0];
-        for (q, acc) in accepting.iter_mut().take(self.num_states).enumerate() {
-            *acc = self.accepting[q] && other_null;
-        }
-        accepting[offset..].copy_from_slice(&other.accepting);
-        Nfa {
-            num_states,
-            accepting,
-            transitions,
-        }
-    }
-
     /// Applies a symbol homomorphism to every transition.
     pub fn map<B: Clone + Eq + Hash>(&self, mut f: impl FnMut(&A) -> B) -> Nfa<B> {
         Nfa {
@@ -246,14 +157,6 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
                 })
                 .collect(),
         }
-    }
-
-    /// The set of symbols appearing on transitions.
-    pub fn alphabet(&self) -> HashSet<A> {
-        self.transitions
-            .iter()
-            .flat_map(|ts| ts.iter().map(|(a, _)| a.clone()))
-            .collect()
     }
 }
 
@@ -437,13 +340,9 @@ mod tests {
 
     #[test]
     fn emptiness_and_shortest() {
-        assert!(Nfa::<Name>::empty().is_empty());
-        assert!(!Nfa::<Name>::epsilon().is_empty());
-        assert_eq!(Nfa::<Name>::epsilon().shortest_word(), Some(vec![]));
+        assert_eq!(nfa("empty").shortest_word(), None);
+        assert_eq!(nfa("eps").shortest_word(), Some(vec![]));
         assert!(nfa("a, b").shortest_word() == Some(word("a b")));
-        let from_empty = Nfa::from_regex(&Regex::Empty);
-        assert!(from_empty.is_empty());
-        assert_eq!(from_empty.shortest_word(), None);
     }
 
     #[test]
@@ -454,22 +353,10 @@ mod tests {
         assert!(both.accepts(&word("a b")));
         assert!(!both.accepts(&word("b")));
         assert!(!both.accepts(&word("a a b")));
-        assert!(!both.is_empty());
+        assert!(both.shortest_word().is_some());
 
         let disjoint = nfa("a").intersect(&nfa("b"));
-        assert!(disjoint.is_empty());
-    }
-
-    #[test]
-    fn concatenation() {
-        let ab = nfa("a?").concat(&nfa("b"));
-        assert!(ab.accepts(&word("a b")));
-        assert!(ab.accepts(&word("b")));
-        assert!(!ab.accepts(&word("a")));
-        let aa = nfa("a*").concat(&nfa("a"));
-        assert!(aa.accepts(&word("a")));
-        assert!(aa.accepts(&word("a a a")));
-        assert!(!aa.accepts(&word("")));
+        assert!(disjoint.shortest_word().is_none());
     }
 
     #[test]
@@ -482,13 +369,5 @@ mod tests {
         assert!(exp.accepts(&word("a1 b2")));
         assert!(exp.accepts(&word("a2 b1")));
         assert!(!exp.accepts(&word("a b")));
-    }
-
-    #[test]
-    fn alphabet_collection() {
-        let n = nfa("(a|b)*, c");
-        let mut alpha: Vec<String> = n.alphabet().iter().map(|x| x.to_string()).collect();
-        alpha.sort();
-        assert_eq!(alpha, ["a", "b", "c"]);
     }
 }

@@ -10,7 +10,8 @@
 //! This crate is a facade re-exporting the workspace:
 //!
 //! * [`trees`] — unranked data trees, XML parsing/printing;
-//! * [`regex`] — regular expressions, Glushkov NFAs, DFAs;
+//! * [`regex`] — regular expressions, Glushkov NFAs, and the dense DFAs
+//!   the hedge-automata engine determinizes horizontals into;
 //! * [`dtd`] — DTDs, conformance, nested-relational classification;
 //! * [`automata`] — unranked hedge tree automata;
 //! * [`patterns`] — tree patterns, evaluation, satisfiability engines;
