@@ -286,7 +286,7 @@ impl CompiledAutomaton {
                 .flat_map(|rs| rs.iter())
                 .map(|r| r.dfa.approx_bytes() + 8)
                 .sum::<u64>()
-            + self.accepting.capacity() as u64
+            + self.accepting.len() as u64
             + self.accepting_mask.len() as u64 * 8
     }
 

@@ -90,25 +90,6 @@ impl HedgeAutomaton {
         compiled::product(self, other)
     }
 
-    /// Union automaton: accepts the union of the two languages (disjoint
-    /// sum of states and rules).
-    pub fn union(&self, other: &HedgeAutomaton) -> HedgeAutomaton {
-        let offset = self.num_states;
-        let mut rules = self.rules.clone();
-        rules.extend(other.rules.iter().map(|r| Rule {
-            label: r.label.clone(),
-            state: r.state + offset,
-            horizontal: r.horizontal.map(|&q| q + offset),
-        }));
-        let mut accepting = self.accepting.clone();
-        accepting.extend(other.accepting.iter().copied());
-        HedgeAutomaton {
-            num_states: self.num_states + other.num_states,
-            rules,
-            accepting,
-        }
-    }
-
     /// Emptiness check with witness extraction: returns a smallest-effort
     /// accepted tree, or `None` when the language is empty.
     ///
@@ -220,19 +201,6 @@ mod tests {
         let db = xmlmap_dtd::parse("root r\nr -> b").unwrap();
         let prod = HedgeAutomaton::from_dtd(&da).product(&HedgeAutomaton::from_dtd(&db));
         assert!(prod.is_empty());
-    }
-
-    #[test]
-    fn union_is_language_union() {
-        let da = xmlmap_dtd::parse("root r\nr -> a").unwrap();
-        let db = xmlmap_dtd::parse("root r\nr -> b").unwrap();
-        let u = HedgeAutomaton::from_dtd(&da).union(&HedgeAutomaton::from_dtd(&db));
-        assert!(u.accepts(&tree!("r"["a"])));
-        assert!(u.accepts(&tree!("r"["b"])));
-        assert!(!u.accepts(&tree!("r" [ "a", "b" ])));
-        assert!(!u.accepts(&tree!("r")));
-        let w = u.witness().unwrap();
-        assert!(u.accepts(&w));
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! A hand-rolled flat binary codec for compiled engine artifacts.
 //!
-//! The compiled artifacts of the engine caches — interned label tables,
-//! dense NFA/DFA transition arrays, bitset arenas, chase instruction
-//! plans — are already flat by design, so their on-disk form is a direct
-//! dump: little-endian fixed-width integers, length-prefixed sequences and
-//! strings, no schema language and no external dependencies (the repo's
-//! zero-deps posture, see DESIGN.md §7).
+//! The artifacts the store persists — determinized DFA transition tables
+//! and shape trees — are already flat by design, so their on-disk form is
+//! a direct dump: little-endian fixed-width integers, length-prefixed
+//! sequences and strings, no schema language and no external
+//! dependencies (the repo's zero-deps posture, see DESIGN.md §7).
 //!
 //! The codec is *versioned at the envelope*, not per field: the persistent
 //! artifact store (`xmlmap_core::store`) wraps every payload in a magic +
@@ -76,10 +75,6 @@ impl Encoder {
         self.buf.push(v);
     }
 
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -118,20 +113,12 @@ impl Encoder {
         }
     }
 
-    /// Length-prefixed `u64` sequence (bitset words).
-    pub fn u64s(&mut self, vs: &[u64]) {
-        self.usize(vs.len());
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-
     /// Length-prefixed bool sequence (one byte per flag; acceptance and
     /// liveness vectors are small next to the transition tables).
     pub fn bools(&mut self, vs: &[bool]) {
         self.usize(vs.len());
         for &v in vs {
-            self.bool(v);
+            self.u8(v as u8);
         }
     }
 }
@@ -174,14 +161,6 @@ impl<'a> Decoder<'a> {
 
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
-    }
-
-    pub fn bool(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError::Malformed("bool tag")),
-        }
     }
 
     pub fn u32(&mut self) -> Result<u32, CodecError> {
@@ -234,16 +213,16 @@ impl<'a> Decoder<'a> {
         (0..n).map(|_| self.u32()).collect()
     }
 
-    /// Length-prefixed `u64` sequence.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, CodecError> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-
     /// Length-prefixed bool sequence.
     pub fn bools(&mut self) -> Result<Vec<bool>, CodecError> {
         let n = self.count(1)?;
-        (0..n).map(|_| self.bool()).collect()
+        (0..n)
+            .map(|_| match self.u8()? {
+                0 => Ok(false),
+                1 => Ok(true),
+                _ => Err(CodecError::Malformed("bool tag")),
+            })
+            .collect()
     }
 }
 
@@ -383,27 +362,23 @@ mod tests {
     fn round_trips_every_primitive() {
         let mut e = Encoder::new();
         e.u8(7);
-        e.bool(true);
         e.u32(0xDEAD_BEEF);
         e.u64(u64::MAX - 1);
         e.usize(42);
         e.str("hédge");
         e.bytes(&[1, 2, 3]);
         e.u32s(&[5, 6, 7]);
-        e.u64s(&[u64::MAX]);
         e.bools(&[true, false, true]);
         let buf = e.finish();
 
         let mut d = Decoder::new(&buf);
         assert_eq!(d.u8().unwrap(), 7);
-        assert!(d.bool().unwrap());
         assert_eq!(d.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(d.u64().unwrap(), u64::MAX - 1);
         assert_eq!(d.usize().unwrap(), 42);
         assert_eq!(d.str().unwrap(), "hédge");
         assert_eq!(d.bytes().unwrap(), vec![1, 2, 3]);
         assert_eq!(d.u32s().unwrap(), vec![5, 6, 7]);
-        assert_eq!(d.u64s().unwrap(), vec![u64::MAX]);
         assert_eq!(d.bools().unwrap(), vec![true, false, true]);
         d.expect_end().unwrap();
     }
@@ -412,12 +387,12 @@ mod tests {
     fn truncation_is_an_error_not_a_panic() {
         let mut e = Encoder::new();
         e.str("hello world");
-        e.u64s(&[1, 2, 3]);
+        e.u32s(&[1, 2, 3]);
         let buf = e.finish();
         // Every proper prefix must fail cleanly.
         for cut in 0..buf.len() {
             let mut d = Decoder::new(&buf[..cut]);
-            let r = d.str().and_then(|_| d.u64s());
+            let r = d.str().and_then(|_| d.u32s());
             assert!(r.is_err(), "prefix of {cut} bytes decoded");
         }
     }
@@ -428,7 +403,7 @@ mod tests {
         e.u64(u64::MAX); // a length prefix promising 2^64 elements
         let buf = e.finish();
         assert_eq!(
-            Decoder::new(&buf).u64s().unwrap_err(),
+            Decoder::new(&buf).u32s().unwrap_err(),
             CodecError::Truncated
         );
         assert_eq!(Decoder::new(&buf).str().unwrap_err(), CodecError::Truncated);
@@ -436,9 +411,9 @@ mod tests {
 
     #[test]
     fn bad_bool_tag_is_malformed() {
-        let buf = vec![2u8];
+        let buf = vec![1, 0, 0, 0, 0, 0, 0, 0, 2u8];
         assert!(matches!(
-            Decoder::new(&buf).bool().unwrap_err(),
+            Decoder::new(&buf).bools().unwrap_err(),
             CodecError::Malformed(_)
         ));
     }

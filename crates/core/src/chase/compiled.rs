@@ -42,57 +42,9 @@ use crate::cond::CompOp;
 use crate::stds::Mapping;
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use xmlmap_codec::{CodecError, Decoder, Encoder};
 use xmlmap_dtd::Mult;
 use xmlmap_patterns::{CompiledPattern, LabelTest, ListItem, Matcher, Pattern, Var};
 use xmlmap_trees::{Name, Tree, Value};
-
-fn encode_chase_err(err: &ChaseError, e: &mut Encoder) {
-    let (tag, msg): (u8, Option<&str>) = match err {
-        ChaseError::SourceNotConforming => (0, None),
-        ChaseError::OutsideFragment(m) => (1, Some(m)),
-        ChaseError::ValueConflict(m) => (2, Some(m)),
-        ChaseError::NotEmbeddable(m) => (3, Some(m)),
-        ChaseError::MultiplicityConflict(m) => (4, Some(m)),
-        ChaseError::InequalityViolated(m) => (5, Some(m)),
-        ChaseError::EqualityUnsatisfiable(m) => (6, Some(m)),
-    };
-    e.u8(tag);
-    if let Some(m) = msg {
-        e.str(m);
-    }
-}
-
-fn decode_chase_err(d: &mut Decoder<'_>) -> Result<ChaseError, CodecError> {
-    Ok(match d.u8()? {
-        0 => ChaseError::SourceNotConforming,
-        1 => ChaseError::OutsideFragment(d.str()?),
-        2 => ChaseError::ValueConflict(d.str()?),
-        3 => ChaseError::NotEmbeddable(d.str()?),
-        4 => ChaseError::MultiplicityConflict(d.str()?),
-        5 => ChaseError::InequalityViolated(d.str()?),
-        6 => ChaseError::EqualityUnsatisfiable(d.str()?),
-        _ => return Err(CodecError::Malformed("ChaseError tag")),
-    })
-}
-
-fn encode_opt_err(err: &Option<ChaseError>, e: &mut Encoder) {
-    match err {
-        None => e.u8(0),
-        Some(err) => {
-            e.u8(1);
-            encode_chase_err(err, e);
-        }
-    }
-}
-
-fn decode_opt_err(d: &mut Decoder<'_>) -> Result<Option<ChaseError>, CodecError> {
-    match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(decode_chase_err(d)?)),
-        _ => Err(CodecError::Malformed("option tag")),
-    }
-}
 
 /// Per-mapping compiled state for the chase: compiled std source patterns,
 /// target-pattern instruction plans, α′₌ variable classes, and the target
@@ -133,11 +85,6 @@ pub(super) struct LabelInfo {
 /// flattened target-instantiation program.
 pub(super) struct StdPlan {
     pub(super) source: CompiledPattern,
-    /// Canonical display text of the source pattern. [`CompiledPattern`]
-    /// does not retain its source, and the serialized form rebuilds the
-    /// matcher by reparsing this text (display round-trips through the
-    /// pattern parser), so interned variable ids come out identical.
-    pub(super) source_text: String,
     /// Source conditions over interned source-variable ids; `None` marks a
     /// comparison over a variable the pattern never binds — it never
     /// holds, so the std has no firings at all.
@@ -338,7 +285,6 @@ impl ChaseCache {
                 );
                 StdPlan {
                     source,
-                    source_text: s.source.to_string(),
                     src_conds,
                     tvar_classes,
                     class_count,
@@ -358,168 +304,6 @@ impl ChaseCache {
         }
     }
 
-    /// Serializes the compiled chase tables for an on-disk artifact store.
-    ///
-    /// Instruction plans, slot tables, and α′₌ classes travel verbatim;
-    /// each std's source matcher travels as its canonical pattern text
-    /// (compiling a pattern is one cheap traversal — the expensive part of
-    /// [`ChaseCache::new`] is the plan emission, which is what we skip).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        encode_opt_err(&self.fragment_err, &mut e);
-        e.usize(self.labels.len());
-        for info in &self.labels {
-            e.str(info.name.as_str());
-            e.usize(info.attrs.len());
-            for a in &info.attrs {
-                e.str(a.as_str());
-            }
-            e.usize(info.slots.len());
-            for &(child, mult) in &info.slots {
-                e.u32(child);
-                e.u8(match mult {
-                    Mult::One => 0,
-                    Mult::Opt => 1,
-                    Mult::Star => 2,
-                    Mult::Plus => 3,
-                });
-            }
-        }
-        e.u32(self.root);
-        e.usize(self.plans.len());
-        for p in &self.plans {
-            e.str(&p.source_text);
-            e.usize(p.src_conds.len());
-            for c in &p.src_conds {
-                match c {
-                    None => e.u8(0),
-                    Some((op, l, r)) => {
-                        e.u8(1);
-                        e.u8(match op {
-                            CompOp::Eq => 0,
-                            CompOp::Neq => 1,
-                        });
-                        e.u32(*l);
-                        e.u32(*r);
-                    }
-                }
-            }
-            e.usize(p.tvar_classes.len());
-            for &(class, src) in &p.tvar_classes {
-                e.u32(class);
-                match src {
-                    None => e.u8(0),
-                    Some(sid) => {
-                        e.u8(1);
-                        e.u32(sid);
-                    }
-                }
-            }
-            e.u32(p.class_count);
-            e.usize(p.neqs.len());
-            for (l, r, what) in &p.neqs {
-                e.u32(*l);
-                e.u32(*r);
-                e.str(what);
-            }
-            encode_opt_err(&p.pre_fail, &mut e);
-            e.u32(p.plan_nodes);
-            e.usize(p.ops.len());
-            for op in &p.ops {
-                match op {
-                    PlanOp::Unify { node, classes } => {
-                        e.u8(0);
-                        e.u32(*node);
-                        e.u32s(classes);
-                    }
-                    PlanOp::Child {
-                        parent,
-                        node,
-                        label,
-                        slot,
-                        repeatable,
-                    } => {
-                        e.u8(1);
-                        e.u32(*parent);
-                        e.u32(*node);
-                        e.u32(*label);
-                        e.u32(*slot);
-                        e.bool(*repeatable);
-                    }
-                    PlanOp::Fail(err) => {
-                        e.u8(2);
-                        encode_chase_err(err, &mut e);
-                    }
-                }
-            }
-        }
-        e.finish()
-    }
-
-    /// Inverse of [`ChaseCache::to_bytes`]. Every index the chase loop
-    /// later trusts (labels, slots, plan nodes, α′₌ classes, tuple
-    /// positions) is re-validated here, so a corrupt payload that survives
-    /// the envelope checksum degrades to a [`CodecError`], never a panic.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ChaseCache, CodecError> {
-        let mut d = Decoder::new(bytes);
-        let fragment_err = decode_opt_err(&mut d)?;
-        let n_labels = d.usize()?;
-        if n_labels > d.remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let mut labels = Vec::with_capacity(n_labels);
-        for _ in 0..n_labels {
-            let name = Name::new(d.str()?);
-            let n_attrs = d.usize()?;
-            if n_attrs > d.remaining() {
-                return Err(CodecError::Truncated);
-            }
-            let attrs = (0..n_attrs)
-                .map(|_| Ok(Name::new(d.str()?)))
-                .collect::<Result<Vec<_>, CodecError>>()?;
-            let n_slots = d.usize()?;
-            if n_slots > d.remaining() {
-                return Err(CodecError::Truncated);
-            }
-            let slots = (0..n_slots)
-                .map(|_| {
-                    let child = d.u32()?;
-                    if child as usize >= n_labels {
-                        return Err(CodecError::Malformed("slot child out of range"));
-                    }
-                    let mult = match d.u8()? {
-                        0 => Mult::One,
-                        1 => Mult::Opt,
-                        2 => Mult::Star,
-                        3 => Mult::Plus,
-                        _ => return Err(CodecError::Malformed("Mult tag")),
-                    };
-                    Ok((child, mult))
-                })
-                .collect::<Result<Vec<_>, CodecError>>()?;
-            labels.push(LabelInfo { name, attrs, slots });
-        }
-        let root = d.u32()?;
-        if root as usize >= n_labels && !(n_labels == 0 && root == 0) {
-            return Err(CodecError::Malformed("root label out of range"));
-        }
-        let n_plans = d.usize()?;
-        if n_plans > d.remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let mut plans = Vec::with_capacity(n_plans);
-        for _ in 0..n_plans {
-            plans.push(decode_plan(&mut d, &labels, root)?);
-        }
-        d.expect_end()?;
-        Ok(ChaseCache {
-            fragment_err,
-            labels,
-            root,
-            plans,
-        })
-    }
-
     /// The static fragment error, if the mapping is outside the chase
     /// fragment (reported before any firing is examined).
     pub fn fragment_error(&self) -> Option<&ChaseError> {
@@ -529,15 +313,6 @@ impl ChaseCache {
     /// Number of std plans (one per std of the source mapping, in order).
     pub fn std_count(&self) -> usize {
         self.plans.len()
-    }
-
-    /// Canonical display text of std `i`'s source pattern. Reparsing it
-    /// reproduces the compiled source pattern with identical interned
-    /// variable ids, so externally-enumerated firing tuples (e.g. from a
-    /// streaming pass) line up with this plan's condition and class
-    /// indices.
-    pub fn source_text(&self, i: usize) -> &str {
-        &self.plans[i].source_text
     }
 
     /// Filters externally-enumerated match tuples of std `i` by the std's
@@ -603,7 +378,6 @@ impl ChaseCache {
             .iter()
             .map(|p| {
                 p.source.approx_bytes()
-                    + p.source_text.len() as u64
                     + p.src_conds.capacity() as u64 * 16
                     + p.tvar_classes.capacity() as u64 * 12
                     + p.neqs
@@ -623,149 +397,6 @@ impl ChaseCache {
             .sum();
         labels + plans + 64
     }
-}
-
-/// Decodes one [`StdPlan`], tracking the target label bound to each plan
-/// node so slot indices and attribute arities can be checked against the
-/// decoded label tables.
-fn decode_plan(
-    d: &mut Decoder<'_>,
-    labels: &[LabelInfo],
-    root: u32,
-) -> Result<StdPlan, CodecError> {
-    let source_text = d.str()?;
-    let pat = xmlmap_patterns::parse(&source_text)
-        .map_err(|_| CodecError::Malformed("stored pattern text"))?;
-    let source = CompiledPattern::new(&pat);
-    let n_vars = source.var_count() as u32;
-    let n_conds = d.usize()?;
-    if n_conds > d.remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let src_conds = (0..n_conds)
-        .map(|_| match d.u8()? {
-            0 => Ok(None),
-            1 => {
-                let op = match d.u8()? {
-                    0 => CompOp::Eq,
-                    1 => CompOp::Neq,
-                    _ => return Err(CodecError::Malformed("CompOp tag")),
-                };
-                let l = d.u32()?;
-                let r = d.u32()?;
-                if l >= n_vars || r >= n_vars {
-                    return Err(CodecError::Malformed("condition variable out of range"));
-                }
-                Ok(Some((op, l, r)))
-            }
-            _ => Err(CodecError::Malformed("option tag")),
-        })
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    let n_tvars = d.usize()?;
-    if n_tvars > d.remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let mut tvar_classes = Vec::with_capacity(n_tvars);
-    for _ in 0..n_tvars {
-        let class = d.u32()?;
-        let src = match d.u8()? {
-            0 => None,
-            1 => Some(d.u32()?),
-            _ => return Err(CodecError::Malformed("option tag")),
-        };
-        tvar_classes.push((class, src));
-    }
-    let class_count = d.u32()?;
-    if tvar_classes
-        .iter()
-        .any(|&(c, s)| c >= class_count || matches!(s, Some(sid) if sid >= n_vars))
-    {
-        return Err(CodecError::Malformed("α′₌ class out of range"));
-    }
-    let n_neqs = d.usize()?;
-    if n_neqs > d.remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let neqs = (0..n_neqs)
-        .map(|_| {
-            let l = d.u32()?;
-            let r = d.u32()?;
-            if l >= class_count || r >= class_count {
-                return Err(CodecError::Malformed("≠ class out of range"));
-            }
-            Ok((l, r, d.str()?))
-        })
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    let pre_fail = decode_opt_err(d)?;
-    let plan_nodes = d.u32()?;
-    let n_ops = d.usize()?;
-    if n_ops > d.remaining() {
-        return Err(CodecError::Truncated);
-    }
-    // Which target label each plan node is bound to; node 0 is the root.
-    let mut node_label: Vec<Option<u32>> = vec![None; plan_nodes as usize];
-    if let Some(slot) = node_label.first_mut() {
-        *slot = Some(root);
-    }
-    let mut ops = Vec::with_capacity(n_ops);
-    for _ in 0..n_ops {
-        let op = match d.u8()? {
-            0 => {
-                let node = d.u32()?;
-                let classes = d.u32s()?.into_boxed_slice();
-                let label = *node_label
-                    .get(node as usize)
-                    .and_then(|l| l.as_ref())
-                    .ok_or(CodecError::Malformed("unify on unbound plan node"))?;
-                if classes.len() != labels[label as usize].attrs.len()
-                    || classes.iter().any(|&c| c >= class_count)
-                {
-                    return Err(CodecError::Malformed("unify classes"));
-                }
-                PlanOp::Unify { node, classes }
-            }
-            1 => {
-                let parent = d.u32()?;
-                let node = d.u32()?;
-                let label = d.u32()?;
-                let slot = d.u32()?;
-                let repeatable = d.bool()?;
-                let plabel = *node_label
-                    .get(parent as usize)
-                    .and_then(|l| l.as_ref())
-                    .ok_or(CodecError::Malformed("child of unbound plan node"))?;
-                let slots = &labels[plabel as usize].slots;
-                if slot as usize >= slots.len() || slots[slot as usize].0 != label {
-                    return Err(CodecError::Malformed("child slot mismatch"));
-                }
-                match node_label.get_mut(node as usize) {
-                    Some(l) => *l = Some(label),
-                    None => return Err(CodecError::Malformed("plan node out of range")),
-                }
-                PlanOp::Child {
-                    parent,
-                    node,
-                    label,
-                    slot,
-                    repeatable,
-                }
-            }
-            2 => PlanOp::Fail(decode_chase_err(d)?),
-            _ => return Err(CodecError::Malformed("PlanOp tag")),
-        };
-        ops.push(op);
-    }
-    Ok(StdPlan {
-        source,
-        source_text,
-        src_conds,
-        tvar_classes,
-        class_count,
-        neqs,
-        pre_fail,
-        ops,
-        plan_nodes,
-    })
 }
 
 /// Flattens `pat` (rooted at plan node `node`, embedded at target label

@@ -73,7 +73,6 @@ use crate::exchange::CertainAnswersError;
 use crate::stds::Mapping;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use xmlmap_codec::CodecError;
 use xmlmap_patterns::{eval, LiveRows, Matcher, Pattern, Valuation};
 use xmlmap_trees::{Name, NodeId, Tree, Value};
 
@@ -114,10 +113,8 @@ impl TouchProfile {
 }
 
 /// Per-mapping compiled artifact for incremental sessions: the chase
-/// tables plus one [`TouchProfile`] per std. Cached by [`crate::engine::
-/// EngineContext::delta_plan`] under [`crate::store::Family::DeltaChase`];
-/// the persisted payload is the chase tables, profiles are recomputed
-/// from the canonical source-pattern texts on decode.
+/// tables plus one [`TouchProfile`] per std. Cached in memory by
+/// [`crate::engine::EngineContext::delta_plan`].
 pub struct DeltaPlan {
     pub(crate) chase: ChaseCache,
     pub(crate) profiles: Vec<TouchProfile>,
@@ -128,33 +125,13 @@ impl DeltaPlan {
     pub fn new(m: &Mapping) -> DeltaPlan {
         let chase = ChaseCache::new(m);
         // A mapping outside the chase fragment compiles to no std plans,
-        // so it gets no profiles either — exactly what decoding its
-        // stored tables yields. Its sessions only report the fragment
-        // error.
+        // so it gets no profiles either: its sessions only report the
+        // fragment error.
         let profiles = m.stds[..chase.std_count()]
             .iter()
             .map(|s| TouchProfile::of(&s.source))
             .collect();
         DeltaPlan { chase, profiles }
-    }
-
-    /// Serializes the plan (the chase tables; profiles travel implicitly).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.chase.to_bytes()
-    }
-
-    /// Inverse of [`DeltaPlan::to_bytes`]: decodes the chase tables and
-    /// recomputes each std's profile from its canonical pattern text.
-    pub fn from_bytes(bytes: &[u8]) -> Result<DeltaPlan, CodecError> {
-        let chase = ChaseCache::from_bytes(bytes)?;
-        let profiles = (0..chase.std_count())
-            .map(|i| {
-                let p = xmlmap_patterns::parse(chase.source_text(i))
-                    .map_err(|_| CodecError::Malformed("stored pattern text"))?;
-                Ok(TouchProfile::of(&p))
-            })
-            .collect::<Result<Vec<_>, CodecError>>()?;
-        Ok(DeltaPlan { chase, profiles })
     }
 
     /// Approximate heap footprint for the engine's memory accounting.
@@ -1114,22 +1091,6 @@ delete 0
             s.canonical_solution(),
             Err(ChaseError::OutsideFragment(_))
         ));
-        assert_in_sync(&mut s);
-    }
-
-    #[test]
-    fn plan_round_trips_through_bytes() {
-        let m = mapping(
-            "root r\nr -> a*\na @ v",
-            "root r\nr -> b*\nb @ w",
-            &["r/a(x) --> r/b(x)"],
-        );
-        let plan = DeltaPlan::new(&m);
-        let back = DeltaPlan::from_bytes(&plan.to_bytes()).unwrap();
-        assert_eq!(back.profiles.len(), 1);
-        assert_eq!(back.profiles[0].labels, plan.profiles[0].labels);
-        assert!(back.approx_bytes() > 0);
-        let mut s = IncrementalChase::with_plan(m, tree!("r"["a"("v" = "1")]), Arc::new(back));
         assert_in_sync(&mut s);
     }
 }

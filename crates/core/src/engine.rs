@@ -28,11 +28,15 @@
 //!   eviction sweep; entries still compiling are never evicted, and an
 //!   unbounded context pays nothing for the machinery;
 //! * **persistent store** — [`EngineContext::with_disk_cache`] attaches a
-//!   directory of checksummed binary artifacts ([`crate::store`]): cache
-//!   misses try a disk load before compiling, fresh compilations are
-//!   written back, and a restart against a warm store compiles nothing.
-//!   Corrupt or version-stale files are counted (`disk_errors`) and
-//!   silently recompiled.
+//!   directory of checksummed binary artifacts ([`crate::store`]) for the
+//!   two families whose rebuild is costly: determinized hedge automata
+//!   and shape enumerations. Their misses try a disk load before
+//!   compiling and their fresh artifacts are written back, so a restart
+//!   against a warm store runs no subset construction or shape
+//!   enumeration. Corrupt or version-stale files are counted
+//!   (`disk_errors`) and silently recompiled. Every other family compiles
+//!   in one linear pass over its schema or mapping, faster than a disk
+//!   load, and stays in memory only.
 //!
 //! What is deliberately **not** cached at this layer: verdicts keyed by
 //! *documents* (chase outputs, membership answers — the key would be the
@@ -69,7 +73,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 use xmlmap_automata::{AutomataCache, InclusionBudgetExceeded, SubschemaViolation};
-use xmlmap_codec::{Decoder, Encoder};
 use xmlmap_dtd::{Dtd, DtdIndex};
 use xmlmap_patterns::sat::BudgetExceeded;
 use xmlmap_patterns::{Pattern, SatCache, StreamPattern, UnstreamablePattern, Valuation};
@@ -413,6 +416,17 @@ impl<V> ShardedCache<V> {
         (value, how)
     }
 
+    /// Runs `compile`, adding its wall-clock time to the family's compile
+    /// counter.
+    fn compile_timed(&self, compile: impl FnOnce() -> V) -> V {
+        let start = Instant::now();
+        let v = compile();
+        self.stats
+            .compile_ns
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        v
+    }
+
     /// Books `bytes` against the entry for `key` (and the family total).
     fn set_bytes(&self, key: &str, bytes: u64) {
         let shard = self.shards[self.shard_of(key)].read().unwrap();
@@ -603,11 +617,11 @@ impl EngineContext {
     }
 
     /// Attaches a persistent artifact store at `dir` (created if absent).
-    /// Every cache miss first tries the store; compiled artifacts are
-    /// written back, so a later process (or a post-eviction refill) skips
-    /// compilation entirely. Call [`EngineContext::flush_disk_cache`]
-    /// before dropping the context to persist the query-time shape
-    /// enumerations too.
+    /// Automata and shape-cache misses first try the store; compiled
+    /// automata are written back, so a later process (or a post-eviction
+    /// refill) skips subset construction. Call
+    /// [`EngineContext::flush_disk_cache`] before dropping the context to
+    /// persist the query-time shape enumerations too.
     pub fn with_disk_cache(mut self, dir: impl AsRef<Path>) -> std::io::Result<EngineContext> {
         self.store = Some(ArtifactStore::new(dir)?);
         Ok(self)
@@ -625,44 +639,61 @@ impl EngineContext {
 
     // ---- the load-or-compile spine -------------------------------------
 
-    /// One lookup against a family cache: resident hit, else disk load,
-    /// else compile (writing back to disk when `persist` and a store is
-    /// attached), then byte accounting and budget enforcement.
-    #[allow(clippy::too_many_arguments)]
+    /// One lookup against a memory-only family cache: resident hit, else
+    /// compile, then byte accounting and budget enforcement.
     fn fetch<V>(
+        &self,
+        cache: &ShardedCache<V>,
+        key: &str,
+        measure: impl FnOnce(&V) -> u64,
+        compile: impl FnOnce() -> V,
+    ) -> Arc<V> {
+        self.fill(cache, key, measure, || {
+            (cache.compile_timed(compile), false)
+        })
+        .0
+    }
+
+    /// [`EngineContext::fetch`] for a persisted family: a miss first tries
+    /// the attached artifact store under `family` and compiles only when
+    /// nothing usable is stored. Unusable artifacts (damaged, another
+    /// format version, or a payload `decode` rejects) are counted in
+    /// `disk_errors`. Returns how the slot was filled, so the caller can
+    /// write a fresh compilation back.
+    fn fetch_stored<V>(
         &self,
         cache: &ShardedCache<V>,
         family: Family,
         key: &str,
-        persist: bool,
         decode: impl FnOnce(&[u8]) -> Option<V>,
-        encode: impl FnOnce(&V) -> Vec<u8>,
         measure: impl FnOnce(&V) -> u64,
         compile: impl FnOnce() -> V,
-    ) -> Arc<V> {
-        let (value, how) = cache.get_or_fill(key, || {
+    ) -> (Arc<V>, Fill) {
+        self.fill(cache, key, measure, || {
             if let Some(store) = &self.store {
-                match store.load(family, key) {
-                    Ok(payload) => match decode(&payload) {
-                        Some(v) => return (v, true),
-                        None => {
-                            cache.stats.disk_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    },
+                match store.load(family, key).map(|payload| decode(&payload)) {
+                    Ok(Some(v)) => return (v, true),
                     Err(LoadError::Missing) => {}
-                    Err(_) => {
+                    Ok(None) | Err(_) => {
                         cache.stats.disk_errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
-            let start = Instant::now();
-            let v = compile();
-            cache
-                .stats
-                .compile_ns
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            (v, false)
-        });
+            (cache.compile_timed(compile), false)
+        })
+    }
+
+    /// The shared tail of both lookups: fill the slot on a miss, then
+    /// count the fill for this thread, account its bytes and enforce the
+    /// budget.
+    fn fill<V>(
+        &self,
+        cache: &ShardedCache<V>,
+        key: &str,
+        measure: impl FnOnce(&V) -> u64,
+        fill: impl FnOnce() -> (V, bool),
+    ) -> (Arc<V>, Fill) {
+        let (value, how) = cache.get_or_fill(key, fill);
         if how != Fill::Hit {
             THREAD_FILLS.with(|fills| {
                 let (compiled, loaded) = fills.get();
@@ -671,15 +702,10 @@ impl EngineContext {
                     _ => (compiled, loaded + 1),
                 });
             });
-            if how == Fill::Compiled && persist {
-                if let Some(store) = &self.store {
-                    store.save(family, key, &encode(&value));
-                }
-            }
             cache.set_bytes(key, measure(&value));
             self.enforce_budget();
         }
-        value
+        (value, how)
     }
 
     /// Evicts (heaviest family first) until the accounted total fits the
@@ -737,10 +763,9 @@ impl EngineContext {
         self.enforce_budget();
     }
 
-    /// Writes the artifact families whose content accumulates at *query*
-    /// time — today the shape caches — to the attached store. Compiled-at-
-    /// fill families are persisted eagerly and need no flush. No-op
-    /// without a store.
+    /// Writes the shape caches, whose content accumulates at *query* time,
+    /// to the attached store. Automata are persisted at fill time and need
+    /// no flush. No-op without a store.
     pub fn flush_disk_cache(&self) {
         let Some(store) = &self.store else { return };
         self.shapes.for_each(|key, v| {
@@ -752,90 +777,67 @@ impl EngineContext {
 
     // ---- raw cache accessors -------------------------------------------
 
-    /// The shared [`SatCache`] for `dtd`, loading or compiling it on first
-    /// request.
+    /// The shared [`SatCache`] for `dtd`, compiling it on first request.
     pub fn sat_cache(&self, dtd: &Dtd) -> Arc<SatCache> {
         self.fetch(
             &self.sat,
-            Family::Sat,
             &dtd.to_string(),
-            true,
-            |b| {
-                SatCache::from_bytes(b)
-                    .ok()
-                    .map(|c| c.with_context(SAT_CONTEXT))
-            },
-            |v| v.to_bytes(),
             |v| v.approx_bytes(),
             || SatCache::new(dtd).with_context(SAT_CONTEXT),
         )
     }
 
-    /// The shared [`ChaseCache`] for `m`, loading or compiling it on first
-    /// request.
+    /// The shared [`ChaseCache`] for `m`, compiling it on first request.
     pub fn chase_cache(&self, m: &Mapping) -> Arc<ChaseCache> {
         self.fetch(
             &self.chase,
-            Family::Chase,
             &m.to_string(),
-            true,
-            |b| ChaseCache::from_bytes(b).ok(),
-            |v| v.to_bytes(),
             |v| v.approx_bytes(),
             || ChaseCache::new(m),
         )
     }
 
     /// The shared [`AutomataCache`] for the ordered pair `(d1, d2)`,
-    /// loading or compiling both automata on first request.
+    /// loading it from the artifact store or compiling both automata on
+    /// first request. A fresh compilation is written back at once.
     pub fn automata_cache(&self, d1: &Dtd, d2: &Dtd) -> Arc<AutomataCache> {
         let key = format!("{d1}\u{0}{d2}");
-        self.fetch(
+        let (cache, how) = self.fetch_stored(
             &self.automata,
             Family::Automata,
             &key,
-            true,
             |b| AutomataCache::from_bytes(b).ok(),
-            |v| v.to_bytes(),
             |v| v.approx_bytes(),
             || AutomataCache::new(d1, d2),
-        )
+        );
+        if let (Fill::Compiled, Some(store)) = (how, &self.store) {
+            store.save(Family::Automata, &key, &cache.to_bytes());
+        }
+        cache
     }
 
-    /// The shared [`ShapeCache`] for `dtd`. A fresh shape cache is empty
-    /// (enumeration happens per bound at query time), so this family is
-    /// persisted by [`EngineContext::flush_disk_cache`] rather than at
-    /// fill time.
+    /// The shared [`ShapeCache`] for `dtd`, loading it from the artifact
+    /// store on first request. A fresh shape cache is empty (enumeration
+    /// happens per bound at query time), so this family is written back
+    /// by [`EngineContext::flush_disk_cache`] rather than at fill time.
     pub fn shape_cache(&self, dtd: &Dtd) -> Arc<ShapeCache> {
-        self.fetch(
+        self.fetch_stored(
             &self.shapes,
             Family::Shapes,
             &dtd.to_string(),
-            false,
             |b| ShapeCache::from_bytes(b).ok(),
-            |v| v.to_bytes(),
             |v| v.approx_bytes(),
             || ShapeCache::new(dtd),
         )
+        .0
     }
 
     /// The shared streaming [`DtdIndex`] for `dtd` (dense content-model
-    /// NFAs), loading or compiling it on first request.
+    /// NFAs), compiling it on first request.
     pub fn stream_index(&self, dtd: &Dtd) -> Arc<DtdIndex> {
         self.fetch(
             &self.stream_idx,
-            Family::StreamIndex,
             &dtd.to_string(),
-            true,
-            |b| {
-                let mut d = Decoder::new(b);
-                DtdIndex::decode(&mut d).ok()
-            },
-            |v| {
-                let mut e = Encoder::new();
-                v.encode(&mut e);
-                e.finish()
-            },
             |v| v.approx_bytes(),
             || DtdIndex::new(dtd),
         )
@@ -843,8 +845,7 @@ impl EngineContext {
 
     /// The shared streaming plan for `pattern`, compiling it on first
     /// request; rejects patterns outside the streamable downward fragment
-    /// with a diagnostic naming the offending feature. Plans are cheap to
-    /// compile and are kept in memory only (never persisted to disk).
+    /// with a diagnostic naming the offending feature.
     pub fn stream_plan(
         &self,
         pattern: &Pattern,
@@ -852,46 +853,29 @@ impl EngineContext {
         let compiled = StreamPattern::compile(pattern)?;
         Ok(self.fetch(
             &self.stream_plans,
-            Family::StreamPlan,
             &pattern.to_string(),
-            false,
-            |_| None,
-            |_| Vec::new(),
             |v| v.approx_bytes(),
             move || compiled,
         ))
     }
 
     /// The shared [`StreamChasePlan`] for `m` (chase tables + per-std
-    /// stream enumerator plans), loading or compiling it on first
-    /// request. The persisted payload is the chase tables; the stream
-    /// plans are recompiled from the canonical source-pattern texts on
-    /// decode.
+    /// stream enumerator plans), compiling it on first request.
     pub fn stream_chase_plan(&self, m: &Mapping) -> Arc<StreamChasePlan> {
         self.fetch(
             &self.stream_chase,
-            Family::StreamChase,
             &m.to_string(),
-            true,
-            |b| StreamChasePlan::from_bytes(b).ok(),
-            |v| v.to_bytes(),
             |v| v.approx_bytes(),
             || StreamChasePlan::new(m),
         )
     }
 
     /// The shared [`DeltaPlan`] for `m` (chase tables + per-std touch
-    /// profiles), loading or compiling it on first request. The persisted
-    /// payload is the chase tables; the touch profiles are recomputed from
-    /// the canonical source-pattern texts on decode.
+    /// profiles), compiling it on first request.
     pub fn delta_plan(&self, m: &Mapping) -> Arc<DeltaPlan> {
         self.fetch(
             &self.delta,
-            Family::DeltaChase,
             &m.to_string(),
-            true,
-            |b| DeltaPlan::from_bytes(b).ok(),
-            |v| v.to_bytes(),
             |v| v.approx_bytes(),
             || DeltaPlan::new(m),
         )

@@ -2,10 +2,15 @@
 //!
 //! A directory of flat files, one per compiled artifact, keyed by a content
 //! hash of the artifact's cache key (the canonical display text of the
-//! schema, mapping, or schema pair it was compiled from). A process that
-//! restarts against the same store — CI shards, repeated CLI batch runs —
-//! loads compiled tables off disk instead of re-running subset
-//! construction and plan emission.
+//! schema or schema pair it was compiled from). A process that restarts
+//! against the same store — CI shards, repeated CLI batch runs — loads
+//! compiled tables off disk instead of re-running subset construction and
+//! shape enumeration.
+//!
+//! Only those two costly families are stored ([`Family`]). Every other
+//! engine artifact is one linear pass over a schema or mapping that the
+//! caller already holds parsed, and compiles faster than a file read,
+//! checksum and decode (DESIGN.md §8.5).
 //!
 //! Every file wraps its payload in an envelope:
 //!
@@ -33,67 +38,42 @@ use xmlmap_codec::{checksum, Decoder, Encoder};
 use xmlmap_regex::FastHasher;
 
 /// Bump whenever the serialized form of *any* artifact family changes
-/// (2: the `DtdIndex` payload of the `Sat` and `StreamIndex` families is
-/// the schema text alone; 3: an `Automata` payload is the two schema
-/// texts, the compiled pair without its label tables, and a checksum —
-/// the sparse hedge automata are no longer stored).
+/// (2: the `DtdIndex` payload of the since-dropped `Sat` and
+/// `StreamIndex` families became the schema text alone; 3: an `Automata`
+/// payload is the two schema texts, the compiled pair without its label
+/// tables, and a checksum — the sparse hedge automata are no longer
+/// stored).
 pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 4] = b"XMAP";
 
-/// The compiled-artifact families of the engine caches.
+/// The persisted artifact families: the two whose rebuild costs more than
+/// a load. Their tags are unchanged since the store also held the cheap
+/// families, so an older store of the same format version still serves
+/// them; files of the dropped families are never opened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
-    /// `SatCache` — per-schema satisfiability index.
-    Sat,
-    /// `ChaseCache` — per-mapping chase tables.
-    Chase,
-    /// `AutomataCache` — per-schema-pair compiled automata.
+    /// `AutomataCache` — per-schema-pair determinized hedge automata
+    /// (subset construction).
     Automata,
-    /// `ShapeCache` — per-schema memoized shape enumerations.
+    /// `ShapeCache` — per-schema memoized shape enumerations (exponential
+    /// in their bound).
     Shapes,
-    /// `DtdIndex` — per-schema streaming-validation index (the payload
-    /// is the schema text; content models are recompiled on decode).
-    StreamIndex,
-    /// `StreamPattern` — per-pattern streaming plans (never persisted;
-    /// the family exists so the in-memory cache has a distinct slot
-    /// namespace).
-    StreamPlan,
-    /// `StreamChasePlan` — per-mapping streaming-chase artifacts (chase
-    /// tables + per-std stream plans; the payload is the chase tables,
-    /// stream plans are recompiled on decode).
-    StreamChase,
-    /// `DeltaPlan` — per-mapping incremental-chase artifacts (chase
-    /// tables + per-std touch profiles; the payload is the chase tables,
-    /// profiles are recomputed from the source-pattern texts on decode).
-    DeltaChase,
 }
 
 impl Family {
     fn tag(self) -> u8 {
         match self {
-            Family::Sat => 0,
-            Family::Chase => 1,
             Family::Automata => 2,
             Family::Shapes => 3,
-            Family::StreamIndex => 4,
-            Family::StreamPlan => 5,
-            Family::StreamChase => 6,
-            Family::DeltaChase => 7,
         }
     }
 
     /// Filename prefix for the family.
     pub fn name(self) -> &'static str {
         match self {
-            Family::Sat => "sat",
-            Family::Chase => "chase",
             Family::Automata => "automata",
             Family::Shapes => "shapes",
-            Family::StreamIndex => "streamindex",
-            Family::StreamPlan => "streamplan",
-            Family::StreamChase => "streamchase",
-            Family::DeltaChase => "deltachase",
         }
     }
 }
@@ -216,34 +196,34 @@ mod tests {
     #[test]
     fn round_trip() {
         let store = ArtifactStore::new(tmpdir("rt")).unwrap();
-        assert_eq!(store.load(Family::Sat, "k"), Err(LoadError::Missing));
-        store.save(Family::Sat, "k", b"payload");
-        assert_eq!(store.load(Family::Sat, "k").unwrap(), b"payload");
+        assert_eq!(store.load(Family::Shapes, "k"), Err(LoadError::Missing));
+        store.save(Family::Shapes, "k", b"payload");
+        assert_eq!(store.load(Family::Shapes, "k").unwrap(), b"payload");
         // Same key, different family: separate slots.
-        assert_eq!(store.load(Family::Chase, "k"), Err(LoadError::Missing));
+        assert_eq!(store.load(Family::Automata, "k"), Err(LoadError::Missing));
     }
 
     #[test]
     fn corruption_is_detected_not_fatal() {
         let dir = tmpdir("corrupt");
         let store = ArtifactStore::new(&dir).unwrap();
-        store.save(Family::Chase, "key", b"0123456789");
+        store.save(Family::Automata, "key", b"0123456789");
         let path = fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
 
         // Truncation.
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 3]).unwrap();
-        assert_eq!(store.load(Family::Chase, "key"), Err(LoadError::Corrupt));
+        assert_eq!(store.load(Family::Automata, "key"), Err(LoadError::Corrupt));
 
         // Single byte flip.
         let mut flipped = full.clone();
         flipped[10] ^= 0x40;
         fs::write(&path, &flipped).unwrap();
-        assert_eq!(store.load(Family::Chase, "key"), Err(LoadError::Corrupt));
+        assert_eq!(store.load(Family::Automata, "key"), Err(LoadError::Corrupt));
 
         // Restore: loads again.
         fs::write(&path, &full).unwrap();
-        assert_eq!(store.load(Family::Chase, "key").unwrap(), b"0123456789");
+        assert_eq!(store.load(Family::Automata, "key").unwrap(), b"0123456789");
     }
 
     #[test]
@@ -273,11 +253,11 @@ mod tests {
     #[test]
     fn key_collision_slot_reads_as_missing() {
         let store = ArtifactStore::new(tmpdir("collide")).unwrap();
-        store.save(Family::Sat, "key-a", b"a");
+        store.save(Family::Shapes, "key-a", b"a");
         // Forge the path of a *different* key onto key-a's file by writing
         // key-b and then asking for it under key-a's artifact: simplest
         // honest check is that a stored key only answers to itself.
-        assert_eq!(store.load(Family::Sat, "key-b"), Err(LoadError::Missing));
-        assert_eq!(store.load(Family::Sat, "key-a").unwrap(), b"a");
+        assert_eq!(store.load(Family::Shapes, "key-b"), Err(LoadError::Missing));
+        assert_eq!(store.load(Family::Shapes, "key-a").unwrap(), b"a");
     }
 }

@@ -23,7 +23,6 @@ use crate::stds::Mapping;
 use std::fmt;
 use std::io::Read;
 use std::sync::Arc;
-use xmlmap_codec::CodecError;
 use xmlmap_dtd::{DtdIndex, StreamStats, StreamValidator};
 use xmlmap_patterns::{StreamEnumerator, StreamMatcher, StreamPattern, UnstreamablePattern};
 use xmlmap_trees::{Name, SaxEvent, SaxReader, Tree, Value, XmlError};
@@ -226,13 +225,11 @@ impl From<XmlError> for StreamChaseError {
 /// Compiled artifact for the streaming chase of one mapping: the chase
 /// tables ([`ChaseCache`]) plus one [`StreamPattern`] per std source.
 ///
-/// The stream plans are rebuilt from the cache's canonical source-pattern
-/// texts (display round-trips through the parser, so interned variable
+/// Both are compiled from the same source patterns, so interned variable
 /// ids — and hence enumerator tuple positions — line up with the chase
-/// plans), which keeps the serialized form identical to the chase
-/// cache's. A mapping whose sources stray outside the streamable
-/// fragment still compiles; the failure is carried in the plan and
-/// reported by [`chase_stream`] before any input is read.
+/// plans. A mapping whose sources stray outside the streamable fragment
+/// still compiles; the failure is carried in the plan and reported by
+/// [`chase_stream`] before any input is read.
 pub struct StreamChasePlan {
     cache: ChaseCache,
     plans: Result<Vec<StreamPattern>, UnstreamableStd>,
@@ -241,36 +238,21 @@ pub struct StreamChasePlan {
 impl StreamChasePlan {
     /// Compiles the streaming-chase artifact for `m`.
     pub fn new(m: &Mapping) -> StreamChasePlan {
-        StreamChasePlan::from_cache(ChaseCache::new(m))
-    }
-
-    /// Builds the per-std stream plans on top of an already-compiled
-    /// chase cache.
-    pub fn from_cache(cache: ChaseCache) -> StreamChasePlan {
-        let plans = (0..cache.std_count())
-            .map(|i| {
-                let text = cache.source_text(i);
-                let pat = xmlmap_patterns::parse(text)
-                    .expect("chase cache stores display-round-trippable pattern text");
-                StreamPattern::compile(&pat).map_err(|cause| UnstreamableStd {
+        let cache = ChaseCache::new(m);
+        // A mapping outside the chase fragment has no std plans, so it
+        // gets no stream plans either.
+        let plans = m.stds[..cache.std_count()]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                StreamPattern::compile(&s.source).map_err(|cause| UnstreamableStd {
                     index: i,
-                    source: text.to_string(),
+                    source: s.source.to_string(),
                     cause,
                 })
             })
             .collect();
         StreamChasePlan { cache, plans }
-    }
-
-    /// Serialized form — exactly the chase cache's; stream plans are
-    /// recompiled on decode.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.cache.to_bytes()
-    }
-
-    /// Decodes a plan serialized by [`to_bytes`](StreamChasePlan::to_bytes).
-    pub fn from_bytes(bytes: &[u8]) -> Result<StreamChasePlan, CodecError> {
-        Ok(StreamChasePlan::from_cache(ChaseCache::from_bytes(bytes)?))
     }
 
     /// Approximate heap footprint in bytes (chase tables + stream plans).
@@ -607,25 +589,6 @@ mod tests {
         let tree = xmlmap_trees::xml::parse(doc).unwrap();
         let chased = crate::chase::canonical_solution(&m, &tree).unwrap();
         assert_eq!(streamed, chased, "must replay the kernel's firing order");
-    }
-
-    #[test]
-    fn streaming_chase_round_trips_through_bytes() {
-        let m = mapping();
-        let idx = Arc::new(DtdIndex::new(&m.source_dtd));
-        let plan = StreamChasePlan::from_bytes(&StreamChasePlan::new(&m).to_bytes()).unwrap();
-        let doc = r#"<r><a x="5" y="6"/></r>"#;
-        let streamed = chase_stream(&idx, &plan, doc.as_bytes())
-            .unwrap()
-            .solution
-            .unwrap()
-            .unwrap();
-        let tree = xmlmap_trees::xml::parse(doc).unwrap();
-        assert_eq!(
-            streamed,
-            crate::chase::canonical_solution(&m, &tree).unwrap()
-        );
-        assert!(plan.approx_bytes() > 0);
     }
 
     #[test]

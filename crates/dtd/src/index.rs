@@ -9,7 +9,6 @@
 //! element; both step the DTD's own content models, so nothing here
 //! recompiles a production.
 
-use xmlmap_codec::{CodecError, Decoder, Encoder};
 use xmlmap_trees::Name;
 
 use crate::content::DenseNfa;
@@ -69,22 +68,6 @@ impl DtdIndex {
     /// Labels whose production mentions label `s`.
     pub fn dependents(&self, s: u32) -> &[u32] {
         &self.dependents[s as usize]
-    }
-
-    /// Serializes the index as the DTD's canonical text (its display form
-    /// round-trips through the parser); every table is derived from it.
-    pub fn encode(&self, e: &mut Encoder) {
-        e.str(&self.dtd.to_string());
-    }
-
-    /// Inverse of [`DtdIndex::encode`]: reparses the schema text and
-    /// rebuilds every table from it, so whatever bytes decode, the tables
-    /// are consistent with one another.
-    pub fn decode(d: &mut Decoder<'_>) -> Result<DtdIndex, CodecError> {
-        let text = d.str()?;
-        let dtd = crate::parse(&text)
-            .map_err(|_| CodecError::Malformed("DtdIndex schema text does not parse"))?;
-        Ok(DtdIndex::new(&dtd))
     }
 
     /// Approximate heap footprint in bytes (label strings, dense

@@ -39,7 +39,6 @@ use crate::sat::BudgetExceeded;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use xmlmap_codec::{CodecError, Decoder, Encoder};
 use xmlmap_dtd::Dtd;
 
 use xmlmap_trees::{Tree, Value};
@@ -802,31 +801,6 @@ impl SatCache {
         budget: usize,
     ) -> Result<Option<Tree>, BudgetExceeded> {
         self.satisfiable_all(&[pattern], budget)
-    }
-
-    /// Serializes the *compiled artifact* — the [`DtdIndex`] — as flat
-    /// bytes. The runtime memo tables (per-pattern-set closures and match
-    /// sets) are deliberately not persisted: they are keyed by query, not
-    /// by schema, and rebuild on demand.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        self.idx.encode(&mut e);
-        e.finish()
-    }
-
-    /// Rebuilds a cache around a deserialized [`DtdIndex`], with empty
-    /// memo tables and the default budget-error context (callers chain
-    /// [`SatCache::with_context`] as with a fresh compile).
-    pub fn from_bytes(bytes: &[u8]) -> Result<SatCache, CodecError> {
-        let mut d = Decoder::new(bytes);
-        let idx = DtdIndex::decode(&mut d)?;
-        d.expect_end()?;
-        Ok(SatCache {
-            idx: Arc::new(idx),
-            context: "cached type-fixpoint probe".to_string(),
-            pats: Mutex::new(HashMap::new()),
-            results: Mutex::new(HashMap::new()),
-        })
     }
 
     /// Approximate heap footprint in bytes: the compiled index plus both

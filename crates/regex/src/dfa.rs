@@ -43,12 +43,14 @@ impl DenseDfa {
 
     /// Approximate heap footprint in bytes (transition table, flag
     /// vectors, used-symbol list). Feeds the engine caches' memory
-    /// accounting; the row-major `delta` dominates.
+    /// accounting; the row-major `delta` dominates. Measured on lengths,
+    /// not capacities, so a table decoded from the artifact store counts
+    /// the same as the one subset construction built.
     pub fn approx_bytes(&self) -> u64 {
-        (self.delta.capacity() * 4
-            + self.accepting.capacity()
-            + self.live.capacity()
-            + self.used_symbols.capacity() * 4) as u64
+        (self.delta.len() * 4
+            + self.accepting.len()
+            + self.live.len()
+            + self.used_symbols.len() * 4) as u64
     }
 }
 

@@ -60,8 +60,9 @@
 //! hit/miss/compile-time counters to stderr. `--cache-budget` bounds the
 //! bytes of resident compiled artifacts (suffixes `K`/`M`/`G` accepted),
 //! evicting least-recently-used entries past the limit; `--cache-dir`
-//! attaches a persistent compiled-artifact store so a later run against
-//! the same schemas skips compilation entirely.
+//! attaches a persistent store of determinized automata and shape lists
+//! so a later run against the same schemas skips subset construction and
+//! shape enumeration.
 //!
 //! `delta` opens an incremental-chase session (`xmlmap::core::chase::
 //! delta`) over the source document, applies the updatefile — one op per

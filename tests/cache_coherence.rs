@@ -203,45 +203,6 @@ fn shape_cache_memoized_equals_fresh_enumeration() {
 // ---- serialized artifacts behave like fresh compiles --------------------
 
 #[test]
-fn sat_cache_deserialized_equals_fresh() {
-    let (d, p) = hard::sat_hard(6);
-    let cache = SatCache::new(&d);
-    let restored = SatCache::from_bytes(&cache.to_bytes()).expect("round trip");
-    let fresh = cache.satisfiable(&p, BUDGET).unwrap();
-    let loaded = restored.satisfiable(&p, BUDGET).unwrap();
-    assert_eq!(fresh, loaded);
-    // Corrupt payloads degrade to an error, never a panic.
-    let mut bytes = cache.to_bytes();
-    bytes.truncate(bytes.len() / 2);
-    assert!(SatCache::from_bytes(&bytes).is_err());
-}
-
-#[test]
-fn chase_cache_deserialized_is_isomorphic_to_fresh() {
-    let m = null_inventing_mapping();
-    let src = xmlmap::trees::xml::parse(r#"<r><a v="1"/><a v="2"/></r>"#).unwrap();
-    let cache = ChaseCache::new(&m);
-    let restored = ChaseCache::from_bytes(&cache.to_bytes()).expect("round trip");
-    let fresh = canonical_solution_cached(&m, &src, &cache).unwrap();
-    let loaded = canonical_solution_cached(&m, &src, &restored).unwrap();
-    assert!(isomorphic_mod_nulls(&fresh, &loaded));
-    assert!(m.is_solution(&src, &loaded));
-
-    // Error behaviour survives the round trip too.
-    let narrow = Mapping::parse(
-        "[source]\nroot r\nr -> a*\na @ v\n\
-         [target]\nroot r\nr -> a\na @ v\n\
-         [stds]\nr/a(x) --> r/a(x)\n",
-    )
-    .unwrap();
-    let cache = ChaseCache::new(&narrow);
-    let restored = ChaseCache::from_bytes(&cache.to_bytes()).expect("round trip");
-    let e1 = canonical_solution_cached(&narrow, &src, &cache).unwrap_err();
-    let e2 = canonical_solution_cached(&narrow, &src, &restored).unwrap_err();
-    assert_eq!(e1.to_string(), e2.to_string());
-}
-
-#[test]
 fn automata_cache_deserialized_equals_fresh() {
     let d1 = hard::cons_nextsib(3).source_dtd;
     let d2 = hard::cons_exptime(4).source_dtd;
@@ -256,6 +217,46 @@ fn automata_cache_deserialized_equals_fresh() {
     );
     assert_eq!(restored.d1().to_string(), d1.to_string());
     assert_eq!(restored.d2().to_string(), d2.to_string());
+}
+
+/// `r -> (x|y)*, x, (x|y)^n` against its `y|x` spelling: the same
+/// language, whose determinized horizontals have 2^(n+1) states.
+fn nthlast_dtd(n: usize, flipped: bool) -> Dtd {
+    let alt = if flipped { "y|x" } else { "x|y" };
+    let tail = format!(", ({alt})").repeat(n);
+    xmlmap::dtd::parse(&format!("root r\nr -> ({alt})*, x{tail}")).unwrap()
+}
+
+/// A decoded pair is accounted at the bytes of the same pair compiled
+/// fresh, so a bounded context evicts alike before and after a restart.
+#[test]
+fn automata_cache_deserialized_is_accounted_like_fresh() {
+    let parse = |text: &str| xmlmap::dtd::parse(text).unwrap();
+    let pairs = [
+        (
+            parse("root r\nr -> a*\na @ v"),
+            parse("root r\nr -> a?\na @ v"),
+        ),
+        (
+            parse("root r\nr -> a*\na @ v"),
+            parse("root r\nr -> a*\na @ v"),
+        ),
+        (xmlmap::gen::university_dtd(), xmlmap::gen::university_dtd()),
+        (
+            xmlmap::gen::university_dtd(),
+            xmlmap::gen::university_target_dtd(),
+        ),
+        (nthlast_dtd(10, false), nthlast_dtd(10, true)),
+    ];
+    for (d1, d2) in &pairs {
+        let fresh = AutomataCache::new(d1, d2);
+        let restored = AutomataCache::from_bytes(&fresh.to_bytes()).expect("round trip");
+        assert_eq!(
+            restored.approx_bytes(),
+            fresh.approx_bytes(),
+            "{d1}\nvs\n{d2}"
+        );
+    }
 }
 
 #[test]
@@ -387,8 +388,21 @@ fn temp_cache_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A second context over the same store must answer every compile from
-/// disk — and agree with the first on every verdict.
+/// The store holds the two costly families only: every file a run
+/// leaves is an automata or shape artifact.
+fn assert_only_costly_families_stored(dir: &std::path::Path) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(
+            name.starts_with("automata-") || name.starts_with("shapes-"),
+            "unexpected store file {name}"
+        );
+    }
+}
+
+/// A second context over the same store loads every persisted artifact
+/// (automata, shapes) from disk instead of compiling it — and agrees with
+/// the first on every verdict. The memory-only families recompile.
 #[test]
 fn disk_cache_warm_restart_skips_compilation() {
     let dir = temp_cache_dir("warm");
@@ -405,6 +419,7 @@ fn disk_cache_warm_restart_skips_compilation() {
     let stats = cold.stats();
     assert_eq!(stats.total_disk_hits(), 0);
     assert!(stats.total_compiled() >= 4);
+    assert_only_costly_families_stored(&dir);
 
     // "Restart": a fresh context, same directory.
     let warm = EngineContext::new().with_disk_cache(&dir).unwrap();
@@ -418,13 +433,11 @@ fn disk_cache_warm_restart_skips_compilation() {
     assert_eq!(sol_exists_cold.is_some(), sol_exists_warm.is_some());
 
     let stats = warm.stats();
-    assert_eq!(
-        stats.total_compiled(),
-        0,
-        "warm restart compiles nothing: {stats}"
-    );
-    assert!(stats.total_disk_hits() >= 4, "{stats}");
-    assert_eq!(stats.sat.compile_time, std::time::Duration::ZERO);
+    for (family, c) in [("automata", stats.automata), ("shapes", stats.shapes)] {
+        assert_eq!(c.compiled(), 0, "warm {family} compiles nothing: {stats}");
+        assert_eq!(c.disk_hits, 1, "warm {family} loads from disk: {stats}");
+    }
+    assert_eq!(stats.automata.compile_time, std::time::Duration::ZERO);
 }
 
 /// Damaged artifacts are a diagnostic counter and a silent recompile,
@@ -432,11 +445,11 @@ fn disk_cache_warm_restart_skips_compilation() {
 #[test]
 fn disk_cache_corruption_falls_back_to_compile() {
     let dir = temp_cache_dir("corrupt");
-    let m = null_inventing_mapping();
-    let src = xmlmap::trees::xml::parse(r#"<r><a v="1"/></r>"#).unwrap();
+    let d1 = hard::cons_nextsib(3).source_dtd;
+    let d2 = hard::cons_exptime(4).source_dtd;
 
     let cold = EngineContext::new().with_disk_cache(&dir).unwrap();
-    let sol = cold.canonical_solution(&m, &src).unwrap();
+    let verdict = cold.inclusion(&d1, &d2, BUDGET).unwrap();
 
     // Truncate every stored artifact.
     for entry in std::fs::read_dir(&dir).unwrap() {
@@ -446,12 +459,11 @@ fn disk_cache_corruption_falls_back_to_compile() {
     }
 
     let warm = EngineContext::new().with_disk_cache(&dir).unwrap();
-    let again = warm.canonical_solution(&m, &src).unwrap();
-    assert!(isomorphic_mod_nulls(&sol, &again));
+    assert_eq!(warm.inclusion(&d1, &d2, BUDGET).unwrap(), verdict);
     let stats = warm.stats();
     assert_eq!(stats.total_disk_hits(), 0);
-    assert!(stats.chase.disk_errors > 0, "{stats}");
-    assert_eq!(stats.chase.compiled(), 1);
+    assert!(stats.automata.disk_errors > 0, "{stats}");
+    assert_eq!(stats.automata.compiled(), 1);
 }
 
 /// An eviction under a disk-backed context refills from the store, not the
@@ -460,30 +472,27 @@ fn disk_cache_corruption_falls_back_to_compile() {
 fn evicted_entries_refill_from_disk() {
     let dir = temp_cache_dir("refill");
     let ctx = EngineContext::new()
-        .with_memory_budget(500)
+        .with_memory_budget(2_000)
         .with_disk_cache(&dir)
         .unwrap();
-    let src = xmlmap::trees::xml::parse(r#"<r><a v="1"/></r>"#).unwrap();
-    let m1 = null_inventing_mapping();
-    let m2 = Mapping::parse(
-        "[source]\nroot r\nr -> a*\na @ v\n\
-         [target]\nroot r\nr -> b*\nb @ w\n\
-         [stds]\nr/a(x) --> r/b(x)\n",
-    )
-    .unwrap();
+    let d1 = hard::cons_nextsib(3).source_dtd;
+    let d2 = hard::cons_exptime(4).source_dtd;
     for _ in 0..3 {
-        for m in [&m1, &m2] {
-            assert!(ctx.canonical_solution(m, &src).is_ok());
+        for (a, b) in [(&d1, &d2), (&d2, &d1)] {
+            assert!(ctx.subschema(a, b, BUDGET).is_ok());
         }
     }
     let stats = ctx.stats();
-    assert!(stats.chase.evictions > 0, "{stats}");
+    assert!(stats.automata.evictions > 0, "{stats}");
     assert_eq!(
-        stats.chase.compiled(),
+        stats.automata.compiled(),
         2,
-        "each mapping compiled once: {stats}"
+        "each pair compiled once: {stats}"
     );
-    assert!(stats.chase.disk_hits > 0, "refills came from disk: {stats}");
+    assert!(
+        stats.automata.disk_hits > 0,
+        "refills came from disk: {stats}"
+    );
 }
 
 // ---- EngineContext ------------------------------------------------------

@@ -318,28 +318,44 @@ r[a(x), a(y)] ; x != y --> r/b(x)
     );
 }
 
+/// The `--stats` line of one family, e.g. `automata: 0 hits, …`.
+fn family_line<'a>(stats: &'a str, label: &str) -> &'a str {
+    stats
+        .lines()
+        .find(|l| l.starts_with(&format!("{label}:")))
+        .unwrap_or_else(|| panic!("no {label} line in {stats}"))
+}
+
 #[test]
 fn batch_disk_cache_second_run_compiles_nothing() {
     let fx = Fixture::new("batch-disk");
     let jobs = batch_fixture(&fx);
-    let cache = fx.dir.join("cache");
-    let cache = cache.to_string_lossy();
+    let cache_dir = fx.dir.join("cache");
+    let cache = cache_dir.to_string_lossy().into_owned();
 
     let (code, out_cold, err_cold) = xmlmap(&["batch", &jobs, "--cache-dir", &cache, "--stats"]);
     assert_eq!(code, 0, "{err_cold}");
     assert!(
-        !err_cold.contains("-- totals: 0 compiled"),
-        "cold run must compile: {err_cold}"
+        family_line(&err_cold, "automata").contains("(1 compiled, 0 from disk)"),
+        "cold run must compile the automata: {err_cold}"
     );
     assert!(err_cold.contains("loaded from disk"), "{err_cold}");
+    // Only the costly families are stored.
+    for entry in std::fs::read_dir(&cache_dir).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(
+            name.starts_with("automata-") || name.starts_with("shapes-"),
+            "unexpected store file {name}"
+        );
+    }
 
-    // Second process, same directory: every artifact comes off disk.
+    // Second process, same directory: the automata come off disk.
     let (code, out_warm, err_warm) = xmlmap(&["batch", &jobs, "--cache-dir", &cache, "--stats"]);
     assert_eq!(code, 0, "{err_warm}");
     assert_eq!(out_warm, out_cold, "warm run must be byte-identical");
     assert!(
-        err_warm.contains("-- totals: 0 compiled"),
-        "warm run must not compile: {err_warm}"
+        family_line(&err_warm, "automata").contains("(0 compiled, 1 from disk)"),
+        "warm run must not compile the automata: {err_warm}"
     );
 }
 
@@ -369,12 +385,13 @@ fn batch_disk_cache_survives_corrupt_artifacts() {
         "corrupt artifacts must not fail the run: {err_warm}"
     );
     assert_eq!(out_warm, out_cold, "results are unaffected by corruption");
+    let automata = family_line(&err_warm, "automata");
     assert!(
-        err_warm.contains("unusable disk artifacts"),
+        automata.contains("unusable disk artifacts"),
         "corruption is diagnosed in the stats: {err_warm}"
     );
     assert!(
-        !err_warm.contains("-- totals: 0 compiled"),
+        automata.contains("(1 compiled, 0 from disk)"),
         "corrupt artifacts force recompilation: {err_warm}"
     );
 }
