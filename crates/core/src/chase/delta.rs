@@ -6,7 +6,7 @@
 //! solution from independent per-std firings, so an update only
 //! invalidates the firings whose witness valuations touch the edited
 //! region — everything else can be kept. [`IncrementalChase`] exploits
-//! that in four layers:
+//! that in six layers:
 //!
 //! * **firing index / refire frontier** — each std's compiled source
 //!   pattern is summarized into a [`TouchProfile`] (its concrete label
@@ -40,7 +40,15 @@
 //!   prefix and replays only the suffix. The result is *byte-identical*
 //!   to a from-scratch chase of the mutated document: same firing order,
 //!   same fresh-null numbering, same error (the first failing firing in
-//!   canonical order), same completion sweep.
+//!   canonical order), same completion sweep;
+//! * **the kept solution** — the read's result is a function of the
+//!   arena alone, so the session keeps it, shared as an [`Arc`], until a
+//!   resync rewinds or replays the arena: a read after edits that
+//!   replay nothing runs no completion and materializes nothing;
+//! * **per-parent content-model runs** — an edit re-checks its parent's
+//!   children word against the source DTD by splicing the parent's kept
+//!   [`ContentRun`] and re-stepping it from the edit point, until the
+//!   run rejoins the recorded one, instead of re-running the whole word.
 //!
 //! Deferring the resync to the read is exact, by three facts:
 //!
@@ -58,10 +66,12 @@
 //! as resyncing after every edit — a delete and an identical reinsert
 //! between two reads replay nothing.
 //!
-//! Completion (mandatory-child filling) and the deferred `≠` check are
-//! *read-time* operations: [`IncrementalChase::canonical_solution`] takes
-//! the arena's solution, which runs them under a mark and undoes back to
-//! it, so the persistent state stays pristine across updates.
+//! Completion (mandatory-child filling), the deferred `≠` check and
+//! materialization run on the arena under a mark that is undone, so the
+//! applied state stays pristine across updates. They run at a read only
+//! when the arena changed since the last one: the arena is then a new
+//! firing prefix, and nothing else the solution depends on can change
+//! (conformance and the fragment error are checked first).
 //!
 //! This module keeps only what is incremental: the touch profiles, the
 //! update grammar, the session and the replay.
@@ -71,8 +81,9 @@ use super::compiled::ChaseCache;
 use super::ChaseError;
 use crate::exchange::CertainAnswersError;
 use crate::stds::Mapping;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
+use xmlmap_dtd::ContentRun;
 use xmlmap_patterns::{eval, LiveRows, Matcher, Pattern, Valuation};
 use xmlmap_trees::{Name, NodeId, Tree, Value};
 
@@ -404,7 +415,19 @@ pub struct IncrementalChase {
     /// Source nodes currently violating the source DTD (label, attribute
     /// or children-word violations); the document conforms iff empty.
     violations: BTreeSet<NodeId>,
+    /// Per-parent content-model runs, built on the first edit under a
+    /// conforming parent and spliced by later ones.
+    runs: HashMap<NodeId, ContentRun>,
+    /// The last read's result — the solution or the `≠` verdict — kept
+    /// until a resync rewinds or replays the arena.
+    solution: Option<Result<Arc<Tree>, ChaseError>>,
     stats: DeltaStats,
+    /// Content-model steps taken by conformance checks.
+    #[cfg(test)]
+    steps: u64,
+    /// Completion sweeps run by reads.
+    #[cfg(test)]
+    completions: u64,
 }
 
 impl IncrementalChase {
@@ -440,7 +463,13 @@ impl IncrementalChase {
             arena,
             dirty: vec![true; std_count],
             violations: BTreeSet::new(),
+            runs: HashMap::new(),
+            solution: None,
             stats: DeltaStats::default(),
+            #[cfg(test)]
+            steps: 0,
+            #[cfg(test)]
+            completions: 0,
         };
         s.build_rows();
         for n in nodes {
@@ -557,7 +586,7 @@ impl IncrementalChase {
             self.revalidate(n);
             self.live += 1;
         }
-        self.revalidate(parent);
+        self.revalidate_edit(parent, pos, true);
         for (si, rows) in self.rows.iter_mut().enumerate() {
             if let Some(rows) = rows {
                 rows.grafted(&self.doc, &self.plan.chase.plans[si].source, new_root);
@@ -574,10 +603,17 @@ impl IncrementalChase {
         let Some(parent) = self.doc.parent(n) else {
             return Err("cannot delete the document root".into());
         };
+        let at = self
+            .doc
+            .children(parent)
+            .iter()
+            .position(|&c| c == n)
+            .expect("a node is a child of its parent");
         let mut region: BTreeSet<Name> = BTreeSet::new();
         for d in self.doc.descendants_or_self(n).collect::<Vec<_>>() {
             region.insert(self.doc.label(d).clone());
             self.violations.remove(&d);
+            self.runs.remove(&d);
             self.live -= 1;
         }
         // The retracted embeddings are enumerated while the subtree is
@@ -590,7 +626,7 @@ impl IncrementalChase {
             }
         }
         self.doc.detach(n);
-        self.revalidate(parent);
+        self.revalidate_edit(parent, at, false);
         if self.doc.size() - self.live > self.live {
             self.compact();
         }
@@ -620,7 +656,11 @@ impl IncrementalChase {
 
     /// The canonical solution of the current document — or why none
     /// exists. Identical (bytes and verdict) to a from-scratch chase.
-    pub fn canonical_solution(&mut self) -> Result<Tree, ChaseError> {
+    ///
+    /// The result is kept: until an update makes the next resync rewind or
+    /// replay the arena, reads return the same [`Arc`] (or the same `≠`
+    /// verdict) without re-running completion or materializing again.
+    pub fn canonical_solution(&mut self) -> Result<Arc<Tree>, ChaseError> {
         if !self.violations.is_empty() {
             return Err(ChaseError::SourceNotConforming);
         }
@@ -631,7 +671,14 @@ impl IncrementalChase {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
-        self.arena.solution(&self.plan.chase)
+        if self.solution.is_none() {
+            #[cfg(test)]
+            {
+                self.completions += 1;
+            }
+            self.solution = Some(self.arena.solution(&self.plan.chase).map(Arc::new));
+        }
+        self.solution.clone().expect("filled above")
     }
 
     /// Certain answers of a downward `query` over all solutions of the
@@ -658,11 +705,65 @@ impl IncrementalChase {
     /// and updates the violation set. The document conforms iff every
     /// reachable node passes — the same verdict as `Dtd::check`.
     fn revalidate(&mut self, n: NodeId) {
+        #[cfg(test)]
+        {
+            self.steps += self.doc.children(n).len() as u64;
+        }
         if self.mapping.source_dtd.check_node(&self.doc, n).is_ok() {
             self.violations.remove(&n);
         } else {
             self.violations.insert(n);
         }
+    }
+
+    /// Re-checks `parent` after its child `at` was inserted (`inserted`)
+    /// or removed. A conforming parent keeps its label and attributes, so
+    /// only its children word can change verdict: its kept run is spliced
+    /// and re-stepped from the edit, or built on this first edit under
+    /// it. A parent already in violation, a dead step or an unknown label
+    /// falls back to [`IncrementalChase::revalidate`] and drops the run.
+    fn revalidate_edit(&mut self, parent: NodeId, at: usize, inserted: bool) {
+        if !self.violations.contains(&parent) {
+            let dtd = &self.mapping.source_dtd;
+            let doc = &self.doc;
+            let nfa = dtd.content_model(
+                dtd.label_id(doc.label(parent))
+                    .expect("a conforming node's label is declared"),
+            );
+            let kids = doc.children(parent);
+            let sym = |j: usize| dtd.label_id(doc.label(kids[j]));
+            let run = match self.runs.remove(&parent) {
+                Some(mut run) => {
+                    let steps = if inserted {
+                        run.insert(nfa, at, sym)
+                    } else {
+                        run.delete(nfa, at, sym)
+                    };
+                    #[cfg(test)]
+                    {
+                        self.steps += steps.unwrap_or(0) as u64;
+                    }
+                    steps.map(|_| run)
+                }
+                None => {
+                    #[cfg(test)]
+                    {
+                        self.steps += kids.len() as u64;
+                    }
+                    ContentRun::new(nfa, (0..kids.len()).map(sym))
+                }
+            };
+            if let Some(run) = run {
+                // Only a conforming parent keeps its run.
+                if run.accepts(nfa) {
+                    self.runs.insert(parent, run);
+                } else {
+                    self.violations.insert(parent);
+                }
+                return;
+            }
+        }
+        self.revalidate(parent);
     }
 
     /// Builds the kept rows of every downward std over the current
@@ -787,6 +888,10 @@ impl IncrementalChase {
             .into_iter()
             .map(|old| renumber[old.index()].expect("violations are reachable"))
             .collect();
+        self.runs = std::mem::take(&mut self.runs)
+            .into_iter()
+            .map(|(old, run)| (renumber[old.index()].expect("runs are reachable"), run))
+            .collect();
         self.build_rows();
     }
 
@@ -829,6 +934,12 @@ impl IncrementalChase {
             f.applied.truncate(keep);
             f.applied
                 .extend(f.counts.range(k..).map(|(key, _)| key.clone()));
+        }
+        // The kept solution stands only if the arena does: nothing to
+        // rewind, nothing to replay and no stored error to retry.
+        let total = before(&self.firings, self.firings.len());
+        if lcp < self.arena.epochs() || lcp < total || self.error.is_some() {
+            self.solution = None;
         }
         self.arena.rewind_to(lcp);
         self.error = None;
@@ -884,7 +995,7 @@ mod tests {
         let fresh = canonical_solution(&s.mapping, s.doc());
         let inc = s.canonical_solution();
         match (&inc, &fresh) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "delta solution diverged"),
+            (Ok(a), Ok(b)) => assert_eq!(**a, *b, "delta solution diverged"),
             (Err(a), Err(b)) => assert_eq!(a, b, "delta error verdict diverged"),
             _ => panic!("delta {inc:?} vs fresh {fresh:?}"),
         }
@@ -1051,6 +1162,124 @@ mod tests {
         assert_eq!(s.doc().nodes().count(), reachable);
         assert_eq!(s.canonical_solution().unwrap(), before);
         assert_in_sync(&mut s);
+    }
+
+    #[test]
+    fn reads_share_the_kept_solution_until_a_replay() {
+        let m = mapping(
+            "root r\nr -> a*, c*\na @ v\nc @ w",
+            "root r\nr -> b*\nb @ w",
+            &["r/a(x) --> r/b(x)"],
+        );
+        let doc = tree!("r" [ "a"("v" = "1"), "a"("v" = "2"), "c"("w" = "3") ]);
+        let mut s = IncrementalChase::new(&m, doc);
+        let first = s.canonical_solution().unwrap();
+        // A skipped text edit and a delete + identical reinsert replay
+        // nothing, so the next read returns the kept solution...
+        let c = s.doc().children(Tree::ROOT)[2];
+        s.replace_text(c, "w", Value::str("4")).unwrap();
+        let a = s.doc().children(Tree::ROOT)[0];
+        let copy = s.doc().subtree(a);
+        s.delete_subtree(a).unwrap();
+        s.insert_subtree(Tree::ROOT, 0, &copy).unwrap();
+        let completions = s.completions;
+        let second = s.canonical_solution().unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(s.completions, completions, "the read ran no completion");
+        // ...and a replaying commit reads a fresh one.
+        let replays = s.stats().replays;
+        s.insert_subtree(Tree::ROOT, 2, &tree!("a"("v" = "9")))
+            .unwrap();
+        let third = s.canonical_solution().unwrap();
+        assert!(s.stats().replays > replays);
+        assert!(!Arc::ptr_eq(&second, &third));
+        assert_eq!(third.children(Tree::ROOT).len(), 3);
+        assert_in_sync(&mut s);
+    }
+
+    #[test]
+    fn an_inequality_verdict_is_kept_until_its_conflict_is_retracted() {
+        // `b` is unique: every a-value lands in its x, every c-value in
+        // its y, and x ≠ y must hold at the read.
+        let m = mapping(
+            "root r\nr -> a*, c*\na @ v\nc @ w",
+            "root r\nr -> b\nb @ x, y",
+            &["r/a(x) --> r/b(x, z) ; z != x", "r/c(y) --> r/b(u, y)"],
+        );
+        let mut s = IncrementalChase::new(&m, tree!("r"["a"("v" = "1")]));
+        assert!(s.canonical_solution().is_ok());
+        s.insert_subtree(Tree::ROOT, 1, &tree!("c"("w" = "1")))
+            .unwrap();
+        let violated = s.canonical_solution();
+        assert!(
+            matches!(violated, Err(ChaseError::InequalityViolated(_))),
+            "{violated:?}"
+        );
+        assert_in_sync(&mut s);
+        let completions = s.completions;
+        assert_eq!(s.canonical_solution(), violated, "the verdict is kept");
+        assert_eq!(s.completions, completions);
+        let c = s.doc().children(Tree::ROOT)[1];
+        s.delete_subtree(c).unwrap();
+        assert!(s.canonical_solution().is_ok(), "the conflict is retracted");
+        assert_in_sync(&mut s);
+    }
+
+    /// 20 professors with two students each, then `pads` inert records,
+    /// all under the root: the root's children word is `prof*, pad*`.
+    fn padded(pads: usize) -> (Mapping, Tree) {
+        let m = mapping(
+            "root r\nr -> prof*, pad*\nprof -> student*\nprof @ name\nstudent @ sid\npad @ a",
+            "root r\nr -> st*\nst @ s, p",
+            &["r/prof(x)/student(s) --> r/st(s, x)"],
+        );
+        let mut doc = Tree::new("r");
+        for p in 0..20 {
+            let prof = doc.add_child(Tree::ROOT, "prof", [("name", Value::str(format!("p{p}")))]);
+            for k in 0..2 {
+                doc.add_child(prof, "student", [("sid", Value::str(format!("s{p}_{k}")))]);
+            }
+        }
+        for i in 0..pads {
+            doc.add_child(
+                Tree::ROOT,
+                "pad",
+                [("a", Value::str(format!("a{}", i % 10)))],
+            );
+        }
+        (m, doc)
+    }
+
+    /// Content-model steps of one professor delete + identical reinsert
+    /// and its read, on a session whose root already has its run.
+    fn professor_commit_steps(pads: usize) -> u64 {
+        let (m, doc) = padded(pads);
+        let mut s = IncrementalChase::new(&m, doc);
+        let commit = |s: &mut IncrementalChase| {
+            let prof = s.doc().children(Tree::ROOT)[5];
+            let copy = s.doc().subtree(prof);
+            s.delete_subtree(prof).unwrap();
+            s.insert_subtree(Tree::ROOT, 5, &copy).unwrap();
+            s.canonical_solution().unwrap()
+        };
+        // The first edit under the root builds its run.
+        let warm = commit(&mut s);
+        let (steps, completions, replays) = (s.steps, s.completions, s.stats().replays);
+        let read = commit(&mut s);
+        assert!(Arc::ptr_eq(&warm, &read), "the commit replayed nothing");
+        assert_eq!(s.stats().replays, replays);
+        assert_eq!(s.completions, completions, "the read ran no completion");
+        s.steps - steps
+    }
+
+    #[test]
+    fn a_professor_commit_costs_the_same_steps_at_any_width() {
+        let narrow = professor_commit_steps(1_000);
+        assert_eq!(narrow, professor_commit_steps(100_000));
+        assert!(
+            narrow < 1_000,
+            "{narrow} steps: the root word was rescanned"
+        );
     }
 
     #[test]

@@ -1300,7 +1300,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            s1.canonical_solution().unwrap(),
+            *s1.canonical_solution().unwrap(),
             ctx.canonical_solution(&m, s1.doc()).unwrap()
         );
         ctx.record_delta(s1.stats());

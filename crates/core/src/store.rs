@@ -25,7 +25,10 @@
 //! version, checksum failure, truncation, wrong key — degrades to "not
 //! cached" and the caller compiles fresh. Bumping [`FORMAT_VERSION`]
 //! whenever any serialized structure changes is the entire migration
-//! story: stale artifacts are simply ignored and overwritten.
+//! story: a file of another format version is removed when it is read,
+//! and opening a store removes the files of the families earlier layouts
+//! kept (`sat`, `chase`, `streamindex`, `streamchase`, `deltachase`), so
+//! neither lingers on disk.
 //!
 //! Writes go through a temp file in the same directory followed by a
 //! rename, so concurrent readers never observe a half-written artifact.
@@ -50,7 +53,7 @@ const MAGIC: &[u8; 4] = b"XMAP";
 /// The persisted artifact families: the two whose rebuild costs more than
 /// a load. Their tags are unchanged since the store also held the cheap
 /// families, so an older store of the same format version still serves
-/// them; files of the dropped families are never opened.
+/// them; files of the dropped families are removed unread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
     /// `AutomataCache` — per-schema-pair determinized hedge automata
@@ -78,6 +81,25 @@ impl Family {
     }
 }
 
+/// The families earlier layouts stored and this one rebuilds in memory.
+/// [`ArtifactStore::new`] removes their `<family>-<16 hex>.bin` files.
+const DROPPED_FAMILIES: [&str; 5] = ["sat", "chase", "streamindex", "streamchase", "deltachase"];
+
+/// Is `name` an artifact file of a dropped family? Exactly the names
+/// [`ArtifactStore`] wrote for them: temp files and anything else in the
+/// directory do not match.
+fn is_dropped_artifact(name: &str) -> bool {
+    let Some((family, hash)) = name
+        .strip_suffix(".bin")
+        .and_then(|stem| stem.split_once('-'))
+    else {
+        return false;
+    };
+    DROPPED_FAMILIES.contains(&family)
+        && hash.len() == 16
+        && hash.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+}
+
 /// Why a stored artifact was not usable. [`LoadError::Missing`] is the
 /// ordinary cold-cache case; the other variants are surfaced only as a
 /// diagnostic counter (`CacheCounters::disk_errors`), never as an error.
@@ -99,10 +121,16 @@ pub struct ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// Opens (creating if necessary) the store directory.
+    /// Opens (creating if necessary) the store directory, removing the
+    /// artifact files of the families earlier layouts stored.
     pub fn new(dir: impl AsRef<Path>) -> std::io::Result<ArtifactStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
+        for entry in fs::read_dir(&dir)?.flatten() {
+            if entry.file_name().to_str().is_some_and(is_dropped_artifact) {
+                let _ = fs::remove_file(entry.path());
+            }
+        }
         Ok(ArtifactStore { dir })
     }
 
@@ -119,9 +147,11 @@ impl ArtifactStore {
     }
 
     /// Loads the payload stored for `(family, key)`, verifying the
-    /// envelope. Never panics on damaged files.
+    /// envelope. Never panics on damaged files. A file of another format
+    /// version is removed: no build of this one will read it.
     pub fn load(&self, family: Family, key: &str) -> Result<Vec<u8>, LoadError> {
-        let bytes = match fs::read(self.path_for(family, key)) {
+        let path = self.path_for(family, key);
+        let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(_) => return Err(LoadError::Missing),
         };
@@ -138,7 +168,10 @@ impl ArtifactStore {
         }
         match d.u32() {
             Ok(v) if v == FORMAT_VERSION => {}
-            Ok(_) => return Err(LoadError::VersionMismatch),
+            Ok(_) => {
+                let _ = fs::remove_file(&path);
+                return Err(LoadError::VersionMismatch);
+            }
             Err(_) => return Err(LoadError::Corrupt),
         }
         match d.u8() {
@@ -248,6 +281,40 @@ mod tests {
             store.load(Family::Automata, "key"),
             Err(LoadError::VersionMismatch)
         );
+        // The stale file is gone, so the slot now reads as cold.
+        assert!(!path.exists());
+        assert_eq!(store.load(Family::Automata, "key"), Err(LoadError::Missing));
+    }
+
+    #[test]
+    fn opening_removes_only_dropped_family_artifacts() {
+        let dir = tmpdir("dropped");
+        fs::create_dir_all(&dir).unwrap();
+        let hash = "0123456789abcdef";
+        let dropped: Vec<String> = DROPPED_FAMILIES
+            .iter()
+            .map(|family| format!("{family}-{hash}.bin"))
+            .collect();
+        let kept = [
+            format!("automata-{hash}.bin"),
+            format!("shapes-{hash}.bin"),
+            format!("sat-{hash}.tmp.4242"),
+            "sat-0123456789abcde.bin".to_string(),
+            "sat-0123456789ABCDEF.bin".to_string(),
+            format!("satx-{hash}.bin"),
+            format!("sat-{hash}.bin.bak"),
+            "notes.txt".to_string(),
+        ];
+        for name in dropped.iter().chain(&kept) {
+            fs::write(dir.join(name), b"x").unwrap();
+        }
+        ArtifactStore::new(&dir).unwrap();
+        for name in &dropped {
+            assert!(!dir.join(name).exists(), "{name} was kept");
+        }
+        for name in &kept {
+            assert!(dir.join(name).exists(), "{name} was removed");
+        }
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! [`DenseNfa::start`], [`DenseNfa::step`] and [`DenseNfa::accepts`] are the
 //! only routine that runs a content model: the tree check
 //! ([`crate::Dtd::check`]), the streaming validator, the delta session's
-//! per-node re-check, the type-fixpoint engine and the bounded shape
-//! enumerator all step it. The hedge automata of `xmlmap-automata` take
-//! their horizontal languages from the same compiled models, through
-//! [`DenseNfa::to_nfa`], so no production is compiled twice. The Glushkov
-//! [`Nfa`] a model is built from stays the independent oracle of the
-//! reference engines and tests.
+//! per-node re-check and its per-parent [`ContentRun`]s, the type-fixpoint
+//! engine and the bounded shape enumerator all step it. The hedge automata
+//! of `xmlmap-automata` take their horizontal languages from the same
+//! compiled models, through [`DenseNfa::to_nfa`], so no production is
+//! compiled twice. The Glushkov [`Nfa`] a model is built from stays the
+//! independent oracle of the reference engines and tests.
 
 use xmlmap_regex::{FastHashMap, Nfa};
 use xmlmap_trees::Name;
@@ -249,6 +249,105 @@ impl DenseNfa {
     }
 }
 
+/// One content model's run over a children word, kept so that an edit to
+/// the word re-steps only what the edit changes.
+///
+/// The record holds the subset after each prefix of the word, `words()`
+/// per prefix. It exists only for a live run — every label known and
+/// every step non-empty — so the word's verdict is whether its last
+/// subset accepts. After an insert or delete at child `i`, the run is
+/// re-stepped from the subset before `i` and stops at the first later
+/// child whose subset equals the recorded one: every subset after it was
+/// stepped from that one over unchanged children, so the old run and its
+/// verdict still hold.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ContentRun {
+    /// `states[i*words..]`: the subset after the first `i` children —
+    /// the start subset first, the whole word's last.
+    states: Vec<u64>,
+}
+
+impl ContentRun {
+    /// Runs `word` from the start subset. `None` stands for a label
+    /// outside the alphabet; a word with one, or whose run dies, gets no
+    /// record.
+    pub fn new(nfa: &DenseNfa, word: impl IntoIterator<Item = Option<u32>>) -> Option<ContentRun> {
+        let w = nfa.words();
+        let mut states = vec![0u64; w];
+        nfa.start(&mut states);
+        for (i, sym) in word.into_iter().enumerate() {
+            states.resize((i + 2) * w, 0);
+            let (before, after) = states.split_at_mut((i + 1) * w);
+            if !nfa.step(&before[i * w..], sym?, after) {
+                return None;
+            }
+        }
+        Some(ContentRun { states })
+    }
+
+    /// Does the word the record runs over belong to the language?
+    pub fn accepts(&self, nfa: &DenseNfa) -> bool {
+        nfa.accepts(&self.states[self.states.len() - nfa.words()..])
+    }
+
+    /// Child `at` was inserted into the word; `sym(j)` is the label id of
+    /// child `j` of the new word. Returns the number of steps taken, or
+    /// `None` when the new word has no live run: the record is then stale
+    /// and must be dropped.
+    pub fn insert(
+        &mut self,
+        nfa: &DenseNfa,
+        at: usize,
+        sym: impl Fn(usize) -> Option<u32>,
+    ) -> Option<usize> {
+        let w = nfa.words();
+        let slot = (at + 1) * w;
+        self.states.splice(slot..slot, std::iter::repeat(0).take(w));
+        // The new child's subset has no recorded value to compare against.
+        self.restep(nfa, at, at + 1, sym)
+    }
+
+    /// Child `at` was removed from the word; `sym(j)` is the label id of
+    /// child `j` of the new word. Returns as [`ContentRun::insert`] does.
+    pub fn delete(
+        &mut self,
+        nfa: &DenseNfa,
+        at: usize,
+        sym: impl Fn(usize) -> Option<u32>,
+    ) -> Option<usize> {
+        let w = nfa.words();
+        self.states.drain((at + 1) * w..(at + 2) * w);
+        self.restep(nfa, at, at, sym)
+    }
+
+    /// Re-steps children `from..` until the subset after a child
+    /// `>= compare_from` equals the recorded one.
+    fn restep(
+        &mut self,
+        nfa: &DenseNfa,
+        from: usize,
+        compare_from: usize,
+        sym: impl Fn(usize) -> Option<u32>,
+    ) -> Option<usize> {
+        let w = nfa.words();
+        let mut next = vec![0u64; w];
+        let mut steps = 0;
+        for j in from..self.states.len() / w - 1 {
+            steps += 1;
+            let (before, after) = self.states.split_at_mut((j + 1) * w);
+            if !nfa.step(&before[j * w..], sym(j)?, &mut next) {
+                return None;
+            }
+            let recorded = &mut after[..w];
+            if j >= compare_from && *recorded == *next {
+                break;
+            }
+            recorded.copy_from_slice(&next);
+        }
+        Some(steps)
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;
@@ -333,6 +432,86 @@ mod proptests {
                         None => false,
                     };
                     std::mem::swap(&mut cur, &mut next);
+                }
+            }
+        }
+
+        /// A kept run tracks its word through inserts and deletes: after
+        /// every edit the record exists iff the word's run is live, its
+        /// verdict is `accepts_word`'s, and its subsets are the ones a
+        /// fresh run computes. Edits land at child 0, in the middle, at
+        /// the end and anywhere, in a one-word production and in one with
+        /// more than 64 Glushkov positions.
+        #[test]
+        fn content_run_tracks_edits(
+            r in arb_production(),
+            w in arb_word(),
+            edits in proptest::collection::vec((any::<bool>(), any::<u32>(), any::<u32>()), 0..24),
+        ) {
+            // `((a|b)*, c?)` 22 times, then `b`: 67 positions, so subsets
+            // span two words; words must end in `b`.
+            let block = Regex::Concat(
+                Box::new(Regex::star(Regex::Alt(
+                    Box::new(Regex::symbol("a")),
+                    Box::new(Regex::symbol("b")),
+                ))),
+                Box::new(Regex::opt(Regex::symbol("c"))),
+            );
+            let wide = (0..22)
+                .map(|_| block.clone())
+                .chain([Regex::symbol("b")])
+                .reduce(|x, y| Regex::Concat(Box::new(x), Box::new(y)))
+                .expect("non-empty");
+            for (production, multi_word) in [(r.clone(), false), (wide, true)] {
+                let dtd = crate::Dtd::builder("r")
+                    .production("r", production)
+                    .production("d", Regex::Epsilon)
+                    .build()
+                    .unwrap();
+                let nfa = dtd.content_model(dtd.label_id(&Name::new("r")).unwrap());
+                prop_assert_eq!(nfa.words() > 1, multi_word);
+                let labels = ["a", "b", "c", "d", "z"].map(Name::new);
+                let mut word: Vec<Option<u32>> = w.iter().map(|l| dtd.label_id(l)).collect();
+                let mut run = ContentRun::new(nfa, word.iter().copied());
+                for &(insert, place, label) in &edits {
+                    let len = word.len();
+                    // Child 0, the middle, the end, or anywhere.
+                    let span = if insert { len + 1 } else { len };
+                    if span == 0 {
+                        continue;
+                    }
+                    let at = match place % 4 {
+                        0 => 0,
+                        1 => span / 2,
+                        2 => span - 1,
+                        _ => (place / 4) as usize % span,
+                    };
+                    if insert {
+                        word.insert(at, dtd.label_id(&labels[label as usize % labels.len()]));
+                    } else {
+                        word.remove(at);
+                    }
+                    let sym = |j: usize| word[j];
+                    run = match run {
+                        Some(mut kept) => {
+                            let live = if insert {
+                                kept.insert(nfa, at, sym)
+                            } else {
+                                kept.delete(nfa, at, sym)
+                            };
+                            live.map(|_| kept)
+                        }
+                        // A dead word gets no record; a fresh run over the
+                        // edited word may be live again.
+                        None => ContentRun::new(nfa, word.iter().copied()),
+                    };
+                    let fresh = ContentRun::new(nfa, word.iter().copied());
+                    prop_assert_eq!(&run, &fresh);
+                    if let Some(kept) = &run {
+                        prop_assert_eq!(kept.accepts(nfa), nfa.accepts_word(word.iter().copied()));
+                    } else {
+                        prop_assert!(!nfa.accepts_word(word.iter().copied()));
+                    }
                 }
             }
         }

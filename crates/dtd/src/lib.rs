@@ -20,7 +20,7 @@ pub mod stream;
 
 pub use classify::{Mult, NestedRelationalView};
 pub use conformance::ConformanceError;
-pub use content::DenseNfa;
+pub use content::{ContentRun, DenseNfa};
 pub use dtd::{Dtd, DtdBuilder, DtdError};
 pub use index::DtdIndex;
 pub use parse::{parse, ParseDtdError};

@@ -511,7 +511,7 @@ mod tests {
         assert_eq!(session.doc().children(Tree::ROOT).len(), p + pads);
         let full = xmlmap_core::canonical_solution(&m, session.doc()).unwrap();
         let incremental = session.canonical_solution().unwrap();
-        assert_eq!(incremental, full);
+        assert_eq!(*incremental, full);
     }
 
     #[test]

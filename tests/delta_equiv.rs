@@ -17,6 +17,17 @@ use xmlmap::core::{
 use xmlmap::gen::{self, MappingGenConfig, TreeGenConfig};
 use xmlmap::trees::{xml, NodeId, Tree, Value};
 
+/// A from-scratch chase, shared like a session read so the two compare
+/// as whole trees and error values.
+fn rechase(m: &Mapping, doc: &Tree) -> Result<Arc<Tree>, ChaseError> {
+    canonical_solution(m, doc).map(Arc::new)
+}
+
+/// [`rechase`] against a caller-held [`ChaseCache`].
+fn rechase_cached(m: &Mapping, doc: &Tree, cache: &ChaseCache) -> Result<Arc<Tree>, ChaseError> {
+    canonical_solution_cached(m, doc, cache).map(Arc::new)
+}
+
 /// Child-index path of `n` (the delta update addressing scheme).
 fn path_of(t: &Tree, mut n: NodeId) -> Vec<usize> {
     let mut path = Vec::new();
@@ -122,7 +133,7 @@ fn random_update_storms_track_the_full_chase() {
                 .apply(&u)
                 .expect("structurally valid updates are accepted");
             ops_applied += 1;
-            let full = canonical_solution_cached(&m, session.doc(), &cache);
+            let full = rechase_cached(&m, session.doc(), &cache);
             err_verdicts += usize::from(full.is_err());
             let incremental = session.canonical_solution();
             assert_eq!(
@@ -156,7 +167,7 @@ fn delete_then_reinsert_restores_the_solution_without_null_leaks() {
         .unwrap();
     assert_eq!(
         session.canonical_solution(),
-        canonical_solution(&m, session.doc()),
+        rechase(&m, session.doc()),
         "parity holds mid-flight, with the professor gone"
     );
     session
@@ -202,13 +213,13 @@ fn retracting_a_merging_update_heals_a_value_conflict() {
         matches!(conflict, Err(ChaseError::ValueConflict(_))),
         "two constants in one rigid slot: {conflict:?}"
     );
-    assert_eq!(conflict, canonical_solution(&m, session.doc()));
+    assert_eq!(conflict, rechase(&m, session.doc()));
 
     session
         .apply(&Update::DeleteSubtree { path: vec![1] })
         .unwrap();
     let healed = session.canonical_solution().expect("conflict retracted");
-    assert_eq!(healed, canonical_solution(&m, session.doc()).unwrap());
+    assert_eq!(healed, rechase(&m, session.doc()).unwrap());
     assert_eq!(healed.attrs(healed.children(Tree::ROOT)[0])[0].1, {
         Value::str("1")
     });
@@ -250,7 +261,7 @@ fn conformance_verdicts_agree_through_break_and_repair() {
         .unwrap();
     assert!(session.source_conforms());
     let healed = session.canonical_solution().expect("conforms again");
-    assert_eq!(healed, canonical_solution(&m, session.doc()).unwrap());
+    assert_eq!(healed, rechase(&m, session.doc()).unwrap());
 }
 
 /// `delta-apply` batch jobs render byte-identically on 1, 2, and 8
@@ -297,7 +308,7 @@ fn reads_under_schedule(
     ops: &[Update],
     cache: &ChaseCache,
     read_after: impl Fn(usize) -> bool,
-) -> Vec<Option<Result<Tree, ChaseError>>> {
+) -> Vec<Option<Result<Arc<Tree>, ChaseError>>> {
     let mut session = IncrementalChase::new(m, doc.clone());
     ops.iter()
         .enumerate()
@@ -305,7 +316,7 @@ fn reads_under_schedule(
             session.apply(u).expect("the storm applied once already");
             read_after(i).then(|| {
                 let incremental = session.canonical_solution();
-                let full = canonical_solution_cached(m, session.doc(), cache);
+                let full = rechase_cached(m, session.doc(), cache);
                 assert_eq!(incremental, full, "read after op {i} diverged");
                 incremental
             })
@@ -345,7 +356,7 @@ fn check_read_schedules(
     let last = end_only.canonical_solution();
     assert_eq!(
         last,
-        canonical_solution_cached(m, end_only.doc(), &cache),
+        rechase_cached(m, end_only.doc(), &cache),
         "a read only at the end diverged"
     );
     let every = reads_under_schedule(m, &doc, &ops, &cache, |_| true);
@@ -467,10 +478,7 @@ fn horizontal_mappings_agree_across_read_schedules() {
             subtree: xml::parse(r#"<c w="9"/>"#).unwrap(),
         })
         .unwrap();
-    assert_eq!(
-        session.canonical_solution(),
-        canonical_solution(&m, session.doc())
-    );
+    assert_eq!(session.canonical_solution(), rechase(&m, session.doc()));
 }
 
 /// A `ValueConflict` introduced and healed between two reads never
@@ -510,7 +518,7 @@ fn a_value_conflict_healed_between_reads_never_surfaces() {
         matches!(conflict, Err(ChaseError::ValueConflict(_))),
         "two constants in one rigid slot: {conflict:?}"
     );
-    assert_eq!(conflict, canonical_solution(&m, session.doc()));
+    assert_eq!(conflict, rechase(&m, session.doc()));
     session
         .apply(&Update::DeleteSubtree { path: vec![1] })
         .unwrap();
@@ -542,7 +550,7 @@ fn a_conformance_break_repaired_between_reads_leaves_no_trace() {
         .unwrap();
     assert!(session.source_conforms());
     let repaired = session.canonical_solution().expect("conforms again");
-    assert_eq!(repaired, canonical_solution(&m, session.doc()).unwrap());
+    assert_eq!(repaired, rechase(&m, session.doc()).unwrap());
 
     session
         .apply(&Update::InsertSubtree {
@@ -573,7 +581,7 @@ fn a_conformance_break_repaired_between_reads_leaves_no_trace() {
         .apply(&Update::DeleteSubtree { path: vec![1] })
         .unwrap();
     let healed = session.canonical_solution().expect("conforms again");
-    assert_eq!(healed, canonical_solution(&m, session.doc()).unwrap());
+    assert_eq!(healed, rechase(&m, session.doc()).unwrap());
 }
 
 /// A script that stops at a bad path keeps the ops before it; the next
@@ -602,7 +610,7 @@ fn a_script_failing_midway_is_read_exactly() {
         "the two ops before the bad path were applied"
     );
     let read = session.canonical_solution().expect("chases");
-    assert_eq!(read, canonical_solution(&m, session.doc()).unwrap());
+    assert_eq!(read, rechase(&m, session.doc()).unwrap());
 }
 
 // ---------------------------------------------------------------------------
@@ -663,7 +671,7 @@ fn check_family_schedules(
     let last = end_only.canonical_solution();
     assert_eq!(
         last,
-        canonical_solution_cached(m, end_only.doc(), &cache),
+        rechase_cached(m, end_only.doc(), &cache),
         "a read only at the end diverged"
     );
     let every = reads_under_schedule(m, &doc, &ops, &cache, |_| true);
@@ -747,7 +755,7 @@ fn a_firing_survives_until_its_last_embedding_goes() {
         .unwrap();
     let one = session.canonical_solution().unwrap();
     assert_eq!(one.children(Tree::ROOT).len(), 1, "only x=2 is left");
-    assert_eq!(Ok(one), canonical_solution(&m, session.doc()));
+    assert_eq!(Ok(one), rechase(&m, session.doc()));
 }
 
 /// A `settext` on a node two pattern nodes bind — and edits below every
@@ -778,8 +786,173 @@ fn text_edits_on_doubly_bound_nodes_and_deep_edits_track_the_full_chase() {
         session.apply(u).unwrap();
         assert_eq!(
             session.canonical_solution(),
-            canonical_solution(&m, session.doc()),
+            rechase(&m, session.doc()),
             "after op {i}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Per-parent content-model runs: an edit re-steps its parent's kept run
+// from the edit point, and falls back to a whole-word check when the run
+// dies. The verdicts must stay `Dtd::check`'s.
+// ---------------------------------------------------------------------------
+
+/// A read and the session's conformance verdict both equal their
+/// from-scratch counterparts.
+fn assert_parity(m: &Mapping, session: &mut IncrementalChase, at: &str) {
+    assert_eq!(
+        session.source_conforms(),
+        m.source_dtd.check(session.doc()).is_ok(),
+        "{at}: conformance verdict"
+    );
+    assert_eq!(
+        session.canonical_solution(),
+        rechase(m, session.doc()),
+        "{at}: read"
+    );
+}
+
+/// A `pad` among the professors breaks the root's `prof*, pad*` word, an
+/// unknown label breaks it differently, and removing either heals it; the
+/// root already has its run before each break.
+#[test]
+fn breaking_and_healing_the_root_word_tracks_the_full_check() {
+    let m = gen::exchange_mapping();
+    let doc = gen::exchange_tree(5, 2, 8);
+    let prof = subtree_of(&doc, doc.children(Tree::ROOT)[1]);
+    let mut session = IncrementalChase::new(&m, doc);
+    // A professor commit: the first edit under the root builds its run.
+    session
+        .apply(&Update::DeleteSubtree { path: vec![1] })
+        .unwrap();
+    session
+        .apply(&Update::InsertSubtree {
+            parent: vec![],
+            pos: 1,
+            subtree: prof.clone(),
+        })
+        .unwrap();
+    assert_parity(&m, &mut session, "after the professor commit");
+    assert!(session.source_conforms());
+
+    for (what, fragment) in [
+        ("a pad among the professors", r#"<pad a="a0" b="b0"/>"#),
+        ("an unknown label", "<zzz/>"),
+    ] {
+        session
+            .apply(&Update::InsertSubtree {
+                parent: vec![],
+                pos: 3,
+                subtree: xml::parse(fragment).unwrap(),
+            })
+            .unwrap();
+        assert!(!session.source_conforms(), "{what} conforms");
+        assert_parity(&m, &mut session, what);
+        session
+            .apply(&Update::DeleteSubtree { path: vec![3] })
+            .unwrap();
+        assert!(session.source_conforms(), "removing {what} did not heal");
+        assert_parity(&m, &mut session, &format!("{what} removed"));
+        // The healed root takes another professor commit and a pad at
+        // the end of its word, both legal.
+        session
+            .apply(&Update::DeleteSubtree { path: vec![1] })
+            .unwrap();
+        assert_parity(&m, &mut session, &format!("{what}: professor gone"));
+        session
+            .apply(&Update::InsertSubtree {
+                parent: vec![],
+                pos: 1,
+                subtree: prof.clone(),
+            })
+            .unwrap();
+        let end = session.doc().children(Tree::ROOT).len();
+        session
+            .apply(&Update::InsertSubtree {
+                parent: vec![],
+                pos: end,
+                subtree: xml::parse(r#"<pad a="a1" b="b1"/>"#).unwrap(),
+            })
+            .unwrap();
+        assert_parity(&m, &mut session, &format!("{what}: healed and edited"));
+    }
+    // A professor after the pads breaks the word at its end.
+    let end = session.doc().children(Tree::ROOT).len();
+    session
+        .apply(&Update::InsertSubtree {
+            parent: vec![],
+            pos: end,
+            subtree: prof,
+        })
+        .unwrap();
+    assert!(!session.source_conforms());
+    assert_parity(&m, &mut session, "a professor after the pads");
+}
+
+/// Professor deletes under the root until the session compacts its
+/// document, renumbering every node: the runs of the root and of the last
+/// professor's `supervise` must follow their nodes, so the edits after the
+/// compaction keep parity.
+#[test]
+fn a_compaction_between_two_edits_on_one_parent_keeps_parity() {
+    let m = gen::exchange_mapping();
+    let doc = gen::exchange_tree(6, 2, 4);
+    let prof = subtree_of(&doc, doc.children(Tree::ROOT)[0]);
+    let student = || xml::parse(r#"<student sid="s9"/>"#).unwrap();
+    let pad = || xml::parse(r#"<pad a="a0" b="b0"/>"#).unwrap();
+    let mut session = IncrementalChase::new(&m, doc);
+    // The first edit under the last professor's `supervise` builds its run.
+    session
+        .apply(&Update::InsertSubtree {
+            parent: vec![5, 1],
+            pos: 0,
+            subtree: student(),
+        })
+        .unwrap();
+    assert_parity(&m, &mut session, "a student inserted");
+    let mut deleted = 0;
+    loop {
+        let detached = session.doc().size() - session.doc().nodes().count();
+        session
+            .apply(&Update::DeleteSubtree { path: vec![0] })
+            .unwrap();
+        deleted += 1;
+        assert_parity(&m, &mut session, "a professor deleted");
+        if detached > 0 && session.doc().size() == session.doc().nodes().count() {
+            break;
+        }
+        assert!(deleted < 5, "no compaction");
+    }
+    let supervise = vec![5 - deleted, 1];
+    session
+        .apply(&Update::DeleteSubtree {
+            path: [supervise.clone(), vec![0]].concat(),
+        })
+        .unwrap();
+    assert_parity(&m, &mut session, "a student deleted after the compaction");
+    for (what, parent, pos, subtree) in [
+        ("a pad under supervise", supervise.clone(), 1, pad()),
+        ("a professor at the front", vec![], 0, prof),
+        ("a pad among the professors", vec![], 1, pad()),
+    ] {
+        session
+            .apply(&Update::InsertSubtree {
+                parent,
+                pos,
+                subtree,
+            })
+            .unwrap();
+        assert!(!session.source_conforms(), "{what} conforms");
+        assert_parity(&m, &mut session, what);
+    }
+    for (what, path) in [
+        ("the pad among the professors removed", vec![1]),
+        // The professor inserted at the front shifted `supervise`'s parent.
+        ("the pad under supervise removed", vec![6 - deleted, 1, 1]),
+    ] {
+        session.apply(&Update::DeleteSubtree { path }).unwrap();
+        assert_parity(&m, &mut session, what);
+    }
+    assert!(session.source_conforms());
 }
