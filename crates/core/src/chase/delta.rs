@@ -10,23 +10,25 @@
 //!
 //! * **firing index / refire frontier** — each std's compiled source
 //!   pattern is summarized into a [`TouchProfile`] (its concrete label
-//!   footprint plus wildcard/horizontal flags), inverted into a
-//!   label-keyed index. An edit yields the set of source positions it
-//!   touched; the labels those positions occupy select exactly the stds
-//!   whose plans can reach the region, and only those are diffed.
-//!   For patterns with horizontal operators the region is widened to
-//!   every child of the edit point's parent — inserting `c` between
-//!   siblings `a, b` breaks `a → b` even though `c` occurs in neither
-//!   pattern, so the label-intersection test alone would be unsound;
+//!   footprint, or a wildcard flag), inverted into a label-keyed index.
+//!   An edit yields the set of source positions it touched; the labels
+//!   those positions occupy select exactly the stds whose plans can reach
+//!   the region, and only those are diffed. For patterns with horizontal
+//!   operators (not [`CompiledPattern::is_downward`]) the region is
+//!   widened to every child of the edit point's parent — inserting `c`
+//!   between siblings `a, b` breaks `a → b` even though `c` occurs in
+//!   neither pattern, so the label-intersection test alone would be
+//!   unsound;
 //! * **counted firings, diffed at the edit** — each std keeps its
 //!   firings as a map from firing key to the number of source-pattern
 //!   embeddings deriving it. For a downward std an edit enumerates only
 //!   the embeddings through the edited region
-//!   ([`Matcher::for_each_embedding_through`], pruned by [`LiveRows`]
-//!   kept across edits) and counts them out or in; a count reaching or
-//!   leaving zero flips the firing. A horizontal std is re-counted in
-//!   full at the next read instead: inserting or deleting a node changes
-//!   sibling adjacency, which counting through the region cannot see;
+//!   ([`xmlmap_patterns::Matcher::for_each_embedding_through`], pruned
+//!   by [`LiveRows`] repaired edit by edit) and counts them out or in; a
+//!   count reaching or leaving zero flips the firing. A horizontal std's rows are rebuilt
+//!   and its firings re-counted in full at the next read instead:
+//!   inserting or deleting a node changes sibling adjacency, which
+//!   counting through the region cannot see;
 //! * **the shared retractable arena** — the session drives the same
 //!   chase arena (`chase::arena`) as the tree and streaming chases. Each
 //!   applied firing is an epoch delimited by a checkpoint; rewinding to
@@ -84,7 +86,7 @@ use crate::stds::Mapping;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use xmlmap_dtd::ContentRun;
-use xmlmap_patterns::{eval, LiveRows, Matcher, Pattern, Valuation};
+use xmlmap_patterns::{eval, CompiledPattern, LiveRows, Pattern, Valuation};
 use xmlmap_trees::{Name, NodeId, Tree, Value};
 
 // ---------------------------------------------------------------------------
@@ -98,10 +100,6 @@ pub struct TouchProfile {
     /// Concrete labels the pattern tests; `None` when any pattern node is
     /// a wildcard (the pattern can witness nodes of every label).
     pub labels: Option<BTreeSet<Name>>,
-    /// Does the pattern use `→` or `→*`? Horizontal patterns observe
-    /// sibling adjacency, so their region includes every child of the
-    /// edit point's parent.
-    pub horizontal: bool,
 }
 
 impl TouchProfile {
@@ -109,7 +107,6 @@ impl TouchProfile {
     pub fn of(p: &Pattern) -> TouchProfile {
         TouchProfile {
             labels: p.label_footprint(),
-            horizontal: p.uses_next_sibling() || p.uses_following_sibling(),
         }
     }
 
@@ -402,9 +399,10 @@ pub struct IncrementalChase {
     live: usize,
     /// Per-std counted and applied firings.
     firings: Vec<StdFirings>,
-    /// Per-std feasibility rows kept across edits, for downward source
-    /// patterns; `None` for a horizontal one, re-matched at the read.
-    rows: Vec<Option<LiveRows>>,
+    /// Per-std feasibility rows of the source pattern. A downward std's
+    /// are repaired edit by edit; a horizontal std's go stale at an edit
+    /// and are rebuilt when the read re-counts it.
+    rows: Vec<LiveRows>,
     /// The first failing firing's error; the arena holds exactly the
     /// epochs before it, and nothing after it is applied.
     error: Option<ChaseError>,
@@ -588,8 +586,9 @@ impl IncrementalChase {
         }
         self.revalidate_edit(parent, pos, true);
         for (si, rows) in self.rows.iter_mut().enumerate() {
-            if let Some(rows) = rows {
-                rows.grafted(&self.doc, &self.plan.chase.plans[si].source, new_root);
+            let pat = &self.plan.chase.plans[si].source;
+            if pat.is_downward() {
+                rows.grafted(&self.doc, pat, new_root);
             }
         }
         let selected = self.select(&region, parent);
@@ -603,12 +602,6 @@ impl IncrementalChase {
         let Some(parent) = self.doc.parent(n) else {
             return Err("cannot delete the document root".into());
         };
-        let at = self
-            .doc
-            .children(parent)
-            .iter()
-            .position(|&c| c == n)
-            .expect("a node is a child of its parent");
         let mut region: BTreeSet<Name> = BTreeSet::new();
         for d in self.doc.descendants_or_self(n).collect::<Vec<_>>() {
             region.insert(self.doc.label(d).clone());
@@ -620,12 +613,13 @@ impl IncrementalChase {
         // still in place.
         let selected = self.select(&region, parent);
         self.diff(&selected, n, true, false);
+        let at = self.doc.detach(n);
         for (si, rows) in self.rows.iter_mut().enumerate() {
-            if let Some(rows) = rows {
-                rows.detaching(&self.doc, &self.plan.chase.plans[si].source, n);
+            let pat = &self.plan.chase.plans[si].source;
+            if pat.is_downward() {
+                rows.detached(&self.doc, pat, parent, n);
             }
         }
-        self.doc.detach(n);
         self.revalidate_edit(parent, at, false);
         if self.doc.size() - self.live > self.live {
             self.compact();
@@ -766,20 +760,20 @@ impl IncrementalChase {
         self.revalidate(parent);
     }
 
-    /// Builds the kept rows of every downward std over the current
-    /// document.
+    /// Builds the rows of every std over the current document.
     fn build_rows(&mut self) {
         self.rows = self
             .plan
             .chase
             .plans
             .iter()
-            .map(|p| {
-                p.source
-                    .is_downward()
-                    .then(|| LiveRows::new(&self.doc, &p.source))
-            })
+            .map(|p| LiveRows::new(&self.doc, &p.source))
             .collect();
+    }
+
+    /// Std `si`'s source pattern.
+    fn source(&self, si: usize) -> &CompiledPattern {
+        &self.plan.chase.plans[si].source
     }
 
     /// The refire frontier: selects the stds whose plans can reach the
@@ -793,7 +787,7 @@ impl IncrementalChase {
         let mut horizontal_region: Option<BTreeSet<Name>> = None;
         let mut selected = Vec::new();
         for (si, profile) in self.plan.profiles.iter().enumerate() {
-            let touched = if profile.horizontal {
+            let touched = if !self.source(si).is_downward() {
                 let wide = horizontal_region.get_or_insert_with(|| {
                     let mut wide = region.clone();
                     wide.extend(
@@ -824,7 +818,7 @@ impl IncrementalChase {
     /// `whole`, else `n` alone — in (`add`) or out, for every selected
     /// downward std. Horizontal stds wait for the read.
     fn diff(&mut self, selected: &[usize], n: NodeId, whole: bool, add: bool) {
-        if selected.iter().all(|&si| self.rows[si].is_none()) {
+        if selected.iter().all(|&si| !self.source(si).is_downward()) {
             return;
         }
         let mut path = vec![n];
@@ -833,29 +827,25 @@ impl IncrementalChase {
         }
         path.reverse();
         for &si in selected {
-            let Some(rows) = &self.rows[si] else {
-                continue;
-            };
-            let f = &mut self.firings[si];
             let chase = &self.plan.chase;
-            rows.matcher(&self.doc, &chase.plans[si].source)
+            let pat = &chase.plans[si].source;
+            if !pat.is_downward() {
+                continue;
+            }
+            let f = &mut self.firings[si];
+            self.rows[si]
+                .matcher(&self.doc, pat)
                 .for_each_embedding_through(&path, whole, &mut |env| f.count(chase, si, env, add));
         }
     }
 
-    /// Rebuilds std `si`'s counts from every embedding in the document:
-    /// the admitted keys, sorted, counted run by run.
+    /// Rebuilds std `si`'s counts from every embedding in the document,
+    /// enumerated through its rows: the admitted keys, sorted, counted run
+    /// by run.
     fn recount(&mut self, si: usize) {
         let chase = &self.plan.chase;
         let pat = &chase.plans[si].source;
-        let fresh;
-        let matcher = match &self.rows[si] {
-            Some(rows) => rows.matcher(&self.doc, pat),
-            None => {
-                fresh = Matcher::new(&self.doc, pat);
-                fresh
-            }
-        };
+        let matcher = self.rows[si].matcher(&self.doc, pat);
         let f = &mut self.firings[si];
         let mut keys: Vec<Key> = Vec::new();
         matcher.for_each_match_dense(Tree::ROOT, &vec![None; pat.var_count()], &mut |env| {
@@ -895,10 +885,11 @@ impl IncrementalChase {
         self.build_rows();
     }
 
-    /// Re-matches each dirty horizontal std, finds every dirty std's first
-    /// changed firing, clears the marks, splices the changes into the
-    /// applied sequences in place and replays the arena from the longest
-    /// unchanged prefix. A no-op when nothing is dirty.
+    /// Rebuilds the rows of each dirty horizontal std and re-counts it,
+    /// finds every dirty std's first changed firing, clears the marks,
+    /// splices the changes into the applied sequences in place and replays
+    /// the arena from the longest unchanged prefix. A no-op when nothing
+    /// is dirty.
     fn resync(&mut self) {
         if !self.dirty.contains(&true) {
             return;
@@ -908,7 +899,8 @@ impl IncrementalChase {
             if !std::mem::take(&mut self.dirty[si]) {
                 continue;
             }
-            if self.rows[si].is_none() {
+            if !self.source(si).is_downward() {
+                self.rows[si] = LiveRows::new(&self.doc, self.source(si));
                 self.recount(si);
             }
             if let Some(k) = self.firings[si].first_change() {

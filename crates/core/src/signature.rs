@@ -63,16 +63,6 @@ impl Signature {
             wildcard: self.wildcard || other.wildcard,
         }
     }
-
-    /// Is `self` contained in `other` feature-wise?
-    pub fn subset_of(&self, other: &Signature) -> bool {
-        (!self.descendant || other.descendant)
-            && (!self.next_sibling || other.next_sibling)
-            && (!self.following_sibling || other.following_sibling)
-            && (!self.eq || other.eq)
-            && (!self.neq || other.neq)
-            && (!self.wildcard || other.wildcard)
-    }
 }
 
 impl fmt::Display for Signature {
@@ -147,7 +137,5 @@ mod tests {
         assert!(b.has_data_comparison());
         let u = a.union(b);
         assert!(u.descendant && u.next_sibling && u.eq && !u.neq);
-        assert!(a.subset_of(&u) && b.subset_of(&u));
-        assert!(!u.subset_of(&a));
     }
 }

@@ -128,18 +128,6 @@ impl Dtd {
         }
         seen
     }
-
-    /// For each element type, the set of element types whose production
-    /// mentions it (its possible parents).
-    pub fn parent_map(&self) -> BTreeMap<Name, BTreeSet<Name>> {
-        let mut map: BTreeMap<Name, BTreeSet<Name>> = BTreeMap::new();
-        for (l, r) in &self.productions {
-            for s in r.symbols() {
-                map.entry(s).or_default().insert(l.clone());
-            }
-        }
-        map
-    }
 }
 
 impl fmt::Display for Dtd {
@@ -362,18 +350,6 @@ mod tests {
             .unwrap();
         assert!(d2.contains(&Name::new("orphan")));
         assert!(!d2.reachable().contains(&Name::new("orphan")));
-    }
-
-    #[test]
-    fn parent_map() {
-        let d = d1();
-        let pm = d.parent_map();
-        assert_eq!(
-            pm[&Name::new("course")],
-            BTreeSet::from([Name::new("year")])
-        );
-        assert_eq!(pm[&Name::new("prof")], BTreeSet::from([Name::new("r")]));
-        assert!(!pm.contains_key(&Name::new("r")));
     }
 
     #[test]

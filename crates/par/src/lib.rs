@@ -2,8 +2,9 @@
 //!
 //! The build environment cannot fetch rayon, so the fan-out points in the
 //! workspace (per-STD chase firings, per-candidate certain answers, per-case
-//! benchmarks) use these instead. The API is deliberately tiny: an indexed
-//! parallel map that preserves input order, and a `for_each` built on it.
+//! benchmarks) use these instead. The API is deliberately tiny: a parallel
+//! map that preserves input order, with an explicit worker count or behind
+//! a size gate.
 //!
 //! Work is distributed by an atomic cursor, so uneven item costs balance
 //! across workers. Closures must be `Sync` (shared by reference) and results
@@ -86,15 +87,6 @@ where
         .collect()
 }
 
-/// Applies `f` to every item in parallel, discarding outputs.
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    par_map(items, |item| f(item));
-}
-
 /// [`par_map`] behind a caller-supplied size gate: runs in parallel when
 /// `parallel` is true, inline otherwise (same output either way).
 ///
@@ -113,17 +105,6 @@ where
     } else {
         items.iter().map(f).collect()
     }
-}
-
-/// Parallel map over indices `0..n` — handy when the items themselves are
-/// produced by indexing into several slices.
-pub fn par_map_indices<U, F>(n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    par_map(&indices, |&i| f(i))
 }
 
 #[cfg(test)]
@@ -160,21 +141,6 @@ mod tests {
             (0..(i * 1000)).fold(0u64, |a, b| a.wrapping_add(b as u64))
         });
         assert_eq!(out.len(), 64);
-    }
-
-    #[test]
-    fn for_each_visits_all() {
-        let hits = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..257).collect();
-        par_for_each(&items, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 257);
-    }
-
-    #[test]
-    fn indices_map() {
-        assert_eq!(par_map_indices(5, |i| i * i), vec![0, 1, 4, 9, 16]);
     }
 
     #[test]

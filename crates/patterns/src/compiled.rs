@@ -8,19 +8,22 @@
 //!   variable a dense `u32` id, so a valuation in flight is a
 //!   `Vec<Option<Value>>` plus an undo **trail**, not a persistent
 //!   `BTreeMap` cloned at every binding site. Backtracking pops the trail.
-//! * **Bitset feasibility tables** — [`Matcher`] precomputes, per tree
-//!   node, one `u64`-word row per table with a bit for every pattern node:
-//!   `ok` ("the pattern subtree matches here, values ignored") and `sub`
-//!   ("… somewhere in this node's subtree"). The subtree closure is a
-//!   word-parallel OR, so building costs `O(|T|·|π|·width)` word ops
-//!   rather than the per-pair scans of the old table. The tables answer
-//!   repeat-free Boolean matching outright (Prop 4.2's PTIME bound) and
-//!   double as a sound pruning memo for the valued search: values only
-//!   ever *restrict* matches, so a cleared bit proves no valued match can
-//!   exist below — shared across every probe against the same tree.
+//! * **Bitset feasibility rows** — [`LiveRows`] keeps, per tree node, two
+//!   `u64`-word rows with a bit for every pattern node: `ok` ("the
+//!   pattern subtree matches here, values ignored") and `sub` ("…
+//!   somewhere in this node's subtree"). [`Matcher::new`] builds them
+//!   bottom-up; the delta session builds them once and repairs them edit
+//!   by edit.
+//!   The subtree closure is a word-parallel OR, so building costs
+//!   `O(|T|·|π|·width)` word ops. The rows answer repeat-free Boolean
+//!   matching outright (Prop 4.2's PTIME bound) and double as a sound
+//!   pruning memo for the valued search: values only ever *restrict*
+//!   matches, so a cleared bit proves no valued match can exist below —
+//!   shared across every probe against the same tree.
 
 use crate::ast::{LabelTest, ListItem, Pattern, SeqOp, Var};
 use crate::eval::Valuation;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use xmlmap_trees::{Name, NodeId, Tree, Value};
 
@@ -132,8 +135,10 @@ impl CompiledPattern {
     }
 
     /// Is the pattern free of `→` and `→*` (every sequence item a single
-    /// member)? Only such patterns keep [`LiveRows`] and enumerate through
-    /// an edit region.
+    /// member)? Only such patterns enumerate through an edit region
+    /// ([`Matcher::for_each_embedding_through`]): an edit changes sibling
+    /// adjacency, which a horizontal pattern observes without mapping a
+    /// node into the region.
     pub fn is_downward(&self) -> bool {
         self.nodes.iter().all(|n| {
             n.items.iter().all(|item| match item {
@@ -141,35 +146,6 @@ impl CompiledPattern {
                 CItem::Descendant(_) => true,
             })
         })
-    }
-
-    /// The row rule every feasibility table is built by: sets in `ok` (a
-    /// zeroed row) each pattern node whose label test and arity hold at
-    /// tree node `t` and all of whose items `item_holds` affirms at `t`.
-    fn ok_row(
-        &self,
-        cands: &Candidates,
-        tree: &Tree,
-        t: NodeId,
-        ok: &mut [u64],
-        mut item_holds: impl FnMut(&CItem) -> bool,
-    ) {
-        let label_mask = cands.of(tree.label(t));
-        let n_attrs = tree.attrs(t).len();
-        for (w, slot) in ok.iter_mut().enumerate() {
-            let mut cand = cands.wild[w] | label_mask.map_or(0, |mask| mask[w]);
-            while cand != 0 {
-                let pi = w * 64 + cand.trailing_zeros() as usize;
-                cand &= cand - 1;
-                let p = &self.nodes[pi];
-                if !p.vars.is_empty() && n_attrs != p.vars.len() {
-                    continue;
-                }
-                if p.items.iter().all(&mut item_holds) {
-                    *slot |= 1 << (pi % 64);
-                }
-            }
-        }
     }
 
     /// Approximate heap footprint in bytes of the flattened node array and
@@ -215,6 +191,7 @@ impl<'e> EvalState<'e> {
 /// Per-label candidate masks: the pattern nodes a tree label can head
 /// (plus wildcards). A tree node then only tests those bits instead of
 /// scanning every pattern node.
+#[derive(Clone)]
 struct Candidates {
     wild: Vec<u64>,
     labels: Vec<(Name, Vec<u64>)>,
@@ -257,108 +234,56 @@ impl Candidates {
         }
     }
 
+    /// The entry of `label` in `labels`, if some pattern node tests it.
     #[inline]
-    fn of(&self, label: &Name) -> Option<&[u64]> {
+    fn find(&self, label: &Name) -> Option<usize> {
         match &self.index {
-            Some(index) => index.get(label).map(|&i| self.labels[i].1.as_slice()),
-            None => self
-                .labels
-                .iter()
-                .find(|(l, _)| l == label)
-                .map(|(_, mask)| mask.as_slice()),
+            Some(index) => index.get(label).copied(),
+            None => self.labels.iter().position(|(l, _)| l == label),
         }
+    }
+
+    /// Can some pattern node head a tree node whose label is `found`?
+    fn heads(&self, found: Option<usize>) -> bool {
+        found.is_some() || self.wild.iter().any(|&w| w != 0)
+    }
+
+    /// Word `w` of the candidate mask of a tree node whose label is
+    /// `found`.
+    #[inline]
+    fn mask(&self, found: Option<usize>, w: usize) -> u64 {
+        self.wild[w] | found.map_or(0, |i| self.labels[i].1[w])
     }
 }
 
-/// The feasibility tables of one pattern over one tree: per tree node (by
-/// [`NodeId::index`]) one `words`-long bitset row per table, with a bit
-/// for every pattern node.
-struct Rows {
-    /// Words per bitset row (`⌈|π| / 64⌉`, min 1).
-    words: usize,
-    /// `ok[t*words..]`: pattern node `p` structurally matches at tree
-    /// node `t` (bit `p`).
-    ok: Vec<u64>,
-    /// `sub[t*words..]`: … somewhere in `t`'s subtree, `t` included.
-    sub: Vec<u64>,
-}
-
-/// Reusable DP buffers for [`Rows::seq_places`] — table construction
-/// calls it once per (tree node, pattern node) pair, so per-call `Vec`
-/// allocations would dominate the build.
-#[derive(Default)]
+/// Reusable DP buffers for [`SeqScratch::places`]: a row derive calls it
+/// once per (tree node, sequence item) pair, so per-call `Vec` allocations
+/// would dominate the build.
+#[derive(Clone, Default)]
 struct SeqScratch {
     can: Vec<bool>,
     next: Vec<bool>,
     suffix: Vec<bool>,
 }
 
-impl Rows {
-    fn words_for(pat: &CompiledPattern) -> usize {
-        pat.nodes.len().div_ceil(64).max(1)
-    }
-
-    /// Builds the tables bottom-up over `tree`: the row rule with each
-    /// item decided by scanning the children's rows.
-    fn build(tree: &Tree, pat: &CompiledPattern) -> Rows {
-        let words = Rows::words_for(pat);
-        let cands = Candidates::new(pat, words);
-        let mut rows = Rows {
-            words,
-            ok: vec![0u64; tree.size() * words],
-            sub: vec![0u64; tree.size() * words],
-        };
-        let mut scratch = SeqScratch::default();
-        let mut row = vec![0u64; words];
-        // Reverse pre-order visits children before parents.
-        let order: Vec<NodeId> = tree.nodes().collect();
-        for &t in order.iter().rev() {
-            let children = tree.children(t);
-            row.fill(0);
-            pat.ok_row(&cands, tree, t, &mut row, |item| match item {
-                CItem::Descendant(d) => children.iter().any(|c| rows.bit(&rows.sub, c.index(), *d)),
-                CItem::Seq { members, ops } => {
-                    rows.seq_places(children, members, ops, &mut scratch)
-                }
-            });
-            // sub = ok | OR over children, one word at a time.
-            let ti = t.index();
-            for (w, &ok) in row.iter().enumerate() {
-                let mut acc = ok;
-                for c in children {
-                    acc |= rows.sub[c.index() * words + w];
-                }
-                rows.ok[ti * words + w] = ok;
-                rows.sub[ti * words + w] = acc;
-            }
-        }
-        rows
-    }
-
-    #[inline]
-    fn bit(&self, table: &[u64], ti: usize, pi: usize) -> bool {
-        table[ti * self.words + pi / 64] >> (pi % 64) & 1 != 0
-    }
-
-    /// Can the sequence be placed along `children`, structurally?
-    /// Right-to-left DP over bit lookups.
-    fn seq_places(
-        &self,
-        children: &[NodeId],
-        members: &[usize],
+impl SeqScratch {
+    /// Can a sequence of `ops.len() + 1` members be placed along `width`
+    /// children, given whether member `m` fits child `i`
+    /// (`member_ok(m, i)`)? Right-to-left DP.
+    fn places(
+        &mut self,
+        width: usize,
         ops: &[SeqOp],
-        scratch: &mut SeqScratch,
+        member_ok: impl Fn(usize, usize) -> bool,
     ) -> bool {
-        if children.is_empty() {
+        if width == 0 {
             return false;
         }
-        let width = children.len();
-        let member_ok = |m: usize, i: usize| self.bit(&self.ok, children[i].index(), members[m]);
-        let can = &mut scratch.can;
+        let can = &mut self.can;
         can.clear();
-        can.extend((0..width).map(|i| member_ok(members.len() - 1, i)));
-        for m in (0..members.len() - 1).rev() {
-            let next = &mut scratch.next;
+        can.extend((0..width).map(|i| member_ok(ops.len(), i)));
+        for m in (0..ops.len()).rev() {
+            let next = &mut self.next;
             next.clear();
             next.resize(width, false);
             match ops[m] {
@@ -368,7 +293,7 @@ impl Rows {
                     }
                 }
                 SeqOp::Following => {
-                    let suffix = &mut scratch.suffix;
+                    let suffix = &mut self.suffix;
                     suffix.clear();
                     suffix.resize(width + 1, false);
                     for i in (0..width).rev() {
@@ -385,48 +310,79 @@ impl Rows {
     }
 }
 
-/// Feasibility tables kept current across edits of one mutable tree, for a
-/// pattern without horizontal operators ([`CompiledPattern::is_downward`]).
+/// A zeroed row of `len` words: in `small` when it fits, else in `spill`.
+fn zeroed<'a>(small: &'a mut [u64; 8], spill: &'a mut Vec<u64>, len: usize) -> &'a mut [u64] {
+    if len <= small.len() {
+        &mut small[..len]
+    } else {
+        spill.resize(len, 0);
+        spill
+    }
+}
+
+#[inline]
+fn bit(row: &[u64], p: usize) -> bool {
+    row[p / 64] >> (p % 64) & 1 != 0
+}
+
+/// Adds (or removes) the bits of one child's rows — `bits`, `ok` words
+/// then `sub` words — to (from) a support `block`: `ok` counts, then `sub`
+/// counts, `width` each.
+fn tally(block: &mut [u32], width: usize, bits: &[u64], add: bool) {
+    let (ok, sub) = bits.split_at(bits.len() / 2);
+    for (half, base) in [(ok, 0), (sub, width)] {
+        for (w, &word) in half.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let slot = &mut block[base + w * 64 + word.trailing_zeros() as usize];
+                *slot = if add { *slot + 1 } else { *slot - 1 };
+                word &= word - 1;
+            }
+        }
+    }
+}
+
+/// The feasibility rows of one pattern over one tree, kept current across
+/// edits of a mutable tree.
 ///
-/// For a downward pattern the row rule only asks whether *some* child sets
-/// a bit, so every node keeps a *record*: its `ok` row plus a support
-/// block counting, for each pattern node `p`, the children that set `ok`
-/// bit `p` and those that set `sub` bit `p`. A node's rows follow from its
-/// record alone (`sub` is `ok` or'ed with the nonzero `sub` counts), so an
-/// edit repairs just the new nodes and the edit's ancestors — stopping at
-/// the first ancestor whose rows stand — instead of rescanning a wide
-/// parent's children. Nodes whose rows are all zero and whose children set
-/// no bit (most of a document, for a selective pattern) share the zero
-/// record. The rows equal a fresh [`Matcher::new`] build on every
-/// reachable node; records of detached nodes go stale and are never read.
+/// Every node (by [`NodeId::index`]) has its `ok` row and `sub` row side
+/// by side. A node's rows follow from its label, its children list and
+/// the OR of its children's rows: a `//` item and a one-member sequence
+/// only ask whether *some* child sets a bit, and a longer sequence (`→`,
+/// `→*`) runs a DP along the children's `ok` rows.
+///
+/// An edit repairs just the new nodes and the edit's ancestors, stopping
+/// at the first ancestor whose rows stand. To take one child's bits out of
+/// an ancestor's OR without rescanning its siblings, an ancestor keeps a
+/// support block counting, per pattern node `p`, the children that set
+/// `ok` bit `p` and those that set `sub` bit `p`. A block is counted from
+/// the children the first time an edit reaches its node, so building the
+/// rows counts nothing. Rows of detached nodes stay readable until the
+/// tree is compacted.
+#[derive(Clone)]
 pub struct LiveRows {
     cands: Candidates,
-    /// Words per `ok` row.
+    /// Words per row (`⌈|π| / 64⌉`, min 1).
     words: usize,
-    /// `|π|`: half a support block.
-    width: usize,
-    /// Per tree node: its record, `0` for the shared zero record.
-    slot: Vec<u32>,
-    /// Record `r`'s `ok` row is `ok[r*words..]`.
-    ok: Vec<u64>,
-    /// Record `r`'s support block is `support[r*2*width..]`: `ok` counts,
-    /// then `sub` counts.
-    support: Vec<u32>,
+    /// Node `t`'s rows are `rows[t*2*words..]`: `ok` words, then `sub`
+    /// words.
+    rows: Vec<u64>,
+    /// The support blocks counted so far: `ok` counts, then `sub` counts,
+    /// `|π|` each.
+    support: HashMap<NodeId, Vec<u32>>,
+    scratch: SeqScratch,
 }
 
 impl LiveRows {
-    /// Builds the records over `tree`. Panics unless `pat` is downward.
+    /// Builds the rows over `tree`, children before parents.
     pub fn new(tree: &Tree, pat: &CompiledPattern) -> LiveRows {
-        assert!(pat.is_downward(), "live rows need a downward pattern");
-        let words = Rows::words_for(pat);
-        let width = pat.nodes.len();
+        let words = pat.nodes.len().div_ceil(64).max(1);
         let mut live = LiveRows {
             cands: Candidates::new(pat, words),
             words,
-            width,
-            slot: Vec::new(),
-            ok: vec![0; words],
-            support: vec![0; 2 * width],
+            rows: Vec::new(),
+            support: HashMap::new(),
+            scratch: SeqScratch::default(),
         };
         live.fit(tree);
         let order: Vec<NodeId> = tree.nodes().collect();
@@ -439,11 +395,11 @@ impl LiveRows {
     /// A matcher over `tree` that reads these rows instead of building its
     /// own; `tree` must be the tree the rows were kept for.
     pub fn matcher<'t, 'p>(&'t self, tree: &'t Tree, pat: &'p CompiledPattern) -> Matcher<'t, 'p> {
-        debug_assert!(self.slot.len() >= tree.size());
+        debug_assert!(self.rows.len() >= tree.size() * 2 * self.words);
         Matcher {
             tree,
             pat,
-            tables: Tables::Live(self),
+            rows: Cow::Borrowed(self),
         }
     }
 
@@ -458,138 +414,180 @@ impl LiveRows {
         }
         let parent = tree.parent(root).expect("a grafted subtree has a parent");
         let before = self.rows_of(parent);
-        self.count_child(parent, root, true);
+        let came = self.rows_of(root);
+        self.count_change(tree, pat, parent, &[], &came);
         self.settle(tree, pat, parent, before);
     }
 
-    /// Repairs the rows for a detach of the subtree at `root`, called
-    /// *before* `tree.detach(root)`: uncounts `root` from its parent and
-    /// walks up the ancestors while their rows change.
-    pub fn detaching(&mut self, tree: &Tree, pat: &CompiledPattern, root: NodeId) {
-        let parent = tree.parent(root).expect("the root cannot be detached");
+    /// Repairs the rows after `tree.detach(root)` took the subtree at
+    /// `root` from `parent`: uncounts `root` from `parent` and walks up the
+    /// ancestors while their rows change.
+    pub fn detached(&mut self, tree: &Tree, pat: &CompiledPattern, parent: NodeId, root: NodeId) {
         let before = self.rows_of(parent);
-        self.count_child(parent, root, false);
+        let gone = self.rows_of(root);
+        self.count_change(tree, pat, parent, &gone, &[]);
         self.settle(tree, pat, parent, before);
     }
 
-    /// Grows the per-node slots to cover every node of `tree`.
+    /// Grows the rows to cover every node of `tree`.
     fn fit(&mut self, tree: &Tree) {
-        self.slot.resize(tree.size(), 0);
+        self.rows.resize(tree.size() * 2 * self.words, 0);
     }
 
+    /// `t`'s rows: `ok` words, then `sub` words.
     #[inline]
-    fn ok_word(&self, t: NodeId, w: usize) -> u64 {
-        self.ok[self.slot[t.index()] as usize * self.words + w]
-    }
-
-    #[inline]
-    fn count(&self, t: NodeId, i: usize) -> u32 {
-        self.support[self.slot[t.index()] as usize * 2 * self.width + i]
-    }
-
-    /// Word `w` of `t`'s `sub` row: its `ok` bits and the bits some child
-    /// sets in its own `sub` row.
-    fn sub_word(&self, t: NodeId, w: usize) -> u64 {
-        let mut sub = self.ok_word(t, w);
-        for p in w * 64..self.width.min(w * 64 + 64) {
-            if self.count(t, self.width + p) > 0 {
-                sub |= 1 << (p % 64);
-            }
-        }
-        sub
+    fn rows_at(&self, t: NodeId) -> &[u64] {
+        let at = t.index() * 2 * self.words;
+        &self.rows[at..at + 2 * self.words]
     }
 
     #[inline]
     fn ok_bit(&self, t: NodeId, p: usize) -> bool {
-        self.ok_word(t, p / 64) >> (p % 64) & 1 != 0
+        bit(self.rows_at(t), p)
     }
 
     #[inline]
     fn sub_bit(&self, t: NodeId, p: usize) -> bool {
-        self.ok_bit(t, p) || self.count(t, self.width + p) > 0
+        bit(&self.rows_at(t)[self.words..], p)
     }
 
-    /// `t`'s rows, `ok` words then `sub` words.
     fn rows_of(&self, t: NodeId) -> Vec<u64> {
-        let ok = (0..self.words).map(|w| self.ok_word(t, w));
-        ok.chain((0..self.words).map(|w| self.sub_word(t, w)))
-            .collect()
+        self.rows_at(t).to_vec()
     }
 
-    /// `t`'s own record, split off the shared zero record on first use.
-    fn record_of(&mut self, t: NodeId) -> usize {
-        if self.slot[t.index()] == 0 {
-            self.slot[t.index()] = (self.ok.len() / self.words) as u32;
-            self.ok.resize(self.ok.len() + self.words, 0);
-            self.support.resize(self.support.len() + 2 * self.width, 0);
-        }
-        self.slot[t.index()] as usize
+    /// Moves one child of `t` from rows `old` to rows `new` (empty for a
+    /// child that came or went) in `t`'s support block, after the tree
+    /// edit. A block not counted yet is counted from `t`'s children as
+    /// they now stand, which already include the change.
+    fn count_change(
+        &mut self,
+        tree: &Tree,
+        pat: &CompiledPattern,
+        t: NodeId,
+        old: &[u64],
+        new: &[u64],
+    ) {
+        let (span, width) = (2 * self.words, pat.nodes.len());
+        let Some(block) = self.support.get_mut(&t) else {
+            let mut block = vec![0; 2 * width];
+            for &c in tree.children(t) {
+                tally(&mut block, width, self.rows_at(c), true);
+            }
+            self.support.insert(t, block);
+            return;
+        };
+        let word = |row: &[u64], w: usize| row.get(w).copied().unwrap_or(0);
+        let gone: Vec<u64> = (0..span).map(|w| word(old, w) & !word(new, w)).collect();
+        let came: Vec<u64> = (0..span).map(|w| word(new, w) & !word(old, w)).collect();
+        tally(block, width, &gone, false);
+        tally(block, width, &came, true);
     }
 
-    /// Adds (or removes) the `ok`/`sub` bits of word `w` of one child's
-    /// rows to (from) `t`'s support block.
-    fn tally(&mut self, t: NodeId, w: usize, ok: u64, sub: u64, add: bool) {
-        if ok == 0 && sub == 0 {
+    /// Derives a fresh node's rows from its children's, OR'ed. A node no
+    /// pattern node can head keeps the zero `ok` row [`LiveRows::fit`] gave
+    /// it and takes its children's `sub` bits, so such a leaf costs one
+    /// label lookup.
+    fn fill(&mut self, tree: &Tree, pat: &CompiledPattern, t: NodeId) {
+        let children = tree.children(t);
+        let label = self.cands.find(tree.label(t));
+        let heads = self.cands.heads(label);
+        if !heads && children.is_empty() {
             return;
         }
-        let at = self.record_of(t) * 2 * self.width;
-        for (mut bits, base) in [(ok, at), (sub, at + self.width)] {
-            while bits != 0 {
-                let slot = &mut self.support[base + w * 64 + bits.trailing_zeros() as usize];
-                *slot = if add { *slot + 1 } else { *slot - 1 };
-                bits &= bits - 1;
+        let (words, span) = (self.words, 2 * self.words);
+        if !heads {
+            // Only the `sub` half: the OR of the children's `sub` rows.
+            let at = t.index() * span + words;
+            for &c in children {
+                let from = c.index() * span + words;
+                for w in 0..words {
+                    self.rows[at + w] |= self.rows[from + w];
+                }
+            }
+            return;
+        }
+        let (mut small, mut spill) = ([0u64; 8], Vec::new());
+        let kids = zeroed(&mut small, &mut spill, span);
+        for &c in children {
+            for (k, &w) in kids.iter_mut().zip(self.rows_at(c)) {
+                *k |= w;
             }
         }
+        self.derive(tree, pat, t, label, kids);
     }
 
-    /// Adds (or removes) child `c`'s rows to (from) `t`'s support block.
-    fn count_child(&mut self, t: NodeId, c: NodeId, add: bool) {
-        if self.slot[c.index()] == 0 {
-            return; // the zero record sets no bit
+    /// Re-derives `t`'s rows after an edit, with its children's OR'ed rows
+    /// read off its support block.
+    fn rederive(&mut self, tree: &Tree, pat: &CompiledPattern, t: NodeId) {
+        let (words, width) = (self.words, pat.nodes.len());
+        let (mut small, mut spill) = ([0u64; 8], Vec::new());
+        let kids = zeroed(&mut small, &mut spill, 2 * words);
+        for (i, &n) in self.support[&t].iter().enumerate() {
+            if n > 0 {
+                let (half, p) = (i / width, i % width);
+                kids[half * words + p / 64] |= 1 << (p % 64);
+            }
         }
-        for w in 0..self.words {
-            let (ok, sub) = (self.ok_word(c, w), self.sub_word(c, w));
-            self.tally(t, w, ok, sub, add);
-        }
+        let label = self.cands.find(tree.label(t));
+        self.derive(tree, pat, t, label, kids);
     }
 
-    /// Counts a fresh node's children into its support block, then derives
-    /// its `ok` row.
-    fn fill(&mut self, tree: &Tree, pat: &CompiledPattern, t: NodeId) {
-        for &c in tree.children(t) {
-            self.count_child(t, c, true);
-        }
-        self.derive(tree, pat, t);
-    }
-
-    /// Re-derives `t`'s `ok` row from its support block: the row rule with
-    /// each item decided by one counter.
-    fn derive(&mut self, tree: &Tree, pat: &CompiledPattern, t: NodeId) {
-        let (mut small, mut spill) = ([0u64; 4], Vec::new());
-        let row: &mut [u64] = if self.words <= small.len() {
-            &mut small[..self.words]
-        } else {
-            spill.resize(self.words, 0);
-            &mut spill
-        };
-        pat.ok_row(&self.cands, tree, t, row, |item| match item {
-            CItem::Descendant(d) => self.count(t, self.width + d) > 0,
-            CItem::Seq { members, .. } => self.count(t, members[0]) > 0,
-        });
-        if self.slot[t.index()] == 0 && row.iter().all(|&w| w == 0) {
-            return;
-        }
-        let at = self.record_of(t) * self.words;
-        self.ok[at..at + self.words].copy_from_slice(row);
-    }
-
-    /// Re-derives `t`, whose support block just changed from when its rows
-    /// read `before`, and each ancestor in turn — moving every changed row
-    /// into its parent's block — until an ancestor's rows stand.
-    fn settle(&mut self, tree: &Tree, pat: &CompiledPattern, mut t: NodeId, mut before: Vec<u64>) {
+    /// Derives `t`'s rows from `kids` — its children's `ok` rows OR'ed,
+    /// then their `sub` rows OR'ed — by the row rule: `ok` holds each
+    /// pattern node whose label test (`label` is where `cands` found `t`'s
+    /// label) and arity hold at `t` and all of whose items hold. A `//`
+    /// item holds when some child sets its member's `sub` bit, a
+    /// one-member sequence when some child sets its `ok` bit, and a longer
+    /// sequence when the DP places it along the children's `ok` rows.
+    /// `sub` is `ok` OR'ed with the children's `sub`.
+    fn derive(
+        &mut self,
+        tree: &Tree,
+        pat: &CompiledPattern,
+        t: NodeId,
+        label: Option<usize>,
+        kids: &[u64],
+    ) {
         let words = self.words;
+        let (mut small, mut spill) = ([0u64; 8], Vec::new());
+        let row = zeroed(&mut small, &mut spill, words);
+        let (children, n_attrs) = (tree.children(t), tree.attrs(t).len());
+        let (cands, rows, scratch) = (&self.cands, &self.rows, &mut self.scratch);
+        let mut item_holds = |item: &CItem| match item {
+            CItem::Descendant(d) => bit(&kids[words..], *d),
+            CItem::Seq { members, .. } if members.len() == 1 => bit(kids, members[0]),
+            CItem::Seq { members, ops } => scratch.places(children.len(), ops, |m, i| {
+                bit(&rows[children[i].index() * 2 * words..], members[m])
+            }),
+        };
+        for (w, slot) in row.iter_mut().enumerate() {
+            let mut cand = cands.mask(label, w);
+            while cand != 0 {
+                let pi = w * 64 + cand.trailing_zeros() as usize;
+                cand &= cand - 1;
+                let p = &pat.nodes[pi];
+                if !p.vars.is_empty() && n_attrs != p.vars.len() {
+                    continue;
+                }
+                if p.items.iter().all(&mut item_holds) {
+                    *slot |= 1 << (pi % 64);
+                }
+            }
+        }
+        let at = t.index() * 2 * words;
+        for w in 0..words {
+            self.rows[at + w] = row[w];
+            self.rows[at + words + w] = row[w] | kids[words + w];
+        }
+    }
+
+    /// Re-derives `t`, whose support block or children just changed from
+    /// when its rows read `before`, and each ancestor in turn — moving
+    /// every changed row into its parent's block — until an ancestor's
+    /// rows stand.
+    fn settle(&mut self, tree: &Tree, pat: &CompiledPattern, mut t: NodeId, mut before: Vec<u64>) {
         loop {
-            self.derive(tree, pat, t);
+            self.rederive(tree, pat, t);
             let after = self.rows_of(t);
             if after == before {
                 return;
@@ -598,59 +596,40 @@ impl LiveRows {
                 return;
             };
             let parent_before = self.rows_of(parent);
-            for w in 0..words {
-                let (ok0, sub0) = (before[w], before[words + w]);
-                let (ok1, sub1) = (after[w], after[words + w]);
-                self.tally(parent, w, ok0 & !ok1, sub0 & !sub1, false);
-                self.tally(parent, w, ok1 & !ok0, sub1 & !sub0, true);
-            }
+            self.count_change(tree, pat, parent, &before, &after);
             (t, before) = (parent, parent_before);
         }
     }
 }
 
-/// Where a [`Matcher`] reads its tables from.
-enum Tables<'t> {
-    /// Built for this matcher by [`Matcher::new`].
-    Built(Rows),
-    /// Kept across edits by the caller.
-    Live(&'t LiveRows),
-}
-
-/// A pattern prepared against one tree: the bitset feasibility tables,
+/// A pattern prepared against one tree: the bitset feasibility rows,
 /// shared by every probe ([`Matcher::matches_with`],
-/// [`Matcher::for_each_match`], …) on that tree. The tables are built by
-/// [`Matcher::new`] or read from [`LiveRows`].
+/// [`Matcher::for_each_match`], …) on that tree. The rows are built by
+/// [`Matcher::new`] or borrowed from a caller's [`LiveRows`].
 pub struct Matcher<'t, 'p> {
     tree: &'t Tree,
     pat: &'p CompiledPattern,
-    tables: Tables<'t>,
+    rows: Cow<'t, LiveRows>,
 }
 
 impl<'t, 'p> Matcher<'t, 'p> {
-    /// Builds the feasibility tables bottom-up over `tree`.
+    /// Builds the feasibility rows bottom-up over `tree`.
     pub fn new(tree: &'t Tree, pat: &'p CompiledPattern) -> Matcher<'t, 'p> {
         Matcher {
             tree,
             pat,
-            tables: Tables::Built(Rows::build(tree, pat)),
+            rows: Cow::Owned(LiveRows::new(tree, pat)),
         }
     }
 
     #[inline]
     fn ok_bit(&self, t: NodeId, pi: usize) -> bool {
-        match &self.tables {
-            Tables::Built(rows) => rows.bit(&rows.ok, t.index(), pi),
-            Tables::Live(live) => live.ok_bit(t, pi),
-        }
+        self.rows.ok_bit(t, pi)
     }
 
     #[inline]
     fn sub_bit(&self, t: NodeId, pi: usize) -> bool {
-        match &self.tables {
-            Tables::Built(rows) => rows.bit(&rows.sub, t.index(), pi),
-            Tables::Live(live) => live.sub_bit(t, pi),
-        }
+        self.rows.sub_bit(t, pi)
     }
 
     /// Structural (value-free) feasibility of the whole pattern at `node`.
@@ -749,12 +728,6 @@ impl<'t, 'p> Matcher<'t, 'p> {
         !self.visit_pattern(&mut state, node, self.pat.root(), &mut |_, st| {
             found(&st.env)
         })
-    }
-
-    /// Boolean probe under a dense seed (see
-    /// [`Matcher::for_each_match_dense`]).
-    pub fn matches_dense<'e>(&'e self, node: NodeId, seed_env: &[Option<&'e Value>]) -> bool {
-        self.for_each_match_dense(node, seed_env, &mut |_| false)
     }
 
     /// All complete matches at the root as **dense tuples** of values
@@ -1428,20 +1401,32 @@ mod tests {
     }
 
     /// Live rows repaired through grafts and detaches equal a fresh build
-    /// on every reachable node.
+    /// on every reachable node, for downward and horizontal patterns; for
+    /// repeat-free patterns, the root bit also equals the reference
+    /// evaluator's verdict at every node.
     #[test]
     fn live_rows_track_a_fresh_build() {
+        const HORIZONTAL: &[&str] = &[
+            "r[a(x) -> b(y)]",
+            "r[c(x) ->* a(y)]",
+            "r[a(x) -> _(y) ->* c(z)]",
+            "r/a(x)[b(y) ->* c(z) -> _]",
+            "r//_[a(x) ->* a(y)]",
+            "r[b(x) -> b(y), //c(z)]",
+        ];
         let mut seed = 11u64;
-        for text in DOWNWARD {
-            let c = CompiledPattern::new(&parse(text).unwrap());
+        for text in DOWNWARD.iter().chain(HORIZONTAL) {
+            let pattern = parse(text).unwrap();
+            let c = CompiledPattern::new(&pattern);
             let mut t = random_tree(&mut seed, 12);
             let mut live = LiveRows::new(&t, &c);
             for step in 0..40 {
                 let reachable: Vec<NodeId> = t.nodes().collect();
                 let n = reachable[(step * 7 + 3) % reachable.len()];
                 if step % 2 == 0 && n != Tree::ROOT {
-                    live.detaching(&t, &c, n);
+                    let parent = t.parent(n).unwrap();
                     t.detach(n);
+                    live.detached(&t, &c, parent, n);
                 } else {
                     let sub = random_tree(&mut seed, 1 + step % 4);
                     let pos = step % (t.children(n).len() + 1);
@@ -1461,6 +1446,13 @@ mod tests {
                             kept.sub_bit(x, p),
                             fresh.sub_bit(x, p),
                             "{text}: sub {x:?} {p}"
+                        );
+                    }
+                    if !c.has_repeated_variable() {
+                        assert_eq!(
+                            kept.feasible_at(x),
+                            crate::reference::matches_at(&t, x, &pattern, &Valuation::new()),
+                            "{text}: verdict at {x:?}"
                         );
                     }
                 }

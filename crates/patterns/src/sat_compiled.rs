@@ -49,10 +49,7 @@ const PAR_LABEL_GATE: usize = 16;
 const PAR_DIRTY_GATE: usize = 4;
 
 use xmlmap_dtd::content::{get_bit, set_bit};
-/// Re-exported from `xmlmap-dtd`, where the per-DTD compiled artifact now
-/// lives (the streaming validator shares it); kept here so existing
-/// `sat_compiled::DtdIndex` paths continue to work.
-pub use xmlmap_dtd::{DenseNfa, DtdIndex};
+use xmlmap_dtd::{DenseNfa, DtdIndex};
 
 /// Flattened list item of a compiled pattern node.
 enum CItem {

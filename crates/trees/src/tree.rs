@@ -219,14 +219,6 @@ impl Tree {
         sibs.get(pos + 1).copied()
     }
 
-    /// The previous sibling, if any.
-    pub fn prev_sibling(&self, n: NodeId) -> Option<NodeId> {
-        let p = self.parent(n)?;
-        let sibs = self.children(p);
-        let pos = sibs.iter().position(|&s| s == n)?;
-        pos.checked_sub(1).map(|i| sibs[i])
-    }
-
     /// Position of `n` among its siblings (root has position 0).
     pub fn sibling_index(&self, n: NodeId) -> usize {
         match self.parent(n) {
@@ -237,17 +229,6 @@ impl Tree {
                 .position(|&s| s == n)
                 .expect("node is a child of its parent"),
         }
-    }
-
-    /// All following siblings of `n`, nearest first (`→*`, strict).
-    pub fn following_siblings(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let (parent, pos) = match self.parent(n) {
-            Some(p) => (Some(p), self.sibling_index(n)),
-            None => (None, 0),
-        };
-        parent
-            .into_iter()
-            .flat_map(move |p| self.children(p)[pos + 1..].iter().copied())
     }
 
     /// All nodes of the tree in document (pre-)order.
@@ -282,23 +263,6 @@ impl Tree {
             cur = p;
         }
         d
-    }
-
-    /// Height of the tree: a single-node tree has height 0.
-    pub fn height(&self) -> usize {
-        self.nodes().map(|n| self.depth(n)).max().unwrap_or(0)
-    }
-
-    /// The sequence of labels on the path from the root to `n`, inclusive.
-    pub fn path_labels(&self, n: NodeId) -> Vec<Name> {
-        let mut path = Vec::new();
-        let mut cur = Some(n);
-        while let Some(c) = cur {
-            path.push(self.label(c).clone());
-            cur = self.parent(c);
-        }
-        path.reverse();
-        path
     }
 
     /// All constant data values occurring in the tree (with duplicates).
@@ -348,8 +312,9 @@ impl Tree {
     /// in the arena (ids remain stable and the detached subtree can still
     /// be read through them) but are no longer reachable from the root —
     /// traversals, conformance checks and serialisation all start at
-    /// [`Tree::ROOT`] and never see them. Panics on the root.
-    pub fn detach(&mut self, n: NodeId) {
+    /// [`Tree::ROOT`] and never see them. Returns the child position `n`
+    /// held under its parent. Panics on the root.
+    pub fn detach(&mut self, n: NodeId) -> usize {
         let p = self.nodes[n.index()]
             .parent
             .expect("detach: cannot detach the root");
@@ -360,6 +325,7 @@ impl Tree {
             .expect("node is a child of its parent");
         kids.remove(pos);
         self.nodes[n.index()].parent = None;
+        pos
     }
 
     /// Drops every node no longer reachable from the root (detached
@@ -527,13 +493,9 @@ mod tests {
         assert_eq!(t.children(prof), &[teach, sup]);
         assert_eq!(t.next_sibling(c1), Some(c2));
         assert_eq!(t.next_sibling(c2), None);
-        assert_eq!(t.prev_sibling(c2), Some(c1));
-        assert_eq!(t.prev_sibling(c1), None);
         assert_eq!(t.next_sibling(Tree::ROOT), None);
-        assert_eq!(t.following_siblings(teach).collect::<Vec<_>>(), vec![sup]);
         assert_eq!(t.depth(stu), 3);
         assert_eq!(t.depth(Tree::ROOT), 0);
-        assert_eq!(t.height(), 4);
         assert_eq!(t.sibling_index(c2), 1);
         assert_eq!(t.label(year).as_str(), "year");
     }
@@ -611,7 +573,7 @@ mod tests {
         };
         let arena_before = t.size();
         let teach_copy = t.subtree(teach);
-        t.detach(teach);
+        assert_eq!(t.detach(teach), 0);
         // The parent no longer lists the subtree; the arena keeps it.
         assert_eq!(t.children(prof), &[sup]);
         assert_eq!(t.parent(teach), None);
@@ -665,18 +627,6 @@ mod tests {
     fn detach_root_panics() {
         let mut t = Tree::new("r");
         t.detach(Tree::ROOT);
-    }
-
-    #[test]
-    fn path_labels_from_root() {
-        let (t, ids) = intro_tree();
-        let stu = ids[6];
-        let path: Vec<String> = t
-            .path_labels(stu)
-            .iter()
-            .map(|n| n.as_str().to_string())
-            .collect();
-        assert_eq!(path, ["r", "prof", "supervise", "student"]);
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl NullFactory {
         self.next += 1;
         v
     }
-
-    /// Number of nulls minted so far.
-    pub fn minted(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +133,6 @@ mod tests {
         let a = f.fresh();
         let b = f.fresh();
         assert_ne!(a, b);
-        assert_eq!(f.minted(), 2);
     }
 
     #[test]
