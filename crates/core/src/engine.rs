@@ -845,17 +845,17 @@ impl EngineContext {
 
     /// The shared streaming plan for `pattern`, compiling it on first
     /// request; rejects patterns outside the streamable downward fragment
-    /// with a diagnostic naming the offending feature.
+    /// with a diagnostic naming the offending feature (never cached).
     pub fn stream_plan(
         &self,
         pattern: &Pattern,
     ) -> Result<Arc<StreamPattern>, UnstreamablePattern> {
-        let compiled = StreamPattern::compile(pattern)?;
+        StreamPattern::check(pattern)?;
         Ok(self.fetch(
             &self.stream_plans,
             &pattern.to_string(),
             |v| v.approx_bytes(),
-            move || compiled,
+            || StreamPattern::compile(pattern).expect("checked streamable"),
         ))
     }
 
@@ -1260,6 +1260,28 @@ mod tests {
         // Outside the streamable fragment: a diagnostic, nothing cached.
         let sib = xmlmap_patterns::parse("r[a(x) -> a(y)]").unwrap();
         assert!(ctx.stream_plan(&sib).is_err());
+        assert_eq!(ctx.stats().stream_plans.entries, 1);
+    }
+
+    #[test]
+    fn warm_stream_plans_are_not_recompiled() {
+        let ctx = EngineContext::new();
+        let p = xmlmap_patterns::parse("r[a(x), b//c(y)]").unwrap();
+        let first = ctx.stream_plan(&p).unwrap();
+        let compiled = ctx.stats().stream_plans.compile_time;
+        assert!(compiled > Duration::ZERO, "the miss compiles inside the timed fill");
+        let again = ctx.stream_plan(&p).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "a warm call returns the cached plan");
+        let s = ctx.stats();
+        assert_eq!((s.stream_plans.misses, s.stream_plans.hits), (1, 1));
+        assert_eq!(s.stream_plans.compile_time, compiled, "a hit compiles nothing");
+        // The error is the compiler's own, and is never cached.
+        let join = xmlmap_patterns::parse("r[a(x), b(x)]").unwrap();
+        assert_eq!(
+            ctx.stream_plan(&join).err(),
+            StreamPattern::compile(&join).err()
+        );
+        assert!(ctx.stream_plan(&join).is_err());
         assert_eq!(ctx.stats().stream_plans.entries, 1);
     }
 

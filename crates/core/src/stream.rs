@@ -8,9 +8,12 @@
 //! reads the document exactly once, and bridges the one semantic gap
 //! between them: the matcher pairs attribute values with pattern tuples
 //! *positionally* (like the arena evaluator over a normalised tree), so
-//! the driver reorders each element's attributes into the DTD's
-//! canonical order before feeding the matcher — the streaming analogue
-//! of the arena pipeline's `normalize_attrs`.
+//! the driver hands the matcher each element's attributes in the DTD's
+//! canonical order, which the validator finds while checking the
+//! attribute set — the streaming analogue of the arena pipeline's
+//! `normalize_attrs`. Start tags stay borrowed from the reader: the
+//! validator resolves their name slots to DTD ids, and the cursors read
+//! a value only where a pattern node binds it.
 //!
 //! The compiled inputs ([`DtdIndex`], [`StreamPattern`]) are per-schema
 //! and per-pattern artifacts; [`crate::EngineContext`] caches them and
@@ -24,8 +27,10 @@ use std::fmt;
 use std::io::Read;
 use std::sync::Arc;
 use xmlmap_dtd::{DtdIndex, StreamStats, StreamValidator};
-use xmlmap_patterns::{StreamEnumerator, StreamMatcher, StreamPattern, UnstreamablePattern};
-use xmlmap_trees::{Name, SaxEvent, SaxReader, Tree, Value, XmlError};
+use xmlmap_patterns::{
+    AttrTuple, LabelMasks, StreamEnumerator, StreamMatcher, StreamPattern, UnstreamablePattern,
+};
+use xmlmap_trees::{BorrowedEvent, SaxReader, StartTag, Tree, Value, XmlError};
 
 /// What one streaming pass over a document established.
 #[derive(Clone, Debug)]
@@ -81,24 +86,28 @@ impl From<UnstreamablePattern> for StreamJobError {
     }
 }
 
-/// Writes `attrs` into `canonical` in the DTD's order for `label`, so
-/// the matcher's positional tuple pairing sees canonical order, exactly
-/// as the arena evaluator sees a normalised tree. Called only after the
-/// validator accepted the element, so its attribute *set* equals the
-/// DTD's canonical list.
-fn canonicalise(
-    idx: &DtdIndex,
-    label: &Name,
-    attrs: &[(Name, Value)],
-    canonical: &mut Vec<(Name, Value)>,
-) {
-    canonical.clear();
-    for want in idx.dtd().attrs(label) {
-        let (_, value) = attrs
-            .iter()
-            .find(|(a, _)| a == want)
-            .expect("validator checked the attribute set");
-        canonical.push((want.clone(), value.clone()));
+/// A borrowed start tag's attributes in the DTD's canonical order (the
+/// validator's [`StreamValidator::canonical_order`]), so the matcher's
+/// positional tuple pairing sees canonical order, exactly as the arena
+/// evaluator sees a normalised tree. Values stay bytes in the reader's
+/// window until a plan node binds one.
+struct Canonical<'a, 'r> {
+    tag: &'a StartTag<'r>,
+    order: &'a [u32],
+}
+
+impl AttrTuple for Canonical<'_, '_> {
+    fn arity(&self) -> usize {
+        self.order.len()
+    }
+
+    fn same_value(&self, i: usize, j: usize) -> bool {
+        let value = |k: usize| self.tag.value_bytes(self.order[k] as usize);
+        value(i) == value(j)
+    }
+
+    fn value(&self, i: usize) -> Value {
+        self.tag.value(self.order[i] as usize)
     }
 }
 
@@ -114,8 +123,7 @@ pub fn stream_document<R: Read>(
 ) -> Result<StreamOutcome, XmlError> {
     let mut reader = SaxReader::new(src);
     let mut validator = StreamValidator::new(Arc::clone(idx));
-    let mut matcher = plan.map(StreamMatcher::new);
-    let mut canonical: Vec<(Name, Value)> = Vec::new();
+    let mut matcher = plan.map(|p| (StreamMatcher::new(p), p.label_masks(idx.labels())));
     let rejected = |reader: &SaxReader<R>, validator: &StreamValidator, v: &dyn fmt::Display| {
         let (line, col) = reader.position();
         StreamOutcome {
@@ -128,27 +136,32 @@ pub fn stream_document<R: Read>(
             pattern_state_bytes: 0,
         }
     };
-    while let Some(event) = reader.next_event()? {
+    while let Some(event) = reader.next_borrowed()? {
         match event {
-            SaxEvent::Open { label, attrs } => {
-                if let Err(v) = validator.open(&label, &attrs) {
-                    return Ok(rejected(&reader, &validator, &v));
-                }
-                if let Some(m) = &mut matcher {
-                    canonicalise(idx, &label, &attrs, &mut canonical);
-                    m.open(&label, &canonical);
+            BorrowedEvent::Open(tag) => {
+                let lid = match validator.open_tag(&tag) {
+                    Ok(lid) => lid,
+                    Err(v) => return Ok(rejected(&reader, &validator, &v)),
+                };
+                if let Some((m, masks)) = &mut matcher {
+                    let attrs = Canonical {
+                        tag: &tag,
+                        order: validator.canonical_order(),
+                    };
+                    m.open_with(masks.get(lid), &attrs);
                 }
             }
-            SaxEvent::Close { .. } => {
+            BorrowedEvent::Close(_) => {
                 if let Err(v) = validator.close() {
                     return Ok(rejected(&reader, &validator, &v));
                 }
-                if let Some(m) = &mut matcher {
+                if let Some((m, _)) = &mut matcher {
                     m.close();
                 }
             }
         }
     }
+    let matcher = matcher.map(|(m, _)| m);
     let pattern_state_bytes = matcher.as_ref().map_or(0, StreamMatcher::peak_state_bytes);
     Ok(StreamOutcome {
         violation: None,
@@ -334,51 +347,40 @@ pub fn chase_stream<R: Read>(
         Ok(ps) => ps,
         Err(e) => return Err(StreamChaseError::Unstreamable(e.clone())),
     };
+    let masks: Vec<LabelMasks> = plans.iter().map(|p| p.label_masks(idx.labels())).collect();
     let mut reader = SaxReader::new(src);
     let mut validator = StreamValidator::new(Arc::clone(idx));
     let mut enums: Vec<StreamEnumerator<'_>> = plans.iter().map(StreamEnumerator::new).collect();
-    let mut canonical: Vec<(Name, Value)> = Vec::new();
-    while let Some(event) = reader.next_event()? {
-        match event {
-            SaxEvent::Open { label, attrs } => {
-                if let Err(v) = validator.open(&label, &attrs) {
-                    let (line, col) = reader.position();
-                    return Ok(StreamChaseOutcome {
-                        violation: Some(format!(
-                            "invalid at byte {} (line {line}, column {col}): {v}",
-                            reader.offset()
-                        )),
-                        solution: None,
-                        stats: validator.stats(),
-                        firings: 0,
-                        peak_live_valuations: 0,
-                        pattern_state_bytes: 0,
-                    });
+    while let Some(event) = reader.next_borrowed()? {
+        let step = match event {
+            BorrowedEvent::Open(tag) => validator.open_tag(&tag).map(|lid| {
+                let attrs = Canonical {
+                    tag: &tag,
+                    order: validator.canonical_order(),
+                };
+                for (en, masks) in enums.iter_mut().zip(&masks) {
+                    en.open_with(masks.get(lid), &attrs);
                 }
-                canonicalise(idx, &label, &attrs, &mut canonical);
-                for en in &mut enums {
-                    en.open(&label, &canonical);
-                }
-            }
-            SaxEvent::Close { .. } => {
-                if let Err(v) = validator.close() {
-                    let (line, col) = reader.position();
-                    return Ok(StreamChaseOutcome {
-                        violation: Some(format!(
-                            "invalid at byte {} (line {line}, column {col}): {v}",
-                            reader.offset()
-                        )),
-                        solution: None,
-                        stats: validator.stats(),
-                        firings: 0,
-                        peak_live_valuations: 0,
-                        pattern_state_bytes: 0,
-                    });
-                }
+            }),
+            BorrowedEvent::Close(_) => validator.close().map(|()| {
                 for en in &mut enums {
                     en.close();
                 }
-            }
+            }),
+        };
+        if let Err(v) = step {
+            let (line, col) = reader.position();
+            return Ok(StreamChaseOutcome {
+                violation: Some(format!(
+                    "invalid at byte {} (line {line}, column {col}): {v}",
+                    reader.offset()
+                )),
+                solution: None,
+                stats: validator.stats(),
+                firings: 0,
+                peak_live_valuations: 0,
+                pattern_state_bytes: 0,
+            });
         }
     }
     let stats = validator.finish();

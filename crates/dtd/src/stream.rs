@@ -4,9 +4,13 @@
 //! [`xmlmap_trees::SaxReader`]) and decides conformance without ever
 //! materialising the document: each *open* element owns one subset state of
 //! its label's compiled content model (the DTD's own [`crate::DenseNfa`],
-//! stepped by the same runner as [`crate::Dtd::check`]; labels resolve
-//! through the DTD's label table), kept on a depth-bounded frame stack whose
-//! buffers are pooled across siblings. A
+//! stepped by the same runner as [`crate::Dtd::check`]), kept on a
+//! depth-bounded frame stack whose buffers are pooled across siblings.
+//! The validator steps on label ids and checks attribute sets against the
+//! per-label attribute ids of [`DtdIndex`]; fed borrowed start tags
+//! ([`StreamValidator::open_tag`]), it resolves each reader name slot to
+//! its id once, so a conforming pass hashes no names and allocates
+//! nothing per element. A
 //! violation — wrong root, unknown label, wrong attribute set, or a child
 //! word falling out of the production language — rejects immediately, at the
 //! first offending byte of the document.
@@ -22,7 +26,8 @@ use crate::index::DtdIndex;
 use std::fmt;
 use std::io::Read;
 use std::sync::Arc;
-use xmlmap_trees::{Name, SaxEvent, SaxReader, Value, XmlError};
+use xmlmap_trees::sax::NAME_SLOTS;
+use xmlmap_trees::{BorrowedEvent, Name, NameRef, SaxReader, StartTag, Value, XmlError};
 
 /// Why a streamed document fails to conform (the positionless analogue of
 /// [`crate::ConformanceError`], reported at the first violation in document
@@ -147,6 +152,45 @@ pub struct StreamStats {
     pub peak_state_bytes: u64,
 }
 
+/// A reader name-table slot whose id is not looked up yet.
+const UNSEEN: u32 = u32::MAX;
+/// A reader name-table slot holding a name the DTD does not declare.
+const ABSENT: u32 = u32::MAX - 1;
+
+/// Reader name slots ([`NameRef::slot`]) resolved to label and attribute
+/// ids of one index, each looked up on first sight.
+struct SlotIds {
+    labels: [u32; NAME_SLOTS],
+    attrs: [u32; NAME_SLOTS],
+}
+
+impl SlotIds {
+    fn new() -> SlotIds {
+        SlotIds {
+            labels: [UNSEEN; NAME_SLOTS],
+            attrs: [UNSEEN; NAME_SLOTS],
+        }
+    }
+
+    fn resolve(cache: &mut [u32; NAME_SLOTS], name: NameRef<'_>, look: impl Fn(&Name) -> Option<u32>) -> Option<u32> {
+        let Some(slot) = name.slot() else {
+            return look(name.name());
+        };
+        if cache[slot] == UNSEEN {
+            cache[slot] = look(name.name()).unwrap_or(ABSENT);
+        }
+        Some(cache[slot]).filter(|&id| id != ABSENT)
+    }
+
+    fn label(&mut self, idx: &DtdIndex, name: NameRef<'_>) -> Option<u32> {
+        Self::resolve(&mut self.labels, name, |n| idx.dtd().label_id(n))
+    }
+
+    fn attr(&mut self, idx: &DtdIndex, name: NameRef<'_>) -> Option<u32> {
+        Self::resolve(&mut self.attrs, name, |n| idx.attr_id(n.as_str()))
+    }
+}
+
 /// One open element: its interned label and the subset state of its
 /// content-model NFA after the children seen so far.
 struct Frame {
@@ -168,6 +212,12 @@ pub struct StreamValidator {
     stack: Vec<Frame>,
     depth: usize,
     scratch: Vec<u64>,
+    /// Attribute ids of the element being opened.
+    ids: Vec<Option<u32>>,
+    /// Ids of the feeding reader's name slots.
+    slots: SlotIds,
+    /// [`StreamValidator::canonical_order`] of the last opened element.
+    canonical: Vec<u32>,
     stats: StreamStats,
     live_bytes: u64,
 }
@@ -181,6 +231,9 @@ impl StreamValidator {
             stack: Vec::new(),
             depth: 0,
             scratch: Vec::new(),
+            ids: Vec::new(),
+            slots: SlotIds::new(),
+            canonical: Vec::new(),
             stats: StreamStats::default(),
             live_bytes: 0,
         }
@@ -198,26 +251,54 @@ impl StreamValidator {
 
     /// Processes a start tag. Attributes are compared as a name set
     /// against `A_D(label)` (the canonical-order normalisation the arena
-    /// pipeline applies before checking).
+    /// pipeline applies before checking). The names are looked up in the
+    /// index, then checked on ids as [`StreamValidator::open_tag`] checks
+    /// them; on success, [`StreamValidator::canonical_order`] gives the
+    /// element's attributes in the DTD's order.
     pub fn open(&mut self, label: &Name, attrs: &[(Name, Value)]) -> Result<(), StreamViolation> {
-        let lid = match self.idx.dtd().label_id(label) {
+        let lid = self.idx.dtd().label_id(label);
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        ids.extend(attrs.iter().map(|(a, _)| self.idx.attr_id(a.as_str())));
+        let out = self.open_ids(lid, &ids, || {
+            (label.clone(), attrs.iter().map(|(a, _)| a.clone()).collect())
+        });
+        self.ids = ids;
+        out
+    }
+
+    /// Processes a start tag given as ids: `lid` is the label's id in the
+    /// index (`None` outside the alphabet) and `attrs[i]` the attribute
+    /// id of the element's `i`-th attribute name (`None` when the DTD
+    /// declares no such attribute). `names` supplies the label and the
+    /// attribute names in document order; it runs only to report a
+    /// violation.
+    ///
+    /// On success, [`StreamValidator::canonical_order`] gives the
+    /// element's attributes in the DTD's order.
+    fn open_ids(
+        &mut self,
+        lid: Option<u32>,
+        attrs: &[Option<u32>],
+        names: impl Fn() -> (Name, Vec<Name>),
+    ) -> Result<(), StreamViolation> {
+        let label = || names().0;
+        let lid = match lid {
             Some(lid) => lid,
-            None => {
-                if self.depth == 0 && label != self.idx.dtd().root() {
-                    return Err(StreamViolation::WrongRoot {
-                        found: label.clone(),
-                        expected: self.idx.dtd().root().clone(),
-                    });
-                }
-                return Err(StreamViolation::UnknownLabel {
-                    label: label.clone(),
-                });
+            // The root is in the alphabet, so an unknown label at depth 0
+            // is a wrong root.
+            None if self.depth == 0 => {
+                return Err(StreamViolation::WrongRoot {
+                    found: label(),
+                    expected: self.idx.dtd().root().clone(),
+                })
             }
+            None => return Err(StreamViolation::UnknownLabel { label: label() }),
         };
         if self.depth == 0 {
             if lid != self.idx.root() {
                 return Err(StreamViolation::WrongRoot {
-                    found: label.clone(),
+                    found: label(),
                     expected: self.idx.dtd().root().clone(),
                 });
             }
@@ -231,22 +312,35 @@ impl StreamValidator {
             if !nfa.step(&parent.state, lid, &mut self.scratch) {
                 return Err(StreamViolation::BadChildren {
                     label: self.idx.labels()[parent.lid as usize].clone(),
-                    child: Some(label.clone()),
+                    child: Some(label()),
                 });
             }
             parent.state.copy_from_slice(&self.scratch);
         }
 
-        let expected = self.idx.dtd().attrs(label);
+        // The attribute set must equal A_D(label): same size, and every
+        // declared attribute present — found at its canonical position.
+        let expected = self.idx.label_attrs(lid);
+        self.canonical.clear();
         let set_ok = attrs.len() == expected.len()
-            && expected
-                .iter()
-                .all(|want| attrs.iter().any(|(a, _)| a == want));
+            && expected.iter().all(|&want| {
+                match attrs.iter().position(|&a| a == Some(want)) {
+                    Some(i) => {
+                        self.canonical.push(i as u32);
+                        true
+                    }
+                    None => false,
+                }
+            });
         if !set_ok {
+            let (label, found) = names();
             return Err(StreamViolation::WrongAttributes {
-                label: label.clone(),
-                found: attrs.iter().map(|(a, _)| a.clone()).collect(),
-                expected: expected.to_vec(),
+                label,
+                found,
+                expected: expected
+                    .iter()
+                    .map(|&a| self.idx.attr_names()[a as usize].clone())
+                    .collect(),
             });
         }
 
@@ -274,6 +368,30 @@ impl StreamValidator {
             .peak_state_bytes
             .max(self.live_bytes + self.scratch.capacity() as u64 * 8);
         Ok(())
+    }
+
+    /// Processes a start tag borrowed from the [`SaxReader`] that feeds
+    /// this validator, and returns its label id. Names resolve to ids
+    /// once per reader name slot; names past the reader's table are looked
+    /// up each time. Nothing is allocated unless the tag is rejected.
+    pub fn open_tag(&mut self, tag: &StartTag<'_>) -> Result<u32, StreamViolation> {
+        let lid = self.slots.label(&self.idx, tag.label());
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        ids.extend((0..tag.len()).map(|i| self.slots.attr(&self.idx, tag.attr_name(i))));
+        let out = self.open_ids(lid, &ids, || {
+            let names = (0..tag.len()).map(|i| tag.attr_name(i).to_name());
+            (tag.label().to_name(), names.collect())
+        });
+        self.ids = ids;
+        out.map(|()| lid.expect("an accepted label is in the alphabet"))
+    }
+
+    /// For the element opened last (and accepted): the document index of
+    /// each of its attributes, in the DTD's canonical order — the
+    /// streaming analogue of the arena pipeline's `normalize_attrs`.
+    pub fn canonical_order(&self) -> &[u32] {
+        &self.canonical
     }
 
     /// Processes an end tag: the element's child word must leave its
@@ -314,13 +432,12 @@ pub fn validate_stream<R: Read>(idx: &Arc<DtdIndex>, src: R) -> Result<StreamSta
             col,
         }
     };
-    while let Some(event) = reader.next_event()? {
-        match event {
-            SaxEvent::Open { label, attrs } => validator
-                .open(&label, &attrs)
-                .map_err(|v| invalid(&reader, v))?,
-            SaxEvent::Close { .. } => validator.close().map_err(|v| invalid(&reader, v))?,
-        }
+    while let Some(event) = reader.next_borrowed()? {
+        let step = match event {
+            BorrowedEvent::Open(tag) => validator.open_tag(&tag).map(drop),
+            BorrowedEvent::Close(_) => validator.close(),
+        };
+        step.map_err(|v| invalid(&reader, v))?;
     }
     Ok(validator.finish())
 }

@@ -49,7 +49,8 @@ pub use sat::{
 };
 pub use sat_compiled::{SatCache, SatEngine};
 pub use stream::{
-    matches_stream, StreamEnumerator, StreamMatcher, StreamPattern, UnstreamablePattern,
+    matches_stream, AttrTuple, LabelMasks, StreamEnumerator, StreamMatcher, StreamPattern,
+    UnstreamablePattern,
 };
 
 #[cfg(test)]

@@ -30,6 +30,13 @@
 //! *within* one tuple (a local equality test) all stream. Everything else
 //! falls back to the arena engines with a clear diagnostic.
 //!
+//! **Inert elements.** Per label of a DTD's alphabet, the plan gives the
+//! bitmask of nodes whose label test accepts it
+//! ([`StreamPattern::label_masks`]); a cursor fed that mask tests only
+//! those nodes at an open tag and walks only set bits at the close, and
+//! reads attributes through [`AttrTuple`], so a value is built only where
+//! a node that passed its local test binds it.
+//!
 //! [`StreamEnumerator`] extends the boolean acceptor to a *valuation
 //! enumerator* (DESIGN.md §8.8): alongside the bitsets, each open element
 //! carries the complete match tuples rooted in its already-closed
@@ -39,7 +46,7 @@
 //! so a subtree match is a tuple over the subtree's own variables and
 //! matches of independent obligations compose by Cartesian join.
 
-use crate::ast::{Pattern, Var};
+use crate::ast::{LabelTest, ListItem, Pattern, Var};
 use crate::compiled::{CItem, CompiledPattern};
 use std::cmp::Ordering;
 use std::fmt;
@@ -80,7 +87,7 @@ impl std::error::Error for UnstreamablePattern {}
 /// One pattern node's streaming obligations, parallel to the compiled
 /// kernel's post-order node array.
 struct PlanNode {
-    label: crate::ast::LabelTest,
+    label: LabelTest,
     /// Required attribute count, or `None` when the tuple is empty (any
     /// arity matches — same rule as the arena kernel).
     arity: Option<usize>,
@@ -109,28 +116,50 @@ pub struct StreamPattern {
 }
 
 impl StreamPattern {
-    /// Compiles `pattern`, rejecting anything outside the streaming
-    /// fragment with a diagnostic naming the offending feature.
-    pub fn compile(pattern: &Pattern) -> Result<StreamPattern, UnstreamablePattern> {
+    /// Decides whether `pattern` lies in the streaming fragment, with the
+    /// same diagnostic [`StreamPattern::compile`] would give, without
+    /// compiling it. A variable is reported at its first occurrence in a
+    /// second node, nodes taken in post-order (children first, in list
+    /// order), variables in tuple order.
+    pub fn check(pattern: &Pattern) -> Result<(), UnstreamablePattern> {
         if pattern.uses_next_sibling() || pattern.uses_following_sibling() {
             return Err(UnstreamablePattern::SiblingOrder);
         }
-        let pat = CompiledPattern::new(pattern);
         // A repeated variable is fine within one tuple, fatal across nodes.
-        let mut owner: Vec<Option<usize>> = vec![None; pat.var_count()];
-        for (pi, node) in pat.nodes.iter().enumerate() {
-            for &id in &node.vars {
-                match owner[id as usize] {
-                    None => owner[id as usize] = Some(pi),
-                    Some(prev) if prev == pi => {}
-                    Some(_) => {
-                        return Err(UnstreamablePattern::SharedVariable(
-                            pat.vars()[id as usize].clone(),
-                        ))
+        fn walk<'p>(
+            p: &'p Pattern,
+            owner: &mut Vec<(&'p Var, usize)>,
+            next: &mut usize,
+        ) -> Result<(), UnstreamablePattern> {
+            for item in &p.list {
+                match item {
+                    ListItem::Seq { members, .. } => {
+                        for m in members {
+                            walk(m, owner, next)?;
+                        }
                     }
+                    ListItem::Descendant(d) => walk(d, owner, next)?,
                 }
             }
+            let me = *next;
+            *next += 1;
+            for v in &p.vars {
+                match owner.iter().find(|(w, _)| *w == v) {
+                    None => owner.push((v, me)),
+                    Some(&(_, node)) if node == me => {}
+                    Some(_) => return Err(UnstreamablePattern::SharedVariable(v.clone())),
+                }
+            }
+            Ok(())
         }
+        walk(pattern, &mut Vec::new(), &mut 0)
+    }
+
+    /// Compiles `pattern`, rejecting anything outside the streaming
+    /// fragment with a diagnostic naming the offending feature.
+    pub fn compile(pattern: &Pattern) -> Result<StreamPattern, UnstreamablePattern> {
+        Self::check(pattern)?;
+        let pat = CompiledPattern::new(pattern);
         let nodes = pat
             .nodes
             .iter()
@@ -194,6 +223,33 @@ impl StreamPattern {
         &self.pat
     }
 
+    /// Writes into `mask` the plan nodes whose label test accepts `label`.
+    fn mask_into(&self, label: &Name, mask: &mut Vec<u64>) {
+        mask.clear();
+        mask.resize(self.words, 0);
+        for (pi, p) in self.nodes.iter().enumerate() {
+            if p.label.accepts(label) {
+                set_bit(mask, pi);
+            }
+        }
+    }
+
+    /// Per label of `labels` (a DTD's interned alphabet): the plan nodes
+    /// whose label test accepts it, wildcards included. An element whose
+    /// mask is empty is inert for this plan.
+    pub fn label_masks(&self, labels: &[Name]) -> LabelMasks {
+        let mut bits = Vec::with_capacity(labels.len() * self.words);
+        let mut mask = Vec::new();
+        for label in labels {
+            self.mask_into(label, &mut mask);
+            bits.extend_from_slice(&mask);
+        }
+        LabelMasks {
+            words: self.words,
+            bits: bits.into(),
+        }
+    }
+
     /// Approximate heap footprint in bytes (for cache accounting).
     pub fn approx_bytes(&self) -> u64 {
         self.pat.approx_bytes()
@@ -211,6 +267,85 @@ impl StreamPattern {
                 .iter()
                 .map(|vs| 24 + vs.capacity() as u64 * 4)
                 .sum::<u64>()
+    }
+}
+
+/// Per label id of one alphabet, the bitset of plan nodes whose label
+/// test accepts that label ([`StreamPattern::label_masks`]).
+pub struct LabelMasks {
+    words: usize,
+    bits: Box<[u64]>,
+}
+
+impl LabelMasks {
+    /// The mask of the label with id `lid`.
+    #[inline]
+    pub fn get(&self, lid: u32) -> &[u64] {
+        &self.bits[lid as usize * self.words..][..self.words]
+    }
+}
+
+/// The attributes of one element, in the order a plan pairs them with
+/// tuple positions (callers comparing against normalised trees use the
+/// DTD's canonical order). The enumerator builds a [`Value`] only for a
+/// position that a node passing its local test binds.
+pub trait AttrTuple {
+    /// Number of attributes.
+    fn arity(&self) -> usize;
+    /// Do attributes `i` and `j` carry equal values?
+    fn same_value(&self, i: usize, j: usize) -> bool;
+    /// Attribute `i`'s value.
+    fn value(&self, i: usize) -> Value;
+}
+
+impl AttrTuple for [(Name, Value)] {
+    fn arity(&self) -> usize {
+        self.len()
+    }
+
+    fn same_value(&self, i: usize, j: usize) -> bool {
+        self[i].1 == self[j].1
+    }
+
+    fn value(&self, i: usize) -> Value {
+        self[i].1.clone()
+    }
+}
+
+/// The set bits of a bitset, ascending.
+fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+impl PlanNode {
+    /// The node's local test past its label: arity and within-tuple
+    /// equalities.
+    fn holds_at<A: AttrTuple + ?Sized>(&self, attrs: &A) -> bool {
+        self.arity.map_or(true, |arity| attrs.arity() == arity)
+            && self
+                .eq_pairs
+                .iter()
+                .all(|&(i, j)| attrs.same_value(i as usize, j as usize))
+    }
+
+    /// Are the node's child and descendant obligations met?
+    fn obligations_met(&self, child_ok: &[u64], sub_any: &[u64]) -> bool {
+        self.child_members
+            .iter()
+            .all(|&m| get_bit(child_ok, m as usize))
+            && self
+                .desc_members
+                .iter()
+                .all(|&d| get_bit(sub_any, d as usize))
     }
 }
 
@@ -235,6 +370,8 @@ pub struct StreamMatcher<'p> {
     stack: Vec<MFrame>,
     depth: usize,
     scratch: Vec<u64>,
+    /// Label mask of an element opened by name.
+    mask: Vec<u64>,
     verdict: bool,
     peak_depth: usize,
 }
@@ -247,6 +384,7 @@ impl<'p> StreamMatcher<'p> {
             stack: Vec::new(),
             depth: 0,
             scratch: vec![0; plan.words],
+            mask: Vec::new(),
             verdict: false,
             peak_depth: 0,
         }
@@ -266,6 +404,15 @@ impl<'p> StreamMatcher<'p> {
     /// Processes a start tag: evaluates every pattern node's local test
     /// (label, arity, within-tuple equalities) against this element.
     pub fn open(&mut self, label: &Name, attrs: &[(Name, Value)]) {
+        let mut mask = std::mem::take(&mut self.mask);
+        self.plan.mask_into(label, &mut mask);
+        self.open_with(&mask, attrs);
+        self.mask = mask;
+    }
+
+    /// [`StreamMatcher::open`] given the element's label mask (see
+    /// [`StreamPattern::label_masks`]): only the masked nodes are tested.
+    pub fn open_with<A: AttrTuple + ?Sized>(&mut self, mask: &[u64], attrs: &A) {
         let words = self.plan.words;
         if self.depth == self.stack.len() {
             self.stack.push(MFrame {
@@ -275,25 +422,13 @@ impl<'p> StreamMatcher<'p> {
             });
         }
         let frame = &mut self.stack[self.depth];
-        frame.local_ok.iter_mut().for_each(|w| *w = 0);
-        frame.child_ok.iter_mut().for_each(|w| *w = 0);
-        frame.sub_any.iter_mut().for_each(|w| *w = 0);
-        for (pi, p) in self.plan.nodes.iter().enumerate() {
-            if !p.label.accepts(label) {
-                continue;
+        frame.local_ok.fill(0);
+        frame.child_ok.fill(0);
+        frame.sub_any.fill(0);
+        for pi in bits(mask) {
+            if self.plan.nodes[pi].holds_at(attrs) {
+                set_bit(&mut frame.local_ok, pi);
             }
-            if let Some(arity) = p.arity {
-                if attrs.len() != arity {
-                    continue;
-                }
-            }
-            if p.eq_pairs
-                .iter()
-                .any(|&(i, j)| attrs[i as usize].1 != attrs[j as usize].1)
-            {
-                continue;
-            }
-            set_bit(&mut frame.local_ok, pi);
         }
         self.depth += 1;
         self.peak_depth = self.peak_depth.max(self.depth);
@@ -306,20 +441,9 @@ impl<'p> StreamMatcher<'p> {
         let words = self.plan.words;
         // matched = local_ok ∧ child obligations ∧ descendant obligations.
         let frame = &self.stack[self.depth - 1];
-        self.scratch.iter_mut().for_each(|w| *w = 0);
-        for (pi, p) in self.plan.nodes.iter().enumerate() {
-            if !get_bit(&frame.local_ok, pi) {
-                continue;
-            }
-            let children_ok = p
-                .child_members
-                .iter()
-                .all(|&m| get_bit(&frame.child_ok, m as usize));
-            let descendants_ok = p
-                .desc_members
-                .iter()
-                .all(|&d| get_bit(&frame.sub_any, d as usize));
-            if children_ok && descendants_ok {
+        self.scratch.fill(0);
+        for pi in bits(&frame.local_ok) {
+            if self.plan.nodes[pi].obligations_met(&frame.child_ok, &frame.sub_any) {
                 set_bit(&mut self.scratch, pi);
             }
         }
@@ -365,6 +489,8 @@ struct EFrame {
     child: Vec<Vec<Box<[Value]>>>,
     /// … rooted strictly below a child.
     deeper: Vec<Vec<Box<[Value]>>>,
+    /// Does any `child`/`deeper` set hold a tuple?
+    holds: bool,
 }
 
 /// Complete matches of pattern node `pi`'s subtree rooted at the closing
@@ -427,6 +553,8 @@ pub struct StreamEnumerator<'p> {
     stack: Vec<EFrame>,
     depth: usize,
     scratch: Vec<u64>,
+    /// Label mask of an element opened by name.
+    mask: Vec<u64>,
     /// Root matches, harvested when the document root closes.
     matches: Vec<Box<[Value]>>,
     done: bool,
@@ -445,6 +573,7 @@ impl<'p> StreamEnumerator<'p> {
             stack: Vec::new(),
             depth: 0,
             scratch: vec![0; plan.words],
+            mask: Vec::new(),
             matches: Vec::new(),
             done: false,
             peak_depth: 0,
@@ -474,8 +603,20 @@ impl<'p> StreamEnumerator<'p> {
     /// Processes a start tag: evaluates every pattern node's local test
     /// and records the local variable binding where it passes.
     pub fn open(&mut self, label: &Name, attrs: &[(Name, Value)]) {
-        let words = self.plan.words;
-        let n = self.plan.nodes.len();
+        let mut mask = std::mem::take(&mut self.mask);
+        self.plan.mask_into(label, &mut mask);
+        self.open_with(&mask, attrs);
+        self.mask = mask;
+    }
+
+    /// [`StreamEnumerator::open`] given the element's label mask (see
+    /// [`StreamPattern::label_masks`]): only the masked nodes are tested,
+    /// and a value is built only for a tuple position that a node passing
+    /// its local test binds.
+    pub fn open_with<A: AttrTuple + ?Sized>(&mut self, mask: &[u64], attrs: &A) {
+        let plan = self.plan;
+        let words = plan.words;
+        let n = plan.nodes.len();
         if self.depth == self.stack.len() {
             self.stack.push(EFrame {
                 local_ok: vec![0; words],
@@ -484,37 +625,28 @@ impl<'p> StreamEnumerator<'p> {
                 local: vec![None; n],
                 child: vec![Vec::new(); n],
                 deeper: vec![Vec::new(); n],
+                holds: false,
             });
         }
-        let width = self.plan.pat.var_count();
+        let width = plan.pat.var_count();
         let frame = &mut self.stack[self.depth];
-        frame.local_ok.iter_mut().for_each(|w| *w = 0);
-        frame.child_ok.iter_mut().for_each(|w| *w = 0);
-        frame.sub_any.iter_mut().for_each(|w| *w = 0);
+        frame.local_ok.fill(0);
+        frame.child_ok.fill(0);
+        frame.sub_any.fill(0);
         // Pooled frames come back empty: `close` drains every tuple set.
         debug_assert!(frame.local.iter().all(Option::is_none));
         debug_assert!(frame.child.iter().chain(&frame.deeper).all(Vec::is_empty));
-        for (pi, p) in self.plan.nodes.iter().enumerate() {
-            if !p.label.accepts(label) {
-                continue;
-            }
-            if let Some(arity) = p.arity {
-                if attrs.len() != arity {
-                    continue;
-                }
-            }
-            if p.eq_pairs
-                .iter()
-                .any(|&(i, j)| attrs[i as usize].1 != attrs[j as usize].1)
-            {
+        debug_assert!(!frame.holds);
+        for pi in bits(mask) {
+            if !plan.nodes[pi].holds_at(attrs) {
                 continue;
             }
             set_bit(&mut frame.local_ok, pi);
-            let vars = &self.plan.pat.nodes[pi].vars;
+            let vars = &plan.pat.nodes[pi].vars;
             if !vars.is_empty() {
                 let mut t = vec![FILLER; width].into_boxed_slice();
                 for (k, &id) in vars.iter().enumerate() {
-                    t[id as usize] = attrs[k].1.clone();
+                    t[id as usize] = attrs.value(k);
                 }
                 frame.local[pi] = Some(t);
                 self.live += 1;
@@ -527,7 +659,9 @@ impl<'p> StreamEnumerator<'p> {
 
     /// Processes an end tag: resolves the boolean gate exactly as
     /// [`StreamMatcher::close`], emits the rooted match tuples for every
-    /// gated pattern node, and folds both into the parent frame.
+    /// gated pattern node, and folds both into the parent frame. An
+    /// element that passed no local test and holds no tuples folds only
+    /// its descendant bits.
     pub fn close(&mut self) {
         assert!(self.depth > 0, "close without matching open");
         let plan = self.plan;
@@ -535,20 +669,9 @@ impl<'p> StreamEnumerator<'p> {
         let words = plan.words;
         {
             let frame = &self.stack[self.depth - 1];
-            self.scratch.iter_mut().for_each(|w| *w = 0);
-            for (pi, p) in plan.nodes.iter().enumerate() {
-                if !get_bit(&frame.local_ok, pi) {
-                    continue;
-                }
-                let children_ok = p
-                    .child_members
-                    .iter()
-                    .all(|&m| get_bit(&frame.child_ok, m as usize));
-                let descendants_ok = p
-                    .desc_members
-                    .iter()
-                    .all(|&d| get_bit(&frame.sub_any, d as usize));
-                if children_ok && descendants_ok {
+            self.scratch.fill(0);
+            for pi in bits(&frame.local_ok) {
+                if plan.nodes[pi].obligations_met(&frame.child_ok, &frame.sub_any) {
                     set_bit(&mut self.scratch, pi);
                 }
             }
@@ -574,6 +697,7 @@ impl<'p> StreamEnumerator<'p> {
                 frame.child[pi].clear();
                 frame.deeper[pi].clear();
             }
+            frame.holds = false;
             self.matches = rooted;
             self.done = true;
             return;
@@ -584,22 +708,27 @@ impl<'p> StreamEnumerator<'p> {
         // Emit every gated node's rooted tuples before draining anything:
         // a node's witnesses live in the sets of its members, which have
         // smaller post-order indices.
-        for pi in 0..n {
-            if get_bit(&self.scratch, pi) {
-                let rooted = rooted_tuples(plan, frame, pi);
-                self.live += rooted.len() as u64;
-                parent.child[pi].extend(rooted);
-            }
+        for pi in bits(&self.scratch) {
+            let rooted = rooted_tuples(plan, frame, pi);
+            self.live += rooted.len() as u64;
+            parent.holds |= !rooted.is_empty();
+            parent.child[pi].extend(rooted);
         }
-        for pi in 0..n {
-            // Local bindings die with the element; witnessed subtree
-            // matches move (children of this element are strictly below
-            // a child of the parent).
+        // Local bindings die with the element.
+        for pi in bits(&frame.local_ok) {
             if frame.local[pi].take().is_some() {
                 self.live -= 1;
             }
-            parent.deeper[pi].append(&mut frame.child[pi]);
-            parent.deeper[pi].append(&mut frame.deeper[pi]);
+        }
+        if frame.holds {
+            // Witnessed subtree matches move up: children of this element
+            // are strictly below a child of the parent.
+            for pi in 0..n {
+                parent.deeper[pi].append(&mut frame.child[pi]);
+                parent.deeper[pi].append(&mut frame.deeper[pi]);
+            }
+            frame.holds = false;
+            parent.holds = true;
         }
         for w in 0..words {
             parent.child_ok[w] |= self.scratch[w];

@@ -1,23 +1,37 @@
 //! A pull-based (SAX-style) reader for the element+attribute XML fragment.
 //!
-//! [`SaxReader`] yields [`SaxEvent::Open`]/[`SaxEvent::Close`] events from
-//! any [`std::io::Read`] source without ever materialising a [`crate::Tree`]:
-//! the reader keeps a rolling byte window plus one interned label per *open*
-//! element, so memory is O(depth + chunk + longest token), not O(document)
-//! (see `ensure` for the full bound). This is the entry point for streaming
-//! DTD conformance (`xmlmap-dtd`) and streaming pattern evaluation
-//! (`xmlmap-patterns`) over documents that don't fit the arena.
+//! [`SaxReader`] yields events from any [`std::io::Read`] source without
+//! ever materialising a [`crate::Tree`]: the reader keeps a rolling byte
+//! window plus one label per *open* element, so memory is O(depth + chunk +
+//! longest start tag), not O(document) (see `ensure` for the full bound).
+//! This is the entry point for streaming DTD conformance (`xmlmap-dtd`) and
+//! streaming pattern evaluation (`xmlmap-patterns`) over documents that
+//! don't fit the arena.
+//!
+//! There is one tokenizer and two ways to read its events:
+//!
+//! * [`SaxReader::next_borrowed`] yields a [`BorrowedEvent`], valid until
+//!   the next call. A start tag ([`StartTag`]) carries the label's and
+//!   each attribute name's slot in the reader's name table, and each
+//!   attribute value as decoded bytes pointing into the window (or into a
+//!   reader-owned buffer when the value had references). Reading one
+//!   allocates nothing; consumers build a [`Name`] or a [`Value`] only for
+//!   what they keep.
+//! * [`SaxReader::next_event`] is the owned adapter over it: a
+//!   [`SaxEvent`] with its own names and values.
 //!
 //! The dialect is exactly the one of [`crate::xml`] — in fact
-//! [`crate::xml::parse`] is now a thin arena builder driven by this reader,
-//! so entity handling, attribute parsing, and diagnostics are shared, not
+//! [`crate::xml::parse`] is an arena builder driven by this reader, so
+//! entity handling, attribute parsing, and diagnostics are shared, not
 //! duplicated. In particular: elements and attributes only (text content is
 //! rejected — the fragment has no text events), the five predefined entities
 //! and decimal/hex character references, UTF-8 attribute values,
 //! comments and processing instructions skipped, duplicate attributes
-//! rejected, and a single root element.
+//! rejected, and a single root element. Every value is checked during the
+//! scan (UTF-8, reference syntax, duplicates), whether or not a consumer
+//! reads it.
 //!
-//! Four constructs outside that fragment are decided explicitly:
+//! These constructs at the edge of that fragment are decided explicitly:
 //!
 //! * a UTF-8 byte-order mark at offset 0 is skipped (its three bytes still
 //!   count towards offsets and byte columns);
@@ -27,29 +41,36 @@
 //!   supported (the fragment has no text)";
 //! * an attribute that follows the previous value's closing quote with no
 //!   whitespace in between (`<r a="1"b="2"/>`) is rejected at the
-//!   attribute's name, as XML 1.0 requires.
+//!   attribute's name, as XML 1.0 requires;
+//! * a comment's closing `-->` may not overlap its opening `<!--`
+//!   (`<!-->` and `<!--->` are unterminated comments, reported at the end
+//!   of input), and `--` inside a comment is rejected at its first `-`
+//!   with "'--' is not allowed inside a comment" (XML 1.0 §2.5);
+//! * a processing instruction needs a target: `<?>` is rejected right
+//!   after its `<?` with "processing instruction has no target"
+//!   (XML 1.0 §2.6).
 //!
 //! The hot paths scan runs of bytes in the buffered window rather than
-//! one byte at a time, repeated names are shared out of a small table, and
-//! an attribute value without references is decoded straight from the
-//! window into its [`Value`] (DESIGN.md §8.7).
+//! one byte at a time, and repeated names are shared out of a small table
+//! (DESIGN.md §8.7).
 
 use crate::name::Name;
 use crate::value::Value;
 use crate::xml::XmlError;
 use std::io::Read;
 
-/// Size of the rolling input window; it doubles only for a token that
-/// does not fit.
+/// Size of the rolling input window; it doubles only for a start tag (or
+/// other token) that does not fit.
 const CHUNK: usize = 64 * 1024;
 
 /// Longest fixed token the reader ever looks ahead for (`<!DOCTYPE`,
 /// `<![CDATA[`).
 const MAX_LOOKAHEAD: usize = 9;
 
-/// Most distinct names the reader shares; later names are allocated per
-/// use.
-const NAME_CAP: usize = 64;
+/// Most distinct names the reader shares out of its name table; a name
+/// seen after the table is full has no slot ([`NameRef::slot`] is `None`)
+/// and is allocated per use.
+pub const NAME_SLOTS: usize = 64;
 
 /// The UTF-8 byte-order mark.
 const BOM: &[u8] = b"\xEF\xBB\xBF";
@@ -68,6 +89,17 @@ const NAME_BYTE: [bool; 256] = {
 
 fn is_name_byte(b: u8) -> bool {
     NAME_BYTE[b as usize]
+}
+
+/// A name's table key: its length (clamped) and its first seven bytes, so
+/// names shorter than eight bytes compare as one word.
+fn name_key(bytes: &[u8]) -> u64 {
+    let len = bytes.len().min(255) as u64;
+    bytes
+        .iter()
+        .take(7)
+        .enumerate()
+        .fold(len << 56, |k, (i, &b)| k | (b as u64) << (8 * i))
 }
 
 fn is_ws(b: u8) -> bool {
@@ -94,13 +126,156 @@ pub enum SaxEvent {
     },
 }
 
+/// One parsing event borrowed from the reader, valid until its next call.
+/// The same open/close discipline as [`SaxEvent`].
+pub enum BorrowedEvent<'r> {
+    /// A start tag.
+    Open(StartTag<'r>),
+    /// An end tag, with the label of its start tag.
+    Close(NameRef<'r>),
+}
+
+/// A label or attribute name as the reader holds it: its slot in the name
+/// table (when it has one) and the shared [`Name`].
+#[derive(Clone, Copy)]
+pub struct NameRef<'r> {
+    slot: Option<usize>,
+    name: &'r Name,
+}
+
+impl<'r> NameRef<'r> {
+    /// The name's slot in this reader's name table (`< NAME_SLOTS`);
+    /// equal slots are equal names. `None` once the table is full.
+    pub fn slot(&self) -> Option<usize> {
+        self.slot
+    }
+
+    /// The name.
+    pub fn name(&self) -> &'r Name {
+        self.name
+    }
+
+    /// The name's text.
+    pub fn as_str(&self) -> &'r str {
+        self.name.as_str()
+    }
+
+    /// An owned copy (a reference-count bump).
+    pub fn to_name(&self) -> Name {
+        self.name.clone()
+    }
+}
+
+/// A start tag borrowed from the reader: label, attribute names and
+/// decoded attribute values, in document order. Nothing is allocated to
+/// hand it out; values are bytes already checked to be UTF-8.
+pub struct StartTag<'r> {
+    label: NameRef<'r>,
+    attrs: &'r [Attr],
+    names: &'r [Name],
+    /// The window from the tag's `<`.
+    window: &'r [u8],
+    /// Values that had references, decoded.
+    decoded: &'r [u8],
+}
+
+impl<'r> StartTag<'r> {
+    /// The element type.
+    pub fn label(&self) -> NameRef<'r> {
+        self.label
+    }
+
+    /// Number of attributes.
+    pub fn len(&self) -> usize {
+        self.attrs.len()
+    }
+
+    /// Does the tag carry no attributes?
+    pub fn is_empty(&self) -> bool {
+        self.attrs.is_empty()
+    }
+
+    /// The name of attribute `i` (document order).
+    pub fn attr_name(&self, i: usize) -> NameRef<'r> {
+        name_ref(self.names, &self.attrs[i].name)
+    }
+
+    /// The decoded bytes of attribute `i`'s value (valid UTF-8).
+    pub fn value_bytes(&self, i: usize) -> &'r [u8] {
+        let v = self.attrs[i].value;
+        let from = if v.decoded { self.decoded } else { self.window };
+        &from[v.start..v.end]
+    }
+
+    /// Attribute `i`'s value as text.
+    pub fn value_str(&self, i: usize) -> &'r str {
+        std::str::from_utf8(self.value_bytes(i)).expect("values are checked during the scan")
+    }
+
+    /// Attribute `i`'s value as an owned [`Value`] (one allocation).
+    pub fn value(&self, i: usize) -> Value {
+        Value::str(self.value_str(i))
+    }
+
+    /// Every attribute as an owned `(name, value)` pair, in document
+    /// order.
+    pub fn owned_attrs(&self) -> impl Iterator<Item = (Name, Value)> + '_ {
+        (0..self.len()).map(|i| (self.attr_name(i).to_name(), self.value(i)))
+    }
+}
+
+/// A label on the open-element stack or an attribute name of the current
+/// start tag: a name-table slot, or the name itself once the table is
+/// full.
+enum Slot {
+    Shared(usize),
+    Spilled(Name),
+}
+
+impl Slot {
+    fn same(&self, other: &Slot) -> bool {
+        match (self, other) {
+            (Slot::Shared(a), Slot::Shared(b)) => a == b,
+            // A name in the table never spills, so these never meet.
+            (Slot::Shared(_), Slot::Spilled(_)) | (Slot::Spilled(_), Slot::Shared(_)) => false,
+            (Slot::Spilled(a), Slot::Spilled(b)) => a == b,
+        }
+    }
+}
+
+fn name_ref<'r>(names: &'r [Name], slot: &'r Slot) -> NameRef<'r> {
+    match slot {
+        Slot::Shared(i) => NameRef {
+            slot: Some(*i),
+            name: &names[*i],
+        },
+        Slot::Spilled(name) => NameRef { slot: None, name },
+    }
+}
+
+/// Where one attribute value of the current start tag lives: bytes
+/// `start..end` of the window from the tag's `<`, or of the decoded
+/// buffer.
+#[derive(Clone, Copy)]
+struct Span {
+    decoded: bool,
+    start: usize,
+    end: usize,
+}
+
+/// One attribute of the current start tag.
+struct Attr {
+    name: Slot,
+    value: Span,
+}
+
 /// A pull parser over any byte source.
 ///
-/// Call [`SaxReader::next_event`] until it returns `Ok(None)` (clean end of
-/// document) or an error. Events are well-nested by construction: the reader
-/// itself rejects mismatched or missing close tags, text content, and
-/// trailing content after the root element, with the same messages as
-/// [`crate::xml::parse`].
+/// Call [`SaxReader::next_event`] (or [`SaxReader::next_borrowed`]) until
+/// it returns `Ok(None)` (clean end of document) or an error. Events are
+/// well-nested by construction: the reader itself rejects mismatched or
+/// missing close tags, text content, and trailing content after the root
+/// element, with the same messages as [`crate::xml::parse`].
 pub struct SaxReader<R: Read> {
     src: R,
     /// The rolling window; `buf[pos..end]` is read but unconsumed input,
@@ -110,15 +285,26 @@ pub struct SaxReader<R: Read> {
     pos: usize,
     /// End of the valid bytes in `buf`.
     end: usize,
+    /// Index in `buf` of the `<` of the start tag being read or last
+    /// handed out; compaction keeps the window from there.
+    tag: Option<usize>,
     /// Bytes discarded before `buf[0]` (for absolute offsets).
     consumed: usize,
     eof: bool,
     line: u32,
     col: u32,
     /// Labels of currently open elements; `len()` is the depth.
-    stack: Vec<Name>,
-    /// Names seen so far (at most [`NAME_CAP`]), handed out as clones.
+    stack: Vec<Slot>,
+    /// The label of the element closed last.
+    closed: Option<Slot>,
+    /// Names seen so far (at most [`NAME_SLOTS`]).
     names: Vec<Name>,
+    /// `name_key` of each of `names`.
+    keys: Vec<u64>,
+    /// Attributes of the current start tag.
+    attrs: Vec<Attr>,
+    /// Decoded values of the current start tag that had references.
+    decoded: Vec<u8>,
     /// A self-closing tag was opened; the next event closes `stack.last()`.
     pending_close: bool,
     /// The single root element has been closed.
@@ -135,12 +321,17 @@ impl<R: Read> SaxReader<R> {
             buf: Vec::new(),
             pos: 0,
             end: 0,
+            tag: None,
             consumed: 0,
             eof: false,
             line: 1,
             col: 1,
             stack: Vec::new(),
+            closed: None,
             names: Vec::new(),
+            keys: Vec::new(),
+            attrs: Vec::new(),
+            decoded: Vec::new(),
             pending_close: false,
             root_closed: false,
             peak_depth: 0,
@@ -177,18 +368,21 @@ impl<R: Read> SaxReader<R> {
     }
 
     /// Reads one more chunk into the window, first compacting consumed
-    /// bytes away. Offsets relative to `pos` stay valid across the call.
-    /// Returns `false` once the source is exhausted.
+    /// bytes away (all but the current start tag's). Offsets relative to
+    /// `pos` and to `tag` stay valid across the call. Returns `false` once
+    /// the source is exhausted.
     #[cold]
     fn refill(&mut self) -> Result<bool, XmlError> {
         if self.eof {
             return Ok(false);
         }
-        if self.pos > 0 {
-            self.buf.copy_within(self.pos..self.end, 0);
-            self.consumed += self.pos;
-            self.end -= self.pos;
-            self.pos = 0;
+        let keep = self.tag.unwrap_or(self.pos);
+        if keep > 0 {
+            self.buf.copy_within(keep..self.end, 0);
+            self.consumed += keep;
+            self.end -= keep;
+            self.pos -= keep;
+            self.tag = self.tag.map(|t| t - keep);
         }
         if self.end == self.buf.len() {
             // Only a token longer than the window fills it after compaction.
@@ -215,9 +409,11 @@ impl<R: Read> SaxReader<R> {
     /// unless the source is exhausted.
     ///
     /// The window is one chunk, doubled only when a single token does not
-    /// fit in it. Since a name, a whitespace run or an attribute value may
-    /// straddle a refill and is kept whole, the reader's memory is
-    /// O(depth + chunk + longest token + name cap).
+    /// fit in it. Since a start tag is kept whole from its `<` until the
+    /// next event is requested (its names and values are handed out as
+    /// slices of the window), and a whitespace run straddling a refill is
+    /// kept whole too, the reader's memory is O(depth + chunk + longest
+    /// start tag + name table).
     #[inline]
     fn ensure(&mut self, n: usize) -> Result<(), XmlError> {
         debug_assert!(n <= MAX_LOOKAHEAD);
@@ -304,12 +500,24 @@ impl<R: Read> SaxReader<R> {
     fn skip_misc(&mut self) -> Result<(), XmlError> {
         loop {
             self.skip_ws()?;
+            self.ensure(2)?;
+            if !matches!(self.buf[self.pos..self.end], [b'<', b'?' | b'!', ..]) {
+                return Ok(());
+            }
             if self.starts_with(b"<?")? {
-                self.bump()?; // '<'; "?>" may overlap the '?' that follows
+                self.advance(2);
+                match self.peek()? {
+                    None => return self.err("unterminated processing instruction"),
+                    Some(b) if !is_name_byte(b) => {
+                        return self.err("processing instruction has no target")
+                    }
+                    Some(_) => {}
+                }
                 loop {
+                    let n = self.scan(|b| b != b'?')?;
+                    self.advance(n);
                     if self.starts_with(b"?>")? {
-                        self.bump()?;
-                        self.bump()?;
+                        self.advance(2);
                         break;
                     }
                     if self.bump()?.is_none() {
@@ -317,14 +525,17 @@ impl<R: Read> SaxReader<R> {
                     }
                 }
             } else if self.starts_with(b"<!--")? {
-                self.bump()?; // "<!"; "-->" may overlap the "--" that follows
-                self.bump()?;
+                self.advance(4);
                 loop {
+                    let n = self.scan(|b| b != b'-')?;
+                    self.advance(n);
                     if self.starts_with(b"-->")? {
-                        for _ in 0..3 {
-                            self.bump()?;
-                        }
+                        self.advance(3);
                         break;
+                    }
+                    // `--` must open the terminator (XML 1.0 §2.5).
+                    if self.starts_with(b"--")? && self.end - self.pos > 2 {
+                        return self.err("'--' is not allowed inside a comment");
                     }
                     if self.bump()?.is_none() {
                         return self.err("unterminated comment");
@@ -344,32 +555,39 @@ impl<R: Read> SaxReader<R> {
         }
     }
 
-    /// Reads a label or attribute name. A name already in the table comes
-    /// back as a clone of the stored one, so equal names share one `Arc`.
-    fn name(&mut self) -> Result<Name, XmlError> {
+    /// Reads a label or attribute name: its slot in the name table, adding
+    /// it while the table has room, or the name itself once it is full.
+    fn name(&mut self) -> Result<Slot, XmlError> {
         let n = self.name_len()?;
         let bytes = &self.buf[self.pos..self.pos + n];
-        let name = match self.names.iter().find(|k| k.as_str().as_bytes() == bytes) {
-            Some(known) => known.clone(),
+        let key = name_key(bytes);
+        let known = self.keys.iter().enumerate().position(|(i, &k)| {
+            k == key && (bytes.len() < 8 || self.names[i].as_str().as_bytes() == bytes)
+        });
+        let slot = match known {
+            Some(i) => Slot::Shared(i),
             None => {
                 let fresh = Name::new(std::str::from_utf8(bytes).expect("name bytes are ASCII"));
-                if self.names.len() < NAME_CAP {
-                    self.names.push(fresh.clone());
+                if self.names.len() < NAME_SLOTS {
+                    self.names.push(fresh);
+                    self.keys.push(key);
+                    Slot::Shared(self.names.len() - 1)
+                } else {
+                    Slot::Spilled(fresh)
                 }
-                fresh
             }
         };
         self.advance(n);
-        Ok(name)
+        Ok(slot)
     }
 
-    /// Reads a quoted attribute value, one run between references at a
-    /// time. A value without references is decoded straight from the
-    /// window (one allocation); otherwise raw runs and expanded references
-    /// are collected and decoded once, at the closing quote.
-    /// A value that is not valid UTF-8 is an error positioned at its
-    /// opening quote.
-    fn quoted_value(&mut self) -> Result<Value, XmlError> {
+    /// Reads a quoted attribute value of the current start tag, one run
+    /// between references at a time, and checks it. A value without
+    /// references is left in the window; otherwise raw runs and expanded
+    /// references are collected into the decoded buffer and checked once,
+    /// at the closing quote. A value that is not valid UTF-8 is an error
+    /// positioned at its opening quote.
+    fn quoted_value(&mut self) -> Result<Span, XmlError> {
         let start = (self.offset(), self.line, self.col);
         let quote = match self.bump()? {
             Some(q @ (b'"' | b'\'')) => q,
@@ -384,31 +602,42 @@ impl<R: Read> SaxReader<R> {
                 e.valid_up_to()
             ),
         };
-        let mut out = Vec::new();
+        let from = self.decoded.len();
+        let mut first = true;
         loop {
             let n = self.scan(|b| b != quote && b != b'&')?;
             let run = &self.buf[self.pos..self.pos + n];
             let closed = self.buf[..self.end].get(self.pos + n) == Some(&quote);
-            if closed && out.is_empty() {
-                // No reference so far (each one adds bytes to `out`).
-                let value = Value::str(std::str::from_utf8(run).map_err(not_utf8)?);
+            if closed && first {
+                // No reference: the value is this run of the window.
+                std::str::from_utf8(run).map_err(not_utf8)?;
+                let at = self.pos - self.tag.expect("inside a start tag");
                 self.advance(n + 1);
-                return Ok(value);
+                return Ok(Span {
+                    decoded: false,
+                    start: at,
+                    end: at + n,
+                });
             }
-            out.extend_from_slice(run);
+            first = false;
+            self.decoded.extend_from_slice(run);
             self.advance(n);
             match self.bump()? {
                 None => return self.err("unterminated attribute value"),
                 Some(b'&') => {
                     let c = self.reference()?;
-                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                    self.decoded
+                        .extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
                 }
                 Some(_) => break, // the closing quote
             }
         }
-        String::from_utf8(out)
-            .map(Value::from)
-            .map_err(|e| not_utf8(e.utf8_error()))
+        std::str::from_utf8(&self.decoded[from..]).map_err(not_utf8)?;
+        Ok(Span {
+            decoded: true,
+            start: from,
+            end: self.decoded.len(),
+        })
     }
 
     /// Reads the rest of a reference after its `&`: one of the five
@@ -486,58 +715,73 @@ impl<R: Read> SaxReader<R> {
         }
     }
 
+    /// The text of a stacked label.
+    fn label_str<'a>(&'a self, label: &'a Slot) -> &'a str {
+        name_ref(&self.names, label).as_str()
+    }
+
     /// Reads the rest of a close tag after its `</`. The name is compared
     /// in place against the innermost open label, so nothing is allocated.
-    fn close_tag(&mut self) -> Result<Name, XmlError> {
+    fn close_tag(&mut self) -> Result<(), XmlError> {
         let n = self.name_len()?;
         let open = self.stack.last().expect("non-empty stack");
-        let matches = open.as_str().as_bytes() == &self.buf[self.pos..self.pos + n];
+        let matches = self.label_str(open).as_bytes() == &self.buf[self.pos..self.pos + n];
         self.advance(n);
         if !matches {
-            let open = self.stack.last().expect("non-empty stack");
+            let open = self.label_str(self.stack.last().expect("non-empty stack"));
             return self.err(format!("mismatched close tag: expected </{open}>"));
         }
         self.skip_ws()?;
         self.eat(b'>')?;
-        Ok(self.stack.pop().expect("non-empty stack"))
+        self.pop();
+        Ok(())
     }
 
-    /// Reads the attributes of a start tag, up to (not including) its `/`
-    /// or `>`.
-    fn attributes(&mut self) -> Result<Vec<(Name, Value)>, XmlError> {
-        let mut attrs: Vec<(Name, Value)> = Vec::new();
+    /// Pops the innermost open label into `closed`.
+    fn pop(&mut self) {
+        self.closed = self.stack.pop();
+        if self.stack.is_empty() {
+            self.root_closed = true;
+        }
+    }
+
+    /// Reads the attributes of a start tag into `attrs`, up to (not
+    /// including) its `/` or `>`.
+    fn attributes(&mut self) -> Result<(), XmlError> {
+        self.attrs.clear();
+        self.decoded.clear();
         loop {
             let spaced = self.skip_ws()?;
             match self.peek()? {
-                Some(b'/') | Some(b'>') => return Ok(attrs),
+                Some(b'/') | Some(b'>') => return Ok(()),
                 Some(b) => {
-                    if !spaced && !attrs.is_empty() && is_name_byte(b) {
+                    if !spaced && !self.attrs.is_empty() && is_name_byte(b) {
                         return self.err("attributes must be separated by whitespace");
                     }
-                    let attr = self.name()?;
+                    let name = self.name()?;
                     self.skip_ws()?;
                     self.eat(b'=')?;
                     self.skip_ws()?;
                     let value = self.quoted_value()?;
-                    if attrs.iter().any(|(a, _)| *a == attr) {
-                        return self.err(format!("duplicate attribute {attr:?}"));
+                    if self.attrs.iter().any(|a| a.name.same(&name)) {
+                        let name = name_ref(&self.names, &name).name();
+                        return self.err(format!("duplicate attribute {name:?}"));
                     }
-                    attrs.push((attr, value));
+                    self.attrs.push(Attr { name, value });
                 }
                 None => return self.err("unterminated start tag"),
             }
         }
     }
 
-    /// Pulls the next event, or `Ok(None)` at the clean end of the document.
-    pub fn next_event(&mut self) -> Result<Option<SaxEvent>, XmlError> {
+    /// Pulls the next event, borrowed from the reader until the next call,
+    /// or `Ok(None)` at the clean end of the document.
+    pub fn next_borrowed(&mut self) -> Result<Option<BorrowedEvent<'_>>, XmlError> {
+        self.tag = None;
         if self.pending_close {
             self.pending_close = false;
-            let label = self.stack.pop().expect("pending close on empty stack");
-            if self.stack.is_empty() {
-                self.root_closed = true;
-            }
-            return Ok(Some(SaxEvent::Close { label }));
+            self.pop();
+            return Ok(Some(self.close_event()));
         }
         if self.offset() == 0 && self.starts_with(BOM)? {
             self.advance(BOM.len());
@@ -546,6 +790,7 @@ impl<R: Read> SaxReader<R> {
         match self.peek()? {
             None => {
                 if let Some(open) = self.stack.last() {
+                    let open = self.label_str(open);
                     return self.err(format!("missing close tag </{open}>"));
                 }
                 if self.root_closed {
@@ -558,24 +803,30 @@ impl<R: Read> SaxReader<R> {
                 if self.stack.is_empty() && self.root_closed {
                     return self.err("trailing content after the root element");
                 }
-                if !self.stack.is_empty() && self.starts_with(b"</")? {
-                    self.advance(2);
-                    let label = self.close_tag()?;
-                    if self.stack.is_empty() {
-                        self.root_closed = true;
+                self.ensure(2)?;
+                // `<` and a name byte can only open a start tag.
+                let start_tag = self.buf[..self.end]
+                    .get(self.pos + 1)
+                    .is_some_and(|&b| is_name_byte(b));
+                if !start_tag {
+                    if !self.stack.is_empty() && self.starts_with(b"</")? {
+                        self.advance(2);
+                        self.close_tag()?;
+                        return Ok(Some(self.close_event()));
                     }
-                    return Ok(Some(SaxEvent::Close { label }));
+                    if self.starts_with(b"<!DOCTYPE")? {
+                        return self.err("DOCTYPE declarations are not supported");
+                    }
+                    if self.starts_with(b"<![CDATA[")? {
+                        return self
+                            .err("CDATA sections are not supported (the fragment has no text)");
+                    }
                 }
-                if self.starts_with(b"<!DOCTYPE")? {
-                    return self.err("DOCTYPE declarations are not supported");
-                }
-                if self.starts_with(b"<![CDATA[")? {
-                    return self.err("CDATA sections are not supported (the fragment has no text)");
-                }
+                self.tag = Some(self.pos);
                 self.advance(1); // '<'
                 let label = self.name()?;
-                let attrs = self.attributes()?;
-                self.stack.push(label.clone());
+                self.attributes()?;
+                self.stack.push(label);
                 self.peak_depth = self.peak_depth.max(self.stack.len());
                 if self.peek()? == Some(b'/') {
                     self.advance(1);
@@ -584,7 +835,14 @@ impl<R: Read> SaxReader<R> {
                 } else {
                     self.eat(b'>')?;
                 }
-                Ok(Some(SaxEvent::Open { label, attrs }))
+                let tag = self.tag.expect("inside a start tag");
+                Ok(Some(BorrowedEvent::Open(StartTag {
+                    label: name_ref(&self.names, self.stack.last().expect("just pushed")),
+                    attrs: &self.attrs,
+                    names: &self.names,
+                    window: &self.buf[tag..self.end],
+                    decoded: &self.decoded,
+                })))
             }
             Some(_) => {
                 if !self.stack.is_empty() {
@@ -596,6 +854,27 @@ impl<R: Read> SaxReader<R> {
                 }
             }
         }
+    }
+
+    fn close_event(&self) -> BorrowedEvent<'_> {
+        BorrowedEvent::Close(name_ref(
+            &self.names,
+            self.closed.as_ref().expect("a label was just popped"),
+        ))
+    }
+
+    /// Pulls the next event as an owned [`SaxEvent`], or `Ok(None)` at the
+    /// clean end of the document.
+    pub fn next_event(&mut self) -> Result<Option<SaxEvent>, XmlError> {
+        Ok(self.next_borrowed()?.map(|event| match event {
+            BorrowedEvent::Open(tag) => SaxEvent::Open {
+                label: tag.label().to_name(),
+                attrs: tag.owned_attrs().collect(),
+            },
+            BorrowedEvent::Close(label) => SaxEvent::Close {
+                label: label.to_name(),
+            },
+        }))
     }
 }
 
@@ -732,6 +1011,15 @@ mod tests {
             ("<!DOCTYPE r><r/>", "DOCTYPE declarations are not supported"),
             ("<r><![CDATA[x]]></r>", "CDATA sections are not supported"),
             (r#"<r a="1"b="2"/>"#, "separated by whitespace"),
+            ("<r><!--></r>", "unterminated comment"),
+            ("<r><!---></r>", "unterminated comment"),
+            ("<r><!-- a -- b --></r>", "'--' is not allowed inside a comment"),
+            ("<r><!-- a ---></r>", "'--' is not allowed inside a comment"),
+            ("<r><?></r>", "processing instruction has no target"),
+            ("<r><??></r>", "processing instruction has no target"),
+            ("<r><?", "unterminated processing instruction"),
+            ("<r><?pi", "unterminated processing instruction"),
+            ("<r><!-- a --", "unterminated comment"),
         ] {
             let e = events(doc).unwrap_err();
             assert!(e.message.contains(needle), "{doc}: {e}");
@@ -769,6 +1057,20 @@ mod tests {
                 "attributes must be separated by whitespace",
                 (16, 3, 7),
             ),
+            // A comment's `-->` may not overlap its `<!--`: both run to the
+            // end of input.
+            ("<r><!--></r>", "unterminated comment", (12, 1, 13)),
+            ("<r><!---></r>", "unterminated comment", (13, 1, 14)),
+            (
+                "<r>\n<!-- a -- b --></r>",
+                "'--' is not allowed inside a comment",
+                (11, 2, 8),
+            ),
+            (
+                "<r><?></r>",
+                "processing instruction has no target",
+                (5, 1, 6),
+            ),
         ] {
             let e = events(doc).unwrap_err();
             assert_eq!(e.message, message, "{doc}");
@@ -778,6 +1080,62 @@ mod tests {
         // and a value may be followed directly by `/` or `>`.
         let evs = events("<r a = '1'\tb='2'><s c='3'/></r>").unwrap();
         assert_eq!(evs[0], open("r", &[("a", "1"), ("b", "2")]));
+        // Single dashes in comments and targeted instructions still pass.
+        let evs = events("<?t x?><r><!-- a - b -> <- --><?pi ??></r>").unwrap();
+        assert_eq!(evs, vec![open("r", &[]), close("r")]);
+    }
+
+    #[test]
+    fn borrowed_tags_carry_slots_and_decoded_values() {
+        struct OneByte<'a>(&'a [u8]);
+        impl Read for OneByte<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                match self.0.split_first() {
+                    None => Ok(0),
+                    Some((&b, rest)) => {
+                        buf[0] = b;
+                        self.0 = rest;
+                        Ok(1)
+                    }
+                }
+            }
+        }
+        let doc = "<r><a v='x &amp; y' w=\"caf\u{e9}\"/><a w='&#x263A;' v=''/></r>";
+        // One byte per read: every value was refilled past while its tag
+        // was read, so the window must have kept the tag from its `<`.
+        let mut r = SaxReader::new(OneByte(doc.as_bytes()));
+        let mut seen = Vec::new();
+        while let Some(ev) = r.next_borrowed().unwrap() {
+            match ev {
+                BorrowedEvent::Open(tag) => {
+                    let attrs: Vec<(Option<usize>, String, String)> = (0..tag.len())
+                        .map(|i| {
+                            let name = tag.attr_name(i);
+                            (name.slot(), name.as_str().to_string(), tag.value_str(i).to_string())
+                        })
+                        .collect();
+                    seen.push((tag.label().slot(), tag.label().as_str().to_string(), attrs));
+                }
+                BorrowedEvent::Close(label) => assert!(label.slot().is_some()),
+            }
+        }
+        let attr = |slot: usize, n: &str, v: &str| (Some(slot), n.to_string(), v.to_string());
+        assert_eq!(
+            seen,
+            vec![
+                (Some(0), "r".to_string(), vec![]),
+                (
+                    Some(1),
+                    "a".to_string(),
+                    vec![attr(2, "v", "x & y"), attr(3, "w", "café")]
+                ),
+                (
+                    Some(1),
+                    "a".to_string(),
+                    vec![attr(3, "w", "☺"), attr(2, "v", "")]
+                ),
+            ]
+        );
     }
 
     #[test]
@@ -796,13 +1154,13 @@ mod tests {
     #[test]
     fn names_past_the_table_cap_still_compare_equal() {
         let mut doc = String::from("<r>");
-        for i in 0..2 * NAME_CAP {
+        for i in 0..2 * NAME_SLOTS {
             doc.push_str(&format!("<e{i} k{i}='v'></e{i}>"));
         }
         doc.push_str("</r>");
         let evs = events(&doc).unwrap();
-        assert_eq!(evs.len(), 2 + 4 * NAME_CAP);
-        let last = 2 * NAME_CAP - 1;
+        assert_eq!(evs.len(), 2 + 4 * NAME_SLOTS);
+        let last = 2 * NAME_SLOTS - 1;
         assert_eq!(
             evs[evs.len() - 3],
             open(&format!("e{last}"), &[(&format!("k{last}"), "v")])

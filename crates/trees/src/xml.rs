@@ -7,10 +7,11 @@
 //! dependency.
 //!
 //! Tokenisation lives in [`crate::sax`]; [`parse`] here is an arena builder
-//! driving that pull reader, so the in-memory and streaming paths share
-//! entity/attribute handling and emit identical diagnostics.
+//! driving that pull reader's borrowed events, so the in-memory and
+//! streaming paths share entity/attribute handling and emit identical
+//! diagnostics.
 
-use crate::sax::{SaxEvent, SaxReader};
+use crate::sax::{BorrowedEvent, SaxReader};
 use crate::tree::{NodeId, Tree};
 use std::fmt::Write as _;
 
@@ -41,12 +42,21 @@ impl std::error::Error for XmlError {}
 
 /// Parses an XML document (element+attribute fragment) into a [`Tree`].
 pub fn parse(input: &str) -> Result<Tree, XmlError> {
-    let mut reader = SaxReader::new(input.as_bytes());
+    parse_bytes(input.as_bytes())
+}
+
+/// [`parse`] over raw bytes, as [`SaxReader`] reads them: an attribute
+/// value that is not UTF-8 is rejected with its position (at its opening
+/// quote), and names and markup are ASCII. Like the reader, this skips the
+/// bytes of comments and processing instructions unchecked.
+pub fn parse_bytes(input: &[u8]) -> Result<Tree, XmlError> {
+    let mut reader = SaxReader::new(input);
     let mut tree: Option<Tree> = None;
     let mut stack: Vec<NodeId> = Vec::new();
-    while let Some(event) = reader.next_event()? {
+    while let Some(event) = reader.next_borrowed()? {
         match event {
-            SaxEvent::Open { label, attrs } => {
+            BorrowedEvent::Open(tag) => {
+                let (label, attrs) = (tag.label().to_name(), tag.owned_attrs());
                 let node = match (tree.as_mut(), stack.last()) {
                     (None, _) => {
                         tree = Some(Tree::with_root_attrs(label, attrs));
@@ -58,7 +68,7 @@ pub fn parse(input: &str) -> Result<Tree, XmlError> {
                 };
                 stack.push(node);
             }
-            SaxEvent::Close { .. } => {
+            BorrowedEvent::Close(_) => {
                 stack.pop();
             }
         }
