@@ -4,10 +4,8 @@
 //! pad records up to about 453 KB) is written to memory once; each stage
 //! then reads it from the in-memory slice, so no row pays for I/O:
 //!
-//! * `borrowed` — a bare tokenizer pass over borrowed events
-//!   (`SaxReader::next_borrowed`), nothing kept;
-//! * `owned` — the same pass through the owned adapter
-//!   (`SaxReader::next_event`: one `Name` and `Value` per attribute);
+//! * `tokenize` — a bare tokenizer pass (`SaxReader::next_event`),
+//!   nothing kept;
 //! * `parse` — the arena builder over the same reader (`xml::parse`);
 //! * `validate` — streamed conformance (`stream_document`, no pattern);
 //! * `chase` — the streamed chase of the exchange mapping (`chase_stream`).
@@ -42,14 +40,7 @@ fn main() {
 
     let mut stages: Vec<Stage<'_>> = vec![
         (
-            "borrowed",
-            Box::new(|| {
-                let mut reader = SaxReader::new(&doc[..]);
-                while reader.next_borrowed().expect("well-formed").is_some() {}
-            }),
-        ),
-        (
-            "owned",
+            "tokenize",
             Box::new(|| {
                 let mut reader = SaxReader::new(&doc[..]);
                 while reader.next_event().expect("well-formed").is_some() {}

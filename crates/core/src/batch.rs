@@ -485,34 +485,50 @@ pub fn parse_jobfile(text: &str, dir: &Path) -> Result<Vec<BatchJob>, Vec<String
 /// *path*, so a file edited under a running daemon keeps its first-loaded
 /// contents until restart.
 pub struct JobParser {
-    loader: Loader,
+    dir: PathBuf,
+    mappings: HashMap<String, Arc<Mapping>>,
+    dtds: HashMap<String, Arc<Dtd>>,
 }
 
 impl JobParser {
     /// A parser resolving job-line paths relative to `dir`.
     pub fn new(dir: &Path) -> JobParser {
         JobParser {
-            loader: Loader::new(dir),
+            dir: dir.to_path_buf(),
+            mappings: HashMap::new(),
+            dtds: HashMap::new(),
         }
     }
 
-    /// Loads a mapping through the parser's interning loader. The serve
-    /// daemon's `DELTA OPEN` verb uses this so delta sessions share the
-    /// same per-path mapping instances as ordinary job lines.
+    /// Loads a mapping, interned by path. The serve daemon's `DELTA OPEN`
+    /// verb uses this so delta sessions share the same per-path mapping
+    /// instances as ordinary job lines.
     pub fn load_mapping(&mut self, path: &str) -> Result<Arc<Mapping>, String> {
-        self.loader.mapping(path)
+        if let Some(m) = self.mappings.get(path) {
+            return Ok(m.clone());
+        }
+        let m = Mapping::parse(&self.read_file(path)?).map_err(|e| format!("{path}: {e}"))?;
+        let m = Arc::new(m);
+        self.mappings.insert(path.to_string(), m.clone());
+        Ok(m)
     }
 
     /// Loads a document and normalizes its attribute order against `dtd`
-    /// (the same loading path job lines use).
-    pub fn load_tree(&mut self, path: &str, dtd: &Dtd) -> Result<Tree, String> {
-        self.loader.tree(path, dtd)
+    /// (the same loading path job lines use). The bytes go straight to
+    /// the XML reader, so a document that is not UTF-8 fails with the
+    /// position of its first bad byte.
+    pub fn load_tree(&self, path: &str, dtd: &Dtd) -> Result<Tree, String> {
+        let bytes =
+            std::fs::read(self.dir.join(path)).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let mut t = xmlmap_trees::xml::parse_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        let _ = dtd.normalize_attrs(&mut t); // tolerate attribute order
+        Ok(t)
     }
 
     /// Reads a raw file relative to the parser's root directory
     /// (updatefiles for `DELTA APPLY`).
     pub fn read_file(&self, path: &str) -> Result<String, String> {
-        self.loader.read(path)
+        std::fs::read_to_string(self.dir.join(path)).map_err(|e| format!("cannot read {path}: {e}"))
     }
 
     /// Parses one job line (comments and blank lines are errors here —
@@ -524,46 +540,16 @@ impl JobParser {
         }
         Ok(BatchJob {
             label: line.to_string(),
-            kind: parse_line(line, &mut self.loader)?,
+            kind: parse_line(line, self)?,
         })
     }
-}
 
-/// Path-interning loader for mappings and DTDs.
-struct Loader {
-    dir: PathBuf,
-    mappings: HashMap<String, Arc<Mapping>>,
-    dtds: HashMap<String, Arc<Dtd>>,
-}
-
-impl Loader {
-    fn new(dir: &Path) -> Loader {
-        Loader {
-            dir: dir.to_path_buf(),
-            mappings: HashMap::new(),
-            dtds: HashMap::new(),
-        }
-    }
-
-    fn read(&self, path: &str) -> Result<String, String> {
-        let full = self.dir.join(path);
-        std::fs::read_to_string(&full).map_err(|e| format!("cannot read {path}: {e}"))
-    }
-
-    fn mapping(&mut self, path: &str) -> Result<Arc<Mapping>, String> {
-        if let Some(m) = self.mappings.get(path) {
-            return Ok(m.clone());
-        }
-        let m = Arc::new(Mapping::parse(&self.read(path)?).map_err(|e| format!("{path}: {e}"))?);
-        self.mappings.insert(path.to_string(), m.clone());
-        Ok(m)
-    }
-
-    fn dtd(&mut self, path: &str) -> Result<Arc<Dtd>, String> {
+    fn load_dtd(&mut self, path: &str) -> Result<Arc<Dtd>, String> {
         if let Some(d) = self.dtds.get(path) {
             return Ok(d.clone());
         }
-        let d = Arc::new(xmlmap_dtd::parse(&self.read(path)?).map_err(|e| format!("{path}: {e}"))?);
+        let d = xmlmap_dtd::parse(&self.read_file(path)?).map_err(|e| format!("{path}: {e}"))?;
+        let d = Arc::new(d);
         self.dtds.insert(path.to_string(), d.clone());
         Ok(d)
     }
@@ -578,14 +564,6 @@ impl Loader {
         }
         Ok(full)
     }
-
-    /// Loads a document and normalizes its attribute order against `dtd`.
-    fn tree(&self, path: &str, dtd: &Dtd) -> Result<Tree, String> {
-        let mut t =
-            xmlmap_trees::xml::parse(&self.read(path)?).map_err(|e| format!("{path}: {e}"))?;
-        let _ = dtd.normalize_attrs(&mut t); // tolerate attribute order
-        Ok(t)
-    }
 }
 
 fn parse_budget(field: Option<&&str>, default: usize) -> Result<usize, String> {
@@ -597,13 +575,13 @@ fn parse_budget(field: Option<&&str>, default: usize) -> Result<usize, String> {
     }
 }
 
-fn parse_line(line: &str, loader: &mut Loader) -> Result<JobKind, String> {
+fn parse_line(line: &str, parser: &mut JobParser) -> Result<JobKind, String> {
     let fields: Vec<&str> = line.split_whitespace().collect();
     match fields.as_slice() {
         ["member", map, src, tgt] => {
-            let mapping = loader.mapping(map)?;
-            let source = loader.tree(src, &mapping.source_dtd)?;
-            let target = loader.tree(tgt, &mapping.target_dtd)?;
+            let mapping = parser.load_mapping(map)?;
+            let source = parser.load_tree(src, &mapping.source_dtd)?;
+            let target = parser.load_tree(tgt, &mapping.target_dtd)?;
             Ok(JobKind::Membership {
                 mapping,
                 source,
@@ -611,23 +589,23 @@ fn parse_line(line: &str, loader: &mut Loader) -> Result<JobKind, String> {
             })
         }
         ["consistent", map, rest @ ..] if rest.len() <= 1 => Ok(JobKind::Consistent {
-            mapping: loader.mapping(map)?,
+            mapping: parser.load_mapping(map)?,
             budget: parse_budget(rest.first(), DEFAULT_BUDGET)?,
         }),
         ["abscons", map, rest @ ..] if rest.len() <= 1 => Ok(JobKind::AbsCons {
-            mapping: loader.mapping(map)?,
+            mapping: parser.load_mapping(map)?,
             budget: parse_budget(rest.first(), DEFAULT_BUDGET)?,
         }),
         ["subschema", d1, d2, rest @ ..] if rest.len() <= 1 => Ok(JobKind::Subschema {
-            d1: loader.dtd(d1)?,
-            d2: loader.dtd(d2)?,
+            d1: parser.load_dtd(d1)?,
+            d2: parser.load_dtd(d2)?,
             budget: parse_budget(rest.first(), DEFAULT_BUDGET)?,
         }),
         ["compose-member", m12, m23, src, tgt, rest @ ..] if rest.len() <= 1 => {
-            let m12 = loader.mapping(m12)?;
-            let m23 = loader.mapping(m23)?;
-            let source = loader.tree(src, &m12.source_dtd)?;
-            let target = loader.tree(tgt, &m23.target_dtd)?;
+            let m12 = parser.load_mapping(m12)?;
+            let m23 = parser.load_mapping(m23)?;
+            let source = parser.load_tree(src, &m12.source_dtd)?;
+            let target = parser.load_tree(tgt, &m23.target_dtd)?;
             Ok(JobKind::CompositionMember {
                 m12,
                 m23,
@@ -637,32 +615,32 @@ fn parse_line(line: &str, loader: &mut Loader) -> Result<JobKind, String> {
             })
         }
         ["stream", d, xml, rest @ ..] => {
-            let dtd = loader.dtd(d)?;
-            let path = loader.resolve(xml)?;
+            let dtd = parser.load_dtd(d)?;
+            let path = parser.resolve(xml)?;
             let pattern = if rest.is_empty() {
                 None
             } else {
                 let text = rest.join(" ");
                 let p =
                     xmlmap_patterns::parse(&text).map_err(|e| format!("pattern `{text}`: {e}"))?;
-                StreamPattern::compile(&p).map_err(|e| format!("pattern `{text}`: {e}"))?;
+                StreamPattern::check(&p).map_err(|e| format!("pattern `{text}`: {e}"))?;
                 Some(p)
             };
             Ok(JobKind::Stream { dtd, path, pattern })
         }
         ["chase-stream", map, xml] => {
-            let mapping = loader.mapping(map)?;
-            let path = loader.resolve(xml)?;
+            let mapping = parser.load_mapping(map)?;
+            let path = parser.resolve(xml)?;
             for (i, s) in mapping.stds.iter().enumerate() {
-                StreamPattern::compile(&s.source)
+                StreamPattern::check(&s.source)
                     .map_err(|e| format!("std {i} source `{}`: {e}", s.source))?;
             }
             Ok(JobKind::ChaseStream { mapping, path })
         }
         ["delta-apply", map, src, upd] => {
-            let mapping = loader.mapping(map)?;
-            let source = loader.tree(src, &mapping.source_dtd)?;
-            let updates = crate::chase::parse_updates(&loader.read(upd)?)
+            let mapping = parser.load_mapping(map)?;
+            let source = parser.load_tree(src, &mapping.source_dtd)?;
+            let updates = crate::chase::parse_updates(&parser.read_file(upd)?)
                 .map_err(|e| format!("{upd}: {e}"))?;
             Ok(JobKind::DeltaApply {
                 mapping,
@@ -759,6 +737,28 @@ mod tests {
         assert!(err[0].contains("line 2") && err[0].contains("unknown operation"));
         assert!(err[1].contains("line 3") && err[1].contains("cannot read"));
         assert!(err[2].contains("line 4") && err[2].contains("wrong number of arguments"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn documents_that_are_not_utf8_fail_with_their_position() {
+        let dir = fixture(&[("copy.map", COPY_MAP), ("t.xml", "<r/>"), ("u.txt", "")]);
+        std::fs::write(dir.join("vbad.xml"), b"<r><a v=\"\xff\"/></r>").unwrap();
+        std::fs::write(dir.join("cbad.xml"), b"<r>\n<!-- \xff --><a v=\"1\"/></r>").unwrap();
+        let err = parse_jobfile(
+            "member copy.map vbad.xml t.xml\ndelta-apply copy.map cbad.xml u.txt\n",
+            &dir,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            [
+                "line 1: vbad.xml: XML parse error at byte 8 (line 1, column 9): \
+                 attribute value is not valid UTF-8 (byte 0 of the value)",
+                "line 2: cbad.xml: XML parse error at byte 9 (line 2, column 6): \
+                 comment is not valid UTF-8",
+            ]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

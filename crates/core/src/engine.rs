@@ -1269,12 +1269,21 @@ mod tests {
         let p = xmlmap_patterns::parse("r[a(x), b//c(y)]").unwrap();
         let first = ctx.stream_plan(&p).unwrap();
         let compiled = ctx.stats().stream_plans.compile_time;
-        assert!(compiled > Duration::ZERO, "the miss compiles inside the timed fill");
+        assert!(
+            compiled > Duration::ZERO,
+            "the miss compiles inside the timed fill"
+        );
         let again = ctx.stream_plan(&p).unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "a warm call returns the cached plan");
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "a warm call returns the cached plan"
+        );
         let s = ctx.stats();
         assert_eq!((s.stream_plans.misses, s.stream_plans.hits), (1, 1));
-        assert_eq!(s.stream_plans.compile_time, compiled, "a hit compiles nothing");
+        assert_eq!(
+            s.stream_plans.compile_time, compiled,
+            "a hit compiles nothing"
+        );
         // The error is the compiler's own, and is never cached.
         let join = xmlmap_patterns::parse("r[a(x), b(x)]").unwrap();
         assert_eq!(

@@ -9,9 +9,9 @@
 //! between them: the matcher pairs attribute values with pattern tuples
 //! *positionally* (like the arena evaluator over a normalised tree), so
 //! the driver hands the matcher each element's attributes in the DTD's
-//! canonical order, which the validator finds while checking the
-//! attribute set — the streaming analogue of the arena pipeline's
-//! `normalize_attrs`. Start tags stay borrowed from the reader: the
+//! canonical order ([`CanonicalAttrs`]), which the validator finds while
+//! checking the attribute set — the streaming analogue of the arena
+//! pipeline's `normalize_attrs`. Start tags stay borrowed from the reader: the
 //! validator resolves their name slots to DTD ids, and the cursors read
 //! a value only where a pattern node binds it.
 //!
@@ -28,9 +28,9 @@ use std::io::Read;
 use std::sync::Arc;
 use xmlmap_dtd::{DtdIndex, StreamStats, StreamValidator};
 use xmlmap_patterns::{
-    AttrTuple, LabelMasks, StreamEnumerator, StreamMatcher, StreamPattern, UnstreamablePattern,
+    CanonicalAttrs, LabelMasks, StreamEnumerator, StreamMatcher, StreamPattern, UnstreamablePattern,
 };
-use xmlmap_trees::{BorrowedEvent, SaxReader, StartTag, Tree, Value, XmlError};
+use xmlmap_trees::{BorrowedEvent, SaxReader, Tree, Value, XmlError};
 
 /// What one streaming pass over a document established.
 #[derive(Clone, Debug)]
@@ -86,31 +86,6 @@ impl From<UnstreamablePattern> for StreamJobError {
     }
 }
 
-/// A borrowed start tag's attributes in the DTD's canonical order (the
-/// validator's [`StreamValidator::canonical_order`]), so the matcher's
-/// positional tuple pairing sees canonical order, exactly as the arena
-/// evaluator sees a normalised tree. Values stay bytes in the reader's
-/// window until a plan node binds one.
-struct Canonical<'a, 'r> {
-    tag: &'a StartTag<'r>,
-    order: &'a [u32],
-}
-
-impl AttrTuple for Canonical<'_, '_> {
-    fn arity(&self) -> usize {
-        self.order.len()
-    }
-
-    fn same_value(&self, i: usize, j: usize) -> bool {
-        let value = |k: usize| self.tag.value_bytes(self.order[k] as usize);
-        value(i) == value(j)
-    }
-
-    fn value(&self, i: usize) -> Value {
-        self.tag.value(self.order[i] as usize)
-    }
-}
-
 /// Streams `src` once, validating against `idx` and (when `plan` is
 /// given) evaluating pattern membership, in O(depth) memory.
 ///
@@ -136,7 +111,7 @@ pub fn stream_document<R: Read>(
             pattern_state_bytes: 0,
         }
     };
-    while let Some(event) = reader.next_borrowed()? {
+    while let Some(event) = reader.next_event()? {
         match event {
             BorrowedEvent::Open(tag) => {
                 let lid = match validator.open_tag(&tag) {
@@ -144,11 +119,8 @@ pub fn stream_document<R: Read>(
                     Err(v) => return Ok(rejected(&reader, &validator, &v)),
                 };
                 if let Some((m, masks)) = &mut matcher {
-                    let attrs = Canonical {
-                        tag: &tag,
-                        order: validator.canonical_order(),
-                    };
-                    m.open_with(masks.get(lid), &attrs);
+                    let attrs = CanonicalAttrs::new(&tag, validator.canonical_order());
+                    m.open(masks.get(lid), &attrs);
                 }
             }
             BorrowedEvent::Close(_) => {
@@ -351,15 +323,12 @@ pub fn chase_stream<R: Read>(
     let mut reader = SaxReader::new(src);
     let mut validator = StreamValidator::new(Arc::clone(idx));
     let mut enums: Vec<StreamEnumerator<'_>> = plans.iter().map(StreamEnumerator::new).collect();
-    while let Some(event) = reader.next_borrowed()? {
+    while let Some(event) = reader.next_event()? {
         let step = match event {
             BorrowedEvent::Open(tag) => validator.open_tag(&tag).map(|lid| {
-                let attrs = Canonical {
-                    tag: &tag,
-                    order: validator.canonical_order(),
-                };
+                let attrs = CanonicalAttrs::new(&tag, validator.canonical_order());
                 for (en, masks) in enums.iter_mut().zip(&masks) {
-                    en.open_with(masks.get(lid), &attrs);
+                    en.open(masks.get(lid), &attrs);
                 }
             }),
             BorrowedEvent::Close(_) => validator.close().map(|()| {

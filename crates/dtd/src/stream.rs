@@ -7,13 +7,13 @@
 //! stepped by the same runner as [`crate::Dtd::check`]), kept on a
 //! depth-bounded frame stack whose buffers are pooled across siblings.
 //! The validator steps on label ids and checks attribute sets against the
-//! per-label attribute ids of [`DtdIndex`]; fed borrowed start tags
-//! ([`StreamValidator::open_tag`]), it resolves each reader name slot to
-//! its id once, so a conforming pass hashes no names and allocates
-//! nothing per element. A
-//! violation — wrong root, unknown label, wrong attribute set, or a child
-//! word falling out of the production language — rejects immediately, at the
-//! first offending byte of the document.
+//! per-label attribute ids of [`DtdIndex`]; fed the reader's borrowed
+//! start tags ([`StreamValidator::open_tag`]), it resolves each reader
+//! name slot to its id once, so a conforming pass hashes no names and
+//! allocates nothing per element. A violation — wrong root, unknown
+//! label, wrong attribute set, or a child word falling out of the
+//! production language — rejects immediately, at the first offending byte
+//! of the document.
 //!
 //! Verdicts agree with the arena pipeline `normalize_attrs` +
 //! [`crate::Dtd::check`]: attributes are compared as *sets* (documents list
@@ -27,7 +27,7 @@ use std::fmt;
 use std::io::Read;
 use std::sync::Arc;
 use xmlmap_trees::sax::NAME_SLOTS;
-use xmlmap_trees::{BorrowedEvent, Name, NameRef, SaxReader, StartTag, Value, XmlError};
+use xmlmap_trees::{BorrowedEvent, Name, NameRef, SaxReader, StartTag, XmlError};
 
 /// Why a streamed document fails to conform (the positionless analogue of
 /// [`crate::ConformanceError`], reported at the first violation in document
@@ -172,7 +172,11 @@ impl SlotIds {
         }
     }
 
-    fn resolve(cache: &mut [u32; NAME_SLOTS], name: NameRef<'_>, look: impl Fn(&Name) -> Option<u32>) -> Option<u32> {
+    fn resolve(
+        cache: &mut [u32; NAME_SLOTS],
+        name: NameRef<'_>,
+        look: impl Fn(&Name) -> Option<u32>,
+    ) -> Option<u32> {
         let Some(slot) = name.slot() else {
             return look(name.name());
         };
@@ -200,7 +204,7 @@ struct Frame {
 
 /// A push-based streaming conformance checker.
 ///
-/// Feed [`open`](StreamValidator::open)/[`close`](StreamValidator::close)
+/// Feed [`open_tag`](StreamValidator::open_tag)/[`close`](StreamValidator::close)
 /// in document order (as yielded by a [`SaxReader`]), then call
 /// [`finish`](StreamValidator::finish). The first violation is returned
 /// immediately (early reject); the validator must not be fed further events
@@ -249,41 +253,17 @@ impl StreamValidator {
         self.stats
     }
 
-    /// Processes a start tag. Attributes are compared as a name set
-    /// against `A_D(label)` (the canonical-order normalisation the arena
-    /// pipeline applies before checking). The names are looked up in the
-    /// index, then checked on ids as [`StreamValidator::open_tag`] checks
-    /// them; on success, [`StreamValidator::canonical_order`] gives the
-    /// element's attributes in the DTD's order.
-    pub fn open(&mut self, label: &Name, attrs: &[(Name, Value)]) -> Result<(), StreamViolation> {
-        let lid = self.idx.dtd().label_id(label);
-        let mut ids = std::mem::take(&mut self.ids);
-        ids.clear();
-        ids.extend(attrs.iter().map(|(a, _)| self.idx.attr_id(a.as_str())));
-        let out = self.open_ids(lid, &ids, || {
-            (label.clone(), attrs.iter().map(|(a, _)| a.clone()).collect())
-        });
-        self.ids = ids;
-        out
-    }
-
-    /// Processes a start tag given as ids: `lid` is the label's id in the
-    /// index (`None` outside the alphabet) and `attrs[i]` the attribute
-    /// id of the element's `i`-th attribute name (`None` when the DTD
-    /// declares no such attribute). `names` supplies the label and the
-    /// attribute names in document order; it runs only to report a
-    /// violation.
-    ///
-    /// On success, [`StreamValidator::canonical_order`] gives the
-    /// element's attributes in the DTD's order.
-    fn open_ids(
-        &mut self,
-        lid: Option<u32>,
-        attrs: &[Option<u32>],
-        names: impl Fn() -> (Name, Vec<Name>),
-    ) -> Result<(), StreamViolation> {
-        let label = || names().0;
-        let lid = match lid {
+    /// Processes a start tag borrowed from the [`SaxReader`] that feeds
+    /// this validator, and returns its label id. Attributes are compared
+    /// as a name set against `A_D(label)` (the canonical-order
+    /// normalisation the arena pipeline applies before checking); on
+    /// success, [`StreamValidator::canonical_order`] gives the element's
+    /// attributes in the DTD's order. Names resolve to ids once per reader
+    /// name slot; names past the reader's table are looked up each time.
+    /// Nothing is allocated unless the tag is rejected.
+    pub fn open_tag(&mut self, tag: &StartTag<'_>) -> Result<u32, StreamViolation> {
+        let label = || tag.label().to_name();
+        let lid = match self.slots.label(&self.idx, tag.label()) {
             Some(lid) => lid,
             // The root is in the alphabet, so an unknown label at depth 0
             // is a wrong root.
@@ -320,23 +300,25 @@ impl StreamValidator {
 
         // The attribute set must equal A_D(label): same size, and every
         // declared attribute present — found at its canonical position.
+        self.ids.clear();
+        self.ids
+            .extend((0..tag.len()).map(|i| self.slots.attr(&self.idx, tag.attr_name(i))));
         let expected = self.idx.label_attrs(lid);
         self.canonical.clear();
-        let set_ok = attrs.len() == expected.len()
-            && expected.iter().all(|&want| {
-                match attrs.iter().position(|&a| a == Some(want)) {
+        let set_ok = self.ids.len() == expected.len()
+            && expected.iter().all(
+                |&want| match self.ids.iter().position(|&a| a == Some(want)) {
                     Some(i) => {
                         self.canonical.push(i as u32);
                         true
                     }
                     None => false,
-                }
-            });
+                },
+            );
         if !set_ok {
-            let (label, found) = names();
             return Err(StreamViolation::WrongAttributes {
-                label,
-                found,
+                label: label(),
+                found: (0..tag.len()).map(|i| tag.attr_name(i).to_name()).collect(),
                 expected: expected
                     .iter()
                     .map(|&a| self.idx.attr_names()[a as usize].clone())
@@ -367,24 +349,7 @@ impl StreamValidator {
             .stats
             .peak_state_bytes
             .max(self.live_bytes + self.scratch.capacity() as u64 * 8);
-        Ok(())
-    }
-
-    /// Processes a start tag borrowed from the [`SaxReader`] that feeds
-    /// this validator, and returns its label id. Names resolve to ids
-    /// once per reader name slot; names past the reader's table are looked
-    /// up each time. Nothing is allocated unless the tag is rejected.
-    pub fn open_tag(&mut self, tag: &StartTag<'_>) -> Result<u32, StreamViolation> {
-        let lid = self.slots.label(&self.idx, tag.label());
-        let mut ids = std::mem::take(&mut self.ids);
-        ids.clear();
-        ids.extend((0..tag.len()).map(|i| self.slots.attr(&self.idx, tag.attr_name(i))));
-        let out = self.open_ids(lid, &ids, || {
-            let names = (0..tag.len()).map(|i| tag.attr_name(i).to_name());
-            (tag.label().to_name(), names.collect())
-        });
-        self.ids = ids;
-        out.map(|()| lid.expect("an accepted label is in the alphabet"))
+        Ok(lid)
     }
 
     /// For the element opened last (and accepted): the document index of
@@ -432,7 +397,7 @@ pub fn validate_stream<R: Read>(idx: &Arc<DtdIndex>, src: R) -> Result<StreamSta
             col,
         }
     };
-    while let Some(event) = reader.next_borrowed()? {
+    while let Some(event) = reader.next_event()? {
         let step = match event {
             BorrowedEvent::Open(tag) => validator.open_tag(&tag).map(drop),
             BorrowedEvent::Close(_) => validator.close(),

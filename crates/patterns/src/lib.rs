@@ -49,8 +49,7 @@ pub use sat::{
 };
 pub use sat_compiled::{SatCache, SatEngine};
 pub use stream::{
-    matches_stream, AttrTuple, LabelMasks, StreamEnumerator, StreamMatcher, StreamPattern,
-    UnstreamablePattern,
+    CanonicalAttrs, LabelMasks, StreamEnumerator, StreamMatcher, StreamPattern, UnstreamablePattern,
 };
 
 #[cfg(test)]

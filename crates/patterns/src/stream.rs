@@ -33,9 +33,10 @@
 //! **Inert elements.** Per label of a DTD's alphabet, the plan gives the
 //! bitmask of nodes whose label test accepts it
 //! ([`StreamPattern::label_masks`]); a cursor fed that mask tests only
-//! those nodes at an open tag and walks only set bits at the close, and
-//! reads attributes through [`AttrTuple`], so a value is built only where
-//! a node that passed its local test binds it.
+//! those nodes at an open tag and walks only set bits at the close. It
+//! reads a start tag borrowed from the [`SaxReader`](xmlmap_trees::SaxReader)
+//! through [`CanonicalAttrs`], so a value is built only where a node that
+//! passed its local test binds it.
 //!
 //! [`StreamEnumerator`] extends the boolean acceptor to a *valuation
 //! enumerator* (DESIGN.md §8.8): alongside the bitsets, each open element
@@ -50,9 +51,8 @@ use crate::ast::{LabelTest, ListItem, Pattern, Var};
 use crate::compiled::{CItem, CompiledPattern};
 use std::cmp::Ordering;
 use std::fmt;
-use std::io::Read;
 use xmlmap_dtd::content::{get_bit, set_bit};
-use xmlmap_trees::{Name, SaxEvent, SaxReader, Value, XmlError};
+use xmlmap_trees::{Name, StartTag, Value};
 
 /// Why a pattern cannot be evaluated in the streaming fragment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -223,26 +223,17 @@ impl StreamPattern {
         &self.pat
     }
 
-    /// Writes into `mask` the plan nodes whose label test accepts `label`.
-    fn mask_into(&self, label: &Name, mask: &mut Vec<u64>) {
-        mask.clear();
-        mask.resize(self.words, 0);
-        for (pi, p) in self.nodes.iter().enumerate() {
-            if p.label.accepts(label) {
-                set_bit(mask, pi);
-            }
-        }
-    }
-
     /// Per label of `labels` (a DTD's interned alphabet): the plan nodes
     /// whose label test accepts it, wildcards included. An element whose
     /// mask is empty is inert for this plan.
     pub fn label_masks(&self, labels: &[Name]) -> LabelMasks {
-        let mut bits = Vec::with_capacity(labels.len() * self.words);
-        let mut mask = Vec::new();
-        for label in labels {
-            self.mask_into(label, &mut mask);
-            bits.extend_from_slice(&mask);
+        let mut bits = vec![0; labels.len() * self.words];
+        for (mask, label) in bits.chunks_mut(self.words).zip(labels) {
+            for (pi, p) in self.nodes.iter().enumerate() {
+                if p.label.accepts(label) {
+                    set_bit(mask, pi);
+                }
+            }
         }
         LabelMasks {
             words: self.words,
@@ -285,30 +276,36 @@ impl LabelMasks {
     }
 }
 
-/// The attributes of one element, in the order a plan pairs them with
-/// tuple positions (callers comparing against normalised trees use the
-/// DTD's canonical order). The enumerator builds a [`Value`] only for a
-/// position that a node passing its local test binds.
-pub trait AttrTuple {
-    /// Number of attributes.
-    fn arity(&self) -> usize;
-    /// Do attributes `i` and `j` carry equal values?
-    fn same_value(&self, i: usize, j: usize) -> bool;
-    /// Attribute `i`'s value.
-    fn value(&self, i: usize) -> Value;
+/// A start tag's attributes in the order a plan pairs them with tuple
+/// positions: position `k` is attribute `order[k]` of the tag. The
+/// schema-aware drivers in `xmlmap-core` pass the validator's canonical
+/// order, so the pairing is the arena evaluator's over a normalised tree.
+/// Values stay bytes in the reader's window: a cursor compares them in
+/// place and builds a [`Value`] only for a position that a node passing
+/// its local test binds.
+pub struct CanonicalAttrs<'a, 'r> {
+    tag: &'a StartTag<'r>,
+    order: &'a [u32],
 }
 
-impl AttrTuple for [(Name, Value)] {
+impl<'a, 'r> CanonicalAttrs<'a, 'r> {
+    /// The attributes of `tag` taken in `order` (indices into the tag's
+    /// document order).
+    pub fn new(tag: &'a StartTag<'r>, order: &'a [u32]) -> CanonicalAttrs<'a, 'r> {
+        CanonicalAttrs { tag, order }
+    }
+
     fn arity(&self) -> usize {
-        self.len()
+        self.order.len()
     }
 
     fn same_value(&self, i: usize, j: usize) -> bool {
-        self[i].1 == self[j].1
+        let value = |k: usize| self.tag.value_bytes(self.order[k] as usize);
+        value(i) == value(j)
     }
 
     fn value(&self, i: usize) -> Value {
-        self[i].1.clone()
+        self.tag.value(self.order[i] as usize)
     }
 }
 
@@ -329,7 +326,7 @@ fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 impl PlanNode {
     /// The node's local test past its label: arity and within-tuple
     /// equalities.
-    fn holds_at<A: AttrTuple + ?Sized>(&self, attrs: &A) -> bool {
+    fn holds_at(&self, attrs: &CanonicalAttrs<'_, '_>) -> bool {
         self.arity.map_or(true, |arity| attrs.arity() == arity)
             && self
                 .eq_pairs
@@ -361,17 +358,14 @@ struct MFrame {
 /// Feed [`open`](StreamMatcher::open)/[`close`](StreamMatcher::close) in
 /// document order, then read the verdict from
 /// [`finish`](StreamMatcher::finish). Attribute values are paired with the
-/// pattern tuple positionally, exactly like the arena evaluator — callers
-/// comparing against normalised trees should feed attributes in the same
-/// (canonical) order.
+/// pattern tuple positionally, exactly like the arena evaluator, in the
+/// order [`CanonicalAttrs`] gives.
 pub struct StreamMatcher<'p> {
     plan: &'p StreamPattern,
     /// Frame storage; `stack[..depth]` live, the rest pooled.
     stack: Vec<MFrame>,
     depth: usize,
     scratch: Vec<u64>,
-    /// Label mask of an element opened by name.
-    mask: Vec<u64>,
     verdict: bool,
     peak_depth: usize,
 }
@@ -384,7 +378,6 @@ impl<'p> StreamMatcher<'p> {
             stack: Vec::new(),
             depth: 0,
             scratch: vec![0; plan.words],
-            mask: Vec::new(),
             verdict: false,
             peak_depth: 0,
         }
@@ -401,18 +394,11 @@ impl<'p> StreamMatcher<'p> {
         (self.peak_depth as u64 * 3 + 1) * self.plan.words as u64 * 8
     }
 
-    /// Processes a start tag: evaluates every pattern node's local test
-    /// (label, arity, within-tuple equalities) against this element.
-    pub fn open(&mut self, label: &Name, attrs: &[(Name, Value)]) {
-        let mut mask = std::mem::take(&mut self.mask);
-        self.plan.mask_into(label, &mut mask);
-        self.open_with(&mask, attrs);
-        self.mask = mask;
-    }
-
-    /// [`StreamMatcher::open`] given the element's label mask (see
-    /// [`StreamPattern::label_masks`]): only the masked nodes are tested.
-    pub fn open_with<A: AttrTuple + ?Sized>(&mut self, mask: &[u64], attrs: &A) {
+    /// Processes a start tag given its label mask (see
+    /// [`StreamPattern::label_masks`]): evaluates the local test (arity,
+    /// within-tuple equalities) of every masked pattern node against this
+    /// element.
+    pub fn open(&mut self, mask: &[u64], attrs: &CanonicalAttrs<'_, '_>) {
         let words = self.plan.words;
         if self.depth == self.stack.len() {
             self.stack.push(MFrame {
@@ -544,17 +530,15 @@ fn rooted_tuples(plan: &StreamPattern, frame: &EFrame, pi: usize) -> Vec<Box<[Va
 /// variable id ([`CompiledPattern::var_id`]) and come out sorted in
 /// alphabetical variable order and deduplicated — exactly the rows of
 /// [`crate::Matcher::all_match_tuples`] on the same (normalised)
-/// document. Attribute values pair with pattern tuples positionally, so
-/// feed attributes in canonical order (as the schema-aware driver in
-/// `xmlmap-core` does).
+/// document. Attribute values pair with pattern tuples positionally, in
+/// the order [`CanonicalAttrs`] gives (the schema-aware driver in
+/// `xmlmap-core` passes the canonical one).
 pub struct StreamEnumerator<'p> {
     plan: &'p StreamPattern,
     /// Frame storage; `stack[..depth]` live, the rest pooled.
     stack: Vec<EFrame>,
     depth: usize,
     scratch: Vec<u64>,
-    /// Label mask of an element opened by name.
-    mask: Vec<u64>,
     /// Root matches, harvested when the document root closes.
     matches: Vec<Box<[Value]>>,
     done: bool,
@@ -573,7 +557,6 @@ impl<'p> StreamEnumerator<'p> {
             stack: Vec::new(),
             depth: 0,
             scratch: vec![0; plan.words],
-            mask: Vec::new(),
             matches: Vec::new(),
             done: false,
             peak_depth: 0,
@@ -600,20 +583,12 @@ impl<'p> StreamEnumerator<'p> {
         (self.peak_depth as u64 * 3 + 1) * self.plan.words as u64 * 8 + self.peak_live * tuple
     }
 
-    /// Processes a start tag: evaluates every pattern node's local test
-    /// and records the local variable binding where it passes.
-    pub fn open(&mut self, label: &Name, attrs: &[(Name, Value)]) {
-        let mut mask = std::mem::take(&mut self.mask);
-        self.plan.mask_into(label, &mut mask);
-        self.open_with(&mask, attrs);
-        self.mask = mask;
-    }
-
-    /// [`StreamEnumerator::open`] given the element's label mask (see
-    /// [`StreamPattern::label_masks`]): only the masked nodes are tested,
-    /// and a value is built only for a tuple position that a node passing
-    /// its local test binds.
-    pub fn open_with<A: AttrTuple + ?Sized>(&mut self, mask: &[u64], attrs: &A) {
+    /// Processes a start tag given its label mask (see
+    /// [`StreamPattern::label_masks`]): evaluates the local test of every
+    /// masked pattern node and records the local variable binding where
+    /// it passes, building a value only for a tuple position such a node
+    /// binds.
+    pub fn open(&mut self, mask: &[u64], attrs: &CanonicalAttrs<'_, '_>) {
         let plan = self.plan;
         let words = plan.words;
         let n = plan.nodes.len();
@@ -760,31 +735,59 @@ impl<'p> StreamEnumerator<'p> {
     }
 }
 
-/// One-shot convenience: does the document on `src` match `plan` at its
-/// root? Attributes are paired positionally in document order (use the
-/// schema-aware driver in `xmlmap-core` for canonical-order pairing).
-pub fn matches_stream<R: Read>(plan: &StreamPattern, src: R) -> Result<bool, XmlError> {
-    let mut reader = SaxReader::new(src);
-    let mut m = StreamMatcher::new(plan);
-    while let Some(event) = reader.next_event()? {
-        match event {
-            SaxEvent::Open { label, attrs } => m.open(&label, &attrs),
-            SaxEvent::Close { .. } => m.close(),
-        }
-    }
-    Ok(m.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::matches;
     use crate::parse::parse;
+    use xmlmap_trees::{BorrowedEvent, SaxReader};
+
+    /// The two cursors, as [`stream`] feeds them.
+    trait Cursor {
+        fn open(&mut self, mask: &[u64], attrs: &CanonicalAttrs<'_, '_>);
+        fn close(&mut self);
+    }
+
+    impl Cursor for StreamMatcher<'_> {
+        fn open(&mut self, mask: &[u64], attrs: &CanonicalAttrs<'_, '_>) {
+            StreamMatcher::open(self, mask, attrs)
+        }
+        fn close(&mut self) {
+            StreamMatcher::close(self)
+        }
+    }
+
+    impl Cursor for StreamEnumerator<'_> {
+        fn open(&mut self, mask: &[u64], attrs: &CanonicalAttrs<'_, '_>) {
+            StreamEnumerator::open(self, mask, attrs)
+        }
+        fn close(&mut self) {
+            StreamEnumerator::close(self)
+        }
+    }
+
+    /// Reads `doc` into `cursor`, pairing attributes in document order
+    /// (no schema here to give a canonical one).
+    fn stream(plan: &StreamPattern, doc: &str, cursor: &mut impl Cursor) {
+        let mut reader = SaxReader::new(doc.as_bytes());
+        while let Some(event) = reader.next_event().unwrap() {
+            match event {
+                BorrowedEvent::Open(tag) => {
+                    let masks = plan.label_masks(std::slice::from_ref(tag.label().name()));
+                    let order: Vec<u32> = (0..tag.len() as u32).collect();
+                    cursor.open(masks.get(0), &CanonicalAttrs::new(&tag, &order));
+                }
+                BorrowedEvent::Close(_) => cursor.close(),
+            }
+        }
+    }
 
     fn check_both(doc: &str, pattern: &str) -> bool {
         let p = parse(pattern).unwrap();
         let plan = StreamPattern::compile(&p).unwrap();
-        let streamed = matches_stream(&plan, doc.as_bytes()).unwrap();
+        let mut m = StreamMatcher::new(&plan);
+        stream(&plan, doc, &mut m);
+        let streamed = m.finish();
         let tree = xmlmap_trees::xml::parse(doc).unwrap();
         let arena = matches(&tree, &p);
         assert_eq!(streamed, arena, "verdicts diverge: {pattern} over {doc}");
@@ -840,13 +843,7 @@ mod tests {
         let p = parse(pattern).unwrap();
         let plan = StreamPattern::compile(&p).unwrap();
         let mut en = StreamEnumerator::new(&plan);
-        let mut reader = SaxReader::new(doc.as_bytes());
-        while let Some(ev) = reader.next_event().unwrap() {
-            match ev {
-                SaxEvent::Open { label, attrs } => en.open(&label, &attrs),
-                SaxEvent::Close { .. } => en.close(),
-            }
-        }
+        stream(&plan, doc, &mut en);
         let streamed: Vec<Vec<Value>> = en.finish().into_iter().map(|t| t.into_vec()).collect();
         let tree = xmlmap_trees::xml::parse(doc).unwrap();
         let arena: Vec<Vec<Value>> = crate::compiled::Matcher::new(&tree, plan.compiled())
@@ -919,13 +916,7 @@ mod tests {
         let p = parse("r//c(x)").unwrap();
         let plan = StreamPattern::compile(&p).unwrap();
         let mut en = StreamEnumerator::new(&plan);
-        let mut reader = SaxReader::new(deep.as_bytes());
-        while let Some(ev) = reader.next_event().unwrap() {
-            match ev {
-                SaxEvent::Open { label, attrs } => en.open(&label, &attrs),
-                SaxEvent::Close { .. } => en.close(),
-            }
-        }
+        stream(&plan, &deep, &mut en);
         assert_eq!(en.peak_depth(), 52);
         assert!(en.peak_live_valuations() >= 1);
         assert!(en.peak_state_bytes() > 0);
@@ -945,13 +936,7 @@ mod tests {
         let p = parse("r//c(x)").unwrap();
         let plan = StreamPattern::compile(&p).unwrap();
         let mut m = StreamMatcher::new(&plan);
-        let mut reader = SaxReader::new(deep.as_bytes());
-        while let Some(ev) = reader.next_event().unwrap() {
-            match ev {
-                SaxEvent::Open { label, attrs } => m.open(&label, &attrs),
-                SaxEvent::Close { .. } => m.close(),
-            }
-        }
+        stream(&plan, &deep, &mut m);
         assert!(m.finish());
         assert_eq!(m.peak_depth(), 202);
     }

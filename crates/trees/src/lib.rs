@@ -28,7 +28,7 @@ pub mod value;
 pub mod xml;
 
 pub use name::{name, Name};
-pub use sax::{BorrowedEvent, NameRef, SaxEvent, SaxReader, StartTag};
+pub use sax::{BorrowedEvent, NameRef, SaxReader, StartTag};
 pub use tree::{isomorphic_mod_nulls, NodeId, Tree};
 pub use value::{NullFactory, Value};
 pub use xml::XmlError;

@@ -8,17 +8,13 @@
 //! streaming pattern evaluation (`xmlmap-patterns`) over documents that
 //! don't fit the arena.
 //!
-//! There is one tokenizer and two ways to read its events:
-//!
-//! * [`SaxReader::next_borrowed`] yields a [`BorrowedEvent`], valid until
-//!   the next call. A start tag ([`StartTag`]) carries the label's and
-//!   each attribute name's slot in the reader's name table, and each
-//!   attribute value as decoded bytes pointing into the window (or into a
-//!   reader-owned buffer when the value had references). Reading one
-//!   allocates nothing; consumers build a [`Name`] or a [`Value`] only for
-//!   what they keep.
-//! * [`SaxReader::next_event`] is the owned adapter over it: a
-//!   [`SaxEvent`] with its own names and values.
+//! There is one tokenizer and one way to read its events:
+//! [`SaxReader::next_event`] yields a [`BorrowedEvent`], valid until the
+//! next call. A start tag ([`StartTag`]) carries the label's and each
+//! attribute name's slot in the reader's name table, and each attribute
+//! value as decoded bytes pointing into the window (or into a reader-owned
+//! buffer when the value had references). Reading one allocates nothing;
+//! consumers build a [`Name`] or a [`Value`] only for what they keep.
 //!
 //! The dialect is exactly the one of [`crate::xml`] — in fact
 //! [`crate::xml::parse`] is an arena builder driven by this reader, so
@@ -27,9 +23,10 @@
 //! rejected — the fragment has no text events), the five predefined entities
 //! and decimal/hex character references, UTF-8 attribute values,
 //! comments and processing instructions skipped, duplicate attributes
-//! rejected, and a single root element. Every value is checked during the
-//! scan (UTF-8, reference syntax, duplicates), whether or not a consumer
-//! reads it.
+//! rejected, and a single root element. Every byte is checked during the
+//! scan: values (UTF-8, reference syntax, duplicates) whether or not a
+//! consumer reads them, and the text of comments and processing
+//! instructions (UTF-8), though no event carries it.
 //!
 //! These constructs at the edge of that fragment are decided explicitly:
 //!
@@ -48,7 +45,10 @@
 //!   with "'--' is not allowed inside a comment" (XML 1.0 §2.5);
 //! * a processing instruction needs a target: `<?>` is rejected right
 //!   after its `<?` with "processing instruction has no target"
-//!   (XML 1.0 §2.6).
+//!   (XML 1.0 §2.6);
+//! * a comment or processing instruction whose bytes are not UTF-8 is
+//!   rejected at its first offending byte with "comment is not valid
+//!   UTF-8" or "processing instruction is not valid UTF-8".
 //!
 //! The hot paths scan runs of bytes in the buffered window rather than
 //! one byte at a time, and repeated names are shared out of a small table
@@ -106,28 +106,10 @@ fn is_ws(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | b'\r' | b'\n')
 }
 
-/// One parsing event.
+/// One parsing event, borrowed from the reader until its next call.
 ///
 /// A self-closing tag `<a/>` yields an `Open` immediately followed by a
 /// `Close`, so consumers see a uniform open/close discipline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SaxEvent {
-    /// A start tag: `<label a="1" b="2">` (or the front half of `<label/>`).
-    Open {
-        /// The element type.
-        label: Name,
-        /// Attributes in document order.
-        attrs: Vec<(Name, Value)>,
-    },
-    /// An end tag: `</label>` (or the back half of `<label/>`).
-    Close {
-        /// The element type of the matching start tag.
-        label: Name,
-    },
-}
-
-/// One parsing event borrowed from the reader, valid until its next call.
-/// The same open/close discipline as [`SaxEvent`].
 pub enum BorrowedEvent<'r> {
     /// A start tag.
     Open(StartTag<'r>),
@@ -271,11 +253,11 @@ struct Attr {
 
 /// A pull parser over any byte source.
 ///
-/// Call [`SaxReader::next_event`] (or [`SaxReader::next_borrowed`]) until
-/// it returns `Ok(None)` (clean end of document) or an error. Events are
-/// well-nested by construction: the reader itself rejects mismatched or
-/// missing close tags, text content, and trailing content after the root
-/// element, with the same messages as [`crate::xml::parse`].
+/// Call [`SaxReader::next_event`] until it returns `Ok(None)` (clean end
+/// of document) or an error. Events are well-nested by construction: the
+/// reader itself rejects mismatched or missing close tags, text content,
+/// and trailing content after the root element, with the same messages
+/// as [`crate::xml::parse`].
 pub struct SaxReader<R: Read> {
     src: R,
     /// The rolling window; `buf[pos..end]` is read but unconsumed input,
@@ -496,6 +478,19 @@ impl<R: Read> SaxReader<R> {
         }
     }
 
+    /// Consumes the `n` bytes at `pos`, a run of the text of a comment or
+    /// processing instruction (`what`) that ends at an ASCII delimiter or
+    /// at the end of input, so the run holds whole characters: text that
+    /// is not UTF-8 is an error at its first offending byte.
+    fn skip_text(&mut self, n: usize, what: &str) -> Result<(), XmlError> {
+        if let Err(e) = std::str::from_utf8(&self.buf[self.pos..self.pos + n]) {
+            self.advance(e.valid_up_to());
+            return self.err(format!("{what} is not valid UTF-8"));
+        }
+        self.advance(n);
+        Ok(())
+    }
+
     /// Skips whitespace, comments, and processing instructions.
     fn skip_misc(&mut self) -> Result<(), XmlError> {
         loop {
@@ -515,7 +510,7 @@ impl<R: Read> SaxReader<R> {
                 }
                 loop {
                     let n = self.scan(|b| b != b'?')?;
-                    self.advance(n);
+                    self.skip_text(n, "processing instruction")?;
                     if self.starts_with(b"?>")? {
                         self.advance(2);
                         break;
@@ -528,7 +523,7 @@ impl<R: Read> SaxReader<R> {
                 self.advance(4);
                 loop {
                     let n = self.scan(|b| b != b'-')?;
-                    self.advance(n);
+                    self.skip_text(n, "comment")?;
                     if self.starts_with(b"-->")? {
                         self.advance(3);
                         break;
@@ -776,7 +771,7 @@ impl<R: Read> SaxReader<R> {
 
     /// Pulls the next event, borrowed from the reader until the next call,
     /// or `Ok(None)` at the clean end of the document.
-    pub fn next_borrowed(&mut self) -> Result<Option<BorrowedEvent<'_>>, XmlError> {
+    pub fn next_event(&mut self) -> Result<Option<BorrowedEvent<'_>>, XmlError> {
         self.tag = None;
         if self.pending_close {
             self.pending_close = false;
@@ -862,49 +857,50 @@ impl<R: Read> SaxReader<R> {
             self.closed.as_ref().expect("a label was just popped"),
         ))
     }
-
-    /// Pulls the next event as an owned [`SaxEvent`], or `Ok(None)` at the
-    /// clean end of the document.
-    pub fn next_event(&mut self) -> Result<Option<SaxEvent>, XmlError> {
-        Ok(self.next_borrowed()?.map(|event| match event {
-            BorrowedEvent::Open(tag) => SaxEvent::Open {
-                label: tag.label().to_name(),
-                attrs: tag.owned_attrs().collect(),
-            },
-            BorrowedEvent::Close(label) => SaxEvent::Close {
-                label: label.to_name(),
-            },
-        }))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn events(input: &str) -> Result<Vec<SaxEvent>, XmlError> {
-        let mut r = SaxReader::new(input.as_bytes());
+    /// An event with its names and values copied out, so events can be
+    /// collected and compared.
+    #[derive(Debug, PartialEq)]
+    enum Ev {
+        Open(Name, Vec<(Name, Value)>),
+        Close(Name),
+    }
+
+    fn next<R: Read>(r: &mut SaxReader<R>) -> Result<Option<Ev>, XmlError> {
+        Ok(r.next_event()?.map(|event| match event {
+            BorrowedEvent::Open(tag) => {
+                Ev::Open(tag.label().to_name(), tag.owned_attrs().collect())
+            }
+            BorrowedEvent::Close(label) => Ev::Close(label.to_name()),
+        }))
+    }
+
+    fn events(input: impl AsRef<[u8]>) -> Result<Vec<Ev>, XmlError> {
+        let mut r = SaxReader::new(input.as_ref());
         let mut out = Vec::new();
-        while let Some(ev) = r.next_event()? {
+        while let Some(ev) = next(&mut r)? {
             out.push(ev);
         }
         Ok(out)
     }
 
-    fn open(label: &str, attrs: &[(&str, &str)]) -> SaxEvent {
-        SaxEvent::Open {
-            label: Name::new(label),
-            attrs: attrs
+    fn open(label: &str, attrs: &[(&str, &str)]) -> Ev {
+        Ev::Open(
+            Name::new(label),
+            attrs
                 .iter()
                 .map(|(a, v)| (Name::new(*a), Value::str(*v)))
                 .collect(),
-        }
+        )
     }
 
-    fn close(label: &str) -> SaxEvent {
-        SaxEvent::Close {
-            label: Name::new(label),
-        }
+    fn close(label: &str) -> Ev {
+        Ev::Close(Name::new(label))
     }
 
     #[test]
@@ -927,7 +923,7 @@ mod tests {
     fn depth_and_peak_are_tracked() {
         let mut r = SaxReader::new("<r><a><b/></a><c/></r>".as_bytes());
         let mut max_seen = 0;
-        while let Some(_ev) = r.next_event().unwrap() {
+        while r.next_event().unwrap().is_some() {
             max_seen = max_seen.max(r.depth());
         }
         assert_eq!(max_seen, 3);
@@ -962,7 +958,7 @@ mod tests {
         let mut slow = SaxReader::new(OneByte(doc.as_bytes()));
         let mut fast = SaxReader::new(doc.as_bytes());
         loop {
-            let (a, b) = (slow.next_event().unwrap(), fast.next_event().unwrap());
+            let (a, b) = (next(&mut slow).unwrap(), next(&mut fast).unwrap());
             assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -979,8 +975,8 @@ mod tests {
         );
         // Invalid UTF-8 is reported at the value's opening quote.
         let mut r = SaxReader::new(&b"<r>\n<a v=\"ok\xff\"/></r>"[..]);
-        r.next_event().unwrap();
-        let e = r.next_event().unwrap_err();
+        next(&mut r).unwrap();
+        let e = next(&mut r).unwrap_err();
         assert!(e.message.contains("not valid UTF-8"), "{e}");
         assert_eq!((e.offset, e.line, e.col), (9, 2, 6));
         // A bad code point is reported at the reference's `;`.
@@ -990,39 +986,64 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for (doc, needle) in [
-            ("<a><b></a></a>", "mismatched"),
-            ("<a>", "missing close tag"),
-            ("<a/><b/>", "trailing content"),
-            ("<a/>junk", "trailing content"),
-            (r#"<a x="1" x="2"/>"#, "duplicate attribute"),
-            ("", "expected '<'"),
-            (r#"<a v="&nope;"/>"#, "unknown entity"),
-            (r#"<a v="&#0;"/>"#, "disallowed code point U+0000"),
-            (r#"<a v="&#xD800;"/>"#, "disallowed code point U+D800"),
-            (r#"<a v="&#57343;"/>"#, "disallowed code point U+DFFF"),
-            (r#"<a v="&#x110000;"/>"#, "above U+10FFFF"),
-            (r#"<a v="&#99999999999999;"/>"#, "above U+10FFFF"),
-            (r#"<a v="&#;"/>"#, "empty character reference"),
-            (r#"<a v="&#x;"/>"#, "empty character reference"),
-            (r#"<a v="&#x4G;"/>"#, "malformed character reference"),
-            (r#"<a v="&#65"/>"#, "malformed character reference"),
-            ("<a v=\"&#65", "unterminated character reference"),
-            ("<!DOCTYPE r><r/>", "DOCTYPE declarations are not supported"),
-            ("<r><![CDATA[x]]></r>", "CDATA sections are not supported"),
-            (r#"<r a="1"b="2"/>"#, "separated by whitespace"),
-            ("<r><!--></r>", "unterminated comment"),
-            ("<r><!---></r>", "unterminated comment"),
-            ("<r><!-- a -- b --></r>", "'--' is not allowed inside a comment"),
-            ("<r><!-- a ---></r>", "'--' is not allowed inside a comment"),
-            ("<r><?></r>", "processing instruction has no target"),
-            ("<r><??></r>", "processing instruction has no target"),
-            ("<r><?", "unterminated processing instruction"),
-            ("<r><?pi", "unterminated processing instruction"),
-            ("<r><!-- a --", "unterminated comment"),
-        ] {
+        let table: &[(&[u8], &str)] = &[
+            (b"<a><b></a></a>", "mismatched"),
+            (b"<a>", "missing close tag"),
+            (b"<a/><b/>", "trailing content"),
+            (b"<a/>junk", "trailing content"),
+            (br#"<a x="1" x="2"/>"#, "duplicate attribute"),
+            (b"", "expected '<'"),
+            (br#"<a v="&nope;"/>"#, "unknown entity"),
+            (br#"<a v="&#0;"/>"#, "disallowed code point U+0000"),
+            (br#"<a v="&#xD800;"/>"#, "disallowed code point U+D800"),
+            (br#"<a v="&#57343;"/>"#, "disallowed code point U+DFFF"),
+            (br#"<a v="&#x110000;"/>"#, "above U+10FFFF"),
+            (br#"<a v="&#99999999999999;"/>"#, "above U+10FFFF"),
+            (br#"<a v="&#;"/>"#, "empty character reference"),
+            (br#"<a v="&#x;"/>"#, "empty character reference"),
+            (br#"<a v="&#x4G;"/>"#, "malformed character reference"),
+            (br#"<a v="&#65"/>"#, "malformed character reference"),
+            (b"<a v=\"&#65", "unterminated character reference"),
+            (
+                b"<!DOCTYPE r><r/>",
+                "DOCTYPE declarations are not supported",
+            ),
+            (b"<r><![CDATA[x]]></r>", "CDATA sections are not supported"),
+            (br#"<r a="1"b="2"/>"#, "separated by whitespace"),
+            (b"<r><!--></r>", "unterminated comment"),
+            (b"<r><!---></r>", "unterminated comment"),
+            (
+                b"<r><!-- a -- b --></r>",
+                "'--' is not allowed inside a comment",
+            ),
+            (
+                b"<r><!-- a ---></r>",
+                "'--' is not allowed inside a comment",
+            ),
+            (b"<r><?></r>", "processing instruction has no target"),
+            (b"<r><??></r>", "processing instruction has no target"),
+            (b"<r><?", "unterminated processing instruction"),
+            (b"<r><?pi", "unterminated processing instruction"),
+            (b"<r><!-- a --", "unterminated comment"),
+            (b"<r><!-- \xff --></r>", "comment is not valid UTF-8"),
+            (b"<r><!-- \xe2\x98--></r>", "comment is not valid UTF-8"),
+            (b"<r/><!-- \xed\xa0\x80 -->", "comment is not valid UTF-8"),
+            (
+                b"<?xml v='\xc3'?><r/>",
+                "processing instruction is not valid UTF-8",
+            ),
+            (
+                b"<r><?pi \x80?></r>",
+                "processing instruction is not valid UTF-8",
+            ),
+        ];
+        for &(doc, needle) in table {
             let e = events(doc).unwrap_err();
-            assert!(e.message.contains(needle), "{doc}: {e}");
+            assert!(
+                e.message.contains(needle),
+                "{}: {e}",
+                String::from_utf8_lossy(doc)
+            );
         }
     }
 
@@ -1036,45 +1057,67 @@ mod tests {
         // Only at offset 0: a mark after the root is trailing content.
         let e = events("<r/>\u{FEFF}").unwrap_err();
         assert!(e.message.contains("trailing content"), "{e}");
-        for (doc, message, at) in [
+        // Document, message, and (offset, line, column).
+        type Row<'a> = (&'a [u8], &'a str, (usize, u32, u32));
+        let table: &[Row] = &[
             (
-                "<?xml version=\"1.0\"?>\n<!DOCTYPE r>\n<r/>",
+                b"<?xml version=\"1.0\"?>\n<!DOCTYPE r>\n<r/>",
                 "DOCTYPE declarations are not supported",
                 (22, 2, 1),
             ),
             (
-                "<r>\n  <![CDATA[x]]>\n</r>",
+                b"<r>\n  <![CDATA[x]]>\n</r>",
                 "CDATA sections are not supported (the fragment has no text)",
                 (6, 2, 3),
             ),
             (
-                "<r a=\"1\"b=\"2\"/>",
+                b"<r a=\"1\"b=\"2\"/>",
                 "attributes must be separated by whitespace",
                 (8, 1, 9),
             ),
             (
-                "<r\n a='1'\n b='2'c='3'/>",
+                b"<r\n a='1'\n b='2'c='3'/>",
                 "attributes must be separated by whitespace",
                 (16, 3, 7),
             ),
             // A comment's `-->` may not overlap its `<!--`: both run to the
             // end of input.
-            ("<r><!--></r>", "unterminated comment", (12, 1, 13)),
-            ("<r><!---></r>", "unterminated comment", (13, 1, 14)),
+            (b"<r><!--></r>", "unterminated comment", (12, 1, 13)),
+            (b"<r><!---></r>", "unterminated comment", (13, 1, 14)),
             (
-                "<r>\n<!-- a -- b --></r>",
+                b"<r>\n<!-- a -- b --></r>",
                 "'--' is not allowed inside a comment",
                 (11, 2, 8),
             ),
             (
-                "<r><?></r>",
+                b"<r><?></r>",
                 "processing instruction has no target",
                 (5, 1, 6),
             ),
-        ] {
+            // Comment and instruction text is checked too, a character
+            // cut short by a `-` included: the error is at the first byte
+            // that is not UTF-8.
+            (
+                b"<r>\n<!-- ok \xc3\xa9 \xff --></r>",
+                "comment is not valid UTF-8",
+                (15, 2, 12),
+            ),
+            (
+                b"<r><!-- \xe2\x98--></r>",
+                "comment is not valid UTF-8",
+                (8, 1, 9),
+            ),
+            (
+                b"<?pi \xc3(?><r/>",
+                "processing instruction is not valid UTF-8",
+                (5, 1, 6),
+            ),
+        ];
+        for &(doc, message, at) in table {
+            let doc_text = String::from_utf8_lossy(doc);
             let e = events(doc).unwrap_err();
-            assert_eq!(e.message, message, "{doc}");
-            assert_eq!((e.offset, e.line, e.col), at, "{doc}: {e}");
+            assert_eq!(e.message, message, "{doc_text}");
+            assert_eq!((e.offset, e.line, e.col), at, "{doc_text}: {e}");
         }
         // Whitespace between attributes is still optional around `=`,
         // and a value may be followed directly by `/` or `>`.
@@ -1082,6 +1125,9 @@ mod tests {
         assert_eq!(evs[0], open("r", &[("a", "1"), ("b", "2")]));
         // Single dashes in comments and targeted instructions still pass.
         let evs = events("<?t x?><r><!-- a - b -> <- --><?pi ??></r>").unwrap();
+        assert_eq!(evs, vec![open("r", &[]), close("r")]);
+        // Multi-byte text in comments and instructions passes.
+        let evs = events("<?t caf\u{e9}?><r><!-- \u{263A} - \u{1F600} --></r>").unwrap();
         assert_eq!(evs, vec![open("r", &[]), close("r")]);
     }
 
@@ -1105,13 +1151,17 @@ mod tests {
         // was read, so the window must have kept the tag from its `<`.
         let mut r = SaxReader::new(OneByte(doc.as_bytes()));
         let mut seen = Vec::new();
-        while let Some(ev) = r.next_borrowed().unwrap() {
+        while let Some(ev) = r.next_event().unwrap() {
             match ev {
                 BorrowedEvent::Open(tag) => {
                     let attrs: Vec<(Option<usize>, String, String)> = (0..tag.len())
                         .map(|i| {
                             let name = tag.attr_name(i);
-                            (name.slot(), name.as_str().to_string(), tag.value_str(i).to_string())
+                            (
+                                name.slot(),
+                                name.as_str().to_string(),
+                                tag.value_str(i).to_string(),
+                            )
                         })
                         .collect();
                     seen.push((tag.label().slot(), tag.label().as_str().to_string(), attrs));
@@ -1142,9 +1192,7 @@ mod tests {
     fn repeated_names_share_one_allocation() {
         let evs = events(r#"<r><a v="1"/><a v="2"/></r>"#).unwrap();
         let (first, second) = match (&evs[1], &evs[3]) {
-            (SaxEvent::Open { label: a, attrs: x }, SaxEvent::Open { label: b, attrs: y }) => {
-                ((a, &x[0].0), (b, &y[0].0))
-            }
+            (Ev::Open(a, x), Ev::Open(b, y)) => ((a, &x[0].0), (b, &y[0].0)),
             other => panic!("unexpected events {other:?}"),
         };
         assert!(std::ptr::eq(first.0.as_str(), second.0.as_str()));
@@ -1176,7 +1224,7 @@ mod tests {
         let evs = events(&doc).unwrap();
         let amp_long = format!("&{long}");
         assert_eq!(evs[1], open("a", &[("v", &long), ("w", &amp_long)]));
-        let e = events(&format!("{doc}!")).unwrap_err();
+        let e = events(format!("{doc}!")).unwrap_err();
         assert_eq!((e.line, e.col), (3, 5));
         assert_eq!(e.offset, doc.len());
     }

@@ -7,7 +7,7 @@
 //! dependency.
 //!
 //! Tokenisation lives in [`crate::sax`]; [`parse`] here is an arena builder
-//! driving that pull reader's borrowed events, so the in-memory and
+//! driving that pull reader's events, so the in-memory and
 //! streaming paths share entity/attribute handling and emit identical
 //! diagnostics.
 
@@ -47,13 +47,14 @@ pub fn parse(input: &str) -> Result<Tree, XmlError> {
 
 /// [`parse`] over raw bytes, as [`SaxReader`] reads them: an attribute
 /// value that is not UTF-8 is rejected with its position (at its opening
-/// quote), and names and markup are ASCII. Like the reader, this skips the
-/// bytes of comments and processing instructions unchecked.
+/// quote), bytes of a comment or processing instruction that are not
+/// UTF-8 are rejected at the first offending byte, and names and markup
+/// are ASCII.
 pub fn parse_bytes(input: &[u8]) -> Result<Tree, XmlError> {
     let mut reader = SaxReader::new(input);
     let mut tree: Option<Tree> = None;
     let mut stack: Vec<NodeId> = Vec::new();
-    while let Some(event) = reader.next_borrowed()? {
+    while let Some(event) = reader.next_event()? {
         match event {
             BorrowedEvent::Open(tag) => {
                 let (label, attrs) = (tag.label().to_name(), tag.owned_attrs());

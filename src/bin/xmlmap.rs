@@ -97,19 +97,11 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-/// Parses the document at `path`. An attribute value that is not UTF-8
-/// is reported with its position, as `xmlmap stream` reports it; the rest
-/// of the file must be UTF-8 too.
+/// Parses the document at `path`. Bytes that are not UTF-8 are reported
+/// with their position, as `xmlmap stream` reports them.
 fn load_tree(path: &str) -> Result<Tree, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let tree = xmlmap::trees::xml::parse_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
-    // The reader skips comments and processing instructions unchecked.
-    if std::str::from_utf8(&bytes).is_err() {
-        return Err(format!(
-            "cannot read {path}: stream did not contain valid UTF-8"
-        ));
-    }
-    Ok(tree)
+    xmlmap::trees::xml::parse_bytes(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
 fn load_mapping(path: &str) -> Result<Mapping, String> {

@@ -1,22 +1,24 @@
-//! Differential tests for the borrowed start-tag path of the SAX reader.
+//! Differential tests for the borrowed start tags of the SAX reader.
 //!
-//! `SaxReader::next_borrowed` hands out start tags whose names are slots
-//! in the reader's name table and whose values are decoded bytes in the
-//! reader's window; `next_event` is the owned adapter over the same
-//! tokenizer. Three properties are checked here:
+//! `SaxReader::next_event` hands out start tags whose names are slots in
+//! the reader's name table and whose values are decoded bytes in the
+//! reader's window. Three properties are checked here:
 //!
 //! * over generated exchange documents, the reader's error-table
-//!   documents and their seeded mutations, read whole and through 1, 2, 3
-//!   and 7-byte sources, borrowed events agree with `next_event` event for
-//!   event, and error for error (message, offset, line and column); equal
-//!   name slots always hold equal names;
+//!   documents (names past the name table included) and their seeded
+//!   mutations, reads through 1, 2, 3 and 7-byte sources agree with the
+//!   whole read event for event, and error for error (message, offset,
+//!   line and column), and the tree parser fails with the same error;
+//!   equal name slots always hold equal names;
 //! * the streamed chase, which reads values only where a std binds them,
 //!   equals the tree chase when the bound attributes carry entity and
 //!   character references and raw UTF-8 (in process and through
 //!   `xmlmap stream --chase` against `xmlmap chase`);
 //! * a value no std binds is still checked: invalid UTF-8 or a bad
 //!   reference in a pad record fails the streamed chase at the same
-//!   position as the owned reader and the tree parser.
+//!   position as the tree parser, and so does a comment that is not
+//!   UTF-8, through `xmlmap chase`, `xmlmap stream --chase` and a `batch`
+//!   `member` job.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,7 +28,7 @@ use std::io::Read;
 use std::process::Command;
 use xmlmap::core::{EngineContext, StreamChaseError};
 use xmlmap::gen::{exchange_mapping, write_exchange_xml};
-use xmlmap::trees::sax::{BorrowedEvent, SaxEvent, SaxReader};
+use xmlmap::trees::sax::{BorrowedEvent, SaxReader};
 use xmlmap::trees::{xml, Value, XmlError};
 
 /// The documents of `tests/sax_chunks.rs` (every error of the reader,
@@ -138,33 +140,9 @@ enum Ev {
     Close(String),
 }
 
-fn text(v: &Value) -> String {
-    match v {
-        Value::Str(s) => s.to_string(),
-        other => panic!("the reader yields string values, got {other:?}"),
-    }
-}
-
-/// Every owned event up to the end of the document or the first error.
-fn owned<R: Read>(src: R) -> (Vec<Ev>, Option<XmlError>) {
-    let mut reader = SaxReader::new(src);
-    let mut events = Vec::new();
-    loop {
-        match reader.next_event() {
-            Ok(Some(SaxEvent::Open { label, attrs })) => events.push(Ev::Open(
-                label.to_string(),
-                attrs.iter().map(|(a, v)| (a.to_string(), text(v))).collect(),
-            )),
-            Ok(Some(SaxEvent::Close { label })) => events.push(Ev::Close(label.to_string())),
-            Ok(None) => return (events, None),
-            Err(e) => return (events, Some(e)),
-        }
-    }
-}
-
-/// Every borrowed event, copied out, up to the end of the document or the
-/// first error; also checks that a name slot always holds one name.
-fn borrowed<R: Read>(src: R) -> (Vec<Ev>, Option<XmlError>) {
+/// Every event, copied out, up to the end of the document or the first
+/// error; also checks that a name slot always holds one name.
+fn read_all<R: Read>(src: R) -> (Vec<Ev>, Option<XmlError>) {
     let mut reader = SaxReader::new(src);
     let mut events = Vec::new();
     let mut slots: HashMap<usize, String> = HashMap::new();
@@ -175,7 +153,7 @@ fn borrowed<R: Read>(src: R) -> (Vec<Ev>, Option<XmlError>) {
         }
     };
     loop {
-        match reader.next_borrowed() {
+        match reader.next_event() {
             Ok(Some(BorrowedEvent::Open(tag))) => {
                 check(tag.label().slot(), tag.label().as_str());
                 let mut attrs = Vec::new();
@@ -200,11 +178,10 @@ fn borrowed<R: Read>(src: R) -> (Vec<Ev>, Option<XmlError>) {
 }
 
 fn agree(doc: &[u8]) -> Result<(), TestCaseError> {
-    let want = owned(doc);
-    prop_assert_eq!(&borrowed(doc), &want, "whole {:?}", String::from_utf8_lossy(doc));
+    let want = read_all(doc);
     for step in [1, 2, 3, 7] {
         prop_assert_eq!(
-            &borrowed(Trickle { rest: doc, step }),
+            &read_all(Trickle { rest: doc, step }),
             &want,
             "{}-byte reads of {:?}",
             step,
@@ -216,7 +193,7 @@ fn agree(doc: &[u8]) -> Result<(), TestCaseError> {
 }
 
 #[test]
-fn borrowed_events_equal_owned_events_on_the_seeds() {
+fn chunked_reads_agree_on_the_seeds() {
     for doc in seeds() {
         agree(&doc).unwrap();
     }
@@ -227,21 +204,37 @@ fn a_long_document_reads_identically_borrowed() {
     // Several 64 KiB windows, so start tags cross real refills.
     let mut doc = Vec::new();
     write_exchange_xml(40, 3, 10_000, &mut doc).expect("write to a Vec");
-    let want = owned(&doc[..]);
+    let want = read_all(&doc[..]);
     assert_eq!(want.1, None);
-    assert_eq!(borrowed(&doc[..]), want);
-    assert_eq!(borrowed(Trickle { rest: &doc, step: 7 }), want);
+    assert_eq!(
+        read_all(Trickle {
+            rest: &doc,
+            step: 7
+        }),
+        want
+    );
 }
 
 #[test]
 fn a_start_tag_longer_than_the_window_is_kept_whole() {
     let long = "y".repeat(200_000);
     let doc = format!("<r><a v='{long}' w='&lt;{long}' x='z'/></r>");
-    let want = owned(doc.as_bytes());
+    let want = read_all(doc.as_bytes());
     assert_eq!(want.1, None);
-    assert_eq!(borrowed(doc.as_bytes()), want);
+    let attr = |name: &str, value: &str| (name.to_string(), value.to_string());
     assert_eq!(
-        borrowed(Trickle {
+        want.0[1],
+        Ev::Open(
+            "a".to_string(),
+            vec![
+                attr("v", &long),
+                attr("w", &format!("<{long}")),
+                attr("x", "z")
+            ]
+        )
+    );
+    assert_eq!(
+        read_all(Trickle {
             rest: doc.as_bytes(),
             step: 4093
         }),
@@ -357,9 +350,9 @@ fn values_no_std_binds_are_still_checked() {
             col: at.2,
             message: message.to_string(),
         };
-        // The owned reader and the tree parser report it where the
-        // previous, value-building reader did...
-        assert_eq!(owned(&doc[..]).1.as_ref(), Some(&want));
+        // The reader and the tree parser report it where a reader that
+        // builds every value would...
+        assert_eq!(read_all(&doc[..]).1.as_ref(), Some(&want));
         assert_eq!(xml::parse_bytes(&doc).err().as_ref(), Some(&want));
         // ... and so do the streamed chase and streamed validation, which
         // never build the pad's values.
@@ -369,6 +362,41 @@ fn values_no_std_binds_are_still_checked() {
             Ok(out) => panic!("expected a parse error, got {:?}", out.violation),
         }
         let validated = ctx.stream_document(&m.source_dtd, None, &doc[..]);
-        assert_eq!(validated.err().map(|e| e.to_string()), Some(want.to_string()));
+        assert_eq!(
+            validated.err().map(|e| e.to_string()),
+            Some(want.to_string())
+        );
     }
+}
+
+#[test]
+fn a_comment_that_is_not_utf8_fails_every_driver_at_one_position() {
+    let dir = std::env::temp_dir().join(format!("xmlmap-comment-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("copy.map"),
+        "[source]\nroot r\nr -> a*\na @ v\n[target]\nroot r\nr -> b*\nb @ w\n\
+         [stds]\nr/a(x) --> r/b(x)\n",
+    )
+    .unwrap();
+    std::fs::write(dir.join("c.xml"), b"<r>\n<!-- \xff --><a v=\"1\"/></r>").unwrap();
+    std::fs::write(dir.join("t.xml"), "<r/>").unwrap();
+    std::fs::write(dir.join("jobs.txt"), "member copy.map c.xml t.xml\n").unwrap();
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_xmlmap"))
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    let chase = run(&["chase", "copy.map", "c.xml"]);
+    let streamed = run(&["stream", "--chase", "copy.map", "c.xml"]);
+    let batch = run(&["batch", "jobs.txt"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let error = "c.xml: XML parse error at byte 9 (line 2, column 6): comment is not valid UTF-8";
+    assert_eq!(chase, format!("error: {error}\n"));
+    assert_eq!(streamed, chase);
+    assert!(batch.contains(&format!("line 1: {error}\n")), "{batch}");
 }

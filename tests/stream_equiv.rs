@@ -27,9 +27,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use xmlmap::dtd::{Dtd, DtdIndex};
+use xmlmap::dtd::{Dtd, DtdIndex, StreamValidator};
 use xmlmap::gen::{random_tree, university_dtd, TreeGenConfig};
-use xmlmap::patterns::{self, CompiledPattern, Matcher, StreamEnumerator, StreamPattern};
+use xmlmap::patterns::{
+    self, CanonicalAttrs, CompiledPattern, Matcher, StreamEnumerator, StreamPattern,
+};
+use xmlmap::trees::sax::{BorrowedEvent, SaxReader};
 use xmlmap::trees::{isomorphic_mod_nulls, xml, Name, NodeId, Tree, Value};
 
 /// Keep generated documents comfortably arena-sized.
@@ -202,24 +205,35 @@ fn membership_is_withheld_when_conformance_fails() {
     }
 }
 
-/// Feeds the (already attribute-normalised) tree to a [`StreamEnumerator`]
-/// as an open/close event stream, exactly like the one-pass driver does.
-fn enumerate(plan: &StreamPattern, t: &Tree) -> Vec<Box<[Value]>> {
-    fn drive(t: &Tree, n: NodeId, en: &mut StreamEnumerator) {
-        en.open(t.label(n), t.attrs(n));
-        for &c in t.children(n) {
-            drive(t, c, en);
-        }
-        en.close();
-    }
+/// Serialises the tree and streams it into a [`StreamEnumerator`], with
+/// the label masks and the canonical attribute order the one-pass driver
+/// uses.
+fn enumerate(idx: &Arc<DtdIndex>, plan: &StreamPattern, t: &Tree) -> Vec<Box<[Value]>> {
+    let bytes = xml::to_string(t).into_bytes();
+    let masks = plan.label_masks(idx.labels());
+    let mut reader = SaxReader::new(bytes.as_slice());
+    let mut validator = StreamValidator::new(Arc::clone(idx));
     let mut en = StreamEnumerator::new(plan);
-    drive(t, Tree::ROOT, &mut en);
+    while let Some(event) = reader.next_event().unwrap() {
+        match event {
+            BorrowedEvent::Open(tag) => {
+                let lid = validator.open_tag(&tag).expect("generated trees conform");
+                let attrs = CanonicalAttrs::new(&tag, validator.canonical_order());
+                en.open(masks.get(lid), &attrs);
+            }
+            BorrowedEvent::Close(_) => {
+                validator.close().expect("generated trees conform");
+                en.close();
+            }
+        }
+    }
     en.finish()
 }
 
 #[test]
 fn firing_enumeration_matches_the_arena_evaluator() {
     let dtd = university_dtd();
+    let idx = Arc::new(DtdIndex::new(&dtd));
     let probes = [
         "r/prof(x)",
         "r//course(c)",
@@ -247,7 +261,7 @@ fn firing_enumeration_matches_the_arena_evaluator() {
         dtd.normalize_attrs(&mut doc).unwrap();
         for (probe, compiled, plan) in &plans {
             let expected = Matcher::new(&doc, compiled).all_match_tuples();
-            let streamed = enumerate(plan, &doc);
+            let streamed = enumerate(&idx, plan, &doc);
             assert_eq!(
                 streamed.len(),
                 expected.len(),
