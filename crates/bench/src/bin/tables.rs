@@ -2,9 +2,13 @@
 //! wall-clock times per cell. The output of this binary (in `--release`) is
 //! what `EXPERIMENTS.md` records.
 
-use xmlmap_bench::{fmt_duration, time_once};
+use std::hint::black_box;
+use std::time::Duration;
+use xmlmap_bench::{fmt_duration, measure_median_ns, time_once};
 use xmlmap_core::{bounded, consistency, SkolemMapping};
 use xmlmap_gen::hard;
+use xmlmap_patterns::{Pattern, Valuation, Var};
+use xmlmap_trees::{Tree, Value};
 
 const BUDGET: usize = 200_000_000;
 
@@ -26,13 +30,32 @@ fn main() {
     figure2();
     lemma41();
     thm82();
-    chase_ablation();
+    ablation();
 }
 
 fn header(title: &str) {
     println!("\n{}", "=".repeat(78));
     println!("{title}");
     println!("{}", "=".repeat(78));
+}
+
+/// Median time of one call of `routine`, for the microsecond cells where
+/// a single shot would mostly measure noise.
+fn median(mut routine: impl FnMut()) -> Duration {
+    let ns = measure_median_ns(5, Duration::from_millis(10), &mut routine);
+    Duration::from_nanos(ns as u64)
+}
+
+/// The copy chain's documents over `k` values: `r` with `k` `a0(v)`
+/// children and `w` with the matching `c0(u)` children.
+fn copy_chain_docs(k: usize) -> (Tree, Tree) {
+    let mut t1 = Tree::new("r");
+    let mut t3 = Tree::new("w");
+    for i in 0..k {
+        t1.add_child(Tree::ROOT, "a0", [("v", Value::str(format!("v{i}")))]);
+        t3.add_child(Tree::ROOT, "c0", [("u", Value::str(format!("v{i}")))]);
+    }
+    (t1, t3)
 }
 
 fn figure1() {
@@ -142,6 +165,28 @@ fn figure2() {
         );
     }
 
+    println!("\nTree-pattern evaluation, combined complexity — paper: PTIME");
+    println!("(pattern and document grow together: n student conjuncts, n students per professor)");
+    println!("{:>8} {:>10} {:>14}", "n", "doc nodes", "time");
+    for n in [2usize, 4, 8, 16] {
+        let tree = xmlmap_gen::university_tree(n, n);
+        let mut supervise = Pattern::leaf("supervise", Vec::<Var>::new());
+        for i in 0..n {
+            supervise = supervise.child(Pattern::leaf("student", [format!("s{i}")]));
+        }
+        let pattern = Pattern::leaf("r", Vec::<Var>::new())
+            .child(Pattern::leaf("prof", ["x"]).child(supervise));
+        // Boolean matching: the decision problem the PTIME bound is about.
+        let d = median(|| {
+            assert!(xmlmap_patterns::matches_with(
+                black_box(&tree),
+                black_box(&pattern),
+                &Valuation::new()
+            ))
+        });
+        println!("{n:>8} {:>10} {:>14}", tree.size(), fmt_duration(d));
+    }
+
     println!("\n⟦M⟧ membership, data complexity (fixed 2-var mapping) — paper: DLOGSPACE");
     println!("{:>10} {:>14}", "doc nodes", "time");
     let m2 = hard::membership_vars(2);
@@ -172,20 +217,7 @@ fn figure2() {
     let shapes = xmlmap_core::ShapeCache::new(&m12.target_dtd);
     let chase = xmlmap_core::ChaseCache::new(&m12);
     for k in [2usize, 4, 8, 16, 32] {
-        let mut t1 = xmlmap_trees::Tree::new("r");
-        let mut t3 = xmlmap_trees::Tree::new("w");
-        for i in 0..k {
-            t1.add_child(
-                xmlmap_trees::Tree::ROOT,
-                "a0",
-                [("v", xmlmap_trees::Value::str(format!("v{i}")))],
-            );
-            t3.add_child(
-                xmlmap_trees::Tree::ROOT,
-                "c0",
-                [("u", xmlmap_trees::Value::str(format!("v{i}")))],
-            );
-        }
+        let (t1, t3) = copy_chain_docs(k);
         let (middle, d) = time_once(|| {
             xmlmap_core::composition_member_cached(&m12, &m23, &t1, &t3, k + 2, &shapes, &chase)
         });
@@ -282,10 +314,93 @@ fn thm82() {
             fmt_duration(d)
         );
     }
+
+    println!("\ncomposed-mapping membership vs. #values (no middle document is searched)");
+    println!("{:>8} {:>14}", "values", "time");
+    let (m12, m23) = hard::compose_chain(1);
+    let s13 = xmlmap_core::compose(
+        &SkolemMapping::from_mapping(&m12).unwrap(),
+        &SkolemMapping::from_mapping(&m23).unwrap(),
+    )
+    .unwrap();
+    for k in [2usize, 4, 8, 16] {
+        let (t1, t3) = copy_chain_docs(k);
+        let d = median(|| assert!(s13.is_solution(black_box(&t1), black_box(&t3))));
+        println!("{k:>8} {:>14}", fmt_duration(d));
+    }
 }
 
-fn chase_ablation() {
-    header("Ablation — the chase and solution reduction (§9 target construction)");
+/// A failing pattern with `n` independent `//`-obligations over a flat
+/// tree of `width` children: exponential for a naive backtracking
+/// evaluator, linear for the structural DP.
+fn adversarial(n: usize, width: usize) -> (Tree, Pattern) {
+    let mut t = Tree::new("r");
+    for i in 0..width {
+        t.add_child(Tree::ROOT, "a", [("v", Value::int(i as i64))]);
+    }
+    let mut p = Pattern::leaf("r", Vec::<Var>::new());
+    for i in 0..n {
+        p = p.descendant(Pattern::leaf("a", [format!("u{i}")]));
+    }
+    p = p.descendant(Pattern::leaf("zz", Vec::<Var>::new())); // always fails
+    (t, p)
+}
+
+fn ablation() {
+    header("Ablation — implementation design choices (DESIGN.md)");
+
+    println!("\nBoolean matching of failing patterns: backtracking vs. structural DP");
+    println!("(n independent //-obligations over a 24-node document)");
+    println!("{:>8} {:>14} {:>14}", "n", "backtracking", "dp");
+    for n in [1usize, 2, 3, 4, 8, 16] {
+        let (t, p) = adversarial(n, 24);
+        // A seeded (empty) search takes the backtracking path.
+        let backtracking = median(|| {
+            assert!(!xmlmap_patterns::matches_with(
+                black_box(&t),
+                black_box(&p),
+                &Valuation::new()
+            ))
+        });
+        let dp = median(|| {
+            assert_eq!(
+                xmlmap_patterns::matches_structural(black_box(&t), black_box(&p)),
+                Some(false)
+            )
+        });
+        println!(
+            "{n:>8} {:>14} {:>14}",
+            fmt_duration(backtracking),
+            fmt_duration(dp)
+        );
+    }
+
+    println!("\nper-document solution existence: chase vs. bounded search");
+    println!("{:>8} {:>14} {:>14}", "values", "chase", "bounded");
+    let copy = xmlmap_core::Mapping::new(
+        xmlmap_dtd::parse("root r\nr -> a*\na @ v").unwrap(),
+        xmlmap_dtd::parse("root r\nr -> b*\nb @ w").unwrap(),
+        vec![xmlmap_core::Std::parse("r/a(x) --> r/b(x)").unwrap()],
+    );
+    for k in [1usize, 2, 3] {
+        let mut src = Tree::new("r");
+        for i in 0..k {
+            src.add_child(Tree::ROOT, "a", [("v", Value::str(format!("v{i}")))]);
+        }
+        let chase = median(|| {
+            let solution = xmlmap_core::canonical_solution(black_box(&copy), black_box(&src));
+            assert_eq!(solution.unwrap().size(), k + 1);
+        });
+        let exhaustive = median(|| {
+            let solution = bounded::solution_exists(black_box(&copy), black_box(&src), k + 1);
+            assert!(solution.is_some());
+        });
+        println!(
+            "{k:>8} {:>14} {:>14}",
+            fmt_duration(chase),
+            fmt_duration(exhaustive)
+        );
+    }
 
     println!("\ncanonical solution vs. reduced solution on the university mapping");
     println!(

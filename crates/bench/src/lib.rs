@@ -5,9 +5,10 @@
 //! (Figure 1), the complexity-results grid (Figure 2), and the scaling
 //! behaviours behind Lemma 4.1 and Theorem 8.2.
 //!
-//! * `cargo bench -p xmlmap-bench` runs the Criterion benches;
-//! * `cargo run -p xmlmap-bench --bin tables --release` prints the
-//!   paper-style empirical grids recorded in `EXPERIMENTS.md`.
+//! `cargo run -p xmlmap-bench --bin tables --release` prints the
+//! paper-style empirical grids recorded in `EXPERIMENTS.md`, asserting
+//! each cell's verdict; `-- --json` runs the micro-suite behind
+//! `BENCH_eval.json` (see [`micro`]).
 
 pub mod micro;
 
@@ -33,16 +34,59 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
+/// Median ns/iteration of `routine` over `samples` batches within roughly
+/// `budget` total measurement time.
+pub fn measure_median_ns(samples: usize, budget: Duration, routine: &mut dyn FnMut()) -> f64 {
+    // Warm-up + estimate: run until 2ms or 3 iterations.
+    let mut iters_done = 0u64;
+    let warmup = Instant::now();
+    while iters_done < 3 || warmup.elapsed() < Duration::from_millis(2) {
+        routine();
+        iters_done += 1;
+        if iters_done >= 1_000_000 {
+            break;
+        }
+    }
+    let est_per_iter = warmup.elapsed().as_secs_f64() / iters_done as f64;
+    // Batch size so one sample takes ~budget/samples.
+    let per_sample = budget.as_secs_f64() / samples as f64;
+    let batch = ((per_sample / est_per_iter.max(1e-9)) as u64).clamp(1, 10_000_000);
+    let mut sample_ns: Vec<f64> = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        let start = Instant::now();
+        for _ in 0..batch {
+            routine();
+        }
+        sample_ns.push(start.elapsed().as_nanos() as f64 / batch as f64);
+    }
+    sample_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let mid = sample_ns.len() / 2;
+    if sample_ns.len() % 2 == 1 {
+        sample_ns[mid]
+    } else {
+        (sample_ns[mid - 1] + sample_ns[mid]) / 2.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::hint::black_box;
 
     #[test]
     fn duration_formatting() {
         assert_eq!(fmt_duration(Duration::from_micros(250)), "250µs");
         assert_eq!(fmt_duration(Duration::from_micros(1_500)), "1.5ms");
         assert_eq!(fmt_duration(Duration::from_millis(2_300)), "2.30s");
+    }
+
+    #[test]
+    fn median_measurement_is_sane() {
+        let mut x = 0u64;
+        let ns = measure_median_ns(5, Duration::from_millis(20), &mut || {
+            x = black_box(x.wrapping_add(1));
+        });
+        assert!(ns > 0.0 && ns < 1_000_000.0, "{ns}");
     }
 
     #[test]

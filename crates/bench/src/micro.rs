@@ -10,7 +10,7 @@
 //! `speedup` sections, so a perf change carries its own before/after
 //! evidence in one artefact.
 
-use criterion::measure_median_ns;
+use crate::measure_median_ns;
 use std::time::Duration;
 use xmlmap_automata::HedgeAutomaton;
 use xmlmap_core::consistency;

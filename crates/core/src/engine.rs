@@ -627,16 +627,6 @@ impl EngineContext {
         Ok(self)
     }
 
-    /// The configured memory budget, if any.
-    pub fn memory_budget(&self) -> Option<u64> {
-        self.budget
-    }
-
-    /// The attached artifact-store directory, if any.
-    pub fn disk_cache_dir(&self) -> Option<&Path> {
-        self.store.as_ref().map(ArtifactStore::dir)
-    }
-
     // ---- the load-or-compile spine -------------------------------------
 
     /// One lookup against a memory-only family cache: resident hit, else

@@ -393,9 +393,9 @@ impl<R: Read> SaxReader<R> {
     /// The window is one chunk, doubled only when a single token does not
     /// fit in it. Since a start tag is kept whole from its `<` until the
     /// next event is requested (its names and values are handed out as
-    /// slices of the window), and a whitespace run straddling a refill is
-    /// kept whole too, the reader's memory is O(depth + chunk + longest
-    /// start tag + name table).
+    /// slices of the window), while whitespace, comment and instruction
+    /// runs are consumed chunk by chunk, the reader's memory is
+    /// O(depth + chunk + longest start tag + name table).
     #[inline]
     fn ensure(&mut self, n: usize) -> Result<(), XmlError> {
         debug_assert!(n <= MAX_LOOKAHEAD);
@@ -462,11 +462,21 @@ impl<R: Read> SaxReader<R> {
         Ok(b)
     }
 
-    /// Skips a run of whitespace; reports whether there was any.
+    /// Skips a run of whitespace; reports whether there was any. Unlike
+    /// [`Self::scan`], a run that reaches the end of the window is consumed
+    /// before the refill, so the window does not grow with the run.
     fn skip_ws(&mut self) -> Result<bool, XmlError> {
-        let n = self.scan(is_ws)?;
-        self.advance(n);
-        Ok(n > 0)
+        let mut any = false;
+        loop {
+            let rest = &self.buf[self.pos..self.end];
+            let stop = rest.iter().position(|&b| !is_ws(b));
+            let n = stop.unwrap_or(rest.len());
+            self.advance(n);
+            any |= n > 0;
+            if stop.is_some() || !self.refill()? {
+                return Ok(any);
+            }
+        }
     }
 
     fn eat(&mut self, b: u8) -> Result<(), XmlError> {
@@ -478,17 +488,37 @@ impl<R: Read> SaxReader<R> {
         }
     }
 
-    /// Consumes the `n` bytes at `pos`, a run of the text of a comment or
-    /// processing instruction (`what`) that ends at an ASCII delimiter or
-    /// at the end of input, so the run holds whole characters: text that
-    /// is not UTF-8 is an error at its first offending byte.
-    fn skip_text(&mut self, n: usize, what: &str) -> Result<(), XmlError> {
-        if let Err(e) = std::str::from_utf8(&self.buf[self.pos..self.pos + n]) {
-            self.advance(e.valid_up_to());
-            return self.err(format!("{what} is not valid UTF-8"));
+    /// Consumes the run of comment or processing-instruction (`what`)
+    /// text at `pos` up to the ASCII byte `delim` or the end of input.
+    /// Text that is not UTF-8 is an error at its first offending byte. The
+    /// run is consumed window by window, and a character cut by the end of
+    /// the window is carried across the refill, so the window does not
+    /// grow with the run.
+    fn skip_text(&mut self, delim: u8, what: &str) -> Result<(), XmlError> {
+        loop {
+            let rest = &self.buf[self.pos..self.end];
+            let stop = rest.iter().position(|&b| b == delim);
+            let run = &rest[..stop.unwrap_or(rest.len())];
+            let whole = run.len();
+            let (valid, cut) = match std::str::from_utf8(run) {
+                Ok(_) => (whole, false),
+                Err(e) => (e.valid_up_to(), e.error_len().is_none()),
+            };
+            self.advance(valid);
+            if stop.is_some() && valid == whole {
+                return Ok(());
+            }
+            // The run reached the end of the window, whole or with a
+            // character the refill may complete.
+            if stop.is_none() && (valid == whole || cut) && self.refill()? {
+                continue;
+            }
+            return if self.pos == self.end {
+                Ok(())
+            } else {
+                self.err(format!("{what} is not valid UTF-8"))
+            };
         }
-        self.advance(n);
-        Ok(())
     }
 
     /// Skips whitespace, comments, and processing instructions.
@@ -509,8 +539,7 @@ impl<R: Read> SaxReader<R> {
                     Some(_) => {}
                 }
                 loop {
-                    let n = self.scan(|b| b != b'?')?;
-                    self.skip_text(n, "processing instruction")?;
+                    self.skip_text(b'?', "processing instruction")?;
                     if self.starts_with(b"?>")? {
                         self.advance(2);
                         break;
@@ -522,8 +551,7 @@ impl<R: Read> SaxReader<R> {
             } else if self.starts_with(b"<!--")? {
                 self.advance(4);
                 loop {
-                    let n = self.scan(|b| b != b'-')?;
-                    self.skip_text(n, "comment")?;
+                    self.skip_text(b'-', "comment")?;
                     if self.starts_with(b"-->")? {
                         self.advance(3);
                         break;
@@ -903,6 +931,22 @@ mod tests {
         Ev::Close(Name::new(label))
     }
 
+    /// A source handing out at most `max` bytes per read, so tokens and
+    /// runs straddle refills.
+    struct Chunked<'a> {
+        rest: &'a [u8],
+        max: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let k = self.rest.len().min(buf.len()).min(self.max);
+            buf[..k].copy_from_slice(&self.rest[..k]);
+            self.rest = &self.rest[k..];
+            Ok(k)
+        }
+    }
+
     #[test]
     fn event_sequence() {
         let evs = events(r#"<r><a x="1"/><b></b></r>"#).unwrap();
@@ -943,19 +987,11 @@ mod tests {
     fn small_chunks_see_identical_events() {
         // A reader that returns one byte at a time exercises every
         // refill/compaction boundary.
-        struct OneByte<'a>(&'a [u8]);
-        impl Read for OneByte<'_> {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.0.is_empty() {
-                    return Ok(0);
-                }
-                buf[0] = self.0[0];
-                self.0 = &self.0[1..];
-                Ok(1)
-            }
-        }
         let doc = r#"<?xml version="1.0"?><!-- c --><r><a v="x &lt; y"/></r>"#;
-        let mut slow = SaxReader::new(OneByte(doc.as_bytes()));
+        let mut slow = SaxReader::new(Chunked {
+            rest: doc.as_bytes(),
+            max: 1,
+        });
         let mut fast = SaxReader::new(doc.as_bytes());
         loop {
             let (a, b) = (next(&mut slow).unwrap(), next(&mut fast).unwrap());
@@ -1057,6 +1093,14 @@ mod tests {
         // Only at offset 0: a mark after the root is trailing content.
         let e = events("<r/>\u{FEFF}").unwrap_err();
         assert!(e.message.contains("trailing content"), "{e}");
+        // A comment running past the first chunk, with a character cut by
+        // each refill and a bad byte at its end.
+        let long_comment = [
+            b"<r>\n<!-- ".as_slice(),
+            "\u{e9}".repeat(CHUNK).as_bytes(),
+            b"\xff --></r>",
+        ]
+        .concat();
         // Document, message, and (offset, line, column).
         type Row<'a> = (&'a [u8], &'a str, (usize, u32, u32));
         let table: &[Row] = &[
@@ -1112,6 +1156,11 @@ mod tests {
                 "processing instruction is not valid UTF-8",
                 (5, 1, 6),
             ),
+            (
+                &long_comment,
+                "comment is not valid UTF-8",
+                (9 + 2 * CHUNK, 2, 6 + 2 * CHUNK as u32),
+            ),
         ];
         for &(doc, message, at) in table {
             let doc_text = String::from_utf8_lossy(doc);
@@ -1133,23 +1182,13 @@ mod tests {
 
     #[test]
     fn borrowed_tags_carry_slots_and_decoded_values() {
-        struct OneByte<'a>(&'a [u8]);
-        impl Read for OneByte<'_> {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                match self.0.split_first() {
-                    None => Ok(0),
-                    Some((&b, rest)) => {
-                        buf[0] = b;
-                        self.0 = rest;
-                        Ok(1)
-                    }
-                }
-            }
-        }
         let doc = "<r><a v='x &amp; y' w=\"caf\u{e9}\"/><a w='&#x263A;' v=''/></r>";
         // One byte per read: every value was refilled past while its tag
         // was read, so the window must have kept the tag from its `<`.
-        let mut r = SaxReader::new(OneByte(doc.as_bytes()));
+        let mut r = SaxReader::new(Chunked {
+            rest: doc.as_bytes(),
+            max: 1,
+        });
         let mut seen = Vec::new();
         while let Some(ev) = r.next_event().unwrap() {
             match ev {
@@ -1214,6 +1253,30 @@ mod tests {
             open(&format!("e{last}"), &[(&format!("k{last}"), "v")])
         );
         assert_eq!(evs[evs.len() - 2], close(&format!("e{last}")));
+    }
+
+    #[test]
+    fn long_comments_and_whitespace_keep_the_window_small() {
+        // Runs straddle many refills, and multi-byte characters are cut
+        // between them.
+        let text = "caf\u{e9} \u{263A} - \u{1F600} ".repeat(200_000);
+        let ws = " \n\t".repeat(1_000_000);
+        let doc = format!("<?pi {text}?><r>{ws}<!--{text}-->{ws}<a/>{ws}</r>{ws}");
+        assert!(doc.len() > 10_000_000);
+        let mut r = SaxReader::new(Chunked {
+            rest: doc.as_bytes(),
+            max: 1000,
+        });
+        let mut evs = Vec::new();
+        while let Some(ev) = next(&mut r).unwrap() {
+            evs.push(ev);
+        }
+        assert_eq!(
+            evs,
+            vec![open("r", &[]), open("a", &[]), close("a"), close("r")]
+        );
+        assert!(r.buf.len() <= 2 * CHUNK, "window grew to {}", r.buf.len());
+        assert_eq!(r.position(), (4_000_001, 2));
     }
 
     #[test]
