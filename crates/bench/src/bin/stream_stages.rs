@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use xmlmap_core::StreamChasePlan;
+use xmlmap_core::EngineContext;
 use xmlmap_dtd::DtdIndex;
 use xmlmap_gen::{exchange_mapping, write_exchange_xml};
 use xmlmap_trees::SaxReader;
@@ -36,7 +36,7 @@ fn main() {
     let text = std::str::from_utf8(&doc).expect("UTF-8");
     let m = exchange_mapping();
     let idx = Arc::new(DtdIndex::new(&m.source_dtd));
-    let plan = StreamChasePlan::new(&m);
+    let plan = EngineContext::new().stream_chase_plan(&m);
 
     let mut stages: Vec<Stage<'_>> = vec![
         (

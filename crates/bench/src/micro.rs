@@ -523,7 +523,7 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
     // peak live streaming state do not grow with the pad count.
     let ex_map = xmlmap_gen::exchange_mapping();
     let ex_idx = std::sync::Arc::new(xmlmap_dtd::DtdIndex::new(&ex_map.source_dtd));
-    let ex_plan = xmlmap_core::StreamChasePlan::new(&ex_map);
+    let ex_plan = xmlmap_core::EngineContext::new().stream_chase_plan(&ex_map);
     assert!(ex_plan.unstreamable().is_none(), "exchange stds stream");
     let ex_corpus = |scale: usize, pads: usize| {
         let path = stream_dir.join(format!("exchange_{scale}x.xml"));

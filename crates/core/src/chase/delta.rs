@@ -103,13 +103,6 @@ pub struct TouchProfile {
 }
 
 impl TouchProfile {
-    /// Summarizes `p`.
-    pub fn of(p: &Pattern) -> TouchProfile {
-        TouchProfile {
-            labels: p.label_footprint(),
-        }
-    }
-
     /// Can an edit whose region carries `labels` create or destroy
     /// matches of this pattern?
     fn touched(&self, labels: &BTreeSet<Name>) -> bool {
@@ -120,29 +113,30 @@ impl TouchProfile {
     }
 }
 
-/// Per-mapping compiled artifact for incremental sessions: the chase
+/// Per-mapping artifact for incremental sessions: the shared chase
 /// tables plus one [`TouchProfile`] per std. Cached in memory by
 /// [`crate::engine::EngineContext::delta_plan`].
 pub struct DeltaPlan {
-    pub(crate) chase: ChaseCache,
+    pub(crate) chase: Arc<ChaseCache>,
     pub(crate) profiles: Vec<TouchProfile>,
 }
 
 impl DeltaPlan {
-    /// Compiles the delta tables for `m`.
-    pub fn new(m: &Mapping) -> DeltaPlan {
-        let chase = ChaseCache::new(m);
-        // A mapping outside the chase fragment compiles to no std plans,
-        // so it gets no profiles either: its sessions only report the
-        // fragment error.
-        let profiles = m.stds[..chase.std_count()]
+    /// Profiles `chase`'s std sources (none outside the chase fragment,
+    /// where sessions only report the fragment error).
+    pub fn new(chase: Arc<ChaseCache>) -> DeltaPlan {
+        let profiles = chase
+            .plans
             .iter()
-            .map(|s| TouchProfile::of(&s.source))
+            .map(|p| TouchProfile {
+                labels: p.source.label_footprint(),
+            })
             .collect();
         DeltaPlan { chase, profiles }
     }
 
-    /// Approximate heap footprint for the engine's memory accounting.
+    /// Approximate heap footprint of the touch profiles (the chase tables
+    /// are accounted where they are cached).
     pub fn approx_bytes(&self) -> u64 {
         let profiles: u64 = self
             .profiles
@@ -153,7 +147,7 @@ impl DeltaPlan {
                 }) + 16
             })
             .sum();
-        self.chase.approx_bytes() + profiles
+        profiles
     }
 }
 
@@ -432,7 +426,8 @@ impl IncrementalChase {
     /// Opens a session, compiling a fresh [`DeltaPlan`]. The initial
     /// chase state is built by matching every std once.
     pub fn new(m: &Mapping, doc: Tree) -> IncrementalChase {
-        IncrementalChase::with_plan(m.clone(), doc, Arc::new(DeltaPlan::new(m)))
+        let plan = DeltaPlan::new(Arc::new(ChaseCache::new(m)));
+        IncrementalChase::with_plan(m.clone(), doc, Arc::new(plan))
     }
 
     /// Opens a session over a shared, possibly disk-loaded plan.

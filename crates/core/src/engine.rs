@@ -163,11 +163,13 @@ pub struct EngineStats {
     pub stream_index: CacheCounters,
     /// Streaming pattern plans (one per downward-fragment pattern).
     pub stream_plans: CacheCounters,
-    /// Streaming-chase artifacts (one per mapping: chase tables plus
-    /// per-std stream enumerator plans).
+    /// Streaming-chase artifacts (one per mapping), over the `chase` and
+    /// `stream_plans` families' artifacts, which a miss also looks up;
+    /// bytes and compile time count only the list of shared plans.
     pub stream_chase: CacheCounters,
-    /// Incremental-chase artifacts (one per mapping: chase tables plus
-    /// per-std touch profiles).
+    /// Incremental-chase artifacts (one per mapping), over the `chase`
+    /// family's tables, which a miss also looks up; bytes and compile
+    /// time count only the per-std touch profiles.
     pub delta: CacheCounters,
     /// Streaming passes run through [`EngineContext::stream_document`]
     /// or [`EngineContext::chase_stream`].
@@ -338,10 +340,12 @@ struct ShardedCache<V> {
     /// Round-robin shard cursor for eviction, so successive evictions
     /// spread over shards instead of draining one.
     clock: AtomicUsize,
+    /// The artifact's own accounted bytes (shared children excluded).
+    measure: fn(&V) -> u64,
 }
 
 impl<V> ShardedCache<V> {
-    fn new() -> ShardedCache<V> {
+    fn new(measure: fn(&V) -> u64) -> ShardedCache<V> {
         ShardedCache {
             shards: (0..SHARD_COUNT)
                 .map(|_| {
@@ -354,6 +358,7 @@ impl<V> ShardedCache<V> {
                 .collect(),
             stats: StatCells::default(),
             clock: AtomicUsize::new(0),
+            measure,
         }
     }
 
@@ -368,7 +373,8 @@ impl<V> ShardedCache<V> {
     /// (inside the slot's `OnceLock`, which admits exactly one winner).
     ///
     /// `fill` produces the value and whether it came from the artifact
-    /// store; it runs at most once per residency.
+    /// store; it runs at most once per residency. Its bytes are booked
+    /// before the slot is filled, so no eviction can race the booking.
     fn get_or_fill(&self, key: &str, fill: impl FnOnce() -> (V, bool)) -> (Arc<V>, Fill) {
         let shard = &self.shards[self.shard_of(key)];
         let entry = shard.read().unwrap().map.get(key).cloned();
@@ -397,6 +403,9 @@ impl<V> ShardedCache<V> {
             .slot
             .get_or_init(|| {
                 let (v, from_disk) = fill();
+                let bytes = (self.measure)(&v);
+                entry.bytes.store(bytes, Ordering::Relaxed);
+                self.stats.rebook(0, bytes);
                 how = if from_disk {
                     Fill::Disk
                 } else {
@@ -427,23 +436,65 @@ impl<V> ShardedCache<V> {
         v
     }
 
-    /// Books `bytes` against the entry for `key` (and the family total).
-    fn set_bytes(&self, key: &str, bytes: u64) {
-        let shard = self.shards[self.shard_of(key)].read().unwrap();
-        if let Some(entry) = shard.map.get(key) {
-            let old = entry.bytes.swap(bytes, Ordering::Relaxed);
-            self.stats.rebook(old, bytes);
+    /// Calls `f` on every resident (filled) entry.
+    fn for_each(&self, mut f: impl FnMut(&str, &Arc<V>)) {
+        for shard in &self.shards {
+            let entries: Vec<(String, Arc<Entry<V>>)> = shard
+                .read()
+                .unwrap()
+                .map
+                .iter()
+                .map(|(k, e)| (k.clone(), e.clone()))
+                .collect();
+            for (key, entry) in entries {
+                if let Some(v) = entry.slot.get() {
+                    f(&key, v);
+                }
+            }
         }
     }
 
-    /// Re-measures every resident entry (artifacts whose footprint grows at
-    /// query time: memoized verdicts, shape lists).
-    fn refresh_bytes(&self, measure: impl Fn(&V) -> u64) {
+    fn counters(&self) -> CacheCounters {
+        CacheCounters {
+            hits: self.stats.hits.load(Ordering::Relaxed),
+            misses: self.stats.misses.load(Ordering::Relaxed),
+            disk_hits: self.stats.disk_hits.load(Ordering::Relaxed),
+            disk_errors: self.stats.disk_errors.load(Ordering::Relaxed),
+            evictions: self.stats.evictions.load(Ordering::Relaxed),
+            bytes: self.stats.bytes.load(Ordering::Relaxed),
+            compile_time: Duration::from_nanos(self.stats.compile_ns.load(Ordering::Relaxed)),
+            entries: self
+                .shards
+                .iter()
+                .map(|s| s.read().unwrap().map.len() as u64)
+                .sum(),
+        }
+    }
+}
+
+/// What the budget sweep needs of a family, whatever it holds: accounted
+/// bytes, a re-measure of every resident entry (artifacts grow at query
+/// time: memoized verdicts, shape lists), and a second-chance (clock)
+/// eviction of one entry returning its bytes, which skips unfilled slots
+/// (compiles in flight), spares a set `referenced` bit once, and returns
+/// `None` when nothing is evictable.
+trait Resident {
+    fn bytes(&self) -> u64;
+    fn refresh_bytes(&self);
+    fn evict_one(&self) -> Option<u64>;
+}
+
+impl<V> Resident for ShardedCache<V> {
+    fn bytes(&self) -> u64 {
+        self.stats.bytes.load(Ordering::Relaxed)
+    }
+
+    fn refresh_bytes(&self) {
         for shard in &self.shards {
             let entries: Vec<Arc<Entry<V>>> = shard.read().unwrap().map.values().cloned().collect();
             for entry in entries {
                 if let Some(v) = entry.slot.get() {
-                    let bytes = measure(v);
+                    let bytes = (self.measure)(v);
                     let old = entry.bytes.swap(bytes, Ordering::Relaxed);
                     self.stats.rebook(old, bytes);
                 }
@@ -451,10 +502,6 @@ impl<V> ShardedCache<V> {
         }
     }
 
-    /// Evicts one entry by the second-chance (clock) policy, returning the
-    /// bytes it had accounted. Unfilled slots (compiles in flight) are
-    /// skipped; a set `referenced` bit buys one more revolution. Returns
-    /// `None` when no shard holds an evictable entry.
     fn evict_one(&self) -> Option<u64> {
         let start = self.clock.fetch_add(1, Ordering::Relaxed);
         for i in 0..SHARD_COUNT {
@@ -482,45 +529,6 @@ impl<V> ShardedCache<V> {
             }
         }
         None
-    }
-
-    /// Calls `f` on every resident (filled) entry.
-    fn for_each(&self, mut f: impl FnMut(&str, &Arc<V>)) {
-        for shard in &self.shards {
-            let entries: Vec<(String, Arc<Entry<V>>)> = shard
-                .read()
-                .unwrap()
-                .map
-                .iter()
-                .map(|(k, e)| (k.clone(), e.clone()))
-                .collect();
-            for (key, entry) in entries {
-                if let Some(v) = entry.slot.get() {
-                    f(&key, v);
-                }
-            }
-        }
-    }
-
-    fn bytes(&self) -> u64 {
-        self.stats.bytes.load(Ordering::Relaxed)
-    }
-
-    fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            disk_hits: self.stats.disk_hits.load(Ordering::Relaxed),
-            disk_errors: self.stats.disk_errors.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            bytes: self.stats.bytes.load(Ordering::Relaxed),
-            compile_time: Duration::from_nanos(self.stats.compile_ns.load(Ordering::Relaxed)),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.read().unwrap().map.len() as u64)
-                .sum(),
-        }
     }
 }
 
@@ -584,14 +592,14 @@ impl EngineContext {
     /// A fresh, empty context: unbounded, in-memory only.
     pub fn new() -> EngineContext {
         EngineContext {
-            sat: ShardedCache::new(),
-            chase: ShardedCache::new(),
-            automata: ShardedCache::new(),
-            shapes: ShardedCache::new(),
-            stream_idx: ShardedCache::new(),
-            stream_plans: ShardedCache::new(),
-            stream_chase: ShardedCache::new(),
-            delta: ShardedCache::new(),
+            sat: ShardedCache::new(SatCache::approx_bytes),
+            chase: ShardedCache::new(ChaseCache::approx_bytes),
+            automata: ShardedCache::new(AutomataCache::approx_bytes),
+            shapes: ShardedCache::new(ShapeCache::approx_bytes),
+            stream_idx: ShardedCache::new(DtdIndex::approx_bytes),
+            stream_plans: ShardedCache::new(StreamPattern::approx_bytes),
+            stream_chase: ShardedCache::new(StreamChasePlan::approx_bytes),
+            delta: ShardedCache::new(DeltaPlan::approx_bytes),
             stream_jobs: AtomicU64::new(0),
             stream_peak_depth: AtomicU64::new(0),
             stream_firings: AtomicU64::new(0),
@@ -630,16 +638,21 @@ impl EngineContext {
     // ---- the load-or-compile spine -------------------------------------
 
     /// One lookup against a memory-only family cache: resident hit, else
-    /// compile, then byte accounting and budget enforcement.
-    fn fetch<V>(
+    /// fetch the shared `parts` (outside this family's compile timer, and
+    /// counted in [`thread_fills`] as this one fill) and compile from
+    /// them, then byte accounting and budget enforcement.
+    fn fetch<V, P>(
         &self,
         cache: &ShardedCache<V>,
         key: &str,
-        measure: impl FnOnce(&V) -> u64,
-        compile: impl FnOnce() -> V,
+        parts: impl FnOnce() -> P,
+        compile: impl FnOnce(P) -> V,
     ) -> Arc<V> {
-        self.fill(cache, key, measure, || {
-            (cache.compile_timed(compile), false)
+        self.fill(cache, key, || {
+            let fills = thread_fills();
+            let parts = parts();
+            THREAD_FILLS.with(|f| f.set(fills));
+            (cache.compile_timed(|| compile(parts)), false)
         })
         .0
     }
@@ -656,10 +669,9 @@ impl EngineContext {
         family: Family,
         key: &str,
         decode: impl FnOnce(&[u8]) -> Option<V>,
-        measure: impl FnOnce(&V) -> u64,
         compile: impl FnOnce() -> V,
     ) -> (Arc<V>, Fill) {
-        self.fill(cache, key, measure, || {
+        self.fill(cache, key, || {
             if let Some(store) = &self.store {
                 match store.load(family, key).map(|payload| decode(&payload)) {
                     Ok(Some(v)) => return (v, true),
@@ -680,7 +692,6 @@ impl EngineContext {
         &self,
         cache: &ShardedCache<V>,
         key: &str,
-        measure: impl FnOnce(&V) -> u64,
         fill: impl FnOnce() -> (V, bool),
     ) -> (Arc<V>, Fill) {
         let (value, how) = cache.get_or_fill(key, fill);
@@ -692,46 +703,36 @@ impl EngineContext {
                     _ => (compiled, loaded + 1),
                 });
             });
-            cache.set_bytes(key, measure(&value));
             self.enforce_budget();
         }
         (value, how)
     }
 
-    /// Evicts (heaviest family first) until the accounted total fits the
-    /// budget, or nothing evictable remains.
+    /// Every family, in [`EngineStats::families`] order.
+    fn residents(&self) -> [&dyn Resident; 8] {
+        [
+            &self.sat,
+            &self.chase,
+            &self.automata,
+            &self.shapes,
+            &self.stream_idx,
+            &self.stream_plans,
+            &self.stream_chase,
+            &self.delta,
+        ]
+    }
+
+    /// Evicts (heaviest family first, ties in family order) until the
+    /// accounted total fits the budget, or nothing evictable remains.
     fn enforce_budget(&self) {
         let Some(budget) = self.budget else { return };
         loop {
-            let bytes = [
-                self.sat.bytes(),
-                self.chase.bytes(),
-                self.automata.bytes(),
-                self.shapes.bytes(),
-                self.stream_idx.bytes(),
-                self.stream_plans.bytes(),
-                self.stream_chase.bytes(),
-                self.delta.bytes(),
-            ];
-            if bytes.iter().sum::<u64>() <= budget {
+            let mut families = self.residents().map(|f| (f.bytes(), f));
+            if families.iter().map(|(bytes, _)| bytes).sum::<u64>() <= budget {
                 return;
             }
-            let mut order = [0usize, 1, 2, 3, 4, 5, 6, 7];
-            order.sort_by_key(|&i| std::cmp::Reverse(bytes[i]));
-            let evicted = order.iter().any(|&i| {
-                match i {
-                    0 => self.sat.evict_one(),
-                    1 => self.chase.evict_one(),
-                    2 => self.automata.evict_one(),
-                    3 => self.shapes.evict_one(),
-                    4 => self.stream_idx.evict_one(),
-                    5 => self.stream_plans.evict_one(),
-                    6 => self.stream_chase.evict_one(),
-                    _ => self.delta.evict_one(),
-                }
-                .is_some()
-            });
-            if !evicted {
+            families.sort_by_key(|&(bytes, _)| std::cmp::Reverse(bytes));
+            if !families.iter().any(|(_, f)| f.evict_one().is_some()) {
                 return;
             }
         }
@@ -746,10 +747,9 @@ impl EngineContext {
         if self.budget.is_none() {
             return;
         }
-        self.sat.refresh_bytes(|v| v.approx_bytes());
-        self.chase.refresh_bytes(|v| v.approx_bytes());
-        self.automata.refresh_bytes(|v| v.approx_bytes());
-        self.shapes.refresh_bytes(|v| v.approx_bytes());
+        for family in self.residents() {
+            family.refresh_bytes();
+        }
         self.enforce_budget();
     }
 
@@ -772,19 +772,20 @@ impl EngineContext {
         self.fetch(
             &self.sat,
             &dtd.to_string(),
-            |v| v.approx_bytes(),
-            || SatCache::new(dtd).with_context(SAT_CONTEXT),
+            || (),
+            |()| SatCache::new(dtd).with_context(SAT_CONTEXT),
         )
     }
 
     /// The shared [`ChaseCache`] for `m`, compiling it on first request.
     pub fn chase_cache(&self, m: &Mapping) -> Arc<ChaseCache> {
-        self.fetch(
-            &self.chase,
-            &m.to_string(),
-            |v| v.approx_bytes(),
-            || ChaseCache::new(m),
-        )
+        self.chase_cache_keyed(m, &m.to_string())
+    }
+
+    /// [`EngineContext::chase_cache`] under `m`'s already rendered key,
+    /// which every per-mapping family shares.
+    fn chase_cache_keyed(&self, m: &Mapping, key: &str) -> Arc<ChaseCache> {
+        self.fetch(&self.chase, key, || (), |()| ChaseCache::new(m))
     }
 
     /// The shared [`AutomataCache`] for the ordered pair `(d1, d2)`,
@@ -797,7 +798,6 @@ impl EngineContext {
             Family::Automata,
             &key,
             |b| AutomataCache::from_bytes(b).ok(),
-            |v| v.approx_bytes(),
             || AutomataCache::new(d1, d2),
         );
         if let (Fill::Compiled, Some(store)) = (how, &self.store) {
@@ -816,7 +816,6 @@ impl EngineContext {
             Family::Shapes,
             &dtd.to_string(),
             |b| ShapeCache::from_bytes(b).ok(),
-            |v| v.approx_bytes(),
             || ShapeCache::new(dtd),
         )
         .0
@@ -828,8 +827,8 @@ impl EngineContext {
         self.fetch(
             &self.stream_idx,
             &dtd.to_string(),
-            |v| v.approx_bytes(),
-            || DtdIndex::new(dtd),
+            || (),
+            |()| DtdIndex::new(dtd),
         )
     }
 
@@ -844,31 +843,36 @@ impl EngineContext {
         Ok(self.fetch(
             &self.stream_plans,
             &pattern.to_string(),
-            |v| v.approx_bytes(),
-            || StreamPattern::compile(pattern).expect("checked streamable"),
+            || (),
+            |()| StreamPattern::compile(pattern).expect("checked streamable"),
         ))
     }
 
-    /// The shared [`StreamChasePlan`] for `m` (chase tables + per-std
-    /// stream enumerator plans), compiling it on first request.
+    /// The shared [`StreamChasePlan`] for `m`, assembled on first request
+    /// over the shared chase tables and per-std stream plans.
     pub fn stream_chase_plan(&self, m: &Mapping) -> Arc<StreamChasePlan> {
+        let key = m.to_string();
         self.fetch(
             &self.stream_chase,
-            &m.to_string(),
-            |v| v.approx_bytes(),
-            || StreamChasePlan::new(m),
+            &key,
+            || {
+                let chase = self.chase_cache_keyed(m, &key);
+                let plans: Vec<_> = m.stds[..chase.std_count()]
+                    .iter()
+                    .map(|s| self.stream_plan(&s.source))
+                    .collect();
+                (chase, plans)
+            },
+            |(chase, plans)| StreamChasePlan::new(m, chase, plans),
         )
     }
 
-    /// The shared [`DeltaPlan`] for `m` (chase tables + per-std touch
-    /// profiles), compiling it on first request.
+    /// The shared [`DeltaPlan`] for `m`, built on first request over the
+    /// `chase` family's tables.
     pub fn delta_plan(&self, m: &Mapping) -> Arc<DeltaPlan> {
-        self.fetch(
-            &self.delta,
-            &m.to_string(),
-            |v| v.approx_bytes(),
-            || DeltaPlan::new(m),
-        )
+        let key = m.to_string();
+        let chase = || self.chase_cache_keyed(m, &key);
+        self.fetch(&self.delta, &key, chase, DeltaPlan::new)
     }
 
     /// Opens an [`IncrementalChase`] session over the shared [`DeltaPlan`]

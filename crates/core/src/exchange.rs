@@ -15,6 +15,8 @@
 
 use crate::chase::{canonical_solution_cached, ChaseCache, ChaseError};
 use crate::stds::Mapping;
+use std::collections::{hash_map::DefaultHasher, HashMap};
+use std::hash::{Hash, Hasher};
 use xmlmap_dtd::Mult;
 use xmlmap_patterns::{eval, Pattern, Valuation};
 use xmlmap_trees::{NodeId, Tree};
@@ -103,7 +105,9 @@ pub fn reduce_solution(m: &Mapping, solution: &Tree) -> Tree {
     let Some(nr) = m.target_dtd.nested_relational() else {
         return solution.clone();
     };
-    // Rebuild the tree, skipping duplicate repeatable-slot children.
+    // Rebuild the tree, skipping each repeatable-slot child whose subtree
+    // equals an earlier sibling's: equal preorder shapes, null ids included,
+    // compared only between siblings whose shape hashes match.
     fn rebuild(
         src: &Tree,
         node: NodeId,
@@ -111,18 +115,23 @@ pub fn reduce_solution(m: &Mapping, solution: &Tree) -> Tree {
         out: &mut Tree,
         at: NodeId,
     ) {
-        let mut seen: Vec<(xmlmap_trees::Name, String)> = Vec::new();
+        let shape = |n| {
+            src.descendants_or_self(n)
+                .map(|d| (src.label(d), src.attrs(d), src.children(d).len()))
+        };
+        let mut seen: HashMap<u64, Vec<NodeId>> = HashMap::new();
         for &child in src.children(node) {
-            let label = src.label(child).clone();
-            let repeatable = nr.mult(&label).is_some_and(Mult::repeatable);
-            if repeatable {
-                let fingerprint = format!("{:?}", src.subtree(child));
-                if seen.contains(&(label.clone(), fingerprint.clone())) {
+            let label = src.label(child);
+            if nr.mult(label).is_some_and(Mult::repeatable) {
+                let mut h = DefaultHasher::new();
+                shape(child).for_each(|node| node.hash(&mut h));
+                let twins = seen.entry(h.finish()).or_default();
+                if twins.iter().any(|&twin| shape(twin).eq(shape(child))) {
                     continue;
                 }
-                seen.push((label.clone(), fingerprint));
+                twins.push(child);
             }
-            let new_child = out.add_child(at, label, src.attrs(child).iter().cloned());
+            let new_child = out.add_child(at, label.clone(), src.attrs(child).iter().cloned());
             rebuild(src, child, nr, out, new_child);
         }
     }

@@ -134,11 +134,6 @@ impl ArtifactStore {
         Ok(ArtifactStore { dir })
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn path_for(&self, family: Family, key: &str) -> PathBuf {
         let mut h = FastHasher::default();
         h.write(key.as_bytes());

@@ -207,30 +207,34 @@ impl From<XmlError> for StreamChaseError {
     }
 }
 
-/// Compiled artifact for the streaming chase of one mapping: the chase
-/// tables ([`ChaseCache`]) plus one [`StreamPattern`] per std source.
+/// The artifact for the streaming chase of one mapping: the shared chase
+/// tables ([`ChaseCache`]) plus a shared [`StreamPattern`] per std source.
 ///
 /// Both are compiled from the same source patterns, so interned variable
 /// ids — and hence enumerator tuple positions — line up with the chase
 /// plans. A mapping whose sources stray outside the streamable fragment
-/// still compiles; the failure is carried in the plan and reported by
+/// still gets a plan; the failure is carried in it and reported by
 /// [`chase_stream`] before any input is read.
 pub struct StreamChasePlan {
-    cache: ChaseCache,
-    plans: Result<Vec<StreamPattern>, UnstreamableStd>,
+    cache: Arc<ChaseCache>,
+    plans: Result<Vec<Arc<StreamPattern>>, UnstreamableStd>,
 }
 
 impl StreamChasePlan {
-    /// Compiles the streaming-chase artifact for `m`.
-    pub fn new(m: &Mapping) -> StreamChasePlan {
-        let cache = ChaseCache::new(m);
-        // A mapping outside the chase fragment has no std plans, so it
-        // gets no stream plans either.
+    /// Assembles `m`'s artifact from its chase tables and its std sources'
+    /// stream plans, in mapping order (the first failure is kept); a
+    /// mapping outside the chase fragment takes no stream plans.
+    pub fn new(
+        m: &Mapping,
+        cache: Arc<ChaseCache>,
+        plans: impl IntoIterator<Item = Result<Arc<StreamPattern>, UnstreamablePattern>>,
+    ) -> StreamChasePlan {
         let plans = m.stds[..cache.std_count()]
             .iter()
+            .zip(plans)
             .enumerate()
-            .map(|(i, s)| {
-                StreamPattern::compile(&s.source).map_err(|cause| UnstreamableStd {
+            .map(|(i, (s, plan))| {
+                plan.map_err(|cause| UnstreamableStd {
                     index: i,
                     source: s.source.to_string(),
                     cause,
@@ -240,18 +244,12 @@ impl StreamChasePlan {
         StreamChasePlan { cache, plans }
     }
 
-    /// Approximate heap footprint in bytes (chase tables + stream plans).
+    /// Approximate heap footprint in bytes of what the plan owns.
     pub fn approx_bytes(&self) -> u64 {
-        self.cache.approx_bytes()
-            + match &self.plans {
-                Ok(ps) => ps.iter().map(StreamPattern::approx_bytes).sum::<u64>(),
-                Err(e) => e.source.len() as u64 + 64,
-            }
-    }
-
-    /// The chase tables this plan was built on.
-    pub fn chase_cache(&self) -> &ChaseCache {
-        &self.cache
+        64 + match &self.plans {
+            Ok(ps) => ps.len() as u64 * 8,
+            Err(e) => e.source.len() as u64 + 64,
+        }
     }
 
     /// `Some` when the mapping cannot be chased in streaming mode (first
@@ -322,7 +320,8 @@ pub fn chase_stream<R: Read>(
     let masks: Vec<LabelMasks> = plans.iter().map(|p| p.label_masks(idx.labels())).collect();
     let mut reader = SaxReader::new(src);
     let mut validator = StreamValidator::new(Arc::clone(idx));
-    let mut enums: Vec<StreamEnumerator<'_>> = plans.iter().map(StreamEnumerator::new).collect();
+    let mut enums: Vec<StreamEnumerator<'_>> =
+        plans.iter().map(|p| StreamEnumerator::new(p)).collect();
     while let Some(event) = reader.next_event()? {
         let step = match event {
             BorrowedEvent::Open(tag) => validator.open_tag(&tag).map(|lid| {
@@ -464,7 +463,7 @@ mod tests {
              [stds]\nr/m/a(x) --> r/b(x)\n",
         )
         .unwrap();
-        let chase_plan = StreamChasePlan::new(&m);
+        let chase_plan = fresh_plan(&m);
         assert!(chase_plan.unstreamable().is_none());
         let chased = chase_stream(&idx, &chase_plan, doc.as_bytes()).unwrap();
         assert_eq!(chased.violation, None);
@@ -526,6 +525,15 @@ mod tests {
         assert!(err.to_string().contains("mismatched close tag"), "{err}");
     }
 
+    /// `m`'s streaming-chase plan over freshly compiled parts.
+    fn fresh_plan(m: &Mapping) -> StreamChasePlan {
+        let plans = m
+            .stds
+            .iter()
+            .map(|s| StreamPattern::compile(&s.source).map(Arc::new));
+        StreamChasePlan::new(m, Arc::new(ChaseCache::new(m)), plans)
+    }
+
     fn mapping() -> Mapping {
         Mapping::new(
             xmlmap_dtd::parse(
@@ -548,7 +556,7 @@ mod tests {
     fn streaming_chase_equals_the_tree_chase() {
         let m = mapping();
         let idx = Arc::new(DtdIndex::new(&m.source_dtd));
-        let plan = StreamChasePlan::new(&m);
+        let plan = fresh_plan(&m);
         assert!(plan.unstreamable().is_none());
         let doc = r#"<r><a x="1" y="2"/><a x="1" y="2"/><a x="3" y="4"/><b/></r>"#;
         let out = chase_stream(&idx, &plan, doc.as_bytes()).unwrap();
@@ -566,7 +574,7 @@ mod tests {
     fn conformance_violation_withholds_the_chase_verdict() {
         let m = mapping();
         let idx = Arc::new(DtdIndex::new(&m.source_dtd));
-        let plan = StreamChasePlan::new(&m);
+        let plan = fresh_plan(&m);
         // b before a*: dead subset at <a>.
         let doc = r#"<r><b/><a x="1" y="2"/></r>"#;
         let out = chase_stream(&idx, &plan, doc.as_bytes()).unwrap();
@@ -579,7 +587,7 @@ mod tests {
     fn unstreamable_std_is_rejected_before_reading_input() {
         let mut m = mapping();
         m.stds = vec![crate::stds::Std::parse("r[a(x, y) -> a(u, v)] --> t/p(x, u)").unwrap()];
-        let plan = StreamChasePlan::new(&m);
+        let plan = fresh_plan(&m);
         let err = plan.unstreamable().expect("sibling order is unstreamable");
         assert_eq!(err.index, 0);
         assert_eq!(err.cause, UnstreamablePattern::SiblingOrder);
@@ -597,7 +605,7 @@ mod tests {
              t -> p, p",
         )
         .unwrap();
-        let plan = StreamChasePlan::new(&m);
+        let plan = fresh_plan(&m);
         assert!(plan.unstreamable().is_none());
         let idx = Arc::new(DtdIndex::new(&m.source_dtd));
         let out = chase_stream(&idx, &plan, r#"<r><a x="1" y="2"/></r>"#.as_bytes()).unwrap();

@@ -11,6 +11,7 @@
 //! the tractable fragments) additionally ban wildcard, descendant `//` and
 //! the horizontal operators.
 
+use crate::compiled::CompiledPattern;
 use std::collections::BTreeSet;
 use std::fmt;
 use xmlmap_trees::Name;
@@ -222,28 +223,9 @@ impl Pattern {
         })
     }
 
-    /// The set of concrete labels the pattern can test, or `None` if any
-    /// node uses the wildcard (in which case the pattern can match nodes
-    /// of every label and no finite footprint exists). A match valuation
-    /// can only involve tree nodes whose labels are in this set, so an
-    /// edit whose region is disjoint from the footprint cannot create or
-    /// destroy matches of a purely downward pattern — the basis of the
-    /// delta-chase refire analysis.
+    /// See [`CompiledPattern::label_footprint`].
     pub fn label_footprint(&self) -> Option<BTreeSet<Name>> {
-        fn go(p: &Pattern, out: &mut BTreeSet<Name>) -> bool {
-            match &p.label {
-                LabelTest::Wildcard => return false,
-                LabelTest::Label(l) => {
-                    out.insert(l.clone());
-                }
-            }
-            p.list.iter().all(|item| match item {
-                ListItem::Seq { members, .. } => members.iter().all(|m| go(m, out)),
-                ListItem::Descendant(d) => go(d, out),
-            })
-        }
-        let mut out = BTreeSet::new();
-        go(self, &mut out).then_some(out)
+        CompiledPattern::new(self).label_footprint()
     }
 
     /// Is this pattern *fully specified* (grammar (5)): no wildcard, no

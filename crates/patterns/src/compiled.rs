@@ -24,7 +24,7 @@
 use crate::ast::{LabelTest, ListItem, Pattern, SeqOp, Var};
 use crate::eval::Valuation;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use xmlmap_trees::{Name, NodeId, Tree, Value};
 
 /// One pattern node, flattened: label test, interned variable tuple, and
@@ -132,6 +132,20 @@ impl CompiledPattern {
     /// Does any variable occur twice (implicit equality)?
     pub fn has_repeated_variable(&self) -> bool {
         self.has_repeated
+    }
+
+    /// The concrete labels the pattern tests, or `None` if a node is a
+    /// wildcard. A match maps only to nodes with these labels, so an edit
+    /// whose region misses them cannot change a downward pattern's
+    /// matches — the basis of the delta-chase refire analysis.
+    pub fn label_footprint(&self) -> Option<BTreeSet<Name>> {
+        self.nodes
+            .iter()
+            .map(|n| match &n.label {
+                LabelTest::Label(l) => Some(l.clone()),
+                LabelTest::Wildcard => None,
+            })
+            .collect()
     }
 
     /// Is the pattern free of `→` and `→*` (every sequence item a single

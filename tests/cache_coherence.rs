@@ -380,6 +380,63 @@ fn bounded_context_shape_family_evicts_and_agrees() {
     assert!(stats.total_bytes() <= 300, "{stats}");
 }
 
+/// The chase tables of a mapping are shared by the delta and
+/// streaming-chase plans built over them. A budget that evicts the chase
+/// entry leaves those plans resident with their own `Arc` to the tables,
+/// and every verdict still matches an unbounded context's: the session
+/// after each update, the streamed chase, and the tree chase (which
+/// recompiles the evicted tables).
+#[test]
+fn bounded_context_evicts_shared_chase_tables_under_live_plans() {
+    use xmlmap::core::Update;
+    let m = xmlmap::gen::trees::exchange_mapping();
+    let doc = xmlmap::gen::trees::exchange_tree(4, 2, 3);
+    let text = xmlmap::trees::xml::to_string(&doc);
+    let unbounded = EngineContext::new();
+    let mut reference = unbounded.delta_session(&m, doc.clone());
+    let streamed = unbounded.chase_stream(&m, text.as_bytes()).unwrap();
+    let full = unbounded.stats();
+    // Room for everything but half the chase tables: the chase family is
+    // the heaviest, so the sweep evicts it first and stops there.
+    let budget = full.total_bytes() - full.chase.bytes / 2;
+    let bounded = EngineContext::new().with_memory_budget(budget);
+    let mut session = bounded.delta_session(&m, doc.clone());
+    assert_eq!(
+        bounded.chase_stream(&m, text.as_bytes()).unwrap().solution,
+        streamed.solution
+    );
+    let stats = bounded.stats();
+    assert!(stats.chase.evictions > 0, "{stats}");
+    assert_eq!(
+        (stats.chase.entries, stats.delta.entries),
+        (0, 1),
+        "{stats}"
+    );
+    assert_eq!(stats.stream_chase.entries, 1, "{stats}");
+    let prof = doc.subtree(doc.children(Tree::ROOT)[1]);
+    let updates = [
+        Update::DeleteSubtree { path: vec![0] },
+        Update::InsertSubtree {
+            parent: vec![],
+            pos: 2,
+            subtree: prof,
+        },
+        Update::DeleteSubtree { path: vec![3] },
+    ];
+    for update in &updates {
+        session.apply(update).unwrap();
+        reference.apply(update).unwrap();
+        let got = session.canonical_solution().unwrap();
+        assert_eq!(got, reference.canonical_solution().unwrap());
+        assert_eq!(*got, bounded.canonical_solution(&m, session.doc()).unwrap());
+    }
+    assert!(
+        bounded.stats().total_bytes() <= budget,
+        "{}",
+        bounded.stats()
+    );
+}
+
 // ---- disk-backed contexts -----------------------------------------------
 
 fn temp_cache_dir(name: &str) -> std::path::PathBuf {
@@ -543,4 +600,44 @@ fn engine_context_abscons_agrees_with_uncached_procedure() {
     assert!(!again.holds());
     assert!(ctx.stats().sat.hits > hits_before);
     assert_eq!(ctx.stats().sat.misses, ctx.stats().sat.entries);
+}
+
+// ---- one compile per artifact -------------------------------------------
+
+/// One context builds each compiled form once: the tree chase, the
+/// streaming chase and a delta session share one set of chase tables,
+/// the streaming chase's per-std plans are the `stream_plans` family's,
+/// and one DTD index serves every streaming pass over the source schema.
+#[test]
+fn each_compiled_form_is_built_once_per_context() {
+    let ctx = EngineContext::new();
+    let m = xmlmap::gen::trees::exchange_mapping();
+    let doc = xmlmap::gen::trees::exchange_tree(3, 2, 2);
+    let text = xmlmap::trees::xml::to_string(&doc);
+    let solution = ctx.canonical_solution(&m, &doc).unwrap();
+    let streamed = ctx.chase_stream(&m, text.as_bytes()).unwrap();
+    assert_eq!(streamed.solution.unwrap().unwrap(), solution);
+    let mut session = ctx.delta_session(&m, doc.clone());
+    assert_eq!(*session.canonical_solution().unwrap(), solution);
+    let pass = ctx.stream_document(&m.source_dtd, None, text.as_bytes());
+    assert_eq!(pass.unwrap().violation, None);
+    assert!(ctx.consistent(&m, BUDGET).unwrap().is_consistent());
+    let before = ctx.stats();
+    assert_eq!(before.chase.misses, 1, "{before}");
+    assert_eq!(before.stream_index.misses, 1, "{before}");
+    for s in &m.stds {
+        ctx.stream_plan(&s.source).unwrap();
+    }
+    let after = ctx.stats();
+    assert_eq!(after.stream_plans.misses, before.stream_plans.misses);
+    assert_eq!(
+        after.stream_plans.hits,
+        before.stream_plans.hits + m.stds.len() as u64,
+        "each std source's plan is already cached"
+    );
+    assert!(after.delta.bytes < after.chase.bytes, "{after}");
+    assert!(
+        after.stream_chase.bytes < after.stream_plans.bytes,
+        "{after}"
+    );
 }

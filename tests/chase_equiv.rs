@@ -185,3 +185,100 @@ proptest! {
         }
     }
 }
+
+/// Solution reduction's duplicate test as it was before it hashed
+/// subtrees: a `{:?}` fingerprint per repeatable child, checked by a
+/// linear scan over the earlier siblings' fingerprints.
+fn fingerprint_reduce(m: &Mapping, solution: &Tree) -> Tree {
+    use xmlmap::dtd::{Mult, NestedRelationalView};
+    fn rebuild(src: &Tree, node: NodeId, nr: &NestedRelationalView, out: &mut Tree, at: NodeId) {
+        let mut seen: Vec<(Name, String)> = Vec::new();
+        for &child in src.children(node) {
+            let label = src.label(child).clone();
+            if nr.mult(&label).is_some_and(Mult::repeatable) {
+                let fingerprint = format!("{:?}", src.subtree(child));
+                if seen.contains(&(label.clone(), fingerprint.clone())) {
+                    continue;
+                }
+                seen.push((label.clone(), fingerprint));
+            }
+            let new_child = out.add_child(at, label, src.attrs(child).iter().cloned());
+            rebuild(src, child, nr, out, new_child);
+        }
+    }
+    let nr = m
+        .target_dtd
+        .nested_relational()
+        .expect("nested-relational target");
+    let mut out = Tree::with_root_attrs(
+        solution.label(Tree::ROOT).clone(),
+        solution.attrs(Tree::ROOT).iter().cloned(),
+    );
+    rebuild(solution, Tree::ROOT, &nr, &mut out, Tree::ROOT);
+    out
+}
+
+/// The hashed reduction keeps exactly the children the fingerprint scan
+/// kept, on seeded university and exchange sources whose professors are
+/// duplicated — verbatim, which the chase's firing dedup absorbs, and
+/// renamed, which only the reduction can merge — under the paper's stds
+/// and under stds that project the professor away or invent nulls (whose
+/// ids keep otherwise equal subtrees apart).
+#[test]
+fn reduction_matches_the_fingerprint_dedup() {
+    const COURSES: &str = "r[prof(x)[teach[year(y)[course(cn1), course(cn2)]]]]";
+    const STUDENTS: &str = "r[prof(x)[supervise[student(s)]]]";
+    let std_sets = [
+        [
+            format!("{COURSES} --> r[course(cn1, y)[taughtby(x)], course(cn2, y)[taughtby(x)]]"),
+            format!("{STUDENTS} --> r[student(s)[supervisor(x)]]"),
+        ],
+        [
+            format!("{COURSES} --> r[course(cn1, y)[taughtby(y)], course(cn2, y)[taughtby(t)]]"),
+            format!("{STUDENTS} --> r[student(s)[supervisor(n)]]"),
+        ],
+    ];
+    let (mut merged, mut nulls) = (0, 0);
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let profs = rng.gen_range(1..=6);
+        let students = rng.gen_range(0..=3);
+        let exchange = seed % 2 == 1;
+        let (source_dtd, mut src) = if exchange {
+            let pads = rng.gen_range(0..=3);
+            let tree = xmlmap::gen::trees::exchange_tree(profs, students, pads);
+            (xmlmap::gen::trees::exchange_source_dtd(), tree)
+        } else {
+            let tree = xmlmap::gen::university_tree(profs, students);
+            (xmlmap::gen::university_dtd(), tree)
+        };
+        for copy in 0..rng.gen_range(1..=2 * profs) {
+            let original = src.children(Tree::ROOT)[rng.gen_range(0..profs)];
+            let mut twin = src.subtree(original);
+            if rng.gen_range(0..2) == 1 {
+                twin.set_attr(Tree::ROOT, "name", format!("copy{copy}"));
+            }
+            let at = rng.gen_range(0..=profs);
+            src.graft_at(Tree::ROOT, at, &twin);
+        }
+        for stds in &std_sets {
+            let m = Mapping::new(
+                source_dtd.clone(),
+                xmlmap::gen::university_target_dtd(),
+                stds.iter().map(|s| Std::parse(s).unwrap()).collect(),
+            );
+            let solution = canonical_solution(&m, &src).unwrap();
+            let reduced = xmlmap::core::reduce_solution(&m, &solution);
+            let expected = fingerprint_reduce(&m, &solution);
+            assert_eq!(
+                format!("{reduced:?}"),
+                format!("{expected:?}"),
+                "seed {seed}"
+            );
+            merged += solution.size() - reduced.size();
+            nulls += solution.data_values().filter(|v| v.is_null()).count();
+        }
+    }
+    assert!(merged > 0, "some duplicates were merged");
+    assert!(nulls > 0, "some solutions hold nulls");
+}

@@ -305,7 +305,13 @@ fn streaming_chase_matches_the_tree_chase_on_random_mappings() {
         else {
             continue;
         };
-        let plan = xmlmap::core::StreamChasePlan::new(&m);
+        let plan = xmlmap::core::StreamChasePlan::new(
+            &m,
+            Arc::new(xmlmap::core::ChaseCache::new(&m)),
+            m.stds
+                .iter()
+                .map(|s| StreamPattern::compile(&s.source).map(Arc::new)),
+        );
         if plan.unstreamable().is_some() {
             // Generated source patterns are downward and condition-free,
             // but variable sharing across factors can be unstreamable.
