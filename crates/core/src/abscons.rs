@@ -12,17 +12,17 @@
 //!   target slot.
 //! * [`abscons_nr_ptime`] — Thm 6.3 (PTIME): nested-relational DTDs +
 //!   fully-specified stds, via the rigidity analysis (see module docs of
-//!   DESIGN.md §3.4). Reconstructed from the theorem statement (the
-//!   conference paper omits proofs); property-tested against the bounded
-//!   oracle.
+//!   DESIGN.md §3.4) over each DTD's [`NrKernel`]; [`abscons_nr_cached`]
+//!   reads the kernels of caller-held [`SatCache`]s. Reconstructed from
+//!   the theorem statement (the conference paper omits proofs);
+//!   property-tested against the bounded oracle.
 //! * [`crate::bounded::abscons_violation_bounded`] — brute-force reference
 //!   oracle / semi-procedure for the general case (in EXPSPACE,
 //!   NEXPTIME-hard; Thm 6.2).
 
 use crate::stds::Mapping;
 use std::collections::BTreeMap;
-use xmlmap_dtd::NestedRelationalView;
-use xmlmap_patterns::sat::{BudgetExceeded, SatCache};
+use xmlmap_patterns::sat::{BudgetExceeded, NrKernel, SatCache};
 use xmlmap_patterns::{LabelTest, ListItem, Pattern, Var};
 use xmlmap_trees::{Name, Tree};
 
@@ -171,10 +171,7 @@ fn var_positions(p: &Pattern, out: &mut BTreeMap<Var, Vec<(Name, usize)>>) {
 /// merged classes with the same label whose slot is non-repeatable merge.
 /// Returns, per class, the list of member pattern nodes' variable tuples
 /// (with their common label).
-fn merge_classes<'p>(
-    pattern: &'p Pattern,
-    nr: &NestedRelationalView,
-) -> Vec<(Name, Vec<&'p [Var]>)> {
+fn merge_classes<'p>(pattern: &'p Pattern, nr: &NrKernel) -> Vec<(Name, Vec<&'p [Var]>)> {
     // Work queue of classes; each class is a list of pattern nodes that
     // share one document node. Children partition by label.
     let mut out = Vec::new();
@@ -202,8 +199,7 @@ fn merge_classes<'p>(
             }
         }
         for (l, kids) in by_label {
-            let repeatable = nr.mult(&l).is_some_and(|m| m.repeatable());
-            if repeatable {
+            if nr.is_repeatable(&l) {
                 // Each child can have its own document node.
                 for kid in kids {
                     queue.push((l.clone(), vec![kid]));
@@ -232,17 +228,38 @@ fn merge_classes<'p>(
 /// 3. across firings (and stds), a *rigid* target slot holds a single value
 ///    in the whole document — every shared variable written there must read
 ///    a rigid source position, and all of them the same one.
+///
+/// Compiles fresh kernels for both DTDs; repeated probes should use
+/// [`abscons_nr_cached`] over held [`SatCache`]s.
 pub fn abscons_nr_ptime(m: &Mapping) -> Option<AbsConsAnswer> {
-    let src_nr = m.source_dtd.nested_relational()?;
-    let tgt_nr = m.target_dtd.nested_relational()?;
-    if !src_nr.is_tree_shaped() || !tgt_nr.is_tree_shaped() {
+    if !thm63_stds(m) {
         return None;
     }
-    if !m.is_fully_specified() {
+    let src = NrKernel::new(&m.source_dtd)?;
+    let tgt = NrKernel::new(&m.target_dtd)?;
+    abscons_nr(m, &src, &tgt)
+}
+
+/// [`abscons_nr_ptime`] against caller-held [`SatCache`]s for the source
+/// and target DTDs, whose shared [`NrKernel`]s answer every
+/// satisfiability and rigidity question.
+pub fn abscons_nr_cached(m: &Mapping, src: &SatCache, tgt: &SatCache) -> Option<AbsConsAnswer> {
+    if !thm63_stds(m) {
         return None;
     }
+    abscons_nr(m, src.nr_kernel()?, tgt.nr_kernel()?)
+}
+
+/// The std half of the Thm 6.3 fragment: fully specified, without data
+/// comparisons or wildcards.
+fn thm63_stds(m: &Mapping) -> bool {
     let sig = m.signature();
-    if sig.has_data_comparison() || sig.wildcard {
+    m.is_fully_specified() && !sig.has_data_comparison() && !sig.wildcard
+}
+
+/// The rigidity analysis over the two DTDs' kernels.
+fn abscons_nr(m: &Mapping, src_nr: &NrKernel, tgt_nr: &NrKernel) -> Option<AbsConsAnswer> {
+    if !src_nr.is_tree_shaped() || !tgt_nr.is_tree_shaped() {
         return None;
     }
 
@@ -252,12 +269,12 @@ pub fn abscons_nr_ptime(m: &Mapping) -> Option<AbsConsAnswer> {
 
     for (si, s) in m.stds.iter().enumerate() {
         // 1. Vacuous or violated?
-        match xmlmap_patterns::sat::satisfiable_nr(&m.source_dtd, &s.source) {
+        match src_nr.satisfiable(&s.source) {
             Some(true) => {}
             Some(false) => continue, // never fires
             None => return None,
         }
-        match xmlmap_patterns::sat::satisfiable_nr(&m.target_dtd, &s.target) {
+        match tgt_nr.satisfiable(&s.target) {
             Some(true) => {}
             Some(false) => {
                 return Some(AbsConsAnswer::Violated {
@@ -283,7 +300,7 @@ pub fn abscons_nr_ptime(m: &Mapping) -> Option<AbsConsAnswer> {
         };
 
         // 2. Within-firing merge constraints.
-        for (label, tuples) in merge_classes(&s.target, &tgt_nr) {
+        for (label, tuples) in merge_classes(&s.target, tgt_nr) {
             let arity = tuples.iter().map(|t| t.len()).max().unwrap_or(0);
             for k in 0..arity {
                 let vars_at_k: Vec<&Var> = tuples.iter().filter_map(|t| t.get(k)).collect();

@@ -16,7 +16,7 @@
 use crate::signature::Signature;
 use crate::stds::Mapping;
 use std::collections::BTreeSet;
-use xmlmap_patterns::sat::{self, BudgetExceeded, SatCache};
+use xmlmap_patterns::sat::{self, BudgetExceeded, NrKernel, SatCache};
 use xmlmap_patterns::Pattern;
 use xmlmap_trees::Tree;
 
@@ -204,11 +204,11 @@ pub fn consistent_nr_ptime(m: &Mapping) -> Option<bool> {
         return None;
     }
     let t0 = minimal_nr_tree(&m.source_dtd)?;
-    m.target_dtd.nested_relational()?;
+    let tgt = NrKernel::new(&m.target_dtd)?;
     let mut ok = true;
     for s in &m.stds {
         if xmlmap_patterns::matches(&t0, &s.source) {
-            match xmlmap_patterns::sat::satisfiable_nr(&m.target_dtd, &s.target) {
+            match tgt.satisfiable(&s.target) {
                 Some(sat) => ok &= sat,
                 None => return None, // pattern outside the downward fragment
             }

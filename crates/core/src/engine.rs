@@ -50,7 +50,7 @@
 //! accounting, eviction, and the artifact store.
 
 use crate::abscons::{
-    abscons_nr_ptime, abscons_structural_cached, AbsConsAnswer, AbsConsProcedure,
+    abscons_nr_cached, abscons_structural_cached, AbsConsAnswer, AbsConsProcedure,
 };
 use crate::bounded::ShapeCache;
 use crate::chase::delta::DeltaStats;
@@ -297,11 +297,12 @@ struct Entry<V> {
     bytes: AtomicU64,
 }
 
-/// One lock shard: the key map plus a clock ring over its keys.
+/// One lock shard: the key map plus a clock ring over its keys. Both
+/// hold the same `Arc<str>`, so each canonical text is stored once.
 struct Shard<V> {
-    map: HashMap<String, Arc<Entry<V>>>,
+    map: HashMap<Arc<str>, Arc<Entry<V>>>,
     /// Keys in residence order; `swap_remove` keeps eviction O(1).
-    ring: Vec<String>,
+    ring: Vec<Arc<str>>,
     /// Clock hand into `ring`.
     hand: usize,
 }
@@ -390,8 +391,9 @@ impl<V> ShardedCache<V> {
                             referenced: AtomicBool::new(true),
                             bytes: AtomicU64::new(0),
                         });
-                        guard.map.insert(key.to_string(), e.clone());
-                        guard.ring.push(key.to_string());
+                        let key: Arc<str> = key.into();
+                        guard.map.insert(key.clone(), e.clone());
+                        guard.ring.push(key);
                         e
                     }
                 }
@@ -439,7 +441,7 @@ impl<V> ShardedCache<V> {
     /// Calls `f` on every resident (filled) entry.
     fn for_each(&self, mut f: impl FnMut(&str, &Arc<V>)) {
         for shard in &self.shards {
-            let entries: Vec<(String, Arc<Entry<V>>)> = shard
+            let entries: Vec<(Arc<str>, Arc<Entry<V>>)> = shard
                 .read()
                 .unwrap()
                 .map
@@ -983,21 +985,24 @@ impl EngineContext {
     }
 
     /// ABSCONS over the exact procedures, cheapest first: Thm 6.3
-    /// ([`abscons_nr_ptime`]) on its fragment, else Prop 6.1 over the
-    /// shared [`SatCache`]s ([`EngineContext::abscons_structural`]).
-    /// Returns the answer and the procedure that decided it; the errors
-    /// are those of [`EngineContext::abscons_structural`].
+    /// ([`abscons_nr_cached`]) on its fragment, else Prop 6.1
+    /// ([`abscons_structural_cached`]), both over the shared source/target
+    /// [`SatCache`]s. Returns the answer and the procedure that decided it;
+    /// the errors are those of [`EngineContext::abscons_structural`].
     pub fn abscons(
         &self,
         m: &Mapping,
         budget: usize,
     ) -> Result<Result<(AbsConsAnswer, AbsConsProcedure), BudgetExceeded>, String> {
-        if let Some(answer) = abscons_nr_ptime(m) {
-            return Ok(Ok((answer, AbsConsProcedure::NestedRelational)));
-        }
-        Ok(self
-            .abscons_structural(m, budget)?
-            .map(|answer| (answer, AbsConsProcedure::Structural)))
+        let src = self.sat_cache(&m.source_dtd);
+        let tgt = self.sat_cache(&m.target_dtd);
+        let out = match abscons_nr_cached(m, &src, &tgt) {
+            Some(answer) => Ok(Ok((answer, AbsConsProcedure::NestedRelational))),
+            None => abscons_structural_cached(m, &src, &tgt, budget)
+                .map(|out| out.map(|answer| (answer, AbsConsProcedure::Structural))),
+        };
+        self.rebalance();
+        out
     }
 
     /// [`canonical_solution`](crate::chase::canonical_solution) over the
@@ -1179,7 +1184,12 @@ mod tests {
             procedure.detail(&answer),
             "absolutely consistent (Thm 6.3 fragment)"
         );
-        assert_eq!(ctx.stats().total_compiled(), 0, "Thm 6.3 needs no cache");
+        let stats = ctx.stats();
+        assert_eq!(
+            (stats.total_compiled(), stats.sat.misses),
+            (2, 2),
+            "Thm 6.3 reads the kernels of both schemas' shared SatCaches"
+        );
         let value_free = Mapping::parse(
             "[source]\nroot r\nr -> (a|b)*\n[target]\nroot r\nr -> c?\n[stds]\nr/a --> r/c\n",
         )

@@ -18,7 +18,9 @@
 //! * [`mod@reference`] — the naive spec evaluator kept for differential tests;
 //! * [`sat`] — satisfiability of patterns w.r.t. a DTD and achievable
 //!   match-set enumeration (Lemma 4.1, and the engine behind Thm 5.2 /
-//!   Prop 6.1 in `xmlmap-core`);
+//!   Prop 6.1 in `xmlmap-core`), plus the per-DTD [`NrKernel`] that
+//!   decides the nested-relational downward fragment in PTIME (Fact 5.1,
+//!   Thm 6.3);
 //! * [`stream`] — streaming membership for the downward fragment over SAX
 //!   events in O(depth) memory, with diagnostics at the fragment boundary;
 //! * [`sat_compiled`] — the compiled fixpoint engine behind [`sat`]:
@@ -45,7 +47,7 @@ pub use minimize::minimize;
 pub use parse::{parse, PatternParseError};
 pub use sat::{
     achievable_match_sets, contained_in, equivalent, satisfiable, satisfiable_all,
-    satisfiable_with_negations, BudgetExceeded, DEFAULT_BUDGET,
+    satisfiable_with_negations, BudgetExceeded, NrKernel, DEFAULT_BUDGET,
 };
 pub use sat_compiled::{SatCache, SatEngine};
 pub use stream::{

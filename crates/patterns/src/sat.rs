@@ -42,15 +42,20 @@
 //! and memoizes match-set results. The original engine survives unchanged
 //! as [`mod@reference`] and is differentially tested against the compiled
 //! one in `tests/sat_equiv.rs`.
+//!
+//! Downward patterns over nested-relational DTDs need neither: the
+//! per-DTD [`NrKernel`] decides them in PTIME (see [`satisfiable_nr`]).
 
-use crate::ast::{ListItem, Pattern};
-use std::collections::{BTreeSet, HashMap};
+use crate::ast::Pattern;
+use std::collections::BTreeSet;
 use xmlmap_dtd::Dtd;
-use xmlmap_trees::{Name, Tree};
+use xmlmap_trees::Tree;
 
+pub mod nr;
 pub mod reference;
 
 pub use crate::sat_compiled::{SatCache, SatEngine};
+pub use nr::NrKernel;
 
 /// The exploration exceeded its state budget; the answer is unknown.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,76 +176,10 @@ pub fn equivalent(
 /// nested-relational, or the pattern uses a horizontal axis); callers then
 /// fall back to the general engine.
 ///
-/// The algorithm computes, bottom-up over the pattern, the set of DTD
-/// labels each pattern node can sit at. Because nested-relational DTDs have
-/// no disjunction, requirements of co-located pattern nodes always merge:
-/// a pattern is satisfiable iff its root can sit at the DTD root.
+/// Compiles a fresh [`NrKernel`] for `dtd`; repeated probes against one
+/// schema should hold the kernel, or ask [`SatCache::nr_kernel`].
 pub fn satisfiable_nr(dtd: &Dtd, pattern: &Pattern) -> Option<bool> {
-    dtd.nested_relational()?;
-    if pattern.uses_next_sibling() || pattern.uses_following_sibling() {
-        return None;
-    }
-
-    // Strict-descendant reachability between labels.
-    let labels: Vec<Name> = dtd.alphabet().cloned().collect();
-    let mut below: HashMap<Name, BTreeSet<Name>> = HashMap::new();
-    for l in &labels {
-        // BFS through productions.
-        let mut seen: BTreeSet<Name> = BTreeSet::new();
-        let mut stack: Vec<Name> = dtd.production(l).symbols().into_iter().collect();
-        while let Some(s) = stack.pop() {
-            if seen.insert(s.clone()) {
-                stack.extend(dtd.production(&s).symbols());
-            }
-        }
-        below.insert(l.clone(), seen);
-    }
-
-    // allowed(p) ⊆ labels, bottom-up over the pattern tree.
-    fn allowed(
-        dtd: &Dtd,
-        labels: &[Name],
-        below: &HashMap<Name, BTreeSet<Name>>,
-        p: &Pattern,
-    ) -> BTreeSet<Name> {
-        // Children first.
-        let mut item_allowed: Vec<(bool, BTreeSet<Name>)> = Vec::new(); // (is_desc, set)
-        for item in &p.list {
-            match item {
-                ListItem::Descendant(sub) => {
-                    item_allowed.push((true, allowed(dtd, labels, below, sub)));
-                }
-                ListItem::Seq { members, .. } => {
-                    // Downward fragment: single-member sequences only
-                    // (multi-member implies a horizontal op, excluded above).
-                    item_allowed.push((false, allowed(dtd, labels, below, &members[0])));
-                }
-            }
-        }
-        labels
-            .iter()
-            .filter(|l| {
-                let l: &Name = l;
-                if !p.label.accepts(l) {
-                    return false;
-                }
-                if !p.vars.is_empty() && dtd.arity(l) != p.vars.len() {
-                    return false;
-                }
-                item_allowed.iter().all(|(is_desc, set)| {
-                    if *is_desc {
-                        below[l].iter().any(|d| set.contains(d))
-                    } else {
-                        dtd.production(l).symbols().iter().any(|c| set.contains(c))
-                    }
-                })
-            })
-            .cloned()
-            .collect()
-    }
-
-    let root_allowed = allowed(dtd, &labels, &below, pattern);
-    Some(root_allowed.contains(dtd.root()))
+    NrKernel::new(dtd)?.satisfiable(pattern)
 }
 
 #[cfg(test)]

@@ -35,10 +35,10 @@
 //! `core::bounded` all hold one per call tree.
 
 use crate::ast::{LabelTest, ListItem, Pattern, SeqOp};
-use crate::sat::BudgetExceeded;
+use crate::sat::{BudgetExceeded, NrKernel};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use xmlmap_dtd::Dtd;
 
 use xmlmap_trees::{Tree, Value};
@@ -724,12 +724,15 @@ type MatchSets = Vec<(BTreeSet<usize>, Tree)>;
 ///
 /// Shared by the `crates/core` consistency procedures so that the many
 /// probes of one `CONS`/`ABSCONS°`/`CONSCOMP` run (and repeated runs over
-/// one schema) pay compilation a single time.
+/// one schema) pay compilation a single time. The nested-relational
+/// fragment's [`NrKernel`] is built on the first query that asks for it
+/// ([`SatCache::nr_kernel`]), never by [`SatCache::new`].
 pub struct SatCache {
     idx: Arc<DtdIndex>,
     context: String,
     pats: Mutex<HashMap<Vec<String>, Arc<CompiledPats>>>,
     results: Mutex<HashMap<Vec<String>, Arc<MatchSets>>>,
+    nr: OnceLock<Option<NrKernel>>,
 }
 
 impl SatCache {
@@ -740,6 +743,7 @@ impl SatCache {
             context: "cached type-fixpoint probe".to_string(),
             pats: Mutex::new(HashMap::new()),
             results: Mutex::new(HashMap::new()),
+            nr: OnceLock::new(),
         }
     }
 
@@ -752,6 +756,12 @@ impl SatCache {
     /// The DTD this cache answers probes against.
     pub fn dtd(&self) -> &Dtd {
         self.idx.dtd()
+    }
+
+    /// The DTD's [`NrKernel`], compiled on first request; `None` when the
+    /// DTD is not nested-relational (also remembered).
+    pub fn nr_kernel(&self) -> Option<&NrKernel> {
+        self.nr.get_or_init(|| NrKernel::new(self.dtd())).as_ref()
     }
 
     /// All achievable root match sets for `patterns`, memoized.
@@ -800,14 +810,17 @@ impl SatCache {
         self.satisfiable_all(&[pattern], budget)
     }
 
-    /// Approximate heap footprint in bytes: the compiled index plus both
-    /// runtime memo tables (whose match-set witnesses can dwarf the index
-    /// on heavily probed schemas — which is exactly what eviction needs to
-    /// see).
+    /// Approximate heap footprint in bytes: the compiled index, the
+    /// nested-relational kernel once built, and both runtime memo tables
+    /// (whose match-set witnesses can dwarf the index on heavily probed
+    /// schemas — which is exactly what eviction needs to see).
     pub fn approx_bytes(&self) -> u64 {
         let key_bytes =
             |key: &Vec<String>| key.iter().map(|s| s.len() as u64 + 24).sum::<u64>() + 24;
         let mut total = self.idx.approx_bytes() + self.context.len() as u64;
+        if let Some(Some(kernel)) = self.nr.get() {
+            total += kernel.approx_bytes();
+        }
         for (key, pats) in self.pats.lock().unwrap().iter() {
             total += key_bytes(key) + pats.approx_bytes();
         }

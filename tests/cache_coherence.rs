@@ -15,7 +15,8 @@
 use std::sync::Arc;
 use xmlmap::automata::AutomataCache;
 use xmlmap::core::{
-    canonical_solution, canonical_solution_cached, ChaseCache, EngineContext, ShapeCache,
+    abscons_nr_ptime, canonical_solution, canonical_solution_cached, consistent_nr_ptime,
+    AbsConsProcedure, ChaseCache, EngineContext, ShapeCache,
 };
 use xmlmap::gen::hard;
 use xmlmap::patterns::SatCache;
@@ -640,4 +641,102 @@ fn each_compiled_form_is_built_once_per_context() {
         after.stream_chase.bytes < after.stream_plans.bytes,
         "{after}"
     );
+}
+
+// ---- Thm 6.3 over the shared nested-relational kernels ------------------
+
+/// `abscons_chain(n)` for `n` in `2..=40`, which all hold.
+const CHAINS: usize = 39;
+
+/// The [`CHAINS`] chain mappings, then seeded random nested-relational
+/// mappings.
+fn thm63_instances() -> Vec<Mapping> {
+    use rand::{Rng, SeedableRng};
+    use xmlmap::gen::mappings::{random_nr_dtd, random_nr_mapping, MappingGenConfig};
+    let mut out: Vec<Mapping> = (2..=40).map(hard::abscons_chain).collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+    let dtds: Vec<Dtd> = (0..6).map(|_| random_nr_dtd(3, 3, 0.5, &mut rng)).collect();
+    let config = MappingGenConfig {
+        stds: 3,
+        depth: 3,
+        branch_probability: 0.7,
+    };
+    for _ in 0..24 {
+        let (s, t) = (rng.gen_range(0..dtds.len()), rng.gen_range(0..dtds.len()));
+        out.push(random_nr_mapping(&dtds[s], &dtds[t], &config, &mut rng).unwrap());
+    }
+    out
+}
+
+/// The context's Thm 6.3 verdict and its detail line, which `batch` and
+/// the daemon print.
+fn context_abscons(ctx: &EngineContext, m: &Mapping) -> (bool, String) {
+    let (answer, procedure) = ctx.abscons(m, BUDGET).unwrap().unwrap();
+    assert_eq!(procedure, AbsConsProcedure::NestedRelational, "{m}");
+    (answer.holds(), procedure.detail(&answer))
+}
+
+/// `EngineContext::abscons` reads the two schemas' shared kernels; its
+/// answers and detail lines equal a fresh `abscons_nr_ptime`'s, cold,
+/// warm, and with every `SatCache` (and so its kernel) evicted between
+/// calls. Fact 5.1's `consistent_nr_ptime` agrees with the context's
+/// type-fixpoint `consistent` on the same instances.
+#[test]
+fn abscons_over_shared_kernels_equals_fresh_thm63() {
+    let instances = thm63_instances();
+    let fresh: Vec<(bool, String)> = instances
+        .iter()
+        .map(|m| {
+            let answer = abscons_nr_ptime(m).expect("Thm 6.3 fragment");
+            (
+                answer.holds(),
+                AbsConsProcedure::NestedRelational.detail(&answer),
+            )
+        })
+        .collect();
+    assert!(fresh[..CHAINS].iter().all(|(holds, _)| *holds));
+    let random = &fresh[CHAINS..];
+    let violated = random.iter().filter(|(holds, _)| !holds).count();
+    assert!(
+        violated > 0 && violated < random.len(),
+        "both verdicts among the random mappings: {violated} violated"
+    );
+    let ctx = EngineContext::new();
+    for round in ["cold", "warm"] {
+        for (m, expect) in instances.iter().zip(&fresh) {
+            assert_eq!(&context_abscons(&ctx, m), expect, "{round}: {m}");
+        }
+    }
+    let evicting = EngineContext::new().with_memory_budget(1);
+    for (m, expect) in instances.iter().zip(&fresh) {
+        assert_eq!(&context_abscons(&evicting, m), expect, "evicting: {m}");
+    }
+    let stats = evicting.stats();
+    assert_eq!(stats.sat.entries, 0, "{stats}");
+    assert!(stats.sat.evictions >= 2 * instances.len() as u64, "{stats}");
+
+    // The type-fixpoint side grows fast on long chains: chains up to 12.
+    for m in instances[..11].iter().chain(&instances[CHAINS..]) {
+        let fast = consistent_nr_ptime(m).expect("Fact 5.1 fragment");
+        assert_eq!(
+            fast,
+            ctx.consistent(m, BUDGET).unwrap().is_consistent(),
+            "{m}"
+        );
+    }
+}
+
+/// The kernel is built by the first nested-relational query, not by the
+/// cache fill, and is accounted once built.
+#[test]
+fn nested_relational_kernel_is_built_lazily_and_accounted() {
+    let ctx = EngineContext::new().with_memory_budget(1 << 30);
+    let m = hard::abscons_chain(24);
+    ctx.sat_cache(&m.source_dtd);
+    ctx.sat_cache(&m.target_dtd);
+    let before = ctx.stats().sat.bytes;
+    assert!(context_abscons(&ctx, &m).0);
+    let after = ctx.stats();
+    assert_eq!(after.sat.misses, 2, "{after}");
+    assert!(after.sat.bytes > before, "{before} -> {after}");
 }
