@@ -31,14 +31,14 @@
 //!   stay valid. Machines are re-expanded only via a dependency worklist
 //!   (an A-rule wakes only for pairs whose A-state its DFA reads), carry
 //!   persistent frontiers across rounds (settled states catch up on new
-//!   pairs; fresh states settle against all pairs), and large frontiers fan
-//!   out over `xmlmap_par` with a deterministic sequential merge.
+//!   pairs; fresh states settle against all pairs). A round expands its
+//!   dirty machines in machine order on the calling thread, then merges
+//!   their candidates in that order, so verdicts, witnesses and budget
+//!   errors are functions of the input alone.
 
 use crate::hedge::{HedgeAutomaton, Rule};
 use crate::inclusion::InclusionBudgetExceeded;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use xmlmap_codec::{CodecError, Decoder, Encoder};
 use xmlmap_dtd::content::{get_bit, set_bit};
 use xmlmap_regex::{DenseDfa, Determinizer, FastHashMap, FastHashSet, Nfa};
@@ -86,12 +86,6 @@ fn decode_dense_dfa(d: &mut Decoder<'_>, num_symbols: usize) -> Result<DenseDfa,
         used_symbols,
     })
 }
-
-/// Minimum machines in a round before the frontier fans out over threads.
-const PAR_MACHINE_GATE: usize = 4;
-/// Minimum total machines before parallelism is considered at all (tiny
-/// instances never pay thread overhead).
-const PAR_TOTAL_GATE: usize = 16;
 
 /// Machine-state count up to which an [`IncMachine`] probes its interned
 /// states by linear scan instead of allocating a hash index (see
@@ -550,14 +544,14 @@ pub(crate) fn product(ha: &HedgeAutomaton, hb: &HedgeAutomaton) -> HedgeAutomato
     let core_a = CompiledAutomaton::new(ha, &alphabet);
     let core_b = CompiledAutomaton::new(hb, &alphabet);
 
-    let mut machines: Vec<Mutex<ProdMachine>> = Vec::new();
+    let mut machines: Vec<ProdMachine> = Vec::new();
     for lid in 0..alphabet.len() {
         for ra in 0..core_a.rules[lid].len() {
             for rb in 0..core_b.rules[lid].len() {
                 let da = &core_a.rules[lid][ra].dfa;
                 let db = &core_b.rules[lid][rb].dfa;
                 let inert = !da.live[0] || !db.live[0];
-                machines.push(Mutex::new(ProdMachine {
+                machines.push(ProdMachine {
                     lid: lid as u32,
                     ra,
                     rb,
@@ -567,7 +561,7 @@ pub(crate) fn product(ha: &HedgeAutomaton, hb: &HedgeAutomaton) -> HedgeAutomato
                     caught_up: 0,
                     emitted: false,
                     inert,
-                }));
+                });
             }
         }
     }
@@ -578,7 +572,6 @@ pub(crate) fn product(ha: &HedgeAutomaton, hb: &HedgeAutomaton) -> HedgeAutomato
     let used: Vec<UsedMasks> = machines
         .iter()
         .map(|m| {
-            let m = m.lock().unwrap();
             let da = &core_a.rules[m.lid as usize][m.ra].dfa;
             let db = &core_b.rules[m.lid as usize][m.rb].dfa;
             let mut ua = vec![0u64; core_a.state_words].into_boxed_slice();
@@ -608,12 +601,11 @@ pub(crate) fn product(ha: &HedgeAutomaton, hb: &HedgeAutomaton) -> HedgeAutomato
         for &i in &dirty_idx {
             dirty[i] = false;
         }
-        let gate = machines.len() >= PAR_TOTAL_GATE && dirty_idx.len() >= PAR_MACHINE_GATE;
-        let emissions: Vec<Option<(u32, u32)>> =
-            xmlmap_par::par_map_gated(&dirty_idx, gate, |&mi| {
-                prod_expand(&core, &mut machines[mi].lock().unwrap())
-            });
-        for pair in emissions.into_iter().flatten() {
+        let emissions: Vec<(u32, u32)> = dirty_idx
+            .iter()
+            .filter_map(|&mi| prod_expand(&core, &mut machines[mi]))
+            .collect();
+        for pair in emissions {
             if pair_index.contains_key(&pair) {
                 continue;
             }
@@ -636,7 +628,6 @@ pub(crate) fn product(ha: &HedgeAutomaton, hb: &HedgeAutomaton) -> HedgeAutomato
     }
     let mut rules = Vec::new();
     for m in &machines {
-        let m = m.lock().unwrap();
         if !m.emitted {
             continue;
         }
@@ -756,7 +747,7 @@ fn inc_expand(
     core: &IncCore,
     m: &mut IncMachine,
     budget: usize,
-    explored: &AtomicUsize,
+    explored: &mut usize,
 ) -> Result<Vec<IncCandidate>, InclusionBudgetExceeded> {
     let mut out = Vec::new();
     if m.inert {
@@ -852,11 +843,11 @@ fn inc_expand(
     while m.settled < m.a_states.len() {
         let si = m.settled;
         m.settled += 1;
-        let n = explored.fetch_add(1, Ordering::Relaxed) + 1;
-        if n > budget {
+        *explored += 1;
+        if *explored > budget {
             return Err(InclusionBudgetExceeded {
                 budget,
-                states_explored: n,
+                states_explored: *explored,
                 operation: "inclusion check".into(),
             });
         }
@@ -934,7 +925,7 @@ pub(crate) fn inclusion(
         })
         .collect();
 
-    let mut machines: Vec<Mutex<IncMachine>> = Vec::new();
+    let mut machines: Vec<IncMachine> = Vec::new();
     for (lid, a_rules) in a.rules.iter().enumerate() {
         for (ri, rule) in a_rules.iter().enumerate() {
             let layout = &layouts[lid];
@@ -947,7 +938,7 @@ pub(crate) fn inclusion(
                     set_bit(&mut b0, layout.offsets[blk]);
                 }
             }
-            machines.push(Mutex::new(IncMachine {
+            machines.push(IncMachine {
                 lid: lid as u32,
                 ri,
                 a_states: vec![0],
@@ -958,14 +949,13 @@ pub(crate) fn inclusion(
                 caught_up: 0,
                 emitted: FastHashSet::default(),
                 inert,
-            }));
+            });
         }
     }
     // Wake lists: machine `mi` cares about a new pair iff its A-DFA reads
     // the pair's A-state (other symbols step A to a dead sink).
     let mut deps_a: Vec<Vec<usize>> = vec![Vec::new(); a.num_states];
     for (mi, m) in machines.iter().enumerate() {
-        let m = m.lock().unwrap();
         for &s in &a.rules[m.lid as usize][m.ri].dfa.used_symbols {
             deps_a[s as usize].push(mi);
         }
@@ -983,7 +973,7 @@ pub(crate) fn inclusion(
     // Alive (⊆-minimal) pair ids per A-state.
     let mut antichain: Vec<Vec<u32>> = vec![Vec::new(); a.num_states];
     let mut dirty: Vec<bool> = vec![true; machines.len()];
-    let explored = AtomicUsize::new(0);
+    let mut explored = 0usize;
 
     loop {
         let dirty_idx: Vec<usize> = (0..machines.len()).filter(|&i| dirty[i]).collect();
@@ -993,20 +983,14 @@ pub(crate) fn inclusion(
         for &i in &dirty_idx {
             dirty[i] = false;
         }
-        let gate = machines.len() >= PAR_TOTAL_GATE && dirty_idx.len() >= PAR_MACHINE_GATE;
-        let results: Vec<Result<Vec<IncCandidate>, InclusionBudgetExceeded>> =
-            xmlmap_par::par_map_gated(&dirty_idx, gate, |&mi| {
-                inc_expand(&core, &mut machines[mi].lock().unwrap(), budget, &explored)
-            });
+        // Every dirty machine expands before an overrun is reported, so a
+        // budget error carries the count of its round's last overrun.
         let mut candidates = Vec::new();
         let mut err: Option<InclusionBudgetExceeded> = None;
-        for r in results {
-            match r {
+        for &mi in &dirty_idx {
+            match inc_expand(&core, &mut machines[mi], budget, &mut explored) {
                 Ok(cs) => candidates.extend(cs),
-                Err(e) => match &err {
-                    Some(p) if e.states_explored <= p.states_explored => {}
-                    _ => err = Some(e),
-                },
+                Err(e) => err = Some(e),
             }
         }
         if let Some(e) = err {

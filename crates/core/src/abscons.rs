@@ -254,7 +254,7 @@ pub fn abscons_nr_cached(m: &Mapping, src: &SatCache, tgt: &SatCache) -> Option<
 /// comparisons or wildcards.
 fn thm63_stds(m: &Mapping) -> bool {
     let sig = m.signature();
-    m.is_fully_specified() && !sig.has_data_comparison() && !sig.wildcard
+    sig.is_fully_specified() && !sig.has_data_comparison()
 }
 
 /// The rigidity analysis over the two DTDs' kernels.

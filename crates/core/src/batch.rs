@@ -38,7 +38,8 @@ use crate::engine::EngineContext;
 use crate::stds::Mapping;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use xmlmap_automata::SubschemaViolation;
 use xmlmap_dtd::Dtd;
 use xmlmap_patterns::{Pattern, StreamPattern};
@@ -175,11 +176,13 @@ impl std::fmt::Display for JobResult {
     }
 }
 
-/// The default worker count for [`run_batch`]: the host's available
-/// parallelism (re-exported so front ends need no direct `xmlmap-par`
-/// dependency).
+/// The default worker count for [`run_batch`] and the daemon: the host's
+/// available parallelism, capped at 16.
 pub fn default_workers() -> usize {
-    xmlmap_par::worker_count()
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(16)
 }
 
 /// Runs one job against the shared context.
@@ -374,7 +377,55 @@ pub fn run_job(ctx: &EngineContext, job: &BatchJob) -> JobResult {
 /// results **in job order** regardless of the worker count. `workers <= 1`
 /// runs inline on the calling thread.
 pub fn run_batch(ctx: &EngineContext, jobs: &[BatchJob], workers: usize) -> Vec<JobResult> {
-    xmlmap_par::par_map_workers(jobs, workers, |job| run_job(ctx, job))
+    par_map_workers(jobs, workers, |job| run_job(ctx, job))
+}
+
+/// Applies `f` to every item on exactly `workers` scoped threads (capped at
+/// the item count, even on a single-CPU host: the worker count is an
+/// interleaving knob as well as a throughput one), returning the outputs in
+/// input order. `workers <= 1` runs inline on the calling thread.
+///
+/// Items are handed out by an atomic cursor, so uneven job costs balance
+/// across workers; each worker buffers `(index, output)` pairs and merges
+/// once at the end.
+fn par_map_workers<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let buffers: Vec<Mutex<Vec<(usize, U)>>> =
+        (0..workers).map(|_| Mutex::new(Vec::new())).collect();
+    std::thread::scope(|scope| {
+        for buffer in &buffers {
+            scope.spawn(|| {
+                let mut local: Vec<(usize, U)> = Vec::new();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    local.push((i, f(&items[i])));
+                }
+                *buffer.lock().unwrap() = local;
+            });
+        }
+    });
+    let mut results: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
+    for buffer in buffers {
+        for (i, out) in buffer.into_inner().unwrap() {
+            results[i] = Some(out);
+        }
+    }
+    results
+        .into_iter()
+        .map(|slot| slot.expect("workers covered every index"))
+        .collect()
 }
 
 /// Renders a finished batch in the CLI's stdout format — one
@@ -671,6 +722,15 @@ fn parse_line(line: &str, parser: &mut JobParser) -> Result<JobKind, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn explicit_worker_counts_agree() {
+        let items: Vec<u64> = (0..500).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * 3).collect();
+        for workers in [0, 1, 2, 8, 1000] {
+            assert_eq!(par_map_workers(&items, workers, |&x| x * 3), expected);
+        }
+    }
 
     const COPY_MAP: &str = "[source]\nroot r\nr -> a*\na @ v\n\
                             [target]\nroot r\nr -> b*\nb @ w\n\

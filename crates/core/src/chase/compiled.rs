@@ -8,9 +8,7 @@
 //!   dense match-enumeration hook
 //!   ([`Matcher::all_match_tuples`](xmlmap_patterns::Matcher::all_match_tuples))
 //!   as borrowed value tuples, filtered by source conditions translated to
-//!   interned variable ids. On multi-std mappings over large documents the
-//!   per-std enumerations fan out across threads (same size gate as
-//!   `Std::satisfied`);
+//!   interned variable ids, std by std on the calling thread;
 //! * **union-find unification and arena construction** — the firings are
 //!   applied to the shared chase arena (`chase::arena`), whose union-find
 //!   of labelled nulls over interned constants makes each unification a
@@ -501,26 +499,22 @@ pub fn canonical_solution_cached(
         "cache built from another mapping"
     );
 
-    // Step 1a: firing enumeration through the compiled kernel — read-only
-    // and independent per std, so fan out across threads on non-trivial
-    // inputs (same gate as `Std::satisfied` / the reference engine). The
-    // instantiation loop below stays sequential: it mutates one shared
-    // partial document, and firing order is what makes the construction
+    // Step 1a: firing enumeration through the compiled kernel, std by std.
+    // The instantiation in `chase_firings` mutates one shared partial
+    // document, and firing order is what makes the construction
     // deterministic.
-    let enumerate = |p: &StdPlan| -> Vec<Vec<&Value>> {
-        if p.src_conds.iter().any(Option::is_none) {
-            return Vec::new(); // a condition that can never hold
-        }
-        let mut tuples = Matcher::new(source, &p.source).all_match_tuples();
-        tuples.retain(|t| p.admits(t));
-        tuples
-    };
-    let firings: Vec<Vec<Vec<&Value>>> =
-        if m.stds.len() > 1 && source.size() >= crate::stds::PAR_NODE_THRESHOLD {
-            xmlmap_par::par_map(&cache.plans, enumerate)
-        } else {
-            cache.plans.iter().map(enumerate).collect()
-        };
+    let firings: Vec<Vec<Vec<&Value>>> = cache
+        .plans
+        .iter()
+        .map(|p| {
+            if p.src_conds.iter().any(Option::is_none) {
+                return Vec::new(); // a condition that can never hold
+            }
+            let mut tuples = Matcher::new(source, &p.source).all_match_tuples();
+            tuples.retain(|t| p.admits(t));
+            tuples
+        })
+        .collect();
 
     let tree = chase_firings(cache, &firings)?;
     debug_assert!(m.target_dtd.conforms(&tree), "chase output must conform");

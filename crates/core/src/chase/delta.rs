@@ -676,7 +676,8 @@ impl IncrementalChase {
         &mut self,
         query: &Pattern,
     ) -> Result<Vec<Valuation>, CertainAnswersError> {
-        if query.uses_next_sibling() || query.uses_following_sibling() {
+        let f = query.features();
+        if f.next_sibling || f.following_sibling {
             return Err(CertainAnswersError::OrderedQuery);
         }
         let canonical = self

@@ -346,19 +346,9 @@ pub fn canonical_solution(m: &Mapping, source: &Tree) -> Result<Tree, ChaseError
         .collect();
     chaser.tree.set_attrs(Tree::ROOT, root_attrs);
 
-    // Match enumeration per std is read-only and independent, so fan it
-    // out across threads on non-trivial inputs; the instantiation loop
-    // below stays sequential (it mutates one shared partial document, and
-    // firing order is what makes the construction deterministic).
-    let firings_per_std: Vec<Vec<Valuation>> =
-        if m.stds.len() > 1 && source.size() >= crate::stds::PAR_NODE_THRESHOLD {
-            xmlmap_par::par_map(&m.stds, |s| s.firings(source))
-        } else {
-            m.stds.iter().map(|s| s.firings(source)).collect()
-        };
-
-    for (si, (s, firings)) in m.stds.iter().zip(firings_per_std).enumerate() {
-        for firing in firings {
+    // Firing order is what makes the construction deterministic.
+    for (si, s) in m.stds.iter().enumerate() {
+        for firing in s.firings(source) {
             let values = chaser.firing_values(s, &firing, si)?;
             // The target pattern is rooted at the document root.
             let LabelTest::Label(root_label) = &s.target.label else {

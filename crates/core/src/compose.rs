@@ -84,9 +84,8 @@ pub fn composition_member_cached(
     // homomorphism need not preserve sibling order or arities elsewhere),
     // in which case a failed search proves non-membership.
     let m23_downward = m23.stds.iter().all(|s| {
-        !s.source.uses_next_sibling()
-            && !s.source.uses_following_sibling()
-            && !s.source.uses_wildcard()
+        let f = s.source.features();
+        !(f.next_sibling || f.following_sibling || f.wildcard)
     });
     match crate::chase::canonical_solution_cached(m12, t1, chase) {
         Ok(canonical) => {
@@ -654,7 +653,7 @@ pub fn compose(m12: &SkolemMapping, m23: &SkolemMapping) -> Result<SkolemMapping
             )));
         }
         for (i, s) in m.stds.iter().enumerate() {
-            if !s.source.is_fully_specified() || s.source.uses_wildcard() {
+            if !s.source.is_fully_specified() {
                 return Err(ComposeError::OutsideClass(format!(
                     "{which} std #{i}: source pattern must be fully specified and \
                      wildcard-free"

@@ -16,7 +16,7 @@
 use crate::signature::Signature;
 use crate::stds::Mapping;
 use std::collections::BTreeSet;
-use xmlmap_patterns::sat::{self, BudgetExceeded, NrKernel, SatCache};
+use xmlmap_patterns::sat::{BudgetExceeded, NrKernel, SatCache};
 use xmlmap_patterns::Pattern;
 use xmlmap_trees::Tree;
 
@@ -74,7 +74,7 @@ impl std::error::Error for ConsError {}
 pub fn data_free(m: &Mapping) -> bool {
     m.stds.iter().all(|s| {
         s.source_cond.is_empty()
-            && !s.source.has_repeated_variable()
+            && !s.source.features().repeated_variable
             && s.target_cond
                 .iter()
                 .all(|c| c.op == crate::cond::CompOp::Eq)
@@ -238,8 +238,8 @@ pub fn composition_consistent(
 
 /// [`composition_consistent`] against caller-held [`SatCache`]s (`src` for
 /// `m12.source_dtd`, `mid` for the shared middle schema, `tgt` for
-/// `m23.target_dtd`). The final side uses one joint run over all Σ23
-/// targets, as in [`consistent_cached`].
+/// `m23.target_dtd`): the two-mapping case of
+/// [`composition_chain_consistent`]'s walk.
 pub fn composition_consistent_cached(
     m12: &Mapping,
     m23: &Mapping,
@@ -248,44 +248,7 @@ pub fn composition_consistent_cached(
     tgt: &SatCache,
     budget: usize,
 ) -> Result<bool, ConsError> {
-    if !data_free(m12) || !data_free(m23) {
-        return Err(ConsError::DataComparisons(
-            m12.signature().union(m23.signature()),
-        ));
-    }
-    let sources1: Vec<&Pattern> = m12.stds.iter().map(|s| &s.source).collect();
-    let js = src
-        .achievable_match_sets(&sources1, budget)
-        .map_err(ConsError::Budget)?;
-
-    // Middle patterns: Σ12 targets (must hold when fired) + Σ23 sources
-    // (their exact match set drives Σ23's obligations).
-    let n12 = m12.stds.len();
-    let mut middle: Vec<&Pattern> = m12.stds.iter().map(|s| &s.target).collect();
-    middle.extend(m23.stds.iter().map(|s| &s.source));
-    let middle_sets = mid
-        .achievable_match_sets(&middle, budget)
-        .map_err(ConsError::Budget)?;
-
-    // Viable Σ23 obligation sets: some achievable source J is covered by a
-    // middle match set inducing them.
-    let mut viable: Vec<BTreeSet<usize>> = Vec::new();
-    for (mset, _) in middle_sets.iter() {
-        // The middle document must match every fired Σ12 target...
-        if !js.iter().any(|(j, _)| j.iter().all(|i| mset.contains(i))) {
-            continue;
-        }
-        // ...and its Σ23 match set K determines the final obligations.
-        let k: BTreeSet<usize> = mset
-            .iter()
-            .filter(|&&x| x >= n12)
-            .map(|&x| x - n12)
-            .collect();
-        if !viable.contains(&k) {
-            viable.push(k);
-        }
-    }
-    final_side_satisfiable(m23, tgt, viable, budget)
+    chain_consistent(&[m12, m23], &[src, mid, tgt], budget)
 }
 
 /// Is some obligation set's target side `D_t ∧ {targets of K}` satisfiable?
@@ -321,44 +284,67 @@ fn final_side_satisfiable(
 /// Consistency of an n-fold composition `⟦M₁⟧ ∘ … ∘ ⟦Mₙ⟧` (Prop 7.2),
 /// exact for data-free mappings.
 ///
-/// Generalises [`composition_consistent`]: walk the chain left to right,
-/// tracking which *sets of fired-target obligations* are achievable at each
-/// schema. At schema `i` the engine enumerates achievable match sets over
-/// the pattern family (targets of `Mᵢ` ∪ sources of `Mᵢ₊₁`); a middle
-/// match set is viable iff it covers some currently-achievable obligation
-/// set, and it induces the obligation set for the next schema.
+/// Walks the chain left to right, tracking which *sets of fired-target
+/// obligations* are achievable at each schema. At the schema between `Mᵢ`
+/// and `Mᵢ₊₁` the engine enumerates achievable match sets over the pattern
+/// family (targets of `Mᵢ` ∪ sources of `Mᵢ₊₁`); a middle match set is
+/// viable iff it covers some currently-achievable obligation set, and it
+/// induces the obligation set for the next schema. The final side uses one
+/// joint run over the last mapping's targets, as in [`consistent_cached`].
 pub fn composition_chain_consistent(chain: &[&Mapping], budget: usize) -> Result<bool, ConsError> {
-    let Some((first, rest)) = chain.split_first() else {
+    let Some(first) = chain.first() else {
         return Ok(true); // the empty composition is the identity
     };
-    for m in chain {
-        if !data_free(m) {
-            return Err(ConsError::DataComparisons(m.signature()));
-        }
+    let schemas: Vec<SatCache> = std::iter::once(&first.source_dtd)
+        .chain(chain.iter().map(|m| &m.target_dtd))
+        .enumerate()
+        .map(|(i, d)| SatCache::new(d).with_context(&format!("chain consistency (schema {i})")))
+        .collect();
+    let schemas: Vec<&SatCache> = schemas.iter().collect();
+    chain_consistent(chain, &schemas, budget)
+}
+
+/// The walk of [`composition_chain_consistent`] over caller-held
+/// [`SatCache`]s: `schemas[0]` is compiled from `chain[0].source_dtd` and
+/// `schemas[i]` from `chain[i - 1].target_dtd`, the schema `Mᵢ` and `Mᵢ₊₁`
+/// share.
+fn chain_consistent(
+    chain: &[&Mapping],
+    schemas: &[&SatCache],
+    budget: usize,
+) -> Result<bool, ConsError> {
+    let (Some(first), Some(last)) = (chain.first(), chain.last()) else {
+        return Ok(true); // the empty composition is the identity
+    };
+    assert_eq!(schemas.len(), chain.len() + 1, "one SatCache per schema");
+    if !chain.iter().all(|m| data_free(m)) {
+        let sig = chain.iter().map(|m| m.signature());
+        return Err(ConsError::DataComparisons(
+            sig.fold(Signature::CHILD_ONLY, Signature::union),
+        ));
     }
     // Obligation sets achievable at the current schema boundary: the sets
     // of target patterns of the previous mapping that must hold.
     let sources: Vec<&Pattern> = first.stds.iter().map(|s| &s.source).collect();
-    let js = sat::achievable_match_sets(&first.source_dtd, &sources, budget)
+    let js = schemas[0]
+        .achievable_match_sets(&sources, budget)
         .map_err(ConsError::Budget)?;
-    let mut obligations: Vec<BTreeSet<usize>> = js.into_iter().map(|(j, _)| j).collect();
-    obligations.sort();
-    obligations.dedup();
+    let mut obligations: Vec<BTreeSet<usize>> = js.iter().map(|(j, _)| j.clone()).collect();
 
-    let mut prev = *first;
-    for m in rest {
-        // Patterns at the shared middle schema: prev's targets + m's sources.
+    for (pair, mid) in chain.windows(2).zip(&schemas[1..]) {
+        let (prev, m) = (pair[0], pair[1]);
+        // Patterns at the shared middle schema: prev's targets (must hold
+        // when fired) + m's sources (their exact match set drives m's
+        // obligations).
         let n_prev = prev.stds.len();
         let mut middle: Vec<&Pattern> = prev.stds.iter().map(|s| &s.target).collect();
         middle.extend(m.stds.iter().map(|s| &s.source));
-        let middle_sets = sat::achievable_match_sets(&prev.target_dtd, &middle, budget)
+        let middle_sets = mid
+            .achievable_match_sets(&middle, budget)
             .map_err(ConsError::Budget)?;
         let mut next: Vec<BTreeSet<usize>> = Vec::new();
-        for (mset, _) in &middle_sets {
-            let satisfies_some_obligation = obligations
-                .iter()
-                .any(|j| j.iter().all(|i| mset.contains(i)));
-            if !satisfies_some_obligation {
+        for (mset, _) in middle_sets.iter() {
+            if !obligations.iter().any(|j| j.is_subset(mset)) {
                 continue;
             }
             let k: BTreeSet<usize> = mset
@@ -374,12 +360,8 @@ pub fn composition_chain_consistent(chain: &[&Mapping], budget: usize) -> Result
             return Ok(false);
         }
         obligations = next;
-        prev = *m;
     }
-    // Final schema: some obligation set must have a satisfiable target side
-    // (one joint run over all of prev's targets).
-    let tgt = SatCache::new(&prev.target_dtd).with_context("chain consistency (final side)");
-    final_side_satisfiable(prev, &tgt, obligations, budget)
+    final_side_satisfiable(last, schemas[chain.len()], obligations, budget)
 }
 
 #[cfg(test)]

@@ -49,28 +49,16 @@ pub fn certain_answers_cached(
     query: &Pattern,
     chase: &ChaseCache,
 ) -> Result<Vec<Valuation>, CertainAnswersError> {
-    if query.uses_next_sibling() || query.uses_following_sibling() {
+    let f = query.features();
+    if f.next_sibling || f.following_sibling {
         return Err(CertainAnswersError::OrderedQuery);
     }
     let canonical =
         canonical_solution_cached(m, source, chase).map_err(CertainAnswersError::NoSolution)?;
-    let candidates = eval::all_matches(&canonical, query);
-    // Null-freeness of each candidate is independent; fan the scan out
-    // only for large answer sets — per-candidate work is a handful of
-    // value-tag tests, so small sets are faster on one thread.
-    if candidates.len() >= 1024 {
-        let keep = xmlmap_par::par_map(&candidates, |v| v.values().all(|x| x.is_constant()));
-        Ok(candidates
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(v, k)| k.then_some(v))
-            .collect())
-    } else {
-        Ok(candidates
-            .into_iter()
-            .filter(|v| v.values().all(|x| x.is_constant()))
-            .collect())
-    }
+    Ok(eval::all_matches(&canonical, query)
+        .into_iter()
+        .filter(|v| v.values().all(|x| x.is_constant()))
+        .collect())
 }
 
 /// Why certain answers could not be computed.
@@ -174,10 +162,10 @@ pub fn reduced_solution_cached(
 /// removes values. For mappings with horizontal target patterns the input
 /// is returned unchanged.
 pub fn nest_solution(m: &Mapping, solution: &Tree) -> Tree {
-    let horizontal = m
-        .stds
-        .iter()
-        .any(|s| s.target.uses_next_sibling() || s.target.uses_following_sibling());
+    let horizontal = m.stds.iter().any(|s| {
+        let f = s.target.features();
+        f.next_sibling || f.following_sibling
+    });
     let Some(_nr) = m.target_dtd.nested_relational() else {
         return solution.clone();
     };

@@ -47,6 +47,12 @@ impl Signature {
         self.next_sibling || self.following_sibling
     }
 
+    /// Child axis only and no wildcard — every pattern fully specified
+    /// (grammar (5))?
+    pub fn is_fully_specified(&self) -> bool {
+        !self.descendant && !self.has_horizontal() && !self.wildcard
+    }
+
     /// Any data comparison (`∼` or a part of it)?
     pub fn has_data_comparison(&self) -> bool {
         self.eq || self.neq

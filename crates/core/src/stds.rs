@@ -9,10 +9,6 @@ use xmlmap_dtd::Dtd;
 use xmlmap_patterns::{eval, CompiledPattern, Matcher, Pattern, Valuation, Var};
 use xmlmap_trees::Tree;
 
-/// Combined tree size below which per-std work is kept on the calling
-/// thread: table building on tiny trees is cheaper than a thread spawn.
-pub(crate) const PAR_NODE_THRESHOLD: usize = 256;
-
 /// An std `π(x̄,ȳ), α₌,≠(x̄,ȳ) → π′(x̄,z̄), α′₌,≠(x̄,z̄)`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Std {
@@ -190,22 +186,20 @@ impl Std {
         // the target side is NOT counted: the paper's convention ("as in
         // [4], we do not restrict variable reuse in target patterns") keeps
         // it inside every class, including SM(⇓).
+        let (s, t) = (self.source.features(), self.target.features());
         Signature {
-            descendant: self.source.uses_descendant() || self.target.uses_descendant(),
-            next_sibling: self.source.uses_next_sibling() || self.target.uses_next_sibling(),
-            following_sibling: self.source.uses_following_sibling()
-                || self.target.uses_following_sibling(),
-            eq: self.source.has_repeated_variable()
-                || eq_cond(&self.source_cond)
-                || eq_cond(&self.target_cond),
+            descendant: s.descendant || t.descendant,
+            next_sibling: s.next_sibling || t.next_sibling,
+            following_sibling: s.following_sibling || t.following_sibling,
+            eq: s.repeated_variable || eq_cond(&self.source_cond) || eq_cond(&self.target_cond),
             neq: neq_cond(&self.source_cond) || neq_cond(&self.target_cond),
-            wildcard: self.source.uses_wildcard() || self.target.uses_wildcard(),
+            wildcard: s.wildcard || t.wildcard,
         }
     }
 
     /// Is this std fully specified (both patterns in grammar (5))?
     pub fn is_fully_specified(&self) -> bool {
-        self.source.is_fully_specified() && self.target.is_fully_specified()
+        self.signature().is_fully_specified()
     }
 }
 
@@ -326,26 +320,15 @@ impl Mapping {
     }
 
     /// Membership: `(T, T′) ∈ ⟦M⟧` — both trees conform and every std is
-    /// satisfied (the problem of Theorem 4.3).
-    ///
-    /// With several stds over non-trivial trees the satisfaction checks
-    /// (each independent, read-only) are fanned out across threads; small
-    /// instances stay sequential — thread spawns would dominate there
-    /// (e.g. the bounded-enumeration search calls this in a tight loop on
-    /// tiny candidate documents).
+    /// satisfied (the problem of Theorem 4.3). The stds are checked in
+    /// order on the calling thread, stopping at the first one that fails.
     pub fn is_solution(&self, source_tree: &Tree, target_tree: &Tree) -> bool {
-        if !self.source_dtd.conforms(source_tree) || !self.target_dtd.conforms(target_tree) {
-            return false;
-        }
-        if self.stds.len() > 1 && source_tree.size() + target_tree.size() >= PAR_NODE_THRESHOLD {
-            xmlmap_par::par_map(&self.stds, |s| s.satisfied(source_tree, target_tree))
-                .into_iter()
-                .all(|ok| ok)
-        } else {
-            self.stds
+        self.source_dtd.conforms(source_tree)
+            && self.target_dtd.conforms(target_tree)
+            && self
+                .stds
                 .iter()
                 .all(|s| s.satisfied(source_tree, target_tree))
-        }
     }
 
     /// The union of the std signatures.
@@ -358,7 +341,7 @@ impl Mapping {
 
     /// Are all stds fully specified?
     pub fn is_fully_specified(&self) -> bool {
-        self.stds.iter().all(Std::is_fully_specified)
+        self.signature().is_fully_specified()
     }
 }
 

@@ -62,6 +62,24 @@ pub enum ListItem {
     Descendant(Pattern),
 }
 
+/// The syntactic features a pattern uses anywhere, gathered by one walk
+/// ([`Pattern::features`]).
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct Features {
+    /// The wildcard label test `_`.
+    pub wildcard: bool,
+    /// The descendant item `//π`.
+    pub descendant: bool,
+    /// The next-sibling operator `→`.
+    pub next_sibling: bool,
+    /// The following-sibling operator `→*`.
+    pub following_sibling: bool,
+    /// A variable occurring more than once (implicit equality; stds of
+    /// Definition 3.1 require source variables to occur exactly once
+    /// unless the signature includes `=`).
+    pub repeated_variable: bool,
+}
+
 /// A pattern node `π = ℓ(x̄)[λ]`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Pattern {
@@ -150,77 +168,30 @@ impl Pattern {
         }
     }
 
-    /// Does any variable occur more than once? (Implicit equality; stds of
-    /// Definition 3.1 require source variables to occur exactly once unless
-    /// the signature includes `=`.)
-    pub fn has_repeated_variable(&self) -> bool {
-        let mut seen = BTreeSet::new();
-        !self.each_var_occurrence(&mut |v| seen.insert(v.clone()))
-    }
-
-    /// Calls `f` on every variable occurrence; stops (returning false) when
-    /// `f` returns false.
-    fn each_var_occurrence(&self, f: &mut impl FnMut(&Var) -> bool) -> bool {
-        for v in &self.vars {
-            if !f(v) {
-                return false;
+    /// Every [`Features`] flag of the pattern, in one walk.
+    pub fn features(&self) -> Features {
+        fn walk<'a>(p: &'a Pattern, f: &mut Features, seen: &mut BTreeSet<&'a Var>) {
+            f.wildcard |= p.label == LabelTest::Wildcard;
+            for v in &p.vars {
+                f.repeated_variable |= !seen.insert(v);
             }
-        }
-        for item in &self.list {
-            match item {
-                ListItem::Seq { members, .. } => {
-                    for m in members {
-                        if !m.each_var_occurrence(f) {
-                            return false;
-                        }
+            for item in &p.list {
+                match item {
+                    ListItem::Seq { members, ops } => {
+                        f.next_sibling |= ops.contains(&SeqOp::Next);
+                        f.following_sibling |= ops.contains(&SeqOp::Following);
+                        members.iter().for_each(|m| walk(m, f, seen));
                     }
-                }
-                ListItem::Descendant(p) => {
-                    if !p.each_var_occurrence(f) {
-                        return false;
+                    ListItem::Descendant(d) => {
+                        f.descendant = true;
+                        walk(d, f, seen);
                     }
                 }
             }
         }
-        true
-    }
-
-    /// Does the pattern use the wildcard label test anywhere?
-    pub fn uses_wildcard(&self) -> bool {
-        matches!(self.label, LabelTest::Wildcard)
-            || self.list.iter().any(|item| match item {
-                ListItem::Seq { members, .. } => members.iter().any(Pattern::uses_wildcard),
-                ListItem::Descendant(p) => p.uses_wildcard(),
-            })
-    }
-
-    /// Does the pattern use `//` anywhere?
-    pub fn uses_descendant(&self) -> bool {
-        self.list.iter().any(|item| match item {
-            ListItem::Seq { members, .. } => members.iter().any(Pattern::uses_descendant),
-            ListItem::Descendant(_) => true,
-        })
-    }
-
-    /// Does the pattern use `→` anywhere?
-    pub fn uses_next_sibling(&self) -> bool {
-        self.list.iter().any(|item| match item {
-            ListItem::Seq { members, ops } => {
-                ops.contains(&SeqOp::Next) || members.iter().any(Pattern::uses_next_sibling)
-            }
-            ListItem::Descendant(p) => p.uses_next_sibling(),
-        })
-    }
-
-    /// Does the pattern use `→*` anywhere?
-    pub fn uses_following_sibling(&self) -> bool {
-        self.list.iter().any(|item| match item {
-            ListItem::Seq { members, ops } => {
-                ops.contains(&SeqOp::Following)
-                    || members.iter().any(Pattern::uses_following_sibling)
-            }
-            ListItem::Descendant(p) => p.uses_following_sibling(),
-        })
+        let mut f = Features::default();
+        walk(self, &mut f, &mut BTreeSet::new());
+        f
     }
 
     /// See [`CompiledPattern::label_footprint`].
@@ -231,10 +202,8 @@ impl Pattern {
     /// Is this pattern *fully specified* (grammar (5)): no wildcard, no
     /// descendant, no horizontal operators?
     pub fn is_fully_specified(&self) -> bool {
-        !self.uses_wildcard()
-            && !self.uses_descendant()
-            && !self.uses_next_sibling()
-            && !self.uses_following_sibling()
+        let f = self.features();
+        !(f.wildcard || f.descendant || f.next_sibling || f.following_sibling)
     }
 
     /// Number of pattern nodes.
@@ -328,37 +297,38 @@ mod tests {
     fn variable_collection_in_order() {
         let vars: Vec<String> = pi3().variables().iter().map(|v| v.to_string()).collect();
         assert_eq!(vars, ["x", "y", "cn1", "cn2", "s"]);
-        assert!(!pi3().has_repeated_variable());
+        assert!(!pi3().features().repeated_variable);
 
         let reuse = Pattern::leaf("r", Vec::<Var>::new())
             .child(Pattern::leaf("a", ["x"]))
             .child(Pattern::leaf("b", ["x"]));
-        assert!(reuse.has_repeated_variable());
+        assert!(reuse.features().repeated_variable);
         assert_eq!(reuse.variables().len(), 1);
     }
 
     #[test]
     fn feature_detection() {
         let p = pi3();
-        assert!(p.uses_next_sibling());
-        assert!(!p.uses_following_sibling());
-        assert!(!p.uses_descendant());
-        assert!(!p.uses_wildcard());
+        let next_only = Features {
+            next_sibling: true,
+            ..Features::default()
+        };
+        assert_eq!(p.features(), next_only);
         assert!(!p.is_fully_specified()); // uses →
 
         let fs = Pattern::leaf("r", Vec::<Var>::new()).child(Pattern::leaf("a", ["x"]));
         assert!(fs.is_fully_specified());
 
         let desc = Pattern::leaf("r", Vec::<Var>::new()).descendant(Pattern::wildcard(["z"]));
-        assert!(desc.uses_descendant());
-        assert!(desc.uses_wildcard());
+        let f = desc.features();
+        assert!(f.descendant && f.wildcard && !f.next_sibling && !f.following_sibling);
 
         let fol = Pattern::leaf("r", Vec::<Var>::new()).seq(
             vec![Pattern::leaf("a", ["x"]), Pattern::leaf("b", ["y"])],
             vec![SeqOp::Following],
         );
-        assert!(fol.uses_following_sibling());
-        assert!(!fol.uses_next_sibling());
+        let f = fol.features();
+        assert!(f.following_sibling && !f.next_sibling && !f.descendant && !f.wildcard);
     }
 
     #[test]

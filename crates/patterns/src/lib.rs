@@ -38,7 +38,7 @@ pub mod sat;
 pub mod sat_compiled;
 pub mod stream;
 
-pub use ast::{LabelTest, ListItem, Pattern, SeqOp, Var};
+pub use ast::{Features, LabelTest, ListItem, Pattern, SeqOp, Var};
 pub use compiled::{CompiledPattern, LiveRows, Matcher};
 pub use eval::{
     all_matches, for_each_match, matches, matches_at, matches_structural, matches_with, Valuation,

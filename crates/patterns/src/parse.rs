@@ -223,7 +223,7 @@ mod tests {
             p("r[prof(x)[teach[year(y)[course(cn1) -> course(cn2)]], supervise[student(s)]]]");
         let vars: Vec<String> = pat.variables().iter().map(|v| v.to_string()).collect();
         assert_eq!(vars, ["x", "y", "cn1", "cn2", "s"]);
-        assert!(pat.uses_next_sibling());
+        assert!(pat.features().next_sibling);
         assert_eq!(pat.size(), 8);
     }
 
@@ -234,8 +234,8 @@ mod tests {
             "r[course(cn1, y)[taughtby(x)] ->* course(cn2, y)[taughtby(x)], \
              student(s)[supervisor(x)]]",
         );
-        assert!(pat.uses_following_sibling());
-        assert!(pat.has_repeated_variable()); // x and y reused
+        assert!(pat.features().following_sibling);
+        assert!(pat.features().repeated_variable); // x and y reused
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! The entry points below run the **compiled** engine
 //! ([`crate::sat_compiled`]): interned labels and type bitsets, flat-word
 //! machine states with hashed dedup, a dependency-driven worklist instead
-//! of whole-alphabet re-sweeps, and an optional gated parallel frontier
-//! (see DESIGN.md §8). Repeated probes against one schema should go
+//! of whole-alphabet re-sweeps, with every round expanded on the calling
+//! thread (see DESIGN.md §8). Repeated probes against one schema should go
 //! through [`SatCache`], which compiles the DTD and each pattern set once
 //! and memoizes match-set results. The original engine survives unchanged
 //! as [`mod@reference`] and is differentially tested against the compiled

@@ -22,11 +22,10 @@
 //!   states catch up on just the new symbols and only freshly created
 //!   states pay the full expansion. A label re-enters the worklist only
 //!   when a new pair's label occurs in its production (`dependents`).
-//! * **Gated parallel frontier.** Rounds with enough dirty labels fan the
-//!   per-label expansions out over `xmlmap_par` worker threads (each label
-//!   behind its own mutex, results merged deterministically in label
-//!   order). Gated on alphabet size so small schemas never pay thread
-//!   overhead — the same policy as the eval kernel's ≥256-node gate.
+//! * **Sequential rounds.** A round expands its dirty labels one after
+//!   another on the calling thread and merges their discoveries in label
+//!   order, so pair ids, witnesses and budget errors are functions of the
+//!   input alone.
 //!
 //! [`SatCache`] is the repeated-probe entry point: it compiles the DTD
 //! once, interns each pattern set's closure once, and memoizes complete
@@ -37,16 +36,10 @@
 use crate::ast::{LabelTest, ListItem, Pattern, SeqOp};
 use crate::sat::{BudgetExceeded, NrKernel};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use xmlmap_dtd::Dtd;
 
 use xmlmap_trees::{Tree, Value};
-
-/// Parallel rounds only when the alphabet is at least this large…
-const PAR_LABEL_GATE: usize = 16;
-/// …and at least this many labels are dirty in the round.
-const PAR_DIRTY_GATE: usize = 4;
 
 use xmlmap_dtd::content::{get_bit, set_bit};
 use xmlmap_dtd::{DenseNfa, DtdIndex};
@@ -284,19 +277,18 @@ struct EngineCore {
     type_index: HashMap<Box<[u64]>, u32>,
     pairs: Vec<Pair>,
     pair_index: HashMap<(u32, u32), u32>,
-    states_explored: AtomicUsize,
     budget: usize,
     context: String,
 }
 
 impl EngineCore {
-    /// Counts one state settlement against the budget.
-    fn bump(&self) -> Result<(), BudgetExceeded> {
-        let n = self.states_explored.fetch_add(1, Ordering::Relaxed) + 1;
-        if n > self.budget {
+    /// Counts one state settlement in `explored` against the budget.
+    fn bump(&self, explored: &mut usize) -> Result<(), BudgetExceeded> {
+        *explored += 1;
+        if *explored > self.budget {
             Err(BudgetExceeded {
                 budget: self.budget,
-                states_explored: n,
+                states_explored: *explored,
                 context: self.context.clone(),
             })
         } else {
@@ -496,7 +488,11 @@ impl LabelExp {
 /// Expands one label: catch settled states up on pairs added since the
 /// label's last round, then settle every fresh state against all relevant
 /// pairs. Returns the pairs discovered (interned later, sequentially).
-fn expand(core: &EngineCore, exp: &mut LabelExp) -> Result<Vec<NewPair>, BudgetExceeded> {
+fn expand(
+    core: &EngineCore,
+    exp: &mut LabelExp,
+    explored: &mut usize,
+) -> Result<Vec<NewPair>, BudgetExceeded> {
     let nfa = &core.idx.nfas()[exp.lid as usize];
     let mut out = Vec::new();
 
@@ -528,7 +524,7 @@ fn expand(core: &EngineCore, exp: &mut LabelExp) -> Result<Vec<NewPair>, BudgetE
     // Phase 1: settled states see only the newly arrived pairs.
     if first_new < exp.relevant.len() {
         for si in 0..exp.settled {
-            core.bump()?;
+            core.bump(explored)?;
             for ri in first_new..exp.relevant.len() {
                 let pid = exp.relevant[ri];
                 exp.try_step(core, nfa, si, pid, &mut scratch, &mut out);
@@ -541,7 +537,7 @@ fn expand(core: &EngineCore, exp: &mut LabelExp) -> Result<Vec<NewPair>, BudgetE
     while exp.settled < exp.parent.len() {
         let si = exp.settled;
         exp.settled += 1;
-        core.bump()?;
+        core.bump(explored)?;
         for ri in 0..exp.relevant.len() {
             let pid = exp.relevant[ri];
             exp.try_step(core, nfa, si, pid, &mut scratch, &mut out);
@@ -555,7 +551,8 @@ fn expand(core: &EngineCore, exp: &mut LabelExp) -> Result<Vec<NewPair>, BudgetE
 /// DTD use [`SatCache`].
 pub struct SatEngine {
     core: EngineCore,
-    exps: Vec<Mutex<LabelExp>>,
+    exps: Vec<LabelExp>,
+    states_explored: usize,
     done: bool,
 }
 
@@ -573,7 +570,7 @@ impl SatEngine {
         let exps = (0..idx.labels().len())
             .map(|lid| {
                 let stride = idx.nfas()[lid].words() + pats.seq_area_words + pats.comp_words;
-                Mutex::new(LabelExp::new(lid as u32, stride))
+                LabelExp::new(lid as u32, stride)
             })
             .collect();
         SatEngine {
@@ -584,11 +581,11 @@ impl SatEngine {
                 type_index: HashMap::new(),
                 pairs: Vec::new(),
                 pair_index: HashMap::new(),
-                states_explored: AtomicUsize::new(0),
                 budget,
                 context: "type-fixpoint".to_string(),
             },
             exps,
+            states_explored: 0,
             done: false,
         }
     }
@@ -604,29 +601,14 @@ impl SatEngine {
         if self.done {
             return Ok(());
         }
-        let n_labels = self.core.idx.labels().len();
-        let mut dirty: Vec<u32> = (0..n_labels as u32).collect();
+        let mut dirty: Vec<u32> = (0..self.core.idx.labels().len() as u32).collect();
         while !dirty.is_empty() {
-            let core = &self.core;
-            let exps = &self.exps;
-            let round = |&lid: &u32| {
-                let mut exp = exps[lid as usize].lock().unwrap();
-                expand(core, &mut exp)
-            };
-            let use_par = n_labels >= PAR_LABEL_GATE
-                && dirty.len() >= PAR_DIRTY_GATE
-                && xmlmap_par::worker_count() > 1;
-            let results = if use_par {
-                xmlmap_par::par_map(&dirty, round)
-            } else {
-                dirty.iter().map(round).collect()
-            };
             let mut fresh: Vec<NewPair> = Vec::new();
-            for r in results {
-                fresh.extend(r?);
+            for &lid in &dirty {
+                let exp = &mut self.exps[lid as usize];
+                fresh.extend(expand(&self.core, exp, &mut self.states_explored)?);
             }
-            // Sequential, label-ordered merge keeps pair ids deterministic
-            // (par_map preserves input order).
+            // The label-ordered merge keeps pair ids deterministic.
             let changed = self.intern(fresh);
             let mut next: Vec<u32> = changed
                 .iter()
@@ -711,7 +693,7 @@ impl SatEngine {
 
     /// Total machine states settled so far (diagnostics for benches).
     pub fn states_explored(&self) -> usize {
-        self.core.states_explored.load(Ordering::Relaxed)
+        self.states_explored
     }
 }
 

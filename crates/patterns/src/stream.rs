@@ -122,7 +122,8 @@ impl StreamPattern {
     /// second node, nodes taken in post-order (children first, in list
     /// order), variables in tuple order.
     pub fn check(pattern: &Pattern) -> Result<(), UnstreamablePattern> {
-        if pattern.uses_next_sibling() || pattern.uses_following_sibling() {
+        let f = pattern.features();
+        if f.next_sibling || f.following_sibling {
             return Err(UnstreamablePattern::SiblingOrder);
         }
         // A repeated variable is fine within one tuple, fatal across nodes.

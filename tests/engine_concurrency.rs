@@ -423,9 +423,96 @@ fn budget_errors_are_deterministic_across_worker_counts() {
     );
 }
 
+/// A DTD of `root` over four levels of four labels each (17 labels): every
+/// label of a level holds any number of the next level's labels, and the
+/// last level carries `@v`. Type-fixpoint and inclusion rounds on it keep
+/// four or more labels (machines) dirty for several rounds.
+fn layered_dtd_text(root: &str) -> String {
+    let name = |l: usize, j: usize| format!("{}{l}", ['a', 'b', 'c', 'd'][j]);
+    let level = |l: usize| (0..4).map(|j| name(l, j)).collect::<Vec<_>>().join("|");
+    let mut s = format!("root {root}\n{root} -> ({})*\n", level(0));
+    for l in 0..3 {
+        for j in 0..4 {
+            s.push_str(&format!("{} -> ({})*\n", name(l, j), level(l + 1)));
+        }
+    }
+    for j in 0..4 {
+        s.push_str(&format!("{} @ v\n", name(3, j)));
+    }
+    s
+}
+
+#[test]
+fn budget_errors_of_wide_fixpoints_are_deterministic() {
+    // Each budget runs out in the fourth round of its fixpoint, a round
+    // with four dirty labels (machines) over a 17-label alphabet: the
+    // reported count is a function of the input alone.
+    let stds = [
+        "r//a3(x)",
+        "r//b3(x)",
+        "r[a0//c3(x)]",
+        "r[b0/a1//d3(x)]",
+        "r[c0//a2/b3(x)]",
+        "r[d0/d1/d2/d3(x)]",
+    ]
+    .map(|p| format!("{p} --> t/b(x)\n"))
+    .concat();
+    let mapping = Arc::new(
+        Mapping::parse(&format!(
+            "[source]\n{}[target]\nroot t\nt -> b*\nb @ w\n[stds]\n{stds}",
+            layered_dtd_text("r")
+        ))
+        .unwrap(),
+    );
+    let d1 = Arc::new(xmlmap::dtd::parse(&layered_dtd_text("r")).unwrap());
+    let d2 = Arc::new(
+        xmlmap::dtd::parse(
+            &layered_dtd_text("r").replace("d2 -> (a3|b3|c3|d3)*", "d2 -> (a3|b3|c3)*"),
+        )
+        .unwrap(),
+    );
+    let jobs: Vec<BatchJob> = (0..2)
+        .flat_map(|i| {
+            [
+                BatchJob {
+                    label: format!("consistent layered #{i}"),
+                    kind: JobKind::Consistent {
+                        mapping: mapping.clone(),
+                        budget: 1_200,
+                    },
+                },
+                BatchJob {
+                    label: format!("subschema layered #{i}"),
+                    kind: JobKind::Subschema {
+                        d1: d1.clone(),
+                        d2: d2.clone(),
+                        budget: 95,
+                    },
+                },
+            ]
+        })
+        .collect();
+
+    let expected = render_batch(&jobs, &run_batch(&EngineContext::new(), &jobs, 1));
+    for line in expected.lines().take(jobs.len()) {
+        assert!(
+            line.contains("exceeded its budget") && line.contains("states explored at abort"),
+            "every job must overrun its budget: {line}"
+        );
+    }
+    for workers in [1usize, 2, 8].into_iter().cycle().take(20) {
+        let results = run_batch(&EngineContext::new(), &jobs, workers);
+        assert_eq!(
+            render_batch(&jobs, &results),
+            expected,
+            "budget errors must not depend on the run or on {workers} workers"
+        );
+    }
+}
+
 #[test]
 fn batch_matches_sequential_run_job_dispatch() {
-    // The driver is par_map over run_job; pin that the fan-out adds no
+    // The driver maps run_job over its worker pool; pin that the pool adds no
     // semantics of its own by comparing against a hand-rolled loop.
     let jobs: Vec<BatchJob> = job_list().into_iter().take(40).collect();
     let ctx = EngineContext::new();
