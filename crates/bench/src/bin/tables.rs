@@ -5,7 +5,7 @@
 use std::hint::black_box;
 use std::time::Duration;
 use xmlmap_bench::{fmt_duration, measure_median_ns, time_once};
-use xmlmap_core::{bounded, consistency, SkolemMapping};
+use xmlmap_core::{bounded, consistency, EngineContext, SkolemMapping};
 use xmlmap_gen::hard;
 use xmlmap_patterns::{Pattern, Valuation, Var};
 use xmlmap_trees::{Tree, Value};
@@ -76,7 +76,7 @@ fn figure1() {
     println!("{:>8} {:>12} {:>14}", "n", "match sets", "time");
     for n in [2usize, 4, 6, 8, 10] {
         let m = hard::cons_exptime(n);
-        let (ans, d) = time_once(|| consistency::consistent(&m, BUDGET).unwrap());
+        let (ans, d) = time_once(|| EngineContext::new().consistent(&m, BUDGET).unwrap());
         assert!(!ans.is_consistent());
         println!("{n:>8} {:>12} {:>14}", (1u64 << n) - 1, fmt_duration(d));
     }
@@ -85,7 +85,7 @@ fn figure1() {
     println!("{:>8} {:>14}", "n", "time");
     for n in [1usize, 2, 3, 4, 5] {
         let m = hard::cons_nextsib(n);
-        let (ans, d) = time_once(|| consistency::consistent(&m, BUDGET).unwrap());
+        let (ans, d) = time_once(|| EngineContext::new().consistent(&m, BUDGET).unwrap());
         assert!(ans.is_consistent());
         println!("{n:>8} {:>14}", fmt_duration(d));
     }
@@ -130,7 +130,8 @@ fn figure1() {
             .collect();
         let m = xmlmap_core::Mapping::new(ds, dt, stds);
         let (ans, d) = time_once(|| {
-            xmlmap_core::abscons_structural(&m, BUDGET)
+            EngineContext::new()
+                .abscons_structural(&m, BUDGET)
                 .unwrap()
                 .unwrap()
         });
@@ -142,8 +143,11 @@ fn figure1() {
     println!("{:>8} {:>14}", "n stds", "time");
     for n in [1usize, 2, 3, 4] {
         let (m12, m23) = hard::compose_chain(n);
-        let (ok, d) =
-            time_once(|| consistency::composition_consistent(&m12, &m23, BUDGET).unwrap());
+        let (ok, d) = time_once(|| {
+            EngineContext::new()
+                .composition_consistent(&m12, &m23, BUDGET)
+                .unwrap()
+        });
         assert!(ok);
         println!("{:>8} {:>14}", n + 1, fmt_duration(d));
     }
@@ -218,13 +222,13 @@ fn figure2() {
     println!("(copy chain: the chase fast path applies, cost stays low …)");
     println!("{:>10} {:>14}", "values", "time");
     let (m12, m23) = hard::compose_chain(0);
-    let shapes = xmlmap_core::ShapeCache::new(&m12.target_dtd);
-    let chase = xmlmap_core::ChaseCache::new(&m12);
+    // Compile the chase and middle-shape caches before the timed cells.
+    let ctx = EngineContext::new();
+    ctx.chase_cache(&m12);
+    ctx.shape_cache(&m12.target_dtd);
     for k in [2usize, 4, 8, 16, 32] {
         let (t1, t3) = copy_chain_docs(k);
-        let (middle, d) = time_once(|| {
-            xmlmap_core::composition_member_cached(&m12, &m23, &t1, &t3, k + 2, &shapes, &chase)
-        });
+        let (middle, d) = time_once(|| ctx.composition_member(&m12, &m23, &t1, &t3, k + 2));
         assert!(middle.is_some());
         println!("{k:>10} {:>14}", fmt_duration(d));
     }
@@ -259,14 +263,10 @@ fn figure2() {
         t
     };
     let t3_neg = xmlmap_trees::Tree::new("w"); // no c at all: membership fails
-    let shapes_h = xmlmap_core::ShapeCache::new(&m12h.target_dtd);
-    let chase_h = xmlmap_core::ChaseCache::new(&m12h);
+    ctx.chase_cache(&m12h);
+    ctx.shape_cache(&m12h.target_dtd);
     for bound in [2usize, 3, 4, 5] {
-        let (out, d) = time_once(|| {
-            xmlmap_core::composition_member_cached(
-                &m12h, &m23h, &t1, &t3_neg, bound, &shapes_h, &chase_h,
-            )
-        });
+        let (out, d) = time_once(|| ctx.composition_member(&m12h, &m23h, &t1, &t3_neg, bound));
         assert!(out.is_none());
         println!("{bound:>10} {:>14}", fmt_duration(d));
     }
@@ -396,7 +396,8 @@ fn ablation() {
             assert_eq!(solution.unwrap().size(), k + 1);
         });
         let exhaustive = median(|| {
-            let solution = bounded::solution_exists(black_box(&copy), black_box(&src), k + 1);
+            let solution =
+                EngineContext::new().solution_exists(black_box(&copy), black_box(&src), k + 1);
             assert!(solution.is_some());
         });
         println!(

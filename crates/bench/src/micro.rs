@@ -13,7 +13,7 @@
 use crate::measure_median_ns;
 use std::time::Duration;
 use xmlmap_automata::HedgeAutomaton;
-use xmlmap_core::consistency;
+use xmlmap_core::EngineContext;
 use xmlmap_dtd::Dtd;
 use xmlmap_gen::hard;
 use xmlmap_patterns::{Pattern, Valuation, Var};
@@ -241,18 +241,18 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
         assert!(mh.is_solution(&mh1, &mh3));
     });
 
-    // The chase: canonical solution of the university mapping, through a
-    // per-mapping ChaseCache (the intended repeated-chase usage).
+    // The chase: canonical solution of the university mapping, on a warm
+    // context holding its ChaseCache (the intended repeated-chase usage).
     let m = university_mapping();
-    let chase_cache = xmlmap_core::ChaseCache::new(&m);
+    let ctx = EngineContext::new();
     let uni80 = xmlmap_gen::university_tree(80, 3);
     bench("chase/university_profs80", &mut || {
-        let sol = xmlmap_core::canonical_solution_cached(&m, &uni80, &chase_cache).unwrap();
+        let sol = ctx.canonical_solution(&m, &uni80).unwrap();
         assert!(sol.size() > 1);
     });
     let uni320 = xmlmap_gen::university_tree(320, 3);
     bench("chase/university_profs320", &mut || {
-        let sol = xmlmap_core::canonical_solution_cached(&m, &uni320, &chase_cache).unwrap();
+        let sol = ctx.canonical_solution(&m, &uni320).unwrap();
         assert!(sol.size() > 1);
     });
 
@@ -260,12 +260,12 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
     let uni20 = xmlmap_gen::university_tree(20, 3);
     let query = xmlmap_patterns::parse("r/course(c, y)[taughtby(t)]").unwrap();
     bench("exchange/certain_answers_profs20", &mut || {
-        let ans = xmlmap_core::certain_answers_cached(&m, &uni20, &query, &chase_cache).unwrap();
+        let ans = ctx.certain_answers(&m, &uni20, &query).unwrap();
         assert_eq!(ans.len(), 40);
     });
     let uni80q = xmlmap_gen::university_tree(80, 3);
     bench("exchange/certain_answers_profs80", &mut || {
-        let ans = xmlmap_core::certain_answers_cached(&m, &uni80q, &query, &chase_cache).unwrap();
+        let ans = ctx.certain_answers(&m, &uni80q, &query).unwrap();
         assert_eq!(ans.len(), 160);
     });
 
@@ -278,7 +278,7 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
         .iter()
         .map(|s| xmlmap_patterns::parse(s).unwrap())
         .collect();
-    let cache = xmlmap_patterns::SatCache::new(&uni_dtd).with_context("bench probes");
+    let cache = xmlmap_patterns::SatCache::new(&uni_dtd);
     bench("sat/probes_university_x16", &mut || {
         let n_sat = probes
             .iter()
@@ -296,24 +296,28 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
         assert_eq!(sets.len(), 256);
     });
 
+    // The decision-procedure rows run on a fresh context per call, so each
+    // includes compiling its schemas' SatCaches.
+
     // CONS on the EXPTIME family (2ⁿ−1 source match sets, inconsistent).
     let ce = hard::cons_exptime(6);
     bench("cons/exptime_n6", &mut || {
-        let ans = consistency::consistent(&ce, SAT_BUDGET).unwrap();
+        let ans = EngineContext::new().consistent(&ce, SAT_BUDGET).unwrap();
         assert!(!ans.is_consistent());
     });
 
     // CONS with next-sibling chains (the PSPACE-hard family).
     let cn = hard::cons_nextsib(4);
     bench("cons/nextsib_n4", &mut || {
-        let ans = consistency::consistent(&cn, SAT_BUDGET).unwrap();
+        let ans = EngineContext::new().consistent(&cn, SAT_BUDGET).unwrap();
         assert!(ans.is_consistent());
     });
 
     // ABSCONS° on the value-free Π₂ᵖ family.
     let vf6 = valuefree_mapping(6);
     bench("abscons/structural_n6", &mut || {
-        let ans = xmlmap_core::abscons_structural(&vf6, SAT_BUDGET)
+        let ans = EngineContext::new()
+            .abscons_structural(&vf6, SAT_BUDGET)
             .unwrap()
             .unwrap();
         assert!(ans.holds());
@@ -322,7 +326,9 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
     // Composition consistency: joint engine runs over the middle schema.
     let (m12, m23) = hard::compose_chain(3);
     bench("cons/compose_chain3", &mut || {
-        assert!(consistency::composition_consistent(&m12, &m23, SAT_BUDGET).unwrap());
+        assert!(EngineContext::new()
+            .composition_consistent(&m12, &m23, SAT_BUDGET)
+            .unwrap());
     });
 
     // ---- automata micro-suite (hedge-automata engine workloads) ----
@@ -473,7 +479,6 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
     // RSS row checks that peak live streaming state over a 100x corpus
     // stays within 2x of the 1x run (flat in document size). Corpora are
     // streamed from temp files, never materialised.
-    let uni_idx = std::sync::Arc::new(xmlmap_dtd::DtdIndex::new(&xmlmap_gen::university_dtd()));
     let stream_dir =
         std::env::temp_dir().join(format!("xmlmap-bench-stream-{}", std::process::id()));
     std::fs::create_dir_all(&stream_dir).expect("bench corpus dir");
@@ -484,9 +489,11 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
         std::io::Write::flush(&mut w).expect("bench corpus");
         path
     };
-    let stream_file = |path: &std::path::Path, plan: Option<&xmlmap_patterns::StreamPattern>| {
+    let stream_file = |path: &std::path::Path, pattern: Option<&Pattern>| {
         let src = std::io::BufReader::new(std::fs::File::open(path).expect("bench corpus"));
-        let out = xmlmap_core::stream_document(&uni_idx, plan, src).expect("well-formed corpus");
+        let out = ctx
+            .stream_document(&uni_dtd, pattern, src)
+            .expect("well-formed corpus");
         assert_eq!(out.violation, None, "bench corpora conform");
         out
     };
@@ -494,12 +501,11 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
 
     // Membership verdict parity on the 1x document, measured streaming.
     let stream_probe = xmlmap_patterns::parse("r//year(y)[course(c1), course(c2)]").unwrap();
-    let stream_plan = xmlmap_patterns::StreamPattern::compile(&stream_probe).unwrap();
     let mut tree_1x = xmlmap_gen::university_tree(160, 3);
-    uni_idx.dtd().normalize_attrs(&mut tree_1x).unwrap();
+    uni_dtd.normalize_attrs(&mut tree_1x).unwrap();
     let tree_verdict = xmlmap_patterns::matches(&tree_1x, &stream_probe);
     bench("stream/membership_vs_tree_1x", &mut || {
-        let out = stream_file(&corpus_1x, Some(&stream_plan));
+        let out = stream_file(&corpus_1x, Some(&stream_probe));
         assert_eq!(out.matched, Some(tree_verdict), "stream vs tree verdict");
     });
 
@@ -522,9 +528,10 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
     // corpus whose pad tail is 100x bigger and checks that firings and
     // peak live streaming state do not grow with the pad count.
     let ex_map = xmlmap_gen::exchange_mapping();
-    let ex_idx = std::sync::Arc::new(xmlmap_dtd::DtdIndex::new(&ex_map.source_dtd));
-    let ex_plan = xmlmap_core::EngineContext::new().stream_chase_plan(&ex_map);
-    assert!(ex_plan.unstreamable().is_none(), "exchange stds stream");
+    assert!(
+        ctx.stream_chase_plan(&ex_map).unstreamable().is_none(),
+        "exchange stds stream"
+    );
     let ex_corpus = |scale: usize, pads: usize| {
         let path = stream_dir.join(format!("exchange_{scale}x.xml"));
         let mut w = std::io::BufWriter::new(std::fs::File::create(&path).expect("bench corpus"));
@@ -534,7 +541,7 @@ pub fn run_suite() -> Vec<(&'static str, f64)> {
     };
     let chase_file = |path: &std::path::Path| {
         let src = std::io::BufReader::new(std::fs::File::open(path).expect("bench corpus"));
-        let out = xmlmap_core::chase_stream(&ex_idx, &ex_plan, src).expect("streamable plan");
+        let out = ctx.chase_stream(&ex_map, src).expect("streamable plan");
         assert_eq!(out.violation, None, "bench corpora conform");
         out
     };

@@ -4,21 +4,26 @@
 //!
 //! Three procedures:
 //!
-//! * [`abscons_structural`] — Prop 6.1 (Π₂ᵖ): exact for value-free (SM°)
-//!   mappings — every achievable source match set must have a satisfiable
-//!   target side. *Not* valid with variables: the paper's §6 example
-//!   (`r → a*` to `r → a` with `r/a(x) → r/a(x)`) is structurally fine but
-//!   absolutely inconsistent, because two distinct values cannot share one
-//!   target slot.
-//! * [`abscons_nr_ptime`] — Thm 6.3 (PTIME): nested-relational DTDs +
-//!   fully-specified stds, via the rigidity analysis (see module docs of
-//!   DESIGN.md §3.4) over each DTD's [`NrKernel`]; [`abscons_nr_cached`]
-//!   reads the kernels of caller-held [`SatCache`]s. Reconstructed from
-//!   the theorem statement (the conference paper omits proofs);
-//!   property-tested against the bounded oracle.
+//! * Prop 6.1 (Π₂ᵖ),
+//!   [`EngineContext::abscons_structural`](crate::EngineContext::abscons_structural):
+//!   exact for value-free (SM°) mappings — every achievable source match
+//!   set must have a satisfiable target side. *Not* valid with variables:
+//!   the paper's §6 example (`r → a*` to `r → a` with `r/a(x) → r/a(x)`)
+//!   is structurally fine but absolutely inconsistent, because two
+//!   distinct values cannot share one target slot.
+//! * Thm 6.3 (PTIME): nested-relational DTDs + fully-specified stds, via
+//!   the rigidity analysis (DESIGN.md §3.4) over each DTD's [`NrKernel`].
+//!   [`EngineContext::abscons`](crate::EngineContext::abscons) runs it over
+//!   the kernels of the shared [`SatCache`]s before falling back to
+//!   Prop 6.1; [`abscons_nr_ptime`] compiles fresh kernels per call.
+//!   Reconstructed from the theorem statement (the conference paper omits
+//!   proofs); property-tested against the bounded oracle.
 //! * [`crate::bounded::abscons_violation_bounded`] — brute-force reference
 //!   oracle / semi-procedure for the general case (in EXPSPACE,
 //!   NEXPTIME-hard; Thm 6.2).
+//!
+//! The exact procedures' cores here are crate-private; the context
+//! methods are their one public entry point.
 
 use crate::stds::Mapping;
 use std::collections::BTreeMap;
@@ -54,7 +59,8 @@ impl AbsConsAnswer {
 pub enum AbsConsProcedure {
     /// Thm 6.3: [`abscons_nr_ptime`].
     NestedRelational,
-    /// Prop 6.1: [`abscons_structural`].
+    /// Prop 6.1:
+    /// [`EngineContext::abscons_structural`](crate::EngineContext::abscons_structural).
     Structural,
 }
 
@@ -76,30 +82,16 @@ impl AbsConsProcedure {
     }
 }
 
-/// Prop 6.1: absolute consistency of **value-free** mappings (Π₂ᵖ).
-///
-/// Exact when no std mentions a variable (SM°); returns `Err` messages
-/// otherwise rather than silently giving the wrong answer.
-///
-/// Convenience wrapper over [`abscons_structural_cached`] with fresh
-/// caches; repeated probes should hold the [`SatCache`]s.
-pub fn abscons_structural(
-    m: &Mapping,
-    budget: usize,
-) -> Result<Result<AbsConsAnswer, BudgetExceeded>, String> {
-    let src = SatCache::new(&m.source_dtd).with_context("absolute consistency (source)");
-    let tgt = SatCache::new(&m.target_dtd).with_context("absolute consistency (target)");
-    abscons_structural_cached(m, &src, &tgt, budget)
-}
-
-/// [`abscons_structural`] against caller-held [`SatCache`]s.
+/// The core of
+/// [`EngineContext::abscons_structural`](crate::EngineContext::abscons_structural)
+/// over the source and target [`SatCache`]s.
 ///
 /// *Every* achievable source match set `J` must have a satisfiable target
 /// side. One joint run over all target patterns answers every `J` at once:
 /// `J`'s side is satisfiable iff some achievable target match set `K ⊇ J`
 /// (its witness matches all of `J`; conversely a tree matching all of `J`
 /// realises an exact match set containing `J`).
-pub fn abscons_structural_cached(
+pub(crate) fn abscons_structural_cached(
     m: &Mapping,
     src: &SatCache,
     tgt: &SatCache,
@@ -229,8 +221,11 @@ fn merge_classes<'p>(pattern: &'p Pattern, nr: &NrKernel) -> Vec<(Name, Vec<&'p 
 ///    in the whole document — every shared variable written there must read
 ///    a rigid source position, and all of them the same one.
 ///
-/// Compiles fresh kernels for both DTDs; repeated probes should use
-/// [`abscons_nr_cached`] over held [`SatCache`]s.
+/// Compiles fresh kernels for both DTDs on every call;
+/// [`EngineContext::abscons`](crate::EngineContext::abscons) reads the
+/// kernels of the shared [`SatCache`]s instead. This free form stays
+/// public only because the benchmark's audit oracle calls it (ROADMAP
+/// item 14 moves that caller onto the context).
 pub fn abscons_nr_ptime(m: &Mapping) -> Option<AbsConsAnswer> {
     if !thm63_stds(m) {
         return None;
@@ -240,10 +235,13 @@ pub fn abscons_nr_ptime(m: &Mapping) -> Option<AbsConsAnswer> {
     abscons_nr(m, &src, &tgt)
 }
 
-/// [`abscons_nr_ptime`] against caller-held [`SatCache`]s for the source
-/// and target DTDs, whose shared [`NrKernel`]s answer every
-/// satisfiability and rigidity question.
-pub fn abscons_nr_cached(m: &Mapping, src: &SatCache, tgt: &SatCache) -> Option<AbsConsAnswer> {
+/// [`abscons_nr_ptime`] over the source and target [`SatCache`]s, whose
+/// shared [`NrKernel`]s answer every satisfiability and rigidity question.
+pub(crate) fn abscons_nr_cached(
+    m: &Mapping,
+    src: &SatCache,
+    tgt: &SatCache,
+) -> Option<AbsConsAnswer> {
     if !thm63_stds(m) {
         return None;
     }
@@ -378,6 +376,7 @@ mod tests {
     use super::*;
     use crate::bounded::{abscons_violation_bounded, BoundedOutcome};
     use crate::stds::Std;
+    use crate::EngineContext;
     use xmlmap_dtd::Dtd;
 
     fn dtd(s: &str) -> Dtd {
@@ -407,7 +406,10 @@ mod tests {
         // …but the value-stripped version IS absolutely consistent,
         // exactly as the paper observes.
         let stripped = mapping("root r\nr -> a*", "root r\nr -> a", &["r/a --> r/a"]);
-        let ans = abscons_structural(&stripped, BUDGET).unwrap().unwrap();
+        let ans = EngineContext::new()
+            .abscons_structural(&stripped, BUDGET)
+            .unwrap()
+            .unwrap();
         assert!(ans.holds());
     }
 
@@ -553,7 +555,7 @@ mod tests {
             "root r\nr -> a\na @ v",
             &["r/a(x) --> r/a(x)"],
         );
-        assert!(abscons_structural(&m, BUDGET).is_err());
+        assert!(EngineContext::new().abscons_structural(&m, BUDGET).is_err());
     }
 
     #[test]
@@ -561,7 +563,10 @@ mod tests {
         // Every nonempty source (a is mandatory) fires the std, but the
         // target side is unsatisfiable.
         let m = mapping("root r\nr -> a", "root r\nr -> b", &["r/a --> r/c"]);
-        let ans = abscons_structural(&m, BUDGET).unwrap().unwrap();
+        let ans = EngineContext::new()
+            .abscons_structural(&m, BUDGET)
+            .unwrap()
+            .unwrap();
         let AbsConsAnswer::Violated { witness, .. } = ans else {
             panic!("expected violation");
         };
@@ -569,9 +574,17 @@ mod tests {
         // Optional source: the empty document avoids firing, but some
         // document still fires it ⇒ still violated.
         let m2 = mapping("root r\nr -> a?", "root r\nr -> b", &["r/a --> r/c"]);
-        assert!(!abscons_structural(&m2, BUDGET).unwrap().unwrap().holds());
+        assert!(!EngineContext::new()
+            .abscons_structural(&m2, BUDGET)
+            .unwrap()
+            .unwrap()
+            .holds());
         // Unsatisfiable target never fired ⇒ holds.
         let m3 = mapping("root r\nr -> a?", "root r\nr -> b", &["r/zz --> r/c"]);
-        assert!(abscons_structural(&m3, BUDGET).unwrap().unwrap().holds());
+        assert!(EngineContext::new()
+            .abscons_structural(&m3, BUDGET)
+            .unwrap()
+            .unwrap()
+            .holds());
     }
 }

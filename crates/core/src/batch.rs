@@ -578,7 +578,7 @@ impl JobParser {
 
     /// Reads a raw file relative to the parser's root directory
     /// (updatefiles for `DELTA APPLY`).
-    pub fn read_file(&self, path: &str) -> Result<String, String> {
+    pub(crate) fn read_file(&self, path: &str) -> Result<String, String> {
         std::fs::read_to_string(self.dir.join(path)).map_err(|e| format!("cannot read {path}: {e}"))
     }
 

@@ -9,12 +9,12 @@
 //!
 //! * [`tree_shapes`] — every label shape conforming to a DTD with at most
 //!   `max_nodes` nodes (attribute slots carry placeholder nulls);
-//! * [`for_each_valued_tree`] — every assignment of values from a pool to a
+//! * `for_each_valued_tree` — every assignment of values from a pool to a
 //!   shape's attribute slots (a pool with as many values as slots covers all
 //!   equality types, which is all that matters: patterns compare values
 //!   only by `=`/`≠`);
-//! * [`solution_exists`] — does a fixed source tree have *some* solution of
-//!   bounded size? Complete for the bound because target values can be
+//! * [`EngineContext::solution_exists`](crate::EngineContext::solution_exists)
+//!   — does a fixed source tree have *some* solution of bounded size? Complete for the bound because target values can be
 //!   restricted to the source's active domain plus fresh values, one per
 //!   target attribute slot.
 
@@ -203,7 +203,7 @@ pub fn tree_shapes(dtd: &Dtd, max_nodes: usize) -> Vec<Tree> {
 /// Calls `f` with every assignment of values from `pool` to the attribute
 /// slots of `shape` (slots are visited in document order). `f` returns
 /// `false` to stop; returns `true` iff stopped early.
-pub fn for_each_valued_tree(
+pub(crate) fn for_each_valued_tree(
     shape: &Tree,
     pool: &[Value],
     f: &mut dyn FnMut(&Tree) -> bool,
@@ -248,7 +248,7 @@ pub fn attr_slot_count(tree: &Tree) -> usize {
 /// A generic value pool `v1..vk` for exhaustive small-model search: since
 /// patterns see values only through equality, `k` distinct values cover all
 /// equality types of `k` slots.
-pub fn generic_pool(k: usize) -> Vec<Value> {
+pub(crate) fn generic_pool(k: usize) -> Vec<Value> {
     (0..k).map(|i| Value::str(format!("v{i}"))).collect()
 }
 
@@ -353,18 +353,9 @@ impl ShapeCache {
     }
 }
 
-/// Does `source` have a solution under `m` with at most `max_target_nodes`
-/// nodes? Values are drawn from the source's active domain plus enough
-/// fresh values (one per target slot), which is exhaustive for that size.
-///
-/// Convenience wrapper over [`solution_exists_cached`] with a fresh cache.
-pub fn solution_exists(m: &Mapping, source: &Tree, max_target_nodes: usize) -> Option<Tree> {
-    solution_exists_cached(m, source, max_target_nodes, &ShapeCache::new(&m.target_dtd))
-}
-
-/// [`solution_exists`] against a caller-held target-shape cache
-/// (`shapes` compiled from `m.target_dtd`).
-pub fn solution_exists_cached(
+/// The core of [`EngineContext::solution_exists`](crate::EngineContext::solution_exists)
+/// over the target-shape cache (`shapes` compiled from `m.target_dtd`).
+pub(crate) fn solution_exists_cached(
     m: &Mapping,
     source: &Tree,
     max_target_nodes: usize,
@@ -513,6 +504,7 @@ pub fn abscons_violation_bounded(
 mod tests {
     use super::*;
     use crate::stds::Std;
+    use crate::EngineContext;
 
     fn dtd(s: &str) -> Dtd {
         xmlmap_dtd::parse(s).unwrap()
@@ -572,7 +564,9 @@ mod tests {
             t.add_child(Tree::ROOT, "a", [("v", Value::str("2"))]);
             t
         };
-        let sol = solution_exists(&m, &src, 4).expect("solution exists");
+        let sol = EngineContext::new()
+            .solution_exists(&m, &src, 4)
+            .expect("solution exists");
         assert!(m.is_solution(&src, &sol));
     }
 
@@ -590,14 +584,14 @@ mod tests {
             t.add_child(Tree::ROOT, "a", [("v", Value::str("2"))]);
             t
         };
-        assert!(solution_exists(&m, &src, 6).is_none());
+        assert!(EngineContext::new().solution_exists(&m, &src, 6).is_none());
         // One source value (or none) is fine.
         let src1 = {
             let mut t = Tree::new("r");
             t.add_child(Tree::ROOT, "a", [("v", Value::str("1"))]);
             t
         };
-        assert!(solution_exists(&m, &src1, 6).is_some());
+        assert!(EngineContext::new().solution_exists(&m, &src1, 6).is_some());
     }
 
     #[test]
@@ -619,7 +613,9 @@ mod tests {
         };
         // The violating source has two a-children with distinct values.
         assert_eq!(violation.children(Tree::ROOT).len(), 2);
-        assert!(solution_exists(&m, &violation, 4).is_none());
+        assert!(EngineContext::new()
+            .solution_exists(&m, &violation, 4)
+            .is_none());
     }
 
     #[test]

@@ -49,13 +49,11 @@ use xmlmap_trees::{Name, Tree, Value};
 /// DTD's slot tables.
 ///
 /// Mirrors how `SatCache` (consistency) and `ShapeCache` (bounded search)
-/// amortize per-schema analysis: build one cache per [`Mapping`] and thread
-/// it through every [`canonical_solution_cached`] call — certain answers,
-/// solution reduction, composition membership and the bounded
-/// absolute-consistency oracle all chase many documents under one mapping.
-///
-/// The cache must be built from the same mapping later passed to
-/// [`canonical_solution_cached`].
+/// amortize per-schema analysis: one cache per [`Mapping`], built once by
+/// [`EngineContext::chase_cache`](crate::EngineContext::chase_cache) and
+/// read by every chase under that mapping — certain answers, solution
+/// reduction, composition membership, the bounded absolute-consistency
+/// oracle, the streaming chase and the incremental delta chase.
 pub struct ChaseCache {
     /// Static fragment error (not nested-relational / not tree-shaped /
     /// not fully specified), reported before any firing is examined —
@@ -304,12 +302,12 @@ impl ChaseCache {
 
     /// The static fragment error, if the mapping is outside the chase
     /// fragment (reported before any firing is examined).
-    pub fn fragment_error(&self) -> Option<&ChaseError> {
+    pub(crate) fn fragment_error(&self) -> Option<&ChaseError> {
         self.fragment_err.as_ref()
     }
 
     /// Number of std plans (one per std of the source mapping, in order).
-    pub fn std_count(&self) -> usize {
+    pub(crate) fn std_count(&self) -> usize {
         self.plans.len()
     }
 
@@ -473,16 +471,18 @@ fn emit_ops(
 /// exists. Fragment: fully-specified stds, nested-relational tree-shaped
 /// target DTD; source conditions only filter firings.
 ///
-/// Convenience wrapper over [`canonical_solution_cached`] with a fresh
-/// [`ChaseCache`] — callers chasing many documents under one mapping
-/// should build the cache once.
+/// Compiles a fresh [`ChaseCache`] on every call;
+/// [`EngineContext::canonical_solution`](crate::EngineContext::canonical_solution)
+/// compiles it once per mapping. This free form stays public only because
+/// the benchmark's daemon workload calls it (ROADMAP item 14 moves that
+/// caller onto the context).
 pub fn canonical_solution(m: &Mapping, source: &Tree) -> Result<Tree, ChaseError> {
     canonical_solution_cached(m, source, &ChaseCache::new(m))
 }
 
-/// [`canonical_solution`] against a caller-held [`ChaseCache`] built from
-/// the same mapping `m`.
-pub fn canonical_solution_cached(
+/// [`canonical_solution`] against a [`ChaseCache`] built from the same
+/// mapping `m`.
+pub(crate) fn canonical_solution_cached(
     m: &Mapping,
     source: &Tree,
     cache: &ChaseCache,

@@ -1,8 +1,8 @@
 //! Incremental delta-chase (DESIGN.md §8.9).
 //!
 //! Production exchange traffic is one long-lived source document absorbing
-//! a stream of subtree insertions/deletions with solution and
-//! certain-answer reads interleaved. The chase builds the canonical
+//! a stream of subtree insertions/deletions with solution reads
+//! interleaved. The chase builds the canonical
 //! solution from independent per-std firings, so an update only
 //! invalidates the firings whose witness valuations touch the edited
 //! region — everything else can be kept. [`IncrementalChase`] exploits
@@ -81,12 +81,11 @@
 use super::arena::ChaseArena;
 use super::compiled::ChaseCache;
 use super::ChaseError;
-use crate::exchange::CertainAnswersError;
 use crate::stds::Mapping;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use xmlmap_dtd::ContentRun;
-use xmlmap_patterns::{eval, CompiledPattern, LiveRows, Pattern, Valuation};
+use xmlmap_patterns::{CompiledPattern, LiveRows};
 use xmlmap_trees::{Name, NodeId, Tree, Value};
 
 // ---------------------------------------------------------------------------
@@ -374,9 +373,9 @@ impl StdFirings {
 /// A long-lived incremental chase session over one mapping and one
 /// mutable source document.
 ///
-/// After any sequence of updates, [`IncrementalChase::canonical_solution`] and
-/// [`IncrementalChase::certain_answers`] agree with a from-scratch
-/// [`super::canonical_solution`] of the mutated document — byte-identical
+/// After any sequence of updates, [`IncrementalChase::canonical_solution`]
+/// agrees with a from-scratch [`super::canonical_solution`] of the mutated
+/// document — byte-identical
 /// trees and identical [`ChaseError`] verdicts, not merely isomorphic
 /// ones (pinned by `tests/delta_equiv.rs`).
 ///
@@ -431,7 +430,7 @@ impl IncrementalChase {
     }
 
     /// Opens a session over a shared, possibly disk-loaded plan.
-    pub fn with_plan(mapping: Mapping, doc: Tree, plan: Arc<DeltaPlan>) -> IncrementalChase {
+    pub(crate) fn with_plan(mapping: Mapping, doc: Tree, plan: Arc<DeltaPlan>) -> IncrementalChase {
         let arena = ChaseArena::new(&plan.chase);
         let std_count = plan.chase.std_count();
         let firings = (0..std_count)
@@ -498,7 +497,7 @@ impl IncrementalChase {
     }
 
     /// Resolves a child-index path (empty = the root).
-    pub fn resolve_path(&self, path: &[usize]) -> Result<NodeId, String> {
+    pub(crate) fn resolve_path(&self, path: &[usize]) -> Result<NodeId, String> {
         let mut n = Tree::ROOT;
         for (depth, &i) in path.iter().enumerate() {
             n = *self.doc.children(n).get(i).ok_or_else(|| {
@@ -554,7 +553,12 @@ impl IncrementalChase {
 
     /// Grafts a copy of `sub` under `parent` at child position `pos`; the
     /// next read re-chases incrementally.
-    pub fn insert_subtree(&mut self, parent: NodeId, pos: usize, sub: &Tree) -> Result<(), String> {
+    pub(crate) fn insert_subtree(
+        &mut self,
+        parent: NodeId,
+        pos: usize,
+        sub: &Tree,
+    ) -> Result<(), String> {
         if pos > self.doc.children(parent).len() {
             return Err(format!(
                 "insert position {pos} out of {} children",
@@ -593,7 +597,7 @@ impl IncrementalChase {
 
     /// Detaches the subtree rooted at `n`; the next read re-chases
     /// incrementally.
-    pub fn delete_subtree(&mut self, n: NodeId) -> Result<(), String> {
+    pub(crate) fn delete_subtree(&mut self, n: NodeId) -> Result<(), String> {
         let Some(parent) = self.doc.parent(n) else {
             return Err("cannot delete the document root".into());
         };
@@ -624,7 +628,12 @@ impl IncrementalChase {
 
     /// Overwrites one attribute value; the next read re-chases
     /// incrementally.
-    pub fn replace_text(&mut self, n: NodeId, attr: &str, value: Value) -> Result<(), String> {
+    pub(crate) fn replace_text(
+        &mut self,
+        n: NodeId,
+        attr: &str,
+        value: Value,
+    ) -> Result<(), String> {
         if self.doc.attr(n, attr).is_none() {
             return Err(format!(
                 "node has no attribute {attr:?} (label {})",
@@ -668,25 +677,6 @@ impl IncrementalChase {
             self.solution = Some(self.arena.solution(&self.plan.chase).map(Arc::new));
         }
         self.solution.clone().expect("filled above")
-    }
-
-    /// Certain answers of a downward `query` over all solutions of the
-    /// current document: the null-free matches on the canonical solution.
-    pub fn certain_answers(
-        &mut self,
-        query: &Pattern,
-    ) -> Result<Vec<Valuation>, CertainAnswersError> {
-        let f = query.features();
-        if f.next_sibling || f.following_sibling {
-            return Err(CertainAnswersError::OrderedQuery);
-        }
-        let canonical = self
-            .canonical_solution()
-            .map_err(CertainAnswersError::NoSolution)?;
-        Ok(eval::all_matches(&canonical, query)
-            .into_iter()
-            .filter(|v| v.values().all(|x| x.is_constant()))
-            .collect())
     }
 
     // ---- internals -----------------------------------------------------

@@ -23,8 +23,7 @@
 //! Two engines implement these steps:
 //!
 //! * [`compiled`] — the production engine: firings enumerated through the
-//!   compiled pattern kernel (in parallel across stds on large inputs),
-//!   unification over a union-find of labelled nulls with interned
+//!   compiled pattern kernel, std by std, unification over a union-find of labelled nulls with interned
 //!   constants, and document construction in a flat `(parent, slot)` arena
 //!   completed by a single ordered sweep. Its per-mapping tables live in a
 //!   reusable [`ChaseCache`]. The union-find and the arena form one
@@ -43,7 +42,8 @@ pub mod compiled;
 pub mod delta;
 pub mod reference;
 
-pub use compiled::{canonical_solution, canonical_solution_cached, ChaseCache};
+pub(crate) use compiled::canonical_solution_cached;
+pub use compiled::{canonical_solution, ChaseCache};
 pub use delta::{parse_updates, DeltaPlan, DeltaStats, IncrementalChase, TouchProfile, Update};
 
 /// Why the chase failed — equivalently, why `source` has no solution.
@@ -85,6 +85,7 @@ impl std::error::Error for ChaseError {}
 mod tests {
     use super::{canonical_solution, ChaseError};
     use crate::stds::{Mapping, Std};
+    use crate::EngineContext;
     use xmlmap_dtd::Dtd;
     use xmlmap_trees::{tree, Tree, Value};
 
@@ -146,7 +147,7 @@ mod tests {
         let err = canonical_solution(&m, &src).unwrap_err();
         assert!(matches!(err, ChaseError::ValueConflict(_)), "{err}");
         // Agrees with the bounded oracle.
-        assert!(crate::bounded::solution_exists(&m, &src, 4).is_none());
+        assert!(EngineContext::new().solution_exists(&m, &src, 4).is_none());
         // One value is fine.
         let src1 = tree!("r" [ "a"("v" = "1"), "a"("v" = "1") ]);
         let sol = canonical_solution(&m, &src1).unwrap();

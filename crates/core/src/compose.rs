@@ -1,6 +1,7 @@
 //! Composition of schema mappings (paper §7–§8).
 //!
-//! * [`composition_member`] — semantic membership
+//! * [`EngineContext::composition_member`](crate::EngineContext::composition_member)
+//!   — semantic membership
 //!   `(T₁, T₃) ∈ ⟦M₁₂⟧ ∘ ⟦M₂₃⟧` by searching for a middle document
 //!   (data complexity EXPTIME-complete for `SM(⇓,⇒)`, Thm 7.3; undecidable
 //!   with data comparisons — the search is bounded and exhaustive up to its
@@ -35,36 +36,16 @@ use xmlmap_dtd::{Dtd, Mult};
 use xmlmap_patterns::{LabelTest, ListItem, Pattern, Var};
 use xmlmap_trees::{Name, Tree, Value};
 
-/// Semantic composition membership: is there `T₂ ⊨ D₂` (≤ `max_middle_nodes`
-/// nodes) with `(T₁,T₂) ∈ ⟦M₁₂⟧` and `(T₂,T₃) ∈ ⟦M₂₃⟧`? Returns the middle
-/// document. Tries the canonical solution first when the fragment allows.
-///
-/// Builds a fresh [`ShapeCache`] and [`ChaseCache`](crate::chase::ChaseCache)
-/// on every call — fine for a one-off probe, wasteful in a loop. Callers
-/// testing many `(t1, t3)` pairs under the same mappings should build both
-/// caches once and use [`composition_member_cached`] instead.
-///
-/// [`ShapeCache`]: crate::bounded::ShapeCache
-pub fn composition_member(
-    m12: &Mapping,
-    m23: &Mapping,
-    t1: &Tree,
-    t3: &Tree,
-    max_middle_nodes: usize,
-) -> Option<Tree> {
-    let shapes = crate::bounded::ShapeCache::new(&m12.target_dtd);
-    let chase = crate::chase::ChaseCache::new(m12);
-    composition_member_cached(m12, m23, t1, t3, max_middle_nodes, &shapes, &chase)
-}
-
-/// [`composition_member`] against a caller-held [`ShapeCache`] over
-/// `m12.target_dtd` and [`ChaseCache`] over `m12`, so repeated membership
-/// probes (e.g. over a test suite of tree pairs) enumerate middle-document
-/// shapes once per bound and compile the chase once per mapping.
+/// The core of
+/// [`EngineContext::composition_member`](crate::EngineContext::composition_member)
+/// over the [`ShapeCache`] of `m12.target_dtd` and the [`ChaseCache`] of
+/// `m12`, so repeated membership probes (e.g. over a test suite of tree
+/// pairs) enumerate middle-document shapes once per bound and compile the
+/// chase once per mapping.
 ///
 /// [`ShapeCache`]: crate::bounded::ShapeCache
 /// [`ChaseCache`]: crate::chase::ChaseCache
-pub fn composition_member_cached(
+pub(crate) fn composition_member_cached(
     m12: &Mapping,
     m23: &Mapping,
     t1: &Tree,
@@ -762,6 +743,7 @@ pub fn compose(m12: &SkolemMapping, m23: &SkolemMapping) -> Result<SkolemMapping
 mod tests {
     use super::*;
     use crate::stds::Std;
+    use crate::EngineContext;
     use xmlmap_trees::tree;
 
     fn dtd(s: &str) -> Dtd {
@@ -795,9 +777,13 @@ mod tests {
         let t1 = tree!("r" [ "a"("v" = "1"), "a"("v" = "2") ]);
         let good = tree!("w" [ "c"("u" = "1"), "c"("u" = "2") ]);
         let bad = tree!("w"["c"("u" = "1")]);
-        let middle = composition_member(&m12, &m23, &t1, &good, 4).expect("in composition");
+        let middle = EngineContext::new()
+            .composition_member(&m12, &m23, &t1, &good, 4)
+            .expect("in composition");
         assert!(m12.is_solution(&t1, &middle) && m23.is_solution(&middle, &good));
-        assert!(composition_member(&m12, &m23, &t1, &bad, 4).is_none());
+        assert!(EngineContext::new()
+            .composition_member(&m12, &m23, &t1, &bad, 4)
+            .is_none());
     }
 
     #[test]
@@ -856,11 +842,15 @@ mod tests {
         let good = tree!("w"["d"("u" = "1", "t" = "2")]);
         let bad = tree!("w"["d"("u" = "2", "t" = "1")]);
         assert_eq!(
-            composition_member(&m12, &m23, &t1, &good, 4).is_some(),
+            EngineContext::new()
+                .composition_member(&m12, &m23, &t1, &good, 4)
+                .is_some(),
             s13.is_solution(&t1, &good)
         );
         assert_eq!(
-            composition_member(&m12, &m23, &t1, &bad, 4).is_some(),
+            EngineContext::new()
+                .composition_member(&m12, &m23, &t1, &bad, 4)
+                .is_some(),
             s13.is_solution(&t1, &bad)
         );
         assert!(s13.is_solution(&t1, &good));

@@ -76,7 +76,7 @@ pub fn all_hold(conds: &[Comparison], v: &Valuation) -> bool {
 }
 
 /// Parses a condition list: `x = y, a != b` (empty string ⇒ no conditions).
-pub fn parse_conditions(input: &str) -> Result<Vec<Comparison>, String> {
+pub(crate) fn parse_conditions(input: &str) -> Result<Vec<Comparison>, String> {
     let input = input.trim();
     if input.is_empty() {
         return Ok(Vec::new());

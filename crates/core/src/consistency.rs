@@ -4,9 +4,18 @@
 //!
 //! | fragment | procedure | paper result |
 //! |---|---|---|
-//! | no data comparisons (σ ⊆ {⇓,⇒}) | [`consistent`] via the type-fixpoint engine | EXPTIME-complete (Fact 5.1, Thm 5.2) |
+//! | no data comparisons (σ ⊆ {⇓,⇒}) | [`EngineContext::consistent`](crate::EngineContext::consistent) via the type-fixpoint engine | EXPTIME-complete (Fact 5.1, Thm 5.2) |
 //! | + nested-relational DTDs, σ ⊆ {⇓} | [`consistent_nr_ptime`] | PTIME (Fact 5.1) |
 //! | with `=`/`≠` | [`consistent_bounded`](crate::bounded::consistent_bounded) semi-procedure | undecidable (Thm 5.4); NEXPTIME-complete over NR DTDs (Thm 5.5) |
+//!
+//! Consistency of compositions, `CONSCOMP` (Thm 7.1) and its n-fold form
+//! (Prop 7.2), walks the same engine through the middle schemas:
+//! [`EngineContext::composition_consistent`](crate::EngineContext::composition_consistent)
+//! and
+//! [`EngineContext::composition_chain_consistent`](crate::EngineContext::composition_chain_consistent).
+//! The exact procedures run only through the context, which compiles each
+//! schema's [`SatCache`] once and shares it; this module holds their
+//! crate-private cores.
 //!
 //! The data-free procedure is justified by the all-equal-values reduction:
 //! without `≠` anywhere and without equalities *restricting source
@@ -16,6 +25,7 @@
 use crate::signature::Signature;
 use crate::stds::Mapping;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use xmlmap_patterns::sat::{BudgetExceeded, NrKernel, SatCache};
 use xmlmap_patterns::Pattern;
 use xmlmap_trees::Tree;
@@ -71,7 +81,7 @@ impl std::error::Error for ConsError {}
 /// Requirements: no `≠` conditions anywhere, no `=` conditions on the
 /// source, no repeated source variables. Target-side equality (explicit or
 /// by reuse) is fine: the all-equal valuation satisfies it.
-pub fn data_free(m: &Mapping) -> bool {
+pub(crate) fn data_free(m: &Mapping) -> bool {
     m.stds.iter().all(|s| {
         s.source_cond.is_empty()
             && !s.source.features().repeated_variable
@@ -81,21 +91,8 @@ pub fn data_free(m: &Mapping) -> bool {
     })
 }
 
-/// `CONS(⇓,⇒)` — Theorem 5.2 / Fact 5.1: exact consistency for mappings
-/// without data comparisons, via achievable match sets.
-///
-/// The mapping is consistent iff some achievable source match set `J` has a
-/// satisfiable target side `D_t ∧ {π′_j : j ∈ J}`. Returns witness trees.
-///
-/// Convenience wrapper over [`consistent_cached`] with fresh caches; when
-/// probing one schema pair repeatedly, build the [`SatCache`]s once.
-pub fn consistent(m: &Mapping, budget: usize) -> Result<ConsAnswer, ConsError> {
-    let src = SatCache::new(&m.source_dtd).with_context("consistency (source match sets)");
-    let tgt = SatCache::new(&m.target_dtd).with_context("consistency (target side)");
-    consistent_cached(m, &src, &tgt, budget)
-}
-
-/// [`consistent`] against caller-held [`SatCache`]s (`src` compiled from
+/// The core of [`EngineContext::consistent`](crate::EngineContext::consistent)
+/// over the source and target [`SatCache`]s (`src` compiled from
 /// `m.source_dtd`, `tgt` from `m.target_dtd`).
 ///
 /// Instead of one satisfiability run per candidate match set `J` (up to
@@ -104,7 +101,7 @@ pub fn consistent(m: &Mapping, budget: usize) -> Result<ConsAnswer, ConsError> {
 /// iff some achievable `K ⊇ J` — its witness matches every pattern of `J`,
 /// and conversely any tree matching all of `J` realises an exact match set
 /// containing `J`.
-pub fn consistent_cached(
+pub(crate) fn consistent_cached(
     m: &Mapping,
     src: &SatCache,
     tgt: &SatCache,
@@ -156,7 +153,7 @@ pub fn consistent_cached(
 
 /// The minimal document of a nested-relational DTD: mandatory slots only
 /// (`ℓ` and `ℓ⁺` get one child, `ℓ?`/`ℓ*` get none), all attributes equal.
-pub fn minimal_nr_tree(dtd: &xmlmap_dtd::Dtd) -> Option<Tree> {
+pub(crate) fn minimal_nr_tree(dtd: &xmlmap_dtd::Dtd) -> Option<Tree> {
     let nr = dtd.nested_relational()?;
     fn fill(
         dtd: &xmlmap_dtd::Dtd,
@@ -198,7 +195,9 @@ pub fn minimal_nr_tree(dtd: &xmlmap_dtd::Dtd) -> Option<Tree> {
 /// over an NR DTD is satisfiability of each conjunct).
 ///
 /// Returns `None` if the mapping is outside the fragment (non-NR DTDs,
-/// horizontal axes, or data comparisons).
+/// horizontal axes, or data comparisons). A free function because it has
+/// no form over the shared kernels of an
+/// [`EngineContext`](crate::EngineContext) yet (ROADMAP item 16).
 pub fn consistent_nr_ptime(m: &Mapping) -> Option<bool> {
     if !data_free(m) || m.signature().has_horizontal() {
         return None;
@@ -215,40 +214,6 @@ pub fn consistent_nr_ptime(m: &Mapping) -> Option<bool> {
         }
     }
     Some(ok)
-}
-
-/// Consistency of composition — `CONSCOMP(σ)` (Thm 7.1), exact for
-/// data-free mappings: is `⟦M⟧ ∘ ⟦M′⟧ ≠ ∅`?
-///
-/// For each achievable source match set `J` of `M`, the middle document
-/// must satisfy all fired targets of `M` while its own match set `K` over
-/// `M′`'s sources leaves `M′`'s target side satisfiable. The middle
-/// analysis runs the type-fixpoint engine over `D₂` with both pattern
-/// families at once.
-pub fn composition_consistent(
-    m12: &Mapping,
-    m23: &Mapping,
-    budget: usize,
-) -> Result<bool, ConsError> {
-    let src = SatCache::new(&m12.source_dtd).with_context("composition consistency (source)");
-    let mid = SatCache::new(&m12.target_dtd).with_context("composition consistency (middle)");
-    let tgt = SatCache::new(&m23.target_dtd).with_context("composition consistency (target)");
-    composition_consistent_cached(m12, m23, &src, &mid, &tgt, budget)
-}
-
-/// [`composition_consistent`] against caller-held [`SatCache`]s (`src` for
-/// `m12.source_dtd`, `mid` for the shared middle schema, `tgt` for
-/// `m23.target_dtd`): the two-mapping case of
-/// [`composition_chain_consistent`]'s walk.
-pub fn composition_consistent_cached(
-    m12: &Mapping,
-    m23: &Mapping,
-    src: &SatCache,
-    mid: &SatCache,
-    tgt: &SatCache,
-    budget: usize,
-) -> Result<bool, ConsError> {
-    chain_consistent(&[m12, m23], &[src, mid, tgt], budget)
 }
 
 /// Is some obligation set's target side `D_t ∧ {targets of K}` satisfiable?
@@ -281,8 +246,11 @@ fn final_side_satisfiable(
         .any(|k| ks.iter().any(|(kk, _)| k.is_subset(kk))))
 }
 
-/// Consistency of an n-fold composition `⟦M₁⟧ ∘ … ∘ ⟦Mₙ⟧` (Prop 7.2),
-/// exact for data-free mappings.
+/// The core of
+/// [`EngineContext::composition_chain_consistent`](crate::EngineContext::composition_chain_consistent)
+/// over one [`SatCache`] per schema: `schemas[0]` is compiled from
+/// `chain[0].source_dtd` and `schemas[i]` from `chain[i - 1].target_dtd`,
+/// the schema `Mᵢ` and `Mᵢ₊₁` share.
 ///
 /// Walks the chain left to right, tracking which *sets of fired-target
 /// obligations* are achievable at each schema. At the schema between `Mᵢ`
@@ -291,26 +259,9 @@ fn final_side_satisfiable(
 /// viable iff it covers some currently-achievable obligation set, and it
 /// induces the obligation set for the next schema. The final side uses one
 /// joint run over the last mapping's targets, as in [`consistent_cached`].
-pub fn composition_chain_consistent(chain: &[&Mapping], budget: usize) -> Result<bool, ConsError> {
-    let Some(first) = chain.first() else {
-        return Ok(true); // the empty composition is the identity
-    };
-    let schemas: Vec<SatCache> = std::iter::once(&first.source_dtd)
-        .chain(chain.iter().map(|m| &m.target_dtd))
-        .enumerate()
-        .map(|(i, d)| SatCache::new(d).with_context(&format!("chain consistency (schema {i})")))
-        .collect();
-    let schemas: Vec<&SatCache> = schemas.iter().collect();
-    chain_consistent(chain, &schemas, budget)
-}
-
-/// The walk of [`composition_chain_consistent`] over caller-held
-/// [`SatCache`]s: `schemas[0]` is compiled from `chain[0].source_dtd` and
-/// `schemas[i]` from `chain[i - 1].target_dtd`, the schema `Mᵢ` and `Mᵢ₊₁`
-/// share.
-fn chain_consistent(
+pub(crate) fn chain_consistent(
     chain: &[&Mapping],
-    schemas: &[&SatCache],
+    schemas: &[Arc<SatCache>],
     budget: usize,
 ) -> Result<bool, ConsError> {
     let (Some(first), Some(last)) = (chain.first(), chain.last()) else {
@@ -361,13 +312,14 @@ fn chain_consistent(
         }
         obligations = next;
     }
-    final_side_satisfiable(last, schemas[chain.len()], obligations, budget)
+    final_side_satisfiable(last, &schemas[chain.len()], obligations, budget)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stds::Std;
+    use crate::EngineContext;
     use xmlmap_dtd::Dtd;
 
     fn dtd(s: &str) -> Dtd {
@@ -383,6 +335,22 @@ mod tests {
     }
 
     const BUDGET: usize = 500_000;
+
+    fn consistent(m: &Mapping, budget: usize) -> Result<ConsAnswer, ConsError> {
+        EngineContext::new().consistent(m, budget)
+    }
+
+    fn composition_consistent(
+        m12: &Mapping,
+        m23: &Mapping,
+        budget: usize,
+    ) -> Result<bool, ConsError> {
+        EngineContext::new().composition_consistent(m12, m23, budget)
+    }
+
+    fn composition_chain_consistent(chain: &[&Mapping], budget: usize) -> Result<bool, ConsError> {
+        EngineContext::new().composition_chain_consistent(chain, budget)
+    }
 
     #[test]
     fn intro_inconsistency_example() {

@@ -15,7 +15,7 @@
 //!   write lock and then exactly one of them runs the compilation inside
 //!   `OnceLock::get_or_init` while the others block on the slot (not the
 //!   shard), then share the compiled `Arc`;
-//! * **sharded maps** — keys are spread over [`SHARD_COUNT`] shards by a
+//! * **sharded maps** — keys are spread over `SHARD_COUNT` shards by a
 //!   hash of the canonical text, so unrelated compilations never contend
 //!   on one lock, and the read path (the common case after warm-up) takes
 //!   only a shard read lock;
@@ -57,7 +57,7 @@ use crate::chase::delta::DeltaStats;
 use crate::chase::{
     canonical_solution_cached, ChaseCache, ChaseError, DeltaPlan, IncrementalChase,
 };
-use crate::consistency::{composition_consistent_cached, consistent_cached, ConsAnswer, ConsError};
+use crate::consistency::{chain_consistent, consistent_cached, ConsAnswer, ConsError};
 use crate::exchange::{certain_answers_cached, reduced_solution_cached, CertainAnswersError};
 use crate::stds::Mapping;
 use crate::store::{ArtifactStore, Family, LoadError};
@@ -81,16 +81,7 @@ use xmlmap_trees::Tree;
 /// Number of lock shards per cache family. A small power of two: enough
 /// that concurrent compilations of distinct schemas rarely share a lock,
 /// small enough that a stats snapshot is a cheap sweep.
-pub const SHARD_COUNT: usize = 16;
-
-/// Budget-error context used for every [`SatCache`] the context builds.
-///
-/// One fixed string — not the per-operation labels the convenience
-/// wrappers use — so a cache first compiled by a consistency probe and
-/// later hit by an absolute-consistency probe reports identical errors
-/// regardless of which operation happened to compile it first. Batch
-/// determinism across worker counts depends on this.
-const SAT_CONTEXT: &str = "shared EngineContext probe";
+pub(crate) const SHARD_COUNT: usize = 16;
 
 /// Hit/miss/compile-time counters for one cache family.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -537,11 +528,15 @@ impl<V> Resident for ShardedCache<V> {
 /// A thread-safe session object owning every compiled-engine cache.
 ///
 /// Build one per process (or per logical session) and share it by
-/// reference — it is `Sync`, and every method takes `&self`. All the
-/// decision procedures of the crate are available as methods that fetch
-/// the right caches by content identity and delegate to the `*_cached`
-/// functions; the raw cache accessors ([`EngineContext::sat_cache`] etc.)
-/// serve call sites that want to drive the caches directly.
+/// reference — it is `Sync`, and every method takes `&self`. Its methods
+/// are the one public way into the paper's decision procedures, the chase
+/// and the streaming drivers: each fetches the caches it needs by content
+/// identity and runs the crate-private core over them, so every caller —
+/// CLI, `batch`, daemon, tests — takes the same code path and the same
+/// budget-error text. A one-off probe pays nothing extra for it: a fresh
+/// context is an empty set of maps. The raw cache accessors
+/// ([`EngineContext::sat_cache`] etc.) serve call sites that want to
+/// drive the caches directly.
 ///
 /// ```
 /// use xmlmap_core::EngineContext;
@@ -771,12 +766,7 @@ impl EngineContext {
 
     /// The shared [`SatCache`] for `dtd`, compiling it on first request.
     pub fn sat_cache(&self, dtd: &Dtd) -> Arc<SatCache> {
-        self.fetch(
-            &self.sat,
-            &dtd.to_string(),
-            || (),
-            |()| SatCache::new(dtd).with_context(SAT_CONTEXT),
-        )
+        self.fetch(&self.sat, &dtd.to_string(), || (), |()| SatCache::new(dtd))
     }
 
     /// The shared [`ChaseCache`] for `m`, compiling it on first request.
@@ -898,8 +888,15 @@ impl EngineContext {
     /// Streams `src` once against `m`'s source DTD while enumerating std
     /// firings, then chases them into the canonical target tree — the
     /// same tree [`EngineContext::canonical_solution`] builds, without
-    /// ever materialising the source
-    /// (see [`crate::stream::chase_stream`]).
+    /// ever materialising the source.
+    ///
+    /// The result is byte-identical to the tree chase: the per-std
+    /// enumerators replay the compiled kernel's canonical firing order, so
+    /// even the fresh-null numbering coincides. Peak memory is
+    /// O(depth + live matches + firings + output). A conformance violation
+    /// stops the pass and withholds the verdict
+    /// ([`StreamChaseOutcome::violation`]); a non-streamable source
+    /// pattern is rejected before any input is read.
     pub fn chase_stream<R: std::io::Read>(
         &self,
         m: &Mapping,
@@ -921,8 +918,9 @@ impl EngineContext {
 
     /// Streams `src` against `dtd` — and, when `pattern` is given,
     /// evaluates membership in the same single pass — in O(depth) memory,
-    /// over the shared compiled index and plan
-    /// (see [`crate::stream::stream_document`]).
+    /// over the shared compiled index and plan. A conformance violation
+    /// stops the pass and is reported in [`StreamOutcome::violation`]; a
+    /// parse error or an unstreamable pattern is an `Err`.
     pub fn stream_document<R: std::io::Read>(
         &self,
         dtd: &Dtd,
@@ -944,8 +942,14 @@ impl EngineContext {
 
     // ---- decision procedures over the shared caches --------------------
 
-    /// [`consistent`](crate::consistency::consistent) over the shared
-    /// source/target [`SatCache`]s.
+    /// `CONS(⇓,⇒)` — Theorem 5.2 / Fact 5.1: exact consistency for
+    /// mappings without data comparisons, via achievable match sets, over
+    /// the shared source/target [`SatCache`]s.
+    ///
+    /// The mapping is consistent iff some achievable source match set `J`
+    /// has a satisfiable target side `D_t ∧ {π′_j : j ∈ J}`. Returns
+    /// witness trees. Mappings with data comparisons are rejected
+    /// ([`ConsError::DataComparisons`]; Thm 5.4 makes them undecidable).
     pub fn consistent(&self, m: &Mapping, budget: usize) -> Result<ConsAnswer, ConsError> {
         let src = self.sat_cache(&m.source_dtd);
         let tgt = self.sat_cache(&m.target_dtd);
@@ -954,24 +958,54 @@ impl EngineContext {
         out
     }
 
-    /// [`composition_consistent`](crate::consistency::composition_consistent)
-    /// over the shared [`SatCache`]s of all three schemas.
+    /// Consistency of composition — `CONSCOMP(σ)` (Thm 7.1), exact for
+    /// data-free mappings: is `⟦M⟧ ∘ ⟦M′⟧ ≠ ∅`? The two-mapping case of
+    /// [`EngineContext::composition_chain_consistent`].
+    ///
+    /// For each achievable source match set `J` of `M`, the middle document
+    /// must satisfy all fired targets of `M` while its own match set `K`
+    /// over `M′`'s sources leaves `M′`'s target side satisfiable. The
+    /// middle analysis runs the type-fixpoint engine over `D₂` with both
+    /// pattern families at once.
     pub fn composition_consistent(
         &self,
         m12: &Mapping,
         m23: &Mapping,
         budget: usize,
     ) -> Result<bool, ConsError> {
-        let src = self.sat_cache(&m12.source_dtd);
-        let mid = self.sat_cache(&m12.target_dtd);
-        let tgt = self.sat_cache(&m23.target_dtd);
-        let out = composition_consistent_cached(m12, m23, &src, &mid, &tgt, budget);
+        self.composition_chain_consistent(&[m12, m23], budget)
+    }
+
+    /// Consistency of an n-fold composition `⟦M₁⟧ ∘ … ∘ ⟦Mₙ⟧` (Prop 7.2),
+    /// exact for data-free mappings, over the shared [`SatCache`] of every
+    /// schema in the chain (`M₁`'s source, then each `Mᵢ`'s target).
+    ///
+    /// Walks the chain left to right, tracking which sets of fired-target
+    /// obligations are achievable at each schema boundary. A one-mapping
+    /// chain is plain consistency; the empty chain is the identity and
+    /// consistent.
+    pub fn composition_chain_consistent(
+        &self,
+        chain: &[&Mapping],
+        budget: usize,
+    ) -> Result<bool, ConsError> {
+        let Some(first) = chain.first() else {
+            return Ok(true); // the empty composition is the identity
+        };
+        let schemas: Vec<Arc<SatCache>> = std::iter::once(&first.source_dtd)
+            .chain(chain.iter().map(|m| &m.target_dtd))
+            .map(|d| self.sat_cache(d))
+            .collect();
+        let out = chain_consistent(chain, &schemas, budget);
         self.rebalance();
         out
     }
 
-    /// [`abscons_structural`](crate::abscons::abscons_structural) over the
-    /// shared source/target [`SatCache`]s.
+    /// Prop 6.1: absolute consistency of **value-free** mappings (Π₂ᵖ),
+    /// over the shared source/target [`SatCache`]s.
+    ///
+    /// Exact when no std mentions a variable (SM°); returns `Err` messages
+    /// otherwise rather than silently giving the wrong answer.
     pub fn abscons_structural(
         &self,
         m: &Mapping,
@@ -984,11 +1018,13 @@ impl EngineContext {
         out
     }
 
-    /// ABSCONS over the exact procedures, cheapest first: Thm 6.3
-    /// ([`abscons_nr_cached`]) on its fragment, else Prop 6.1
-    /// ([`abscons_structural_cached`]), both over the shared source/target
-    /// [`SatCache`]s. Returns the answer and the procedure that decided it;
-    /// the errors are those of [`EngineContext::abscons_structural`].
+    /// ABSCONS over the exact procedures, cheapest first: Thm 6.3 (PTIME,
+    /// nested-relational DTDs and fully-specified stds; the rigidity
+    /// analysis of [`abscons_nr_ptime`](crate::abscons::abscons_nr_ptime)
+    /// over the kernels of the shared [`SatCache`]s) on its fragment, else
+    /// Prop 6.1 ([`EngineContext::abscons_structural`]). Returns the answer
+    /// and the procedure that decided it; the errors are those of
+    /// [`EngineContext::abscons_structural`].
     pub fn abscons(
         &self,
         m: &Mapping,
@@ -1005,20 +1041,35 @@ impl EngineContext {
         out
     }
 
-    /// [`canonical_solution`](crate::chase::canonical_solution) over the
-    /// shared [`ChaseCache`] for `m`.
+    /// The canonical solution of `source` under `m` (the chase), or a
+    /// proof that none exists, over the shared [`ChaseCache`] for `m`.
+    /// Fragment: fully-specified stds, nested-relational tree-shaped
+    /// target DTD; source conditions only filter firings.
     pub fn canonical_solution(&self, m: &Mapping, source: &Tree) -> Result<Tree, ChaseError> {
         canonical_solution_cached(m, source, &self.chase_cache(m))
     }
 
-    /// [`reduced_solution`](crate::exchange::reduced_solution) over the
-    /// shared [`ChaseCache`] for `m`.
+    /// Chases and reduces in one step
+    /// ([`reduce_solution`](crate::exchange::reduce_solution) of the
+    /// canonical solution), over the shared [`ChaseCache`] for `m`.
     pub fn reduced_solution(&self, m: &Mapping, source: &Tree) -> Result<Tree, ChaseError> {
         reduced_solution_cached(m, source, &self.chase_cache(m))
     }
 
-    /// [`certain_answers`](crate::exchange::certain_answers) over the
-    /// shared [`ChaseCache`] for `m`.
+    /// Certain answers of `query` over all solutions of `source` under
+    /// `m`: the valuations returned in *every* solution, over the shared
+    /// [`ChaseCache`] for `m`.
+    ///
+    /// Computed on the canonical solution, keeping only null-free
+    /// valuations — sound and complete for **downward** queries over the
+    /// chaseable fragment (the canonical solution is universal, and
+    /// downward pattern matches are preserved by the homomorphisms into
+    /// other solutions).
+    ///
+    /// Returns `Err` for non-downward queries (certain answers under order
+    /// constraints are not captured by the canonical solution) and
+    /// propagates chase failures (no solution ⇒ certain answers are
+    /// trivially *all* valuations; we surface the failure instead).
     pub fn certain_answers(
         &self,
         m: &Mapping,
@@ -1028,8 +1079,12 @@ impl EngineContext {
         certain_answers_cached(m, source, query, &self.chase_cache(m))
     }
 
-    /// [`composition_member`](crate::compose::composition_member) over the
-    /// shared [`ShapeCache`] (middle schema) and [`ChaseCache`] (`m12`).
+    /// Semantic composition membership — Thm 7.3: is there `T₂ ⊨ D₂` (≤
+    /// `max_middle_nodes` nodes) with `(T₁,T₂) ∈ ⟦M₁₂⟧` and
+    /// `(T₂,T₃) ∈ ⟦M₂₃⟧`? Returns the middle document. Tries the canonical
+    /// solution first when the fragment allows, then searches exhaustively
+    /// up to the bound, over the shared [`ShapeCache`] (middle schema) and
+    /// [`ChaseCache`] (`m12`).
     pub fn composition_member(
         &self,
         m12: &Mapping,
@@ -1053,8 +1108,11 @@ impl EngineContext {
         out
     }
 
-    /// [`solution_exists`](crate::bounded::solution_exists) over the
-    /// shared target [`ShapeCache`].
+    /// Does `source` have a solution under `m` with at most
+    /// `max_target_nodes` nodes? Values are drawn from the source's active
+    /// domain plus enough fresh values (one per target slot), which is
+    /// exhaustive for that size. Runs over the shared target
+    /// [`ShapeCache`].
     pub fn solution_exists(
         &self,
         m: &Mapping,
@@ -1237,7 +1295,7 @@ mod tests {
         let m = copy_mapping();
         let budget = 1_000_000;
         let via_ctx = ctx.consistent(&m, budget).unwrap();
-        let fresh = crate::consistency::consistent(&m, budget).unwrap();
+        let fresh = EngineContext::new().consistent(&m, budget).unwrap();
         assert_eq!(via_ctx.is_consistent(), fresh.is_consistent());
         // Second call is answered entirely from shared caches.
         let again = ctx.consistent(&m, budget).unwrap();

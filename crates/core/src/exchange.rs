@@ -8,10 +8,13 @@
 //! recipes apply:
 //!
 //! * **certain answers** of a downward pattern query = the null-free
-//!   answers of the query on the canonical solution;
+//!   answers of the query on the canonical solution
+//!   ([`EngineContext::certain_answers`](crate::EngineContext::certain_answers));
 //! * the canonical solution can be **reduced** by deduplicating identical
-//!   sibling subtrees in repeatable slots — a cheap approximation of the
-//!   core that often shrinks chase output dramatically.
+//!   sibling subtrees in repeatable slots ([`reduce_solution`], and
+//!   [`EngineContext::reduced_solution`](crate::EngineContext::reduced_solution)
+//!   to chase and reduce in one step) — a cheap approximation of the core
+//!   that often shrinks chase output dramatically.
 
 use crate::chase::{canonical_solution_cached, ChaseCache, ChaseError};
 use crate::stds::Mapping;
@@ -21,29 +24,9 @@ use xmlmap_dtd::Mult;
 use xmlmap_patterns::{eval, Pattern, Valuation};
 use xmlmap_trees::{NodeId, Tree};
 
-/// Certain answers of `query` over all solutions of `source` under `m`:
-/// the valuations returned in *every* solution.
-///
-/// Computed on the canonical solution, keeping only null-free valuations —
-/// sound and complete for **downward** queries over the chaseable fragment
-/// (the canonical solution is universal, and downward pattern matches are
-/// preserved by the homomorphisms into other solutions).
-///
-/// Returns `Err` for non-downward queries (certain answers under order
-/// constraints are not captured by the canonical solution) and propagates
-/// chase failures (no solution ⇒ certain answers are trivially *all*
-/// valuations; we surface the failure instead).
-pub fn certain_answers(
-    m: &Mapping,
-    source: &Tree,
-    query: &Pattern,
-) -> Result<Vec<Valuation>, CertainAnswersError> {
-    certain_answers_cached(m, source, query, &ChaseCache::new(m))
-}
-
-/// [`certain_answers`] against a caller-held [`ChaseCache`] built from the
-/// same mapping, amortizing chase compilation across many sources.
-pub fn certain_answers_cached(
+/// The core of [`EngineContext::certain_answers`](crate::EngineContext::certain_answers)
+/// over the [`ChaseCache`] built from `m`.
+pub(crate) fn certain_answers_cached(
     m: &Mapping,
     source: &Tree,
     query: &Pattern,
@@ -132,14 +115,9 @@ pub fn reduce_solution(m: &Mapping, solution: &Tree) -> Tree {
     out
 }
 
-/// Chases and reduces in one step.
-pub fn reduced_solution(m: &Mapping, source: &Tree) -> Result<Tree, ChaseError> {
-    reduced_solution_cached(m, source, &ChaseCache::new(m))
-}
-
-/// [`reduced_solution`] against a caller-held [`ChaseCache`] built from the
-/// same mapping.
-pub fn reduced_solution_cached(
+/// The core of [`EngineContext::reduced_solution`](crate::EngineContext::reduced_solution)
+/// over the [`ChaseCache`] built from `m`.
+pub(crate) fn reduced_solution_cached(
     m: &Mapping,
     source: &Tree,
     chase: &ChaseCache,
@@ -240,6 +218,7 @@ mod tests {
     use super::*;
     use crate::chase::canonical_solution;
     use crate::stds::Std;
+    use crate::EngineContext;
     use xmlmap_dtd::Dtd;
     use xmlmap_trees::{tree, Value};
 
@@ -265,7 +244,7 @@ mod tests {
         let src = tree!("r" [ "a"("v" = "1"), "a"("v" = "2") ]);
         // Asking for the first attribute: certain.
         let q1 = xmlmap_patterns::parse("r/b(x, y)").unwrap();
-        let ans = certain_answers(&m, &src, &q1).unwrap();
+        let ans = EngineContext::new().certain_answers(&m, &src, &q1).unwrap();
         // Full tuples contain the null in y ⇒ nothing is certain.
         assert!(ans.is_empty());
         // Projection (empty tuple on b, value reached via wildcarding the
@@ -274,7 +253,9 @@ mod tests {
         // but existentially): the pattern r/b(x, y) has no certain rows;
         // certain answers for "some b exists with x = 1" style queries:
         let q_exists = xmlmap_patterns::parse("r/b").unwrap();
-        let ans = certain_answers(&m, &src, &q_exists).unwrap();
+        let ans = EngineContext::new()
+            .certain_answers(&m, &src, &q_exists)
+            .unwrap();
         assert_eq!(ans.len(), 1); // the empty valuation: certainly some b
     }
 
@@ -287,7 +268,7 @@ mod tests {
         );
         let src = tree!("r" [ "a"("v" = "1"), "a"("v" = "2") ]);
         let q = xmlmap_patterns::parse("r/b(x)").unwrap();
-        let ans = certain_answers(&m, &src, &q).unwrap();
+        let ans = EngineContext::new().certain_answers(&m, &src, &q).unwrap();
         let values: Vec<String> = ans
             .iter()
             .map(|v| v[&xmlmap_patterns::Var::new("x")].to_string())
@@ -304,7 +285,7 @@ mod tests {
         );
         let q = xmlmap_patterns::parse("r[b(x) ->* b(y)]").unwrap();
         assert!(matches!(
-            certain_answers(&m, &Tree::new("r"), &q),
+            EngineContext::new().certain_answers(&m, &Tree::new("r"), &q),
             Err(CertainAnswersError::OrderedQuery)
         ));
     }
@@ -413,7 +394,7 @@ mod tests {
             &["r/a(x) --> r/b(x)"],
         );
         let src = tree!("r" [ "a"("v" = "1"), "a"("v" = "1") ]);
-        let t = reduced_solution(&m, &src).unwrap();
+        let t = EngineContext::new().reduced_solution(&m, &src).unwrap();
         assert_eq!(t.children(Tree::ROOT).len(), 1);
         assert_eq!(
             t.attr(t.children(Tree::ROOT)[0], "w"),

@@ -43,7 +43,7 @@
 //! the thread that ran it), so it is exact under any concurrency: a warm
 //! answer reports `"compiled":0` however many cold requests compile
 //! beside it. Every payload, error replies included, comes from one
-//! writer, [`Response::to_json`], which [`Response::parse`] inverts.
+//! writer, `Response::to_json`, which [`Response::parse`] inverts.
 //!
 //! ## Semantics
 //!
@@ -103,11 +103,11 @@ use xmlmap_codec::frame::{self, ReadFrame};
 use xmlmap_codec::{Decoder, Encoder};
 
 /// Magic marker opening every request payload.
-pub const REQUEST_MAGIC: [u8; 4] = *b"XMRQ";
+pub(crate) const REQUEST_MAGIC: [u8; 4] = *b"XMRQ";
 
 /// Ceiling on the artificial `PING <ms>` delay, so a hostile client
 /// cannot park a worker for minutes.
-pub const MAX_PING_DELAY_MS: u64 = 10_000;
+pub(crate) const MAX_PING_DELAY_MS: u64 = 10_000;
 
 /// How long the daemon sleeps between accept polls and how long
 /// connection readers wait before re-checking the shutdown flag. Bounds
@@ -199,7 +199,7 @@ impl ShutdownHandle {
     }
 
     /// Whether shutdown has been requested.
-    pub fn is_raised(&self) -> bool {
+    pub(crate) fn is_raised(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
     }
 }
@@ -309,7 +309,7 @@ fn counters_json(c: &CacheCounters) -> String {
 /// Renders an [`EngineStats`] snapshot (plus server tallies) as the JSON
 /// object the `STATS` request returns. The key CI and warm-restart
 /// checks grep for is `"total_compiled"`.
-pub fn stats_json(stats: &EngineStats, requests: u64, connections: u64) -> String {
+pub(crate) fn stats_json(stats: &EngineStats, requests: u64, connections: u64) -> String {
     let mut fields = Vec::new();
     for (key, _, counters) in stats.families() {
         fields.push(format!("\"{key}\":{}", counters_json(&counters)));
@@ -1032,7 +1032,7 @@ impl Response {
     /// and the inverse of [`Response::parse`]: a `stats` response carries
     /// the stats object, an answer its verdict and cache provenance, an
     /// error its message. `raw` is not written.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let ok = self.stats.is_some() || matches!(self.result, JobResult::Answer { .. });
         let body = match (&self.stats, &self.result) {
             (Some(stats), _) => format!("\"stats\":{stats},\"elapsed_us\":{}", self.elapsed_us),

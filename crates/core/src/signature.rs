@@ -28,7 +28,7 @@ pub struct Signature {
 
 impl Signature {
     /// The minimal signature: child axis only (`SM(↓)` ⊆ `SM(⇓)`).
-    pub const CHILD_ONLY: Signature = Signature {
+    pub(crate) const CHILD_ONLY: Signature = Signature {
         descendant: false,
         next_sibling: false,
         following_sibling: false,
@@ -43,7 +43,7 @@ impl Signature {
     }
 
     /// Any horizontal navigation (`⇒` or a part of it)?
-    pub fn has_horizontal(&self) -> bool {
+    pub(crate) fn has_horizontal(&self) -> bool {
         self.next_sibling || self.following_sibling
     }
 
@@ -54,7 +54,7 @@ impl Signature {
     }
 
     /// Any data comparison (`∼` or a part of it)?
-    pub fn has_data_comparison(&self) -> bool {
+    pub(crate) fn has_data_comparison(&self) -> bool {
         self.eq || self.neq
     }
 

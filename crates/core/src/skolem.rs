@@ -114,7 +114,7 @@ impl TermPattern {
 
     /// Converts a fully-specified [`Pattern`] (variables only) into a
     /// `TermPattern`. Fails on wildcard, `//` or horizontal operators.
-    pub fn from_pattern(p: &Pattern) -> Result<TermPattern, String> {
+    pub(crate) fn from_pattern(p: &Pattern) -> Result<TermPattern, String> {
         let LabelTest::Label(label) = &p.label else {
             return Err("wildcard label in a term pattern".into());
         };
@@ -141,14 +141,6 @@ impl TermPattern {
             label: self.label.clone(),
             terms: self.terms.iter().map(|t| t.substitute(s)).collect(),
             children: self.children.iter().map(|c| c.substitute(s)).collect(),
-        }
-    }
-
-    /// All terms in the pattern.
-    pub fn all_terms(&self, out: &mut Vec<Term>) {
-        out.extend(self.terms.iter().cloned());
-        for c in &self.children {
-            c.all_terms(out);
         }
     }
 

@@ -89,7 +89,7 @@ impl Std {
     }
 
     /// Variables appearing only on the target side (the z̄; existential).
-    pub fn existential_vars(&self) -> Vec<Var> {
+    pub(crate) fn existential_vars(&self) -> Vec<Var> {
         let source_vars: BTreeSet<Var> = self.source.variables().into_iter().collect();
         self.target
             .variables()

@@ -23,7 +23,7 @@
 //!
 //! The store is *advisory*: any mismatch — bad magic, other format
 //! version, checksum failure, truncation, wrong key — degrades to "not
-//! cached" and the caller compiles fresh. Bumping [`FORMAT_VERSION`]
+//! cached" and the caller compiles fresh. Bumping `FORMAT_VERSION`
 //! whenever any serialized structure changes is the entire migration
 //! story: a file of another format version is removed when it is read,
 //! and opening a store removes the files of the families earlier layouts
@@ -46,7 +46,7 @@ use xmlmap_regex::FastHasher;
 /// payload is the two schema texts, the compiled pair without its label
 /// tables, and a checksum — the sparse hedge automata are no longer
 /// stored).
-pub const FORMAT_VERSION: u32 = 3;
+pub(crate) const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 4] = b"XMAP";
 
@@ -187,7 +187,7 @@ impl ArtifactStore {
     /// Stores `payload` under `(family, key)` atomically (temp file +
     /// rename). Errors are swallowed — the store is an accelerator, and a
     /// full or read-only disk must never fail an engine operation.
-    pub fn save(&self, family: Family, key: &str, payload: &[u8]) {
+    pub(crate) fn save(&self, family: Family, key: &str, payload: &[u8]) {
         let mut e = Encoder::new();
         e.magic(MAGIC);
         e.u32(FORMAT_VERSION);

@@ -91,7 +91,7 @@ impl From<UnstreamablePattern> for StreamJobError {
 ///
 /// A conformance violation stops the pass immediately and is reported in
 /// [`StreamOutcome::violation`]; only a parse error is a hard `Err`.
-pub fn stream_document<R: Read>(
+pub(crate) fn stream_document<R: Read>(
     idx: &Arc<DtdIndex>,
     plan: Option<&StreamPattern>,
     src: R,
@@ -214,7 +214,8 @@ impl From<XmlError> for StreamChaseError {
 /// ids — and hence enumerator tuple positions — line up with the chase
 /// plans. A mapping whose sources stray outside the streamable fragment
 /// still gets a plan; the failure is carried in it and reported by
-/// [`chase_stream`] before any input is read.
+/// [`EngineContext::chase_stream`](crate::EngineContext::chase_stream)
+/// before any input is read.
 pub struct StreamChasePlan {
     cache: Arc<ChaseCache>,
     plans: Result<Vec<Arc<StreamPattern>>, UnstreamableStd>,
@@ -308,7 +309,7 @@ impl StreamChaseOutcome {
 /// tree is never materialised. A conformance violation stops the pass
 /// and withholds the verdict ([`StreamChaseOutcome::violation`]); a
 /// non-streamable source pattern is rejected before any input is read.
-pub fn chase_stream<R: Read>(
+pub(crate) fn chase_stream<R: Read>(
     idx: &Arc<DtdIndex>,
     plan: &StreamChasePlan,
     src: R,

@@ -258,18 +258,6 @@ impl NestedRelationalView {
             .skip(1) // the root itself is always unique
             .all(|l| self.mult(l).is_some_and(|m| !m.repeatable()))
     }
-
-    /// Is `label` guaranteed to occur (at least once) in *every* conforming
-    /// document? Requires a unique parent chain whose multiplicities are all
-    /// mandatory (`One` or `Plus`).
-    pub fn is_guaranteed(&self, label: &Name) -> bool {
-        let Some(path) = self.path(label) else {
-            return false;
-        };
-        path.iter()
-            .skip(1)
-            .all(|l| matches!(self.mult(l), Some(Mult::One | Mult::Plus)))
-    }
 }
 
 #[cfg(test)]
@@ -381,10 +369,6 @@ mod tests {
         ] {
             assert_eq!(nr.is_rigid(&Name::new(label)), rigid, "{label}");
         }
-        assert!(nr.is_guaranteed(&Name::new("d")));
-        assert!(!nr.is_guaranteed(&Name::new("c"))); // optional
-        assert!(!nr.is_guaranteed(&Name::new("f")));
-        assert!(!nr.is_guaranteed(&Name::new("b")));
     }
 
     #[test]

@@ -256,13 +256,13 @@ pub fn abscons_chain(n: usize) -> Mapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmlmap_core::consistency;
+    use xmlmap_core::EngineContext;
 
     #[test]
     fn cons_exptime_family_is_inconsistent() {
         for n in 1..=3 {
             let m = cons_exptime(n);
-            let ans = consistency::consistent(&m, 2_000_000).unwrap();
+            let ans = EngineContext::new().consistent(&m, 2_000_000).unwrap();
             assert!(!ans.is_consistent(), "n={n}");
         }
     }
@@ -271,7 +271,7 @@ mod tests {
     fn cons_nextsib_family_is_consistent() {
         for n in 1..=3 {
             let m = cons_nextsib(n);
-            let ans = consistency::consistent(&m, 2_000_000).unwrap();
+            let ans = EngineContext::new().consistent(&m, 2_000_000).unwrap();
             assert!(ans.is_consistent(), "n={n}");
         }
     }

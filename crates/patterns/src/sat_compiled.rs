@@ -699,6 +699,13 @@ impl SatEngine {
 
 type MatchSets = Vec<(BTreeSet<usize>, Tree)>;
 
+/// The label of every [`SatCache`] budget overrun. One fixed text, so a
+/// cache first compiled by one procedure and later probed by another
+/// reports identical errors whichever compiled it; `xmlmap-core` shares one
+/// cache per DTD through its engine context, and batch output across
+/// worker counts depends on that.
+const SAT_CACHE_CONTEXT: &str = "shared EngineContext probe";
+
 /// Per-DTD satisfiability cache: the DTD is compiled once, each pattern
 /// set's closure is interned once (keyed by the patterns' display strings,
 /// which round-trip), and complete match-set results are memoized. Budget
@@ -711,7 +718,6 @@ type MatchSets = Vec<(BTreeSet<usize>, Tree)>;
 /// ([`SatCache::nr_kernel`]), never by [`SatCache::new`].
 pub struct SatCache {
     idx: Arc<DtdIndex>,
-    context: String,
     pats: Mutex<HashMap<Vec<String>, Arc<CompiledPats>>>,
     results: Mutex<HashMap<Vec<String>, Arc<MatchSets>>>,
     nr: OnceLock<Option<NrKernel>>,
@@ -722,17 +728,10 @@ impl SatCache {
     pub fn new(dtd: &Dtd) -> SatCache {
         SatCache {
             idx: Arc::new(DtdIndex::new(dtd)),
-            context: "cached type-fixpoint probe".to_string(),
             pats: Mutex::new(HashMap::new()),
             results: Mutex::new(HashMap::new()),
             nr: OnceLock::new(),
         }
-    }
-
-    /// Labels budget overruns from this cache with an operation description.
-    pub fn with_context(mut self, context: &str) -> SatCache {
-        self.context = context.to_string();
-        self
     }
 
     /// The DTD this cache answers probes against.
@@ -763,7 +762,7 @@ impl SatCache {
                 .clone()
         };
         let mut engine =
-            SatEngine::from_parts(self.idx.clone(), pats, budget).with_context(&self.context);
+            SatEngine::from_parts(self.idx.clone(), pats, budget).with_context(SAT_CACHE_CONTEXT);
         let sets = Arc::new(engine.root_match_sets()?);
         self.results.lock().unwrap().insert(key, sets.clone());
         Ok(sets)
@@ -799,7 +798,10 @@ impl SatCache {
     pub fn approx_bytes(&self) -> u64 {
         let key_bytes =
             |key: &Vec<String>| key.iter().map(|s| s.len() as u64 + 24).sum::<u64>() + 24;
-        let mut total = self.idx.approx_bytes() + self.context.len() as u64;
+        // The label's length counts toward the figure: the byte totals that
+        // `--stats` prints and memory budgets act on stay comparable across
+        // releases.
+        let mut total = self.idx.approx_bytes() + SAT_CACHE_CONTEXT.len() as u64;
         if let Some(Some(kernel)) = self.nr.get() {
             total += kernel.approx_bytes();
         }

@@ -77,29 +77,6 @@ impl Regex {
         Regex::Opt(Box::new(self))
     }
 
-    /// Does the language contain the empty word?
-    pub fn nullable(&self) -> bool {
-        match self {
-            Regex::Empty | Regex::Symbol(_) => false,
-            Regex::Epsilon | Regex::Star(_) | Regex::Opt(_) => true,
-            Regex::Concat(a, b) => a.nullable() && b.nullable(),
-            Regex::Alt(a, b) => a.nullable() || b.nullable(),
-            Regex::Plus(a) => a.nullable(),
-        }
-    }
-
-    /// Is the language empty?
-    pub fn is_empty_language(&self) -> bool {
-        match self {
-            Regex::Empty => true,
-            Regex::Epsilon | Regex::Symbol(_) => false,
-            Regex::Concat(a, b) => a.is_empty_language() || b.is_empty_language(),
-            Regex::Alt(a, b) => a.is_empty_language() && b.is_empty_language(),
-            Regex::Star(_) | Regex::Opt(_) => false, // both contain ε
-            Regex::Plus(a) => a.is_empty_language(),
-        }
-    }
-
     /// The set of symbols mentioned (not necessarily all usable).
     pub fn symbols(&self) -> BTreeSet<Name> {
         let mut out = BTreeSet::new();
@@ -399,25 +376,6 @@ mod tests {
             let r = p(s);
             assert_eq!(p(&r.to_string()), r, "round-tripping {s}");
         }
-    }
-
-    #[test]
-    fn nullable() {
-        assert!(p("a*").nullable());
-        assert!(p("a?, b?").nullable());
-        assert!(!p("a, b*").nullable());
-        assert!(p("a|eps").nullable());
-        assert!(!p("a+").nullable());
-        assert!(!Regex::Empty.nullable());
-    }
-
-    #[test]
-    fn emptiness() {
-        assert!(Regex::Empty.is_empty_language());
-        assert!(p("a, empty").is_empty_language());
-        assert!(!p("a|empty").is_empty_language());
-        assert!(!p("empty*").is_empty_language()); // contains ε
-        assert!(!p("a").is_empty_language());
     }
 
     #[test]

@@ -128,15 +128,16 @@ mod proptests {
             prop_assert_eq!(matches_ref(&reparsed, &w), matches_ref(&r, &w));
         }
 
-        /// `nullable` agrees with ε-membership; `shortest_word` is accepted
-        /// and is no longer than any sampled accepted word.
+        /// The Glushkov NFA's ε-acceptance agrees with ε-membership;
+        /// `shortest_word` is accepted and is no longer than any sampled
+        /// accepted word.
         #[test]
         fn nullable_and_shortest(r in arb_regex(), w in arb_word()) {
-            prop_assert_eq!(r.nullable(), matches_ref(&r, &[]));
             let nfa = Nfa::from_regex(&r);
+            prop_assert_eq!(nfa.accepts(&[]), matches_ref(&r, &[]));
             match nfa.shortest_word() {
                 None => {
-                    prop_assert!(r.is_empty_language());
+                    prop_assert!(!matches_ref(&r, &[]));
                     prop_assert!(!matches_ref(&r, &w));
                 }
                 Some(s) => {

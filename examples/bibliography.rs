@@ -67,7 +67,10 @@ fn main() {
     assert!(catalogue.conforms(&source));
 
     // ── Chase + reduction + nesting ────────────────────────────────────
-    let solution = canonical_solution(&exchange, &source).expect("chaseable");
+    let ctx = EngineContext::new();
+    let solution = ctx
+        .canonical_solution(&exchange, &source)
+        .expect("chaseable");
     let reduced = xmlmap::core::reduce_solution(&exchange, &solution);
     let nested = xmlmap::core::nest_solution(&exchange, &reduced);
     println!(
@@ -84,7 +87,7 @@ fn main() {
 
     // ── Certain answers ────────────────────────────────────────────────
     let who_wrote = xmlmap::patterns::parse("db/work(t)/credit(a)").unwrap();
-    let answers = xmlmap::core::certain_answers(&exchange, &source, &who_wrote).unwrap();
+    let answers = ctx.certain_answers(&exchange, &source, &who_wrote).unwrap();
     println!("certain (title, author) pairs:");
     for a in &answers {
         println!("  {} — {}", a[&Name::new("t")], a[&Name::new("a")]);

@@ -126,7 +126,9 @@ fn main() {
                 .unwrap(),
         ],
     );
-    let solution = canonical_solution(&chaseable, &source).expect("chase succeeds");
+    let solution = EngineContext::new()
+        .canonical_solution(&chaseable, &source)
+        .expect("chase succeeds");
     println!(
         "Canonical solution ({} nodes):\n{}",
         solution.size(),

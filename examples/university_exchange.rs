@@ -10,7 +10,6 @@
 //!
 //! Run with: `cargo run --example university_exchange`
 
-use xmlmap::core::bounded;
 use xmlmap::prelude::*;
 
 fn main() {
@@ -86,8 +85,11 @@ fn main() {
     );
 
     // ── Chase mapping 1 and inspect the exchanged document ─────────────
+    let ctx = EngineContext::new();
     let source = xmlmap::gen::university_tree(3, 2);
-    let solution = canonical_solution(&m1, &source).expect("chaseable fragment");
+    let solution = ctx
+        .canonical_solution(&m1, &source)
+        .expect("chaseable fragment");
     assert!(m1.is_solution(&source, &solution));
     println!(
         "\nchase: {}-node source → {}-node canonical solution (verified)",
@@ -148,9 +150,13 @@ fn main() {
         ordered_source.clone(),
     ];
     for t in &every {
-        let sol = canonical_solution(&m1, t).expect("every source has a solution");
+        let sol = ctx
+            .canonical_solution(&m1, t)
+            .expect("every source has a solution");
         assert!(m1.is_solution(t, &sol));
     }
-    assert!(bounded::solution_exists(&m1, &xmlmap::gen::university_tree(1, 0), 8).is_some());
+    assert!(ctx
+        .solution_exists(&m1, &xmlmap::gen::university_tree(1, 0), 8)
+        .is_some());
     println!("\nall sampled sources have solutions under the plain mapping ✓");
 }

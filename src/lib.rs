@@ -52,13 +52,13 @@ pub use xmlmap_patterns as patterns;
 pub use xmlmap_regex as regex;
 pub use xmlmap_trees as trees;
 
-/// The most common imports, for examples and downstream users.
+/// The most common imports, for examples and downstream users. The
+/// decision procedures, the chase and the streaming drivers are methods of
+/// [`EngineContext`](xmlmap_core::EngineContext).
 pub mod prelude {
     pub use xmlmap_core::{
-        abscons_nr_ptime, abscons_structural, canonical_solution, compose, composition_consistent,
-        composition_member, consistent, consistent_nr_ptime, run_batch, AbsConsAnswer, BatchJob,
-        CompOp, Comparison, ConsAnswer, EngineContext, JobKind, JobResult, Mapping, SkolemMapping,
-        Std,
+        compose, run_batch, AbsConsAnswer, BatchJob, CompOp, Comparison, ConsAnswer, EngineContext,
+        JobKind, JobResult, Mapping, SkolemMapping, Std,
     };
     pub use xmlmap_dtd::Dtd;
     pub use xmlmap_patterns::{Pattern, Valuation};

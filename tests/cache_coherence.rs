@@ -1,6 +1,6 @@
 //! Cache-coherence differential tests.
 //!
-//! For each compiled-engine cache ([`SatCache`], [`ChaseCache`],
+//! For each compiled-engine cache ([`SatCache`], `ChaseCache`,
 //! [`AutomataCache`]) two invariants keep the shared [`EngineContext`]
 //! honest:
 //!
@@ -15,8 +15,8 @@
 use std::sync::Arc;
 use xmlmap::automata::AutomataCache;
 use xmlmap::core::{
-    abscons_nr_ptime, canonical_solution, canonical_solution_cached, consistent_nr_ptime,
-    AbsConsProcedure, ChaseCache, EngineContext, ShapeCache,
+    abscons_nr_ptime, canonical_solution, consistent_nr_ptime, AbsConsProcedure, EngineContext,
+    ShapeCache,
 };
 use xmlmap::gen::hard;
 use xmlmap::patterns::SatCache;
@@ -82,10 +82,10 @@ fn null_inventing_mapping() -> Mapping {
 fn chase_cache_repeat_is_isomorphic_to_fresh_compute() {
     let m = null_inventing_mapping();
     let src = xmlmap::trees::xml::parse(r#"<r><a v="1"/><a v="2"/></r>"#).unwrap();
-    let cache = ChaseCache::new(&m);
+    let ctx = EngineContext::new();
 
-    let first = canonical_solution_cached(&m, &src, &cache).unwrap();
-    let repeat = canonical_solution_cached(&m, &src, &cache).unwrap();
+    let first = ctx.canonical_solution(&m, &src).unwrap();
+    let repeat = ctx.canonical_solution(&m, &src).unwrap();
     let fresh = canonical_solution(&m, &src).unwrap();
     assert!(isomorphic_mod_nulls(&first, &repeat));
     assert!(isomorphic_mod_nulls(&first, &fresh));
@@ -106,10 +106,10 @@ fn chase_cache_has_no_verdict_memo_to_poison() {
     .unwrap();
     // Two distinct source values cannot fit a target that allows one `a`.
     let src = xmlmap::trees::xml::parse(r#"<r><a v="1"/><a v="2"/></r>"#).unwrap();
-    let cache = ChaseCache::new(&narrow);
+    let ctx = EngineContext::new();
 
-    let e1 = canonical_solution_cached(&narrow, &src, &cache).unwrap_err();
-    let e2 = canonical_solution_cached(&narrow, &src, &cache).unwrap_err();
+    let e1 = ctx.canonical_solution(&narrow, &src).unwrap_err();
+    let e2 = ctx.canonical_solution(&narrow, &src).unwrap_err();
     let fresh = canonical_solution(&narrow, &src).unwrap_err();
     assert_eq!(e1.to_string(), e2.to_string());
     assert_eq!(e1.to_string(), fresh.to_string());
@@ -117,7 +117,7 @@ fn chase_cache_has_no_verdict_memo_to_poison() {
     // The failed chases leave the plan fully usable for sources that do
     // have solutions.
     let good = xmlmap::trees::xml::parse(r#"<r><a v="1"/></r>"#).unwrap();
-    let sol = canonical_solution_cached(&narrow, &good, &cache).unwrap();
+    let sol = ctx.canonical_solution(&narrow, &good).unwrap();
     assert!(narrow.is_solution(&good, &sol));
 }
 
@@ -590,7 +590,7 @@ fn engine_context_abscons_agrees_with_uncached_procedure() {
     // verdict is Violated.
     let narrow = hard::cons_exptime(3);
     let via_ctx = ctx.abscons_structural(&narrow, BUDGET);
-    let fresh = xmlmap::core::abscons_structural(&narrow, BUDGET);
+    let fresh = EngineContext::new().abscons_structural(&narrow, BUDGET);
     match (via_ctx, fresh) {
         (Ok(Ok(a)), Ok(Ok(b))) => assert_eq!(a.holds(), b.holds()),
         (a, b) => panic!("context and fresh disagree: {a:?} vs {b:?}"),
@@ -601,6 +601,75 @@ fn engine_context_abscons_agrees_with_uncached_procedure() {
     assert!(!again.holds());
     assert!(ctx.stats().sat.hits > hits_before);
     assert_eq!(ctx.stats().sat.misses, ctx.stats().sat.entries);
+}
+
+/// Prop 7.2 through the context: the n-fold walk over the shared
+/// `SatCache`s agrees with its two-mapping case, keeps the chain verdicts
+/// of the consistency unit tests, and compiles each distinct schema once.
+#[test]
+fn composition_chain_runs_over_shared_sat_caches() {
+    let ctx = EngineContext::new();
+    for extra in 1..=3 {
+        let (m12, m23) = hard::compose_chain(extra);
+        assert_eq!(
+            ctx.composition_chain_consistent(&[&m12, &m23], BUDGET)
+                .unwrap(),
+            ctx.composition_consistent(&m12, &m23, BUDGET).unwrap(),
+            "compose_chain({extra})"
+        );
+    }
+
+    let mapping = |ds: &str, dt: &str, std: &str| {
+        Mapping::new(
+            xmlmap::dtd::parse(ds).unwrap(),
+            xmlmap::dtd::parse(dt).unwrap(),
+            vec![Std::parse(std).unwrap()],
+        )
+    };
+    let m12 = mapping("root r\nr -> a", "root m\nm -> b", "r/a --> m/b");
+    let m23 = mapping("root m\nm -> b", "root w\nw -> c", "m/b --> w/c");
+    let m34 = mapping("root w\nw -> c", "root z\nz -> d?", "w/c --> z/d");
+    let m34bad = mapping("root w\nw -> c", "root z\nz -> d?", "w/c --> z/d/d");
+
+    // A 3-mapping chain over four distinct schemas, on a fresh context:
+    // one SatCache compile per schema, and a repeat only hits.
+    let ctx = EngineContext::new();
+    assert!(ctx
+        .composition_chain_consistent(&[&m12, &m23, &m34], BUDGET)
+        .unwrap());
+    let cold = ctx.stats().sat;
+    assert_eq!((cold.misses, cold.hits, cold.entries), (4, 0, 4));
+    assert!(ctx
+        .composition_chain_consistent(&[&m12, &m23, &m34], BUDGET)
+        .unwrap());
+    let warm = ctx.stats().sat;
+    assert_eq!((warm.misses, warm.hits), (4, 4));
+
+    // The unit tests' other chain verdicts hold on the same context.
+    assert!(!ctx
+        .composition_chain_consistent(&[&m12, &m23, &m34bad], BUDGET)
+        .unwrap());
+    assert_eq!(
+        ctx.composition_chain_consistent(&[&m23, &m34bad], BUDGET)
+            .unwrap(),
+        ctx.composition_consistent(&m23, &m34bad, BUDGET).unwrap()
+    );
+    assert_eq!(
+        ctx.composition_chain_consistent(&[&m12], BUDGET).unwrap(),
+        ctx.consistent(&m12, BUDGET).unwrap().is_consistent()
+    );
+    assert!(ctx.composition_chain_consistent(&[], BUDGET).unwrap());
+    // m34bad's target schema equals m34's: no new schema was compiled.
+    assert_eq!(ctx.stats().sat.misses, 4);
+
+    // A chain that revisits one schema compiles it once.
+    let loop_map = mapping("root r\nr -> a", "root r\nr -> a", "r/a --> r/a");
+    let ctx = EngineContext::new();
+    assert!(ctx
+        .composition_chain_consistent(&[&loop_map, &loop_map, &loop_map], BUDGET)
+        .unwrap());
+    let s = ctx.stats().sat;
+    assert_eq!((s.misses, s.hits, s.entries), (1, 3, 1));
 }
 
 // ---- one compile per artifact -------------------------------------------

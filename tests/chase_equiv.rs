@@ -15,18 +15,18 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xmlmap::core::chase::{reference, ChaseCache};
-use xmlmap::core::{canonical_solution, canonical_solution_cached};
+use xmlmap::core::canonical_solution;
+use xmlmap::core::chase::reference;
 use xmlmap::gen::{MappingGenConfig, TreeGenConfig};
 use xmlmap::prelude::*;
 use xmlmap::trees::isomorphic_mod_nulls;
 
 /// Checks one (mapping, source) case against the reference engine, using
-/// `cache` for the compiled side (callers reuse it across sources to also
+/// `ctx` for the compiled side (callers reuse it across sources to also
 /// exercise cache sharing).
-fn check_case(m: &Mapping, source: &xmlmap::trees::Tree, cache: &ChaseCache) {
+fn check_case(m: &Mapping, source: &xmlmap::trees::Tree, ctx: &EngineContext) {
     let expected = reference::canonical_solution(m, source);
-    let got = canonical_solution_cached(m, source, cache);
+    let got = ctx.canonical_solution(m, source);
     match (&expected, &got) {
         (Ok(a), Ok(b)) => {
             assert!(
@@ -48,14 +48,14 @@ fn check_case(m: &Mapping, source: &xmlmap::trees::Tree, cache: &ChaseCache) {
              reference: {expected:?}\ncompiled: {got:?}"
         ),
     }
-    // The uncached wrapper is the same engine with a fresh cache.
+    // The free form is the same engine with a fresh cache.
     let uncached = canonical_solution(m, source);
     match (&got, &uncached) {
         (Ok(a), Ok(b)) => assert!(isomorphic_mod_nulls(a, b)),
         (Err(a), Err(b)) => {
             assert_eq!(std::mem::discriminant(a), std::mem::discriminant(b))
         }
-        _ => panic!("cached and uncached compiled runs disagree"),
+        _ => panic!("shared and fresh-cache compiled runs disagree"),
     }
 }
 
@@ -85,10 +85,10 @@ proptest! {
             value_pool: 2, // collisions galore: rigid slots conflict often
             max_nodes: 60,
         };
-        let cache = ChaseCache::new(&m);
+        let ctx = EngineContext::new();
         for _ in 0..3 {
             let source = xmlmap::gen::random_tree(&ds, &config, &mut rng);
-            check_case(&m, &source, &cache);
+            check_case(&m, &source, &ctx);
         }
     }
 }
@@ -178,10 +178,10 @@ proptest! {
             value_pool: 2,
             max_nodes: 30,
         };
-        let cache = ChaseCache::new(&m);
+        let ctx = EngineContext::new();
         for _ in 0..3 {
             let source = xmlmap::gen::random_tree(&m.source_dtd, &config, &mut rng);
-            check_case(&m, &source, &cache);
+            check_case(&m, &source, &ctx);
         }
     }
 }

@@ -66,7 +66,7 @@ proptest! {
                 // solutions (mandatory skeletons grow with the DTD); the
                 // chase adjudicates: a real violation is one the chase
                 // fails on too.
-                if canonical_solution(&m, &w).is_ok() {
+                if ctx().canonical_solution(&m, &w).is_ok() {
                     return Ok(()); // bound artefact, not a violation
                 }
                 prop_assert!(
@@ -92,7 +92,7 @@ proptest! {
     fn cons_nr_ptime_vs_engine(seed in any::<u64>()) {
         let Some(m) = random_mapping(seed) else { return Ok(()) };
         let Some(fast) = xmlmap::core::consistent_nr_ptime(&m) else { return Ok(()) };
-        let slow = xmlmap::core::consistent(&m, 2_000_000).unwrap();
+        let slow = ctx().consistent(&m, 2_000_000).unwrap();
         prop_assert_eq!(fast, slow.is_consistent(), "\n{}", m);
         // And the engine's own witnesses are genuine.
         if let ConsAnswer::Consistent { source, target } = slow {
@@ -114,7 +114,7 @@ proptest! {
             &mut rng,
         );
         prop_assume!(bounded::attr_slot_count(&source) <= 5);
-        match canonical_solution(&m, &source) {
+        match ctx().canonical_solution(&m, &source) {
             Ok(solution) => {
                 prop_assert!(
                     m.is_solution(&source, &solution),
@@ -125,7 +125,7 @@ proptest! {
             Err(xmlmap::core::ChaseError::OutsideFragment(_)) => {}
             Err(e) => {
                 // No solution should exist, up to a generous bound.
-                let found = bounded::solution_exists(&m, &source, 7);
+                let found = ctx().solution_exists(&m, &source, 7);
                 prop_assert!(
                     found.is_none(),
                     "chase failed ({e}) but a solution exists\n{}\nsource:\n{:?}\nsolution:\n{:?}",
@@ -345,7 +345,7 @@ mod general_engine {
             tgt_pat in arb_feature_pattern(),
         ) {
             let m = Mapping::new(ds, dt, vec![Std::new(src_pat, tgt_pat)]);
-            let ans = match xmlmap::core::consistent(&m, 2_000_000) {
+            let ans = match ctx().consistent(&m, 2_000_000) {
                 Ok(a) => a,
                 Err(_) => return Ok(()), // budget blowup: skip
             };

@@ -11,8 +11,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use xmlmap::core::{
-    canonical_solution, canonical_solution_cached, parse_updates, render_batch, run_batch,
-    BatchJob, ChaseCache, ChaseError, EngineContext, IncrementalChase, JobKind, Mapping, Update,
+    canonical_solution, parse_updates, render_batch, run_batch, BatchJob, ChaseError,
+    EngineContext, IncrementalChase, JobKind, Mapping, Update,
 };
 use xmlmap::gen::{self, MappingGenConfig, TreeGenConfig};
 use xmlmap::trees::{xml, NodeId, Tree, Value};
@@ -23,9 +23,9 @@ fn rechase(m: &Mapping, doc: &Tree) -> Result<Arc<Tree>, ChaseError> {
     canonical_solution(m, doc).map(Arc::new)
 }
 
-/// [`rechase`] against a caller-held [`ChaseCache`].
-fn rechase_cached(m: &Mapping, doc: &Tree, cache: &ChaseCache) -> Result<Arc<Tree>, ChaseError> {
-    canonical_solution_cached(m, doc, cache).map(Arc::new)
+/// [`rechase`] on a context that keeps `m`'s chase tables across reads.
+fn rechase_cached(m: &Mapping, doc: &Tree, ctx: &EngineContext) -> Result<Arc<Tree>, ChaseError> {
+    ctx.canonical_solution(m, doc).map(Arc::new)
 }
 
 /// Child-index path of `n` (the delta update addressing scheme).
@@ -123,7 +123,7 @@ fn random_update_storms_track_the_full_chase() {
             },
             &mut rng,
         );
-        let cache = ChaseCache::new(&m);
+        let ctx = EngineContext::new();
         let mut session = IncrementalChase::new(&m, doc);
         for _ in 0..storm_rng.gen_range(1..=50usize) {
             let Some(u) = random_update(session.doc(), &mut storm_rng) else {
@@ -133,7 +133,7 @@ fn random_update_storms_track_the_full_chase() {
                 .apply(&u)
                 .expect("structurally valid updates are accepted");
             ops_applied += 1;
-            let full = rechase_cached(&m, session.doc(), &cache);
+            let full = rechase_cached(&m, session.doc(), &ctx);
             err_verdicts += usize::from(full.is_err());
             let incremental = session.canonical_solution();
             assert_eq!(
@@ -306,7 +306,7 @@ fn reads_under_schedule(
     m: &Mapping,
     doc: &Tree,
     ops: &[Update],
-    cache: &ChaseCache,
+    ctx: &EngineContext,
     read_after: impl Fn(usize) -> bool,
 ) -> Vec<Option<Result<Arc<Tree>, ChaseError>>> {
     let mut session = IncrementalChase::new(m, doc.clone());
@@ -316,7 +316,7 @@ fn reads_under_schedule(
             session.apply(u).expect("the storm applied once already");
             read_after(i).then(|| {
                 let incremental = session.canonical_solution();
-                let full = rechase_cached(m, session.doc(), cache);
+                let full = rechase_cached(m, session.doc(), ctx);
                 assert_eq!(incremental, full, "read after op {i} diverged");
                 incremental
             })
@@ -336,7 +336,7 @@ fn check_read_schedules(
     max_ops: usize,
     k: usize,
 ) -> (usize, bool) {
-    let cache = ChaseCache::new(m);
+    let ctx = EngineContext::new();
     // The end-only schedule doubles as the storm's generator: its
     // document evolves exactly as the other schedules' will.
     let mut end_only = IncrementalChase::new(m, doc.clone());
@@ -356,11 +356,11 @@ fn check_read_schedules(
     let last = end_only.canonical_solution();
     assert_eq!(
         last,
-        rechase_cached(m, end_only.doc(), &cache),
+        rechase_cached(m, end_only.doc(), &ctx),
         "a read only at the end diverged"
     );
-    let every = reads_under_schedule(m, &doc, &ops, &cache, |_| true);
-    let every_k = reads_under_schedule(m, &doc, &ops, &cache, |i| (i + 1) % k == 0);
+    let every = reads_under_schedule(m, &doc, &ops, &ctx, |_| true);
+    let every_k = reads_under_schedule(m, &doc, &ops, &ctx, |i| (i + 1) % k == 0);
     for (i, (a, b)) in every.iter().zip(&every_k).enumerate() {
         if let Some(b) = b {
             assert_eq!(
@@ -656,7 +656,7 @@ fn check_family_schedules(
     max_ops: usize,
     k: usize,
 ) -> usize {
-    let cache = ChaseCache::new(m);
+    let ctx = EngineContext::new();
     let mut end_only = IncrementalChase::new(m, doc.clone());
     let mut ops = Vec::new();
     for _ in 0..max_ops {
@@ -671,11 +671,11 @@ fn check_family_schedules(
     let last = end_only.canonical_solution();
     assert_eq!(
         last,
-        rechase_cached(m, end_only.doc(), &cache),
+        rechase_cached(m, end_only.doc(), &ctx),
         "a read only at the end diverged"
     );
-    let every = reads_under_schedule(m, &doc, &ops, &cache, |_| true);
-    let every_k = reads_under_schedule(m, &doc, &ops, &cache, |i| (i + 1) % k == 0);
+    let every = reads_under_schedule(m, &doc, &ops, &ctx, |_| true);
+    let every_k = reads_under_schedule(m, &doc, &ops, &ctx, |i| (i + 1) % k == 0);
     for (i, (a, b)) in every.iter().zip(&every_k).enumerate() {
         if let Some(b) = b {
             assert_eq!(

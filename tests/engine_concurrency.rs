@@ -13,8 +13,8 @@
 
 use std::sync::Arc;
 use xmlmap::core::{
-    canonical_solution, consistent, render_batch, run_batch, BatchJob, ConsAnswer, EngineContext,
-    JobKind, JobResult,
+    canonical_solution, render_batch, run_batch, BatchJob, ConsAnswer, EngineContext, JobKind,
+    JobResult,
 };
 use xmlmap::gen::hard;
 use xmlmap::prelude::*;
@@ -321,9 +321,15 @@ fn interleaved_mixed_workload_agrees_with_fresh_single_thread_answers() {
     let cn = hard::cons_nextsib(3);
     let chase_src = xmlmap::trees::xml::parse(r#"<r><a v="1"/><a v="2"/><a v="3"/></r>"#).unwrap();
 
-    // Reference answers, computed without any shared context.
-    let ref_ce = consistent(&ce, BUDGET).unwrap().is_consistent();
-    let ref_cn = consistent(&cn, BUDGET).unwrap().is_consistent();
+    // Reference answers, each on a fresh context of its own.
+    let ref_ce = EngineContext::new()
+        .consistent(&ce, BUDGET)
+        .unwrap()
+        .is_consistent();
+    let ref_cn = EngineContext::new()
+        .consistent(&cn, BUDGET)
+        .unwrap()
+        .is_consistent();
     let ref_chase = canonical_solution(&copy, &chase_src).unwrap();
     let ref_sub = xmlmap::automata::AutomataCache::new(&cn.source_dtd, &ce.source_dtd)
         .subschema(BUDGET)
@@ -554,7 +560,7 @@ fn consanswer_witnesses_are_deterministic_too() {
         }
     }
     assert_eq!(sizes[0], sizes[1]);
-    let direct = match consistent(&cn, BUDGET).unwrap() {
+    let direct = match EngineContext::new().consistent(&cn, BUDGET).unwrap() {
         ConsAnswer::Consistent { source, .. } => source.size(),
         ConsAnswer::Inconsistent => panic!("cons_nextsib(3) is consistent"),
     };

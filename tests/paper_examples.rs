@@ -5,7 +5,6 @@
 //! counterexample of §6, and the two composition counterexamples of §8
 //! (Prop 8.1) that motivate the closed class of Thm 8.2.
 
-use xmlmap::core::bounded;
 use xmlmap::prelude::*;
 use xmlmap::trees::tree;
 
@@ -41,6 +40,7 @@ fn ada() -> Tree {
 
 #[test]
 fn intro_first_mapping_restructures() {
+    let ctx = EngineContext::new();
     // π₁ → π₂ (first figure): plain restructuring.
     let m = Mapping::new(
         d1(),
@@ -52,7 +52,7 @@ fn intro_first_mapping_restructures() {
         )
         .unwrap()],
     );
-    let solution = canonical_solution(&m, &ada()).unwrap();
+    let solution = ctx.canonical_solution(&m, &ada()).unwrap();
     assert!(m.is_solution(&ada(), &solution));
     // Both courses appear with Ada as the teacher.
     let courses = pat("r/course(c, y)/taughtby(t)");
@@ -127,6 +127,7 @@ fn intro_third_mapping_preserves_order() {
 
 #[test]
 fn relational_schemas_embed() {
+    let ctx = EngineContext::new();
     // S = {S1(A,B), S2(C,D)}: r → s1, s2; s1 → t1*; s2 → t2*.
     use xmlmap::dtd::{instance_to_tree, schema_to_dtd, Relation};
     let rels = vec![
@@ -162,7 +163,7 @@ fn relational_schemas_embed() {
     assert!(d.conforms(&source));
     // The join fires exactly once: (a, j) ⋈ (j, out).
     assert_eq!(m.stds[0].firings(&source).len(), 1);
-    let sol = canonical_solution(&m, &source).unwrap();
+    let sol = ctx.canonical_solution(&m, &source).unwrap();
     assert!(m.is_solution(&source, &sol));
     assert!(xmlmap::patterns::matches_with(
         &sol,
@@ -180,6 +181,7 @@ fn relational_schemas_embed() {
 
 #[test]
 fn sec5_changed_target_dtd_is_inconsistent() {
+    let ctx = EngineContext::new();
     // "Suppose the DTD D2 changes to r → courses, students; …" — the first
     // intro mapping becomes inconsistent: course nodes must be
     // grandchildren. (prof+ forces the std to fire.)
@@ -208,7 +210,7 @@ fn sec5_changed_target_dtd_is_inconsistent() {
         )
         .unwrap()],
     );
-    let ans = xmlmap::core::consistent(&m, 1_000_000).unwrap();
+    let ans = ctx.consistent(&m, 1_000_000).unwrap();
     assert!(!ans.is_consistent());
 }
 
@@ -216,6 +218,7 @@ fn sec5_changed_target_dtd_is_inconsistent() {
 
 #[test]
 fn sec6_abscons_counterexample() {
+    let ctx = EngineContext::new();
     // Source r → a*, target r → a, std r/a(x) → r/a(x): consistent but not
     // absolutely consistent; the stripped version IS absolutely consistent.
     let m = Mapping::new(
@@ -223,16 +226,14 @@ fn sec6_abscons_counterexample() {
         dtd("root r\nr -> a\na @ v"),
         vec![Std::parse("r/a(x) --> r/a(x)").unwrap()],
     );
-    assert!(xmlmap::core::consistent(&m, 1_000_000)
-        .unwrap()
-        .is_consistent());
+    assert!(ctx.consistent(&m, 1_000_000).unwrap().is_consistent());
     assert!(!xmlmap::core::abscons_nr_ptime(&m).unwrap().holds());
 
     // The paper's concrete counterexample: two distinct attribute values.
     let two = tree!("r" [ "a"("v" = "1"), "a"("v" = "2") ]);
-    assert!(bounded::solution_exists(&m, &two, 4).is_none());
+    assert!(ctx.solution_exists(&m, &two, 4).is_none());
     assert!(matches!(
-        canonical_solution(&m, &two),
+        ctx.canonical_solution(&m, &two),
         Err(xmlmap::core::ChaseError::ValueConflict(_))
     ));
 
@@ -242,7 +243,8 @@ fn sec6_abscons_counterexample() {
         dtd("root r\nr -> a"),
         vec![Std::parse("r/a --> r/a").unwrap()],
     );
-    assert!(xmlmap::core::abscons_structural(&stripped, 1_000_000)
+    assert!(ctx
+        .abscons_structural(&stripped, 1_000_000)
         .unwrap()
         .unwrap()
         .holds());

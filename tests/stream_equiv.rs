@@ -3,7 +3,7 @@
 //!
 //! Every case serialises a generated (and sometimes deliberately
 //! corrupted) document to XML bytes, runs the one-pass streaming driver
-//! ([`xmlmap::core::stream_document`]) over them, and re-parses the same
+//! ([`xmlmap::core::EngineContext::stream_document`]) over them, and re-parses the same
 //! bytes into the arena pipeline (`normalize_attrs` + `Dtd::check`, then
 //! `patterns::matches`). The verdicts must agree exactly:
 //!
@@ -16,7 +16,8 @@
 //! * firing enumeration — the valuation multisets that
 //!   [`StreamEnumerator`] emits in one pass equal the arena evaluator's
 //!   `Matcher::all_match_tuples`, tuple for tuple;
-//! * the streaming chase — `chase_stream` over serialised bytes produces
+//! * the streaming chase — `EngineContext::chase_stream` over serialised
+//!   bytes produces
 //!   a solution `isomorphic_mod_nulls`-equal to `canonical_solution` on
 //!   the parsed tree (same error verdict-for-verdict when the mapping
 //!   falls outside the fragment), and withholds the verdict entirely when
@@ -27,6 +28,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+use xmlmap::core::EngineContext;
 use xmlmap::dtd::{Dtd, DtdIndex, StreamValidator};
 use xmlmap::gen::{random_tree, university_dtd, TreeGenConfig};
 use xmlmap::patterns::{
@@ -82,14 +84,16 @@ fn tree_conforms(dtd: &Dtd, t: &Tree) -> bool {
     dtd.normalize_attrs(&mut t).is_ok() && dtd.check(&t).is_ok()
 }
 
-/// Streams the serialised bytes of `t` and returns the outcome.
+/// Streams the serialised bytes of `t` against `dtd` on `ctx` and returns
+/// the outcome.
 fn stream(
-    idx: &Arc<DtdIndex>,
-    plan: Option<&StreamPattern>,
+    ctx: &EngineContext,
+    dtd: &Dtd,
+    pattern: Option<&patterns::Pattern>,
     t: &Tree,
 ) -> xmlmap::core::StreamOutcome {
     let bytes = xml::to_string(t).into_bytes();
-    xmlmap::core::stream_document(idx, plan, bytes.as_slice())
+    ctx.stream_document(dtd, pattern, bytes.as_slice())
         .expect("serialised docs are well-formed")
 }
 
@@ -104,13 +108,13 @@ fn conformance_verdicts_match_the_tree_engine() {
     ];
     let mut rng = StdRng::seed_from_u64(0x5eed);
     let (mut cases, mut invalid) = (0usize, 0usize);
+    let ctx = EngineContext::new();
     for dtd in &dtds {
-        let idx = Arc::new(DtdIndex::new(dtd));
         for _ in 0..30 {
             let clean = random_tree(dtd, &config(), &mut rng);
             for doc in [&clean, &perturb(&clean, &mut rng)] {
                 let expected = tree_conforms(dtd, doc);
-                let out = stream(&idx, None, doc);
+                let out = stream(&ctx, dtd, None, doc);
                 assert_eq!(
                     out.violation.is_none(),
                     expected,
@@ -135,7 +139,7 @@ fn conformance_verdicts_match_the_tree_engine() {
 #[test]
 fn membership_verdicts_match_the_tree_engine() {
     let dtd = university_dtd();
-    let idx = Arc::new(DtdIndex::new(&dtd));
+    let ctx = EngineContext::new();
     let probes = [
         "r/prof(x)",
         "r//course(c)",
@@ -148,14 +152,7 @@ fn membership_verdicts_match_the_tree_engine() {
         "r/prof(x)[teach[year(y)[course(c)]], supervise]",
         "r//zz",
     ];
-    let plans: Vec<(patterns::Pattern, StreamPattern)> = probes
-        .iter()
-        .map(|p| {
-            let pat = patterns::parse(p).unwrap();
-            let plan = StreamPattern::compile(&pat).expect("downward probes stream");
-            (pat, plan)
-        })
-        .collect();
+    let pats: Vec<patterns::Pattern> = probes.iter().map(|p| patterns::parse(p).unwrap()).collect();
     let mut rng = StdRng::seed_from_u64(0xd1ff);
     let mut cases = 0usize;
     let mut matched = 0usize;
@@ -163,9 +160,9 @@ fn membership_verdicts_match_the_tree_engine() {
         let doc = random_tree(&dtd, &config(), &mut rng);
         let mut normalised = doc.clone();
         dtd.normalize_attrs(&mut normalised).unwrap();
-        for (pat, plan) in &plans {
+        for pat in &pats {
             let expected = patterns::matches(&normalised, pat);
-            let out = stream(&idx, Some(plan), &doc);
+            let out = stream(&ctx, &dtd, Some(pat), &doc);
             assert_eq!(out.violation, None);
             assert_eq!(
                 out.matched,
@@ -189,8 +186,8 @@ fn membership_verdicts_match_the_tree_engine() {
 #[test]
 fn membership_is_withheld_when_conformance_fails() {
     let dtd = university_dtd();
-    let idx = Arc::new(DtdIndex::new(&dtd));
-    let plan = StreamPattern::compile(&patterns::parse("r//student(s)").unwrap()).unwrap();
+    let ctx = EngineContext::new();
+    let pat = patterns::parse("r//student(s)").unwrap();
     let mut rng = StdRng::seed_from_u64(0xbad);
     let mut rejected = 0usize;
     while rejected < 20 {
@@ -198,7 +195,7 @@ fn membership_is_withheld_when_conformance_fails() {
         if tree_conforms(&dtd, &doc) {
             continue;
         }
-        let out = stream(&idx, Some(&plan), &doc);
+        let out = stream(&ctx, &dtd, Some(&pat), &doc);
         assert!(out.violation.is_some());
         assert_eq!(out.matched, None, "no verdict on a rejected document");
         rejected += 1;
@@ -305,24 +302,17 @@ fn streaming_chase_matches_the_tree_chase_on_random_mappings() {
         else {
             continue;
         };
-        let plan = xmlmap::core::StreamChasePlan::new(
-            &m,
-            Arc::new(xmlmap::core::ChaseCache::new(&m)),
-            m.stds
-                .iter()
-                .map(|s| StreamPattern::compile(&s.source).map(Arc::new)),
-        );
-        if plan.unstreamable().is_some() {
+        let ctx = EngineContext::new();
+        if ctx.stream_chase_plan(&m).unstreamable().is_some() {
             // Generated source patterns are downward and condition-free,
             // but variable sharing across factors can be unstreamable.
             unstreamable += 1;
             continue;
         }
-        let idx = Arc::new(DtdIndex::new(&m.source_dtd));
         for _ in 0..5 {
             let doc = random_tree(&m.source_dtd, &config(), &mut rng);
             let bytes = xml::to_string(&doc).into_bytes();
-            let out = xmlmap::core::chase_stream(&idx, &plan, bytes.as_slice()).unwrap();
+            let out = ctx.chase_stream(&m, bytes.as_slice()).unwrap();
             assert_eq!(out.violation, None, "generated docs conform");
             let expected = xmlmap::core::canonical_solution(&m, &doc);
             match (out.solution.expect("verdict on a conforming doc"), expected) {
@@ -356,7 +346,7 @@ fn streaming_chase_matches_the_tree_chase_on_random_mappings() {
 #[test]
 fn streaming_chase_withholds_the_verdict_on_rejected_documents() {
     let m = xmlmap::gen::exchange_mapping();
-    let ctx = xmlmap::core::EngineContext::new();
+    let ctx = EngineContext::new();
     let mut rng = StdRng::seed_from_u64(0xdead);
     let mut rejected = 0usize;
     while rejected < 50 {
@@ -379,11 +369,9 @@ fn streaming_chase_withholds_the_verdict_on_rejected_documents() {
 
 #[test]
 fn engine_context_streaming_agrees_with_the_direct_driver() {
-    let ctx = xmlmap::core::EngineContext::new();
+    let ctx = EngineContext::new();
     let dtd = university_dtd();
-    let idx = Arc::new(DtdIndex::new(&dtd));
     let pat = patterns::parse("r//year(y)[course(c1), course(c2)]").unwrap();
-    let plan = StreamPattern::compile(&pat).unwrap();
     let mut rng = StdRng::seed_from_u64(0xc7);
     for _ in 0..10 {
         let doc = random_tree(&dtd, &config(), &mut rng);
@@ -391,7 +379,7 @@ fn engine_context_streaming_agrees_with_the_direct_driver() {
         let via_ctx = ctx
             .stream_document(&dtd, Some(&pat), bytes.as_slice())
             .unwrap();
-        let direct = stream(&idx, Some(&plan), &doc);
+        let direct = stream(&EngineContext::new(), &dtd, Some(&pat), &doc);
         assert_eq!(via_ctx.violation, direct.violation);
         assert_eq!(via_ctx.matched, direct.matched);
         assert_eq!(via_ctx.stats.elements, direct.stats.elements);
