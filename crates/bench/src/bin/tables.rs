@@ -76,8 +76,11 @@ fn figure1() {
     println!("{:>8} {:>12} {:>14}", "n", "match sets", "time");
     for n in [2usize, 4, 6, 8, 10] {
         let m = hard::cons_exptime(n);
-        let (ans, d) = time_once(|| EngineContext::new().consistent(&m, BUDGET).unwrap());
-        assert!(!ans.is_consistent());
+        let cons = || EngineContext::new().consistent(&m, BUDGET).unwrap();
+        assert!(!cons().is_consistent());
+        let d = median(|| {
+            black_box(cons());
+        });
         println!("{n:>8} {:>12} {:>14}", (1u64 << n) - 1, fmt_duration(d));
     }
 
@@ -85,8 +88,11 @@ fn figure1() {
     println!("{:>8} {:>14}", "n", "time");
     for n in [1usize, 2, 3, 4, 5] {
         let m = hard::cons_nextsib(n);
-        let (ans, d) = time_once(|| EngineContext::new().consistent(&m, BUDGET).unwrap());
-        assert!(ans.is_consistent());
+        let cons = || EngineContext::new().consistent(&m, BUDGET).unwrap();
+        assert!(cons().is_consistent());
+        let d = median(|| {
+            black_box(cons());
+        });
         println!("{n:>8} {:>14}", fmt_duration(d));
     }
 
@@ -129,13 +135,16 @@ fn figure1() {
             .map(|i| xmlmap_core::Std::parse(&format!("r/a{i} --> r/c")).unwrap())
             .collect();
         let m = xmlmap_core::Mapping::new(ds, dt, stds);
-        let (ans, d) = time_once(|| {
+        let abscons = || {
             EngineContext::new()
                 .abscons_structural(&m, BUDGET)
                 .unwrap()
                 .unwrap()
+        };
+        assert!(abscons().holds());
+        let d = median(|| {
+            black_box(abscons());
         });
-        assert!(ans.holds());
         println!("{n:>8} {:>12} {:>14}", 1u64 << n, fmt_duration(d));
     }
 
@@ -143,12 +152,15 @@ fn figure1() {
     println!("{:>8} {:>14}", "n stds", "time");
     for n in [1usize, 2, 3, 4] {
         let (m12, m23) = hard::compose_chain(n);
-        let (ok, d) = time_once(|| {
+        let conscomp = || {
             EngineContext::new()
                 .composition_consistent(&m12, &m23, BUDGET)
                 .unwrap()
+        };
+        assert!(conscomp());
+        let d = median(|| {
+            black_box(conscomp());
         });
-        assert!(ok);
         println!("{:>8} {:>14}", n + 1, fmt_duration(d));
     }
 }

@@ -45,7 +45,8 @@ use xmlmap_dtd::Dtd;
 use xmlmap_patterns::{Pattern, StreamPattern};
 use xmlmap_trees::Tree;
 
-/// Default per-job state budget (matches the CLI's single-query budget).
+/// Default state budget of a budgeted job, and of the CLI's single
+/// `consistent`, `abscons` and `subschema` queries.
 pub const DEFAULT_BUDGET: usize = 50_000_000;
 
 /// Default middle-document node bound for composition-membership jobs.

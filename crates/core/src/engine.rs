@@ -6,19 +6,19 @@
 //! [`AutomataCache`] (determinized hedge
 //! automata, per ordered DTD pair) — but each of those is built by one
 //! caller for one workload. An [`EngineContext`] owns all of them behind
-//! sharded `RwLock` maps keyed by *content-hashed identity* (the schema's
+//! one `RwLock` map per family, keyed by *content identity* (the schema's
 //! or mapping's canonical display form), so any number of threads can
 //! share one context across a whole session:
 //!
-//! * **compile once** — each map slot holds an `Arc<OnceLock<…>>`; N
-//!   threads racing for the same DTD/mapping insert one slot under a brief
-//!   write lock and then exactly one of them runs the compilation inside
-//!   `OnceLock::get_or_init` while the others block on the slot (not the
-//!   shard), then share the compiled `Arc`;
-//! * **sharded maps** — keys are spread over `SHARD_COUNT` shards by a
-//!   hash of the canonical text, so unrelated compilations never contend
-//!   on one lock, and the read path (the common case after warm-up) takes
-//!   only a shard read lock;
+//! * **compile once** — each map entry holds a `OnceLock<Arc<…>>`; N
+//!   threads racing for the same DTD/mapping insert one entry under a
+//!   brief write lock and then exactly one of them runs the compilation
+//!   inside `OnceLock::get_or_init` while the others block on the entry
+//!   (not the map), then share the compiled `Arc`;
+//! * **one lock per family** — the read path (the common case after
+//!   warm-up) takes only the family's read lock, and a compile runs
+//!   outside the lock, so a cold compile never blocks warm lookups of
+//!   other keys in the same family;
 //! * **counters** — every cache tracks hits, misses, compilations, disk
 //!   loads, resident bytes, evictions and cumulative compile time;
 //!   [`EngineContext::stats`] snapshots them for the CLI
@@ -65,11 +65,9 @@ use crate::stream::{
     StreamChaseError, StreamChaseOutcome, StreamChasePlan, StreamJobError, StreamOutcome,
 };
 use std::cell::Cell;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 use xmlmap_automata::{AutomataCache, InclusionBudgetExceeded, SubschemaViolation};
@@ -77,11 +75,6 @@ use xmlmap_dtd::{Dtd, DtdIndex};
 use xmlmap_patterns::sat::BudgetExceeded;
 use xmlmap_patterns::{Pattern, SatCache, StreamPattern, UnstreamablePattern, Valuation};
 use xmlmap_trees::Tree;
-
-/// Number of lock shards per cache family. A small power of two: enough
-/// that concurrent compilations of distinct schemas rarely share a lock,
-/// small enough that a stats snapshot is a cheap sweep.
-pub(crate) const SHARD_COUNT: usize = 16;
 
 /// Hit/miss/compile-time counters for one cache family.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -272,15 +265,13 @@ impl StatCells {
     }
 }
 
-/// A cache slot: filled exactly once, by whichever thread wins the race.
-type Slot<V> = Arc<OnceLock<Arc<V>>>;
-
 /// One resident (or in-flight) cache entry: the compile-once slot plus the
 /// bookkeeping the eviction clock needs. Unfilled slots (a compile in
 /// flight) are never evicted — removing one would lose the dedup that
 /// makes N racing threads run one compilation.
 struct Entry<V> {
-    slot: Slot<V>,
+    /// Filled exactly once, by whichever thread wins the race.
+    slot: OnceLock<Arc<V>>,
     /// Second-chance bit: set on every access, cleared (once) by the clock
     /// hand before an entry becomes an eviction candidate.
     referenced: AtomicBool,
@@ -288,9 +279,9 @@ struct Entry<V> {
     bytes: AtomicU64,
 }
 
-/// One lock shard: the key map plus a clock ring over its keys. Both
+/// A family's entries: the key map plus a clock ring over its keys. Both
 /// hold the same `Arc<str>`, so each canonical text is stored once.
-struct Shard<V> {
+struct Entries<V> {
     map: HashMap<Arc<str>, Arc<Entry<V>>>,
     /// Keys in residence order; `swap_remove` keeps eviction O(1).
     ring: Vec<Arc<str>>,
@@ -324,61 +315,47 @@ enum Fill {
     Compiled,
 }
 
-/// One sharded compile-once map: canonical text → compiled artifact, with
-/// second-chance eviction over the shard rings.
-struct ShardedCache<V> {
-    shards: Vec<RwLock<Shard<V>>>,
+/// One family's compile-once map: canonical text → compiled artifact, with
+/// second-chance eviction over the family's ring.
+struct FamilyCache<V> {
+    entries: RwLock<Entries<V>>,
     stats: StatCells,
-    /// Round-robin shard cursor for eviction, so successive evictions
-    /// spread over shards instead of draining one.
-    clock: AtomicUsize,
     /// The artifact's own accounted bytes (shared children excluded).
     measure: fn(&V) -> u64,
 }
 
-impl<V> ShardedCache<V> {
-    fn new(measure: fn(&V) -> u64) -> ShardedCache<V> {
-        ShardedCache {
-            shards: (0..SHARD_COUNT)
-                .map(|_| {
-                    RwLock::new(Shard {
-                        map: HashMap::new(),
-                        ring: Vec::new(),
-                        hand: 0,
-                    })
-                })
-                .collect(),
+impl<V> FamilyCache<V> {
+    fn new(measure: fn(&V) -> u64) -> FamilyCache<V> {
+        FamilyCache {
+            entries: RwLock::new(Entries {
+                map: HashMap::new(),
+                ring: Vec::new(),
+                hand: 0,
+            }),
             stats: StatCells::default(),
-            clock: AtomicUsize::new(0),
             measure,
         }
     }
 
-    fn shard_of(&self, key: &str) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % SHARD_COUNT
-    }
-
     /// The compile-once protocol: read-lock lookup, double-checked entry
-    /// insertion under the write lock, filling outside any shard lock
-    /// (inside the slot's `OnceLock`, which admits exactly one winner).
+    /// insertion under the write lock, filling outside the lock (inside
+    /// the slot's `OnceLock`, which admits exactly one winner), so a cold
+    /// compile never blocks warm lookups of other keys.
     ///
     /// `fill` produces the value and whether it came from the artifact
     /// store; it runs at most once per residency. Its bytes are booked
     /// before the slot is filled, so no eviction can race the booking.
     fn get_or_fill(&self, key: &str, fill: impl FnOnce() -> (V, bool)) -> (Arc<V>, Fill) {
-        let shard = &self.shards[self.shard_of(key)];
-        let entry = shard.read().unwrap().map.get(key).cloned();
+        let entry = self.entries.read().unwrap().map.get(key).cloned();
         let entry = match entry {
             Some(e) => e,
             None => {
-                let mut guard = shard.write().unwrap();
+                let mut guard = self.entries.write().unwrap();
                 match guard.map.get(key) {
                     Some(e) => e.clone(),
                     None => {
                         let e = Arc::new(Entry {
-                            slot: Arc::new(OnceLock::new()),
+                            slot: OnceLock::new(),
                             referenced: AtomicBool::new(true),
                             bytes: AtomicU64::new(0),
                         });
@@ -429,20 +406,20 @@ impl<V> ShardedCache<V> {
         v
     }
 
-    /// Calls `f` on every resident (filled) entry.
-    fn for_each(&self, mut f: impl FnMut(&str, &Arc<V>)) {
-        for shard in &self.shards {
-            let entries: Vec<(Arc<str>, Arc<Entry<V>>)> = shard
-                .read()
-                .unwrap()
-                .map
-                .iter()
-                .map(|(k, e)| (k.clone(), e.clone()))
-                .collect();
-            for (key, entry) in entries {
-                if let Some(v) = entry.slot.get() {
-                    f(&key, v);
-                }
+    /// Calls `f` on every resident (filled) entry and its value, outside
+    /// the lock.
+    fn for_each(&self, mut f: impl FnMut(&str, &Entry<V>, &V)) {
+        let entries: Vec<(Arc<str>, Arc<Entry<V>>)> = self
+            .entries
+            .read()
+            .unwrap()
+            .map
+            .iter()
+            .map(|(k, e)| (k.clone(), e.clone()))
+            .collect();
+        for (key, entry) in entries {
+            if let Some(v) = entry.slot.get() {
+                f(&key, &entry, v);
             }
         }
     }
@@ -456,11 +433,7 @@ impl<V> ShardedCache<V> {
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             bytes: self.stats.bytes.load(Ordering::Relaxed),
             compile_time: Duration::from_nanos(self.stats.compile_ns.load(Ordering::Relaxed)),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.read().unwrap().map.len() as u64)
-                .sum(),
+            entries: self.entries.read().unwrap().map.len() as u64,
         }
     }
 }
@@ -477,49 +450,41 @@ trait Resident {
     fn evict_one(&self) -> Option<u64>;
 }
 
-impl<V> Resident for ShardedCache<V> {
+impl<V> Resident for FamilyCache<V> {
     fn bytes(&self) -> u64 {
         self.stats.bytes.load(Ordering::Relaxed)
     }
 
     fn refresh_bytes(&self) {
-        for shard in &self.shards {
-            let entries: Vec<Arc<Entry<V>>> = shard.read().unwrap().map.values().cloned().collect();
-            for entry in entries {
-                if let Some(v) = entry.slot.get() {
-                    let bytes = (self.measure)(v);
-                    let old = entry.bytes.swap(bytes, Ordering::Relaxed);
-                    self.stats.rebook(old, bytes);
-                }
-            }
-        }
+        self.for_each(|_, entry, v| {
+            let bytes = (self.measure)(v);
+            let old = entry.bytes.swap(bytes, Ordering::Relaxed);
+            self.stats.rebook(old, bytes);
+        });
     }
 
     fn evict_one(&self) -> Option<u64> {
-        let start = self.clock.fetch_add(1, Ordering::Relaxed);
-        for i in 0..SHARD_COUNT {
-            let mut shard = self.shards[(start + i) % SHARD_COUNT].write().unwrap();
-            // Two passes over the ring: the first may only clear bits.
-            for _ in 0..2 * shard.ring.len() {
-                if shard.hand >= shard.ring.len() {
-                    shard.hand = 0;
-                }
-                let spare = {
-                    let entry = &shard.map[&shard.ring[shard.hand]];
-                    entry.slot.get().is_none() || entry.referenced.swap(false, Ordering::Relaxed)
-                };
-                if spare {
-                    shard.hand += 1;
-                    continue;
-                }
-                let hand = shard.hand;
-                let key = shard.ring.swap_remove(hand);
-                let entry = shard.map.remove(&key).expect("ring key is mapped");
-                let bytes = entry.bytes.load(Ordering::Relaxed);
-                self.stats.rebook(bytes, 0);
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                return Some(bytes);
+        let mut entries = self.entries.write().unwrap();
+        // Two passes over the ring: the first may only clear bits.
+        for _ in 0..2 * entries.ring.len() {
+            if entries.hand >= entries.ring.len() {
+                entries.hand = 0;
             }
+            let spare = {
+                let entry = &entries.map[&entries.ring[entries.hand]];
+                entry.slot.get().is_none() || entry.referenced.swap(false, Ordering::Relaxed)
+            };
+            if spare {
+                entries.hand += 1;
+                continue;
+            }
+            let hand = entries.hand;
+            let key = entries.ring.swap_remove(hand);
+            let entry = entries.map.remove(&key).expect("ring key is mapped");
+            let bytes = entry.bytes.load(Ordering::Relaxed);
+            self.stats.rebook(bytes, 0);
+            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            return Some(bytes);
         }
         None
     }
@@ -548,14 +513,14 @@ impl<V> Resident for ShardedCache<V> {
 /// assert_eq!(ctx.stats().sat.misses, 1);
 /// ```
 pub struct EngineContext {
-    sat: ShardedCache<SatCache>,
-    chase: ShardedCache<ChaseCache>,
-    automata: ShardedCache<AutomataCache>,
-    shapes: ShardedCache<ShapeCache>,
-    stream_idx: ShardedCache<DtdIndex>,
-    stream_plans: ShardedCache<StreamPattern>,
-    stream_chase: ShardedCache<StreamChasePlan>,
-    delta: ShardedCache<DeltaPlan>,
+    sat: FamilyCache<SatCache>,
+    chase: FamilyCache<ChaseCache>,
+    automata: FamilyCache<AutomataCache>,
+    shapes: FamilyCache<ShapeCache>,
+    stream_idx: FamilyCache<DtdIndex>,
+    stream_plans: FamilyCache<StreamPattern>,
+    stream_chase: FamilyCache<StreamChasePlan>,
+    delta: FamilyCache<DeltaPlan>,
     /// Streaming passes run (diagnostics for `batch --stats` / `STATS`).
     stream_jobs: AtomicU64,
     /// Deepest open-element stack any streaming pass reached.
@@ -589,14 +554,14 @@ impl EngineContext {
     /// A fresh, empty context: unbounded, in-memory only.
     pub fn new() -> EngineContext {
         EngineContext {
-            sat: ShardedCache::new(SatCache::approx_bytes),
-            chase: ShardedCache::new(ChaseCache::approx_bytes),
-            automata: ShardedCache::new(AutomataCache::approx_bytes),
-            shapes: ShardedCache::new(ShapeCache::approx_bytes),
-            stream_idx: ShardedCache::new(DtdIndex::approx_bytes),
-            stream_plans: ShardedCache::new(StreamPattern::approx_bytes),
-            stream_chase: ShardedCache::new(StreamChasePlan::approx_bytes),
-            delta: ShardedCache::new(DeltaPlan::approx_bytes),
+            sat: FamilyCache::new(SatCache::approx_bytes),
+            chase: FamilyCache::new(ChaseCache::approx_bytes),
+            automata: FamilyCache::new(AutomataCache::approx_bytes),
+            shapes: FamilyCache::new(ShapeCache::approx_bytes),
+            stream_idx: FamilyCache::new(DtdIndex::approx_bytes),
+            stream_plans: FamilyCache::new(StreamPattern::approx_bytes),
+            stream_chase: FamilyCache::new(StreamChasePlan::approx_bytes),
+            delta: FamilyCache::new(DeltaPlan::approx_bytes),
             stream_jobs: AtomicU64::new(0),
             stream_peak_depth: AtomicU64::new(0),
             stream_firings: AtomicU64::new(0),
@@ -640,7 +605,7 @@ impl EngineContext {
     /// them, then byte accounting and budget enforcement.
     fn fetch<V, P>(
         &self,
-        cache: &ShardedCache<V>,
+        cache: &FamilyCache<V>,
         key: &str,
         parts: impl FnOnce() -> P,
         compile: impl FnOnce(P) -> V,
@@ -662,7 +627,7 @@ impl EngineContext {
     /// write a fresh compilation back.
     fn fetch_stored<V>(
         &self,
-        cache: &ShardedCache<V>,
+        cache: &FamilyCache<V>,
         family: Family,
         key: &str,
         decode: impl FnOnce(&[u8]) -> Option<V>,
@@ -687,7 +652,7 @@ impl EngineContext {
     /// budget.
     fn fill<V>(
         &self,
-        cache: &ShardedCache<V>,
+        cache: &FamilyCache<V>,
         key: &str,
         fill: impl FnOnce() -> (V, bool),
     ) -> (Arc<V>, Fill) {
@@ -755,7 +720,7 @@ impl EngineContext {
     /// no flush. No-op without a store.
     pub fn flush_disk_cache(&self) {
         let Some(store) = &self.store else { return };
-        self.shapes.for_each(|key, v| {
+        self.shapes.for_each(|key, _, v| {
             if v.has_content() {
                 store.save(Family::Shapes, key, &v.to_bytes());
             }
@@ -1278,6 +1243,47 @@ mod tests {
         assert!(Arc::ptr_eq(&c1, &c2));
         let s = ctx.stats().sat;
         assert_eq!((s.misses, s.hits, s.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn eviction_spares_the_entry_hit_since_the_last_sweep() {
+        let dtds: Vec<Dtd> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|l| dtd(&format!("root r\nr -> {l}*")))
+            .collect();
+        let probe = EngineContext::new();
+        probe.sat_cache(&dtds[0]);
+        let size = probe.stats().sat.bytes;
+        // Room for three of the five equally sized artifacts.
+        let ctx = EngineContext::new().with_memory_budget(3 * size);
+        let resident = |d: &Dtd| {
+            ctx.sat
+                .entries
+                .read()
+                .unwrap()
+                .map
+                .contains_key(&*d.to_string())
+        };
+        for d in &dtds[..4] {
+            ctx.sat_cache(d);
+        }
+        // Filling the fourth swept every bit clear and evicted one entry.
+        let s = ctx.stats().sat;
+        assert_eq!((s.bytes, s.entries, s.evictions), (3 * size, 3, 1));
+        let survivors: Vec<&Dtd> = dtds[..4].iter().filter(|d| resident(d)).collect();
+        ctx.sat_cache(survivors[0]);
+        ctx.sat_cache(&dtds[4]);
+        let s = ctx.stats().sat;
+        assert_eq!((s.hits, s.entries, s.evictions), (1, 3, 2));
+        assert!(
+            resident(survivors[0]),
+            "the entry hit since the sweep survives"
+        );
+        assert!(resident(&dtds[4]), "the fresh entry survives");
+        assert!(
+            !survivors[1..].iter().all(|d| resident(d)),
+            "an entry not hit since the sweep is evicted"
+        );
     }
 
     #[test]

@@ -88,10 +88,9 @@
 //! [`EngineContext`]: xmlmap::core::EngineContext
 
 use std::process::ExitCode;
+use xmlmap::core::batch::DEFAULT_BUDGET;
 use xmlmap::core::EngineContext;
 use xmlmap::prelude::*;
-
-const BUDGET: usize = 50_000_000;
 
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
@@ -702,7 +701,7 @@ fn run() -> Result<bool, String> {
         ["consistent", mapping_path] => {
             let m = load_mapping(mapping_path)?;
             println!("class: {}", m.signature());
-            match ctx.consistent(&m, BUDGET) {
+            match ctx.consistent(&m, DEFAULT_BUDGET) {
                 Ok(ConsAnswer::Consistent { source, .. }) => {
                     println!("consistent (witness source has {} nodes)", source.size());
                     Ok(true)
@@ -729,7 +728,7 @@ fn run() -> Result<bool, String> {
         ["abscons", mapping_path] => {
             let m = load_mapping(mapping_path)?;
             println!("class: {}", m.signature());
-            if let Ok(Ok((answer, procedure))) = ctx.abscons(&m, BUDGET) {
+            if let Ok(Ok((answer, procedure))) = ctx.abscons(&m, DEFAULT_BUDGET) {
                 println!("{}", procedure.detail(&answer));
                 Ok(answer.holds())
             } else {
@@ -751,7 +750,7 @@ fn run() -> Result<bool, String> {
         ["subschema", d1_path, d2_path] => {
             let d1 = xmlmap::dtd::parse(&read(d1_path)?).map_err(|e| e.to_string())?;
             let d2 = xmlmap::dtd::parse(&read(d2_path)?).map_err(|e| e.to_string())?;
-            match ctx.subschema(&d1, &d2, BUDGET).map_err(|e| e.to_string())? {
+            match ctx.subschema(&d1, &d2, DEFAULT_BUDGET).map_err(|e| e.to_string())? {
                 None => {
                     println!("subschema: every {d1_path} document conforms to {d2_path}");
                     Ok(true)
