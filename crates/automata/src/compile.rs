@@ -318,7 +318,9 @@ mod tests {
             let p = pat(text);
             let product = HedgeAutomaton::from_dtd(&d).product(&pattern_automaton(&d, &p));
             let automata_answer = product.witness();
-            let engine_answer = xmlmap_patterns::satisfiable(&d, &p, 10_000_000).unwrap();
+            let engine_answer = xmlmap_patterns::SatCache::new(&d)
+                .satisfiable(&p, 10_000_000)
+                .unwrap();
             assert_eq!(automata_answer.is_some(), engine_answer.is_some(), "{text}");
             assert_eq!(automata_answer.is_some(), expect, "{text}");
             if let Some(w) = automata_answer {

@@ -3,11 +3,10 @@
 //! what `EXPERIMENTS.md` records.
 
 use std::hint::black_box;
-use std::time::Duration;
-use xmlmap_bench::{fmt_duration, measure_median_ns, time_once};
+use xmlmap_bench::{fmt_duration, median, time_cell};
 use xmlmap_core::{bounded, consistency, EngineContext, SkolemMapping};
 use xmlmap_gen::hard;
-use xmlmap_patterns::{Pattern, Valuation, Var};
+use xmlmap_patterns::{NrKernel, Pattern, SatCache, Valuation, Var};
 use xmlmap_trees::{Tree, Value};
 
 const BUDGET: usize = 200_000_000;
@@ -37,13 +36,6 @@ fn header(title: &str) {
     println!("\n{}", "=".repeat(78));
     println!("{title}");
     println!("{}", "=".repeat(78));
-}
-
-/// Median time of one call of `routine`, for the microsecond cells where
-/// a single shot would mostly measure noise.
-fn median(mut routine: impl FnMut()) -> Duration {
-    let ns = measure_median_ns(5, Duration::from_millis(10), &mut routine);
-    Duration::from_nanos(ns as u64)
 }
 
 /// The copy chain's documents over `k` values: `r` with `k` `a0(v)`
@@ -109,7 +101,7 @@ fn figure1() {
         ],
     );
     for bound in [2usize, 3, 4, 5] {
-        let (out, d) = time_once(|| bounded::consistent_bounded(&m, bound, bound + 1));
+        let (out, d) = time_cell(|| bounded::consistent_bounded(&m, bound, bound + 1));
         assert!(matches!(out, bounded::BoundedOutcome::ExhaustedBounds));
         println!("{bound:>8} {:>14}", fmt_duration(d));
     }
@@ -176,7 +168,7 @@ fn figure2() {
     .unwrap();
     for profs in [10usize, 40, 160, 640, 2560] {
         let tree = xmlmap_gen::university_tree(profs, 3);
-        let (ms, d) = time_once(|| xmlmap_patterns::all_matches(&tree, &pattern));
+        let (ms, d) = time_cell(|| xmlmap_patterns::all_matches(&tree, &pattern));
         println!(
             "{:>10} {:>10} {:>14}",
             tree.size(),
@@ -212,7 +204,7 @@ fn figure2() {
     let m2 = hard::membership_vars(2);
     for k in [16usize, 64, 256, 1024] {
         let (t1, t3) = hard::membership_instance(k);
-        let (ok, d) = time_once(|| m2.is_solution(&t1, &t3));
+        let (ok, d) = time_cell(|| m2.is_solution(&t1, &t3));
         assert!(ok);
         println!("{:>10} {:>14}", t1.size() + t3.size(), fmt_duration(d));
     }
@@ -223,7 +215,7 @@ fn figure2() {
     for n in [2usize, 4, 6, 8] {
         let m = hard::membership_vars_hard(n);
         let (t1, t3) = hard::membership_hard_instance(n, 4);
-        let (ok, d) = time_once(|| m.is_solution(&t1, &t3));
+        let (ok, d) = time_cell(|| m.is_solution(&t1, &t3));
         assert!(ok);
         println!("{n:>10} {:>14}", fmt_duration(d));
     }
@@ -240,7 +232,7 @@ fn figure2() {
     ctx.shape_cache(&m12.target_dtd);
     for k in [2usize, 4, 8, 16, 32] {
         let (t1, t3) = copy_chain_docs(k);
-        let (middle, d) = time_once(|| ctx.composition_member(&m12, &m23, &t1, &t3, k + 2));
+        let (middle, d) = time_cell(|| ctx.composition_member(&m12, &m23, &t1, &t3, k + 2));
         assert!(middle.is_some());
         println!("{k:>10} {:>14}", fmt_duration(d));
     }
@@ -278,7 +270,7 @@ fn figure2() {
     ctx.chase_cache(&m12h);
     ctx.shape_cache(&m12h.target_dtd);
     for bound in [2usize, 3, 4, 5] {
-        let (out, d) = time_once(|| ctx.composition_member(&m12h, &m23h, &t1, &t3_neg, bound));
+        let (out, d) = time_cell(|| ctx.composition_member(&m12h, &m23h, &t1, &t3_neg, bound));
         assert!(out.is_none());
         println!("{bound:>10} {:>14}", fmt_duration(d));
     }
@@ -291,12 +283,13 @@ fn lemma41() {
     println!("{:>8} {:>14}", "n", "time");
     for n in [2usize, 4, 6, 8, 10] {
         let (dtd, pattern) = hard::sat_hard(n);
-        let (w, d) = time_once(|| xmlmap_patterns::satisfiable(&dtd, &pattern, BUDGET).unwrap());
+        // A fresh cache per call: the cell times a cold compile and run.
+        let (w, d) = time_cell(|| SatCache::new(&dtd).satisfiable(&pattern, BUDGET).unwrap());
         assert!(w.is_some());
         println!("{n:>8} {:>14}", fmt_duration(d));
     }
 
-    println!("\nNR fragment (chain DTDs, satisfiable_nr)");
+    println!("\nNR fragment (chain DTDs, NrKernel)");
     println!("{:>8} {:>14}", "depth", "time");
     for n in [8usize, 16, 32, 64, 128] {
         let mut lines = vec!["root r".to_string()];
@@ -307,7 +300,8 @@ fn lemma41() {
         }
         let dtd = xmlmap_dtd::parse(&lines.join("\n")).unwrap();
         let pattern = xmlmap_patterns::parse(&format!("r//e{}", n - 1)).unwrap();
-        let (ans, d) = time_once(|| xmlmap_patterns::sat::satisfiable_nr(&dtd, &pattern).unwrap());
+        // A fresh kernel per call: the cell times a cold compile and query.
+        let (ans, d) = time_cell(|| NrKernel::new(&dtd).unwrap().satisfiable(&pattern).unwrap());
         assert!(ans);
         println!("{n:>8} {:>14}", fmt_duration(d));
     }
@@ -322,7 +316,7 @@ fn thm82() {
         let (m12, m23) = hard::compose_chain(n);
         let s12 = SkolemMapping::from_mapping(&m12).unwrap();
         let s23 = SkolemMapping::from_mapping(&m23).unwrap();
-        let (s13, d) = time_once(|| xmlmap_core::compose(&s12, &s23).unwrap());
+        let (s13, d) = time_cell(|| xmlmap_core::compose(&s12, &s23).unwrap());
         println!(
             "{:>8} {:>12} {:>14}",
             n + 1,
@@ -441,8 +435,8 @@ fn ablation() {
     );
     for profs in [5usize, 20, 80, 320] {
         let src = xmlmap_gen::university_tree(profs, 3);
-        let (solution, d_chase) = time_once(|| xmlmap_core::canonical_solution(&m, &src).unwrap());
-        let (reduced, d_reduce) = time_once(|| xmlmap_core::reduce_solution(&m, &solution));
+        let (solution, d_chase) = time_cell(|| xmlmap_core::canonical_solution(&m, &src).unwrap());
+        let (reduced, d_reduce) = time_cell(|| xmlmap_core::reduce_solution(&m, &solution));
         println!(
             "{profs:>8} {:>10} {:>10} {:>10} {:>12} {:>12}",
             src.size(),

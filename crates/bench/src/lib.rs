@@ -12,14 +12,38 @@
 
 pub mod micro;
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Times a closure once (the `tables` binary wants single-shot wall-clock
-/// measurements of procedures whose cost spans six orders of magnitude).
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+/// A first call at least this slow is timed by one more call; a faster
+/// one by [`median`].
+const SLOW_CELL: Duration = Duration::from_millis(100);
+
+/// Times one `tables` cell, whose procedures span six orders of magnitude.
+/// `cell` runs once untimed and that answer is returned for the caller's
+/// verdict check, so first-call warm-up never lands in a timing. If the
+/// untimed call took 100 ms or more, one more call is timed;
+/// otherwise the cell's time is the [`median`] of repeated calls. A cell
+/// that should time a cold query builds its caches inside `cell`.
+pub fn time_cell<T>(mut cell: impl FnMut() -> T) -> (T, Duration) {
     let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
+    let answer = cell();
+    if start.elapsed() >= SLOW_CELL {
+        let start = Instant::now();
+        black_box(cell());
+        return (answer, start.elapsed());
+    }
+    let d = median(|| {
+        black_box(cell());
+    });
+    (answer, d)
+}
+
+/// Median time of one call of `routine`, for the microsecond cells where
+/// a single shot would mostly measure noise.
+pub fn median(mut routine: impl FnMut()) -> Duration {
+    let ns = measure_median_ns(5, Duration::from_millis(10), &mut routine);
+    Duration::from_nanos(ns as u64)
 }
 
 /// Formats a duration compactly for table cells.
@@ -71,7 +95,6 @@ pub fn measure_median_ns(samples: usize, budget: Duration, routine: &mut dyn FnM
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hint::black_box;
 
     #[test]
     fn duration_formatting() {
@@ -90,9 +113,15 @@ mod tests {
     }
 
     #[test]
-    fn time_once_returns_value() {
-        let (v, d) = time_once(|| 6 * 7);
-        assert_eq!(v, 42);
+    fn time_cell_returns_the_untimed_answer() {
+        let mut calls = 0u32;
+        let (v, d) = time_cell(|| {
+            calls += 1;
+            calls
+        });
+        // The answer is the first call's; the timing came from later ones.
+        assert_eq!(v, 1);
+        assert!(calls > 1, "{calls}");
         assert!(d < Duration::from_secs(1));
     }
 }

@@ -280,7 +280,8 @@ mod tests {
     fn sat_hard_family_is_satisfiable() {
         for n in 1..=4 {
             let (d, p) = sat_hard(n);
-            let w = xmlmap_patterns::satisfiable(&d, &p, 2_000_000)
+            let w = xmlmap_patterns::SatCache::new(&d)
+                .satisfiable(&p, 2_000_000)
                 .unwrap()
                 .expect("satisfiable");
             assert!(d.conforms(&w));

@@ -130,7 +130,7 @@ impl CompiledPattern {
     }
 
     /// Does any variable occur twice (implicit equality)?
-    pub fn has_repeated_variable(&self) -> bool {
+    pub(crate) fn has_repeated_variable(&self) -> bool {
         self.has_repeated
     }
 
@@ -647,14 +647,15 @@ impl<'t, 'p> Matcher<'t, 'p> {
     }
 
     /// Structural (value-free) feasibility of the whole pattern at `node`.
-    ///
-    /// For repeat-free patterns this *is* the Boolean answer (Prop 4.2);
-    /// with repeated variables it is a sound over-approximation.
-    pub fn feasible_at(&self, node: NodeId) -> bool {
+    pub(crate) fn feasible_at(&self, node: NodeId) -> bool {
         self.ok_bit(node, self.pat.root())
     }
 
-    /// [`Matcher::feasible_at`] anchored at the root.
+    /// Structural (value-free) feasibility of the whole pattern at the
+    /// root.
+    ///
+    /// For repeat-free patterns this *is* the Boolean answer (Prop 4.2);
+    /// with repeated variables it is a sound over-approximation.
     pub fn feasible(&self) -> bool {
         self.feasible_at(Tree::ROOT)
     }
@@ -688,7 +689,7 @@ impl<'t, 'p> Matcher<'t, 'p> {
     /// Calls `found` on every valuation extending `seed` that witnesses the
     /// pattern at `node`; `found` returns `false` to stop. Returns `true`
     /// iff the enumeration was stopped early.
-    pub fn for_each_match_at(
+    pub(crate) fn for_each_match_at(
         &self,
         node: NodeId,
         seed: &Valuation,
@@ -700,7 +701,9 @@ impl<'t, 'p> Matcher<'t, 'p> {
         })
     }
 
-    /// [`Matcher::for_each_match_at`] anchored at the root.
+    /// Calls `found` on every valuation extending `seed` that witnesses the
+    /// pattern at the root; `found` returns `false` to stop. Returns `true`
+    /// iff the enumeration was stopped early.
     pub fn for_each_match(
         &self,
         seed: &Valuation,
@@ -720,11 +723,12 @@ impl<'t, 'p> Matcher<'t, 'p> {
         self.for_each_match_at(node, seed, &mut |_| false)
     }
 
-    /// Dense-id probing: like [`Matcher::for_each_match_at`], but the seed
-    /// and the valuations handed to `found` live in the interned id space
-    /// (`env[id]`, ids from [`CompiledPattern::var_id`]) as *borrowed*
-    /// values — no [`Valuation`] is ever materialized and no value is ever
-    /// cloned. This is the hot-path entry point for callers issuing many
+    /// Dense-id probing: like [`Matcher::for_each_match`] anchored at
+    /// `node`, but the seed and the valuations handed to `found` live in
+    /// the interned id space (`env[id]`, ids from
+    /// [`CompiledPattern::var_id`]) as *borrowed* values — no
+    /// [`Valuation`] is ever materialized and no value is ever cloned.
+    /// This is the hot-path entry point for callers issuing many
     /// probes, e.g. per-firing std checks: translate the shared variables
     /// to id pairs once, then reseed a dense buffer per probe.
     /// `seed_env.len()` must equal [`CompiledPattern::var_count`].

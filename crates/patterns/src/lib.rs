@@ -18,15 +18,15 @@
 //! * [`mod@reference`] — the naive spec evaluator kept for differential tests;
 //! * [`sat`] — satisfiability of patterns w.r.t. a DTD and achievable
 //!   match-set enumeration (Lemma 4.1, and the engine behind Thm 5.2 /
-//!   Prop 6.1 in `xmlmap-core`), plus the per-DTD [`NrKernel`] that
-//!   decides the nested-relational downward fragment in PTIME (Fact 5.1,
-//!   Thm 6.3);
+//!   Prop 6.1 in `xmlmap-core`), all asked through the per-DTD
+//!   [`SatCache`], plus the per-DTD [`NrKernel`] that decides the
+//!   nested-relational downward fragment in PTIME (Fact 5.1, Thm 6.3);
 //! * [`stream`] — streaming membership for the downward fragment over SAX
 //!   events in O(depth) memory, with diagnostics at the fragment boundary;
 //! * [`sat_compiled`] — the compiled fixpoint engine behind [`sat`]:
-//!   interned type bitsets, a dependency-driven worklist, and the per-DTD
-//!   [`SatCache`] for repeated probes. The original engine survives as
-//!   [`sat::reference`] for differential tests.
+//!   interned type bitsets, a dependency-driven worklist, and
+//!   [`SatCache`], the engine's one entry point. The original engine
+//!   survives as [`sat::reference`] for differential tests.
 
 pub mod ast;
 pub mod compiled;
@@ -45,11 +45,7 @@ pub use eval::{
 };
 pub use minimize::minimize;
 pub use parse::{parse, PatternParseError};
-pub use sat::{
-    achievable_match_sets, contained_in, equivalent, satisfiable, satisfiable_all,
-    satisfiable_with_negations, BudgetExceeded, NrKernel, DEFAULT_BUDGET,
-};
-pub use sat_compiled::{SatCache, SatEngine};
+pub use sat::{BudgetExceeded, NrKernel, SatCache, DEFAULT_BUDGET};
 pub use stream::{
     CanonicalAttrs, LabelMasks, StreamEnumerator, StreamMatcher, StreamPattern, UnstreamablePattern,
 };
@@ -161,7 +157,7 @@ mod proptests {
         /// matches; when it says no, no small tree matches.
         #[test]
         fn sat_engine_agrees_with_brute_force(d in arb_dtd(), p in arb_pattern()) {
-            let engine_answer = satisfiable(&d, &p, DEFAULT_BUDGET).unwrap();
+            let engine_answer = SatCache::new(&d).satisfiable(&p, DEFAULT_BUDGET).unwrap();
             match engine_answer {
                 Some(w) => {
                     prop_assert!(d.conforms(&w), "witness must conform:\n{w:?}\n{d}");
@@ -179,8 +175,8 @@ mod proptests {
         /// Match-set witnesses realise exactly their match set.
         #[test]
         fn match_set_witnesses_are_exact(d in arb_dtd(), p in arb_pattern(), q in arb_pattern()) {
-            let sets = achievable_match_sets(&d, &[&p, &q], DEFAULT_BUDGET).unwrap();
-            for (j, w) in &sets {
+            let sets = SatCache::new(&d).achievable_match_sets(&[&p, &q], DEFAULT_BUDGET).unwrap();
+            for (j, w) in sets.iter() {
                 prop_assert!(d.conforms(w));
                 prop_assert_eq!(matches(w, &p), j.contains(&0), "J={:?} w=\n{:?}", j, w);
                 prop_assert_eq!(matches(w, &q), j.contains(&1), "J={:?} w=\n{:?}", j, w);

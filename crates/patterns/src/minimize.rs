@@ -8,12 +8,13 @@
 //! satisfiability, consistency checks all scale with pattern size.
 //!
 //! [`minimize`] greedily deletes **variable-free** list items whose removal
-//! keeps the pattern equivalent over the DTD ([`crate::sat::equivalent`]);
-//! items carrying variables are kept, since deleting them would change the
-//! valuation schema even when the Boolean semantics is unchanged.
+//! keeps the pattern equivalent over the DTD ([`SatCache::equivalent`], one
+//! cache for the whole pass); items carrying variables are kept, since
+//! deleting them would change the valuation schema even when the Boolean
+//! semantics is unchanged.
 
 use crate::ast::{ListItem, Pattern};
-use crate::sat::{equivalent, BudgetExceeded};
+use crate::sat::{BudgetExceeded, SatCache};
 use xmlmap_dtd::Dtd;
 
 /// Does this pattern subtree bind any variable?
@@ -33,6 +34,7 @@ fn item_has_vars(item: &ListItem) -> bool {
 /// The result matches exactly the same documents with exactly the same
 /// valuations.
 pub fn minimize(dtd: &Dtd, pattern: &Pattern, budget: usize) -> Result<Pattern, BudgetExceeded> {
+    let cache = SatCache::new(dtd);
     let mut current = pattern.clone();
     loop {
         let mut changed = false;
@@ -40,7 +42,7 @@ pub fn minimize(dtd: &Dtd, pattern: &Pattern, budget: usize) -> Result<Pattern, 
         let candidates = candidate_paths(&current);
         for path in candidates {
             let trimmed = remove_item(&current, &path);
-            if equivalent(dtd, &current, &trimmed, budget)? {
+            if cache.equivalent(&current, &trimmed, budget)? {
                 current = trimmed;
                 changed = true;
                 break; // restart: paths shifted
@@ -141,7 +143,9 @@ mod tests {
         let p = parse("r[a[b], //b]").unwrap();
         let m = minimize(&d, &p, DEFAULT_BUDGET).unwrap();
         assert_eq!(m.to_string(), "r[//b]");
-        assert!(crate::sat::equivalent(&d, &p, &m, DEFAULT_BUDGET).unwrap());
+        assert!(SatCache::new(&d)
+            .equivalent(&p, &m, DEFAULT_BUDGET)
+            .unwrap());
     }
 
     #[test]
@@ -160,7 +164,9 @@ mod tests {
             let p = parse(text).unwrap();
             let m = minimize(&d, &p, DEFAULT_BUDGET).unwrap();
             assert!(
-                crate::sat::equivalent(&d, &p, &m, DEFAULT_BUDGET).unwrap(),
+                SatCache::new(&d)
+                    .equivalent(&p, &m, DEFAULT_BUDGET)
+                    .unwrap(),
                 "{text} vs {m}"
             );
             assert!(m.size() <= p.size());

@@ -31,162 +31,69 @@
 //! as it must be: the problems are EXPTIME-/Π₂ᵖ-complete. A configurable
 //! budget bounds the exploration and reports overruns explicitly.
 //!
-//! ## Two engines
+//! ## One entry point
 //!
-//! The entry points below run the **compiled** engine
-//! ([`crate::sat_compiled`]): interned labels and type bitsets, flat-word
-//! machine states with hashed dedup, a dependency-driven worklist instead
-//! of whole-alphabet re-sweeps, with every round expanded on the calling
-//! thread (see DESIGN.md §8). Repeated probes against one schema should go
-//! through [`SatCache`], which compiles the DTD and each pattern set once
-//! and memoizes match-set results. The original engine survives unchanged
-//! as [`mod@reference`] and is differentially tested against the compiled
-//! one in `tests/sat_equiv.rs`.
+//! Every question goes through [`SatCache`], built once per DTD: it
+//! compiles the DTD's [`xmlmap_dtd::DtdIndex`] once, each pattern set's
+//! closure once, and memoizes complete match-set results. Satisfiability,
+//! conjunctive satisfiability, the §9 negation problem, containment and
+//! equivalence are all read off those memoized match sets. The engine
+//! underneath is the **compiled** one ([`crate::sat_compiled`]): interned
+//! labels and type bitsets, flat-word machine states with hashed dedup, a
+//! dependency-driven worklist instead of whole-alphabet re-sweeps, with
+//! every round expanded on the calling thread (see DESIGN.md §8). The
+//! original engine survives unchanged as [`mod@reference`] and is
+//! differentially tested against the compiled one in `tests/sat_equiv.rs`.
 //!
 //! Downward patterns over nested-relational DTDs need neither: the
-//! per-DTD [`NrKernel`] decides them in PTIME (see [`satisfiable_nr`]).
-
-use crate::ast::Pattern;
-use std::collections::BTreeSet;
-use xmlmap_dtd::Dtd;
-use xmlmap_trees::Tree;
+//! per-DTD [`NrKernel`] decides them in PTIME ([`SatCache::nr_kernel`]
+//! builds and shares one).
 
 pub mod nr;
 pub mod reference;
 
-pub use crate::sat_compiled::{SatCache, SatEngine};
+pub use crate::sat_compiled::SatCache;
 pub use nr::NrKernel;
 
 /// The exploration exceeded its state budget; the answer is unknown.
+///
+/// Its message is one fixed text whichever procedure ran the engine:
+/// `xmlmap-core` shares one [`SatCache`] per DTD across procedures through
+/// its `EngineContext`, and batch output across worker counts depends on an
+/// overrun reading the same whichever procedure compiled the cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetExceeded {
     /// The budget that was exhausted (machine states explored).
     pub budget: usize,
     /// States actually explored when the engine gave up (≥ budget).
     pub states_explored: usize,
-    /// Which operation blew the budget (caller-supplied, e.g.
-    /// `"consistency check"` or `"reference engine"`).
-    pub context: String,
 }
 
 impl std::fmt::Display for BudgetExceeded {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "type-fixpoint exploration ({}) exceeded its budget of {} states \
-             ({} states explored at abort)",
-            self.context, self.budget, self.states_explored
+            "type-fixpoint exploration (shared EngineContext probe) exceeded its \
+             budget of {} states ({} states explored at abort)",
+            self.budget, self.states_explored
         )
     }
 }
 
 impl std::error::Error for BudgetExceeded {}
 
-/// Pattern satisfiability w.r.t. a DTD (Lemma 4.1): is there `T ⊨ D` with
-/// `π(T) ≠ ∅`? Returns a witness document.
-pub fn satisfiable(
-    dtd: &Dtd,
-    pattern: &Pattern,
-    budget: usize,
-) -> Result<Option<Tree>, BudgetExceeded> {
-    SatEngine::new(dtd, &[pattern], budget)
-        .with_context("pattern satisfiability")
-        .satisfiable_conj()
-}
-
-/// Joint satisfiability of a pattern conjunction w.r.t. a DTD.
-pub fn satisfiable_all(
-    dtd: &Dtd,
-    patterns: &[&Pattern],
-    budget: usize,
-) -> Result<Option<Tree>, BudgetExceeded> {
-    SatEngine::new(dtd, patterns, budget)
-        .with_context("conjunctive satisfiability")
-        .satisfiable_conj()
-}
-
-/// All achievable root match sets with witnesses (see module docs).
-pub fn achievable_match_sets(
-    dtd: &Dtd,
-    patterns: &[&Pattern],
-    budget: usize,
-) -> Result<Vec<(BTreeSet<usize>, Tree)>, BudgetExceeded> {
-    SatEngine::new(dtd, patterns, budget)
-        .with_context("match-set enumeration")
-        .root_match_sets()
-}
-
 /// Default exploration budget: generous for interactive use, bounded enough
 /// to fail fast on adversarial instances.
 pub const DEFAULT_BUDGET: usize = 2_000_000;
 
-/// The paper's §9 open problem, solved exactly by the type-fixpoint
-/// engine: given a DTD and pattern sets `P⁺`/`P⁻`, is there `T ⊨ D`
-/// matching **all** of `P⁺` and **none** of `P⁻`? Returns a witness.
-///
-/// (The paper observes the problem is in EXPTIME and NP-hard and that its
-/// exact complexity would close several gaps; this implementation is the
-/// EXPTIME upper bound made executable — match sets are computed exactly,
-/// so negative requirements cost nothing extra.)
-pub fn satisfiable_with_negations(
-    dtd: &Dtd,
-    positive: &[&Pattern],
-    negative: &[&Pattern],
-    budget: usize,
-) -> Result<Option<Tree>, BudgetExceeded> {
-    let mut all: Vec<&Pattern> = positive.to_vec();
-    all.extend_from_slice(negative);
-    let sets = achievable_match_sets(dtd, &all, budget)?;
-    let n_pos = positive.len();
-    Ok(sets
-        .into_iter()
-        .find(|(j, _)| {
-            (0..n_pos).all(|i| j.contains(&i)) && (n_pos..all.len()).all(|i| !j.contains(&i))
-        })
-        .map(|(_, w)| w))
-}
-
-/// Pattern containment relative to a DTD: does every `T ⊨ D` matching `p`
-/// also match `q`? Decided via [`satisfiable_with_negations`] (a
-/// counterexample matches `p` but not `q`).
-pub fn contained_in(
-    dtd: &Dtd,
-    p: &Pattern,
-    q: &Pattern,
-    budget: usize,
-) -> Result<bool, BudgetExceeded> {
-    Ok(satisfiable_with_negations(dtd, &[p], &[q], budget)?.is_none())
-}
-
-/// Pattern equivalence relative to a DTD: mutual containment.
-pub fn equivalent(
-    dtd: &Dtd,
-    p: &Pattern,
-    q: &Pattern,
-    budget: usize,
-) -> Result<bool, BudgetExceeded> {
-    Ok(contained_in(dtd, p, q, budget)? && contained_in(dtd, q, p, budget)?)
-}
-
-/// Polynomial-time satisfiability over **nested-relational** DTDs for
-/// **downward** patterns (no `→`/`→*`) — the engine behind the PTIME cells
-/// of Figure 1 (Fact 5.1 and Thm 6.3).
-///
-/// Returns `None` when the inputs are outside the fragment (the DTD is not
-/// nested-relational, or the pattern uses a horizontal axis); callers then
-/// fall back to the general engine.
-///
-/// Compiles a fresh [`NrKernel`] for `dtd`; repeated probes against one
-/// schema should hold the kernel, or ask [`SatCache::nr_kernel`].
-pub fn satisfiable_nr(dtd: &Dtd, pattern: &Pattern) -> Option<bool> {
-    NrKernel::new(dtd)?.satisfiable(pattern)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Pattern;
     use crate::eval;
     use crate::parse::parse;
+    use std::collections::BTreeSet;
+    use xmlmap_dtd::Dtd;
 
     fn dtd(s: &str) -> Dtd {
         xmlmap_dtd::parse(s).unwrap()
@@ -212,7 +119,8 @@ mod tests {
         let d = dtd(D1);
         let p =
             pat("r[prof(x)[teach[year(y)[course(cn1) -> course(cn2)]], supervise[student(s)]]]");
-        let w = satisfiable(&d, &p, DEFAULT_BUDGET)
+        let w = SatCache::new(&d)
+            .satisfiable(&p, DEFAULT_BUDGET)
             .unwrap()
             .expect("satisfiable");
         assert!(d.conforms(&w));
@@ -224,10 +132,16 @@ mod tests {
         let d = dtd(D1);
         // Three courses under one year is impossible (production: exactly 2).
         let p = pat("r//year(y)[course(a) -> course(b) -> course(c)]");
-        assert_eq!(satisfiable(&d, &p, DEFAULT_BUDGET).unwrap(), None);
+        assert_eq!(
+            SatCache::new(&d).satisfiable(&p, DEFAULT_BUDGET).unwrap(),
+            None
+        );
         // student below teach is impossible.
         let q = pat("r//teach[//student(s)]");
-        assert_eq!(satisfiable(&d, &q, DEFAULT_BUDGET).unwrap(), None);
+        assert_eq!(
+            SatCache::new(&d).satisfiable(&q, DEFAULT_BUDGET).unwrap(),
+            None
+        );
     }
 
     #[test]
@@ -235,10 +149,16 @@ mod tests {
         let d = dtd(D1);
         // course has one attribute, not two.
         let p = pat("r//course(a, b)");
-        assert_eq!(satisfiable(&d, &p, DEFAULT_BUDGET).unwrap(), None);
+        assert_eq!(
+            SatCache::new(&d).satisfiable(&p, DEFAULT_BUDGET).unwrap(),
+            None
+        );
         // bare course (zero variables) carries no arity requirement.
         let q = pat("r//course");
-        assert!(satisfiable(&d, &q, DEFAULT_BUDGET).unwrap().is_some());
+        assert!(SatCache::new(&d)
+            .satisfiable(&q, DEFAULT_BUDGET)
+            .unwrap()
+            .is_some());
     }
 
     #[test]
@@ -247,7 +167,8 @@ mod tests {
         // r/prof/teach/year(y); wildcards must respect arities (prof has
         // one attribute, teach none).
         let p = pat("r[_(x)[_[_(y)]]]");
-        let w = satisfiable(&d, &p, DEFAULT_BUDGET)
+        let w = SatCache::new(&d)
+            .satisfiable(&p, DEFAULT_BUDGET)
             .unwrap()
             .expect("satisfiable");
         assert!(eval::matches(&w, &p));
@@ -256,16 +177,20 @@ mod tests {
     #[test]
     fn next_sibling_order_constraints() {
         let d = dtd("root r\nr -> a, b\na @ v\nb @ v");
-        assert!(satisfiable(&d, &pat("r[a(x) -> b(y)]"), DEFAULT_BUDGET)
+        assert!(SatCache::new(&d)
+            .satisfiable(&pat("r[a(x) -> b(y)]"), DEFAULT_BUDGET)
             .unwrap()
             .is_some());
-        assert!(satisfiable(&d, &pat("r[b(x) -> a(y)]"), DEFAULT_BUDGET)
+        assert!(SatCache::new(&d)
+            .satisfiable(&pat("r[b(x) -> a(y)]"), DEFAULT_BUDGET)
             .unwrap()
             .is_none());
-        assert!(satisfiable(&d, &pat("r[a(x) ->* b(y)]"), DEFAULT_BUDGET)
+        assert!(SatCache::new(&d)
+            .satisfiable(&pat("r[a(x) ->* b(y)]"), DEFAULT_BUDGET)
             .unwrap()
             .is_some());
-        assert!(satisfiable(&d, &pat("r[b(x) ->* a(y)]"), DEFAULT_BUDGET)
+        assert!(SatCache::new(&d)
+            .satisfiable(&pat("r[b(x) ->* a(y)]"), DEFAULT_BUDGET)
             .unwrap()
             .is_none());
     }
@@ -274,11 +199,13 @@ mod tests {
     fn following_needs_strictness() {
         let d = dtd("root r\nr -> a");
         // a ->* a needs two distinct a-children; the DTD allows only one.
-        assert!(satisfiable(&d, &pat("r[a ->* a]"), DEFAULT_BUDGET)
+        assert!(SatCache::new(&d)
+            .satisfiable(&pat("r[a ->* a]"), DEFAULT_BUDGET)
             .unwrap()
             .is_none());
         let d2 = dtd("root r\nr -> a, a");
-        assert!(satisfiable(&d2, &pat("r[a ->* a]"), DEFAULT_BUDGET)
+        assert!(SatCache::new(&d2)
+            .satisfiable(&pat("r[a ->* a]"), DEFAULT_BUDGET)
             .unwrap()
             .is_some());
     }
@@ -288,14 +215,16 @@ mod tests {
         let d = dtd("root r\nr -> a*, b?");
         let pa = pat("r/a");
         let pb = pat("r/b");
-        let w = satisfiable_all(&d, &[&pa, &pb], DEFAULT_BUDGET)
+        let w = SatCache::new(&d)
+            .satisfiable_all(&[&pa, &pb], DEFAULT_BUDGET)
             .unwrap()
             .expect("both satisfiable together");
         assert!(eval::matches(&w, &pa) && eval::matches(&w, &pb));
 
         // a and c cannot coexist (c not even in the DTD).
         let pc = pat("r/c");
-        assert!(satisfiable_all(&d, &[&pa, &pc], DEFAULT_BUDGET)
+        assert!(SatCache::new(&d)
+            .satisfiable_all(&[&pa, &pc], DEFAULT_BUDGET)
             .unwrap()
             .is_none());
     }
@@ -305,7 +234,9 @@ mod tests {
         let d = dtd("root r\nr -> a?, b?");
         let pa = pat("r/a");
         let pb = pat("r/b");
-        let sets = achievable_match_sets(&d, &[&pa, &pb], DEFAULT_BUDGET).unwrap();
+        let sets = SatCache::new(&d)
+            .achievable_match_sets(&[&pa, &pb], DEFAULT_BUDGET)
+            .unwrap();
         let js: BTreeSet<BTreeSet<usize>> = sets.iter().map(|(j, _)| j.clone()).collect();
         let expect: BTreeSet<BTreeSet<usize>> = [
             BTreeSet::new(),
@@ -317,7 +248,7 @@ mod tests {
         .collect();
         assert_eq!(js, expect);
         // Each witness realises exactly its match set.
-        for (j, w) in &sets {
+        for (j, w) in sets.iter() {
             assert!(d.conforms(w));
             assert_eq!(eval::matches(w, &pa), j.contains(&0));
             assert_eq!(eval::matches(w, &pb), j.contains(&1));
@@ -329,8 +260,10 @@ mod tests {
         // b is mandatory: the empty match set is NOT achievable.
         let d = dtd("root r\nr -> b");
         let pb = pat("r/b");
-        let sets = achievable_match_sets(&d, &[&pb], DEFAULT_BUDGET).unwrap();
-        let js: Vec<BTreeSet<usize>> = sets.into_iter().map(|(j, _)| j).collect();
+        let sets = SatCache::new(&d)
+            .achievable_match_sets(&[&pb], DEFAULT_BUDGET)
+            .unwrap();
+        let js: Vec<BTreeSet<usize>> = sets.iter().map(|(j, _)| j.clone()).collect();
         assert_eq!(js, vec![BTreeSet::from([0])]);
     }
 
@@ -338,7 +271,8 @@ mod tests {
     fn recursive_dtd_descendant() {
         let d = dtd("root r\nr -> a\na -> a?, b?\nb -> ");
         let p = pat("r//b");
-        let w = satisfiable(&d, &p, DEFAULT_BUDGET)
+        let w = SatCache::new(&d)
+            .satisfiable(&p, DEFAULT_BUDGET)
             .unwrap()
             .expect("satisfiable");
         assert!(d.conforms(&w));
@@ -349,12 +283,17 @@ mod tests {
     fn budget_exhaustion_reports() {
         let d = dtd(D1);
         let p = pat("r//course(c)");
-        let err = satisfiable(&d, &p, 2).unwrap_err();
+        let err = SatCache::new(&d).satisfiable(&p, 2).unwrap_err();
         assert_eq!(err.budget, 2);
         assert!(err.states_explored > 2);
-        let msg = err.to_string();
-        assert!(msg.contains("pattern satisfiability"), "{msg}");
-        assert!(msg.contains("budget of 2"), "{msg}");
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "type-fixpoint exploration (shared EngineContext probe) exceeded its budget \
+                 of 2 states ({} states explored at abort)",
+                err.states_explored
+            )
+        );
     }
 
     #[test]
@@ -364,7 +303,8 @@ mod tests {
         let pb = pat("r/b");
         let pc = pat("r/c");
         // Match a and b but not c.
-        let w = satisfiable_with_negations(&d, &[&pa, &pb], &[&pc], DEFAULT_BUDGET)
+        let w = SatCache::new(&d)
+            .satisfiable_with_negations(&[&pa, &pb], &[&pc], DEFAULT_BUDGET)
             .unwrap()
             .expect("satisfiable");
         assert!(crate::eval::matches(&w, &pa));
@@ -372,24 +312,31 @@ mod tests {
         assert!(!crate::eval::matches(&w, &pc));
         // Matching a without matching the wildcard child test is impossible.
         let any_child = pat("r/_");
-        assert!(
-            satisfiable_with_negations(&d, &[&pa], &[&any_child], DEFAULT_BUDGET)
-                .unwrap()
-                .is_none()
-        );
+        assert!(SatCache::new(&d)
+            .satisfiable_with_negations(&[&pa], &[&any_child], DEFAULT_BUDGET)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
     fn containment_and_equivalence() {
         let d = dtd("root r\nr -> a*\na -> b?\nb @ v");
         // a with a b-child implies a exists.
-        assert!(contained_in(&d, &pat("r/a/b(x)"), &pat("r/a"), DEFAULT_BUDGET).unwrap());
-        assert!(!contained_in(&d, &pat("r/a"), &pat("r/a/b(x)"), DEFAULT_BUDGET).unwrap());
+        assert!(SatCache::new(&d)
+            .contained_in(&pat("r/a/b(x)"), &pat("r/a"), DEFAULT_BUDGET)
+            .unwrap());
+        assert!(!SatCache::new(&d)
+            .contained_in(&pat("r/a"), &pat("r/a/b(x)"), DEFAULT_BUDGET)
+            .unwrap());
         // Under this DTD, //b and a/b are equivalent (b only under a).
-        assert!(equivalent(&d, &pat("r//b(x)"), &pat("r/a/b(x)"), DEFAULT_BUDGET).unwrap());
+        assert!(SatCache::new(&d)
+            .equivalent(&pat("r//b(x)"), &pat("r/a/b(x)"), DEFAULT_BUDGET)
+            .unwrap());
         // Structural containment uses the DTD: every a-child is matched by
         // the wildcard child test.
-        assert!(contained_in(&d, &pat("r/a"), &pat("r/_"), DEFAULT_BUDGET).unwrap());
+        assert!(SatCache::new(&d)
+            .contained_in(&pat("r/a"), &pat("r/_"), DEFAULT_BUDGET)
+            .unwrap());
     }
 
     #[test]
@@ -416,6 +363,7 @@ mod tests {
              b -> e
              c @ v
              e @ w");
+        let kernel = NrKernel::new(&d).expect("nested-relational");
         for (text, expect) in [
             ("r/a", true),
             ("r/a/d", true),
@@ -430,8 +378,11 @@ mod tests {
             ("_[a]", true),   // wildcard root still sits at r
         ] {
             let pat = parse(text).unwrap();
-            let fast = satisfiable_nr(&d, &pat).expect("inside fragment");
-            let slow = satisfiable(&d, &pat, DEFAULT_BUDGET).unwrap().is_some();
+            let fast = kernel.satisfiable(&pat).expect("inside fragment");
+            let slow = SatCache::new(&d)
+                .satisfiable(&pat, DEFAULT_BUDGET)
+                .unwrap()
+                .is_some();
             assert_eq!(fast, slow, "{text}");
             assert_eq!(fast, expect, "{text}");
         }
@@ -441,21 +392,28 @@ mod tests {
     fn nr_satisfiability_rejects_out_of_fragment() {
         let d = dtd("root r
 r -> a, b");
-        assert!(satisfiable_nr(&d, &pat("r[a -> b]")).is_none());
-        assert!(satisfiable_nr(&d, &pat("r[a ->* b]")).is_none());
+        let kernel = NrKernel::new(&d).expect("nested-relational");
+        assert!(kernel.satisfiable(&pat("r[a -> b]")).is_none());
+        assert!(kernel.satisfiable(&pat("r[a ->* b]")).is_none());
         let not_nr = dtd("root r
 r -> a|b");
-        assert!(satisfiable_nr(&not_nr, &pat("r/a")).is_none());
+        assert!(NrKernel::new(&not_nr).is_none());
     }
 
     #[test]
     fn deep_descendant_nesting() {
         let d = dtd("root r\nr -> a\na -> a?, b?\nb -> c\nc @ v");
         let p = pat("r//a[//c(x)]");
-        let w = satisfiable(&d, &p, DEFAULT_BUDGET).unwrap().expect("sat");
+        let w = SatCache::new(&d)
+            .satisfiable(&p, DEFAULT_BUDGET)
+            .unwrap()
+            .expect("sat");
         assert!(eval::matches(&w, &p));
         // //c directly under r also requires the a/b chain.
         let q = pat("r[//c(x)]");
-        assert!(satisfiable(&d, &q, DEFAULT_BUDGET).unwrap().is_some());
+        assert!(SatCache::new(&d)
+            .satisfiable(&q, DEFAULT_BUDGET)
+            .unwrap()
+            .is_some());
     }
 }

@@ -69,7 +69,7 @@ struct PairInfo {
 }
 
 /// The reference satisfiability engine for a DTD and a set of patterns.
-pub struct TypeEngine<'a> {
+pub(crate) struct TypeEngine<'a> {
     dtd: &'a Dtd,
     nodes: Vec<NodeC>,
     seqs: Vec<SeqC>,
@@ -100,7 +100,7 @@ struct MachineState {
 impl<'a> TypeEngine<'a> {
     /// Builds the engine for `dtd` and `patterns`. `budget` bounds the total
     /// number of machine states explored (across all sweeps).
-    pub fn new(dtd: &'a Dtd, patterns: &[&Pattern], budget: usize) -> TypeEngine<'a> {
+    fn new(dtd: &'a Dtd, patterns: &[&Pattern], budget: usize) -> TypeEngine<'a> {
         let mut nodes: Vec<NodeC> = Vec::new();
         let mut seqs: Vec<SeqC> = Vec::new();
         let mut desc_pids: Vec<usize> = Vec::new();
@@ -174,7 +174,7 @@ impl<'a> TypeEngine<'a> {
     }
 
     /// Runs the fixpoint to completion.
-    pub fn run(&mut self) -> Result<(), BudgetExceeded> {
+    fn run(&mut self) -> Result<(), BudgetExceeded> {
         loop {
             let frozen = self.pairs.len();
             let labels: Vec<Name> = self.dtd.alphabet().cloned().collect();
@@ -228,7 +228,6 @@ impl<'a> TypeEngine<'a> {
                 return Err(BudgetExceeded {
                     budget: self.budget,
                     states_explored: self.states_explored,
-                    context: "reference engine".to_string(),
                 });
             }
             let state = states[si].clone();
@@ -351,7 +350,7 @@ impl<'a> TypeEngine<'a> {
     /// list), each with a witness document conforming to the DTD. Every
     /// attribute of the witness carries the same constant, so implicit
     /// equalities in patterns are always satisfied.
-    pub fn root_match_sets(&mut self) -> Result<Vec<(BTreeSet<usize>, Tree)>, BudgetExceeded> {
+    fn root_match_sets(&mut self) -> Result<Vec<(BTreeSet<usize>, Tree)>, BudgetExceeded> {
         self.run()?;
         let mut out: Vec<(BTreeSet<usize>, Tree)> = Vec::new();
         let mut seen: BTreeSet<BTreeSet<usize>> = BTreeSet::new();
@@ -375,18 +374,13 @@ impl<'a> TypeEngine<'a> {
 
     /// Is there a `T ⊨ D` matching **all** input patterns at the root?
     /// Returns a witness. (Lemma 4.1 is the single-pattern case.)
-    pub fn satisfiable_conj(&mut self) -> Result<Option<Tree>, BudgetExceeded> {
+    fn satisfiable_conj(&mut self) -> Result<Option<Tree>, BudgetExceeded> {
         let n = self.roots.len();
         let sets = self.root_match_sets()?;
         Ok(sets
             .into_iter()
             .find(|(set, _)| set.len() == n)
             .map(|(_, tree)| tree))
-    }
-
-    /// Total machine states explored so far (diagnostics for benches).
-    pub fn states_explored(&self) -> usize {
-        self.states_explored
     }
 
     fn build_witness(&self, pair_id: usize) -> Tree {
@@ -418,7 +412,7 @@ impl<'a> TypeEngine<'a> {
     }
 }
 
-/// Reference oracle for [`crate::sat::satisfiable`].
+/// Reference oracle for [`SatCache::satisfiable`](crate::SatCache::satisfiable).
 pub fn satisfiable(
     dtd: &Dtd,
     pattern: &Pattern,
@@ -427,7 +421,7 @@ pub fn satisfiable(
     TypeEngine::new(dtd, &[pattern], budget).satisfiable_conj()
 }
 
-/// Reference oracle for [`crate::sat::satisfiable_all`].
+/// Reference oracle for [`SatCache::satisfiable_all`](crate::SatCache::satisfiable_all).
 pub fn satisfiable_all(
     dtd: &Dtd,
     patterns: &[&Pattern],
@@ -436,7 +430,8 @@ pub fn satisfiable_all(
     TypeEngine::new(dtd, patterns, budget).satisfiable_conj()
 }
 
-/// Reference oracle for [`crate::sat::achievable_match_sets`].
+/// Reference oracle for
+/// [`SatCache::achievable_match_sets`](crate::SatCache::achievable_match_sets).
 pub fn achievable_match_sets(
     dtd: &Dtd,
     patterns: &[&Pattern],

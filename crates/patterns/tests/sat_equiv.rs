@@ -7,13 +7,16 @@
 //! single-pattern satisfiability, conjunctive satisfiability of a pattern
 //! set, and the full collection of achievable match sets — and every
 //! compiled witness tree must conform to the DTD and realise exactly the
-//! match set it was returned for.
+//! match set it was returned for. The questions `SatCache` reads off its
+//! memoized match sets (the §9 negation problem, DTD-relative containment
+//! and equivalence) must agree with the same answers read off the
+//! reference engine's match sets.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use xmlmap_dtd::Dtd;
 use xmlmap_patterns::sat::reference;
-use xmlmap_patterns::{matches, Pattern, SeqOp, Var};
+use xmlmap_patterns::{matches, Pattern, SatCache, SeqOp, Var};
 
 const BUDGET: usize = xmlmap_patterns::DEFAULT_BUDGET;
 
@@ -75,7 +78,7 @@ proptest! {
     /// the compiled witness conforms and matches.
     #[test]
     fn satisfiable_agrees_with_reference(d in arb_dtd(), p in arb_pattern()) {
-        let compiled = xmlmap_patterns::satisfiable(&d, &p, BUDGET).unwrap();
+        let compiled = SatCache::new(&d).satisfiable(&p, BUDGET).unwrap();
         let oracle = reference::satisfiable(&d, &p, BUDGET).unwrap();
         prop_assert_eq!(
             compiled.is_some(),
@@ -99,7 +102,7 @@ proptest! {
         q in arb_pattern(),
     ) {
         let pats = [&p, &q];
-        let compiled = xmlmap_patterns::satisfiable_all(&d, &pats, BUDGET).unwrap();
+        let compiled = SatCache::new(&d).satisfiable_all(&pats, BUDGET).unwrap();
         let oracle = reference::satisfiable_all(&d, &pats, BUDGET).unwrap();
         prop_assert_eq!(
             compiled.is_some(),
@@ -126,7 +129,7 @@ proptest! {
         q in arb_pattern(),
     ) {
         let pats = [&p, &q];
-        let compiled = xmlmap_patterns::achievable_match_sets(&d, &pats, BUDGET).unwrap();
+        let compiled = SatCache::new(&d).achievable_match_sets(&pats, BUDGET).unwrap();
         let oracle = reference::achievable_match_sets(&d, &pats, BUDGET).unwrap();
         let compiled_js: BTreeSet<BTreeSet<usize>> =
             compiled.iter().map(|(j, _)| j.clone()).collect();
@@ -140,10 +143,63 @@ proptest! {
             q,
             d
         );
-        for (j, w) in &compiled {
+        for (j, w) in compiled.iter() {
             prop_assert!(d.conforms(w), "witness for J={j:?} must conform:\n{w:?}");
             prop_assert_eq!(matches(w, &p), j.contains(&0), "J={:?} w=\n{:?}", j, w);
             prop_assert_eq!(matches(w, &q), j.contains(&1), "J={:?} w=\n{:?}", j, w);
         }
+    }
+
+    /// `SatCache::{satisfiable_with_negations, contained_in, equivalent}`
+    /// agree with the answers read off the reference engine's match sets
+    /// of `[p, q]`: `p ∧ ¬q` is satisfiable iff `{0}` is achievable, `p`
+    /// is contained in `q` iff it is not, and `p ≡ q` iff neither `{0}` nor
+    /// `{1}` is. A negation witness matches `p` and not `q`.
+    #[test]
+    fn derived_questions_agree_with_reference(
+        d in arb_dtd(),
+        p in arb_pattern(),
+        q in arb_pattern(),
+    ) {
+        let oracle: BTreeSet<BTreeSet<usize>> = reference::achievable_match_sets(&d, &[&p, &q], BUDGET)
+            .unwrap()
+            .into_iter()
+            .map(|(j, _)| j)
+            .collect();
+        let only_p = oracle.contains(&BTreeSet::from([0]));
+        let only_q = oracle.contains(&BTreeSet::from([1]));
+
+        let cache = SatCache::new(&d);
+        let negation = cache.satisfiable_with_negations(&[&p], &[&q], BUDGET).unwrap();
+        prop_assert_eq!(negation.is_some(), only_p, "{} ∧ ¬{} under\n{}", p, q, d);
+        if let Some(w) = negation {
+            prop_assert!(d.conforms(&w), "witness must conform:\n{w:?}\n{d}");
+            prop_assert!(matches(&w, &p), "witness must match {p}:\n{w:?}");
+            prop_assert!(!matches(&w, &q), "witness must not match {q}:\n{w:?}");
+        }
+        prop_assert_eq!(
+            cache.contained_in(&p, &q, BUDGET).unwrap(),
+            !only_p,
+            "{} ⊆ {} under\n{}",
+            p,
+            q,
+            d
+        );
+        prop_assert_eq!(
+            cache.contained_in(&q, &p, BUDGET).unwrap(),
+            !only_q,
+            "{} ⊆ {} under\n{}",
+            q,
+            p,
+            d
+        );
+        prop_assert_eq!(
+            cache.equivalent(&p, &q, BUDGET).unwrap(),
+            !only_p && !only_q,
+            "{} ≡ {} under\n{}",
+            p,
+            q,
+            d
+        );
     }
 }

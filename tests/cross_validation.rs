@@ -476,8 +476,8 @@ proptest! {
         let neg = [pick()];
 
         // Engine route.
-        let engine = xmlmap::patterns::satisfiable_with_negations(
-            &d, &[&pos[0], &pos[1]], &[&neg[0]], 5_000_000,
+        let engine = xmlmap::patterns::SatCache::new(&d).satisfiable_with_negations(
+            &[&pos[0], &pos[1]], &[&neg[0]], 5_000_000,
         ).unwrap();
 
         // Automata route: DTD × A(pos…) ⊆ A(neg) ?  A counterexample is a

@@ -1,6 +1,6 @@
 //! Differential test: the nested-relational kernel (`NrKernel`, Fact 5.1
-//! and Thm 6.3) against the general type-fixpoint engine (`satisfiable`,
-//! Lemma 4.1) on seeded random schemas.
+//! and Thm 6.3) against the general type-fixpoint engine
+//! (`SatCache::satisfiable`, Lemma 4.1) on seeded random schemas.
 //!
 //! The patterns are the std sources and targets of `random_nr_mapping`,
 //! each asked of its own schema and of the other one (the generator
@@ -16,7 +16,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xmlmap::dtd::Dtd;
 use xmlmap::gen::mappings::{random_nr_dtd, random_nr_mapping, MappingGenConfig};
-use xmlmap::patterns::sat::{satisfiable, satisfiable_nr};
 use xmlmap::patterns::{LabelTest, ListItem, NrKernel, Pattern, SatCache, SeqOp};
 use xmlmap::trees::Name;
 
@@ -100,9 +99,11 @@ fn variants(p: &Pattern, labels: &[Name], rng: &mut StdRng) -> Vec<Pattern> {
 
 fn check(dtd: &Dtd, kernel: &NrKernel, cache: &SatCache, p: &Pattern, ctx: &str) -> bool {
     let fast = kernel.satisfiable(p).expect("downward pattern, NR DTD");
-    let slow = satisfiable(dtd, p, BUDGET).unwrap().is_some();
+    let slow = SatCache::new(dtd).satisfiable(p, BUDGET).unwrap().is_some();
     assert_eq!(fast, slow, "{ctx}: {p} over\n{dtd}");
-    assert_eq!(satisfiable_nr(dtd, p), Some(fast), "{ctx}: {p}");
+    // A freshly compiled kernel answers what the reused one does.
+    let fresh = NrKernel::new(dtd).expect("NR DTD").satisfiable(p);
+    assert_eq!(fresh, Some(fast), "{ctx}: {p}");
     assert_eq!(
         cache.nr_kernel().expect("NR DTD").satisfiable(p),
         Some(fast),
@@ -184,9 +185,9 @@ fn nr_kernel_is_none_outside_the_fragment() {
         // Nested below a `//` item, too.
         let deep = Pattern::wildcard([] as [Name; 0]).descendant(seq.clone());
         assert_eq!(kernel.satisfiable(&deep), None, "{deep}");
-        assert_eq!(satisfiable_nr(&d, &deep), None, "{deep}");
+        let fresh = NrKernel::new(&d).expect("NR DTD").satisfiable(&deep);
+        assert_eq!(fresh, None, "{deep}");
     }
-    let p = xmlmap::patterns::parse("r/a").unwrap();
     for not_nr in [
         "root r\nr -> a|b",
         "root r\nr -> a, a",
@@ -196,6 +197,5 @@ fn nr_kernel_is_none_outside_the_fragment() {
         let d = xmlmap::dtd::parse(not_nr).unwrap();
         assert!(NrKernel::new(&d).is_none(), "{not_nr}");
         assert!(SatCache::new(&d).nr_kernel().is_none(), "{not_nr}");
-        assert_eq!(satisfiable_nr(&d, &p), None, "{not_nr}");
     }
 }
